@@ -1,7 +1,8 @@
 """Safety verification of parameterised multi-agent systems.
 
 Submodules:
-  logic    -- cubes, state formulae, EUF congruence closure, exists/forall solver
+  logic    -- cubes, state formulae, one incremental backtrackable congruence
+              closure (EUF), exists/forall solver
   model    -- system model (templates, protocols, snapshots), formula evaluation
   dsl      -- textual model format parser / printer
   encoder  -- array-based transition-system encodings (interleaved, concurrent)

@@ -81,7 +81,16 @@ def _parse_counts(p: Pmas, text: Optional[str]) -> tuple[tuple[str, int], ...]:
             counts[t] = int(k)
         except ValueError as e:
             raise InputError(f"bad count {k!r} for template {t}") from e
+        if counts[t] < 0:
+            raise InputError(f"--counts: negative count {counts[t]} for template {t}")
     return tuple(counts.items())
+
+
+def _check_non_negative(args) -> None:
+    for dest in ("max_depth", "max_count", "oracle_depth"):
+        v = getattr(args, dest, None)
+        if v is not None and v < 0:
+            raise InputError(f"--{dest.replace('_', '-')} must not be negative, got {v}")
 
 
 _INTERP_LINE = re.compile(r"^\s*(\w+)\s*\(\s*([^)]*?)\s*\)\s*$")
@@ -307,6 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_non_negative(args)
         return args.fn(args)
     except (ModelError, EncodingError, McmtError) as e:
         for d in e.diagnostics:

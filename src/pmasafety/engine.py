@@ -12,12 +12,14 @@ replayed on concrete instances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .logic import (
     ArrayRead,
     BudgetError,
+    CongruenceClosure,
     Const,
     Cube,
     DEFAULT_DNF_CAP,
@@ -275,69 +277,62 @@ def subsumes(a: Cube, b: Cube) -> bool:
 
 
 def _clauses_sat(
-    base: list[Lit],
-    clauses: list[list[Lit]],
-    sig: Signature,
+    cc: CongruenceClosure,
+    clauses: Iterable[Sequence[Lit]],
     node_cap: int = 20000,
 ) -> bool:
-    """Ground EUF satisfiability of cube /\\ CNF clauses, by branching.
+    """Ground EUF satisfiability of the closure's literals /\\ CNF clauses.
 
-    Gives up (answers "satisfiable") after `node_cap` search nodes, which
-    callers treat as "entailment not proven" — always sound.
+    Clause literals the closure already decides are settled first.  The
+    search then asserts one literal of the first open clause per node and
+    undoes it on backtrack; it keeps its own stack, so the number of clauses
+    is not bounded by Python's recursion limit.  Gives up (answers
+    "satisfiable") after `node_cap` search nodes, which callers treat as
+    "entailment not proven" — always sound.
     """
-    skmap = {v: ("v", "sk:" + v.name) for v in cube_vars_of_lits(base)}
+    open_: dict[tuple[Lit, ...], None] = {}
     for cl in clauses:
-        for v in cube_vars_of_lits(cl):
-            skmap.setdefault(v, ("v", "sk:" + v.name))
-
-    # literal -> indices of clauses it satisfies, so satisfaction is updated
-    # incrementally instead of rescanning every clause at every search node
-    lit2cl: dict[Lit, list[int]] = {}
-    for i, cl in enumerate(clauses):
+        undecided = []
         for d in cl:
-            lit2cl.setdefault(d, []).append(i)
-    sat = [False] * len(clauses)
-    base_list = list(base)
-    base_set = set(base)
-    for l in base_list:
-        for i in lit2cl.get(l, ()):
-            sat[i] = True
-    budget = [node_cap]
+            v = cc.value(d)
+            if v:
+                break
+            if v is None:
+                undecided.append(d)
+        else:
+            if not undecided:
+                return False
+            open_[tuple(undecided)] = None
+    todo = list(open_)
+    if not todo:
+        return True
 
-    def mark(d: Lit) -> list[int]:
-        changed = []
-        for i in lit2cl.get(d, ()):
-            if not sat[i]:
-                sat[i] = True
-                changed.append(i)
-        return changed
-
-    def rec(start: int) -> bool:
-        budget[0] -= 1
-        if budget[0] <= 0:
-            return True  # give up: report satisfiable
-        if not ground_lits_sat(base_list, skmap, sig):
-            return False
-        k = start
-        while k < len(clauses) and sat[k]:
+    def next_open(k: int) -> int:
+        """The first clause from `k` on that no literal satisfies yet."""
+        while k < len(todo) and any(cc.value(d) for d in todo[k]):
             k += 1
-        if k == len(clauses):
-            return True
-        for d in clauses[k]:
-            if d.negate() in base_set:
-                continue
-            base_list.append(d)
-            base_set.add(d)
-            changed = mark(d)
-            if rec(k):
-                return True
-            for i in changed:
-                sat[i] = False
-            base_set.discard(d)
-            base_list.pop()
-        return False
+        return k
 
-    return rec(0)
+    budget = node_cap
+    # one frame per decision: clause, next literal to try, mark before it
+    stack = [[0, 0, cc.mark()]]
+    while stack:
+        frame = stack[-1]
+        k, j, m = frame
+        cc.undo(m)
+        if j == len(todo[k]):
+            stack.pop()
+            continue
+        frame[1] = j + 1
+        budget -= 1
+        if budget <= 0:
+            return True  # give up: report satisfiable
+        if cc.assert_lit(todo[k][j]):
+            k = next_open(k + 1)
+            if k == len(todo):
+                return True
+            stack.append([k, 0, cc.mark()])
+    return False
 
 
 # cube variables are canonically named, so the same region-cube instantiation
@@ -348,23 +343,38 @@ _clause_cache: dict[tuple, list[Lit]] = {}
 def entailed_by(
     cube: Cube,
     region: Iterable[Cube],
-    sig: Signature,
     clause_cap: int = 2000,
 ) -> bool:
     """cube |= \\/ region, via universal instantiation over the cube's own
     variables (sorts with no variable are empty in the restricted model).
 
-    Best-effort beyond `clause_cap` instantiations: answers False (not
-    entailed), which is always sound — the cube is merely kept."""
+    A region cube with an index-free literal the cube refutes yields only
+    satisfied clauses, so none are built for it.  Best-effort beyond
+    `clause_cap` instantiations: answers False (not entailed), which is
+    always sound — the cube is merely kept."""
+    cc = CongruenceClosure()
+    if not cc.assert_lits(cube.lits):
+        return True
     cvars_by_sort: dict[str, list[IndexVar]] = {}
     for v in cube.exists:
         cvars_by_sort.setdefault(v.sort, []).append(v)
+    instances = 0
     clauses: list[list[Lit]] = []
     for b in region:
-        pools = [cvars_by_sort.get(v.sort, []) for v in b.exists]
-        if any(not p for p in pools):
+        need: dict[str, int] = {}
+        for v in b.exists:
+            need[v.sort] = need.get(v.sort, 0) + 1
+        # injective instantiations of b's variables by the cube's
+        count = math.prod(math.perm(len(cvars_by_sort.get(s, ())), k) for s, k in need.items())
+        if not count:
             continue  # no total instantiation: imposes nothing
-        for combo in itertools.product(*pools) if b.exists else [()]:
+        instances += count
+        if instances > clause_cap:
+            return False
+        if any(cc.value(l) is False for l in b.index_free_lits()):
+            continue
+        pools = [cvars_by_sort[v.sort] for v in b.exists]
+        for combo in itertools.product(*pools):
             if len(set(combo)) != len(combo):
                 continue  # non-injective: differentiation clause vacuous
             ckey = (b.key(), combo)
@@ -374,9 +384,7 @@ def entailed_by(
                 cl = [lit_subst(l, sub).negate() for l in b.lits]
                 _clause_cache[ckey] = cl
             clauses.append(cl)
-            if len(clauses) > clause_cap:
-                return False
-    return not _clauses_sat(list(cube.lits), clauses, sig)
+    return not _clauses_sat(cc, clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +412,7 @@ def init_sat(abp: AbPmas, cube: Cube) -> bool:
             lits.append(Lit(l.neg, Eq(through(a.lhs), through(a.rhs))))
         else:
             lits.append(Lit(l.neg, RelAtom(a.rel, tuple(through(x) for x in a.args))))
-    skmap = {v: ("v", "sk:" + v.name) for v in cube.exists}
-    for v in cube_vars_of_lits(lits):
-        skmap.setdefault(v, ("v", "sk:" + v.name))
-    return ground_lits_sat(lits, skmap, abp.sig)
+    return ground_lits_sat(lits)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +502,7 @@ def breach(
                 continue
             if any(subsumes(m.cube, n.cube) for m in new_nodes):
                 continue
-            if entailed_by(n.cube, region, sig):
+            if entailed_by(n.cube, region):
                 continue
             new_nodes.append(n)
         if not new_nodes:

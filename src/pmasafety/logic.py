@@ -4,10 +4,13 @@ State formulae are disjunctions of *cubes*: existentially quantified conjunction
 of literals over global variables, array reads at index variables, and relation
 atoms.  Index variables inside one cube are *differentiated*: distinct variables
 of the same index sort denote distinct indexes, so no explicit disequalities are
-stored.  Satisfiability of ground conjunctions is decided by congruence closure
-(EUF) plus distinctness axioms for enumerated constants; the exists/forall
+stored.  Satisfiability of ground conjunctions is decided by one incremental,
+backtrackable congruence closure (`CongruenceClosure`, EUF plus distinctness of
+constants, of differentiated index variables and of true/false): literals are
+asserted one at a time and retracted by undoing a trail, so a search asserts a
+decision and takes it back without rebuilding anything.  The exists/forall
 fragment is decided by finite instantiation of the universals over the
-existential prefix.
+existential prefix, on the same closure.
 """
 
 from __future__ import annotations
@@ -570,15 +573,6 @@ class LambdaUpdate:
         return term_subst(self.body, {self.var: idx})
 
 
-def reduce_updates(f: Formula) -> Formula:
-    """Public entry point: beta-reduce / case-eliminate an update-substituted formula.
-
-    Lambda applications are performed eagerly by LambdaUpdate.apply, so at this
-    point only CaseTerms remain; expanding them yields a plain state formula.
-    """
-    return expand_cases(f)
-
-
 # ---------------------------------------------------------------------------
 # cubes and state formulae
 
@@ -609,6 +603,15 @@ class Cube:
             k = (self.exists, frozenset(self.lits))
             object.__setattr__(self, "_key", k)
             return k
+
+    def index_free_lits(self) -> tuple[Lit, ...]:
+        """The literals that mention no index variable (memoized)."""
+        try:
+            return object.__getattribute__(self, "_index_free")
+        except AttributeError:
+            out = tuple(l for l in self.lits if not cube_vars_of_lits((l,)))
+            object.__setattr__(self, "_index_free", out)
+            return out
 
     def __repr__(self) -> str:
         pre = f"E {', '.join(map(repr, self.exists))}. " if self.exists else ""
@@ -671,153 +674,222 @@ class StateFormula:
 # ---------------------------------------------------------------------------
 # congruence closure
 
+# trail records, undone last-in first-out by CongruenceClosure.undo
+_NODE, _UNION, _DISEQ, _SIG = range(4)
 
-class _CC:
-    """Union-find congruence closure over ground first-order terms.
 
-    Ground terms are nested tuples: ('c', name) constants, ('v', name) free
-    names (skolems, globals), ('app', op, (args...)) applications.
+class CongruenceClosure:
+    """Incremental, backtrackable congruence closure over ground literals.
+
+    Terms are interned to integers: constants, globals, array reads and index
+    variables are atoms, relation atoms are applications whose value is the
+    class of `true` or of `false`.  Constants, index variables (skolems:
+    distinct variables denote distinct indexes) and the two truth values are
+    *distinguished*: a class holding two of them is a conflict, found in O(1)
+    from a per-class flag.  This relies on literals being well-sorted, so one
+    class never mixes sorts.  Array reads need no congruence, because their
+    index skolems never merge; relation atoms get it from a signature table
+    with use lists (Nieuwenhuis & Oliveras, "Fast congruence closure and
+    extensions", 2007).
+
+    The union-find joins by size and never compresses paths, so every change
+    is a record on a trail: `mark()` names a point and `undo(mark)` returns
+    to it.  After a conflict the closure must be undone to a mark taken
+    before the conflicting assertion.
     """
+
+    _TRUE, _FALSE = 0, 1  # the nodes of the two truth values
 
     def __init__(self) -> None:
-        self.parent: dict[tuple, tuple] = {}
-        self.apps: list[tuple] = []
+        self._ids: dict[object, int] = {}
+        self._parent: list[int] = []
+        self._size: list[int] = []
+        self._dist: list[bool] = []
+        self._diseqs: list[list[int]] = []  # per root: terms its class differs from
+        self._uses: list[list[int]] = []  # per root: applications with an argument in it
+        self._app: list[Optional[tuple]] = []  # (relation, argument ids) of applications
+        self._sigs: dict[tuple, int] = {}
+        self._trail: list[tuple] = []
+        self._new(None, True)
+        self._new(None, True)
 
-    def _add(self, t: tuple) -> None:
-        if t in self.parent:
-            return
-        self.parent[t] = t
-        if t[0] == "app":
-            self.apps.append(t)
-            for a in t[2]:
-                self._add(a)
+    def _new(self, key: object, dist: bool) -> int:
+        n = len(self._parent)
+        self._parent.append(n)
+        self._size.append(1)
+        self._dist.append(dist)
+        self._diseqs.append([])
+        self._uses.append([])
+        self._app.append(None)
+        if key is not None:
+            self._ids[key] = n
+            self._trail.append((_NODE, key))
+        return n
 
-    def find(self, t: tuple) -> tuple:
-        self._add(t)
-        root = t
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[t] != root:
-            self.parent[t], t = root, self.parent[t]
-        return root
+    def _term(self, t: Term) -> int:
+        n = self._ids.get(t)
+        if n is not None:
+            return n
+        if isinstance(t, CaseTerm):
+            raise LogicError(f"cannot ground term {t!r}")
+        return self._new(t, isinstance(t, (Const, IndexVar)))
 
-    def union(self, a: tuple, b: tuple) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        self.parent[ra] = rb
-        self._congruence()
+    def _relation(self, a: RelAtom) -> int:
+        n = self._ids.get(a)
+        if n is not None:
+            return n
+        args = tuple(self._term(x) for x in a.args)
+        n = self._new(a, False)
+        self._app[n] = (a.rel, args)
+        for x in args:
+            self._uses[self._find(x)].append(n)
+        key = self._signature(n)
+        q = self._sigs.get(key)
+        if q is None:
+            self._sigs[key] = n
+            self._trail.append((_SIG, key))
+        else:
+            self._merge(n, q)  # n is a fresh class: cannot conflict
+        return n
 
-    def _congruence(self) -> None:
-        # quadratic re-scan; fine at the sizes cubes reach here
-        changed = True
-        while changed:
-            changed = False
-            sigs: dict[tuple, tuple] = {}
-            for t in self.apps:
-                sig = (t[1], tuple(self.find(a) for a in t[2]))
-                if sig in sigs:
-                    other = sigs[sig]
-                    if self.find(t) != self.find(other):
-                        self.parent[self.find(t)] = self.find(other)
-                        changed = True
-                else:
-                    sigs[sig] = t
+    def _find(self, n: int) -> int:
+        parent = self._parent
+        while parent[n] != n:
+            n = parent[n]
+        return n
 
-    def equal(self, a: tuple, b: tuple) -> bool:
-        return self.find(a) == self.find(b)
+    def _signature(self, n: int) -> tuple:
+        rel, args = self._app[n]
+        return (rel, *map(self._find, args))
 
+    def _apart(self, ra: int, rb: int) -> bool:
+        """Classes `ra` and `rb` (roots) are asserted or known different."""
+        if self._dist[ra] and self._dist[rb]:
+            return True
+        da, db = self._diseqs[ra], self._diseqs[rb]
+        other = rb
+        if len(da) > len(db):
+            da, other = db, ra
+        find = self._find
+        return any(find(t) == other for t in da)
 
-_TRUE = ("c", "$bool_true")
-_FALSE = ("c", "$bool_false")
-
-GroundLit = tuple  # (neg: bool, lhs: tuple, rhs: tuple)
-
-
-def ground_sat(
-    eqs: list[tuple[tuple, tuple]],
-    diseqs: list[tuple[tuple, tuple]],
-    distinct_groups: list[list[tuple]],
-) -> bool:
-    """EUF satisfiability of a ground conjunction.
-
-    `distinct_groups` lists sets of terms that are pairwise distinct (constants
-    of one enumerated sort; skolems of one index sort).
-    """
-    cc = _CC()
-    for a, b in eqs:
-        cc.union(a, b)
-    for group in distinct_groups:
-        for a, b in itertools.combinations(group, 2):
-            if cc.equal(a, b):
+    def _merge(self, a: int, b: int) -> bool:
+        parent, size, dist = self._parent, self._size, self._dist
+        diseqs, uses, sigs, trail = self._diseqs, self._uses, self._sigs, self._trail
+        pending = [(a, b)]
+        while pending:
+            a, b = pending.pop()
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
+                continue
+            if self._apart(a, b):
                 return False
-    for a, b in diseqs:
-        if cc.equal(a, b):
+            if size[a] > size[b]:
+                a, b = b, a
+            ub, db = uses[b], diseqs[b]
+            trail.append((_UNION, a, b, len(ub), len(db), dist[a] and not dist[b]))
+            parent[a] = b
+            size[b] += size[a]
+            dist[b] = dist[a] or dist[b]
+            db.extend(diseqs[a])
+            for p in uses[a]:
+                key = self._signature(p)
+                q = sigs.get(key)
+                if q is None:
+                    sigs[key] = p
+                    trail.append((_SIG, key))
+                elif q != p:
+                    pending.append((p, q))
+            ub.extend(uses[a])
+        return True
+
+    def _differ(self, a: int, b: int) -> bool:
+        ra, rb = self._find(a), self._find(b)
+        if ra == rb:
             return False
-    return True
+        if not (self._dist[ra] and self._dist[rb]):
+            self._diseqs[ra].append(b)
+            self._diseqs[rb].append(a)
+            self._trail.append((_DISEQ, ra, rb))
+        return True
 
-
-def _ground_term(t: Term, skmap: dict[IndexVar, tuple], sig: Signature) -> tuple:
-    if isinstance(t, Const):
-        return ("c", t.name)
-    if isinstance(t, GlobalRef):
-        return ("v", "g:" + t.name)
-    if isinstance(t, IndexVar):
-        try:
-            return skmap[t]
-        except KeyError:
-            raise LogicError(f"unbound index variable {t!r}") from None
-    if isinstance(t, ArrayRead):
-        return ("app", "a:" + t.array, (_ground_term(t.index, skmap, sig),))
-    raise LogicError(f"cannot ground term {t!r}")
-
-
-def ground_lits_sat(lits: Iterable[Lit], skmap: dict[IndexVar, tuple], sig: Signature) -> bool:
-    """Satisfiability of ground literals under `sig`'s distinctness axioms.
-
-    `skmap` maps the (differentiated) index variables to skolem terms; skolems
-    mapped from distinct variables of one sort are asserted pairwise distinct.
-    """
-    eqs: list[tuple[tuple, tuple]] = []
-    diseqs: list[tuple[tuple, tuple]] = []
-    consts_used: dict[str, set[str]] = {}
-
-    def note_const(t: Term) -> None:
-        if isinstance(t, Const):
-            consts_used.setdefault(sig.sort_of_const(t.name), set()).add(t.name)
-
-    for l in lits:
+    def assert_lit(self, l: Lit) -> bool:
+        """Add one literal; False when the closure becomes inconsistent."""
         a = l.atom
         if isinstance(a, Eq):
-            if isinstance(a.lhs, IndexVar) and isinstance(a.rhs, IndexVar):
-                # differentiated skolems: distinct vars denote distinct indexes
-                eq_now = skmap[a.lhs] == skmap[a.rhs]
-                if (eq_now and l.neg) or (not eq_now and not l.neg):
-                    return False
-                continue
-            note_const(a.lhs)
-            note_const(a.rhs)
-            gl, gr = _ground_term(a.lhs, skmap, sig), _ground_term(a.rhs, skmap, sig)
-            (diseqs if l.neg else eqs).append((gl, gr))
-        else:
-            for x in a.args:
-                note_const(x)
-            gargs = tuple(_ground_term(x, skmap, sig) for x in a.args)
-            app = ("app", "r:" + a.rel, gargs)
-            eqs.append((app, _FALSE if l.neg else _TRUE))
+            x, y = self._term(a.lhs), self._term(a.rhs)
+            return self._differ(x, y) if l.neg else self._merge(x, y)
+        return self._merge(self._relation(a), self._FALSE if l.neg else self._TRUE)
 
-    groups: list[list[tuple]] = [[_TRUE, _FALSE]]
-    for sort, names in consts_used.items():
-        if len(names) > 1:
-            groups.append([("c", n) for n in sorted(names)])
-    by_sort: dict[str, list[tuple]] = {}
-    for v, sk in skmap.items():
-        by_sort.setdefault(v.sort, []).append(sk)
-    for sks in by_sort.values():
-        uniq = list(dict.fromkeys(sks))
-        if len(uniq) > 1:
-            groups.append(uniq)
-    return ground_sat(eqs, diseqs, groups)
+    def assert_lits(self, lits: Iterable[Lit]) -> bool:
+        return all(self.assert_lit(l) for l in lits)
+
+    def value(self, l: Lit) -> Optional[bool]:
+        """The literal's truth value in every model of the closure, or None."""
+        a = l.atom
+        if isinstance(a, Eq):
+            x, y = self._find(self._term(a.lhs)), self._find(self._term(a.rhs))
+            if x == y:
+                v = True
+            elif self._apart(x, y):
+                v = False
+            else:
+                return None
+        else:
+            r = self._find(self._relation(a))
+            if r == self._find(self._TRUE):
+                v = True
+            elif r == self._find(self._FALSE):
+                v = False
+            else:
+                return None
+        return v != l.neg
+
+    def mark(self) -> int:
+        return len(self._trail)
+
+    def undo(self, mark: int) -> None:
+        """Retract every change made since `mark` was taken."""
+        trail, parent, size, dist = self._trail, self._parent, self._size, self._dist
+        diseqs, uses = self._diseqs, self._uses
+        while len(trail) > mark:
+            rec = trail.pop()
+            tag = rec[0]
+            if tag == _UNION:
+                _, a, b, nu, nd, flag = rec
+                parent[a] = a
+                size[b] -= size[a]
+                del uses[b][nu:]
+                del diseqs[b][nd:]
+                if flag:
+                    dist[b] = False
+            elif tag == _DISEQ:
+                diseqs[rec[1]].pop()
+                diseqs[rec[2]].pop()
+            elif tag == _SIG:
+                del self._sigs[rec[1]]
+            else:
+                app = self._app.pop()
+                if app is not None:
+                    for x in reversed(app[1]):
+                        uses[self._find(x)].pop()
+                del self._ids[rec[1]]
+                parent.pop()
+                size.pop()
+                dist.pop()
+                diseqs.pop()
+                uses.pop()
+
+
+def ground_lits_sat(lits: Iterable[Lit]) -> bool:
+    """Satisfiability of a conjunction of case-free literals.
+
+    Distinct constants are unequal and distinct index variables denote
+    distinct indexes (the cube's differentiated skolems)."""
+    return CongruenceClosure().assert_lits(lits)
 
 
 def check_lit_types(lits: Iterable[Lit], sig: Signature) -> None:
@@ -854,11 +926,7 @@ def check_lit_types(lits: Iterable[Lit], sig: Signature) -> None:
 def euf_sat_cube(cube: Cube, sig: Signature) -> bool:
     """Decide satisfiability of one differentiated cube."""
     check_lit_types(cube.lits, sig)
-    skmap = {v: ("v", "sk:" + v.name) for v in cube.exists}
-    # literals may mention vars not listed in exists (engine-internal); bind them too
-    for v in cube_vars_of_lits(cube.lits):
-        skmap.setdefault(v, ("v", "sk:" + v.name))
-    return ground_lits_sat(cube.lits, skmap, sig)
+    return ground_lits_sat(cube.lits)
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +978,16 @@ def _partition_branches(evars: Sequence[IndexVar]) -> Iterator[Subst]:
         yield merged
 
 
+def _formula_lits(f: Formula) -> Iterator[Lit]:
+    if isinstance(f, FLit):
+        yield f.lit
+    elif isinstance(f, (FAnd, FOr)):
+        for i in f.items:
+            yield from _formula_lits(i)
+    elif isinstance(f, FNot):
+        yield from _formula_lits(f.inner)
+
+
 def _resolve_index_eqs(f: Formula, reps: set[IndexVar]) -> Formula:
     """Rewrite index-index equality atoms to true/false (reps pairwise distinct)."""
     if isinstance(f, (FTrue, FFalse)):
@@ -940,7 +1018,9 @@ def sat_exists_forall(
     by every representative of its sort (a sort with no representative is empty
     in the restricted model, so universals over it hold vacuously), index
     equalities collapse to truth values and the ground residue goes to EUF.
+    Raises TypingError when the matrix is ill-sorted under `sig`.
     """
+    check_lit_types(_formula_lits(ef.matrix), sig)
     for merge in _partition_branches(ef.existentials):
         reps = set(merge.values()) if merge else set()
         cands: dict[str, list[IndexVar]] = {}
@@ -958,11 +1038,7 @@ def sat_exists_forall(
                 insts.append(formula_subst(matrix, sub))
             conj = fand(insts)
         conj = _resolve_index_eqs(expand_cases(conj), reps)
-        skmap = {r: ("v", "sk:" + r.name) for r in reps}
         for cube_lits in dnf(conj, dnf_cap):
-            local = dict(skmap)
-            for v in cube_vars_of_lits(cube_lits):
-                local.setdefault(v, ("v", "sk:" + v.name))
-            if ground_lits_sat(cube_lits, local, sig):
+            if ground_lits_sat(cube_lits):
                 return True
     return False

@@ -38,6 +38,7 @@ from pmasafety.logic import (
     flit,
     fnot,
     lit_eq,
+    lit_subst,
     make_cube,
 )
 
@@ -244,23 +245,79 @@ def random_ground_cube(seed: int) -> Cube:
     """A random differentiated cube over CUBE_SIG with at most 4 unknown cells."""
     rng = random.Random(seed)
     while True:
-        nlits = rng.randint(3, 8)
-        lits = []
-        for _ in range(nlits):
-            if rng.random() < 0.3:
-                if rng.random() < 0.5:
-                    atom = RelAtom("R1", (_rand_term(rng, "S1"),))
-                else:
-                    atom = RelAtom("R2", (_rand_term(rng, "S1"), _rand_term(rng, "S2")))
-            else:
-                sort = rng.choice(("S1", "S2"))
-                atom = Eq(_rand_term(rng, sort), _rand_term(rng, sort))
-            lits.append(Lit(rng.random() < 0.4, atom))
+        lits = [_rand_lit(rng) for _ in range(rng.randint(3, 8))]
         if len(_cells_of(lits)) <= 4:
             return make_cube(_ZS, lits)
 
 
-def _rand_term(rng, sort):
+def random_clause_problem(seed: int) -> tuple[list[Lit], list[list[Lit]]]:
+    """Random ground literals plus a few short clauses over CUBE_SIG, with at
+    most 4 unknown cells among them all."""
+    rng = random.Random(seed)
+    while True:
+        base = [_rand_lit(rng) for _ in range(rng.randint(0, 5))]
+        clauses = [
+            [_rand_lit(rng) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(0, 4))
+        ]
+        if len(_cells_of(base + [l for cl in clauses for l in cl])) <= 4:
+            return base, clauses
+
+
+def brute_clauses_sat(base: list[Lit], clauses: list[list[Lit]], sig: Signature) -> bool:
+    """base /\\ clauses is satisfiable iff base plus one literal of each clause is."""
+    return any(
+        brute_sat_cube(make_cube(_ZS, base + list(pick)), sig)
+        for pick in itertools.product(*clauses)
+    )
+
+
+def _region_instances(cube: Cube, region: list[Cube]) -> list[list[Lit]]:
+    """Every region cube's literals under every injective mapping of its
+    variables onto the cube's (all of sort I)."""
+    out = []
+    for b in region:
+        for combo in itertools.permutations(cube.exists, len(b.exists)):
+            sub = dict(zip(b.exists, combo))
+            out.append([lit_subst(l, sub) for l in b.lits])
+    return out
+
+
+def random_entailment(seed: int) -> tuple[Cube, list[Cube]]:
+    """A random cube over z1, z2 and a region of one-variable cubes over
+    CUBE_SIG, with at most 4 unknown cells once the region is instantiated."""
+    rng = random.Random(seed)
+    zs, w = _ZS[:2], (IndexVar("w", "I"),)
+    while True:
+        cube = make_cube(zs, [_rand_lit(rng, zs) for _ in range(rng.randint(1, 4))])
+        region = [
+            make_cube(w, [_rand_lit(rng, w) for _ in range(rng.randint(1, 2))])
+            for _ in range(rng.randint(1, 2))
+        ]
+        insts = _region_instances(cube, region)
+        if len(_cells_of(list(cube.lits) + [l for i in insts for l in i])) <= 4:
+            return cube, region
+
+
+def brute_entailed(cube: Cube, region: list[Cube], sig: Signature) -> bool:
+    """cube |= \\/ region: no model of the cube satisfies an instance of a region cube."""
+    clauses = [[l.negate() for l in inst] for inst in _region_instances(cube, region)]
+    return not brute_clauses_sat(list(cube.lits), clauses, sig)
+
+
+def _rand_lit(rng, zs=_ZS) -> Lit:
+    if rng.random() < 0.3:
+        if rng.random() < 0.5:
+            atom = RelAtom("R1", (_rand_term(rng, "S1", zs),))
+        else:
+            atom = RelAtom("R2", (_rand_term(rng, "S1", zs), _rand_term(rng, "S2", zs)))
+    else:
+        sort = rng.choice(("S1", "S2"))
+        atom = Eq(_rand_term(rng, sort, zs), _rand_term(rng, sort, zs))
+    return Lit(rng.random() < 0.4, atom)
+
+
+def _rand_term(rng, sort, zs=_ZS):
     consts = CUBE_SIG.sorts[sort].constants
     kind = rng.random()
     if kind < 0.4:
@@ -268,7 +325,7 @@ def _rand_term(rng, sort):
     if kind < 0.6:
         return GlobalRef("g1" if sort == "S1" else "g2")
     arr = "f" if sort == "S1" else "h"
-    return ArrayRead(arr, rng.choice(_ZS))
+    return ArrayRead(arr, rng.choice(zs))
 
 
 EF_SIG = Signature(

@@ -161,3 +161,20 @@ def test_cross_check_agreement(cannon_path, capsys):
     out = _kv_lines(capsys.readouterr().out)
     assert code == 0
     assert out["classification"] == "agree-unsafe"
+
+
+def test_oracle_negative_count_is_input_error(cannon_path, capsys):
+    assert main(["oracle", cannon_path, "--counts", "Att=-2"]) == 3
+    assert "--counts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "{model}", "--max-depth", "-1"], "--max-depth"),
+    (["oracle", "{model}", "--max-depth", "-1"], "--max-depth"),
+    (["cross-check", "{model}", "--max-depth", "-1"], "--max-depth"),
+    (["cross-check", "{model}", "--max-count", "-1"], "--max-count"),
+    (["cross-check", "{model}", "--oracle-depth", "-3"], "--oracle-depth"),
+])
+def test_negative_depth_or_count_is_input_error(cannon_path, capsys, argv, flag):
+    assert main([a.format(model=cannon_path) for a in argv]) == 3
+    assert flag in capsys.readouterr().err

@@ -3,17 +3,29 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import ConcreteAb, all_relation_tuples, random_state_formula
+from helpers import (
+    CUBE_SIG,
+    ConcreteAb,
+    all_relation_tuples,
+    brute_clauses_sat,
+    brute_entailed,
+    random_clause_problem,
+    random_entailment,
+    random_state_formula,
+)
 from pmasafety.corpus import generate_model
-from pmasafety.dsl import parse_formula, parse_pmas
+from pmasafety.dsl import parse_pmas
 from pmasafety.encoder import encode, encode_goal
 from pmasafety.engine import (
     SAFE,
     UNKNOWN,
     UNSAFE,
+    _clauses_sat,
     breach,
     canon_cube,
     check_locality,
@@ -25,16 +37,17 @@ from pmasafety.engine import (
 )
 from pmasafety.logic import (
     ArrayRead,
+    CongruenceClosure,
     Const,
     GlobalRef,
     IndexVar,
+    Lit,
+    RelAtom,
     StateFormula,
     lit_eq,
     make_cube,
 )
 from pmasafety.models import fixture_text
-
-from dataclasses import replace
 
 
 @pytest.fixture(scope="module")
@@ -84,12 +97,75 @@ class TestEntailedBy(object):
     def test_subsuming_region_entails(self, abp):
         small = canon_cube(_loc_cube(["j1"]))
         big = canon_cube(_loc_cube(["j1", "j2"]))
-        assert entailed_by(big, [small], abp.sig)
+        assert entailed_by(big, [small])
 
     def test_unrelated_region_does_not_entail(self, abp):
         a = canon_cube(_loc_cube(["j"], "A"))
         b = canon_cube(_loc_cube(["j"], "B"))
-        assert not entailed_by(a, [b], abp.sig)
+        assert not entailed_by(a, [b])
+
+    def test_region_needing_more_indexes_does_not_entail(self):
+        # one robot at target does not give two distinct ones
+        small = canon_cube(_loc_cube(["j1"]))
+        big = canon_cube(_loc_cube(["j1", "j2"]))
+        assert not entailed_by(small, [big])
+        j1, j2 = IndexVar("j1", "Att_id"), IndexVar("j2", "Att_id")
+        one_of_two = make_cube([j1, j2], [
+            lit_eq(ArrayRead("loc", j1), Const("target")),
+            lit_eq(ArrayRead("loc", j2), Const("A")),
+        ])
+        assert not entailed_by(canon_cube(one_of_two), [big])
+
+    def test_case_split_on_a_global_entails(self):
+        # the cube leaves g1 open; the region covers both of its cases
+        z, w = IndexVar("z", "I"), IndexVar("w", "I")
+        g1, p = GlobalRef("g1"), Const("p")
+        cube = make_cube([z], [lit_eq(ArrayRead("f", z), p)])
+        region = [
+            make_cube([w], [lit_eq(g1, p, neg=neg), lit_eq(ArrayRead("f", w), p)])
+            for neg in (False, True)
+        ]
+        assert entailed_by(cube, region)
+        assert not entailed_by(cube, region[:1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_agrees_with_brute_force(self, seed):
+        cube, region = random_entailment(seed)
+        assert entailed_by(cube, region) == brute_entailed(cube, region, CUBE_SIG)
+
+
+class TestClausesSat:
+    def test_deep_search_is_iterative_and_fast(self):
+        # one decision per clause: a recursive search would pass Python's
+        # recursion limit, and one rebuilt per node would be quadratic
+        clauses = [[Lit(True, RelAtom("R", (Const(f"c{k}"),)))] for k in range(1100)]
+        t0 = time.perf_counter()
+        assert _clauses_sat(CongruenceClosure(), clauses)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_backtracking_retracts_the_failed_choice(self):
+        g1, p, q = GlobalRef("g1"), Const("p"), Const("q")
+        clauses = [[lit_eq(g1, p), lit_eq(g1, q)], [lit_eq(g1, p, neg=True)]]
+        assert _clauses_sat(CongruenceClosure(), clauses)
+
+    def test_every_clause_is_decided(self):
+        g1, g2 = GlobalRef("g1"), GlobalRef("g2")
+        clauses = [[lit_eq(g1, Const("p"))], [lit_eq(g2, Const("u"))], [lit_eq(g2, Const("v"))]]
+        assert not _clauses_sat(CongruenceClosure(), clauses)
+
+    def test_falsified_clause_is_unsat(self):
+        cc = CongruenceClosure()
+        assert cc.assert_lit(lit_eq(GlobalRef("g1"), Const("p")))
+        assert not _clauses_sat(cc, [[lit_eq(GlobalRef("g1"), Const("q"))]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_agrees_with_brute_force(self, seed):
+        base, clauses = random_clause_problem(seed)
+        cc = CongruenceClosure()
+        got = cc.assert_lits(base) and _clauses_sat(cc, clauses)
+        assert got == brute_clauses_sat(base, clauses, CUBE_SIG)
 
 
 class TestInitSat:
@@ -192,15 +268,13 @@ class TestLocality:
         assert not rep.guaranteed_termination
 
 
-def test_two_robot_template_needs_three_agents(cannon):
+def test_two_robot_template_needs_three_agents(two_robot):
     """The two-at-target variant: the engine's template replays with 3 agents
     but not with 2 (one robot must soak up each blast)."""
     from pmasafety.model import RelInterpretation
     from pmasafety.oracle import ConcreteConfig, VALID, replay_run_template
 
-    goal = parse_formula("loc[j1] = target and loc[j2] = target and j1 != j2")
-    p2 = replace(cannon, goal=goal)
-    v = breach(encode(p2, "interleaved"))
+    p2, v, _ = two_robot
     assert v.status == UNSAFE
     cfg3 = ConcreteConfig((("Att", 3),), RelInterpretation(), "interleaved")
     assert replay_run_template(p2, v.run_template, cfg3).status == VALID

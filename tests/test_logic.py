@@ -12,6 +12,7 @@ from helpers import (
     EF_SIG,
     brute_sat_cube,
     brute_sat_ef,
+    random_clause_problem,
     random_ef,
     random_ground_cube,
 )
@@ -19,6 +20,7 @@ from pmasafety.logic import (
     ArrayRead,
     BudgetError,
     CaseTerm,
+    CongruenceClosure,
     Const,
     Cube,
     EFFormula,
@@ -116,6 +118,79 @@ class TestEufSatCube:
     def test_relation_arity_mismatch_raises(self):
         with pytest.raises(TypingError):
             check_lit_types([Lit(False, RelAtom("R", (A,)))], SIG)
+
+
+class TestCongruenceClosure:
+    def test_congruence_through_relation_arguments(self):
+        a, b = GlobalRef("a"), GlobalRef("b")
+        cc = CongruenceClosure()
+        assert cc.assert_lit(Lit(False, RelAtom("R", (a, b))))
+        assert cc.value(Lit(False, RelAtom("R", (A, b)))) is None
+        assert cc.assert_lit(lit_eq(a, A))
+        assert cc.value(Lit(False, RelAtom("R", (A, b)))) is True
+        assert not cc.assert_lit(Lit(True, RelAtom("R", (A, b))))
+
+    def test_undo_retracts_a_conflict(self):
+        cc = CongruenceClosure()
+        assert cc.assert_lit(lit_eq(X, A))
+        m = cc.mark()
+        assert not cc.assert_lit(lit_eq(X, B))
+        cc.undo(m)
+        assert cc.value(lit_eq(X, A)) is True
+        assert cc.value(lit_eq(X, B)) is False
+        assert cc.assert_lit(lit_eq(GlobalRef("a"), B))
+
+    def test_undo_splits_disequalities_again(self):
+        a, b, c = GlobalRef("a"), GlobalRef("b"), GlobalRef("c")
+        cc = CongruenceClosure()
+        assert cc.assert_lit(lit_eq(a, c, neg=True))
+        m = cc.mark()
+        assert cc.assert_lit(lit_eq(a, b))
+        assert cc.value(lit_eq(b, c)) is False
+        cc.undo(m)
+        assert cc.value(lit_eq(b, c)) is None
+        assert cc.assert_lit(lit_eq(b, c))
+
+    def test_undo_forgets_terms_interned_after_the_mark(self):
+        a, b = GlobalRef("a"), GlobalRef("b")
+        cc = CongruenceClosure()
+        assert cc.assert_lit(lit_eq(a, b, neg=True))
+        m = cc.mark()
+        assert cc.value(Lit(False, RelAtom("R", (a, b)))) is None
+        cc.undo(m)
+        # the freed node now holds an array cell, which must not be re-signed
+        # as a relation atom when the class of `a` grows
+        assert cc.value(lit_eq(ArrayRead("arr", IndexVar("z", "I")), A)) is None
+        assert cc.assert_lit(lit_eq(a, A))
+        assert cc.value(lit_eq(b, A)) is False
+
+    def test_distinct_index_variables_never_merge(self):
+        z1, z2 = IndexVar("z1", "I"), IndexVar("z2", "I")
+        cc = CongruenceClosure()
+        assert cc.value(lit_eq(z1, z2)) is False
+        assert cc.value(lit_eq(z1, z1)) is True
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_undo_answers_as_a_fresh_closure(self, seed):
+        base, clauses = random_clause_problem(seed)
+        probes = [l for cl in clauses for l in cl]
+        cc = CongruenceClosure()
+        if not cc.assert_lits(base):
+            return
+        m = cc.mark()
+        for l in probes:
+            cc.assert_lit(l)
+        cc.undo(m)
+        fresh = CongruenceClosure()
+        assert fresh.assert_lits(base)
+        # reversed, so terms interned after the mark get other ids than before
+        for l in reversed(probes):
+            assert cc.value(l) == fresh.value(l)
+            m, fm = cc.mark(), fresh.mark()
+            assert cc.assert_lit(l) == fresh.assert_lit(l)
+            cc.undo(m)
+            fresh.undo(fm)
 
 
 class TestSatExistsForall:
