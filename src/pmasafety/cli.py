@@ -3,7 +3,7 @@
 Subcommands: check, encode, emit-mcmt, oracle, explain-witness, cross-check.
 Reports are line-oriented ``key: value`` pairs on stdout; diagnostics go to
 stderr.  Exit codes: 0 SAFE / agreement, 1 UNSAFE / failure, 2 UNKNOWN,
-3 input error.
+3 input error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ EXIT_SAFE = 0
 EXIT_UNSAFE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 _STATUS_EXIT = {SAFE: EXIT_SAFE, UNSAFE: EXIT_UNSAFE, UNKNOWN: EXIT_UNKNOWN}
 
@@ -325,6 +326,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as e:  # a bug, never a verdict: keep it off codes 0-2
+        msg = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

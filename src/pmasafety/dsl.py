@@ -113,10 +113,16 @@ def _split_indexed(text: str) -> Optional[tuple[str, str]]:
     return None
 
 
+# deepest `not` / parenthesis nesting a formula may have; the parser and the
+# passes after it recurse once per level
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(_pre_lex_indexes(src))
         self.pos = 0
+        self.depth = 0  # `not` and parentheses open around the current token
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -161,15 +167,19 @@ class _Parser:
 
     def formula_unary(self) -> AgentFormula:
         t = self.peek()
+        if t.text not in ("not", "("):
+            return self.formula_atom()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"formula nested deeper than {MAX_NESTING} levels", t)
+        self.next()
         if t.text == "not":
-            self.next()
-            return Neg(self.formula_unary())
-        if t.text == "(":
-            self.next()
+            f: AgentFormula = Neg(self.formula_unary())
+        else:
             f = self.formula()
             self.expect(")")
-            return f
-        return self.formula_atom()
+        self.depth -= 1
+        return f
 
     def formula_atom(self) -> AgentFormula:
         t = self.peek()

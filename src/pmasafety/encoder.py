@@ -38,6 +38,7 @@ from .logic import (
     SortDecl,
     StateFormula,
     TRUE,
+    const_cell,
     cube_vars_of_lits,
     dnf,
     euf_sat_cube,
@@ -48,6 +49,7 @@ from .logic import (
     lit_eq,
     lit_subst,
     make_cube,
+    memoized,
     simplify_lits,
     nnf,
     set_partitions,
@@ -139,6 +141,30 @@ class TransitionRule:
 
     def arrays_map(self) -> dict[str, LambdaUpdate]:
         return dict(self.arrays_upd)
+
+    @memoized
+    def post_constants(self) -> tuple[dict, frozenset]:
+        """What every successor the rule produces holds, in constants
+        (memoized).  `fixed` maps a cell (as in `const_cell`) to its constant:
+        a global the rule writes, an array it resets in bulk, or an unwritten
+        global its guard pins.  `barred` holds the `(cell, c)` pairs of
+        globals its guard requires to differ from `c`; they hold afterwards
+        only where `fixed` says nothing of the cell."""
+        fixed: dict = {}
+        barred = set()
+        for l in self.guard:
+            cc = const_cell(l)
+            if cc is not None and isinstance(cc[0], GlobalRef):
+                if l.neg:
+                    barred.add(cc)
+                else:
+                    fixed[cc[0]] = cc[1]
+        for g, c in self.globals_upd:
+            fixed[GlobalRef(g)] = c
+        for a, u in self.arrays_upd:
+            if isinstance(u.body, Const):
+                fixed[a] = u.body
+        return fixed, frozenset(barred)
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,21 @@ def _gate_formula(gate: Gate, cands: dict[str, list[IndexVar]]) -> Formula:
     return fand(out)
 
 
+def constants_clash(rule: TransitionRule, cube: Cube) -> bool:
+    """The cube fixes a global or array cell to a constant that every state
+    the rule produces contradicts (`TransitionRule.post_constants`).  Distinct
+    constants are never equal, so the preimage of the cube is then empty."""
+    fixed, barred = rule.post_constants()
+    for neg, cell, c in cube.const_lits():
+        d = fixed.get(cell)
+        if d is not None:
+            if (d == c) == neg:
+                return True
+        elif not neg and (cell, c) in barred:
+            return True
+    return False
+
+
 def preimage(
     rule: TransitionRule,
     cube: Cube,
@@ -202,41 +217,11 @@ def canon_cube(cube: Cube) -> Cube:
 # subsumption and entailment
 
 
-def _shape_term(x):
-    if isinstance(x, IndexVar):
-        return ("V", x.sort)
-    if isinstance(x, ArrayRead):
-        return ("A", x.array)
-    return x
-
-
-def _lit_shape(l: Lit):
-    """The literal with index variables abstracted away (array reads keep only
-    the array name).  A necessary condition for an injective embedding is that
-    the subsuming cube's shapes are a subset of the candidate's."""
-    a = l.atom
-    if isinstance(a, Eq):
-        return (l.neg, "=", _shape_term(a.lhs), _shape_term(a.rhs))
-    return (l.neg, a.rel, tuple(_shape_term(x) for x in a.args))
-
-
-_shape_cache: dict[tuple, frozenset] = {}
-
-
-def cube_shapes(c: Cube) -> frozenset:
-    key = c.key()
-    got = _shape_cache.get(key)
-    if got is None:
-        got = frozenset(_lit_shape(l) for l in c.lits)
-        _shape_cache[key] = got
-    return got
-
-
 def subsumes(a: Cube, b: Cube) -> bool:
     """Syntactic embedding: b implies a via some injective variable mapping."""
     if len(a.lits) > len(b.lits) or len(a.exists) > len(b.exists):
         return False
-    if not cube_shapes(a) <= cube_shapes(b):
+    if not a.shapes() <= b.shapes():
         return False
     b_lits = set(b.lits)
     bs_by_sort: dict[str, list[IndexVar]] = {}
@@ -274,6 +259,41 @@ def subsumes(a: Cube, b: Cube) -> bool:
         return False
 
     return assign(0, {}, set())
+
+
+class Region:
+    """A set of cubes, indexed for "does some cube here subsume this one?".
+
+    A cube can subsume another only if its literal shapes are a subset of the
+    other's (`Cube.shapes`), so each cube is filed under one of its shapes,
+    the one fewest region cubes have had so far, and a query scans only the
+    buckets of its own shapes.  Iteration yields the cubes in insertion order.
+    """
+
+    def __init__(self) -> None:
+        self.cubes: list[Cube] = []
+        self._buckets: dict = {}  # shape (None: no literals) -> cubes
+        self._freq: dict = {}  # shape -> number of region cubes that have it
+
+    def __iter__(self):
+        return iter(self.cubes)
+
+    def add(self, cube: Cube) -> None:
+        self.cubes.append(cube)
+        freq = self._freq
+        for sh in cube.shapes():
+            freq[sh] = freq.get(sh, 0) + 1
+        key = min(cube.shapes(), key=freq.__getitem__, default=None)
+        self._buckets.setdefault(key, []).append(cube)
+
+    def covers(self, cube: Cube) -> bool:
+        """Some cube of the region subsumes `cube`."""
+        buckets = self._buckets
+        for key in itertools.chain((None,), cube.shapes()):
+            for b in buckets.get(key, ()):
+                if subsumes(b, cube):
+                    return True
+        return False
 
 
 def _clauses_sat(
@@ -474,7 +494,7 @@ def breach(
             seen_layer.add(cc.key())
             frontier.append(_Node(cc, None, None, 0))
 
-    region: list[Cube] = []
+    region = Region()
     layers: list[Frontier] = []
     total = len(frontier)
     depth = 0
@@ -497,18 +517,19 @@ def breach(
                 return verdict_unsafe(n)
 
         new_nodes: list[_Node] = []
+        kept = Region()
         for n in frontier:
-            if any(subsumes(b, n.cube) for b in region):
-                continue
-            if any(subsumes(m.cube, n.cube) for m in new_nodes):
+            if region.covers(n.cube) or kept.covers(n.cube):
                 continue
             if entailed_by(n.cube, region):
                 continue
             new_nodes.append(n)
+            kept.add(n.cube)
         if not new_nodes:
             return Verdict(SAFE, depth=depth, layers=layers, total_cubes=total,
                            reason="fixpoint")
-        region.extend(n.cube for n in new_nodes)
+        for n in new_nodes:
+            region.add(n.cube)
 
         if depth >= max_depth:
             return Verdict(UNKNOWN, depth=depth, layers=layers, total_cubes=total,
@@ -518,11 +539,13 @@ def breach(
         try:
             for rule in abp.rules:
                 for n in new_nodes:
+                    if constants_clash(rule, n.cube):
+                        continue
                     for c in preimage(rule, n.cube, sig, dnf_cap):
                         if c.key() in nxt:
                             continue
                         # cheap syntactic pruning against the visited region
-                        if any(subsumes(b, c) for b in region):
+                        if region.covers(c):
                             continue
                         nxt[c.key()] = _Node(c, rule, n, depth)
         except BudgetError as be:

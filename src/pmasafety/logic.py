@@ -15,9 +15,10 @@ existential prefix, on the same closure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, KeysView, Optional, Sequence, Union
 
 
 class LogicError(Exception):
@@ -581,6 +582,58 @@ def _lit_key(l: Lit) -> str:
     return repr(l)
 
 
+def _shape_term(x: Term):
+    if isinstance(x, IndexVar):
+        return ("V", x.sort)
+    if isinstance(x, ArrayRead):
+        return ("A", x.array)
+    return x
+
+
+def _lit_shape(l: Lit) -> tuple:
+    """The literal with index variables abstracted away (array reads keep only
+    the array name).  A necessary condition for an injective embedding of one
+    cube into another is that the first one's shapes are a subset of the
+    second one's."""
+    a = l.atom
+    if isinstance(a, Eq):
+        return (l.neg, "=", _shape_term(a.lhs), _shape_term(a.rhs))
+    return (l.neg, a.rel, tuple(_shape_term(x) for x in a.args))
+
+
+def const_cell(l: Lit) -> Optional[tuple[Union[GlobalRef, str], Const]]:
+    """`(cell, c)` when the literal's atom equates a global or an array read
+    with the constant `c`.  The cell is the `GlobalRef`, or the array's name,
+    since the index is left out."""
+    a = l.atom
+    if not isinstance(a, Eq):
+        return None
+    x, y = (a.rhs, a.lhs) if isinstance(a.lhs, Const) else (a.lhs, a.rhs)
+    if not isinstance(y, Const):
+        return None
+    if isinstance(x, GlobalRef):
+        return x, y
+    if isinstance(x, ArrayRead):
+        return x.array, y
+    return None
+
+
+def memoized(method):
+    """Memoize a method without arguments on its (frozen) instance."""
+    attr = "_" + method.__name__
+
+    @functools.wraps(method)
+    def get(self):
+        d = self.__dict__
+        try:
+            return d[attr]
+        except KeyError:
+            out = d[attr] = method(self)
+            return out
+
+    return get
+
+
 @dataclass(frozen=True)
 class Cube:
     """Existentially quantified conjunction of literals.
@@ -596,22 +649,31 @@ class Cube:
         if len(set(self.exists)) != len(self.exists):
             raise LogicError("duplicate existential variable in cube")
 
+    @memoized
     def key(self) -> tuple:
-        try:
-            return object.__getattribute__(self, "_key")
-        except AttributeError:
-            k = (self.exists, frozenset(self.lits))
-            object.__setattr__(self, "_key", k)
-            return k
+        return (self.exists, frozenset(self.lits))
 
+    @memoized
     def index_free_lits(self) -> tuple[Lit, ...]:
         """The literals that mention no index variable (memoized)."""
-        try:
-            return object.__getattribute__(self, "_index_free")
-        except AttributeError:
-            out = tuple(l for l in self.lits if not cube_vars_of_lits((l,)))
-            object.__setattr__(self, "_index_free", out)
-            return out
+        return tuple(l for l in self.lits if not cube_vars_of_lits((l,)))
+
+    @memoized
+    def shapes(self) -> KeysView:
+        """The `_lit_shape` of every literal, once each and in literal order,
+        as a set-like view (memoized)."""
+        return dict.fromkeys(_lit_shape(l) for l in self.lits).keys()
+
+    @memoized
+    def const_lits(self) -> tuple[tuple[bool, Union[GlobalRef, str], Const], ...]:
+        """`(neg, cell, c)` for every literal that sets a global or an array
+        read to a constant, with the cell as in `const_cell` (memoized)."""
+        out = []
+        for l in self.lits:
+            cc = const_cell(l)
+            if cc is not None:
+                out.append((l.neg, *cc))
+        return tuple(out)
 
     def __repr__(self) -> str:
         pre = f"E {', '.join(map(repr, self.exists))}. " if self.exists else ""

@@ -7,10 +7,12 @@ universes, and transition rules are executed on fully concrete states.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from typing import Optional
 
+from pmasafety.encoder import TransitionRule
 from pmasafety.logic import (
     ArrayRead,
     CaseTerm,
@@ -27,6 +29,7 @@ from pmasafety.logic import (
     Formula,
     GlobalRef,
     IndexVar,
+    LambdaUpdate,
     Lit,
     RelAtom,
     RelDecl,
@@ -305,6 +308,51 @@ def brute_entailed(cube: Cube, region: list[Cube], sig: Signature) -> bool:
     return not brute_clauses_sat(list(cube.lits), clauses, sig)
 
 
+def random_region(seed: int) -> tuple[list[Cube], list[Cube]]:
+    """Random region cubes over CUBE_SIG and queries against them.  About half
+    the region cubes take a query's literals, some of them dropped and the
+    variables permuted, so that they subsume it; a few have no literal."""
+    rng = random.Random(seed)
+    queries = [
+        make_cube(_ZS, [_rand_lit(rng) for _ in range(rng.randint(1, 6))]) for _ in range(4)
+    ]
+    region = []
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.5:
+            q = rng.choice(queries)
+            perm = dict(zip(_ZS, rng.sample(_ZS, len(_ZS))))
+            k = rng.randint(1, len(q.lits)) if rng.random() < 0.95 else 0
+            lits = rng.sample(q.lits, k)
+            region.append(make_cube(_ZS, [lit_subst(l, perm) for l in lits]))
+        else:
+            region.append(make_cube(_ZS, [_rand_lit(rng) for _ in range(rng.randint(1, 4))]))
+    return region, queries
+
+
+def random_rule_and_cube(seed: int) -> tuple[TransitionRule, Cube]:
+    """A random rule over CUBE_SIG, whose guard speaks of one rule variable
+    and which writes some globals and resets some arrays in bulk to
+    constants, and a random cube over z1, z2."""
+    rng = random.Random(seed)
+    r = IndexVar("r", "I")
+    guard = tuple(_rand_lit(rng, (r,)) for _ in range(rng.randint(0, 3)))
+
+    def some_const(sort: str) -> Const:
+        return Const(rng.choice(CUBE_SIG.sorts[sort].constants))
+
+    globals_upd = tuple(
+        (g, some_const(sort)) for g, sort in CUBE_SIG.globals.items() if rng.random() < 0.4
+    )
+    arrays_upd = tuple(
+        (a, LambdaUpdate(IndexVar("$u", isort), some_const(esort)))
+        for a, (isort, esort) in CUBE_SIG.arrays.items()
+        if rng.random() < 0.3
+    )
+    rule = TransitionRule("t", "declare", (r,), guard, globals_upd, arrays_upd)
+    cube = make_cube(_ZS[:2], [_rand_lit(rng, _ZS[:2]) for _ in range(rng.randint(1, 4))])
+    return rule, cube
+
+
 def _rand_lit(rng, zs=_ZS) -> Lit:
     if rng.random() < 0.3:
         if rng.random() < 0.5:
@@ -565,3 +613,23 @@ def all_relation_tuples(sig: Signature) -> list[tuple]:
         for args in itertools.product(*[sig.sorts[s].constants for s in decl.arg_sorts]):
             out.append((r, args))
     return out
+
+
+# ---------------------------------------------------------------------------
+# verdict fingerprints
+
+
+def verdict_digest(v) -> str:
+    """A hash of everything a `Verdict` says: status, depth, total cubes,
+    reason, trace labels, run template and the cubes of every frontier layer."""
+    parts = [
+        v.status,
+        str(v.depth),
+        str(v.total_cubes),
+        v.reason,
+        "|".join(s.rule_label for s in v.trace),
+        "|".join(",".join(sorted(step)) for step in v.run_template),
+    ]
+    for fr in v.layers:
+        parts.append(f"{fr.depth}:" + ";".join(map(repr, fr.cubes)))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]

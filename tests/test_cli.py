@@ -178,3 +178,23 @@ def test_oracle_negative_count_is_input_error(cannon_path, capsys):
 def test_negative_depth_or_count_is_input_error(cannon_path, capsys, argv, flag):
     assert main([a.format(model=cannon_path) for a in argv]) == 3
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("goal", [
+    "not " * 3000 + "loc[j1] = target",
+    "(" * 1200 + "loc[j1] = target" + ")" * 1200,
+])
+def test_deeply_nested_goal_is_input_error(cannon_path, capsys, goal):
+    assert main(["check", cannon_path, "--goal", goal]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:1:") and "nested deeper" in err
+
+
+def test_internal_error_exits_4(cannon_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("pmasafety.cli.breach", broken)
+    assert main(["check", cannon_path]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom second line\n"

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmasafety.corpus import generate_model_text
-from pmasafety.dsl import format_pmas, parse_formula, parse_pmas
+from pmasafety.dsl import _KEYWORDS, format_pmas, parse_formula, parse_pmas
 from pmasafety.model import ModelError
 from pmasafety.models import fixture_names, fixture_text
 
@@ -73,3 +74,41 @@ def test_parse_formula():
         parse_formula("loc[j] = target extra")
     with pytest.raises(ModelError):
         parse_formula("")
+
+
+# words and symbols of the language, so that random token strings get past
+# the tokenizer and exercise the parser
+_TOKENS = sorted(_KEYWORDS) + [
+    "{", "}", "(", ")", ",", ";", ":", "=", "!=", ":=", "[", "]", "#", "\n",
+    "Loc", "A", "B", "x", "loc", "j", "self", "e", "T", "loc[j]", "x[self]",
+]
+
+
+def _edited_fixture(name: str, edits) -> str:
+    """A bundled model with a few spans replaced by tokens, so that most of
+    it still parses and the validator sees broken declarations."""
+    src = fixture_text(name)
+    for at, cut, tok in edits:
+        i = int(at * len(src))
+        src = src[:i] + tok + src[i + cut:]
+    return src
+
+
+_EDITS = st.lists(
+    st.tuples(st.floats(0, 1), st.integers(0, 12), st.sampled_from(_TOKENS + [""])),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_TOKENS), max_size=60).map(" ".join),
+    st.builds(_edited_fixture, st.sampled_from(fixture_names()), _EDITS),
+))
+def test_parsers_raise_only_model_errors(src):
+    for parse in (parse_pmas, parse_formula):
+        try:
+            parse(src)
+        except ModelError:
+            pass

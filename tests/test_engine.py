@@ -16,19 +16,24 @@ from helpers import (
     brute_entailed,
     random_clause_problem,
     random_entailment,
+    random_region,
+    random_rule_and_cube,
     random_state_formula,
 )
+from pmasafety import engine
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_pmas
-from pmasafety.encoder import encode, encode_goal
+from pmasafety.encoder import TransitionRule, encode, encode_goal
 from pmasafety.engine import (
     SAFE,
     UNKNOWN,
     UNSAFE,
+    Region,
     _clauses_sat,
     breach,
     canon_cube,
     check_locality,
+    constants_clash,
     entailed_by,
     extract_run_template,
     init_sat,
@@ -41,6 +46,7 @@ from pmasafety.logic import (
     Const,
     GlobalRef,
     IndexVar,
+    LambdaUpdate,
     Lit,
     RelAtom,
     StateFormula,
@@ -91,6 +97,25 @@ class TestSubsumes:
         a = canon_cube(_loc_cube(["j"], "A"))
         b = canon_cube(_loc_cube(["j"], "B"))
         assert not subsumes(a, b)
+
+
+class TestRegion:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_covers_agrees_with_linear_scan(self, seed):
+        cubes, queries = random_region(seed)
+        region = Region()
+        for k in range(len(cubes) + 1):
+            if k:
+                region.add(cubes[k - 1])
+            assert list(region) == cubes[:k]
+            for q in queries:
+                assert region.covers(q) == any(subsumes(a, q) for a in cubes[:k])
+
+    def test_cube_without_literals_covers_everything(self):
+        region = Region()
+        region.add(make_cube([], []))
+        assert region.covers(canon_cube(_loc_cube(["j"])))
 
 
 class TestEntailedBy(object):
@@ -243,6 +268,90 @@ class TestPreimageExactness:
                     )
                 checked += 1
         assert checked == 18
+
+
+def _breach_with_spies(monkeypatch, abp):
+    """Run `breach`, recording every (rule, cube) pair the constant-clash
+    filter skips and the result of every preimage it builds."""
+    skipped, built = [], []
+    clash, pre = engine.constants_clash, engine.preimage
+
+    def clash_spy(rule, cube):
+        out = clash(rule, cube)
+        if out:
+            skipped.append((rule, cube))
+        return out
+
+    def pre_spy(*args, **kw):
+        out = pre(*args, **kw)
+        built.append(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "constants_clash", clash_spy)
+        m.setattr(engine, "preimage", pre_spy)
+        breach(abp)
+    return skipped, built
+
+
+def _clash_cases():
+    cases = [("cannon", "interleaved"), ("trains", "interleaved"), ("trains", "concurrent")]
+    out = [pytest.param(n, s, id=f"{n}-{s}") for n, s in cases]
+    for seed in range(8):
+        for sem in ("interleaved", "concurrent"):
+            out.append(pytest.param(seed, sem, id=f"corpus{seed}-{sem}"))
+    return out
+
+
+class TestConstantsClash:
+    @pytest.mark.parametrize("model, semantics", _clash_cases())
+    def test_skips_only_empty_preimages(self, model, semantics, monkeypatch):
+        if isinstance(model, str):
+            p = parse_pmas(fixture_text(model), model)
+        else:
+            p = generate_model(model)
+        abp = encode(p, semantics)
+        skipped, _ = _breach_with_spies(monkeypatch, abp)
+        for rule, cube in skipped:
+            assert preimage(rule, cube, abp.sig) == [], (rule.label, cube)
+
+    def test_skips_every_empty_preimage_of_cannon(self, abp, monkeypatch):
+        skipped, built = _breach_with_spies(monkeypatch, abp)
+        assert len(skipped) == 1232
+        assert len(built) == 176 and all(built)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_clash_implies_empty_preimage_on_random_rules(self, seed):
+        rule, cube = random_rule_and_cube(seed)
+        if constants_clash(rule, cube):
+            assert preimage(rule, cube, CUBE_SIG) == []
+
+    def test_guard_and_bulk_reset_tables(self):
+        g, f, z = GlobalRef("g1"), "f", IndexVar("z", "I")
+        p, q = Const("p"), Const("q")
+
+        def cube(*lits):
+            return make_cube([z], lits)
+
+        def rule(guard=(), globals_upd=(), arrays_upd=()):
+            return TransitionRule("t", "declare", (), guard, globals_upd, arrays_upd)
+
+        # an unwritten global keeps what the guard pins or bars
+        pins, bars = rule((lit_eq(g, p),)), rule((lit_eq(g, p, neg=True),))
+        assert constants_clash(pins, cube(lit_eq(g, q)))
+        assert not constants_clash(pins, cube(lit_eq(g, p)))
+        assert constants_clash(bars, cube(lit_eq(g, p)))
+        assert not constants_clash(bars, cube(lit_eq(g, q)))
+        # a write overrides the guard
+        bars_writes = rule((lit_eq(g, p, neg=True),), (("g1", p),))
+        assert not constants_clash(bars_writes, cube(lit_eq(g, p)))
+        assert constants_clash(bars_writes, cube(lit_eq(g, q)))
+        # a bulk reset fixes every cell of its array
+        reset = rule(arrays_upd=((f, LambdaUpdate(IndexVar("$u", "I"), p)),))
+        assert constants_clash(reset, cube(lit_eq(ArrayRead(f, z), q)))
+        assert constants_clash(reset, cube(lit_eq(ArrayRead(f, z), p, neg=True)))
+        assert not constants_clash(reset, cube(lit_eq(ArrayRead(f, z), p)))
 
 
 class TestLocality:
