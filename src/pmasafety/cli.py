@@ -45,6 +45,10 @@ EXIT_INTERNAL_ERROR = 4
 
 _STATUS_EXIT = {SAFE: EXIT_SAFE, UNSAFE: EXIT_UNSAFE, UNKNOWN: EXIT_UNKNOWN}
 
+# cross-check samples relation interpretations beyond this many: a model with
+# k relation cells has 2**k of them
+DEFAULT_INTERP_BUDGET = 64
+
 
 class InputError(Exception):
     pass
@@ -229,6 +233,8 @@ def _cmd_explain_witness(args) -> int:
 
 
 def _cmd_cross_check(args) -> int:
+    if args.interp_budget < 1:
+        raise InputError(f"--interp-budget must be at least 1, got {args.interp_budget}")
     p = _load_model(args.model)
     goal = parse_formula(args.goal) if args.goal else None
     r = cross_check(
@@ -246,6 +252,8 @@ def _cmd_cross_check(args) -> int:
     _kv("engine-status", r.engine_status)
     _kv("oracle-reached", r.oracle_reached)
     _kv("configs", r.configs_run)
+    tried, total = r.interpretations
+    _kv("interpretations", f"exhaustive {total}" if tried == total else f"sampled {tried} of {total}")
     _kv("classification", r.classification)
     if r.classification in ("agree-safe", "agree-unsafe"):
         return EXIT_SAFE
@@ -306,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--max-count", type=int, default=3)
     sp.add_argument("--oracle-depth", type=int, default=15)
-    sp.add_argument("--interp-budget", type=int, default=None)
+    sp.add_argument("--interp-budget", type=int, default=DEFAULT_INTERP_BUDGET,
+                    help="most relation interpretations to try per agent count, "
+                    f"evenly spaced (default {DEFAULT_INTERP_BUDGET})")
     sp.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     sp.add_argument("--max-cubes", type=int, default=DEFAULT_MAX_CUBES)
     sp.set_defaults(fn=_cmd_cross_check)
@@ -315,7 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:  # argparse printed its help (0) or a usage error (2)
+        return EXIT_INPUT_ERROR if e.code else EXIT_SAFE
     try:
         _check_non_negative(args)
         return args.fn(args)

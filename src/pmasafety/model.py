@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .logic import SortDecl, RelDecl, ELEMENT
+from .logic import SortDecl, RelDecl, ELEMENT, memoized
 
 
 class ModelError(Exception):
@@ -216,11 +216,30 @@ class Pmas:
     def all_templates(self) -> tuple[AgentTemplate, ...]:
         return self.templates + (self.env,)
 
-    def owner_of_var(self, v: str) -> AgentTemplate:
-        owners = [t for t in self.all_templates() if v in t.var_names()]
+    @memoized
+    def var_table(self) -> dict[str, list[tuple[AgentTemplate, int]]]:
+        """Each variable's (owner template, slot index) pairs (memoized)."""
+        table: dict[str, list[tuple[AgentTemplate, int]]] = {}
+        for t in self.all_templates():
+            for k, v in enumerate(t.var_names()):
+                table.setdefault(v, []).append((t, k))
+        return table
+
+    def var_slot(self, v: str) -> tuple[AgentTemplate, int]:
+        """The template owning `v` and its position in that template's states."""
+        owners = self.var_table().get(v, ())
         if len(owners) != 1:
             raise ModelError(f"variable {v} owned by {len(owners)} templates")
         return owners[0]
+
+    def owner_of_var(self, v: str) -> AgentTemplate:
+        return self.var_slot(v)[0]
+
+    @memoized
+    def compiled_formulas(self) -> dict:
+        """`eval_agent_formula`'s compiled formulas, keyed by formula identity
+        and self template (memoized, so a replaced model starts empty)."""
+        return {}
 
     def const_sort(self, c: str) -> Optional[str]:
         for s in self.sorts:
@@ -477,8 +496,12 @@ class RelInterpretation:
 
     tuples: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
+    @memoized
+    def tuple_set(self) -> frozenset[tuple[str, tuple[str, ...]]]:
+        return frozenset(self.tuples)
+
     def holds(self, rel: str, args: tuple[str, ...]) -> bool:
-        return (rel, args) in set(self.tuples)
+        return (rel, args) in self.tuple_set()
 
     @staticmethod
     def of(entries: Iterable[tuple[str, tuple[str, ...]]]) -> "RelInterpretation":
@@ -536,13 +559,96 @@ def initial_snapshot(p: Pmas, counts: dict[str, int]) -> Snapshot:
     return Snapshot(agents, env, turn)
 
 
-def _value_of(p: Pmas, snap: Snapshot, var: str, aid: Optional[AgentId]) -> str:
-    owner = p.owner_of_var(var)
-    if owner.is_env:
-        return snap.env[owner.var_names().index(var)]
-    assert aid is not None
-    t, i = aid
-    return snap.agents_of(t)[i][owner.var_names().index(var)]
+# A compiled formula evaluates one grounding: it takes the snapshot, the
+# interpretation, the agent `self` denotes, the agent states of each free index
+# variable's template and the chosen position of each variable, in sorted order.
+Grounded = Callable[
+    [Snapshot, RelInterpretation, Optional[AgentId], list, tuple], bool
+]
+
+
+def _unbound() -> AgentId:
+    raise ModelError("self unbound in evaluation")
+
+
+def compile_agent_formula(
+    p: Pmas, f: AgentFormula, self_template: Optional[str]
+) -> tuple[tuple[str, ...], Grounded]:
+    """Resolve `f` against `p` once: the templates of its free index variables,
+    in sorted variable order, and a closure evaluating one grounding."""
+    st = p.template(self_template) if self_template else None
+    assign = infer_formula_var_templates(p, f, self_template=st)
+    names = sorted(assign)
+    pos = {n: k for k, n in enumerate(names)}
+
+    def value(arg: Union[VarTest, VarRef, ConstRef]):
+        """The getter of a constant, or of v[idx] in one grounding."""
+        if isinstance(arg, ConstRef):
+            c = arg.name
+            return lambda snap, self_id, states, ground: c
+        owner, slot = p.var_slot(arg.var)
+        if owner.is_env:
+            return lambda snap, self_id, states, ground: snap.env[slot]
+        if arg.idx == SELF:
+            def of_self(snap, self_id, states, ground):
+                t, i = self_id if self_id is not None else _unbound()
+                return snap.agents_of(t)[i][slot]
+            return of_self
+        k = pos[arg.idx]
+        return lambda snap, self_id, states, ground: states[k][ground[k]][slot]
+
+    def agent(idx: str):
+        """The getter of the agent an index denotes in one grounding."""
+        if idx == SELF:
+            return lambda self_id, ground: self_id if self_id is not None else _unbound()
+        k, t = pos[idx], assign[idx].name
+        return lambda self_id, ground: (t, ground[k])
+
+    def comp(g: AgentFormula) -> Grounded:
+        if isinstance(g, BoolConst):
+            b = g.value
+            return lambda snap, interp, self_id, states, ground: b
+        if isinstance(g, VarTest):
+            get, want = value(g), g.value
+            return lambda snap, interp, self_id, states, ground: (
+                get(snap, self_id, states, ground) == want
+            )
+        if isinstance(g, RelTest):
+            rel, gets = g.rel, [value(a) for a in g.args]
+            return lambda snap, interp, self_id, states, ground: interp.holds(
+                rel, tuple(get(snap, self_id, states, ground) for get in gets)
+            )
+        if isinstance(g, IdxEq):
+            lhs, rhs = agent(g.lhs), agent(g.rhs)
+            return lambda snap, interp, self_id, states, ground: (
+                lhs(self_id, ground) == rhs(self_id, ground)
+            )
+        if isinstance(g, Neg):
+            inner = comp(g.inner)
+            return lambda snap, interp, self_id, states, ground: not inner(
+                snap, interp, self_id, states, ground
+            )
+        if isinstance(g, Conj):
+            items = [comp(i) for i in g.items]
+
+            def conj(snap, interp, self_id, states, ground):
+                for i in items:
+                    if not i(snap, interp, self_id, states, ground):
+                        return False
+                return True
+            return conj
+        if isinstance(g, Disj):
+            items = [comp(i) for i in g.items]
+
+            def disj(snap, interp, self_id, states, ground):
+                for i in items:
+                    if i(snap, interp, self_id, states, ground):
+                        return True
+                return False
+            return disj
+        raise ModelError(f"not a formula: {g!r}")
+
+    return tuple(assign[n].name for n in names), comp(f)
 
 
 def eval_agent_formula(
@@ -556,49 +662,21 @@ def eval_agent_formula(
     """Truth of `f` in `snap`: free index variables are existential.
 
     Index groundings range over the agents of the variable's template and need
-    not be injective.  `self_id` fixes the interpretation of `self`.
+    not be injective.  `self_id` fixes the interpretation of `self`.  `f` is
+    compiled once per model and self template; a formula that fails to compile
+    is not remembered, so it raises again on every call.
     """
-    st = p.template(self_template or self_id[0]) if (self_template or self_id) else None
-    assign = infer_formula_var_templates(p, f, self_template=st)
-    names = sorted(assign)
-    domains = [range(len(snap.agents_of(assign[n].name))) for n in names]
-
-    def idx_val(idx: str, ground: dict[str, AgentId]) -> AgentId:
-        if idx == SELF:
-            if self_id is None:
-                raise ModelError("self unbound in evaluation")
-            return self_id
-        return ground[idx]
-
-    def ev(g: AgentFormula, ground: dict[str, AgentId]) -> bool:
-        if isinstance(g, BoolConst):
-            return g.value
-        if isinstance(g, VarTest):
-            owner = p.owner_of_var(g.var)
-            aid = None if owner.is_env else idx_val(g.idx, ground)
-            return _value_of(p, snap, g.var, aid) == g.value
-        if isinstance(g, RelTest):
-            vals = []
-            for arg in g.args:
-                if isinstance(arg, ConstRef):
-                    vals.append(arg.name)
-                else:
-                    owner = p.owner_of_var(arg.var)
-                    aid = None if owner.is_env else idx_val(arg.idx, ground)
-                    vals.append(_value_of(p, snap, arg.var, aid))
-            return interp.holds(g.rel, tuple(vals))
-        if isinstance(g, IdxEq):
-            return idx_val(g.lhs, ground) == idx_val(g.rhs, ground)
-        if isinstance(g, Neg):
-            return not ev(g.inner, ground)
-        if isinstance(g, Conj):
-            return all(ev(i, ground) for i in g.items)
-        if isinstance(g, Disj):
-            return any(ev(i, ground) for i in g.items)
-        raise ModelError(f"not a formula: {g!r}")
-
-    for combo in itertools.product(*domains):
-        ground = {n: (assign[n].name, i) for n, i in zip(names, combo)}
-        if ev(f, ground):
+    st = self_template or (self_id[0] if self_id else None)
+    memo = p.compiled_formulas()
+    key = (id(f), st)
+    try:
+        _f, templates, run = memo[key]
+    except KeyError:
+        templates, run = compile_agent_formula(p, f, st)
+        # the entry keeps `f` alive, so its id cannot be reused while cached
+        memo[key] = (f, templates, run)
+    states = [snap.agents_of(t) for t in templates]
+    for ground in itertools.product(*[range(len(s)) for s in states]):
+        if run(snap, interp, self_id, states, ground):
             return True
     return False

@@ -10,6 +10,7 @@ never generated.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -81,21 +82,18 @@ def _env_executable(p: Pmas, snap: Snapshot, interp: RelInterpretation, a: Actio
 def _apply(p: Pmas, snap: Snapshot, vec: StepVector) -> Snapshot:
     new_agents = {name: list(states) for name, states in snap.agents}
     for (t, i), a_name in vec.agent_actions:
-        tmpl = p.template(t)
-        a = tmpl.action(a_name)
+        a = p.template(t).action(a_name)
         assert a is not None
         st = list(new_agents[t][i])
-        order = tmpl.var_names()
         for v, c in a.eff:
-            st[order.index(v)] = c
+            st[p.var_slot(v)[1]] = c
         new_agents[t][i] = tuple(st)
     env = list(snap.env)
     if vec.env_action is not None:
         ea = p.env.action(vec.env_action)
         assert ea is not None
-        order = p.env.var_names()
         for v, c in ea.eff:
-            env[order.index(v)] = c
+            env[p.var_slot(v)[1]] = c
     turn = snap.turn
     if turn is not None:
         turn = 1 - turn
@@ -316,7 +314,31 @@ def replay_run_template(
 # relation interpretation enumeration
 
 
-def relation_interpretations(p: Pmas, budget: Optional[int] = None) -> list[RelInterpretation]:
+class Interpretations(Sequence[RelInterpretation]):
+    """Relation interpretations, each built when it is read.
+
+    Interpretation k switches on cell j (one relation applied to one tuple of
+    constants) iff bit j of `masks[k]` is set.
+    """
+
+    def __init__(self, cells: tuple[tuple[str, tuple[str, ...]], ...], masks: range):
+        self.cells = cells
+        self.masks = masks
+
+    @property
+    def total(self) -> int:
+        """How many interpretations the declared constants allow."""
+        return 1 << len(self.cells)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, k: int) -> RelInterpretation:
+        mask = self.masks[k]
+        return RelInterpretation.of(c for j, c in enumerate(self.cells) if mask >> j & 1)
+
+
+def relation_interpretations(p: Pmas, budget: Optional[int] = None) -> Interpretations:
     """All interpretations over the declared constants (or a budget-spaced sample)."""
     cells: list[tuple[str, tuple[str, ...]]] = []
     for r in p.relations:
@@ -327,16 +349,10 @@ def relation_interpretations(p: Pmas, budget: Optional[int] = None) -> list[RelI
         for combo in itertools.product(*doms):
             cells.append((r.name, tuple(combo)))
     total = 1 << len(cells)
-    picks: Iterator[int]
     if budget is not None and total > budget:
         stride = max(1, -(-total // budget))
-        picks = iter(range(0, total, stride))
-    else:
-        picks = iter(range(total))
-    out = []
-    for mask in picks:
-        out.append(RelInterpretation.of(c for k, c in enumerate(cells) if mask >> k & 1))
-    return out
+        return Interpretations(tuple(cells), range(0, total, stride))
+    return Interpretations(tuple(cells), range(total))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +382,8 @@ class CrossCheckReport:
     classification: str
     configs_run: int
     reached_counts: Optional[tuple[tuple[str, int], ...]] = None
+    # (interpretations tried per agent count, interpretations there are)
+    interpretations: tuple[int, int] = (1, 1)
 
 
 def cross_check(
@@ -426,4 +444,5 @@ def cross_check(
         classification=cls,
         configs_run=configs,
         reached_counts=reached_counts,
+        interpretations=(len(interps), interps.total),
     )

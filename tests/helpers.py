@@ -12,6 +12,8 @@ import itertools
 import random
 from typing import Optional
 
+from pmasafety.corpus import generate_model
+from pmasafety.dsl import parse_pmas
 from pmasafety.encoder import TransitionRule
 from pmasafety.logic import (
     ArrayRead,
@@ -44,6 +46,25 @@ from pmasafety.logic import (
     lit_subst,
     make_cube,
 )
+from pmasafety.model import (
+    ENV,
+    SELF,
+    BoolConst,
+    Conj,
+    ConstRef,
+    Disj,
+    IdxEq,
+    ModelError,
+    Neg,
+    RelInterpretation,
+    RelTest,
+    Snapshot,
+    VarRef,
+    VarTest,
+    infer_formula_var_templates,
+)
+from pmasafety.models import fixture_text
+from pmasafety.oracle import ConcreteConfig, enumerate_reachable, relation_interpretations
 
 # ---------------------------------------------------------------------------
 # brute-force EUF satisfiability for ground (skolemized) cubes
@@ -619,6 +640,13 @@ def all_relation_tuples(sig: Signature) -> list[tuple]:
 # verdict fingerprints
 
 
+def named_model(name: str):
+    """A bundled model by name, or corpus model `corpus<seed>`."""
+    if name.startswith("corpus"):
+        return generate_model(int(name[len("corpus"):]))
+    return parse_pmas(fixture_text(name), name)
+
+
 def verdict_digest(v) -> str:
     """A hash of everything a `Verdict` says: status, depth, total cubes,
     reason, trace labels, run template and the cubes of every frontier layer."""
@@ -633,3 +661,152 @@ def verdict_digest(v) -> str:
     for fr in v.layers:
         parts.append(f"{fr.depth}:" + ";".join(map(repr, fr.cubes)))
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+def oracle_digest(p, semantics: str) -> str:
+    """A hash of what `enumerate_reachable` says (status, depth, states seen
+    and the run's step vectors) for counts 1-2 of every template, depth 10
+    and at most 8 relation interpretations."""
+    names = [t.name for t in p.templates]
+    parts = []
+    for combo in itertools.product((1, 2), repeat=len(names)):
+        counts = tuple(zip(names, combo))
+        for interp in relation_interpretations(p, budget=8):
+            r = enumerate_reachable(p, ConcreteConfig(counts, interp, semantics, max_depth=10))
+            run = ";".join(map(repr, r.run or ()))
+            parts.append(f"{counts}|{interp.tuples}|{r.status}|{r.depth}|{r.states_seen}|{run}")
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# reference agent-formula evaluation
+
+
+def reference_eval_agent_formula(p, snap, interp, f, self_id=None, self_template=None) -> bool:
+    """`model.eval_agent_formula` as a tree walk that looks every variable's
+    owner and slot up afresh, the reference the compiled evaluator must match."""
+    st = p.template(self_template or self_id[0]) if (self_template or self_id) else None
+    assign = infer_formula_var_templates(p, f, self_template=st)
+    names = sorted(assign)
+    domains = [range(len(snap.agents_of(assign[n].name))) for n in names]
+
+    def idx_val(idx, ground):
+        if idx == SELF:
+            if self_id is None:
+                raise ModelError("self unbound in evaluation")
+            return self_id
+        return ground[idx]
+
+    def value_of(var, idx, ground):
+        (owner,) = [t for t in p.all_templates() if var in t.var_names()]
+        slot = owner.var_names().index(var)
+        if owner.is_env:
+            return snap.env[slot]
+        t, i = idx_val(idx, ground)
+        return snap.agents_of(t)[i][slot]
+
+    def ev(g, ground):
+        if isinstance(g, BoolConst):
+            return g.value
+        if isinstance(g, VarTest):
+            return value_of(g.var, g.idx, ground) == g.value
+        if isinstance(g, RelTest):
+            vals = tuple(
+                a.name if isinstance(a, ConstRef) else value_of(a.var, a.idx, ground)
+                for a in g.args
+            )
+            return interp.holds(g.rel, vals)
+        if isinstance(g, IdxEq):
+            return idx_val(g.lhs, ground) == idx_val(g.rhs, ground)
+        if isinstance(g, Neg):
+            return not ev(g.inner, ground)
+        if isinstance(g, Conj):
+            return all(ev(i, ground) for i in g.items)
+        if isinstance(g, Disj):
+            return any(ev(i, ground) for i in g.items)
+        raise ModelError(f"not a formula: {g!r}")
+
+    for combo in itertools.product(*domains):
+        if ev(f, {n: (assign[n].name, i) for n, i in zip(names, combo)}):
+            return True
+    return False
+
+
+def random_agent_formula(rng: random.Random, p, depth: int = 3):
+    """A random agent formula over `p`'s variables, relations and constants.
+
+    Most atoms are well formed; some index an environment variable with an
+    agent index, reuse an index variable across templates or test a value of
+    the wrong sort, so inference fails on a share of the formulas."""
+    owned = [(v, sort, t) for t in p.all_templates() for v, sort, _init in t.variables]
+    pool = ("j1", "j2", "j3", SELF)
+
+    def idx_for(t):
+        if t.is_env:
+            return ENV if rng.random() < 0.9 else rng.choice(pool)
+        return rng.choice(pool) if rng.random() < 0.95 else ENV
+
+    def const_of(sort):
+        sd = next(s for s in p.sorts if s.name == sort)
+        if rng.random() < 0.05:
+            sd = rng.choice(p.sorts)
+        return rng.choice(sd.constants)
+
+    def atom():
+        roll = rng.random()
+        if roll < 0.5 or (roll < 0.75 and not p.relations):
+            v, sort, t = rng.choice(owned)
+            return VarTest(v, idx_for(t), const_of(sort))
+        if roll < 0.75:
+            rel = rng.choice(p.relations)
+            args = []
+            for sort in rel.arg_sorts:
+                fits = [(v, t) for v, s, t in owned if s == sort]
+                if fits and rng.random() < 0.6:
+                    v, t = rng.choice(fits)
+                    args.append(VarRef(v, idx_for(t)))
+                else:
+                    args.append(ConstRef(const_of(sort)))
+            return RelTest(rel.name, tuple(args))
+        if roll < 0.9:
+            return IdxEq(rng.choice(pool), rng.choice(pool))
+        return BoolConst(rng.random() < 0.5)
+
+    def go(d):
+        roll = rng.random()
+        if d == 0 or roll < 0.4:
+            return atom()
+        if roll < 0.55:
+            return Neg(go(d - 1))
+        items = tuple(go(d - 1) for _ in range(rng.randint(1, 3)))
+        return Conj(items) if roll < 0.8 else Disj(items)
+
+    return go(depth)
+
+
+def random_snapshot(rng: random.Random, p):
+    """A snapshot of `p` with 0-2 agents per template, random states, and now
+    and then a template left out altogether."""
+    def state(t):
+        return tuple(
+            rng.choice(next(s for s in p.sorts if s.name == sort).constants)
+            for _v, sort, _init in t.variables
+        )
+
+    agents = tuple(
+        (t.name, tuple(state(t) for _ in range(rng.randint(0, 2))))
+        for t in p.templates
+        if rng.random() < 0.9
+    )
+    return Snapshot(agents, state(p.env))
+
+
+def random_interpretation(rng: random.Random, p):
+    cells = [
+        (r.name, args)
+        for r in p.relations
+        for args in itertools.product(
+            *[next(s for s in p.sorts if s.name == a).constants for a in r.arg_sorts]
+        )
+    ]
+    return RelInterpretation.of(c for c in cells if rng.random() < 0.5)

@@ -163,6 +163,41 @@ def test_cross_check_agreement(cannon_path, capsys):
     assert out["classification"] == "agree-unsafe"
 
 
+def test_cross_check_cannon_with_default_budget(cannon_path, capsys):
+    # 25 relation cells: all 2**25 interpretations would never finish
+    assert main(["cross-check", cannon_path]) == 0
+    out = _kv_lines(capsys.readouterr().out)
+    assert out["classification"] == "agree-unsafe"
+    assert out["interpretations"] == f"sampled 64 of {2**25}"
+
+
+def test_cross_check_reports_exhaustive_interpretations(trains_path, capsys):
+    assert main(["cross-check", trains_path, "--max-count", "1"]) == 0
+    out = _kv_lines(capsys.readouterr().out)
+    assert out["classification"] == "agree-safe"
+    assert out["interpretations"] == "exhaustive 1"
+
+
+def test_cross_check_zero_interp_budget_is_input_error(cannon_path, capsys):
+    assert main(["cross-check", cannon_path, "--interp-budget", "0"]) == 3
+    assert "--interp-budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check"], "the following arguments are required: model"),
+    (["check", "{model}", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_usage_error_is_input_error(cannon_path, capsys, argv, message):
+    assert main([a.format(model=cannon_path) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pmasafety") and message in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["check", "--help"]) == 0
+    assert "--max-depth" in capsys.readouterr().out
+
+
 def test_oracle_negative_count_is_input_error(cannon_path, capsys):
     assert main(["oracle", cannon_path, "--counts", "Att=-2"]) == 3
     assert "--counts" in capsys.readouterr().err

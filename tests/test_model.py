@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import collections
+import random
 from dataclasses import replace
 
 import pytest
 
-from pmasafety.dsl import parse_pmas
+from helpers import (
+    named_model,
+    random_agent_formula,
+    random_interpretation,
+    random_snapshot,
+    reference_eval_agent_formula,
+)
+from pmasafety.dsl import parse_formula, parse_pmas
 from pmasafety.model import (
     Diagnostic,
     ModelError,
@@ -91,8 +100,82 @@ def test_rel_interpretation():
 def test_owner_of_var(cannon):
     assert cannon.owner_of_var("loc").name == "Att"
     assert cannon.owner_of_var("pulse_loc").is_env
-    with pytest.raises(ModelError):
-        cannon.owner_of_var("nope")
+    for _ in range(2):  # a failed lookup is never remembered
+        with pytest.raises(ModelError, match="nope owned by 0 templates"):
+            cannon.owner_of_var("nope")
+        with pytest.raises(ModelError, match="nope owned by 0 templates"):
+            cannon.var_slot("nope")
+
+
+MODELS = ["cannon", "trains"] + [f"corpus{s}" for s in range(16)]
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_var_slots_follow_declaration_order(name):
+    p = named_model(name)
+    for t in p.all_templates():
+        for v in t.var_names():
+            assert p.var_slot(v) == (t, t.var_names().index(v))
+            assert p.owner_of_var(v) is t
+
+
+def test_variable_of_two_templates_raises_on_every_call(cannon):
+    att = cannon.template("Att")
+    clash = replace(cannon, env=replace(cannon.env, variables=cannon.env.variables + att.variables[:1]))
+    for _ in range(2):
+        with pytest.raises(ModelError, match="loc owned by 2 templates"):
+            clash.var_slot("loc")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ModelError as e:
+        return f"ModelError: {e}"
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_compiled_evaluation_matches_reference(name):
+    p = named_model(name)
+    rng = random.Random(name)
+    templates = [None] + [t.name for t in p.all_templates()]
+    seen = collections.Counter()
+    for _ in range(150):
+        f = random_agent_formula(rng, p)
+        for _ in range(3):  # later calls with the same self template find `f` compiled
+            snap = random_snapshot(rng, p)
+            interp = random_interpretation(rng, p)
+            ids = snap.all_ids()
+            self_id = rng.choice(ids) if ids and rng.random() < 0.6 else None
+            self_template = rng.choice(templates)
+            want = _outcome(reference_eval_agent_formula, p, snap, interp, f, self_id, self_template)
+            got = _outcome(eval_agent_formula, p, snap, interp, f, self_id, self_template)
+            assert got == want, (f, snap, interp, self_id, self_template)
+            seen[want] += 1
+    # both truth values, both evaluation-time failures and inference failures
+    errors = [w for w in seen if isinstance(w, str)]
+    late = [e for e in errors if "self unbound" in e or "no agents" in e]
+    assert seen[True] and seen[False], seen
+    assert any("self unbound" in e for e in late) and any("no agents" in e for e in late), seen
+    assert len(errors) > len(late), seen
+
+
+def test_failed_compilation_raises_on_every_call(cannon):
+    p = replace(cannon)
+    snap = initial_snapshot(p, {"Att": 1})
+    bad = parse_formula("loc[self] = target")  # `self` of the environment's template
+    for f, st in [(bad, "Cannon"), (parse_formula("nope[j] = target"), None)]:
+        for _ in range(2):
+            with pytest.raises(ModelError):
+                eval_agent_formula(p, snap, RelInterpretation(), f, self_template=st)
+    assert p.compiled_formulas() == {}
+
+
+def test_replaced_model_starts_without_compiled_formulas(cannon):
+    snap = initial_snapshot(cannon, {"Att": 1})
+    assert not eval_agent_formula(cannon, snap, RelInterpretation(), cannon.goal)
+    assert cannon.compiled_formulas()
+    assert replace(cannon, goal=cannon.goal).compiled_formulas() == {}
 
 
 def test_turn_groups(cannon):

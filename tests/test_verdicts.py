@@ -3,8 +3,11 @@
 `data/verdict_digests.json` holds a `verdict_digest` (status, depth, total
 cubes, reason, trace, run template and every frontier layer's cubes) for the
 bundled models and the first 16 corpus models, each under the semantics
-named in its key.  A change that is meant to leave verdicts alone, such as a
-speed-up of the search, must keep all of them.
+named in its key.  `data/oracle_digests.json` holds an `oracle_digest`
+(status, depth, states seen and run of the explicit-state search over small
+agent counts and interpretations) for the same models.  A change that is meant
+to leave answers alone, such as a speed-up of the search, must keep all of
+them.
 """
 
 from __future__ import annotations
@@ -14,23 +17,22 @@ from pathlib import Path
 
 import pytest
 
-from helpers import verdict_digest
-from pmasafety.corpus import generate_model
-from pmasafety.dsl import parse_pmas
+from helpers import named_model, oracle_digest, verdict_digest
 from pmasafety.encoder import encode
 from pmasafety.engine import breach
-from pmasafety.models import fixture_text
 
-DIGESTS = json.loads((Path(__file__).parent / "data" / "verdict_digests.json").read_text())
-
-
-def _model(name: str):
-    if name.startswith("corpus"):
-        return generate_model(int(name[len("corpus"):]))
-    return parse_pmas(fixture_text(name), name)
+DATA = Path(__file__).parent / "data"
+DIGESTS = json.loads((DATA / "verdict_digests.json").read_text())
+ORACLE_DIGESTS = json.loads((DATA / "oracle_digests.json").read_text())
 
 
 @pytest.mark.parametrize("case", sorted(DIGESTS))
 def test_verdict_unchanged(case):
     name, semantics = case.split("/")
-    assert verdict_digest(breach(encode(_model(name), semantics))) == DIGESTS[case]
+    assert verdict_digest(breach(encode(named_model(name), semantics))) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_DIGESTS))
+def test_oracle_unchanged(case):
+    name, semantics = case.split("/")
+    assert oracle_digest(named_model(name), semantics) == ORACLE_DIGESTS[case]
