@@ -2,11 +2,12 @@
 
 Submodules:
   logic    -- cubes, state formulae, one incremental backtrackable congruence
-              closure (EUF), exists/forall solver
+              closure (EUF)
   model    -- system model (templates, protocols, snapshots), formula evaluation
   dsl      -- textual model format parser / printer
   encoder  -- array-based transition-system encodings (interleaved, concurrent)
-  engine   -- symbolic backward reachability, locality analysis, trace extraction
+  engine   -- symbolic backward reachability, exists/forall entailment,
+              locality analysis, trace extraction
   oracle   -- explicit-state enumeration, trace replay, cross checking
   mcmt     -- MCMT export and witness parsing
   corpus   -- pseudo-random model generation for cross validation

@@ -172,12 +172,6 @@ class AbInit:
     globals_: tuple[tuple[str, str], ...]  # global -> constant
     arrays: tuple[tuple[str, str], ...]  # array -> constant (lambda j . c)
 
-    def global_value(self, g: str) -> str:
-        return dict(self.globals_)[g]
-
-    def array_value(self, a: str) -> str:
-        return dict(self.arrays)[a]
-
 
 @dataclass(frozen=True)
 class AbPmas:

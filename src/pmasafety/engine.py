@@ -39,7 +39,6 @@ from .logic import (
     fand,
     flit,
     f_or,
-    fresh_name,
     ground_lits_sat,
     lit_subst,
     make_cube,
@@ -150,9 +149,9 @@ def preimage(
     variables stay pairwise distinct; rule existentials may merge with them or
     with each other, which the equality-partition split enumerates.
     """
-    # rename apart
-    cube_ren = {v: IndexVar(fresh_name("z"), v.sort) for v in cube.exists}
-    rule_ren = {v: IndexVar(fresh_name("r"), v.sort) for v in rule.exists}
+    # rename apart; every output is canonicalised, so names by position suffice
+    cube_ren = {v: IndexVar(f"$z{k}", v.sort) for k, v in enumerate(cube.exists)}
+    rule_ren = {v: IndexVar(f"$r{k}", v.sort) for k, v in enumerate(rule.exists)}
 
     globals_map = rule.globals_map()
     arrays_map = {
@@ -355,11 +354,6 @@ def _clauses_sat(
     return False
 
 
-# cube variables are canonically named, so the same region-cube instantiation
-# recurs across many entailment checks; cache the built clauses
-_clause_cache: dict[tuple, list[Lit]] = {}
-
-
 def entailed_by(
     cube: Cube,
     region: Iterable[Cube],
@@ -367,6 +361,9 @@ def entailed_by(
 ) -> bool:
     """cube |= \\/ region, via universal instantiation over the cube's own
     variables (sorts with no variable are empty in the restricted model).
+    This is the one decision procedure for the exists/forall fragment: the
+    cube is satisfiable together with the negation of every instance iff
+    it is not entailed.
 
     A region cube with an index-free literal the cube refutes yields only
     satisfied clauses, so none are built for it.  Best-effort beyond
@@ -397,13 +394,7 @@ def entailed_by(
         for combo in itertools.product(*pools):
             if len(set(combo)) != len(combo):
                 continue  # non-injective: differentiation clause vacuous
-            ckey = (b.key(), combo)
-            cl = _clause_cache.get(ckey)
-            if cl is None:
-                sub = dict(zip(b.exists, combo))
-                cl = [lit_subst(l, sub).negate() for l in b.lits]
-                _clause_cache[ckey] = cl
-            clauses.append(cl)
+            clauses.append(b.negated_instance(combo))
     return not _clauses_sat(cc, clauses)
 
 

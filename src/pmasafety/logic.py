@@ -9,14 +9,13 @@ backtrackable congruence closure (`CongruenceClosure`, EUF plus distinctness of
 constants, of differentiated index variables and of true/false): literals are
 asserted one at a time and retracted by undoing a trail, so a search asserts a
 decision and takes it back without rebuilding anything.  The exists/forall
-fragment is decided by finite instantiation of the universals over the
-existential prefix, on the same closure.
+fragment is decided only by `engine.entailed_by`, which instantiates the
+universals over the existential prefix and searches on the same closure.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, KeysView, Optional, Sequence, Union
 
@@ -31,18 +30,6 @@ class TypingError(LogicError):
 
 class BudgetError(LogicError):
     """A normalisation or search budget was exceeded."""
-
-
-_fresh_counter = itertools.count()
-
-
-def fresh_name(prefix: str) -> str:
-    """Return a name no user identifier can collide with ('$' is reserved)."""
-    return f"${prefix}{next(_fresh_counter)}"
-
-
-def is_fresh_name(name: str) -> bool:
-    return name.startswith("$")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +257,7 @@ for _cls in (IndexVar, Const, GlobalRef, ArrayRead, Eq, RelAtom, Lit):
     _cache_hash(_cls)
 
 
-# quantifier-free formula AST (used for guards, case conditions, EF matrices)
+# quantifier-free formula AST (used for guards and case conditions)
 
 
 @dataclass(frozen=True)
@@ -531,9 +518,9 @@ def _replace_case(a: Atom, old: CaseTerm, new: Term) -> Atom:
 def expand_cases_lit(l: Lit) -> Formula:
     """Rewrite a literal over case-defined terms into a case-free formula.
 
-    A(case{k1->t1; ...; kn->tn}) becomes  OR_i (k1'..ki-1' negated? no --
-    branches are ordered, so branch i fires when its guard holds and no earlier
-    guard does).
+    Branches are ordered, so A(case{k1->t1; ...; kn->tn}) becomes
+    OR_i (~k1 & ... & ~k(i-1) & ki & A(ti)): branch i fires when its guard
+    holds and no earlier guard does.
     """
     cases = _case_terms(l.atom)
     if not cases:
@@ -674,6 +661,20 @@ class Cube:
             if cc is not None:
                 out.append((l.neg, *cc))
         return tuple(out)
+
+    @memoized
+    def _negated_memo(self) -> dict[tuple[IndexVar, ...], list[Lit]]:
+        return {}
+
+    def negated_instance(self, vars_: tuple[IndexVar, ...]) -> list[Lit]:
+        """The negation of every literal, with `vars_` put for `exists`
+        (memoized per tuple on the cube, so the memo lives as long as it)."""
+        memo = self._negated_memo()
+        out = memo.get(vars_)
+        if out is None:
+            sub = dict(zip(self.exists, vars_))
+            out = memo[vars_] = [lit_subst(l, sub).negate() for l in self.lits]
+        return out
 
     def __repr__(self) -> str:
         pre = f"E {', '.join(map(repr, self.exists))}. " if self.exists else ""
@@ -992,16 +993,7 @@ def euf_sat_cube(cube: Cube, sig: Signature) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exists/forall fragment
-
-
-@dataclass(frozen=True)
-class EFFormula:
-    """Prenex  exists e1..en . forall i1..im . matrix  over index variables."""
-
-    existentials: tuple[IndexVar, ...]
-    universals: tuple[IndexVar, ...]
-    matrix: Formula
+# partitions
 
 
 def set_partitions(items: Sequence) -> Iterator[list[list]]:
@@ -1015,92 +1007,3 @@ def set_partitions(items: Sequence) -> Iterator[list[list]]:
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
         yield [[first]] + part
-
-
-def _partition_branches(evars: Sequence[IndexVar]) -> Iterator[Subst]:
-    """Substitutions merging same-sort existentials; one per AllDiff branch."""
-    by_sort: dict[str, list[IndexVar]] = {}
-    for v in evars:
-        by_sort.setdefault(v.sort, []).append(v)
-    per_sort: list[list[Subst]] = []
-    for vs in by_sort.values():
-        subs: list[Subst] = []
-        for part in set_partitions(vs):
-            sub: Subst = {}
-            for cls in part:
-                rep = cls[0]
-                for v in cls:
-                    sub[v] = rep
-            subs.append(sub)
-        per_sort.append(subs)
-    for combo in itertools.product(*per_sort) if per_sort else [()]:
-        merged: Subst = {}
-        for s in combo:
-            merged.update(s)
-        yield merged
-
-
-def _formula_lits(f: Formula) -> Iterator[Lit]:
-    if isinstance(f, FLit):
-        yield f.lit
-    elif isinstance(f, (FAnd, FOr)):
-        for i in f.items:
-            yield from _formula_lits(i)
-    elif isinstance(f, FNot):
-        yield from _formula_lits(f.inner)
-
-
-def _resolve_index_eqs(f: Formula, reps: set[IndexVar]) -> Formula:
-    """Rewrite index-index equality atoms to true/false (reps pairwise distinct)."""
-    if isinstance(f, (FTrue, FFalse)):
-        return f
-    if isinstance(f, FLit):
-        a = f.lit.atom
-        if isinstance(a, Eq) and isinstance(a.lhs, IndexVar) and isinstance(a.rhs, IndexVar):
-            same = a.lhs == a.rhs
-            val = same if not f.lit.neg else not same
-            return TRUE if val else FALSE
-        return f
-    if isinstance(f, FAnd):
-        return fand([_resolve_index_eqs(i, reps) for i in f.items])
-    if isinstance(f, FOr):
-        return f_or([_resolve_index_eqs(i, reps) for i in f.items])
-    if isinstance(f, FNot):
-        return fnot(_resolve_index_eqs(f.inner, reps))
-    raise LogicError(f"not a formula: {f!r}")
-
-
-def sat_exists_forall(
-    ef: EFFormula, sig: Signature, dnf_cap: int = DEFAULT_DNF_CAP
-) -> bool:
-    """Decide the exists/forall index fragment.
-
-    Branches over equality partitions of the existential prefix; in each branch
-    the representatives are pairwise distinct, every universal is instantiated
-    by every representative of its sort (a sort with no representative is empty
-    in the restricted model, so universals over it hold vacuously), index
-    equalities collapse to truth values and the ground residue goes to EUF.
-    Raises TypingError when the matrix is ill-sorted under `sig`.
-    """
-    check_lit_types(_formula_lits(ef.matrix), sig)
-    for merge in _partition_branches(ef.existentials):
-        reps = set(merge.values()) if merge else set()
-        cands: dict[str, list[IndexVar]] = {}
-        for r in sorted(reps):
-            cands.setdefault(r.sort, []).append(r)
-        matrix = formula_subst(ef.matrix, merge)
-        uni = list(ef.universals)
-        if any(not cands.get(u.sort) for u in uni):
-            # some universal ranges over an empty sort: matrix vacuous
-            conj: Formula = TRUE
-        else:
-            insts: list[Formula] = []
-            for combo in itertools.product(*[cands[u.sort] for u in uni]) if uni else [()]:
-                sub = dict(zip(uni, combo))
-                insts.append(formula_subst(matrix, sub))
-            conj = fand(insts)
-        conj = _resolve_index_eqs(expand_cases(conj), reps)
-        for cube_lits in dnf(conj, dnf_cap):
-            if ground_lits_sat(cube_lits):
-                return True
-    return False

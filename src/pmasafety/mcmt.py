@@ -132,7 +132,7 @@ def _update_value(
     raise _err("case-defined update without a catch-all branch")
 
 
-def _rule_cases(rule: TransitionRule, juniv: IndexVar, ren: dict[IndexVar, str]):
+def _rule_cases(rule: TransitionRule, juniv: IndexVar) -> list[Optional[Lit]]:
     """The shared case split of one rule: list of (condition literal or None)."""
     if rule.kind in _POINT_KINDS:
         # all point updates target the same existential index x
@@ -149,8 +149,8 @@ def _rule_cases(rule: TransitionRule, juniv: IndexVar, ren: dict[IndexVar, str])
             elif at != eq.rhs:
                 raise _err(f"rule {rule.label}: updates at two different indexes")
         if at is None:
-            return [None], {}
-        return [Lit(False, Eq(at, juniv)), None], {}
+            return [None]
+        return [Lit(False, Eq(at, juniv)), None]
     if rule.kind in _BULK_KINDS:
         conds: list[Lit] = []
         for _a, upd in rule.arrays_upd:
@@ -164,7 +164,7 @@ def _rule_cases(rule: TransitionRule, juniv: IndexVar, ren: dict[IndexVar, str])
                 c = lit_subst(f.lit, {upd.var: juniv})
                 if c not in conds:
                     conds.append(c)
-        return list(conds) + [None], {}
+        return list(conds) + [None]
     raise _err(f"rule kind {rule.kind} has no MCMT rendering")
 
 
@@ -275,7 +275,7 @@ def emit_mcmt(abp: AbPmas, goal: Optional[StateFormula] = None) -> str:
             w(f":var {nm}")
         w(":var j")
         w(":guard " + " ".join(_lit(l, ren) for l in rule.guard))
-        cases, _ = _rule_cases(rule, juniv, ren)
+        cases = _rule_cases(rule, juniv)
         w(f":numcases {len(cases)}")
         gmap = rule.globals_map()
         amap = rule.arrays_map()

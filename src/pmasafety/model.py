@@ -115,32 +115,6 @@ def formula_has_disjunction(f: AgentFormula) -> bool:
     return False
 
 
-def formula_index_vars(f: AgentFormula) -> set[str]:
-    """Free index variable names (SELF and ENV excluded)."""
-    out: set[str] = set()
-
-    def go(g: AgentFormula) -> None:
-        if isinstance(g, VarTest):
-            if g.idx not in (SELF, ENV):
-                out.add(g.idx)
-        elif isinstance(g, RelTest):
-            for a in g.args:
-                if isinstance(a, VarRef) and a.idx not in (SELF, ENV):
-                    out.add(a.idx)
-        elif isinstance(g, IdxEq):
-            for s in (g.lhs, g.rhs):
-                if s not in (SELF, ENV):
-                    out.add(s)
-        elif isinstance(g, Neg):
-            go(g.inner)
-        elif isinstance(g, (Conj, Disj)):
-            for i in g.items:
-                go(i)
-
-    go(f)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # templates and systems
 
@@ -329,10 +303,9 @@ def validate_pmas(p: Pmas) -> list[Diagnostic]:
                     err(f"action {t.name}.{a.name}: effect on foreign variable {v}")
                 elif p.const_sort(c) != t.var_sort(v):
                     err(f"action {t.name}.{a.name}: {v} := {c} ill-sorted")
-            if t.is_env and a.kind == LOCAL:
-                pass
             try:
-                infer_formula_var_templates(p, a.pre, self_template=t)
+                # `self` is an agent: the environment has none
+                infer_formula_var_templates(p, a.pre, self_template=None if t.is_env else t)
             except ModelError as me:
                 for d in me.diagnostics:
                     err(f"action {t.name}.{a.name}: {d.message}")
@@ -458,6 +431,8 @@ def infer_formula_var_templates(
     # index equalities must connect variables of one template
     def tmpl_of(idx: str) -> Optional[AgentTemplate]:
         if idx == SELF:
+            if self_template is None:
+                raise ModelError("self not allowed here")
             return self_template
         if idx == ENV:
             raise ModelError("e cannot appear in index equalities")

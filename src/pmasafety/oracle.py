@@ -76,7 +76,7 @@ def _executable(p: Pmas, snap: Snapshot, interp: RelInterpretation, aid: AgentId
 
 
 def _env_executable(p: Pmas, snap: Snapshot, interp: RelInterpretation, a: ActionDecl) -> bool:
-    return eval_agent_formula(p, snap, interp, a.pre, self_template=p.env.name)
+    return eval_agent_formula(p, snap, interp, a.pre)
 
 
 def _apply(p: Pmas, snap: Snapshot, vec: StepVector) -> Snapshot:
@@ -111,122 +111,69 @@ def _in_turn(p: Pmas, snap: Snapshot, template_name: str) -> bool:
 
 
 def step_vectors(p: Pmas, snap: Snapshot, interp: RelInterpretation, semantics: str) -> Iterator[StepVector]:
-    """Legal global steps from `snap` (never the fully idle vector)."""
+    """Legal global steps from `snap` (never the fully idle vector).
+
+    Interleaved: any agents each pick one executable local action, or stay
+    idle, and a synchronisation takes any non-empty subset of the willing
+    agents.  Concurrent: every agent with an executable local action must
+    pick one, and a synchronisation takes all willing agents.  The
+    environment's local choice follows the agents' rule."""
+    if semantics not in (INTERLEAVED, CONCURRENT):
+        raise ValueError(f"unknown semantics {semantics!r}")
+    interleaved = semantics == INTERLEAVED
     ids = snap.all_ids()
 
-    if semantics == INTERLEAVED:
-        # local steps: any agents each pick one executable local action; the
-        # environment may join with a local action of its own or stay idle
-        agent_opts: list[list[Optional[str]]] = []
-        for aid in ids:
-            tmpl = p.template(aid[0])
-            opts: list[Optional[str]] = [None]
-            if _in_turn(p, snap, aid[0]):
-                opts += [
-                    a.name
-                    for a in tmpl.local_actions()
-                    if _executable(p, snap, interp, aid, a)
-                ]
-            agent_opts.append(opts)
-        env_opts: list[Optional[str]] = [None]
-        if _in_turn(p, snap, p.env.name):
-            env_opts += [
+    def choices(aid: Optional[AgentId]) -> list[Optional[str]]:
+        """The local choices of agent `aid`, or of the environment if None."""
+        t = p.env if aid is None else p.template(aid[0])
+        names = []
+        if _in_turn(p, snap, t.name):
+            names = [
                 a.name
-                for a in p.env.local_actions()
-                if _env_executable(p, snap, interp, a)
+                for a in t.local_actions()
+                if (_env_executable(p, snap, interp, a) if aid is None
+                    else _executable(p, snap, interp, aid, a))
             ]
-        for env_choice in env_opts:
-            for combo in itertools.product(*agent_opts):
-                acting = tuple(
-                    (aid, a) for aid, a in zip(ids, combo) if a is not None
-                )
-                if env_choice is None and not acting:
-                    continue
-                yield StepVector(LOCAL, env_choice, acting)
+        return [None] + names if interleaved else names or [None]
 
-        # synchronizations: env plus a non-empty subset of willing agents
+    agent_opts = [choices(aid) for aid in ids]
+    env_opts = choices(None)
+    for env_choice in env_opts:
+        for combo in itertools.product(*agent_opts):
+            acting = tuple((aid, a) for aid, a in zip(ids, combo) if a is not None)
+            if env_choice is None and not acting:
+                continue
+            yield StepVector(LOCAL, env_choice, acting)
+
+    def joiners(kind: str) -> Iterator[tuple[str, list[AgentId]]]:
+        """Each environment action of `kind` that may start now, with the
+        agents able to join it."""
         for ea in p.env.actions:
-            if ea.kind != SYNC:
+            if ea.kind != kind:
                 continue
             if p.alternation is not None and p.sync_initiator_group(ea.name) != snap.turn:
                 continue
             if not _env_executable(p, snap, interp, ea):
                 continue
-            eligible = [
+            yield ea.name, [
                 aid
                 for aid in ids
                 if (a := p.template(aid[0]).action(ea.name)) is not None
-                and a.kind == SYNC
+                and a.kind == kind
                 and _executable(p, snap, interp, aid, a)
             ]
-            for r in range(1, len(eligible) + 1):
-                for subset in itertools.combinations(eligible, r):
-                    yield StepVector(SYNC, ea.name, tuple((aid, ea.name) for aid in subset))
 
-    elif semantics == CONCURRENT:
-        # local steps: every agent with an executable local action must pick
-        # one; the environment likewise; all-idle is a stutter and skipped
-        agent_opts = []
-        for aid in ids:
-            tmpl = p.template(aid[0])
-            opts2 = (
-                [
-                    a.name
-                    for a in tmpl.local_actions()
-                    if _executable(p, snap, interp, aid, a)
-                ]
-                if _in_turn(p, snap, aid[0])
-                else []
-            )
-            agent_opts.append(opts2 or [None])
-        env_opts = (
-            [
-                a.name
-                for a in p.env.local_actions()
-                if _env_executable(p, snap, interp, a)
-            ]
-            if _in_turn(p, snap, p.env.name)
-            else []
-        ) or [None]
-        for env_choice in env_opts:
-            for combo in itertools.product(*agent_opts):
-                acting = tuple((aid, a) for aid, a in zip(ids, combo) if a is not None)
-                if env_choice is None and not acting:
-                    continue
-                yield StepVector(LOCAL, env_choice, acting)
+    for name, eligible in joiners(SYNC):
+        n = len(eligible)
+        # every non-empty subset, or only the full one
+        for r in range(1, n + 1) if interleaved else range(max(n, 1), n + 1):
+            for subset in itertools.combinations(eligible, r):
+                yield StepVector(SYNC, name, tuple((aid, name) for aid in subset))
 
-        # synchronizations: forced maximal participation
-        for ea in p.env.actions:
-            if ea.kind != SYNC:
-                continue
-            if p.alternation is not None and p.sync_initiator_group(ea.name) != snap.turn:
-                continue
-            if not _env_executable(p, snap, interp, ea):
-                continue
-            eligible = tuple(
-                (aid, ea.name)
-                for aid in ids
-                if (a := p.template(aid[0]).action(ea.name)) is not None
-                and a.kind == SYNC
-                and _executable(p, snap, interp, aid, a)
-            )
-            if eligible:
-                yield StepVector(SYNC, ea.name, eligible)
-    else:
-        raise ValueError(f"unknown semantics {semantics!r}")
-
-    # individual synchronizations: env plus exactly one agent (both semantics)
-    for ea in p.env.actions:
-        if ea.kind != INDIVIDUAL:
-            continue
-        if p.alternation is not None and p.sync_initiator_group(ea.name) != snap.turn:
-            continue
-        if not _env_executable(p, snap, interp, ea):
-            continue
-        for aid in ids:
-            a = p.template(aid[0]).action(ea.name)
-            if a is not None and a.kind == INDIVIDUAL and _executable(p, snap, interp, aid, a):
-                yield StepVector(INDIVIDUAL, ea.name, ((aid, ea.name),))
+    # individual synchronisations: the environment plus exactly one agent
+    for name, eligible in joiners(INDIVIDUAL):
+        for aid in eligible:
+            yield StepVector(INDIVIDUAL, name, ((aid, name),))
 
 
 def enumerate_reachable(p: Pmas, cfg: ConcreteConfig, goal=None) -> OracleResult:
@@ -340,6 +287,8 @@ class Interpretations(Sequence[RelInterpretation]):
 
 def relation_interpretations(p: Pmas, budget: Optional[int] = None) -> Interpretations:
     """All interpretations over the declared constants (or a budget-spaced sample)."""
+    if budget is not None and budget < 1:
+        raise ValueError(f"interpretation budget must be at least 1, got {budget}")
     cells: list[tuple[str, tuple[str, ...]]] = []
     for r in p.relations:
         doms = []
@@ -350,7 +299,7 @@ def relation_interpretations(p: Pmas, budget: Optional[int] = None) -> Interpret
             cells.append((r.name, tuple(combo)))
     total = 1 << len(cells)
     if budget is not None and total > budget:
-        stride = max(1, -(-total // budget))
+        stride = -(-total // budget)
         return Interpretations(tuple(cells), range(0, total, stride))
     return Interpretations(tuple(cells), range(total))
 
@@ -406,6 +355,8 @@ def cross_check(
 
     if goal is not None:
         p = replace(p, goal=goal)
+    # first, so that a budget below 1 fails before the engine runs
+    interps = relation_interpretations(p, budget=interp_budget)
     abp = encode(p, semantics)
     verdict = breach(
         abp,
@@ -413,7 +364,6 @@ def cross_check(
         max_cubes=engine_max_cubes if engine_max_cubes is not None else DEFAULT_MAX_CUBES,
     )
 
-    interps = relation_interpretations(p, budget=interp_budget)
     reached = False
     reached_counts: Optional[tuple[tuple[str, int], ...]] = None
     configs = 0

@@ -20,7 +20,6 @@ from pmasafety.logic import (
     CaseTerm,
     Const,
     Cube,
-    EFFormula,
     Eq,
     FAnd,
     FFalse,
@@ -38,10 +37,6 @@ from pmasafety.logic import (
     Signature,
     SortDecl,
     StateFormula,
-    fand,
-    f_or,
-    flit,
-    fnot,
     lit_eq,
     lit_subst,
     make_cube,
@@ -131,124 +126,6 @@ def brute_sat_cube(cube: Cube, sig: Signature, fresh: int = 2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# brute-force satisfiability for the exists/forall index fragment
-#
-# Index domains are restricted to size <= number of existentials of the sort
-# (the restriction argument: a satisfying model can be shrunk to the elements
-# named by the existential witnesses).  Element cells range over the declared
-# constants plus one fresh element per cell; relation interpretations are
-# enumerated over the whole finite universe.
-
-
-def _formula_lits(f: Formula):
-    if isinstance(f, FLit):
-        yield f.lit
-    elif isinstance(f, (FAnd, FOr)):
-        for i in f.items:
-            yield from _formula_lits(i)
-    elif isinstance(f, FNot):
-        yield from _formula_lits(f.inner)
-
-
-def brute_sat_ef(ef: EFFormula, sig: Signature) -> bool:
-    lits = list(_formula_lits(ef.matrix))
-    arrays = sorted({t.array for l in lits for t in _terms(l) if isinstance(t, ArrayRead)})
-    globals_ = sorted({t.name for l in lits for t in _terms(l) if isinstance(t, GlobalRef)})
-    rels = sorted({l.atom.rel for l in lits if isinstance(l.atom, RelAtom)})
-
-    by_sort: dict[str, int] = {}
-    for v in ef.existentials:
-        by_sort[v.sort] = by_sort.get(v.sort, 0) + 1
-    index_sorts = sorted(set(by_sort) | {u.sort for u in ef.universals})
-
-    size_ranges = [range(by_sort.get(s, 0) + 1) for s in index_sorts]
-    for sizes in itertools.product(*size_ranges):
-        dom = dict(zip(index_sorts, sizes))
-        cells: list[tuple] = [("g", g) for g in globals_]
-        for arr in arrays:
-            isort = sig.arrays[arr][0]
-            cells += [("a", arr, i) for i in range(dom.get(isort, 0))]
-        universe = {}
-        for s in sig.sorts.values():
-            if s.constants:
-                n_fresh = sum(1 for c in cells if _cell_sort(c, sig) == s.name)
-                universe[s.name] = list(s.constants) + [
-                    f"${s.name}.f{i}" for i in range(n_fresh)
-                ]
-        rel_spaces = []
-        for r in rels:
-            args = sig.relations[r].arg_sorts
-            tuples = list(itertools.product(*[universe[a] for a in args]))
-            rel_spaces.append(
-                [frozenset(s) for k in range(len(tuples) + 1) for s in itertools.combinations(tuples, k)]
-            )
-        cell_domains = [universe[_cell_sort(c, sig)] for c in cells]
-        for cell_vals in itertools.product(*cell_domains):
-            asg = dict(zip(cells, cell_vals))
-            for interp_combo in itertools.product(*rel_spaces) if rel_spaces else [()]:
-                interp = dict(zip(rels, interp_combo))
-                if _ef_holds(ef, sig, dom, asg, interp):
-                    return True
-    return False
-
-
-def _cell_sort(c: tuple, sig: Signature) -> str:
-    return sig.globals[c[1]] if c[0] == "g" else sig.arrays[c[1]][1]
-
-
-def _terms(l: Lit):
-    a = l.atom
-    return (a.lhs, a.rhs) if isinstance(a, Eq) else a.args
-
-
-def _ef_holds(ef, sig, dom, asg, interp) -> bool:
-    def tval(t, idx):
-        if isinstance(t, Const):
-            return ("e", t.name)
-        if isinstance(t, GlobalRef):
-            return ("e", asg[("g", t.name)])
-        if isinstance(t, IndexVar):
-            return ("i", idx[t])
-        if isinstance(t, ArrayRead):
-            return ("e", asg[("a", t.array, idx[t.index])])
-        raise AssertionError(f"unexpected term {t!r}")
-
-    def holds(f, idx) -> bool:
-        if isinstance(f, FTrue):
-            return True
-        if isinstance(f, FFalse):
-            return False
-        if isinstance(f, FLit):
-            a = f.lit.atom
-            if isinstance(a, Eq):
-                v = tval(a.lhs, idx) == tval(a.rhs, idx)
-            else:
-                v = tuple(tval(x, idx)[1] for x in a.args) in interp[a.rel]
-            return v != f.lit.neg
-        if isinstance(f, FAnd):
-            return all(holds(i, idx) for i in f.items)
-        if isinstance(f, FOr):
-            return any(holds(i, idx) for i in f.items)
-        if isinstance(f, FNot):
-            return not holds(f.inner, idx)
-        raise AssertionError(f"not a formula: {f!r}")
-
-    evars = list(ef.existentials)
-    uvars = list(ef.universals)
-    for e_combo in itertools.product(*[range(dom.get(v.sort, 0)) for v in evars]):
-        idx = dict(zip(evars, e_combo))
-        ok = True
-        for u_combo in itertools.product(*[range(dom.get(u.sort, 0)) for u in uvars]):
-            idx.update(zip(uvars, u_combo))
-            if not holds(ef.matrix, idx):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # random instance generators (deterministic per seed)
 
 CUBE_SIG = Signature(
@@ -307,17 +184,26 @@ def _region_instances(cube: Cube, region: list[Cube]) -> list[list[Lit]]:
     return out
 
 
+_WS = (IndexVar("w1", "I"), IndexVar("w2", "I"))
+
+
 def random_entailment(seed: int) -> tuple[Cube, list[Cube]]:
-    """A random cube over z1, z2 and a region of one-variable cubes over
-    CUBE_SIG, with at most 4 unknown cells once the region is instantiated."""
+    """A random cube over z1, z2 and a region of cubes over 0 to 2 variables
+    over CUBE_SIG, with at most 4 unknown cells once the region is
+    instantiated.  A region cube with more variables than the cube has no
+    instance, as over an empty sort."""
     rng = random.Random(seed)
-    zs, w = _ZS[:2], (IndexVar("w", "I"),)
+    zs = _ZS[:2]
     while True:
         cube = make_cube(zs, [_rand_lit(rng, zs) for _ in range(rng.randint(1, 4))])
-        region = [
-            make_cube(w, [_rand_lit(rng, w) for _ in range(rng.randint(1, 2))])
-            for _ in range(rng.randint(1, 2))
-        ]
+        region = []
+        for _ in range(rng.randint(1, 2)):
+            ws = _WS[: rng.randint(0, 2)]
+            while True:  # until every variable is used
+                rc = make_cube(ws, [_rand_lit(rng, ws) for _ in range(rng.randint(1, 2))])
+                if len(rc.exists) == len(ws):
+                    break
+            region.append(rc)
         insts = _region_instances(cube, region)
         if len(_cells_of(list(cube.lits) + [l for i in insts for l in i])) <= 4:
             return cube, region
@@ -393,72 +279,10 @@ def _rand_term(rng, sort, zs=_ZS):
         return Const(rng.choice(consts))
     if kind < 0.6:
         return GlobalRef("g1" if sort == "S1" else "g2")
+    if not zs:
+        return GlobalRef("g1" if sort == "S1" else "g2")
     arr = "f" if sort == "S1" else "h"
     return ArrayRead(arr, rng.choice(zs))
-
-
-EF_SIG = Signature(
-    sorts=[SortDecl("I", "index"), SortDecl("S", "element", ("p", "q"))],
-    relations=[RelDecl("R", ("S",))],
-    globals_={"g": "S"},
-    arrays={"f": ("I", "S")},
-)
-
-
-def random_ef(seed: int) -> EFFormula:
-    """A random exists/forall formula over EF_SIG (kept tiny for brute force)."""
-    rng = random.Random(seed)
-    ne = rng.randint(0, 3)
-    nu = rng.randint(0, 2)
-    use_rel = ne <= 2 and rng.random() < 0.4
-    use_global = not use_rel and ne <= 2 and rng.random() < 0.4
-    evars = tuple(IndexVar(f"e{i}", "I") for i in range(ne))
-    uvars = tuple(IndexVar(f"u{i}", "I") for i in range(nu))
-    allvars = evars + uvars
-
-    def leaf() -> Formula:
-        choices = []
-        if len(allvars) >= 2:
-            choices.append("idx_eq")
-        if allvars:
-            choices += ["arr_const", "arr_arr"]
-            if use_rel:
-                choices.append("rel_arr")
-        if use_global:
-            choices.append("glob_const")
-        if use_rel:
-            choices.append("rel_const")
-        if not choices:
-            return flit(lit_eq(Const("p"), Const(rng.choice(("p", "q")))))
-        kind = rng.choice(choices)
-        neg = rng.random() < 0.4
-        c = Const(rng.choice(("p", "q")))
-        if kind == "idx_eq":
-            a, b = rng.sample(allvars, 2)
-            return flit(lit_eq(a, b, neg))
-        if kind == "arr_const":
-            return flit(lit_eq(ArrayRead("f", rng.choice(allvars)), c, neg))
-        if kind == "arr_arr":
-            return flit(
-                lit_eq(ArrayRead("f", rng.choice(allvars)), ArrayRead("f", rng.choice(allvars)), neg)
-            )
-        if kind == "glob_const":
-            return flit(lit_eq(GlobalRef("g"), c, neg))
-        if kind == "rel_arr":
-            return flit(Lit(neg, RelAtom("R", (ArrayRead("f", rng.choice(allvars)),))))
-        return flit(Lit(neg, RelAtom("R", (c,))))
-
-    def tree(depth: int) -> Formula:
-        if depth == 0 or rng.random() < 0.4:
-            return leaf()
-        op = rng.random()
-        if op < 0.45:
-            return fand([tree(depth - 1) for _ in range(rng.randint(2, 3))])
-        if op < 0.9:
-            return f_or([tree(depth - 1) for _ in range(rng.randint(2, 3))])
-        return fnot(tree(depth - 1))
-
-    return EFFormula(evars, uvars, tree(2))
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,17 @@ import pytest
 from helpers import (
     ConcreteAb,
     CUBE_SIG,
-    EF_SIG,
     all_relation_tuples,
     brute_sat_cube,
-    brute_sat_ef,
-    random_ef,
+    brute_entailed,
+    random_entailment,
     random_ground_cube,
     random_state_formula,
 )
 from pmasafety.corpus import generate_corpus, generate_model
 from pmasafety.dsl import parse_pmas
 from pmasafety.encoder import encode, index_sort
-from pmasafety.engine import SAFE, UNSAFE, breach, check_locality, preimage
+from pmasafety.engine import SAFE, UNSAFE, breach, check_locality, entailed_by, preimage
 from pmasafety.logic import (
     ArrayRead,
     Eq,
@@ -35,7 +34,6 @@ from pmasafety.logic import (
     euf_sat_cube,
     lit_eq,
     make_cube,
-    sat_exists_forall,
 )
 from pmasafety.mcmt import emit_mcmt, parse_mcmt_witness
 from pmasafety.model import RelInterpretation
@@ -160,11 +158,11 @@ def test_c7_solver_vs_brute_force():
         cube = random_ground_cube(seed)
         assert euf_sat_cube(cube, CUBE_SIG) == brute_sat_cube(cube, CUBE_SIG), f"cube {seed}"
     for seed in range(500):
-        ef = random_ef(seed)
-        assert sat_exists_forall(ef, EF_SIG) == brute_sat_ef(ef, EF_SIG), f"ef {seed}"
+        cube, region = random_entailment(seed)
+        assert entailed_by(cube, region) == brute_entailed(cube, region, CUBE_SIG), f"entailment {seed}"
     elapsed = time.monotonic() - t0
     assert elapsed < 300
-    _report(7, f"500 cubes + 500 exists/forall formulae agree, {elapsed:.1f}s")
+    _report(7, f"500 cubes + 500 exists/forall entailment problems agree, {elapsed:.1f}s")
 
 
 def test_c8_preimage_one_step_soundness():

@@ -121,6 +121,20 @@ def test_oracle_silent_with_interp(cannon_path, tmp_path, capsys):
     assert _kv_lines(capsys.readouterr().out)["status"] == "SILENT"
 
 
+_PULSE_A = "  action pulseA : local {\n    pre: true;"
+
+
+@pytest.mark.parametrize("pre", ["pulse_loc[self] = nil", "j = self"])
+@pytest.mark.parametrize("argv", [["check"], ["oracle", "--counts", "Att=1"]])
+def test_self_in_environment_precondition_is_input_error(tmp_path, capsys, pre, argv):
+    src = fixture_text("cannon")
+    assert _PULSE_A in src
+    model = tmp_path / "cannon.pmas"
+    model.write_text(src.replace(_PULSE_A, _PULSE_A.replace("true", pre)))
+    assert main([argv[0], str(model), *argv[1:]]) == 3
+    assert "action Cannon.pulseA: self not allowed here" in capsys.readouterr().err
+
+
 def test_oracle_bad_counts(cannon_path, capsys):
     assert main(["oracle", cannon_path, "--counts", "Nope=2"]) == 3
     assert "unknown template" in capsys.readouterr().err

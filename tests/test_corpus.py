@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from pmasafety.corpus import generate_corpus, generate_model, generate_model_text
-from pmasafety.model import formula_index_vars, validate_pmas
+from pmasafety.model import infer_formula_var_templates, validate_pmas
 
 
 def test_deterministic_per_seed():
@@ -27,7 +27,7 @@ def test_generated_models_are_valid_and_bounded(seed):
     assert len(p.relations) <= 1
     if p.relations:
         assert len(p.relations[0].arg_sorts) <= 2
-    assert len(formula_index_vars(p.goal)) <= 2
+    assert len(infer_formula_var_templates(p, p.goal, None)) <= 2
 
 
 def test_generate_corpus():

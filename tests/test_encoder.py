@@ -49,13 +49,13 @@ def test_signature_layout(abp):
 
 
 def test_initial_assignment(abp):
-    init = abp.init
-    assert init.array_value("loc") == "init"
-    assert init.array_value("destroyed") == "no"
-    assert init.array_value("act_Att") == "nop"
-    assert init.global_value("phase") == "P0"
-    assert init.global_value("env_act") == "nop"
-    assert init.global_value("pulse_loc") == "nil"
+    arrays, globals_ = dict(abp.init.arrays), dict(abp.init.globals_)
+    assert arrays["loc"] == "init"
+    assert arrays["destroyed"] == "no"
+    assert arrays["act_Att"] == "nop"
+    assert globals_["phase"] == "P0"
+    assert globals_["env_act"] == "nop"
+    assert globals_["pulse_loc"] == "nil"
 
 
 def test_declare_rule_guard(abp):

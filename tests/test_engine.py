@@ -153,6 +153,49 @@ class TestEntailedBy(object):
         assert entailed_by(cube, region)
         assert not entailed_by(cube, region[:1])
 
+    # the exists/forall cases: the cube is the existential part, each region
+    # cube the negation of a universal one
+
+    def test_empty_region_entails_nothing(self):
+        z = IndexVar("z", "I")
+        assert not entailed_by(make_cube([], []), [])
+        assert not entailed_by(make_cube([z], [lit_eq(ArrayRead("f", z), Const("p"))]), [])
+
+    def test_one_index_model_escapes_a_two_index_region(self):
+        z, w1, w2 = IndexVar("z", "I"), IndexVar("w1", "I"), IndexVar("w2", "I")
+        p = Const("p")
+        cube = make_cube([z], [lit_eq(ArrayRead("f", z), p)])
+        region = [make_cube([w1, w2], [lit_eq(ArrayRead("f", w1), p), lit_eq(ArrayRead("f", w2), p)])]
+        assert not entailed_by(cube, region)
+
+    def test_universal_blocks_a_second_value(self):
+        # E z1 z2. f[z1]=p & f[z2]=q  is refuted by  A w. f[w]=p
+        z1, z2, w = IndexVar("z1", "I"), IndexVar("z2", "I"), IndexVar("w", "I")
+        p, q = Const("p"), Const("q")
+        cube = make_cube([z1, z2], [lit_eq(ArrayRead("f", z1), p), lit_eq(ArrayRead("f", z2), q)])
+        assert entailed_by(cube, [make_cube([w], [lit_eq(ArrayRead("f", w), p, neg=True)])])
+
+    def test_universal_over_an_empty_sort_is_vacuous(self):
+        # a cube without index variables has a model with no index at all
+        w, g1, p = IndexVar("w", "I"), GlobalRef("g1"), Const("p")
+        cube = make_cube([], [lit_eq(g1, p)])
+        region = [make_cube([w], [lit_eq(ArrayRead("f", w), p, neg=True)])]
+        assert not entailed_by(cube, region)
+        assert entailed_by(cube, [make_cube([], [lit_eq(g1, p)])])
+
+    def test_two_variable_region_cube_tries_every_injective_instance(self):
+        z1, z2 = IndexVar("z1", "I"), IndexVar("z2", "I")
+        w1, w2 = IndexVar("w1", "I"), IndexVar("w2", "I")
+        p, q = Const("p"), Const("q")
+        # only w1 -> z2, w2 -> z1 matches
+        cube = make_cube([z1, z2], [lit_eq(ArrayRead("f", z1), q), lit_eq(ArrayRead("f", z2), p)])
+        region = [make_cube([w1, w2], [lit_eq(ArrayRead("f", w1), p), lit_eq(ArrayRead("f", w2), q)])]
+        assert entailed_by(cube, region)
+        # w1, w2 -> z1, z1 would match, but distinct region variables are distinct indexes
+        same = make_cube([z1, z2], [lit_eq(ArrayRead("f", z1), p), lit_eq(ArrayRead("f", z2), q)])
+        both_p = [make_cube([w1, w2], [lit_eq(ArrayRead("f", w1), p), lit_eq(ArrayRead("f", w2), p)])]
+        assert not entailed_by(same, both_p)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9))
     def test_agrees_with_brute_force(self, seed):

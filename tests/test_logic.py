@@ -1,4 +1,4 @@
-"""Core solver: terms, DNF, congruence closure, exists/forall decision."""
+"""Core solver: terms, DNF, congruence closure."""
 
 from __future__ import annotations
 
@@ -9,11 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     CUBE_SIG,
-    EF_SIG,
     brute_sat_cube,
-    brute_sat_ef,
     random_clause_problem,
-    random_ef,
     random_ground_cube,
 )
 from pmasafety.logic import (
@@ -23,7 +20,6 @@ from pmasafety.logic import (
     CongruenceClosure,
     Const,
     Cube,
-    EFFormula,
     FAnd,
     FLit,
     FNot,
@@ -47,11 +43,8 @@ from pmasafety.logic import (
     f_or,
     flit,
     fnot,
-    fresh_name,
-    is_fresh_name,
     lit_eq,
     make_cube,
-    sat_exists_forall,
     set_partitions,
     simplify_lits,
     term_sort,
@@ -193,52 +186,12 @@ class TestCongruenceClosure:
             fresh.undo(fm)
 
 
-class TestSatExistsForall:
-    def test_empty_constraint_sat(self):
-        e = IndexVar("e", "I")
-        assert sat_exists_forall(EFFormula((e,), (), TRUE), SIG)
-
-    def test_one_index_model_sat(self):
-        e, i = IndexVar("e", "I"), IndexVar("i", "I")
-        assert sat_exists_forall(EFFormula((e,), (i,), flit(lit_eq(i, e))), SIG)
-
-    def test_universal_blocks_second_value_unsat(self):
-        # exists e1 e2 (e1 != e2 & arr[e1]=A & arr[e2]=B) while forall i arr[i]=A
-        e1, e2, i = IndexVar("e1", "I"), IndexVar("e2", "I"), IndexVar("i", "I")
-        matrix = fand(
-            [
-                flit(lit_eq(e1, e2, neg=True)),
-                flit(lit_eq(ArrayRead("arr", e1), A)),
-                flit(lit_eq(ArrayRead("arr", e2), B)),
-                flit(lit_eq(ArrayRead("arr", i), A)),
-            ]
-        )
-        assert not sat_exists_forall(EFFormula((e1, e2), (i,), matrix), SIG)
-
-    def test_universal_over_empty_domain_vacuous(self):
-        i = IndexVar("i", "I")
-        # no existentials: the restricted model may have no indexes at all
-        assert sat_exists_forall(EFFormula((), (i,), flit(lit_eq(ArrayRead("arr", i), A))), SIG)
-
-    def test_merging_existentials(self):
-        # satisfiable only when both existentials denote the same index
-        e1, e2, i = IndexVar("e1", "I"), IndexVar("e2", "I"), IndexVar("i", "I")
-        matrix = fand([flit(lit_eq(e1, e2)), flit(lit_eq(i, e1))])
-        assert sat_exists_forall(EFFormula((e1, e2), (i,), matrix), SIG)
-
-
 class TestBruteForceAgreement:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9))
     def test_cube_agreement(self, seed):
         c = random_ground_cube(seed)
         assert euf_sat_cube(c, CUBE_SIG) == brute_sat_cube(c, CUBE_SIG)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_ef_agreement(self, seed):
-        ef = random_ef(seed)
-        assert sat_exists_forall(ef, EF_SIG) == brute_sat_ef(ef, EF_SIG)
 
 
 # three independent propositional atoms for boolean-structure tests
@@ -326,12 +279,6 @@ class TestCubesAndHelpers:
     def test_set_partitions_bell_numbers(self):
         for n, bell in enumerate([1, 1, 2, 5, 15]):
             assert len(list(set_partitions(range(n)))) == bell
-
-    def test_fresh_names_unique_and_reserved(self):
-        a, b = fresh_name("z"), fresh_name("z")
-        assert a != b
-        assert is_fresh_name(a)
-        assert not is_fresh_name("loc")
 
     def test_term_sort(self):
         assert term_sort(A, SIG) == "S"

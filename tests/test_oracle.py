@@ -8,7 +8,7 @@ import pytest
 
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_formula, parse_pmas
-from pmasafety.model import RelInterpretation
+from pmasafety.model import ModelError, RelInterpretation
 from pmasafety.models import fixture_text
 from pmasafety.oracle import (
     ConcreteConfig,
@@ -64,6 +64,18 @@ def test_depth_bound_respected(cannon):
     assert enumerate_reachable(cannon, cfg).status == SILENT
 
 
+def test_environment_precondition_has_no_self():
+    # unvalidated, so only the oracle's own evaluation can reject it
+    src = fixture_text("cannon").replace(
+        "action pulseA : local {\n    pre: true;",
+        "action pulseA : local {\n    pre: pulse_loc[self] = nil;",
+    )
+    p = parse_pmas(src, "bad", validate=False)
+    cfg = ConcreteConfig((("Att", 1),), RelInterpretation(), "interleaved")
+    with pytest.raises(ModelError, match="self not allowed here"):
+        enumerate_reachable(p, cfg)
+
+
 def test_concurrent_enumeration_runs(cannon):
     cfg = ConcreteConfig((("Att", 1),), RelInterpretation(), "concurrent")
     assert enumerate_reachable(cannon, cfg).status == REACHED
@@ -111,6 +123,15 @@ class TestRelationInterpretations:
         assert list(a) == list(b)
         assert len(a) <= 5
         assert RelInterpretation() in a
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, cannon, budget):
+        with pytest.raises(ValueError, match="at least 1"):
+            relation_interpretations(cannon, budget=budget)
+
+    def test_cross_check_rejects_budget_below_one(self, cannon):
+        with pytest.raises(ValueError, match="at least 1"):
+            cross_check(cannon, interp_budget=0)
 
     def test_no_relations_single_empty_interp(self, trains):
         assert list(relation_interpretations(trains)) == [RelInterpretation()]
