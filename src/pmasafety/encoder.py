@@ -13,7 +13,7 @@ every committing rule.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .logic import (
@@ -22,7 +22,6 @@ from .logic import (
     Cube,
     ELEMENT,
     Eq,
-    FLit,
     Formula,
     GlobalRef,
     INDEX,
@@ -33,7 +32,6 @@ from .logic import (
     CaseTerm,
     Lit,
     RelAtom,
-    RelDecl,
     Signature,
     SortDecl,
     StateFormula,
@@ -51,7 +49,6 @@ from .logic import (
     make_cube,
     memoized,
     simplify_lits,
-    nnf,
     set_partitions,
 )
 from .model import (
@@ -62,17 +59,14 @@ from .model import (
     Conj,
     ConstRef,
     Disj,
-    ENV,
     IdxEq,
     INDIVIDUAL,
-    LOCAL,
     ModelError,
     Neg,
     Pmas,
     RelTest,
     SELF,
     SYNC,
-    VarRef,
     VarTest,
     infer_formula_var_templates,
 )

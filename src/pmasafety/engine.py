@@ -31,7 +31,6 @@ from .logic import (
     RelAtom,
     Signature,
     StateFormula,
-    TRUE,
     cube_formula,
     cube_vars_of_lits,
     dnf,
@@ -41,12 +40,10 @@ from .logic import (
     f_or,
     ground_lits_sat,
     lit_subst,
-    make_cube,
     term_subst,
 )
 from .encoder import (
     AbPmas,
-    BlockedPre,
     Gate,
     TransitionRule,
     differentiate,
@@ -188,28 +185,43 @@ def preimage(
 
 
 def canon_cube(cube: Cube) -> Cube:
-    """Deterministic variable renaming: try every per-sort naming permutation
-    and keep the lexicographically smallest rendering."""
-    by_sort: dict[str, list[IndexVar]] = {}
-    for v in cube.exists:
-        by_sort.setdefault(v.sort, []).append(v)
-    pools = []
-    for sort in sorted(by_sort):
-        vs = by_sort[sort]
-        names = [IndexVar(f"$c{sort}_{k}", sort) for k in range(len(vs))]
-        pools.append([dict(zip(vs, perm)) for perm in itertools.permutations(names)])
-    best: Optional[Cube] = None
-    best_key = None
-    for combo in itertools.product(*pools) if pools else [()]:
-        sub: dict[IndexVar, IndexVar] = {}
-        for m in combo:
-            sub.update(m)
-        cand = make_cube(sorted(sub.values()), tuple(lit_subst(l, sub) for l in cube.lits))
-        key = repr(cand)
+    """Deterministic variable renaming: of every per-sort renaming of the
+    existential variables to `$c<sort>_<k>`, the one whose cube renders
+    (`repr`) lexicographically smallest, the first one on a tie.
+
+    Each literal is rendered once, into a `str.format` template with a field
+    for each variable (a variable named by its NUL-delimited number, split
+    out of the rendering), so a candidate renaming only fills in names,
+    sorts and compares strings.  Only the winner is built as a cube."""
+    by_sort = sorted(cube.vars_by_sort().items())
+    slots = [v for _, vs in by_sort for v in vs]
+    marks = {v: IndexVar(f"\0{k}\0", v.sort) for k, v in enumerate(slots)}
+    lits = list(dict.fromkeys(cube.lits))
+    templates: list[str] = []
+    used: set[int] = set()  # slots some literal mentions
+    for l in lits:
+        parts = repr(lit_subst(l, marks)).replace("{", "{{").replace("}", "}}").split("\0")
+        used.update(int(k) for k in parts[1::2])
+        templates.append("".join(t if n % 2 == 0 else f"{{{t}}}" for n, t in enumerate(parts)))
+    renamings = [
+        itertools.permutations([IndexVar(f"$c{s}_{k}", s) for k in range(len(vs))])
+        for s, vs in by_sort
+    ]
+    best_key, best = None, None
+    for combo in itertools.product(*renamings):
+        named = [w for ws in combo for w in ws]
+        names = [w.name for w in named]
+        # (rendering, literal) in `make_cube` order; a variable no literal uses is dropped
+        rendered = sorted(zip([t.format(*names) for t in templates], range(len(lits))))
+        ex = sorted(named[k] for k in used)
+        key = (f"E {', '.join(map(repr, ex))}. " if ex else "") + (
+            " & ".join(r for r, _ in rendered) or "true"
+        )
         if best_key is None or key < best_key:
-            best, best_key = cand, key
-    assert best is not None or not cube.exists
-    return best if best is not None else cube
+            best_key, best = key, (named, ex, rendered)
+    named, ex, rendered = best
+    sub = dict(zip(slots, named))
+    return Cube(tuple(ex), tuple(lit_subst(lits[i], sub) for _, i in rendered))
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +234,10 @@ def subsumes(a: Cube, b: Cube) -> bool:
         return False
     if not a.shapes() <= b.shapes():
         return False
-    b_lits = set(b.lits)
-    bs_by_sort: dict[str, list[IndexVar]] = {}
-    for v in b.exists:
-        bs_by_sort.setdefault(v.sort, []).append(v)
-
-    avars = list(a.exists)
-    done = set(avars)
-    # literals checkable once the first i+1 variables are assigned
-    check_at: list[list[Lit]] = [[] for _ in range(len(avars) + 1)]
-    for l in a.lits:
-        vs = cube_vars_of_lits([l])
-        k = 0
-        for i, v in enumerate(avars):
-            if v in vs:
-                k = i + 1
-        check_at[k].append(l)
+    b_lits = b.key()[1]
+    bs_by_sort = b.vars_by_sort()
+    avars = a.exists
+    check_at = a.check_schedule()
 
     def assign(i: int, sub: dict[IndexVar, IndexVar], used: set[IndexVar]) -> bool:
         for l in check_at[i]:
@@ -372,17 +372,14 @@ def entailed_by(
     cc = CongruenceClosure()
     if not cc.assert_lits(cube.lits):
         return True
-    cvars_by_sort: dict[str, list[IndexVar]] = {}
-    for v in cube.exists:
-        cvars_by_sort.setdefault(v.sort, []).append(v)
+    cvars_by_sort = cube.vars_by_sort()
     instances = 0
     clauses: list[list[Lit]] = []
     for b in region:
-        need: dict[str, int] = {}
-        for v in b.exists:
-            need[v.sort] = need.get(v.sort, 0) + 1
         # injective instantiations of b's variables by the cube's
-        count = math.prod(math.perm(len(cvars_by_sort.get(s, ())), k) for s, k in need.items())
+        count = math.prod(
+            math.perm(len(cvars_by_sort.get(s, ())), len(vs)) for s, vs in b.vars_by_sort().items()
+        )
         if not count:
             continue  # no total instantiation: imposes nothing
         instances += count

@@ -16,7 +16,7 @@ universals over the existential prefix and searches on the same closure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView, Optional, Sequence, Union
 
 
@@ -123,35 +123,85 @@ class Signature:
 # terms
 
 
+class _Hashed:
+    """Base of the term, atom and literal classes, which sets, substitution
+    maps and subsumption checks hash constantly: each instance computes its
+    hash once, in `__init__`, into a slot that `__hash__` only reads.  Every
+    subclass names `__hash__` again, since `dataclass` would otherwise put a
+    hash over the fields in its place.  A pickle rebuilds the instance from
+    its fields, because str hashes differ from one process to the next."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
+
+
+_set = object.__setattr__  # how `__init__` fills the slots of a frozen instance
+
+
 @dataclass(frozen=True, order=True)
-class IndexVar:
+class IndexVar(_Hashed):
+    __slots__ = ("name", "sort")
     name: str
     sort: str
+
+    def __init__(self, name: str, sort: str) -> None:
+        _set(self, "name", name)
+        _set(self, "sort", sort)
+        _set(self, "_hash", hash((name, sort)))
+
+    __hash__ = _Hashed.__hash__
 
     def __repr__(self) -> str:
         return f"{self.name}:{self.sort}"
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Hashed):
+    __slots__ = ("name",)
     name: str
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
+
+    __hash__ = _Hashed.__hash__
 
     def __repr__(self) -> str:
         return self.name
 
 
 @dataclass(frozen=True)
-class GlobalRef:
+class GlobalRef(_Hashed):
+    __slots__ = ("name",)
     name: str
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
+
+    __hash__ = _Hashed.__hash__
 
     def __repr__(self) -> str:
         return self.name
 
 
 @dataclass(frozen=True)
-class ArrayRead:
+class ArrayRead(_Hashed):
+    __slots__ = ("array", "index")
     array: str
     index: IndexVar
+
+    def __init__(self, array: str, index: IndexVar) -> None:
+        _set(self, "array", array)
+        _set(self, "index", index)
+        _set(self, "_hash", hash((array, index)))
+
+    __hash__ = _Hashed.__hash__
 
     def __repr__(self) -> str:
         return f"{self.array}[{self.index.name}]"
@@ -200,18 +250,34 @@ def term_sort(t: Term, sig: Signature) -> str:
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(_Hashed):
+    __slots__ = ("lhs", "rhs")
     lhs: Term
     rhs: Term
+
+    def __init__(self, lhs: Term, rhs: Term) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "_hash", hash((lhs, rhs)))
+
+    __hash__ = _Hashed.__hash__
 
     def __repr__(self) -> str:
         return f"{self.lhs!r}={self.rhs!r}"
 
 
 @dataclass(frozen=True)
-class RelAtom:
+class RelAtom(_Hashed):
+    __slots__ = ("rel", "args")
     rel: str
     args: tuple[Term, ...]
+
+    def __init__(self, rel: str, args: tuple[Term, ...]) -> None:
+        _set(self, "rel", rel)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((rel, args)))
+
+    __hash__ = _Hashed.__hash__
 
     def __repr__(self) -> str:
         return f"{self.rel}({', '.join(map(repr, self.args))})"
@@ -221,9 +287,17 @@ Atom = Union[Eq, RelAtom]
 
 
 @dataclass(frozen=True)
-class Lit:
+class Lit(_Hashed):
+    __slots__ = ("neg", "atom")
     neg: bool
     atom: Atom
+
+    def __init__(self, neg: bool, atom: Atom) -> None:
+        _set(self, "neg", neg)
+        _set(self, "atom", atom)
+        _set(self, "_hash", hash((neg, atom)))
+
+    __hash__ = _Hashed.__hash__
 
     def negate(self) -> "Lit":
         return Lit(not self.neg, self.atom)
@@ -234,27 +308,6 @@ class Lit:
 
 def lit_eq(lhs: Term, rhs: Term, neg: bool = False) -> Lit:
     return Lit(neg, Eq(lhs, rhs))
-
-
-def _cache_hash(cls):
-    """Memoize a frozen dataclass's hash (these values are hashed constantly
-    in sets, substitution maps and subsumption checks)."""
-    base_hash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return object.__getattribute__(self, "_hash")
-        except AttributeError:
-            h = base_hash(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-for _cls in (IndexVar, Const, GlobalRef, ArrayRead, Eq, RelAtom, Lit):
-    _cache_hash(_cls)
 
 
 # quantifier-free formula AST (used for guards and case conditions)
@@ -569,23 +622,24 @@ def _lit_key(l: Lit) -> str:
     return repr(l)
 
 
-def _shape_term(x: Term):
+def _shape_term(x: Term) -> tuple[str, str]:
     if isinstance(x, IndexVar):
         return ("V", x.sort)
     if isinstance(x, ArrayRead):
         return ("A", x.array)
-    return x
+    return (type(x).__name__, repr(x))
 
 
-def _lit_shape(l: Lit) -> tuple:
+def _lit_shape(l: Lit) -> str:
     """The literal with index variables abstracted away (array reads keep only
     the array name).  A necessary condition for an injective embedding of one
     cube into another is that the first one's shapes are a subset of the
-    second one's."""
+    second one's.  Rendered as a string, whose hash Python keeps, since
+    subset checks hash every shape again."""
     a = l.atom
     if isinstance(a, Eq):
-        return (l.neg, "=", _shape_term(a.lhs), _shape_term(a.rhs))
-    return (l.neg, a.rel, tuple(_shape_term(x) for x in a.args))
+        return repr((l.neg, "=", _shape_term(a.lhs), _shape_term(a.rhs)))
+    return repr((l.neg, a.rel, tuple(_shape_term(x) for x in a.args)))
 
 
 def const_cell(l: Lit) -> Optional[tuple[Union[GlobalRef, str], Const]]:
@@ -639,6 +693,25 @@ class Cube:
     @memoized
     def key(self) -> tuple:
         return (self.exists, frozenset(self.lits))
+
+    @memoized
+    def vars_by_sort(self) -> dict[str, list[IndexVar]]:
+        """`exists` split by sort, each in `exists` order (memoized)."""
+        out: dict[str, list[IndexVar]] = {}
+        for v in self.exists:
+            out.setdefault(v.sort, []).append(v)
+        return out
+
+    @memoized
+    def check_schedule(self) -> list[list[Lit]]:
+        """Entry i: the literals whose variables all lie among the first i
+        of `exists`, and not all among fewer (memoized).  A search that
+        assigns the variables in order can check these once it has i."""
+        out: list[list[Lit]] = [[] for _ in range(len(self.exists) + 1)]
+        for l in self.lits:
+            vs = cube_vars_of_lits((l,))
+            out[max((i + 1 for i, v in enumerate(self.exists) if v in vs), default=0)].append(l)
+        return out
 
     @memoized
     def index_free_lits(self) -> tuple[Lit, ...]:

@@ -15,7 +15,6 @@ maps the ordinals back to the encoder's rules.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .logic import (

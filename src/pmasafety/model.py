@@ -10,10 +10,10 @@ variables read existentially.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .logic import SortDecl, RelDecl, ELEMENT, memoized
+from .logic import SortDecl, RelDecl, memoized
 
 
 class ModelError(Exception):

@@ -461,6 +461,35 @@ def all_relation_tuples(sig: Signature) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# reference cube canonicalisation
+
+
+def reference_canon_cube(cube: Cube) -> Cube:
+    """`engine.canon_cube` by its definition: build the cube for every
+    per-sort naming permutation and keep the lexicographically smallest
+    rendering (the first one on a tie)."""
+    by_sort: dict[str, list[IndexVar]] = {}
+    for v in cube.exists:
+        by_sort.setdefault(v.sort, []).append(v)
+    pools = []
+    for sort in sorted(by_sort):
+        vs = by_sort[sort]
+        names = [IndexVar(f"$c{sort}_{k}", sort) for k in range(len(vs))]
+        pools.append([dict(zip(vs, perm)) for perm in itertools.permutations(names)])
+    best: Optional[Cube] = None
+    best_key = None
+    for combo in itertools.product(*pools):
+        sub: dict[IndexVar, IndexVar] = {}
+        for m in combo:
+            sub.update(m)
+        cand = make_cube(sorted(sub.values()), tuple(lit_subst(l, sub) for l in cube.lits))
+        key = repr(cand)
+        if best_key is None or key < best_key:
+            best, best_key = cand, key
+    return best
+
+
+# ---------------------------------------------------------------------------
 # verdict fingerprints
 
 

@@ -19,6 +19,7 @@ from helpers import (
     random_region,
     random_rule_and_cube,
     random_state_formula,
+    reference_canon_cube,
 )
 from pmasafety import engine
 from pmasafety.corpus import generate_model
@@ -44,6 +45,7 @@ from pmasafety.logic import (
     ArrayRead,
     CongruenceClosure,
     Const,
+    Cube,
     GlobalRef,
     IndexVar,
     LambdaUpdate,
@@ -51,6 +53,7 @@ from pmasafety.logic import (
     RelAtom,
     StateFormula,
     lit_eq,
+    lit_subst,
     make_cube,
 )
 from pmasafety.models import fixture_text
@@ -71,7 +74,68 @@ def _loc_cube(var_names, value="target"):
     return make_cube(vs, [lit_eq(ArrayRead("loc", v), Const(value)) for v in vs])
 
 
+# names whose renderings are prefixes of one another, over two index sorts
+_CANON_VARS = {"I": ["j", "j1", "j10", "j2"], "K": ["k", "k1", "k10", "$z0"]}
+_CANON_ARRAYS = {"I": ["loc", "loc2"], "K": ["st"]}
+
+
+@st.composite
+def canon_inputs(draw) -> Cube:
+    """A cube with 0-4 variables of each of two index sorts: array reads,
+    globals and relation atoms, either sign; sometimes built with `Cube(...)`
+    directly, so a variable may go unused and a literal may repeat."""
+    vs = [IndexVar(n, s) for s, names in _CANON_VARS.items()
+          for n in draw(st.lists(st.sampled_from(names), max_size=4, unique=True))]
+
+    def term(free):
+        v = draw(st.sampled_from(vs)) if vs else None
+        options = [Const("a"), Const("ab"), GlobalRef("g"), GlobalRef("g1")]
+        if v is not None:
+            options += [ArrayRead(arr, v) for arr in _CANON_ARRAYS[v.sort]]
+            if free:
+                options.append(v)
+        return draw(st.sampled_from(options))
+
+    def lit():
+        neg = draw(st.booleans())
+        if vs and draw(st.integers(0, 3)) == 0:
+            return Lit(neg, RelAtom(draw(st.sampled_from(["R", "R2"])), (term(True), term(True))))
+        return lit_eq(term(False), term(False), neg=neg)
+
+    lits = [lit() for _ in range(draw(st.integers(0, 6)))]
+    if draw(st.booleans()):
+        return Cube(tuple(vs), tuple(lits + lits[:1]))
+    return make_cube(vs, lits)
+
+
 class TestCanonCube:
+    @settings(max_examples=400, deadline=None)
+    @given(canon_inputs(), st.randoms(use_true_random=False))
+    def test_matches_reference(self, cube, rng):
+        got = canon_cube(cube)
+        want = reference_canon_cube(cube)
+        assert got == want and repr(got) == repr(want)
+        # a renamed and reordered copy has the same canonical form
+        sub = {}
+        for sort, vs in cube.vars_by_sort().items():
+            names = [f"w{k}" for k in range(len(vs))]
+            rng.shuffle(names)
+            sub.update({v: IndexVar(n, sort) for v, n in zip(vs, names)})
+        exists = [sub[v] for v in cube.exists]
+        lits = [lit_subst(l, sub) for l in cube.lits]
+        rng.shuffle(exists)
+        rng.shuffle(lits)
+        assert canon_cube(Cube(tuple(exists), tuple(lits))) == got
+
+    def test_frontier_cubes_match_reference(self, cannon, two_robot):
+        trains = parse_pmas(fixture_text("trains"), "trains")
+        verdicts = [breach(encode(cannon, "interleaved")), breach(encode(trains, "interleaved")),
+                    two_robot.verdict]
+        cubes = [c for v in verdicts for layer in v.layers for c in layer.cubes]
+        assert len(cubes) == 97 + 123 + 524
+        for c in cubes:
+            assert canon_cube(c) == reference_canon_cube(c) == c
+
     def test_renaming_invariance(self):
         a = _loc_cube(["zz9", "q3"])
         b = _loc_cube(["j1", "j2"])

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,7 @@ from helpers import (
     random_clause_problem,
     random_ground_cube,
 )
+from pmasafety import logic
 from pmasafety.logic import (
     ArrayRead,
     BudgetError,
@@ -20,6 +25,7 @@ from pmasafety.logic import (
     CongruenceClosure,
     Const,
     Cube,
+    Eq,
     FAnd,
     FLit,
     FNot,
@@ -253,6 +259,80 @@ class TestDnf:
         ]
         with pytest.raises(BudgetError):
             dnf(fand(parts), cap=4)
+
+
+def _hashed_pairs() -> list[tuple]:
+    """Two separately built copies of one value of each hashed class."""
+
+    def build():
+        j, a, x = IndexVar("j", "I"), Const("A"), GlobalRef("x")
+        read = ArrayRead("arr", j)
+        eq = Eq(read, a)
+        rel = RelAtom("R", (read, x))
+        return [j, a, x, read, eq, rel, Lit(True, eq), Lit(False, rel)]
+
+    return list(zip(build(), build()))
+
+
+class TestHashContract:
+    @pytest.mark.parametrize("a, b", _hashed_pairs())
+    def test_equal_values_hash_equal(self, a, b):
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert b in {a} and {a: 1}[b] == 1
+
+    @pytest.mark.parametrize("a", [a for a, _ in _hashed_pairs()])
+    def test_no_instance_dict(self, a):
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a._hash = 0
+
+    def test_replace_rehashes(self):
+        j, k = IndexVar("j", "I"), IndexVar("k", "I")
+        l = lit_eq(ArrayRead("arr", j), A)
+        moved = dataclasses.replace(l, atom=dataclasses.replace(l.atom, lhs=ArrayRead("arr", k)))
+        assert moved == lit_eq(ArrayRead("arr", k), A)
+        assert hash(moved) == hash(lit_eq(ArrayRead("arr", k), A))
+        assert hash(dataclasses.replace(j, name="k")) == hash(k)
+        assert dataclasses.replace(l, neg=True) == l.negate()
+
+    def test_index_vars_sort_by_name_then_sort(self):
+        vs = [IndexVar(n, s) for n in ("j10", "j1", "j", "$cI_0", "k") for s in ("J", "I")]
+        assert sorted(vs) == sorted(vs, key=lambda v: (v.name, v.sort))
+        assert IndexVar("j1", "J") < IndexVar("j10", "I")
+
+    def test_hash_is_read_not_cached_lazily(self):
+        assert not hasattr(logic, "_cache_hash")
+
+    def test_pickle_rehashes_in_another_process(self):
+        """A hash is valid only in the process that computed it: a literal
+        pickled under one hash seed must be found in a set under another."""
+        build = (
+            "from pmasafety.logic import *\n"
+            "j = IndexVar('j', 'I')\n"
+            "lits = [Lit(True, Eq(ArrayRead('arr', j), Const('A'))),"
+            " Lit(False, RelAtom('R', (ArrayRead('arr', j), GlobalRef('x'))))]\n"
+        )
+        dump = build + (
+            "import pickle, sys\n"
+            "assert len(set(lits)) == 2\n"  # hash before pickling
+            "sys.stdout.buffer.write(pickle.dumps(lits))\n"
+        )
+        load = build + (
+            "import pickle, sys\n"
+            "copies = pickle.load(sys.stdin.buffer)\n"
+            "assert copies == lits, copies\n"
+            "assert all(c in set(lits) and hash(c) == hash(l) for c, l in zip(copies, lits))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+        def run(code, seed, stdin=b""):
+            return subprocess.run(
+                [sys.executable, "-c", code], input=stdin, capture_output=True, check=True,
+                env={**env, "PYTHONHASHSEED": seed}, timeout=120,
+            ).stdout
+
+        run(load, "2", run(dump, "1"))
 
 
 class TestCubesAndHelpers:
