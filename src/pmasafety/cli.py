@@ -92,7 +92,7 @@ def _parse_counts(p: Pmas, text: Optional[str]) -> tuple[tuple[str, int], ...]:
 
 
 def _check_non_negative(args) -> None:
-    for dest in ("max_depth", "max_count", "oracle_depth"):
+    for dest in ("max_depth", "max_cubes", "oracle_depth"):
         v = getattr(args, dest, None)
         if v is not None and v < 0:
             raise InputError(f"--{dest.replace('_', '-')} must not be negative, got {v}")
@@ -233,8 +233,10 @@ def _cmd_explain_witness(args) -> int:
 
 
 def _cmd_cross_check(args) -> int:
-    if args.interp_budget < 1:
-        raise InputError(f"--interp-budget must be at least 1, got {args.interp_budget}")
+    for dest in ("max_count", "interp_budget"):
+        v = getattr(args, dest)
+        if v < 1:
+            raise InputError(f"--{dest.replace('_', '-')} must be at least 1, got {v}")
     p = _load_model(args.model)
     goal = parse_formula(args.goal) if args.goal else None
     r = cross_check(

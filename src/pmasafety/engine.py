@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .logic import (
     ArrayRead,
@@ -138,13 +138,16 @@ def preimage(
     rule: TransitionRule,
     cube: Cube,
     sig: Signature,
+    region: "Region",
     dnf_cap: int = DEFAULT_DNF_CAP,
 ) -> list[Cube]:
-    """Exact preimage of one differentiated cube under one rule.
+    """Exact preimage of one differentiated cube under one rule, less the
+    cubes `region` covers.
 
     Returns differentiated cubes (already EUF-filtered).  The cube's own index
     variables stay pairwise distinct; rule existentials may merge with them or
-    with each other, which the equality-partition split enumerates.
+    with each other, which the equality-partition split enumerates.  Coverage
+    does not depend on variable names, so it is checked before `canon_cube`.
     """
     # rename apart; every output is canonicalised, so names by position suffice
     cube_ren = {v: IndexVar(f"$z{k}", v.sort) for k, v in enumerate(cube.exists)}
@@ -177,6 +180,8 @@ def preimage(
     distinct = set(cube_ren.values())
     for lits in dnf(f, dnf_cap):
         for c in differentiate(lits, sig, distinct=distinct):
+            if region.covers(c):
+                continue
             cc = canon_cube(c)
             if cc.key() not in seen:
                 seen.add(cc.key())
@@ -184,23 +189,40 @@ def preimage(
     return out
 
 
+def _render(l: Lit, names: dict[IndexVar, str]) -> str:
+    """`repr(l)`, with `names[v]` for the name of each variable `v` in `names`."""
+
+    def term(t) -> str:
+        if isinstance(t, IndexVar):
+            return f"{names.get(t, t.name)}:{t.sort}"
+        if isinstance(t, ArrayRead):
+            return f"{t.array}[{names.get(t.index, t.index.name)}]"
+        return repr(t)
+
+    a = l.atom
+    if isinstance(a, Eq):
+        return ("!" if l.neg else "") + f"{term(a.lhs)}={term(a.rhs)}"
+    return ("!" if l.neg else "") + f"{a.rel}({', '.join(map(term, a.args))})"
+
+
 def canon_cube(cube: Cube) -> Cube:
     """Deterministic variable renaming: of every per-sort renaming of the
     existential variables to `$c<sort>_<k>`, the one whose cube renders
     (`repr`) lexicographically smallest, the first one on a tie.
 
-    Each literal is rendered once, into a `str.format` template with a field
-    for each variable (a variable named by its NUL-delimited number, split
-    out of the rendering), so a candidate renaming only fills in names,
-    sorts and compares strings.  Only the winner is built as a cube."""
+    Each literal is rendered once, straight from its terms, into a
+    `str.format` template with a field for each variable (a variable named by
+    its NUL-delimited number, split out of the rendering), so a candidate
+    renaming only fills in names, sorts and compares strings.  Only the
+    winner is built as a cube."""
     by_sort = sorted(cube.vars_by_sort().items())
     slots = [v for _, vs in by_sort for v in vs]
-    marks = {v: IndexVar(f"\0{k}\0", v.sort) for k, v in enumerate(slots)}
+    marks = {v: f"\0{k}\0" for k, v in enumerate(slots)}
     lits = list(dict.fromkeys(cube.lits))
     templates: list[str] = []
     used: set[int] = set()  # slots some literal mentions
     for l in lits:
-        parts = repr(lit_subst(l, marks)).replace("{", "{{").replace("}", "}}").split("\0")
+        parts = _render(l, marks).replace("{", "{{").replace("}", "}}").split("\0")
         used.update(int(k) for k in parts[1::2])
         templates.append("".join(t if n % 2 == 0 else f"{{{t}}}" for n, t in enumerate(parts)))
     renamings = [
@@ -266,24 +288,37 @@ class Region:
     A cube can subsume another only if its literal shapes are a subset of the
     other's (`Cube.shapes`), so each cube is filed under one of its shapes,
     the one fewest region cubes have had so far, and a query scans only the
-    buckets of its own shapes.  Iteration yields the cubes in insertion order.
+    buckets of its own shapes.  `cubes` holds the cubes in insertion order.
+
+    For `entailed_by` it keeps, per cube, its variable count per sort, its
+    negated index-free literals and its instances' negated literals built so
+    far, each literal interned: equal ones are one object, found by identity.
     """
 
     def __init__(self) -> None:
         self.cubes: list[Cube] = []
+        self.sizes: list[tuple[tuple[str, int], ...]] = []
+        self.refuted_by: list[tuple[Lit, ...]] = []
+        self.instances: list[dict[tuple[IndexVar, ...], list[Lit]]] = []
+        self._lits: dict[Lit, Lit] = {}
         self._buckets: dict = {}  # shape (None: no literals) -> cubes
         self._freq: dict = {}  # shape -> number of region cubes that have it
 
-    def __iter__(self):
-        return iter(self.cubes)
-
     def add(self, cube: Cube) -> None:
         self.cubes.append(cube)
+        self.sizes.append(tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items()))
+        free = cube.check_schedule()[0]  # literals without its variables: alike in every instance
+        self.refuted_by.append(tuple(self.intern(l.negate()) for l in free))
+        self.instances.append({})
         freq = self._freq
         for sh in cube.shapes():
             freq[sh] = freq.get(sh, 0) + 1
         key = min(cube.shapes(), key=freq.__getitem__, default=None)
         self._buckets.setdefault(key, []).append(cube)
+
+    def intern(self, l: Lit) -> Lit:
+        """The region's one object equal to `l`."""
+        return self._lits.setdefault(l, l)
 
     def covers(self, cube: Cube) -> bool:
         """Some cube of the region subsumes `cube`."""
@@ -297,32 +332,19 @@ class Region:
 
 def _clauses_sat(
     cc: CongruenceClosure,
-    clauses: Iterable[Sequence[Lit]],
+    todo: Sequence[Sequence[Lit]],
     node_cap: int = 20000,
 ) -> bool:
     """Ground EUF satisfiability of the closure's literals /\\ CNF clauses.
 
-    Clause literals the closure already decides are settled first.  The
-    search then asserts one literal of the first open clause per node and
-    undoes it on backtrack; it keeps its own stack, so the number of clauses
-    is not bounded by Python's recursion limit.  Gives up (answers
+    `entailed_by` passes only open clauses, none of whose literals the
+    closure decides yet, but any clauses are answered correctly.  The search
+    asserts one literal of the first clause no literal satisfies yet per node
+    and undoes it on backtrack; it keeps its own stack, so the number of
+    clauses is not bounded by Python's recursion limit.  Gives up (answers
     "satisfiable") after `node_cap` search nodes, which callers treat as
     "entailment not proven" — always sound.
     """
-    open_: dict[tuple[Lit, ...], None] = {}
-    for cl in clauses:
-        undecided = []
-        for d in cl:
-            v = cc.value(d)
-            if v:
-                break
-            if v is None:
-                undecided.append(d)
-        else:
-            if not undecided:
-                return False
-            open_[tuple(undecided)] = None
-    todo = list(open_)
     if not todo:
         return True
 
@@ -354,45 +376,65 @@ def _clauses_sat(
     return False
 
 
-def entailed_by(
-    cube: Cube,
-    region: Iterable[Cube],
-    clause_cap: int = 2000,
-) -> bool:
+class _Values(dict):
+    """Literal -> its value on a closure that no longer changes, each computed once."""
+
+    def __init__(self, cc: CongruenceClosure) -> None:
+        self.cc = cc
+
+    def __missing__(self, d: Lit) -> Optional[bool]:
+        v = self[d] = self.cc.value(d)
+        return v
+
+
+def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
     """cube |= \\/ region, via universal instantiation over the cube's own
     variables (sorts with no variable are empty in the restricted model).
     This is the one decision procedure for the exists/forall fragment: the
     cube is satisfiable together with the negation of every instance iff
     it is not entailed.
 
-    A region cube with an index-free literal the cube refutes yields only
-    satisfied clauses, so none are built for it.  Best-effort beyond
-    `clause_cap` instantiations: answers False (not entailed), which is
-    always sound — the cube is merely kept."""
+    Best-effort beyond `clause_cap` instantiations in all: answers False (not
+    entailed), which is always sound — the cube is merely kept.  Below it,
+    instance literals are built lazily into `region` and evaluated once per
+    call; a clause stops at its first true literal, an all-false one proves
+    entailment, and only open clauses, deduplicated, reach the search."""
     cc = CongruenceClosure()
     if not cc.assert_lits(cube.lits):
         return True
     cvars_by_sort = cube.vars_by_sort()
-    instances = 0
-    clauses: list[list[Lit]] = []
-    for b in region:
-        # injective instantiations of b's variables by the cube's
-        count = math.prod(
-            math.perm(len(cvars_by_sort.get(s, ())), len(vs)) for s, vs in b.vars_by_sort().items()
-        )
-        if not count:
-            continue  # no total instantiation: imposes nothing
-        instances += count
-        if instances > clause_cap:
-            return False
-        if any(cc.value(l) is False for l in b.index_free_lits()):
-            continue
+    # injective instantiations of a region cube's variables by the cube's
+    count_of = {
+        sz: math.prod(math.perm(len(cvars_by_sort.get(s, ())), k) for s, k in sz)
+        for sz in set(region.sizes)
+    }
+    if sum(map(count_of.__getitem__, region.sizes)) > clause_cap:
+        return False
+    values = _Values(cc)
+    open_: dict[tuple[Lit, ...], None] = {}
+    facts = zip(region.cubes, region.sizes, region.refuted_by, region.instances)
+    for b, sz, refuted_by, built in facts:
+        if not count_of[sz] or any(values[d] for d in refuted_by):
+            continue  # no total instantiation, or every instance refuted: imposes nothing
         pools = [cvars_by_sort[v.sort] for v in b.exists]
         for combo in itertools.product(*pools):
             if len(set(combo)) != len(combo):
                 continue  # non-injective: differentiation clause vacuous
-            clauses.append(b.negated_instance(combo))
-    return not _clauses_sat(cc, clauses)
+            negs = built.setdefault(combo, [])
+            undecided = []
+            for i, l in enumerate(b.lits):
+                if i == len(negs):
+                    negs.append(region.intern(lit_subst(l, dict(zip(b.exists, combo))).negate()))
+                v = values[negs[i]]
+                if v:
+                    break
+                if v is None:
+                    undecided.append(negs[i])
+            else:
+                if not undecided:
+                    return True
+                open_[tuple(undecided)] = None
+    return not _clauses_sat(cc, list(open_))
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +547,10 @@ def breach(
                 return verdict_unsafe(n)
 
         new_nodes: list[_Node] = []
+        # `preimage` dropped the cubes `region` covers, and it has not grown since
         kept = Region()
         for n in frontier:
-            if region.covers(n.cube) or kept.covers(n.cube):
-                continue
-            if entailed_by(n.cube, region):
+            if kept.covers(n.cube) or entailed_by(n.cube, region):
                 continue
             new_nodes.append(n)
             kept.add(n.cube)
@@ -529,13 +570,9 @@ def breach(
                 for n in new_nodes:
                     if constants_clash(rule, n.cube):
                         continue
-                    for c in preimage(rule, n.cube, sig, dnf_cap):
-                        if c.key() in nxt:
-                            continue
-                        # cheap syntactic pruning against the visited region
-                        if region.covers(c):
-                            continue
-                        nxt[c.key()] = _Node(c, rule, n, depth)
+                    for c in preimage(rule, n.cube, sig, region, dnf_cap):
+                        if c.key() not in nxt:
+                            nxt[c.key()] = _Node(c, rule, n, depth)
         except BudgetError as be:
             return Verdict(UNKNOWN, depth=depth, layers=layers, total_cubes=total,
                            reason=str(be))

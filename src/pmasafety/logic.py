@@ -10,7 +10,9 @@ constants, of differentiated index variables and of true/false): literals are
 asserted one at a time and retracted by undoing a trail, so a search asserts a
 decision and takes it back without rebuilding anything.  The exists/forall
 fragment is decided only by `engine.entailed_by`, which instantiates the
-universals over the existential prefix and searches on the same closure.
+universals over the existential prefix literal by literal, settles every
+clause the cube's closure already decides, and searches on the same closure
+over the open ones alone.
 """
 
 from __future__ import annotations
@@ -714,11 +716,6 @@ class Cube:
         return out
 
     @memoized
-    def index_free_lits(self) -> tuple[Lit, ...]:
-        """The literals that mention no index variable (memoized)."""
-        return tuple(l for l in self.lits if not cube_vars_of_lits((l,)))
-
-    @memoized
     def shapes(self) -> KeysView:
         """The `_lit_shape` of every literal, once each and in literal order,
         as a set-like view (memoized)."""
@@ -734,20 +731,6 @@ class Cube:
             if cc is not None:
                 out.append((l.neg, *cc))
         return tuple(out)
-
-    @memoized
-    def _negated_memo(self) -> dict[tuple[IndexVar, ...], list[Lit]]:
-        return {}
-
-    def negated_instance(self, vars_: tuple[IndexVar, ...]) -> list[Lit]:
-        """The negation of every literal, with `vars_` put for `exists`
-        (memoized per tuple on the cube, so the memo lives as long as it)."""
-        memo = self._negated_memo()
-        out = memo.get(vars_)
-        if out is None:
-            sub = dict(zip(self.exists, vars_))
-            out = memo[vars_] = [lit_subst(l, sub).negate() for l in self.lits]
-        return out
 
     def __repr__(self) -> str:
         pre = f"E {', '.join(map(repr, self.exists))}. " if self.exists else ""

@@ -353,6 +353,8 @@ def cross_check(
     from .encoder import encode
     from .engine import DEFAULT_MAX_CUBES, DEFAULT_MAX_DEPTH, SAFE, UNSAFE, breach
 
+    if max_count < 1:  # no configuration to run: any agreement would be vacuous
+        raise ValueError(f"max_count must be at least 1, got {max_count}")
     if goal is not None:
         p = replace(p, goal=goal)
     # first, so that a budget below 1 fails before the engine runs

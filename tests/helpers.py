@@ -2,23 +2,28 @@
 
 Everything here deliberately avoids the library's own solving machinery:
 satisfiability is decided by exhaustive enumeration over small finite
-universes, and transition rules are executed on fully concrete states.
+universes, and transition rules are executed on fully concrete states.  The
+one exception is `reference_entailed_by`, the engine's earlier entailment
+procedure, kept so that the current one can be compared with it call by call.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_pmas
 from pmasafety.encoder import TransitionRule
+from pmasafety.engine import Region
 from pmasafety.logic import (
     ArrayRead,
     CaseTerm,
     Const,
+    CongruenceClosure,
     Cube,
     Eq,
     FAnd,
@@ -37,6 +42,7 @@ from pmasafety.logic import (
     Signature,
     SortDecl,
     StateFormula,
+    cube_vars_of_lits,
     lit_eq,
     lit_subst,
     make_cube,
@@ -487,6 +493,99 @@ def reference_canon_cube(cube: Cube) -> Cube:
         if best_key is None or key < best_key:
             best, best_key = cand, key
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference entailment
+
+
+def region_of(cubes: Iterable[Cube]) -> Region:
+    """A `Region` holding `cubes`, in order."""
+    region = Region()
+    for c in cubes:
+        region.add(c)
+    return region
+
+
+def _reference_clauses_sat(
+    cc: CongruenceClosure, clauses: Iterable[Sequence[Lit]], node_cap: int = 20000
+) -> bool:
+    """The clause search `engine.entailed_by` used before it built only open
+    clauses: literals the closure decides are settled first, the open
+    clauses deduplicated in order, then one literal of the first open clause
+    is asserted per node, up to `node_cap` nodes (then: satisfiable)."""
+    open_: dict[tuple[Lit, ...], None] = {}
+    for cl in clauses:
+        undecided = []
+        for d in cl:
+            v = cc.value(d)
+            if v:
+                break
+            if v is None:
+                undecided.append(d)
+        else:
+            if not undecided:
+                return False
+            open_[tuple(undecided)] = None
+    todo = list(open_)
+    if not todo:
+        return True
+
+    def next_open(k: int) -> int:
+        while k < len(todo) and any(cc.value(d) for d in todo[k]):
+            k += 1
+        return k
+
+    budget = node_cap
+    stack = [[0, 0, cc.mark()]]
+    while stack:
+        frame = stack[-1]
+        k, j, m = frame
+        cc.undo(m)
+        if j == len(todo[k]):
+            stack.pop()
+            continue
+        frame[1] = j + 1
+        budget -= 1
+        if budget <= 0:
+            return True
+        if cc.assert_lit(todo[k][j]):
+            k = next_open(k + 1)
+            if k == len(todo):
+                return True
+            stack.append([k, 0, cc.mark()])
+    return False
+
+
+def reference_entailed_by(cube: Cube, region: Iterable[Cube], clause_cap: int = 2000) -> bool:
+    """`engine.entailed_by` as it was before it built only open clauses:
+    every clause of every injective instance is built, in region order, and
+    the answer is False as soon as the instances counted so far pass
+    `clause_cap`."""
+    cc = CongruenceClosure()
+    if not cc.assert_lits(cube.lits):
+        return True
+    cvars_by_sort = cube.vars_by_sort()
+    instances = 0
+    clauses: list[list[Lit]] = []
+    for b in region:
+        count = math.prod(
+            math.perm(len(cvars_by_sort.get(s, ())), len(vs)) for s, vs in b.vars_by_sort().items()
+        )
+        if not count:
+            continue
+        instances += count
+        if instances > clause_cap:
+            return False
+        if any(cc.value(l) is False for l in b.lits if not cube_vars_of_lits((l,))):
+            continue
+        pools = [cvars_by_sort[v.sort] for v in b.exists]
+        for combo in itertools.product(*pools):
+            if len(set(combo)) != len(combo):
+                continue
+            sub = dict(zip(b.exists, combo))
+            clauses.append([lit_subst(l, sub).negate() for l in b.lits])
+    return not _reference_clauses_sat(cc, clauses)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,20 @@ from helpers import (
     random_entailment,
     random_ground_cube,
     random_state_formula,
+    region_of,
 )
 from pmasafety.corpus import generate_corpus, generate_model
 from pmasafety.dsl import parse_pmas
 from pmasafety.encoder import encode, index_sort
-from pmasafety.engine import SAFE, UNSAFE, breach, check_locality, entailed_by, preimage
+from pmasafety.engine import (
+    SAFE,
+    UNSAFE,
+    Region,
+    breach,
+    check_locality,
+    entailed_by,
+    preimage,
+)
 from pmasafety.logic import (
     ArrayRead,
     Eq,
@@ -159,7 +168,7 @@ def test_c7_solver_vs_brute_force():
         assert euf_sat_cube(cube, CUBE_SIG) == brute_sat_cube(cube, CUBE_SIG), f"cube {seed}"
     for seed in range(500):
         cube, region = random_entailment(seed)
-        assert entailed_by(cube, region) == brute_entailed(cube, region, CUBE_SIG), f"entailment {seed}"
+        assert entailed_by(cube, region_of(region)) == brute_entailed(cube, region, CUBE_SIG), f"entailment {seed}"
     elapsed = time.monotonic() - t0
     assert elapsed < 300
     _report(7, f"500 cubes + 500 exists/forall entailment problems agree, {elapsed:.1f}s")
@@ -183,7 +192,7 @@ def test_c8_preimage_one_step_soundness():
         rules = [r for r in abp.rules if not r.gates]
         rule = rng.choice(rules)
         phi = random_state_formula(rng, abp)
-        pre = [c for cu in phi.cubes for c in preimage(rule, cu, abp.sig)]
+        pre = [c for cu in phi.cubes for c in preimage(rule, cu, abp.sig, Region())]
         # well-formed: differentiated cubes, closed prefixes, no index equalities
         for c in pre:
             assert set(cube_vars_of_lits(c.lits)) <= set(c.exists)

@@ -223,10 +223,26 @@ def test_oracle_negative_count_is_input_error(cannon_path, capsys):
     (["cross-check", "{model}", "--max-depth", "-1"], "--max-depth"),
     (["cross-check", "{model}", "--max-count", "-1"], "--max-count"),
     (["cross-check", "{model}", "--oracle-depth", "-3"], "--oracle-depth"),
+    (["check", "{model}", "--max-cubes", "-1"], "--max-cubes"),
+    (["cross-check", "{model}", "--max-cubes", "-1"], "--max-cubes"),
 ])
 def test_negative_depth_or_count_is_input_error(cannon_path, capsys, argv, flag):
     assert main([a.format(model=cannon_path) for a in argv]) == 3
     assert flag in capsys.readouterr().err
+
+
+def test_negative_max_cubes_message(cannon_path, capsys):
+    assert main(["check", cannon_path, "--max-cubes", "-1"]) == 3
+    assert capsys.readouterr().err == "error: --max-cubes must not be negative, got -1\n"
+
+
+@pytest.mark.parametrize("model", ["cannon", "trains"])
+def test_cross_check_zero_max_count_is_input_error(tmp_path, capsys, model):
+    path = tmp_path / f"{model}.pmas"
+    path.write_text(fixture_text(model))
+    assert main(["cross-check", str(path), "--max-count", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --max-count must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("goal", [

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 import time
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +24,12 @@ from helpers import (
     random_rule_and_cube,
     random_state_formula,
     reference_canon_cube,
+    reference_entailed_by,
+    region_of,
 )
 from pmasafety import engine
 from pmasafety.corpus import generate_model
-from pmasafety.dsl import parse_pmas
+from pmasafety.dsl import parse_formula, parse_pmas
 from pmasafety.encoder import TransitionRule, encode, encode_goal
 from pmasafety.engine import (
     SAFE,
@@ -172,7 +178,7 @@ class TestRegion:
         for k in range(len(cubes) + 1):
             if k:
                 region.add(cubes[k - 1])
-            assert list(region) == cubes[:k]
+            assert region.cubes == cubes[:k]
             for q in queries:
                 assert region.covers(q) == any(subsumes(a, q) for a in cubes[:k])
 
@@ -186,24 +192,24 @@ class TestEntailedBy(object):
     def test_subsuming_region_entails(self, abp):
         small = canon_cube(_loc_cube(["j1"]))
         big = canon_cube(_loc_cube(["j1", "j2"]))
-        assert entailed_by(big, [small])
+        assert entailed_by(big, region_of([small]))
 
     def test_unrelated_region_does_not_entail(self, abp):
         a = canon_cube(_loc_cube(["j"], "A"))
         b = canon_cube(_loc_cube(["j"], "B"))
-        assert not entailed_by(a, [b])
+        assert not entailed_by(a, region_of([b]))
 
     def test_region_needing_more_indexes_does_not_entail(self):
         # one robot at target does not give two distinct ones
         small = canon_cube(_loc_cube(["j1"]))
         big = canon_cube(_loc_cube(["j1", "j2"]))
-        assert not entailed_by(small, [big])
+        assert not entailed_by(small, region_of([big]))
         j1, j2 = IndexVar("j1", "Att_id"), IndexVar("j2", "Att_id")
         one_of_two = make_cube([j1, j2], [
             lit_eq(ArrayRead("loc", j1), Const("target")),
             lit_eq(ArrayRead("loc", j2), Const("A")),
         ])
-        assert not entailed_by(canon_cube(one_of_two), [big])
+        assert not entailed_by(canon_cube(one_of_two), region_of([big]))
 
     def test_case_split_on_a_global_entails(self):
         # the cube leaves g1 open; the region covers both of its cases
@@ -214,38 +220,38 @@ class TestEntailedBy(object):
             make_cube([w], [lit_eq(g1, p, neg=neg), lit_eq(ArrayRead("f", w), p)])
             for neg in (False, True)
         ]
-        assert entailed_by(cube, region)
-        assert not entailed_by(cube, region[:1])
+        assert entailed_by(cube, region_of(region))
+        assert not entailed_by(cube, region_of(region[:1]))
 
     # the exists/forall cases: the cube is the existential part, each region
     # cube the negation of a universal one
 
     def test_empty_region_entails_nothing(self):
         z = IndexVar("z", "I")
-        assert not entailed_by(make_cube([], []), [])
-        assert not entailed_by(make_cube([z], [lit_eq(ArrayRead("f", z), Const("p"))]), [])
+        assert not entailed_by(make_cube([], []), region_of([]))
+        assert not entailed_by(make_cube([z], [lit_eq(ArrayRead("f", z), Const("p"))]), region_of([]))
 
     def test_one_index_model_escapes_a_two_index_region(self):
         z, w1, w2 = IndexVar("z", "I"), IndexVar("w1", "I"), IndexVar("w2", "I")
         p = Const("p")
         cube = make_cube([z], [lit_eq(ArrayRead("f", z), p)])
         region = [make_cube([w1, w2], [lit_eq(ArrayRead("f", w1), p), lit_eq(ArrayRead("f", w2), p)])]
-        assert not entailed_by(cube, region)
+        assert not entailed_by(cube, region_of(region))
 
     def test_universal_blocks_a_second_value(self):
         # E z1 z2. f[z1]=p & f[z2]=q  is refuted by  A w. f[w]=p
         z1, z2, w = IndexVar("z1", "I"), IndexVar("z2", "I"), IndexVar("w", "I")
         p, q = Const("p"), Const("q")
         cube = make_cube([z1, z2], [lit_eq(ArrayRead("f", z1), p), lit_eq(ArrayRead("f", z2), q)])
-        assert entailed_by(cube, [make_cube([w], [lit_eq(ArrayRead("f", w), p, neg=True)])])
+        assert entailed_by(cube, region_of([make_cube([w], [lit_eq(ArrayRead("f", w), p, neg=True)])]))
 
     def test_universal_over_an_empty_sort_is_vacuous(self):
         # a cube without index variables has a model with no index at all
         w, g1, p = IndexVar("w", "I"), GlobalRef("g1"), Const("p")
         cube = make_cube([], [lit_eq(g1, p)])
         region = [make_cube([w], [lit_eq(ArrayRead("f", w), p, neg=True)])]
-        assert not entailed_by(cube, region)
-        assert entailed_by(cube, [make_cube([], [lit_eq(g1, p)])])
+        assert not entailed_by(cube, region_of(region))
+        assert entailed_by(cube, region_of([make_cube([], [lit_eq(g1, p)])]))
 
     def test_two_variable_region_cube_tries_every_injective_instance(self):
         z1, z2 = IndexVar("z1", "I"), IndexVar("z2", "I")
@@ -254,17 +260,58 @@ class TestEntailedBy(object):
         # only w1 -> z2, w2 -> z1 matches
         cube = make_cube([z1, z2], [lit_eq(ArrayRead("f", z1), q), lit_eq(ArrayRead("f", z2), p)])
         region = [make_cube([w1, w2], [lit_eq(ArrayRead("f", w1), p), lit_eq(ArrayRead("f", w2), q)])]
-        assert entailed_by(cube, region)
+        assert entailed_by(cube, region_of(region))
         # w1, w2 -> z1, z1 would match, but distinct region variables are distinct indexes
         same = make_cube([z1, z2], [lit_eq(ArrayRead("f", z1), p), lit_eq(ArrayRead("f", z2), q)])
         both_p = [make_cube([w1, w2], [lit_eq(ArrayRead("f", w1), p), lit_eq(ArrayRead("f", w2), p)])]
-        assert not entailed_by(same, both_p)
+        assert not entailed_by(same, region_of(both_p))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9))
     def test_agrees_with_brute_force(self, seed):
         cube, region = random_entailment(seed)
-        assert entailed_by(cube, region) == brute_entailed(cube, region, CUBE_SIG)
+        assert entailed_by(cube, region_of(region)) == brute_entailed(cube, region, CUBE_SIG)
+
+
+class TestEntailedByReference:
+    """`entailed_by` builds only the open clauses; `reference_entailed_by`
+    builds every clause, as the engine did before.  They must agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from([None, 0, 1]))
+    def test_agrees_with_reference(self, seed, slack):
+        # slack 0: the instance count equals the cap; 1: it is one above it
+        cube, region = random_entailment(seed)
+        if slack is None:
+            cap = 2000
+        else:
+            total = sum(math.perm(len(cube.exists), len(b.exists)) for b in region)
+            cap = total - slack
+        got = entailed_by(cube, region_of(region), cap)
+        assert got == reference_entailed_by(cube, region, cap)
+
+    def test_refuted_instance_proves_entailment(self):
+        z, w = IndexVar("z", "I"), IndexVar("w", "I")
+        g1, p, q = GlobalRef("g1"), Const("p"), Const("q")
+        cube = make_cube([z], [lit_eq(ArrayRead("f", z), p), lit_eq(g1, q)])
+        region = [
+            make_cube([w], [lit_eq(ArrayRead("h", w), Const("u"))]),  # an open clause
+            make_cube([w], [lit_eq(ArrayRead("f", w), p), lit_eq(g1, q)]),  # all false
+        ]
+        for cap, want in ((2, True), (1, False)):  # count equal to the cap, one above
+            assert entailed_by(cube, region_of(region), cap) is want
+            assert reference_entailed_by(cube, region, cap) is want
+
+    def test_inconsistent_cube_is_entailed(self):
+        g1 = GlobalRef("g1")
+        cube = make_cube([], [lit_eq(g1, Const("p")), lit_eq(g1, Const("q"))])
+        assert entailed_by(cube, Region()) and reference_entailed_by(cube, [])
+        assert entailed_by(cube, region_of([cube]), 0)
+
+    def test_agrees_with_reference_on_every_call_of_a_run(self, spied_run):
+        assert spied_run.entailed
+        for cube, cubes, got in spied_run.entailed:
+            assert got == reference_entailed_by(cube, cubes), cube
 
 
 class TestClausesSat:
@@ -361,7 +408,7 @@ class TestPreimageExactness:
             for _ in range(6):
                 rule = rng.choice([r for r in abp.rules if not r.gates])
                 phi = random_state_formula(rng, abp)
-                pre = [c for cu in phi.cubes for c in preimage(rule, cu, abp.sig)]
+                pre = [c for cu in phi.cubes for c in preimage(rule, cu, abp.sig, Region())]
                 for st in states:
                     sym = any(ca.cube_sat(c, st) for c in pre)
                     conc = any(
@@ -379,7 +426,8 @@ class TestPreimageExactness:
 
 def _breach_with_spies(monkeypatch, abp):
     """Run `breach`, recording every (rule, cube) pair the constant-clash
-    filter skips and the result of every preimage it builds."""
+    filter skips and, for every preimage it builds, the preimage of the same
+    rule and cube against an empty region: nothing pruned."""
     skipped, built = [], []
     clash, pre = engine.constants_clash, engine.preimage
 
@@ -389,16 +437,82 @@ def _breach_with_spies(monkeypatch, abp):
             skipped.append((rule, cube))
         return out
 
-    def pre_spy(*args, **kw):
-        out = pre(*args, **kw)
-        built.append(out)
-        return out
+    def pre_spy(rule, cube, sig, region, *args):
+        built.append(pre(rule, cube, sig, Region(), *args))
+        return pre(rule, cube, sig, region, *args)
 
     with monkeypatch.context() as m:
         m.setattr(engine, "constants_clash", clash_spy)
         m.setattr(engine, "preimage", pre_spy)
         breach(abp)
     return skipped, built
+
+
+def _spied_breach(abp) -> SimpleNamespace:
+    """Run `breach`, recording for every `preimage` call whether it returned
+    the unpruned preimage less the cubes its region covers, for every
+    `canon_cube` call whether the region of the preimage it runs in covers
+    its cube, and every `entailed_by` call as (cube, region cubes, answer)."""
+    rec = SimpleNamespace(pruned_exactly=[], canon_covered=[], entailed=[])
+    pre, canon, ent = engine.preimage, engine.canon_cube, engine.entailed_by
+    current = [Region()]  # the region of the preimage call in progress
+
+    def pre_spy(rule, cube, sig, region, *args):
+        full = pre(rule, cube, sig, Region(), *args)
+        current[0] = region
+        out = pre(rule, cube, sig, region, *args)
+        current[0] = Region()
+        rec.pruned_exactly.append(out == [c for c in full if not region.covers(c)])
+        return out
+
+    def canon_spy(cube):
+        rec.canon_covered.append(current[0].covers(cube))
+        return canon(cube)
+
+    def ent_spy(cube, region, *args):
+        out = ent(cube, region, *args)
+        rec.entailed.append((cube, list(region.cubes), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "preimage", pre_spy)
+        m.setattr(engine, "canon_cube", canon_spy)
+        m.setattr(engine, "entailed_by", ent_spy)
+        breach(abp)
+    return rec
+
+
+@pytest.fixture(scope="module", params=["cannon", "trains", "two-robot"])
+def spied_run(request) -> SimpleNamespace:
+    name = request.param
+    p = parse_pmas(fixture_text(name.replace("two-robot", "cannon")), name)
+    if name == "two-robot":
+        p = replace(p, goal=parse_formula("loc[j1] = target and loc[j2] = target and j1 != j2"))
+    return _spied_breach(encode(p, "interleaved"))
+
+
+# `preimage(rule, cube, sig, Region())` over every rule and every frontier
+# cube of the interleaved verdict, hashed; recorded before coverage was
+# checked inside `preimage`, when it returned every cube it found
+_EMPTY_REGION_PREIMAGE_DIGESTS = {"cannon": "f3e343a1a798f9fc", "trains": "5c6214f3af20170c"}
+
+
+class TestPreimageRegion:
+    @pytest.mark.parametrize("name", sorted(_EMPTY_REGION_PREIMAGE_DIGESTS))
+    def test_empty_region_keeps_every_cube(self, name):
+        abp = encode(parse_pmas(fixture_text(name), name), "interleaved")
+        outs = [
+            repr(preimage(rule, c, abp.sig, Region()))
+            for fr in breach(abp).layers for c in fr.cubes for rule in abp.rules
+        ]
+        digest = hashlib.sha256("\n".join(outs).encode()).hexdigest()[:16]
+        assert digest == _EMPTY_REGION_PREIMAGE_DIGESTS[name]
+
+    def test_drops_exactly_the_covered_cubes(self, spied_run):
+        assert spied_run.pruned_exactly and all(spied_run.pruned_exactly)
+
+    def test_canon_cube_never_gets_a_covered_cube(self, spied_run):
+        assert spied_run.canon_covered and not any(spied_run.canon_covered)
 
 
 def _clash_cases():
@@ -420,7 +534,7 @@ class TestConstantsClash:
         abp = encode(p, semantics)
         skipped, _ = _breach_with_spies(monkeypatch, abp)
         for rule, cube in skipped:
-            assert preimage(rule, cube, abp.sig) == [], (rule.label, cube)
+            assert preimage(rule, cube, abp.sig, Region()) == [], (rule.label, cube)
 
     def test_skips_every_empty_preimage_of_cannon(self, abp, monkeypatch):
         skipped, built = _breach_with_spies(monkeypatch, abp)
@@ -432,7 +546,7 @@ class TestConstantsClash:
     def test_clash_implies_empty_preimage_on_random_rules(self, seed):
         rule, cube = random_rule_and_cube(seed)
         if constants_clash(rule, cube):
-            assert preimage(rule, cube, CUBE_SIG) == []
+            assert preimage(rule, cube, CUBE_SIG, Region()) == []
 
     def test_guard_and_bulk_reset_tables(self):
         g, f, z = GlobalRef("g1"), "f", IndexVar("z", "I")

@@ -138,6 +138,18 @@ class TestRelationInterpretations:
 
 
 class TestCrossCheck:
+    @pytest.mark.parametrize("max_count", [0, -1])
+    def test_rejects_max_count_below_one_before_the_engine(
+        self, cannon, trains, monkeypatch, max_count
+    ):
+        def engine_ran(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr("pmasafety.engine.breach", engine_ran)
+        for p in (cannon, trains):
+            with pytest.raises(ValueError, match="at least 1"):
+                cross_check(p, max_count=max_count)
+
     def test_cannon_agree_unsafe(self, cannon):
         rep = cross_check(cannon, max_count=1, oracle_depth=12, interp_budget=1)
         assert rep.classification == "agree-unsafe"
