@@ -9,11 +9,12 @@ stderr.  Exit codes: 0 SAFE / agreement, 1 UNSAFE / failure, 2 UNKNOWN,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .dsl import parse_formula, parse_pmas
 from .encoder import EncodingError, encode, encode_goal
@@ -125,12 +126,13 @@ def _load_interp(p: Pmas, path: Optional[str]) -> RelInterpretation:
     return RelInterpretation.of(cells)
 
 
-def _emit(out_path: Optional[str], text: str) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _open_out(path: str) -> TextIO:
+    """`path` opened for writing.  Commands open their output before any
+    work, so an unwritable path is an input error, not a crash after it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror}") from e
 
 
 def _kv(key: str, value) -> None:
@@ -143,26 +145,26 @@ def _kv(key: str, value) -> None:
 
 def _cmd_check(args) -> int:
     p = _apply_goal(_load_model(args.model), args.goal)
-    abp = encode(p, args.semantics)
-    v = breach(abp, max_depth=args.max_depth, max_cubes=args.max_cubes)
-    loc = check_locality(abp)
-    _kv("model", p.name)
-    _kv("semantics", args.semantics)
-    _kv("status", v.status)
-    _kv("depth", v.depth)
-    _kv("cubes", v.total_cubes)
-    if v.reason:
-        _kv("reason", v.reason)
-    if v.status == UNSAFE:
-        _kv("run-template", " ".join("[" + ",".join(sorted(s)) + "]" for s in v.run_template))
-    _kv("goal-local", loc.goal_local)
-    _kv("protocols-local", loc.protocols_local)
-    _kv("guaranteed-termination", loc.guaranteed_termination)
-    _kv("spurious-unsafe-possible", loc.spurious_unsafe_possible)
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
+    with _open_out(args.trace_out) if args.trace_out else contextlib.nullcontext() as trace_out:
+        abp = encode(p, args.semantics)
+        v = breach(abp, max_depth=args.max_depth, max_cubes=args.max_cubes)
+        loc = check_locality(abp)
+        _kv("model", p.name)
+        _kv("semantics", args.semantics)
+        _kv("status", v.status)
+        _kv("depth", v.depth)
+        _kv("cubes", v.total_cubes)
+        if v.reason:
+            _kv("reason", v.reason)
+        if v.status == UNSAFE:
+            _kv("run-template", " ".join("[" + ",".join(sorted(s)) + "]" for s in v.run_template))
+        _kv("goal-local", loc.goal_local)
+        _kv("protocols-local", loc.protocols_local)
+        _kv("guaranteed-termination", loc.guaranteed_termination)
+        _kv("spurious-unsafe-possible", loc.spurious_unsafe_possible)
+        if trace_out is not None:
             for st in v.trace:
-                fh.write(json.dumps({
+                trace_out.write(json.dumps({
                     "rule": st.rule_label, "kind": st.kind,
                     "template": st.template, "action": st.action,
                 }) + "\n")
@@ -187,8 +189,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_emit_mcmt(args) -> int:
     p = _apply_goal(_load_model(args.model), args.goal)
-    abp = encode(p, args.semantics)
-    _emit(args.out, emit_mcmt(abp))
+    with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(emit_mcmt(encode(p, args.semantics)))
     return EXIT_SAFE
 
 

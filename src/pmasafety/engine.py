@@ -23,23 +23,24 @@ from .logic import (
     Const,
     Cube,
     DEFAULT_DNF_CAP,
+    Dnf,
     Eq,
-    Formula,
+    FLit,
     GlobalRef,
     IndexVar,
     Lit,
     RelAtom,
     Signature,
     StateFormula,
-    cube_formula,
+    conjoin,
     cube_vars_of_lits,
     dnf,
     expand_cases,
-    fand,
-    flit,
-    f_or,
     ground_lits_sat,
+    lit_dnf,
     lit_subst,
+    memoized,
+    minimal,
     term_subst,
 )
 from .encoder import (
@@ -89,34 +90,28 @@ def _lit_through(l: Lit, globals_map, arrays_map) -> Lit:
     )
 
 
-def _gate_formula(gate: Gate, cands: dict[str, list[IndexVar]]) -> Formula:
-    """Instantiate a universal gate over the candidate index variables.
+def _gate_items(gate: Gate, cands: dict[str, list[IndexVar]], cap: int) -> list[Dnf]:
+    """The DNF items of a universal gate instantiated over the candidate
+    index variables, one per candidate that the gate constrains: declared,
+    or every blocked precondition false.
 
     Instantiation over a finite set weakens the true universal condition; that
     is the deliberate over-approximation of the concurrent encoding.
     """
-
-    def blocked_formula(base: dict[IndexVar, IndexVar]) -> Formula:
-        conj = []
-        for bp in gate.blocked:
-            pools = [cands.get(v.sort, []) for v in bp.extra_vars]
-            insts = []
-            for combo in itertools.product(*pools) if bp.extra_vars else [()]:
-                sub = dict(base)
-                sub.update(zip(bp.extra_vars, combo))
-                insts.append(f_or([flit(lit_subst(l, sub).negate()) for l in bp.lits]))
-            conj.append(fand(insts))
-        return fand(conj)
-
-    if gate.var is None:
-        return f_or([flit(gate.declared), blocked_formula({})])
     out = []
-    for v in cands.get(gate.var.sort, []):
-        sub = {gate.var: v}
-        out.append(
-            f_or([flit(lit_subst(gate.declared, sub)), blocked_formula(sub)])
-        )
-    return fand(out)
+    bases = [{}] if gate.var is None else [{gate.var: v} for v in cands.get(gate.var.sort, [])]
+    for base in bases:
+        clauses = []  # one per instance of a blocked precondition: some literal false
+        for bp in gate.blocked:
+            for combo in itertools.product(*(cands.get(v.sort, []) for v in bp.extra_vars)):
+                sub = {**base, **dict(zip(bp.extra_vars, combo))}
+                clauses.append([c for l in bp.lits for c in lit_dnf(lit_subst(l, sub).negate())])
+        if clauses:  # with none, nothing is blocked and the candidate passes
+            item = lit_dnf(lit_subst(gate.declared, base)) + conjoin(clauses, cap)
+            if len(item) > cap:
+                raise BudgetError(f"dnf exceeded {cap} cubes")
+            out.append(item)
+    return out
 
 
 def constants_clash(rule: TransitionRule, cube: Cube) -> bool:
@@ -134,6 +129,45 @@ def constants_clash(rule: TransitionRule, cube: Cube) -> bool:
     return False
 
 
+class _CompiledRule:
+    """The part of every preimage under one rule that depends on the rule
+    alone: its existentials renamed apart to `$r<k>`, each renamed guard
+    literal as a one-branch DNF item, its renamed updates and what they
+    write.  `items` keeps the DNF item of each (renamed) cube literal the
+    rule rewrites, built the first time a cube has it."""
+
+    def __init__(self, rule: TransitionRule) -> None:
+        ren = {v: IndexVar(f"$r{k}", v.sort) for k, v in enumerate(rule.exists)}
+        self.exists = tuple(ren.values())
+        self.guard_items = [lit_dnf(lit_subst(l, ren)) for l in rule.guard]
+        self.globals_map = rule.globals_map()
+        self.arrays_map = {
+            a: type(u)(u.var, term_subst(u.body, ren)) for a, u in rule.arrays_upd
+        }
+        self.writes = {GlobalRef(g) for g in self.globals_map} | set(self.arrays_map)
+        self.items: dict[Lit, Dnf] = {}
+
+    def item_after(self, l: Lit, cap: int) -> Dnf:
+        """The DNF of cube literal `l` evaluated after the rule's updates."""
+        a = l.atom
+        terms = (a.lhs, a.rhs) if isinstance(a, Eq) else a.args
+        if not any((t.array if isinstance(t, ArrayRead) else t) in self.writes for t in terms):
+            return [(l,)]  # untouched, and cube literals are simplified
+        item = self.items.get(l)
+        if item is None:
+            f = expand_cases(FLit(_lit_through(l, self.globals_map, self.arrays_map)))
+            item = self.items[l] = dnf(f, cap)
+        elif len(item) > cap:
+            raise BudgetError(f"dnf exceeded {cap} cubes")
+        return item
+
+
+@memoized
+def _compiled(rule: TransitionRule) -> _CompiledRule:
+    """`rule`'s part of every preimage, built once and kept on the rule."""
+    return _CompiledRule(rule)
+
+
 def preimage(
     rule: TransitionRule,
     cube: Cube,
@@ -144,41 +178,30 @@ def preimage(
     """Exact preimage of one differentiated cube under one rule, less the
     cubes `region` covers.
 
-    Returns differentiated cubes (already EUF-filtered).  The cube's own index
+    The DNF of guard /\\ (cube after the updates) /\\ gates is one `conjoin`
+    of per-literal items: the guard's and those of the literals the rule
+    rewrites come from the rule's `_CompiledRule`, and only the gates, which
+    range over the cube's variables, are built per call.  Returns
+    differentiated cubes (already EUF-filtered).  The cube's own index
     variables stay pairwise distinct; rule existentials may merge with them or
     with each other, which the equality-partition split enumerates.  Coverage
     does not depend on variable names, so it is checked before `canon_cube`.
     """
+    rc = _compiled(rule)
     # rename apart; every output is canonicalised, so names by position suffice
     cube_ren = {v: IndexVar(f"$z{k}", v.sort) for k, v in enumerate(cube.exists)}
-    rule_ren = {v: IndexVar(f"$r{k}", v.sort) for k, v in enumerate(rule.exists)}
+    items = rc.guard_items + [rc.item_after(lit_subst(l, cube_ren), dnf_cap) for l in cube.lits]
+    if rule.gates:
+        cands: dict[str, list[IndexVar]] = {}
+        for v in itertools.chain(rc.exists, cube_ren.values()):
+            cands.setdefault(v.sort, []).append(v)
+        for gate in rule.gates:
+            items += _gate_items(gate, cands, dnf_cap)
 
-    globals_map = rule.globals_map()
-    arrays_map = {
-        a: type(u)(u.var, term_subst(u.body, rule_ren)) for a, u in rule.arrays_upd
-    }
-
-    parts: list[Formula] = [
-        cube_formula(lit_subst(l, rule_ren) for l in rule.guard)
-    ]
-    parts.append(
-        cube_formula(
-            _lit_through(lit_subst(l, cube_ren), globals_map, arrays_map)
-            for l in cube.lits
-        )
-    )
-
-    cands: dict[str, list[IndexVar]] = {}
-    for v in itertools.chain(rule_ren.values(), cube_ren.values()):
-        cands.setdefault(v.sort, []).append(v)
-    for gate in rule.gates:
-        parts.append(_gate_formula(gate, cands))
-
-    f = expand_cases(fand(parts))
     out: list[Cube] = []
     seen = set()
     distinct = set(cube_ren.values())
-    for lits in dnf(f, dnf_cap):
+    for lits in minimal(conjoin(items, dnf_cap)):
         for c in differentiate(lits, sig, distinct=distinct):
             if region.covers(c):
                 continue
@@ -290,9 +313,11 @@ class Region:
     the one fewest region cubes have had so far, and a query scans only the
     buckets of its own shapes.  `cubes` holds the cubes in insertion order.
 
-    For `entailed_by` it keeps, per cube, its variable count per sort, its
-    negated index-free literals and its instances' negated literals built so
-    far, each literal interned: equal ones are one object, found by identity.
+    For `entailed_by`, `tables` keeps per cube its variable count per sort,
+    its negated index-free literals and its instances' negated literals built
+    so far, each literal interned: equal ones are one object, found by
+    identity.  They are built on the first `tables` call after the cube is
+    added, so a region only `covers` reads never builds them.
     """
 
     def __init__(self) -> None:
@@ -304,12 +329,16 @@ class Region:
         self._buckets: dict = {}  # shape (None: no literals) -> cubes
         self._freq: dict = {}  # shape -> number of region cubes that have it
 
+    def tables(self) -> None:
+        """Build the entailment tables of the cubes added since the last call."""
+        for cube in self.cubes[len(self.sizes):]:
+            self.sizes.append(tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items()))
+            free = cube.check_schedule()[0]  # literals without its variables: in every instance
+            self.refuted_by.append(tuple(self.intern(l.negate()) for l in free))
+            self.instances.append({})
+
     def add(self, cube: Cube) -> None:
         self.cubes.append(cube)
-        self.sizes.append(tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items()))
-        free = cube.check_schedule()[0]  # literals without its variables: alike in every instance
-        self.refuted_by.append(tuple(self.intern(l.negate()) for l in free))
-        self.instances.append({})
         freq = self._freq
         for sh in cube.shapes():
             freq[sh] = freq.get(sh, 0) + 1
@@ -402,6 +431,7 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
     cc = CongruenceClosure()
     if not cc.assert_lits(cube.lits):
         return True
+    region.tables()
     cvars_by_sort = cube.vars_by_sort()
     # injective instantiations of a region cube's variables by the cube's
     count_of = {

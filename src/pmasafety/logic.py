@@ -417,10 +417,6 @@ def fnot(f: Formula) -> Formula:
     return FNot(f)
 
 
-def cube_formula(lits: Iterable[Lit]) -> Formula:
-    return fand([FLit(l) for l in lits])
-
-
 def nnf(f: Formula) -> Formula:
     if isinstance(f, (FTrue, FFalse, FLit)):
         return f
@@ -448,65 +444,144 @@ def nnf(f: Formula) -> Formula:
 DEFAULT_DNF_CAP = 100000
 
 
-def dnf(f: Formula, cap: int = DEFAULT_DNF_CAP) -> list[tuple[Lit, ...]]:
-    """Disjunctive normal form as a list of literal tuples (duplicates removed).
+Dnf = list[tuple[Lit, ...]]  # a disjunction of conjunctions of literals
+_Conj = tuple[tuple[Lit, ...], int]  # a conjunction and its literal set, as a bit mask
 
-    Raises BudgetError when the number of cubes would exceed `cap`.
+
+class _Bits(dict):
+    """Literal -> its own bit, numbered in order of first use, so that a
+    literal set is an int: union, subset and a contradiction test are each
+    one integer operation, and a set hashes with no call to `Lit.__hash__`."""
+
+    def __missing__(self, l: Lit) -> int:
+        b = self[l] = 1 << len(self)
+        return b
+
+    def mask(self, lits: Iterable[Lit]) -> int:
+        m = 0
+        for l in lits:
+            m |= self[l]
+        return m
+
+
+def lit_dnf(l: Lit) -> Dnf:
+    """The DNF of one literal: itself, or none when trivially false, or the
+    empty conjunction when trivially true."""
+    s = simplify_lits((l,))
+    return [] if s is None else [s]
+
+
+def _bits_of(m: int) -> Iterator[int]:
+    """The one-bit parts of `m`, lowest first."""
+    while m:
+        low = m & -m
+        yield low
+        m ^= low
+
+
+def _absorbed(conjs: list[_Conj], order: Iterable[int]) -> set[int]:
+    """Positions of the conjunctions another absorbs (its literal set is a
+    strict subset; no two sets are equal), each compared, in `order`, only
+    with those visited before it and kept: all of them when `order` puts
+    shorter ones first, those an earlier one absorbs in list order (a
+    dropped one's absorber absorbs all it would).  A conjunction's kept
+    subsets are the kept ones less those holding a literal it lacks."""
+    universe = 0
+    for _, m in conjs:
+        universe |= m
+    holding: dict[int, int] = {}  # literal bit -> kept ones having it
+    kept, rank = 0, 1
+    out = set()
+    for i in order:
+        m = conjs[i][1]
+        lacking = 0
+        for b in _bits_of(universe & ~m):
+            lacking |= holding.get(b, 0)
+        if kept & ~lacking:
+            out.add(i)
+            continue
+        kept |= rank
+        for b in _bits_of(m):
+            holding[b] = holding.get(b, 0) | rank
+        rank <<= 1
+    return out
+
+
+def conjoin(items: Iterable[Dnf], cap: int = DEFAULT_DNF_CAP) -> Dnf:
+    """The DNF of a conjunction from the DNF of each conjunct: one
+    conjunction per choice of a branch from every item, in lexicographic
+    order, with repeated literals merged.  A choice that contradicts itself,
+    repeats an earlier literal set or contains an earlier one's is dropped
+    after each step; an earlier subset absorbs it, and what it would add
+    later its absorber adds first, so the order of the rest is kept.
+
+    Raises BudgetError when a step would keep more than `cap` conjunctions.
+    """
+    bits = _Bits()
+    acc: list[_Conj] = [((), 0)]
+    for branches in items:
+        # each branch is consistent, so it contradicts a choice only across
+        masks = [(b, bits.mask(b), bits.mask([l.negate() for l in b])) for b in branches]
+        nxt: list[_Conj] = []
+        seen: set[int] = set()
+        for a, am in acc:
+            for b, bm, neg in masks:
+                m = am | bm
+                if neg & am or m in seen:
+                    continue
+                seen.add(m)
+                nxt.append((a + (tuple(l for l in b if not bits[l] & am) if bm & am else b), m))
+                if len(nxt) > cap:
+                    raise BudgetError(f"dnf exceeded {cap} cubes")
+        if len(nxt) > 1 and len({len(c) for c, _ in nxt}) > 1:
+            gone = _absorbed(nxt, range(len(nxt)))
+            nxt = [c for i, c in enumerate(nxt) if i not in gone]
+        acc = nxt
+    return [a for a, _ in acc]
+
+
+def minimal(conjs: Iterable[tuple[Lit, ...]]) -> Dnf:
+    """The conjunctions `conjs`, each consistent and without a repeated
+    literal (as `conjoin` builds them), in their order, less every one whose
+    literal set repeats an earlier one's or strictly contains another's."""
+    bits = _Bits()
+    first: dict[int, tuple[Lit, ...]] = {}
+    for c in conjs:
+        first.setdefault(bits.mask(c), c)
+    kept = [(c, m) for m, c in first.items()]
+    if len({len(c) for c, _ in kept}) > 1:
+        gone = _absorbed(kept, sorted(range(len(kept)), key=lambda i: len(kept[i][0])))
+        kept = [k for i, k in enumerate(kept) if i not in gone]
+    return [c for c, _ in kept]
+
+
+def dnf(f: Formula, cap: int = DEFAULT_DNF_CAP) -> Dnf:
+    """Disjunctive normal form as a list of literal tuples: duplicates,
+    contradictions and absorbed conjunctions (a strict superset of another's
+    literals) removed, the rest in the order of the full expansion.
+
+    Raises BudgetError when an intermediate list would exceed `cap`.
     """
 
-    def go(g: Formula) -> list[tuple[Lit, ...]]:
+    def go(g: Formula) -> Dnf:
         if isinstance(g, FTrue):
             return [()]
         if isinstance(g, FFalse):
             return []
         if isinstance(g, FLit):
-            s = simplify_lits((g.lit,))
-            return [] if s is None else [s]
+            return lit_dnf(g.lit)
         if isinstance(g, FOr):
-            out: list[tuple[Lit, ...]] = []
+            out: Dnf = []
             for it in g.items:
                 out.extend(go(it))
                 if len(out) > cap:
                     raise BudgetError(f"dnf exceeded {cap} cubes")
             return out
         if isinstance(g, FAnd):
-            # carry literal sets so duplicated and complementary literals are
-            # eliminated while branches are built, not after
-            acc: list[tuple[tuple[Lit, ...], frozenset[Lit]]] = [((), frozenset())]
-            for it in g.items:
-                branches = go(it)
-                nxt: list[tuple[tuple[Lit, ...], frozenset[Lit]]] = []
-                seen_keys: set[frozenset[Lit]] = set()
-                for a, aset in acc:
-                    for b in branches:
-                        merged = a + tuple(l for l in b if l not in aset)
-                        mset = frozenset(merged)
-                        if mset in seen_keys:
-                            continue
-                        if any(l.negate() in mset for l in b):
-                            continue
-                        seen_keys.add(mset)
-                        nxt.append((merged, mset))
-                        if len(nxt) > cap:
-                            raise BudgetError(f"dnf exceeded {cap} cubes")
-                acc = nxt
-            return [a for a, _ in acc]
+            return conjoin(map(go, g.items), cap)
         raise LogicError(f"dnf expects NNF, got {g!r}")
 
-    cubes = go(nnf(f))
-    out: list[tuple[Lit, ...]] = []
-    seen: set[frozenset[Lit]] = set()
-    for c in cubes:
-        dedup = tuple(dict.fromkeys(c))
-        key = frozenset(dedup)
-        if key in seen:
-            continue
-        # drop cubes with an immediate complementary pair
-        if any(l.negate() in key for l in dedup):
-            continue
-        seen.add(key)
-        out.append(dedup)
-    return out
+    return minimal(go(nnf(f)))
 
 
 # ---------------------------------------------------------------------------

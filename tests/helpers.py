@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own solving machinery:
 satisfiability is decided by exhaustive enumeration over small finite
 universes, and transition rules are executed on fully concrete states.  The
-one exception is `reference_entailed_by`, the engine's earlier entailment
-procedure, kept so that the current one can be compared with it call by call.
+exceptions are the library's earlier procedures (`reference_canon_cube`,
+`reference_entailed_by`, `reference_preimage`, `unabsorbed_dnf`), kept so that
+the current ones can be compared with them call by call.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from typing import Iterable, Optional, Sequence
 
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_pmas
-from pmasafety.encoder import TransitionRule
-from pmasafety.engine import Region
+from pmasafety.encoder import Gate, TransitionRule, differentiate
+from pmasafety.engine import Region, _lit_through, canon_cube
 from pmasafety.logic import (
     ArrayRead,
     CaseTerm,
     Const,
     CongruenceClosure,
     Cube,
+    DEFAULT_DNF_CAP,
     Eq,
     FAnd,
     FFalse,
@@ -43,9 +45,17 @@ from pmasafety.logic import (
     SortDecl,
     StateFormula,
     cube_vars_of_lits,
+    dnf,
+    expand_cases,
+    f_or,
+    fand,
+    flit,
     lit_eq,
     lit_subst,
     make_cube,
+    nnf,
+    simplify_lits,
+    term_subst,
 )
 from pmasafety.model import (
     ENV,
@@ -493,6 +503,116 @@ def reference_canon_cube(cube: Cube) -> Cube:
         if best_key is None or key < best_key:
             best, best_key = cand, key
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference DNF
+
+
+def unabsorbed_dnf(f: Formula) -> list[tuple[Lit, ...]]:
+    """`logic.dnf` before it removed absorbed conjunctions: the full
+    expansion, with repeated literal sets and contradictions dropped."""
+
+    def go(g: Formula) -> list[tuple[Lit, ...]]:
+        if isinstance(g, FTrue):
+            return [()]
+        if isinstance(g, FFalse):
+            return []
+        if isinstance(g, FLit):
+            s = simplify_lits((g.lit,))
+            return [] if s is None else [s]
+        if isinstance(g, FOr):
+            return [c for it in g.items for c in go(it)]
+        assert isinstance(g, FAnd), g
+        acc: list[tuple[tuple[Lit, ...], frozenset[Lit]]] = [((), frozenset())]
+        for it in g.items:
+            branches = go(it)
+            nxt: list[tuple[tuple[Lit, ...], frozenset[Lit]]] = []
+            seen: set[frozenset[Lit]] = set()
+            for a, aset in acc:
+                for b in branches:
+                    merged = a + tuple(l for l in b if l not in aset)
+                    mset = frozenset(merged)
+                    if mset in seen or any(l.negate() in mset for l in b):
+                        continue
+                    seen.add(mset)
+                    nxt.append((merged, mset))
+            acc = nxt
+        return [a for a, _ in acc]
+
+    out: list[tuple[Lit, ...]] = []
+    seen: set[frozenset[Lit]] = set()
+    for c in go(nnf(f)):
+        dedup = tuple(dict.fromkeys(c))
+        key = frozenset(dedup)
+        if key in seen or any(l.negate() in key for l in dedup):
+            continue
+        seen.add(key)
+        out.append(dedup)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference preimage
+
+
+def _gate_formula(gate: Gate, cands: dict[str, list[IndexVar]]) -> Formula:
+    """A universal gate instantiated over the candidate index variables."""
+
+    def blocked_formula(base: dict[IndexVar, IndexVar]) -> Formula:
+        conj = []
+        for bp in gate.blocked:
+            pools = [cands.get(v.sort, []) for v in bp.extra_vars]
+            insts = []
+            for combo in itertools.product(*pools) if bp.extra_vars else [()]:
+                sub = dict(base)
+                sub.update(zip(bp.extra_vars, combo))
+                insts.append(f_or([flit(lit_subst(l, sub).negate()) for l in bp.lits]))
+            conj.append(fand(insts))
+        return fand(conj)
+
+    if gate.var is None:
+        return f_or([flit(gate.declared), blocked_formula({})])
+    out = []
+    for v in cands.get(gate.var.sort, []):
+        sub = {gate.var: v}
+        out.append(f_or([flit(lit_subst(gate.declared, sub)), blocked_formula(sub)]))
+    return fand(out)
+
+
+def reference_preimage(
+    rule: TransitionRule, cube: Cube, sig: Signature, region: Region, dnf_cap: int = DEFAULT_DNF_CAP
+) -> list[Cube]:
+    """`engine.preimage` as a formula tree: guard, cube after the updates and
+    gates are conjoined into one formula, whose case terms are expanded and
+    which one `dnf` call normalises, for every rule and cube afresh."""
+    cube_ren = {v: IndexVar(f"$z{k}", v.sort) for k, v in enumerate(cube.exists)}
+    rule_ren = {v: IndexVar(f"$r{k}", v.sort) for k, v in enumerate(rule.exists)}
+    globals_map = rule.globals_map()
+    arrays_map = {a: type(u)(u.var, term_subst(u.body, rule_ren)) for a, u in rule.arrays_upd}
+    parts: list[Formula] = [
+        fand([flit(lit_subst(l, rule_ren)) for l in rule.guard]),
+        fand([
+            flit(_lit_through(lit_subst(l, cube_ren), globals_map, arrays_map)) for l in cube.lits
+        ]),
+    ]
+    cands: dict[str, list[IndexVar]] = {}
+    for v in itertools.chain(rule_ren.values(), cube_ren.values()):
+        cands.setdefault(v.sort, []).append(v)
+    for gate in rule.gates:
+        parts.append(_gate_formula(gate, cands))
+    out: list[Cube] = []
+    seen = set()
+    distinct = set(cube_ren.values())
+    for lits in dnf(expand_cases(fand(parts)), dnf_cap):
+        for c in differentiate(lits, sig, distinct=distinct):
+            if region.covers(c):
+                continue
+            cc = canon_cube(c)
+            if cc.key() not in seen:
+                seen.add(cc.key())
+                out.append(cc)
+    return out
 
 
 # ---------------------------------------------------------------------------

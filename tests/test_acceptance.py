@@ -232,3 +232,19 @@ def test_c9_mcmt_golden_and_witness(cannon):
     assert tokens[0] == (2, None)
     assert tokens[2] == (3, 1)
     _report(9, "emission matches golden file byte-for-byte; witness parses to 8 tokens")
+
+
+def test_c10_cannon_concurrent_unsafe_and_replay(cannon):
+    """Under concurrent semantics the engine over-approximates; this UNSAFE
+    is real, since its run template replays with 1, 2 and 3 agents.  (The
+    two-robot goal under concurrent semantics takes about half a minute and
+    is recorded in ROADMAP.md instead.)"""
+    t0 = time.monotonic()
+    verdict = breach(encode(cannon, "concurrent"))
+    assert (verdict.status, verdict.depth) == (UNSAFE, 12)
+    for att in (1, 2, 3):
+        cfg = ConcreteConfig((("Att", att),), RelInterpretation(), "concurrent", max_depth=12)
+        assert replay_run_template(cannon, verdict.run_template, cfg).status == VALID, att
+    elapsed = time.monotonic() - t0
+    assert elapsed < 60
+    _report(10, f"concurrent UNSAFE depth {verdict.depth}, replay VALID with 1-3 agents, {elapsed:.1f}s")

@@ -71,6 +71,18 @@ def test_check_trace_out(cannon_path, tmp_path, capsys):
     assert lines and all({"rule", "kind", "template", "action"} <= set(l) for l in lines)
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{model}", "--trace-out", "{out}"],
+    ["emit-mcmt", "{model}", "--out", "{out}"],
+], ids=["check", "emit-mcmt"])
+def test_unwritable_output_is_input_error(cannon_path, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.txt"
+    assert main([a.format(model=cannon_path, out=out) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any work, so no report
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["check", "/no/such/file.pmas"]) == 3
     assert "error" in capsys.readouterr().err

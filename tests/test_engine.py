@@ -25,6 +25,7 @@ from helpers import (
     random_state_formula,
     reference_canon_cube,
     reference_entailed_by,
+    reference_preimage,
     region_of,
 )
 from pmasafety import engine
@@ -450,15 +451,17 @@ def _breach_with_spies(monkeypatch, abp):
 
 def _spied_breach(abp) -> SimpleNamespace:
     """Run `breach`, recording for every `preimage` call whether it returned
-    the unpruned preimage less the cubes its region covers, for every
-    `canon_cube` call whether the region of the preimage it runs in covers
-    its cube, and every `entailed_by` call as (cube, region cubes, answer)."""
-    rec = SimpleNamespace(pruned_exactly=[], canon_covered=[], entailed=[])
+    the unpruned preimage less the cubes its region covers and whether the
+    unpruned preimage is `reference_preimage`'s, for every `canon_cube` call
+    whether the region of the preimage it runs in covers its cube, and every
+    `entailed_by` call as (cube, region cubes, answer)."""
+    rec = SimpleNamespace(pruned_exactly=[], as_reference=[], canon_covered=[], entailed=[])
     pre, canon, ent = engine.preimage, engine.canon_cube, engine.entailed_by
     current = [Region()]  # the region of the preimage call in progress
 
     def pre_spy(rule, cube, sig, region, *args):
         full = pre(rule, cube, sig, Region(), *args)
+        rec.as_reference.append(full == reference_preimage(rule, cube, sig, Region(), *args))
         current[0] = region
         out = pre(rule, cube, sig, region, *args)
         current[0] = Region()
@@ -482,13 +485,15 @@ def _spied_breach(abp) -> SimpleNamespace:
     return rec
 
 
-@pytest.fixture(scope="module", params=["cannon", "trains", "two-robot"])
+@pytest.fixture(scope="module", params=[
+    "cannon", "trains", "two-robot", "cannon/concurrent", "trains/concurrent",
+])
 def spied_run(request) -> SimpleNamespace:
-    name = request.param
+    name, _, semantics = request.param.partition("/")
     p = parse_pmas(fixture_text(name.replace("two-robot", "cannon")), name)
     if name == "two-robot":
         p = replace(p, goal=parse_formula("loc[j1] = target and loc[j2] = target and j1 != j2"))
-    return _spied_breach(encode(p, "interleaved"))
+    return _spied_breach(encode(p, semantics or "interleaved"))
 
 
 # `preimage(rule, cube, sig, Region())` over every rule and every frontier
@@ -513,6 +518,35 @@ class TestPreimageRegion:
 
     def test_canon_cube_never_gets_a_covered_cube(self, spied_run):
         assert spied_run.canon_covered and not any(spied_run.canon_covered)
+
+
+class TestCompiledPreimage:
+    """`preimage` builds each rule's part once and conjoins ready-made DNF
+    items; `reference_preimage` normalises one formula per call."""
+
+    def test_matches_reference_on_every_call_of_a_run(self, spied_run):
+        assert spied_run.as_reference and all(spied_run.as_reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_matches_reference_on_random_rules(self, seed):
+        rule, cube = random_rule_and_cube(seed)
+        assert preimage(rule, cube, CUBE_SIG, Region()) == reference_preimage(
+            rule, cube, CUBE_SIG, Region()
+        )
+
+    @pytest.mark.parametrize("model, semantics", [
+        ("cannon", "interleaved"), ("trains", "concurrent"),
+    ])
+    def test_budget_after_a_warm_run(self, model, semantics):
+        """The literal items a default-cap run leaves on the rules change no
+        later run's verdict under a smaller `dnf_cap`."""
+        warm = encode(parse_pmas(fixture_text(model), model), semantics)
+        breach(warm)
+        for cap in (1, 2, 4, 16):
+            fresh = encode(parse_pmas(fixture_text(model), model), semantics)
+            v, w = breach(warm, dnf_cap=cap), breach(fresh, dnf_cap=cap)
+            assert (v.status, v.depth, v.reason) == (w.status, w.depth, w.reason), cap
 
 
 def _clash_cases():

@@ -16,6 +16,7 @@ from helpers import (
     brute_sat_cube,
     random_clause_problem,
     random_ground_cube,
+    unabsorbed_dnf,
 )
 from pmasafety import logic
 from pmasafety.logic import (
@@ -221,16 +222,24 @@ def _eval(f, asg):
     raise AssertionError(f)
 
 
-def _rand_prop(rng, depth=3):
+# two more, for absorption among longer conjunctions
+_MORE_ATOMS = [
+    Lit(False, RelAtom("R", (Const("B"), Const("A")))),
+    Lit(False, RelAtom("Q", (Const("A"), Const("A")))),
+]
+
+
+def _rand_prop(rng, depth=3, atoms=_ATOMS, arity=2):
     if depth == 0 or rng.random() < 0.3:
-        l = rng.choice(_ATOMS)
+        l = rng.choice(atoms)
         return flit(l.negate() if rng.random() < 0.5 else l)
     k = rng.random()
+    n = 2 if arity == 2 else rng.randint(2, arity)
     if k < 0.4:
-        return fand([_rand_prop(rng, depth - 1) for _ in range(2)])
+        return fand([_rand_prop(rng, depth - 1, atoms, arity) for _ in range(n)])
     if k < 0.8:
-        return f_or([_rand_prop(rng, depth - 1) for _ in range(2)])
-    return fnot(_rand_prop(rng, depth - 1))
+        return f_or([_rand_prop(rng, depth - 1, atoms, arity) for _ in range(n)])
+    return fnot(_rand_prop(rng, depth - 1, atoms, arity))
 
 
 class TestDnf:
@@ -245,6 +254,16 @@ class TestDnf:
             orig = _eval(f, asg)
             as_dnf = any(all(asg[l.atom] != l.neg for l in cb) for cb in cubes)
             assert orig == as_dnf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_dnf_is_the_absorption_minimal_full_expansion(self, rng):
+        """Absorbed conjunctions go, and the rest keep their order and their
+        literal order: nothing else changes from the full expansion."""
+        f = _rand_prop(rng, depth=4, atoms=_ATOMS + _MORE_ATOMS, arity=4)
+        full = unabsorbed_dnf(f)
+        sets = [frozenset(c) for c in full]
+        assert dnf(f) == [c for c, s in zip(full, sets) if not any(t < s for t in sets)]
 
     def test_dnf_drops_contradictory_branches(self):
         l = _ATOMS[0]
