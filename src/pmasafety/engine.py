@@ -152,7 +152,7 @@ class _CompiledRule:
         a = l.atom
         terms = (a.lhs, a.rhs) if isinstance(a, Eq) else a.args
         if not any((t.array if isinstance(t, ArrayRead) else t) in self.writes for t in terms):
-            return [(l,)]  # untouched, and cube literals are simplified
+            return lit_dnf(l)  # untouched; a `make_cube` cube may hold f[z]=f[z]
         item = self.items.get(l)
         if item is None:
             f = expand_cases(FLit(_lit_through(l, self.globals_map, self.arrays_map)))
