@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_pmas
-from pmasafety.encoder import Gate, TransitionRule, differentiate
+from pmasafety.encoder import Gate, TransitionRule, differentiate, encode_goal
 from pmasafety.engine import Region, _lit_through, canon_cube
 from pmasafety.logic import (
     ArrayRead,
@@ -732,6 +732,23 @@ def verdict_digest(v) -> str:
     ]
     for fr in v.layers:
         parts.append(f"{fr.depth}:" + ";".join(map(repr, fr.cubes)))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+def encoding_digest(abp) -> str:
+    """A hash of everything an encoding says: the signature's sorts,
+    relations, globals and arrays, the initial state, every rule in order and
+    the goal's cubes."""
+    sig = abp.sig
+    parts = [
+        repr(list(sig.sorts.values())),
+        repr(list(sig.relations.values())),
+        repr(list(sig.globals.items())),
+        repr(list(sig.arrays.items())),
+        repr(abp.init),
+    ]
+    parts += map(repr, abp.rules)
+    parts += map(repr, encode_goal(abp.pmas, sig).cubes)
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
 

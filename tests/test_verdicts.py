@@ -5,9 +5,11 @@ cubes, reason, trace, run template and every frontier layer's cubes) for the
 bundled models and the first 16 corpus models, each under the semantics
 named in its key.  `data/oracle_digests.json` holds an `oracle_digest`
 (status, depth, states seen and run of the explicit-state search over small
-agent counts and interpretations) for the same models.  A change that is meant
-to leave answers alone, such as a speed-up of the search, must keep all of
-them.
+agent counts and interpretations) for the same models, and
+`data/encoding_digests.json` an `encoding_digest` (signature, initial state,
+every rule in order and the goal's cubes) of the encoding itself.  A change
+that is meant to leave answers alone, such as a speed-up of the search or a
+rewrite of the encoder, must keep all of them.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import named_model, oracle_digest, verdict_digest
+from helpers import encoding_digest, named_model, oracle_digest, verdict_digest
 from pmasafety.encoder import encode
 from pmasafety.engine import breach
 
 DATA = Path(__file__).parent / "data"
 DIGESTS = json.loads((DATA / "verdict_digests.json").read_text())
 ORACLE_DIGESTS = json.loads((DATA / "oracle_digests.json").read_text())
+ENCODING_DIGESTS = json.loads((DATA / "encoding_digests.json").read_text())
 
 
 @pytest.mark.parametrize("case", sorted(DIGESTS))
@@ -36,3 +39,9 @@ def test_verdict_unchanged(case):
 def test_oracle_unchanged(case):
     name, semantics = case.split("/")
     assert oracle_digest(named_model(name), semantics) == ORACLE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(ENCODING_DIGESTS))
+def test_encoding_unchanged(case):
+    name, semantics = case.split("/")
+    assert encoding_digest(encode(named_model(name), semantics)) == ENCODING_DIGESTS[case]
