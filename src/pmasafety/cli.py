@@ -76,6 +76,7 @@ def _parse_counts(p: Pmas, text: Optional[str]) -> tuple[tuple[str, int], ...]:
     if text is None:
         return tuple((t, 2) for t in known)
     counts = dict((t, 0) for t in known)
+    named: set[str] = set()
     for part in text.split(","):
         if "=" not in part:
             raise InputError(f"bad --counts entry {part!r}; expected T=k")
@@ -83,6 +84,9 @@ def _parse_counts(p: Pmas, text: Optional[str]) -> tuple[tuple[str, int], ...]:
         t = t.strip()
         if t not in counts:
             raise InputError(f"--counts names unknown template {t!r}")
+        if t in named:
+            raise InputError(f"--counts names template {t!r} twice")
+        named.add(t)
         try:
             counts[t] = int(k)
         except ValueError as e:
@@ -105,7 +109,7 @@ _INTERP_LINE = re.compile(r"^\s*(\w+)\s*\(\s*([^)]*?)\s*\)\s*$")
 def _load_interp(p: Pmas, path: Optional[str]) -> RelInterpretation:
     if path is None:
         return RelInterpretation()
-    rels = {r.name for r in p.relations}
+    rels = {r.name: r.arg_sorts for r in p.relations}
     cells = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -122,6 +126,13 @@ def _load_interp(p: Pmas, path: Optional[str]) -> RelInterpretation:
         if rel not in rels:
             raise InputError(f"{path}:{ln}: unknown relation {rel!r}")
         args = tuple(a.strip() for a in m.group(2).split(",")) if m.group(2) else ()
+        if len(args) != len(rels[rel]):
+            raise InputError(
+                f"{path}:{ln}: {rel} takes {len(rels[rel])} arguments, got {len(args)}"
+            )
+        for a, sort in zip(args, rels[rel]):
+            if p.const_sort(a) != sort:
+                raise InputError(f"{path}:{ln}: {a!r} is not a constant of sort {sort}")
         cells.append((rel, args))
     return RelInterpretation.of(cells)
 

@@ -62,6 +62,7 @@ from .model import (
     IdxEq,
     INDIVIDUAL,
     ModelError,
+    NOP,
     Neg,
     Pmas,
     RelTest,
@@ -74,7 +75,6 @@ from .model import (
 INTERLEAVED = "interleaved"
 CONCURRENT = "concurrent"
 
-NOP = "nop"
 PHASE_VAR = "phase"
 ENV_ACT = "env_act"
 TURN_VAR = "turn"
@@ -166,6 +166,17 @@ class AbInit:
     globals_: tuple[tuple[str, str], ...]  # global -> constant
     arrays: tuple[tuple[str, str], ...]  # array -> constant (lambda j . c)
 
+    @memoized
+    def update_maps(self) -> tuple[dict[str, Const], dict[str, LambdaUpdate]]:
+        """The initial state as update maps like a rule's `globals_map` and
+        `arrays_map` (memoized): each global to its constant, each array to
+        `lambda j . c`.  The body is a constant, so `j`'s sort is never read."""
+        j = IndexVar("$u", "")
+        return (
+            {g: Const(c) for g, c in self.globals_},
+            {a: LambdaUpdate(j, Const(c)) for a, c in self.arrays},
+        )
+
 
 @dataclass(frozen=True)
 class AbPmas:
@@ -250,7 +261,7 @@ def translate_agent_formula(
     varmap: dict[str, IndexVar] = {}
     order: list[IndexVar] = []
 
-    def ivar(idx: str, owner: AgentTemplate) -> IndexVar:
+    def ivar(idx: str) -> IndexVar:
         if idx == SELF:
             if self_var is None:
                 raise EncodingError("self not allowed in this formula")
@@ -264,7 +275,7 @@ def translate_agent_formula(
         owner = p.owner_of_var(var)
         if owner.is_env:
             return GlobalRef(var)
-        return ArrayRead(var, ivar(idx, owner))
+        return ArrayRead(var, ivar(idx))
 
     def go(g: AgentFormula) -> Formula:
         if isinstance(g, BoolConst):
@@ -278,13 +289,7 @@ def translate_agent_formula(
             )
             return flit(Lit(False, RelAtom(g.rel, args)))
         if isinstance(g, IdxEq):
-            def side(s: str) -> IndexVar:
-                if s == SELF:
-                    if self_var is None:
-                        raise EncodingError("self not allowed in this formula")
-                    return self_var
-                return ivar(s, assign[s])
-            return flit(lit_eq(side(g.lhs), side(g.rhs)))
+            return flit(lit_eq(ivar(g.lhs), ivar(g.rhs)))
         if isinstance(g, Neg):
             return fnot(go(g.inner))
         if isinstance(g, Conj):
@@ -414,218 +419,185 @@ def _point_update(arr: str, sort: str, at: IndexVar, value: Const) -> LambdaUpda
     )
 
 
-def _bulk_reset(arr: str, sort: str, value: Const) -> LambdaUpdate:
-    return LambdaUpdate(IndexVar("$u", sort), value)
-
-
-def _bulk_commit(
-    t: AgentTemplate, var: str, actions: list[ActionDecl]
-) -> Optional[LambdaUpdate]:
-    """Case update applying each action's effect on `var` to its declarers."""
+def _commit_updates(
+    t: AgentTemplate, actions: list[ActionDecl]
+) -> list[tuple[str, LambdaUpdate]]:
+    """Case updates applying each action's effects to the agents of `t` that
+    declared it, then the reset of every agent's action to nop."""
     j = IndexVar("$u", index_sort(t))
-    branches = []
-    for a in actions:
-        assigned = dict(a.eff).get(var)
-        if assigned is not None:
-            branches.append(
-                (flit(lit_eq(ArrayRead(act_array(t), j), Const(a.name))), Const(assigned))
-            )
-    if not branches:
-        return None
-    branches.append((TRUE, ArrayRead(var, j)))
-    return LambdaUpdate(j, CaseTerm(tuple(branches)))
+    updates = []
+    for v, _s, _i in t.variables:
+        branches = [
+            (flit(lit_eq(ArrayRead(act_array(t), j), Const(a.name))), Const(c))
+            for a in actions
+            if (c := dict(a.eff).get(v)) is not None
+        ]
+        if branches:
+            branches.append((TRUE, ArrayRead(v, j)))
+            updates.append((v, LambdaUpdate(j, CaseTerm(tuple(branches)))))
+    updates.append((act_array(t), LambdaUpdate(j, Const(NOP))))
+    return updates
+
+
+def _idle(t: AgentTemplate, x: Optional[IndexVar], neg: bool = False) -> Lit:
+    """Agent `x` of `t`, or the environment when `t` is it, has declared nothing."""
+    if t.is_env:
+        return lit_eq(GlobalRef(ENV_ACT), Const(NOP), neg)
+    return lit_eq(ArrayRead(act_array(t), x), Const(NOP), neg)
+
+
+def _declaring(
+    parties: list[tuple[AgentTemplate, Optional[IndexVar]]], action: str, phase: Optional[str]
+) -> dict:
+    """`TransitionRule` updates by which every agent `x` of `t`, for each
+    `(t, x)` of `parties`, or the environment (`x` None) declares `action`,
+    moving on to `phase`."""
+    globals_ = [(ENV_ACT, Const(action)) for t, _x in parties if t.is_env]
+    if phase is not None:
+        globals_.append((PHASE_VAR, Const(phase)))
+    arrays = tuple(
+        (act_array(t), _point_update(act_array(t), index_sort(t), x, Const(action)))
+        for t, x in parties
+        if not t.is_env
+    )
+    return dict(globals_upd=tuple(globals_), arrays_upd=arrays)
 
 
 class _RuleBuilder:
-    def __init__(self, p: Pmas, semantics: str):
+    def __init__(self, p: Pmas):
         self.p = p
-        self.semantics = semantics
-        self.sig = build_signature(p, semantics)
         self.rules: list[TransitionRule] = []
 
     # -- helpers -----------------------------------------------------------
 
-    def phase_lit(self, c: str, neg: bool = False) -> Lit:
-        return lit_eq(GlobalRef(PHASE_VAR), Const(c), neg)
+    def phase_lit(self, c: str) -> Lit:
+        return lit_eq(GlobalRef(PHASE_VAR), Const(c))
 
-    def envact_lit(self, c: str, neg: bool = False) -> Lit:
-        return lit_eq(GlobalRef(ENV_ACT), Const(c), neg)
-
-    def turn_lit(self, group: int) -> Lit:
-        return lit_eq(GlobalRef(TURN_VAR), Const(TURN_CONSTS[group]))
+    def envact_lit(self, c: str) -> Lit:
+        return lit_eq(GlobalRef(ENV_ACT), Const(c))
 
     def turn_guard(self, group: Optional[int]) -> list[Lit]:
         if self.p.alternation is None or group is None:
             return []
-        return [self.turn_lit(group)]
+        return [lit_eq(GlobalRef(TURN_VAR), Const(TURN_CONSTS[group]))]
 
-    def turn_toggle(self, group: int) -> tuple[list[Lit], list[tuple[str, Const]]]:
+    def turn_toggle(self, group: Optional[int]) -> tuple[list[Lit], list[tuple[str, Const]]]:
         """Guard literal + update for a committing rule in `group`'s turn."""
         if self.p.alternation is None:
             return [], []
-        return [self.turn_lit(group)], [(TURN_VAR, Const(TURN_CONSTS[1 - group]))]
-
-    def pre_of(
-        self, t: AgentTemplate, a: ActionDecl, self_var: Optional[IndexVar], prefix: str = "$p_"
-    ):
-        return precondition_cube(self.p, t, a, self_var, prefix=prefix)
-
-    def blocked_pre(
-        self, t: AgentTemplate, a: ActionDecl, var: Optional[IndexVar]
-    ) -> Optional[BlockedPre]:
-        """Precondition (with turn conjunct) as a gate blocker; None = pre false."""
-        pc = self.pre_of(t, a, var)
-        if pc is None:
-            return None
-        lits, extra = pc
-        lits = tuple(lits) + tuple(self.turn_guard(self.p.turn_group(t.name)))
-        return BlockedPre(extra, lits)
-
-    def add(self, rule: TransitionRule) -> None:
-        self.rules.append(rule)
-
-    # -- step generators ---------------------------------------------------
-
-    def declare_local(self, phases: tuple[str, ...]) -> None:
-        """Eq-1 style: one agent (or the environment) declares a local action."""
-        for t in self.p.all_templates():
-            group = self.p.turn_group(t.name)
-            for a in t.local_actions():
-                if t.is_env:
-                    pc = self.pre_of(t, a, None)
-                    if pc is None:
-                        continue
-                    lits, extra = pc
-                    for ph in phases:
-                        self.add(
-                            TransitionRule(
-                                label=f"declare:{t.name}.{a.name}@{ph}",
-                                kind="declare",
-                                template=t.name,
-                                action=a.name,
-                                exists=extra,
-                                guard=tuple(
-                                    [self.phase_lit(ph), self.envact_lit(NOP)]
-                                    + self.turn_guard(group)
-                                    + list(lits)
-                                ),
-                                globals_upd=(
-                                    (ENV_ACT, Const(a.name)),
-                                    (PHASE_VAR, Const(PL)),
-                                ),
-                            )
-                        )
-                else:
-                    x = IndexVar("$self", index_sort(t))
-                    pc = self.pre_of(t, a, x)
-                    if pc is None:
-                        continue
-                    lits, extra = pc
-                    for ph in phases:
-                        self.add(
-                            TransitionRule(
-                                label=f"declare:{t.name}.{a.name}@{ph}",
-                                kind="declare",
-                                template=t.name,
-                                action=a.name,
-                                exists=(x,) + extra,
-                                guard=tuple(
-                                    [
-                                        self.phase_lit(ph),
-                                        lit_eq(ArrayRead(act_array(t), x), Const(NOP)),
-                                    ]
-                                    + self.turn_guard(group)
-                                    + list(lits)
-                                ),
-                                globals_upd=((PHASE_VAR, Const(PL)),),
-                                arrays_upd=(
-                                    (
-                                        act_array(t),
-                                        _point_update(
-                                            act_array(t), index_sort(t), x, Const(a.name)
-                                        ),
-                                    ),
-                                ),
-                            )
-                        )
-
-    def bulk_local(self, from_phase: str) -> None:
-        """Eq-2 style: commit every declared local action at once."""
-        env_choices: list[Optional[ActionDecl]] = [None] + list(self.p.env.local_actions())
-        for env_a in env_choices:
-            arrays: list[tuple[str, LambdaUpdate]] = []
-            for t in self.p.templates:
-                locs = list(t.local_actions())
-                for v, _s, _i in t.variables:
-                    upd = _bulk_commit(t, v, locs)
-                    if upd is not None:
-                        arrays.append((v, upd))
-                arrays.append(
-                    (act_array(t), _bulk_reset(act_array(t), index_sort(t), Const(NOP)))
-                )
-            base_globals: list[tuple[str, Const]] = [
-                (PHASE_VAR, Const(P0)),
-                (ENV_ACT, Const(NOP)),
-            ]
-            if env_a is not None:
-                base_globals += [(v, Const(c)) for v, c in env_a.eff]
-            env_name = env_a.name if env_a is not None else NOP
-            if self.p.alternation is None:
-                self.add(
-                    TransitionRule(
-                        label=f"bulk_local:{env_name}@{from_phase}",
-                        kind="bulk_local",
-                        action=env_name,
-                        exists=(),
-                        guard=(self.phase_lit(from_phase), self.envact_lit(env_name)),
-                        globals_upd=tuple(base_globals),
-                        arrays_upd=tuple(arrays),
-                    )
-                )
-            else:
-                groups = (
-                    [g for g in (0, 1) if g == self.p.turn_group(self.p.env.name)]
-                    if env_a is not None
-                    else [0, 1]
-                )
-                for g in groups:
-                    tg, tu = self.turn_toggle(g)
-                    self.add(
-                        TransitionRule(
-                            label=f"bulk_local:{env_name}@{from_phase}:{TURN_CONSTS[g]}",
-                            kind="bulk_local",
-                            action=env_name,
-                            exists=(),
-                            guard=tuple(
-                                [self.phase_lit(from_phase), self.envact_lit(env_name)] + tg
-                            ),
-                            globals_upd=tuple(base_globals + tu),
-                            arrays_upd=tuple(arrays),
-                        )
-                    )
+        return self.turn_guard(group), [(TURN_VAR, Const(TURN_CONSTS[1 - group]))]
 
     def sync_actions(self) -> list[ActionDecl]:
         return [a for a in self.p.env.actions if a.kind == SYNC]
 
+    def participants(self, ea: ActionDecl) -> list[tuple[AgentTemplate, ActionDecl]]:
+        """Each agent template declaring the environment's action `ea`, with
+        its own declaration of it."""
+        return [(t, t.action(ea.name)) for t in self.p.sync_participants(ea.name)]
+
+    def env_actions(self, kind: str):
+        """`(ea, lits, extra)` for each environment action of `kind` whose
+        precondition is not false."""
+        for ea in self.p.env.actions:
+            if ea.kind == kind:
+                # a distinct prefix keeps environment-side index variables apart
+                # from same-named agent-side ones in the fused guard
+                pc = precondition_cube(self.p, self.p.env, ea, None, prefix="$q_")
+                if pc is not None:
+                    yield (ea,) + pc
+
+    def declarers(self, pairs, var: str = "$self"):
+        """`(t, a, x, lits, extra)` for each `(t, a)` of `pairs` whose
+        precondition, said of agent `x` of `t` (None for the environment), is
+        not false."""
+        for t, a in pairs:
+            x = None if t.is_env else IndexVar(var, index_sort(t))
+            pc = precondition_cube(self.p, t, a, x)
+            if pc is not None:
+                yield (t, a, x) + pc
+
+    def gate(self, t: AgentTemplate, actions) -> Gate:
+        """Every agent of `t` (or the environment) has declared, or can take
+        none of `actions` in its turn."""
+        var = None if t.is_env else IndexVar("$g", index_sort(t))
+        turn = tuple(self.turn_guard(self.p.turn_group(t.name)))
+        pairs = ((t, a) for a in actions)
+        blocked = tuple(
+            BlockedPre(extra, tuple(lits) + turn)
+            for _t, _a, _x, lits, extra in self.declarers(pairs, "$g")
+        )
+        return Gate(var, _idle(t, var, neg=True), blocked)
+
+    def commit(
+        self, label: str, kind: str, from_phase: str, ea: Optional[ActionDecl],
+        arrays: list[tuple[str, LambdaUpdate]], group: Optional[int],
+    ) -> None:
+        """Close the step the environment declared as `ea` (None: nop): apply
+        its effects and the agents' `arrays`, and return to P0."""
+        action = ea.name if ea is not None else NOP
+        tg, tu = self.turn_toggle(group)
+        self.rules.append(
+            TransitionRule(
+                label=label,
+                kind=kind,
+                action=action,
+                exists=(),
+                guard=tuple([self.phase_lit(from_phase), self.envact_lit(action)] + tg),
+                globals_upd=tuple(
+                    [(PHASE_VAR, Const(P0)), (ENV_ACT, Const(NOP))]
+                    + [(v, Const(c)) for v, c in (ea.eff if ea is not None else ())]
+                    + tu
+                ),
+                arrays_upd=tuple(arrays),
+            )
+        )
+
+    # -- step generators ---------------------------------------------------
+
+    def declare_local(self) -> None:
+        """Eq-1 style: one agent (or the environment) declares a local action."""
+        pairs = ((t, a) for t in self.p.all_templates() for a in t.local_actions())
+        for t, a, x, lits, extra in self.declarers(pairs):
+            for ph in (P0, PL):
+                self.rules.append(
+                    TransitionRule(
+                        label=f"declare:{t.name}.{a.name}@{ph}",
+                        kind="declare",
+                        template=t.name,
+                        action=a.name,
+                        exists=(() if x is None else (x,)) + extra,
+                        guard=tuple(
+                            [self.phase_lit(ph), _idle(t, x)]
+                            + self.turn_guard(self.p.turn_group(t.name))
+                            + list(lits)
+                        ),
+                        **_declaring([(t, x)], a.name, PL),
+                    )
+                )
+
+    def bulk_local(self, from_phase: str) -> None:
+        """Eq-2 style: commit every declared local action at once."""
+        arrays: list[tuple[str, LambdaUpdate]] = []
+        for t in self.p.templates:
+            arrays += _commit_updates(t, list(t.local_actions()))
+        env_group = self.p.turn_group(self.p.env.name)
+        for env_a in [None] + list(self.p.env.local_actions()):
+            env_name = env_a.name if env_a is not None else NOP
+            if self.p.alternation is None:
+                groups: list[Optional[int]] = [None]
+            else:
+                groups = [g for g in (0, 1) if env_a is None or g == env_group]
+            for g in groups:
+                turn = "" if g is None else f":{TURN_CONSTS[g]}"
+                label = f"bulk_local:{env_name}@{from_phase}{turn}"
+                self.commit(label, "bulk_local", from_phase, env_a, arrays, g)
+
     def sync_start(self) -> None:
         """Eq-3 style: the environment and one agent open a synchronization."""
-        for ea in self.sync_actions():
-            # a distinct prefix keeps environment-side index variables apart
-            # from same-named agent-side ones in the fused guard
-            env_pc = self.pre_of(self.p.env, ea, None, prefix="$q_")
-            if env_pc is None:
-                continue
-            env_lits, env_extra = env_pc
+        for ea, env_lits, env_extra in self.env_actions(SYNC):
             group = self.p.sync_initiator_group(ea.name)
-            for t in self.p.sync_participants(ea.name):
-                a = t.action(ea.name)
-                assert a is not None
-                x = IndexVar("$self", index_sort(t))
-                pc = self.pre_of(t, a, x)
-                if pc is None:
-                    continue
-                lits, extra = pc
-                self.add(
+            for t, _a, x, lits, extra in self.declarers(self.participants(ea)):
+                self.rules.append(
                     TransitionRule(
                         label=f"sync_start:{t.name}.{ea.name}",
                         kind="sync_start",
@@ -633,40 +605,20 @@ class _RuleBuilder:
                         action=ea.name,
                         exists=(x,) + extra + env_extra,
                         guard=tuple(
-                            [
-                                self.phase_lit(P0),
-                                self.envact_lit(NOP),
-                                lit_eq(ArrayRead(act_array(t), x), Const(NOP)),
-                            ]
+                            [self.phase_lit(P0), _idle(self.p.env, None), _idle(t, x)]
                             + self.turn_guard(group)
                             + list(lits)
                             + list(env_lits)
                         ),
-                        globals_upd=(
-                            (ENV_ACT, Const(ea.name)),
-                            (PHASE_VAR, Const(PS)),
-                        ),
-                        arrays_upd=(
-                            (
-                                act_array(t),
-                                _point_update(act_array(t), index_sort(t), x, Const(ea.name)),
-                            ),
-                        ),
+                        **_declaring([(self.p.env, None), (t, x)], ea.name, PS),
                     )
                 )
 
     def sync_join(self) -> None:
         """Eq-4 style: further agents join the open synchronization."""
         for ea in self.sync_actions():
-            for t in self.p.sync_participants(ea.name):
-                a = t.action(ea.name)
-                assert a is not None
-                x = IndexVar("$self", index_sort(t))
-                pc = self.pre_of(t, a, x)
-                if pc is None:
-                    continue
-                lits, extra = pc
-                self.add(
+            for t, _a, x, lits, extra in self.declarers(self.participants(ea)):
+                self.rules.append(
                     TransitionRule(
                         label=f"sync_join:{t.name}.{ea.name}",
                         kind="sync_join",
@@ -674,19 +626,10 @@ class _RuleBuilder:
                         action=ea.name,
                         exists=(x,) + extra,
                         guard=tuple(
-                            [
-                                self.phase_lit(PS),
-                                self.envact_lit(ea.name),
-                                lit_eq(ArrayRead(act_array(t), x), Const(NOP)),
-                            ]
+                            [self.phase_lit(PS), self.envact_lit(ea.name), _idle(t, x)]
                             + list(lits)
                         ),
-                        arrays_upd=(
-                            (
-                                act_array(t),
-                                _point_update(act_array(t), index_sort(t), x, Const(ea.name)),
-                            ),
-                        ),
+                        **_declaring([(t, x)], ea.name, None),
                     )
                 )
 
@@ -694,65 +637,19 @@ class _RuleBuilder:
         """Eq-5 style: apply the synchronization to all participants at once."""
         for ea in self.sync_actions():
             arrays: list[tuple[str, LambdaUpdate]] = []
-            for t in self.p.sync_participants(ea.name):
-                a = t.action(ea.name)
-                assert a is not None
-                for v, _s, _i in t.variables:
-                    upd = _bulk_commit(t, v, [a])
-                    if upd is not None:
-                        arrays.append((v, upd))
-                arrays.append(
-                    (act_array(t), _bulk_reset(act_array(t), index_sort(t), Const(NOP)))
-                )
-            globals_: list[tuple[str, Const]] = [
-                (PHASE_VAR, Const(P0)),
-                (ENV_ACT, Const(NOP)),
-            ] + [(v, Const(c)) for v, c in ea.eff]
-            tg, tu = (
-                self.turn_toggle(self.p.sync_initiator_group(ea.name) or 0)
-                if self.p.alternation is not None
-                else ([], [])
-            )
-            self.add(
-                TransitionRule(
-                    label=f"sync_commit:{ea.name}@{from_phase}",
-                    kind="sync_commit",
-                    action=ea.name,
-                    exists=(),
-                    guard=tuple([self.phase_lit(from_phase), self.envact_lit(ea.name)] + tg),
-                    globals_upd=tuple(globals_ + tu),
-                    arrays_upd=tuple(arrays),
-                )
-            )
+            for t, a in self.participants(ea):
+                arrays += _commit_updates(t, [a])
+            group = self.p.sync_initiator_group(ea.name) or 0
+            label = f"sync_commit:{ea.name}@{from_phase}"
+            self.commit(label, "sync_commit", from_phase, ea, arrays, group)
 
     def individual_syncs(self) -> None:
         """Fused rule: environment plus exactly one agent, committed in place."""
-        for ea in self.p.env.actions:
-            if ea.kind != INDIVIDUAL:
-                continue
-            env_pc = self.pre_of(self.p.env, ea, None, prefix="$q_")
-            if env_pc is None:
-                continue
-            env_lits, env_extra = env_pc
-            group = self.p.sync_initiator_group(ea.name)
-            for t in self.p.templates:
-                a = t.action(ea.name)
-                if a is None or a.kind != INDIVIDUAL:
-                    continue
-                x = IndexVar("$self", index_sort(t))
-                pc = self.pre_of(t, a, x)
-                if pc is None:
-                    continue
-                lits, extra = pc
-                arrays = [
-                    (v, _point_update(v, index_sort(t), x, Const(c))) for v, c in a.eff
-                ]
-                tg, tu = (
-                    self.turn_toggle(group or 0)
-                    if self.p.alternation is not None
-                    else ([], [])
-                )
-                self.add(
+        for ea, env_lits, env_extra in self.env_actions(INDIVIDUAL):
+            tg, tu = self.turn_toggle(self.p.sync_initiator_group(ea.name) or 0)
+            pairs = ((t, a) for t, a in self.participants(ea) if a.kind == INDIVIDUAL)
+            for t, a, x, lits, extra in self.declarers(pairs):
+                self.rules.append(
                     TransitionRule(
                         label=f"ind_sync:{t.name}.{ea.name}",
                         kind="ind_sync",
@@ -760,115 +657,64 @@ class _RuleBuilder:
                         action=ea.name,
                         exists=(x,) + extra + env_extra,
                         guard=tuple(
-                            [self.phase_lit(P0), self.envact_lit(NOP)]
+                            [self.phase_lit(P0), _idle(self.p.env, None)]
                             + tg
                             + list(lits)
                             + list(env_lits)
                         ),
                         globals_upd=tuple([(v, Const(c)) for v, c in ea.eff] + tu),
-                        arrays_upd=tuple(arrays),
+                        arrays_upd=tuple(
+                            (v, _point_update(v, index_sort(t), x, Const(c))) for v, c in a.eff
+                        ),
                     )
                 )
 
     def gate_local(self) -> None:
         """Concurrent Eq-7: everyone able to act locally has declared."""
-        gates: list[Gate] = []
-        for t in self.p.templates:
-            if not t.local_actions():
-                continue
-            var = IndexVar("$g", index_sort(t))
-            blocked = []
-            for a in t.local_actions():
-                bp = self.blocked_pre(t, a, var)
-                if bp is not None:
-                    blocked.append(bp)
-            gates.append(
-                Gate(
-                    var=var,
-                    declared=lit_eq(ArrayRead(act_array(t), var), Const(NOP), neg=True),
-                    blocked=tuple(blocked),
-                )
-            )
-        if self.p.env.local_actions():
-            blocked = []
-            for a in self.p.env.local_actions():
-                bp = self.blocked_pre(self.p.env, a, None)
-                if bp is not None:
-                    blocked.append(bp)
-            gates.append(
-                Gate(
-                    var=None,
-                    declared=self.envact_lit(NOP, neg=True),
-                    blocked=tuple(blocked),
-                )
-            )
-        self.add(
+        self.rules.append(
             TransitionRule(
                 label="gate_local",
                 kind="gate_local",
                 exists=(),
                 guard=(self.phase_lit(PL),),
                 globals_upd=((PHASE_VAR, Const(PL2)),),
-                gates=tuple(gates),
+                gates=tuple(
+                    self.gate(t, t.local_actions())
+                    for t in self.p.all_templates()
+                    if t.local_actions()
+                ),
             )
         )
 
     def gate_sync(self) -> None:
         """Concurrent Eq-11: everyone able to join the open sync has joined."""
         for ea in self.sync_actions():
-            gates = []
-            for t in self.p.sync_participants(ea.name):
-                a = t.action(ea.name)
-                assert a is not None
-                var = IndexVar("$g", index_sort(t))
-                bp = self.blocked_pre(t, a, var)
-                blocked = (bp,) if bp is not None else ()
-                gates.append(
-                    Gate(
-                        var=var,
-                        declared=lit_eq(ArrayRead(act_array(t), var), Const(NOP), neg=True),
-                        blocked=blocked,
-                    )
-                )
-            self.add(
+            self.rules.append(
                 TransitionRule(
                     label=f"gate_sync:{ea.name}",
                     kind="gate_sync",
                     exists=(),
                     guard=(self.phase_lit(PS), self.envact_lit(ea.name)),
                     globals_upd=((PHASE_VAR, Const(PS2)),),
-                    gates=tuple(gates),
+                    gates=tuple(self.gate(t, [a]) for t, a in self.participants(ea)),
                 )
             )
 
 
-def encode_interleaved(p: Pmas) -> AbPmas:
-    b = _RuleBuilder(p, INTERLEAVED)
-    b.declare_local((P0, PL))
-    b.bulk_local(PL)
-    b.sync_start()
-    b.sync_join()
-    b.sync_commit(PS)
-    b.individual_syncs()
-    return AbPmas(p, INTERLEAVED, b.sig, build_init(p), tuple(b.rules))
-
-
-def encode_concurrent(p: Pmas) -> AbPmas:
-    b = _RuleBuilder(p, CONCURRENT)
-    b.declare_local((P0, PL))
-    b.gate_local()
-    b.bulk_local(PL2)
-    b.sync_start()
-    b.sync_join()
-    b.gate_sync()
-    b.sync_commit(PS2)
-    b.individual_syncs()
-    return AbPmas(p, CONCURRENT, b.sig, build_init(p), tuple(b.rules))
-
-
 def encode(p: Pmas, semantics: str) -> AbPmas:
-    if semantics == INTERLEAVED:
-        return encode_interleaved(p)
-    if semantics == CONCURRENT:
-        return encode_concurrent(p)
-    raise EncodingError(f"unknown semantics {semantics!r}")
+    if semantics not in (INTERLEAVED, CONCURRENT):
+        raise EncodingError(f"unknown semantics {semantics!r}")
+    concurrent = semantics == CONCURRENT
+    sig = build_signature(p, semantics)
+    b = _RuleBuilder(p)
+    b.declare_local()
+    if concurrent:
+        b.gate_local()
+    b.bulk_local(PL2 if concurrent else PL)
+    b.sync_start()
+    b.sync_join()
+    if concurrent:
+        b.gate_sync()
+    b.sync_commit(PS2 if concurrent else PS)
+    b.individual_syncs()
+    return AbPmas(p, semantics, sig, build_init(p), tuple(b.rules))

@@ -20,7 +20,6 @@ from .logic import (
     ArrayRead,
     BudgetError,
     CongruenceClosure,
-    Const,
     Cube,
     DEFAULT_DNF_CAP,
     Dnf,
@@ -472,27 +471,10 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
 
 
 def init_sat(abp: AbPmas, cube: Cube) -> bool:
-    g0 = {g: Const(c) for g, c in abp.init.globals_}
-    a0 = dict(abp.init.arrays)
-
-    def through(t):
-        if isinstance(t, GlobalRef):
-            return g0[t.name]
-        if isinstance(t, ArrayRead):
-            return Const(a0[t.array])
-        return t
-
-    lits: list[Lit] = []
-    for l in cube.lits:
-        a = l.atom
-        if isinstance(a, Eq):
-            if isinstance(a.lhs, IndexVar) or isinstance(a.rhs, IndexVar):
-                lits.append(l)  # index equalities survive untouched
-                continue
-            lits.append(Lit(l.neg, Eq(through(a.lhs), through(a.rhs))))
-        else:
-            lits.append(Lit(l.neg, RelAtom(a.rel, tuple(through(x) for x in a.args))))
-    return ground_lits_sat(lits)
+    """Some initial state satisfies the cube: its literals read through the
+    initial state are ground and jointly satisfiable."""
+    globals_map, arrays_map = abp.init.update_maps()
+    return ground_lits_sat([_lit_through(l, globals_map, arrays_map) for l in cube.lits])
 
 
 # ---------------------------------------------------------------------------

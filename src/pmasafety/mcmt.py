@@ -34,13 +34,13 @@ from .logic import (
     lit_subst,
     term_subst,
 )
-from .model import Diagnostic, ModelError
+from .model import Diagnostic, ModelError, NOP
 from .encoder import (
     AbPmas,
     INTERLEAVED,
-    NOP,
     TransitionRule,
     encode_goal,
+    index_sort,
 )
 from .engine import TraceStep
 
@@ -191,7 +191,7 @@ def emit_mcmt(abp: AbPmas, goal: Optional[StateFormula] = None) -> str:
             raise _err(f"state variable {nm!r} clashes with an MCMT keyword")
 
     (tmpl,) = abp.pmas.templates
-    idx_sort = f"{tmpl.name}_id"
+    idx_sort = index_sort(tmpl)
     juniv = IndexVar("$j", idx_sort)
     base_ren: dict[IndexVar, str] = {juniv: "j"}
 

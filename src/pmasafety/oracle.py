@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .encoder import CONCURRENT, INTERLEAVED
 from .model import (
     ActionDecl,
     AgentId,
@@ -26,9 +27,6 @@ from .model import (
     eval_agent_formula,
     initial_snapshot,
 )
-
-INTERLEAVED = "interleaved"
-CONCURRENT = "concurrent"
 
 
 @dataclass(frozen=True)
@@ -350,6 +348,7 @@ def cross_check(
     classify their agreement."""
     from dataclasses import replace
 
+    # imported per call, so that tracers and tests rebinding them after import reach these calls
     from .encoder import encode
     from .engine import DEFAULT_MAX_CUBES, DEFAULT_MAX_DEPTH, SAFE, UNSAFE, breach
 

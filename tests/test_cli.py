@@ -147,6 +147,28 @@ def test_self_in_environment_precondition_is_input_error(tmp_path, capsys, pre, 
     assert "action Cannon.pulseA: self not allowed here" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("Snow(init A)", ":2: Snow takes 2 arguments, got 1"),
+        ("Snow(init, A, B)", ":2: Snow takes 2 arguments, got 3"),
+        ("Snow(foo, bar)", ":2: 'foo' is not a constant of sort Loc"),
+        ("Snow(init, no)", ":2: 'no' is not a constant of sort Loc"),
+    ],
+)
+def test_oracle_rejects_ill_formed_interp_line(cannon_path, tmp_path, capsys, line, message):
+    interp = tmp_path / "snow.interp"
+    interp.write_text(f"Snow(init, A)\n{line}\n")
+    code = main(["oracle", cannon_path, "--counts", "Att=1", "--interp", str(interp)])
+    assert code == 3
+    assert f"{interp}{message}" in capsys.readouterr().err
+
+
+def test_oracle_rejects_template_counted_twice(cannon_path, capsys):
+    assert main(["oracle", cannon_path, "--counts", "Att=5,Att=1"]) == 3
+    assert "--counts names template 'Att' twice" in capsys.readouterr().err
+
+
 def test_oracle_bad_counts(cannon_path, capsys):
     assert main(["oracle", cannon_path, "--counts", "Nope=2"]) == 3
     assert "unknown template" in capsys.readouterr().err
