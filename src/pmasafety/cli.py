@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output path (default: stdout)")
     sp.set_defaults(fn=_cmd_emit_mcmt)
 
-    sp = sub.add_parser("oracle", help="explicit-state enumeration for fixed counts")
+    sp = sub.add_parser("oracle", help="explicit-state enumeration for fixed counts; OVERFLOW "
+                        f"(exit 2) after {ConcreteConfig.max_states} examined successors")
     _add_common(sp)
     sp.add_argument("--counts", help="agent counts, e.g. Att=2 (default 2 each)")
     sp.add_argument("--interp", help="relation interpretation file, one R(c1,...) per line")

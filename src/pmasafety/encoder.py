@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .logic import (
     ArrayRead,
@@ -36,6 +36,7 @@ from .logic import (
     SortDecl,
     StateFormula,
     TRUE,
+    check_lit_types,
     const_cell,
     cube_vars_of_lits,
     dnf,
@@ -325,14 +326,19 @@ def precondition_cube(
 
 
 def differentiate(
-    lits: tuple[Lit, ...], sig: Signature, distinct: Optional[set[IndexVar]] = None
+    lits: tuple[Lit, ...],
+    sig: Signature,
+    distinct: Optional[set[IndexVar]] = None,
+    covered: Optional[Callable[[Cube], bool]] = None,
 ) -> list[Cube]:
     """Split a raw literal conjunction over equality partitions of its index
     variables, honouring explicit index (dis)equalities, and keep the
     EUF-satisfiable branches as differentiated cubes.
 
     Variables in `distinct` are already differentiated (they come from an
-    existing cube) and are never merged with each other."""
+    existing cube) and are never merged with each other.  A branch cube for
+    which `covered` holds is dropped before its EUF check; it is still
+    type-checked."""
     pos: list[tuple[IndexVar, IndexVar]] = []
     neg: list[tuple[IndexVar, IndexVar]] = []
     rest: list[Lit] = []
@@ -378,12 +384,17 @@ def differentiate(
                     break
         if not ok:
             continue
-        sub = dict(cls_of)
-        simplified = simplify_lits(lit_subst(l, sub) for l in rest)
+        reps = set(cls_of.values())
+        if len(reps) < len(cls_of):
+            simplified = simplify_lits(lit_subst(l, cls_of) for l in rest)
+        else:  # every class a singleton: the literals stand as they are
+            simplified = simplify_lits(rest)
         if simplified is None:
             continue
-        cube = make_cube(sorted(set(sub.values())), simplified)
-        if euf_sat_cube(cube, sig):
+        cube = make_cube(sorted(reps), simplified)
+        if covered is not None and covered(cube):
+            check_lit_types(cube.lits, sig)
+        elif euf_sat_cube(cube, sig):
             out.append(cube)
     # deterministic order, dedup
     seen = set()

@@ -181,7 +181,8 @@ def preimage(
     of per-literal items: the guard's and those of the literals the rule
     rewrites come from the rule's `_CompiledRule`, and only the gates, which
     range over the cube's variables, are built per call.  Returns
-    differentiated cubes (already EUF-filtered).  The cube's own index
+    differentiated cubes (already EUF-filtered; `differentiate` drops the
+    covered ones before their EUF check).  The cube's own index
     variables stay pairwise distinct; rule existentials may merge with them or
     with each other, which the equality-partition split enumerates.  Coverage
     does not depend on variable names, so it is checked before `canon_cube`.
@@ -201,9 +202,7 @@ def preimage(
     seen = set()
     distinct = set(cube_ren.values())
     for lits in minimal(conjoin(items, dnf_cap)):
-        for c in differentiate(lits, sig, distinct=distinct):
-            if region.covers(c):
-                continue
+        for c in differentiate(lits, sig, distinct=distinct, covered=region.covers):
             cc = canon_cube(c)
             if cc.key() not in seen:
                 seen.add(cc.key())
@@ -308,41 +307,54 @@ class Region:
     """A set of cubes, indexed for "does some cube here subsume this one?".
 
     A cube can subsume another only if its literal shapes are a subset of the
-    other's (`Cube.shapes`), so each cube is filed under one of its shapes,
-    the one fewest region cubes have had so far, and a query scans only the
-    buckets of its own shapes.  `cubes` holds the cubes in insertion order.
+    other's (`Cube.shapes`).  The region numbers each shape with a bit and
+    files each cube as `(shape mask, #literals, #variables, cube)` under one
+    of its shapes, the one fewest region cubes have had so far; a query scans
+    only the buckets of its own shapes and runs the embedding search
+    (`subsumes`) only on candidates whose mask lies within its own and that
+    are no longer than it.  `cubes` holds the cubes in insertion order.
 
-    For `entailed_by`, `tables` keeps per cube its variable count per sort,
-    its negated index-free literals and its instances' negated literals built
-    so far, each literal interned: equal ones are one object, found by
-    identity.  They are built on the first `tables` call after the cube is
-    added, so a region only `covers` reads never builds them.
+    For `entailed_by`, `tables` files the position of each cube under its
+    group: its variable count per sort and its negated index-free literals.
+    It keeps per cube its instances' negated literals built so far, each
+    literal interned: equal ones are one object, found by identity.  They are
+    built on the first `tables` call after the cube is added, so a region
+    only `covers` reads never builds them.
     """
 
     def __init__(self) -> None:
         self.cubes: list[Cube] = []
-        self.sizes: list[tuple[tuple[str, int], ...]] = []
-        self.refuted_by: list[tuple[Lit, ...]] = []
+        # (sizes, refuted_by) -> positions in `cubes`, ascending
+        self.groups: dict[tuple[tuple[tuple[str, int], ...], tuple[Lit, ...]], list[int]] = {}
         self.instances: list[dict[tuple[IndexVar, ...], list[Lit]]] = []
         self._lits: dict[Lit, Lit] = {}
-        self._buckets: dict = {}  # shape (None: no literals) -> cubes
+        self._buckets: dict = {}  # shape (None: no literals) -> filed cubes
+        self._bit: dict = {}  # shape -> its bit
         self._freq: dict = {}  # shape -> number of region cubes that have it
 
     def tables(self) -> None:
         """Build the entailment tables of the cubes added since the last call."""
-        for cube in self.cubes[len(self.sizes):]:
-            self.sizes.append(tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items()))
+        for cube in self.cubes[len(self.instances):]:
+            sizes = tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items())
             free = cube.check_schedule()[0]  # literals without its variables: in every instance
-            self.refuted_by.append(tuple(self.intern(l.negate()) for l in free))
+            refuted_by = tuple(self.intern(l.negate()) for l in free)
+            self.groups.setdefault((sizes, refuted_by), []).append(len(self.instances))
             self.instances.append({})
+
+    def mask(self, cube: Cube) -> int:
+        """The bits of the cube's shapes that the region has numbered."""
+        bit = self._bit
+        return sum(bit[sh] for sh in cube.shapes() if sh in bit)
 
     def add(self, cube: Cube) -> None:
         self.cubes.append(cube)
-        freq = self._freq
+        freq, bit = self._freq, self._bit
         for sh in cube.shapes():
             freq[sh] = freq.get(sh, 0) + 1
+            bit.setdefault(sh, 1 << len(bit))
         key = min(cube.shapes(), key=freq.__getitem__, default=None)
-        self._buckets.setdefault(key, []).append(cube)
+        filed = (self.mask(cube), len(cube.lits), len(cube.exists), cube)
+        self._buckets.setdefault(key, []).append(filed)
 
     def intern(self, l: Lit) -> Lit:
         """The region's one object equal to `l`."""
@@ -351,9 +363,10 @@ class Region:
     def covers(self, cube: Cube) -> bool:
         """Some cube of the region subsumes `cube`."""
         buckets = self._buckets
+        qmask, nlits, nvars = self.mask(cube), len(cube.lits), len(cube.exists)
         for key in itertools.chain((None,), cube.shapes()):
-            for b in buckets.get(key, ()):
-                if subsumes(b, cube):
+            for m, k, n, b in buckets.get(key, ()):
+                if not m & ~qmask and k <= nlits and n <= nvars and subsumes(b, cube):
                     return True
         return False
 
@@ -435,16 +448,22 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
     # injective instantiations of a region cube's variables by the cube's
     count_of = {
         sz: math.prod(math.perm(len(cvars_by_sort.get(s, ())), k) for s, k in sz)
-        for sz in set(region.sizes)
+        for sz, _ in region.groups
     }
-    if sum(map(count_of.__getitem__, region.sizes)) > clause_cap:
+    if sum(count_of[sz] * len(at) for (sz, _), at in region.groups.items()) > clause_cap:
         return False
     values = _Values(cc)
+    # a group without a total instantiation, or whose every instance some
+    # index-free literal refutes, imposes nothing; the rest go in region order
+    live = sorted(
+        i
+        for (sz, refuted_by), at in region.groups.items()
+        if count_of[sz] and not any(values[d] for d in refuted_by)
+        for i in at
+    )
     open_: dict[tuple[Lit, ...], None] = {}
-    facts = zip(region.cubes, region.sizes, region.refuted_by, region.instances)
-    for b, sz, refuted_by, built in facts:
-        if not count_of[sz] or any(values[d] for d in refuted_by):
-            continue  # no total instantiation, or every instance refuted: imposes nothing
+    for i in live:
+        b, built = region.cubes[i], region.instances[i]
         pools = [cvars_by_sort[v.sort] for v in b.exists]
         for combo in itertools.product(*pools):
             if len(set(combo)) != len(combo):

@@ -177,24 +177,29 @@ def step_vectors(p: Pmas, snap: Snapshot, interp: RelInterpretation, semantics: 
 def enumerate_reachable(p: Pmas, cfg: ConcreteConfig, goal=None) -> OracleResult:
     """BFS from the initial snapshot; stops at the first goal hit.
 
-    `goal` defaults to the model's own goal formula.
+    `goal` defaults to the model's own goal formula.  Ends in OVERFLOW once
+    it has examined more than `cfg.max_states` successors, duplicates
+    included: a step may have exponentially many vectors in the agent count,
+    most of them leading to snapshots already seen.
     """
     goal = goal if goal is not None else p.goal
     start = initial_snapshot(p, cfg.counts_dict()).canonical()
     if eval_agent_formula(p, start, cfg.interp, goal):
         return OracleResult(REACHED, depth=0, run=[], states_seen=1)
     seen = {start}
+    examined = 0
     frontier: list[tuple[Snapshot, list[StepVector]]] = [(start, [])]
     for depth in range(1, cfg.max_depth + 1):
         nxt: list[tuple[Snapshot, list[StepVector]]] = []
         for snap, run in frontier:
             for vec in step_vectors(p, snap, cfg.interp, cfg.semantics):
+                examined += 1
+                if examined > cfg.max_states:
+                    return OracleResult(OVERFLOW, states_seen=len(seen))
                 succ = _apply(p, snap, vec).canonical()
                 if succ in seen:
                     continue
                 seen.add(succ)
-                if len(seen) > cfg.max_states:
-                    return OracleResult(OVERFLOW, states_seen=len(seen))
                 if eval_agent_formula(p, succ, cfg.interp, goal):
                     return OracleResult(REACHED, depth=depth, run=run + [vec], states_seen=len(seen))
                 nxt.append((succ, run + [vec]))

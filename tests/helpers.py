@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own solving machinery:
 satisfiability is decided by exhaustive enumeration over small finite
 universes, and transition rules are executed on fully concrete states.  The
 exceptions are the library's earlier procedures (`reference_canon_cube`,
-`reference_entailed_by`, `reference_preimage`, `unabsorbed_dnf`), kept so that
-the current ones can be compared with them call by call.
+`reference_entailed_by`, `reference_open_clauses`, `reference_preimage`,
+`unabsorbed_dnf`), kept so that the current ones can be compared with them
+call by call.
 """
 
 from __future__ import annotations
@@ -249,6 +250,58 @@ def random_region(seed: int) -> tuple[list[Cube], list[Cube]]:
             region.append(make_cube(_ZS, [lit_subst(l, perm) for l in lits]))
         else:
             region.append(make_cube(_ZS, [_rand_lit(rng) for _ in range(rng.randint(1, 4))]))
+    return region, queries
+
+
+_YS = (IndexVar("y1", "I"), IndexVar("y2", "I"))
+
+
+def random_split_input(seed: int) -> tuple[tuple[Lit, ...], set[IndexVar], list[Cube]]:
+    """A raw literal conjunction over CUBE_SIG for `differentiate`, over z1..z3
+    and y1, y2 (as a rule's existentials) with some index (dis)equalities, a
+    random `distinct` subset of the z's, and a region.  Most region cubes keep
+    all but at most two literals of one differentiated branch, so that they
+    cover it and perhaps others; the rest are random."""
+    rng = random.Random(seed)
+    vs = _ZS + _YS
+    lits = [_rand_lit(rng, vs) for _ in range(rng.randint(1, 5))]
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(vs, 2)
+        lits.append(Lit(rng.random() < 0.5, Eq(a, b)))
+    distinct = set(rng.sample(_ZS, rng.randint(0, 3)))
+    branches = differentiate(tuple(lits), CUBE_SIG, distinct=distinct)
+    region = []
+    for _ in range(rng.randint(0, 3)):
+        if branches and rng.random() < 0.6:
+            c = rng.choice(branches)
+            k = rng.randint(max(0, len(c.lits) - 2), len(c.lits))
+            region.append(make_cube(c.exists, rng.sample(c.lits, k)))
+        else:
+            region.append(make_cube(_ZS, [_rand_lit(rng) for _ in range(rng.randint(1, 3))]))
+    return tuple(lits), distinct, region
+
+
+def random_grouped_region(seed: int) -> tuple[list[Cube], list[Cube]]:
+    """Region cubes over CUBE_SIG over 0 to 2 variables, whose index-free
+    literals come from a pool of three, so that many share them, and queries
+    over z1, z2 that take some of the pool too."""
+    rng = random.Random(seed)
+    pool = [_rand_lit(rng, ()) for _ in range(3)]
+    region = []
+    for _ in range(rng.randint(1, 12)):
+        ws = _WS[: rng.randint(0, 2)]
+        while True:  # until every variable is used
+            own = [_rand_lit(rng, ws) for _ in range(rng.randint(1, 2))]
+            rc = make_cube(ws, rng.sample(pool, rng.randint(0, 2)) + own)
+            if len(rc.exists) == len(ws):
+                break
+        region.append(rc)
+    zs = _ZS[:2]
+    queries = [
+        make_cube(zs, rng.sample(pool, rng.randint(0, 2))
+                  + [_rand_lit(rng, zs) for _ in range(rng.randint(1, 3))])
+        for _ in range(3)
+    ]
     return region, queries
 
 
@@ -706,6 +759,50 @@ def reference_entailed_by(cube: Cube, region: Iterable[Cube], clause_cap: int = 
             sub = dict(zip(b.exists, combo))
             clauses.append([lit_subst(l, sub).negate() for l in b.lits])
     return not _reference_clauses_sat(cc, clauses)
+
+
+def reference_open_clauses(
+    cube: Cube, region: Sequence[Cube], clause_cap: int = 2000
+) -> Optional[list[tuple[Lit, ...]]]:
+    """The open clauses `engine.entailed_by` hands its search, found by one
+    scan over the region cubes in order: a cube with no total instantiation
+    or with a refuted index-free literal is skipped, each instance clause
+    stops at its first true literal, and the rest, deduplicated, are listed
+    in order.  None when no search is needed: the cube is inconsistent, the
+    instances pass `clause_cap`, or some instance clause is all false."""
+    cc = CongruenceClosure()
+    if not cc.assert_lits(cube.lits):
+        return None
+    cvars_by_sort = cube.vars_by_sort()
+    counts = [
+        math.prod(
+            math.perm(len(cvars_by_sort.get(s, ())), len(vs)) for s, vs in b.vars_by_sort().items()
+        )
+        for b in region
+    ]
+    if sum(counts) > clause_cap:
+        return None
+    open_: dict[tuple[Lit, ...], None] = {}
+    for b, count in zip(region, counts):
+        if not count or any(cc.value(l) is False for l in b.lits if not cube_vars_of_lits((l,))):
+            continue
+        for combo in itertools.product(*(cvars_by_sort[v.sort] for v in b.exists)):
+            if len(set(combo)) != len(combo):
+                continue
+            sub = dict(zip(b.exists, combo))
+            undecided = []
+            for l in b.lits:
+                d = lit_subst(l, sub).negate()
+                v = cc.value(d)
+                if v:
+                    break
+                if v is None:
+                    undecided.append(d)
+            else:
+                if not undecided:
+                    return None
+                open_[tuple(undecided)] = None
+    return list(open_)
 
 
 # ---------------------------------------------------------------------------

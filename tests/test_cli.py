@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,15 @@ def test_oracle_rejects_ill_formed_interp_line(cannon_path, tmp_path, capsys, li
 def test_oracle_rejects_template_counted_twice(cannon_path, capsys):
     assert main(["oracle", cannon_path, "--counts", "Att=5,Att=1"]) == 3
     assert "--counts names template 'Att' twice" in capsys.readouterr().err
+
+
+def test_oracle_overflows_on_many_agents(cannon_path, capsys):
+    # 20 agents give about 2**20 step vectors per snapshot, most leading to
+    # snapshots already seen: the budget counts every examined successor
+    t0 = time.monotonic()
+    assert main(["oracle", cannon_path, "--counts", "Att=20", "--max-depth", "3"]) == 2
+    assert time.monotonic() - t0 < 30
+    assert _kv_lines(capsys.readouterr().out)["status"] == "OVERFLOW"
 
 
 def test_oracle_bad_counts(cannon_path, capsys):

@@ -20,18 +20,21 @@ from helpers import (
     brute_entailed,
     random_clause_problem,
     random_entailment,
+    random_grouped_region,
     random_region,
     random_rule_and_cube,
+    random_split_input,
     random_state_formula,
     reference_canon_cube,
     reference_entailed_by,
+    reference_open_clauses,
     reference_preimage,
     region_of,
 )
 from pmasafety import engine
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_formula, parse_pmas
-from pmasafety.encoder import TransitionRule, encode, encode_goal
+from pmasafety.encoder import TransitionRule, differentiate, encode, encode_goal
 from pmasafety.engine import (
     SAFE,
     UNKNOWN,
@@ -59,6 +62,7 @@ from pmasafety.logic import (
     Lit,
     RelAtom,
     StateFormula,
+    TypingError,
     lit_eq,
     lit_subst,
     make_cube,
@@ -315,6 +319,37 @@ class TestEntailedByReference:
             assert got == reference_entailed_by(cube, cubes), cube
 
 
+class TestEntailedByGroup:
+    """`Region.tables` files the cubes in groups that share their variable
+    counts and index-free literals, and `entailed_by` dismisses a group at
+    once; the rest must still be visited in region order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from([None, 0, 1]))
+    def test_grown_region_agrees_with_an_ungrouped_scan(self, seed, slack):
+        # slack 0: the instance count equals the cap; 1: it is one above it
+        cubes, queries = random_grouped_region(seed)
+        searched: list[list[tuple[Lit, ...]]] = []
+
+        def spy(cc, todo, *args):
+            searched.append([tuple(cl) for cl in todo])
+            return _clauses_sat(cc, todo, *args)
+
+        region = Region()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(engine, "_clauses_sat", spy)
+            for k, c in enumerate(cubes, start=1):
+                region.add(c)
+                for q in queries:
+                    total = sum(math.perm(len(q.exists), len(b.exists)) for b in cubes[:k])
+                    cap = 2000 if slack is None else total - slack
+                    searched.clear()
+                    got = entailed_by(q, region, cap)
+                    assert got == reference_entailed_by(q, cubes[:k], cap)
+                    want = reference_open_clauses(q, cubes[:k], cap)
+                    assert searched == ([] if want is None else [want])
+
+
 class TestClausesSat:
     def test_deep_search_is_iterative_and_fast(self):
         # one decision per clause: a recursive search would pass Python's
@@ -520,6 +555,28 @@ class TestPreimageRegion:
         assert spied_run.canon_covered and not any(spied_run.canon_covered)
 
 
+class TestCoverageInDifferentiate:
+    """`preimage` hands `differentiate` the coverage test, which drops a
+    covered branch before its EUF check."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_same_cubes_as_filtering_afterwards(self, seed):
+        lits, distinct, cubes = random_split_input(seed)
+        region = region_of(cubes)
+        full = differentiate(lits, CUBE_SIG, distinct=distinct)
+        got = differentiate(lits, CUBE_SIG, distinct=distinct, covered=region.covers)
+        assert got == [c for c in full if not region.covers(c)]
+
+    def test_covered_ill_typed_cube_still_raises(self):
+        z = IndexVar("z1", "I")
+        lits = (lit_eq(ArrayRead("f", z), Const("u")),)  # f holds S1, u is of S2
+        everything = region_of([make_cube([], [])])
+        assert everything.covers(make_cube([z], lits))
+        with pytest.raises(TypingError):
+            differentiate(lits, CUBE_SIG, covered=everything.covers)
+
+
 class TestCompiledPreimage:
     """`preimage` builds each rule's part once and conjoins ready-made DNF
     items; `reference_preimage` normalises one formula per call."""
@@ -643,3 +700,20 @@ def test_two_robot_template_needs_three_agents(two_robot):
     assert v.status == UNSAFE
     cfg3 = ConcreteConfig((("Att", 3),), RelInterpretation(), "interleaved")
     assert replay_run_template(p2, v.run_template, cfg3).status == VALID
+
+
+@pytest.mark.slow
+def test_two_robot_concurrent_verdict():
+    """The two-at-target variant under concurrent semantics, about half a
+    minute of checking: its template replays with 2 and 3 agents, not 1."""
+    from pmasafety.model import RelInterpretation
+    from pmasafety.oracle import ConcreteConfig, INVALID, VALID, replay_run_template
+
+    p = parse_pmas(fixture_text("cannon"), "cannon")
+    p2 = replace(p, goal=parse_formula("loc[j1] = target and loc[j2] = target and j1 != j2"))
+    v = breach(encode(p2, "concurrent"))
+    assert (v.status, v.depth, v.total_cubes) == (UNSAFE, 14, 6887)
+    assert v.run_template == [frozenset({a}) for a in ("pulseA", "gotoB", "pulseA", "goTargetB")]
+    for att, want in ((1, INVALID), (2, VALID), (3, VALID)):
+        cfg = ConcreteConfig((("Att", att),), RelInterpretation(), "concurrent")
+        assert replay_run_template(p2, v.run_template, cfg).status == want, att
