@@ -186,21 +186,23 @@ def preimage(
     variables stay pairwise distinct; rule existentials may merge with them or
     with each other, which the equality-partition split enumerates.  Coverage
     does not depend on variable names, so it is checked before `canon_cube`.
+
+    The cube's literals go in as they are, so no variable of `cube` may be
+    named `$r<k>`, the names of the rule's existentials.  The cubes `breach`
+    passes are canonical (`$c<sort>_<k>`), and so are those returned.
     """
     rc = _compiled(rule)
-    # rename apart; every output is canonicalised, so names by position suffice
-    cube_ren = {v: IndexVar(f"$z{k}", v.sort) for k, v in enumerate(cube.exists)}
-    items = rc.guard_items + [rc.item_after(lit_subst(l, cube_ren), dnf_cap) for l in cube.lits]
+    items = rc.guard_items + [rc.item_after(l, dnf_cap) for l in cube.lits]
     if rule.gates:
         cands: dict[str, list[IndexVar]] = {}
-        for v in itertools.chain(rc.exists, cube_ren.values()):
+        for v in itertools.chain(rc.exists, cube.exists):
             cands.setdefault(v.sort, []).append(v)
         for gate in rule.gates:
             items += _gate_items(gate, cands, dnf_cap)
 
     out: list[Cube] = []
     seen = set()
-    distinct = set(cube_ren.values())
+    distinct = set(cube.exists)
     for lits in minimal(conjoin(items, dnf_cap)):
         for c in differentiate(lits, sig, distinct=distinct, covered=region.covers):
             cc = canon_cube(c)
@@ -210,61 +212,43 @@ def preimage(
     return out
 
 
-def _render(l: Lit, names: dict[IndexVar, str]) -> str:
-    """`repr(l)`, with `names[v]` for the name of each variable `v` in `names`."""
-
-    def term(t) -> str:
-        if isinstance(t, IndexVar):
-            return f"{names.get(t, t.name)}:{t.sort}"
-        if isinstance(t, ArrayRead):
-            return f"{t.array}[{names.get(t.index, t.index.name)}]"
-        return repr(t)
-
-    a = l.atom
-    if isinstance(a, Eq):
-        return ("!" if l.neg else "") + f"{term(a.lhs)}={term(a.rhs)}"
-    return ("!" if l.neg else "") + f"{a.rel}({', '.join(map(term, a.args))})"
-
-
 def canon_cube(cube: Cube) -> Cube:
     """Deterministic variable renaming: of every per-sort renaming of the
     existential variables to `$c<sort>_<k>`, the one whose cube renders
     (`repr`) lexicographically smallest, the first one on a tie.
 
-    Each literal is rendered once, straight from its terms, into a
-    `str.format` template with a field for each variable (a variable named by
-    its NUL-delimited number, split out of the rendering), so a candidate
-    renaming only fills in names, sorts and compares strings.  Only the
-    winner is built as a cube."""
+    A candidate renaming only fills the names into the literals' templates
+    (`Cube.templates`), sorts and compares strings.  Only the winner is built
+    as a cube."""
     by_sort = sorted(cube.vars_by_sort().items())
-    slots = [v for _, vs in by_sort for v in vs]
-    marks = {v: f"\0{k}\0" for k, v in enumerate(slots)}
-    lits = list(dict.fromkeys(cube.lits))
-    templates: list[str] = []
-    used: set[int] = set()  # slots some literal mentions
-    for l in lits:
-        parts = _render(l, marks).replace("{", "{{").replace("}", "}}").split("\0")
-        used.update(int(k) for k in parts[1::2])
-        templates.append("".join(t if n % 2 == 0 else f"{{{t}}}" for n, t in enumerate(parts)))
+    pos = {v: k for k, v in enumerate(cube.exists)}
+    slots = [pos[v] for _, vs in by_sort for v in vs]  # exists positions, by sort
+    template_of = dict(zip(cube.lits, cube.templates()))  # once per literal
+    lits, templates = list(template_of), list(template_of.values())
+    # a variable no literal uses is dropped
+    used = [pos[v] for v in cube_vars_of_lits(lits) if v in pos]
+    sorts = [v.sort for v in cube.exists]
     renamings = [
-        itertools.permutations([IndexVar(f"$c{s}_{k}", s) for k in range(len(vs))])
-        for s, vs in by_sort
+        itertools.permutations([f"$c{s}_{k}" for k in range(len(vs))]) for s, vs in by_sort
     ]
+    names = [""] * len(slots)
     best_key, best = None, None
     for combo in itertools.product(*renamings):
-        named = [w for ws in combo for w in ws]
-        names = [w.name for w in named]
-        # (rendering, literal) in `make_cube` order; a variable no literal uses is dropped
+        for k, name in zip(slots, itertools.chain.from_iterable(combo)):
+            names[k] = name
+        # (rendering, literal) in `make_cube` order
         rendered = sorted(zip([t.format(*names) for t in templates], range(len(lits))))
-        ex = sorted(named[k] for k in used)
-        key = (f"E {', '.join(map(repr, ex))}. " if ex else "") + (
+        ex = sorted((names[k], sorts[k]) for k in used)
+        key = (f"E {', '.join(f'{n}:{s}' for n, s in ex)}. " if ex else "") + (
             " & ".join(r for r, _ in rendered) or "true"
         )
         if best_key is None or key < best_key:
-            best_key, best = key, (named, ex, rendered)
+            best_key, best = key, (list(names), ex, rendered)
     named, ex, rendered = best
-    sub = dict(zip(slots, named))
-    return Cube(tuple(ex), tuple(lit_subst(lits[i], sub) for _, i in rendered))
+    sub = {v: IndexVar(n, v.sort) for v, n in zip(cube.exists, named)}
+    return Cube(
+        tuple(IndexVar(n, s) for n, s in ex), tuple(lit_subst(lits[i], sub) for _, i in rendered)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +256,11 @@ def canon_cube(cube: Cube) -> Cube:
 
 
 def subsumes(a: Cube, b: Cube) -> bool:
-    """Syntactic embedding: b implies a via some injective variable mapping."""
+    """Syntactic embedding: b implies a via some injective variable mapping.
+
+    A candidate mapping is tested by filling the names it gives `a`'s
+    variables into `a`'s literal templates (`Cube.check_schedule`) and
+    looking the renderings up among `b`'s (`Cube.key`); no literal is built."""
     if len(a.lits) > len(b.lits) or len(a.exists) > len(b.exists):
         return False
     if not a.shapes() <= b.shapes():
@@ -281,26 +269,27 @@ def subsumes(a: Cube, b: Cube) -> bool:
     bs_by_sort = b.vars_by_sort()
     avars = a.exists
     check_at = a.check_schedule()
+    names: list[str] = []  # of the images of avars[:len(names)]
+    used: set[IndexVar] = set()
 
-    def assign(i: int, sub: dict[IndexVar, IndexVar], used: set[IndexVar]) -> bool:
-        for l in check_at[i]:
-            if lit_subst(l, sub) not in b_lits:
+    def assign(i: int) -> bool:
+        for t in check_at[i]:
+            if t.format(*names) not in b_lits:
                 return False
         if i == len(avars):
             return True
-        v = avars[i]
-        for w in bs_by_sort.get(v.sort, []):
+        for w in bs_by_sort.get(avars[i].sort, []):
             if w in used:
                 continue
-            sub[v] = w
+            names.append(w.name)
             used.add(w)
-            if assign(i + 1, sub, used):
+            if assign(i + 1):
                 return True
             used.discard(w)
-            del sub[v]
+            names.pop()
         return False
 
-    return assign(0, {}, set())
+    return assign(0)
 
 
 class Region:
@@ -315,7 +304,8 @@ class Region:
     are no longer than it.  `cubes` holds the cubes in insertion order.
 
     For `entailed_by`, `tables` files the position of each cube under its
-    group: its variable count per sort and its negated index-free literals.
+    group: its variable count per sort and its negated index-free literals;
+    `counts` keeps how many instances each group has per queried cube size.
     It keeps per cube its instances' negated literals built so far, each
     literal interned: equal ones are one object, found by identity.  They are
     built on the first `tables` call after the cube is added, so a region
@@ -328,6 +318,7 @@ class Region:
         self.groups: dict[tuple[tuple[tuple[str, int], ...], tuple[Lit, ...]], list[int]] = {}
         self.instances: list[dict[tuple[IndexVar, ...], list[Lit]]] = []
         self._lits: dict[Lit, Lit] = {}
+        self._counts: dict[tuple[tuple[str, int], ...], list[int]] = {}  # see `counts`
         self._buckets: dict = {}  # shape (None: no literals) -> filed cubes
         self._bit: dict = {}  # shape -> its bit
         self._freq: dict = {}  # shape -> number of region cubes that have it
@@ -336,10 +327,22 @@ class Region:
         """Build the entailment tables of the cubes added since the last call."""
         for cube in self.cubes[len(self.instances):]:
             sizes = tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items())
-            free = cube.check_schedule()[0]  # literals without its variables: in every instance
+            # literals without its variables: in every instance
+            free = [l for l in cube.lits if cube_vars_of_lits((l,)).isdisjoint(cube.exists)]
             refuted_by = tuple(self.intern(l.negate()) for l in free)
             self.groups.setdefault((sizes, refuted_by), []).append(len(self.instances))
             self.instances.append({})
+
+    def counts(self, cube: Cube) -> list[int]:
+        """Per group, in `groups` order: the number of injective
+        instantiations of its cubes' variables by `cube`'s.  It depends on
+        nothing but the group's sizes and `cube`'s variable count per sort,
+        so the list is kept per variable count and extended as groups come."""
+        have = {s: len(vs) for s, vs in cube.vars_by_sort().items()}
+        out = self._counts.setdefault(tuple(sorted(have.items())), [])
+        for sizes, _ in itertools.islice(self.groups, len(out), None):
+            out.append(math.prod(math.perm(have.get(s, 0), k) for s, k in sizes))
+        return out
 
     def mask(self, cube: Cube) -> int:
         """The bits of the cube's shapes that the region has numbered."""
@@ -445,20 +448,16 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
         return True
     region.tables()
     cvars_by_sort = cube.vars_by_sort()
-    # injective instantiations of a region cube's variables by the cube's
-    count_of = {
-        sz: math.prod(math.perm(len(cvars_by_sort.get(s, ())), k) for s, k in sz)
-        for sz, _ in region.groups
-    }
-    if sum(count_of[sz] * len(at) for (sz, _), at in region.groups.items()) > clause_cap:
+    counts = region.counts(cube)
+    if sum(n * len(at) for n, at in zip(counts, region.groups.values())) > clause_cap:
         return False
     values = _Values(cc)
     # a group without a total instantiation, or whose every instance some
     # index-free literal refutes, imposes nothing; the rest go in region order
     live = sorted(
         i
-        for (sz, refuted_by), at in region.groups.items()
-        if count_of[sz] and not any(values[d] for d in refuted_by)
+        for n, ((_, refuted_by), at) in zip(counts, region.groups.items())
+        if n and not any(values[d] for d in refuted_by)
         for i in at
     )
     open_: dict[tuple[Lit, ...], None] = {}

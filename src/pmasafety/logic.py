@@ -18,6 +18,7 @@ over the open ones alone.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView, Optional, Sequence, Union
 
@@ -131,7 +132,8 @@ class _Hashed:
     hash once, in `__init__`, into a slot that `__hash__` only reads.  Every
     subclass names `__hash__` again, since `dataclass` would otherwise put a
     hash over the fields in its place.  A pickle rebuilds the instance from
-    its fields, because str hashes differ from one process to the next."""
+    its fields, because str hashes differ from one process to the next; a
+    memo slot beside the fields is left to be filled again."""
 
     __slots__ = ("_hash",)
 
@@ -139,7 +141,7 @@ class _Hashed:
         return self._hash
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
+        return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
 
 
 _set = object.__setattr__  # how `__init__` fills the slots of a frozen instance
@@ -290,7 +292,20 @@ Atom = Union[Eq, RelAtom]
 
 @dataclass(frozen=True)
 class Lit(_Hashed):
-    __slots__ = ("neg", "atom")
+    """A possibly negated atom.  Its rendering (`repr`) and its shape
+    (`_lit_shape`) are computed the first time they are read and kept in
+    slots, since cube keys, literal order and subsumption read them again
+    and again.  Both strings are interned: the equal literals of many cubes
+    then share one string each.
+
+    The rendering is injective on well-sorted literals, which is what lets
+    `Cube.key` and `engine.subsumes` compare renderings in place of
+    literals: a name is never both a global and a constant (model
+    validation), and the one thing the rendering drops, the sort of an array
+    read's index, is the array's index sort (`differentiate` type-checks
+    every cube it builds)."""
+
+    __slots__ = ("neg", "atom", "_repr", "_shape")
     neg: bool
     atom: Atom
 
@@ -305,7 +320,12 @@ class Lit(_Hashed):
         return Lit(not self.neg, self.atom)
 
     def __repr__(self) -> str:
-        return ("!" if self.neg else "") + repr(self.atom)
+        try:
+            return self._repr
+        except AttributeError:
+            r = sys.intern(("!" if self.neg else "") + repr(self.atom))
+            _set(self, "_repr", r)
+            return r
 
 
 def lit_eq(lhs: Term, rhs: Term, neg: bool = False) -> Lit:
@@ -695,10 +715,6 @@ class LambdaUpdate:
 # cubes and state formulae
 
 
-def _lit_key(l: Lit) -> str:
-    return repr(l)
-
-
 def _shape_term(x: Term) -> tuple[str, str]:
     if isinstance(x, IndexVar):
         return ("V", x.sort)
@@ -712,11 +728,40 @@ def _lit_shape(l: Lit) -> str:
     the array name).  A necessary condition for an injective embedding of one
     cube into another is that the first one's shapes are a subset of the
     second one's.  Rendered as a string, whose hash Python keeps, since
-    subset checks hash every shape again."""
+    subset checks hash every shape again; kept on the literal."""
+    try:
+        return l._shape
+    except AttributeError:
+        pass
     a = l.atom
     if isinstance(a, Eq):
-        return repr((l.neg, "=", _shape_term(a.lhs), _shape_term(a.rhs)))
-    return repr((l.neg, a.rel, tuple(_shape_term(x) for x in a.args)))
+        shape = repr((l.neg, "=", _shape_term(a.lhs), _shape_term(a.rhs)))
+    else:
+        shape = repr((l.neg, a.rel, tuple(_shape_term(x) for x in a.args)))
+    shape = sys.intern(shape)
+    _set(l, "_shape", shape)
+    return shape
+
+
+def _escaped(s: str) -> str:
+    return s.replace("{", "{{").replace("}", "}}")
+
+
+def _template(l: Lit, fields: dict[IndexVar, str]) -> str:
+    """`repr(l)` as a `str.format` template: the field `fields[v]` stands for
+    the name of each variable `v` in `fields`."""
+
+    def term(t: Term) -> str:
+        if isinstance(t, IndexVar):
+            return fields.get(t, _escaped(t.name)) + ":" + _escaped(t.sort)
+        if isinstance(t, ArrayRead):
+            return f"{_escaped(t.array)}[{fields.get(t.index, _escaped(t.index.name))}]"
+        return _escaped(repr(t))
+
+    a = l.atom
+    if isinstance(a, Eq):
+        return ("!" if l.neg else "") + f"{term(a.lhs)}={term(a.rhs)}"
+    return ("!" if l.neg else "") + f"{_escaped(a.rel)}({', '.join(map(term, a.args))})"
 
 
 def const_cell(l: Lit) -> Optional[tuple[Union[GlobalRef, str], Const]]:
@@ -769,7 +814,9 @@ class Cube:
 
     @memoized
     def key(self) -> tuple:
-        return (self.exists, frozenset(self.lits))
+        """`exists` and the set of the literals' renderings, which stand for
+        the literals themselves (`Lit`: the rendering is injective)."""
+        return (self.exists, frozenset(map(repr, self.lits)))
 
     @memoized
     def vars_by_sort(self) -> dict[str, list[IndexVar]]:
@@ -779,15 +826,25 @@ class Cube:
             out.setdefault(v.sort, []).append(v)
         return out
 
+    def templates(self) -> list[str]:
+        """Each literal's rendering as a `str.format` template with field k
+        for the name of `exists[k]`, in literal order: filled in with the
+        names of another cube's variables, a template renders the literal
+        renamed, without building it."""
+        fields = {v: f"{{{k}}}" for k, v in enumerate(self.exists)}
+        return [_template(l, fields) if cube_vars_of_lits((l,)) else _escaped(repr(l))
+                for l in self.lits]
+
     @memoized
-    def check_schedule(self) -> list[list[Lit]]:
-        """Entry i: the literals whose variables all lie among the first i
-        of `exists`, and not all among fewer (memoized).  A search that
-        assigns the variables in order can check these once it has i."""
-        out: list[list[Lit]] = [[] for _ in range(len(self.exists) + 1)]
-        for l in self.lits:
-            vs = cube_vars_of_lits((l,))
-            out[max((i + 1 for i, v in enumerate(self.exists) if v in vs), default=0)].append(l)
+    def check_schedule(self) -> list[list[str]]:
+        """Entry i: the `templates` of the literals whose variables all lie
+        among the first i of `exists`, and not all among fewer (memoized).  A
+        search that assigns the variables in order can check these once it
+        has i."""
+        out: list[list[str]] = [[] for _ in range(len(self.exists) + 1)]
+        pos = {v: k + 1 for k, v in enumerate(self.exists)}
+        for l, t in zip(self.lits, self.templates()):
+            out[max((pos[v] for v in cube_vars_of_lits((l,)) if v in pos), default=0)].append(t)
         return out
 
     @memoized
@@ -814,7 +871,7 @@ class Cube:
 
 def make_cube(exists: Iterable[IndexVar], lits: Iterable[Lit]) -> Cube:
     """Normalise: dedup literals, sort deterministically, keep only used vars."""
-    lits2 = tuple(sorted(dict.fromkeys(lits), key=_lit_key))
+    lits2 = tuple(sorted(dict.fromkeys(lits), key=repr))
     used = cube_vars_of_lits(lits2)
     ex = tuple(v for v in dict.fromkeys(exists) if v in used)
     return Cube(ex, lits2)

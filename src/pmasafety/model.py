@@ -149,12 +149,6 @@ class AgentTemplate:
                 return sort
         raise ModelError(f"template {self.name} has no variable {v}")
 
-    def var_init(self, v: str) -> str:
-        for name, sort, init in self.variables:
-            if name == v:
-                return init
-        raise ModelError(f"template {self.name} has no variable {v}")
-
     def var_names(self) -> tuple[str, ...]:
         return tuple(name for name, _s, _i in self.variables)
 
@@ -505,17 +499,6 @@ class Snapshot:
     def canonical(self) -> "Snapshot":
         return Snapshot(
             tuple((name, tuple(sorted(states))) for name, states in self.agents),
-            self.env,
-            self.turn,
-        )
-
-    def with_agent(self, aid: AgentId, state: tuple[str, ...]) -> "Snapshot":
-        t, i = aid
-        return Snapshot(
-            tuple(
-                (name, tuple(state if (name == t and k == i) else s for k, s in enumerate(states)))
-                for name, states in self.agents
-            ),
             self.env,
             self.turn,
         )

@@ -5,8 +5,8 @@ satisfiability is decided by exhaustive enumeration over small finite
 universes, and transition rules are executed on fully concrete states.  The
 exceptions are the library's earlier procedures (`reference_canon_cube`,
 `reference_entailed_by`, `reference_open_clauses`, `reference_preimage`,
-`unabsorbed_dnf`), kept so that the current ones can be compared with them
-call by call.
+`reference_subsumes`, `unabsorbed_dnf`), kept so that the current ones can be
+compared with them call by call.
 """
 
 from __future__ import annotations
@@ -666,6 +666,53 @@ def reference_preimage(
                 seen.add(cc.key())
                 out.append(cc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference subsumption
+
+
+def _lit_check_schedule(cube: Cube) -> list[list[Lit]]:
+    """`Cube.check_schedule` with the literals in place of their templates."""
+    out: list[list[Lit]] = [[] for _ in range(len(cube.exists) + 1)]
+    for l in cube.lits:
+        vs = cube_vars_of_lits((l,))
+        out[max((i + 1 for i, v in enumerate(cube.exists) if v in vs), default=0)].append(l)
+    return out
+
+
+def reference_subsumes(a: Cube, b: Cube) -> bool:
+    """`engine.subsumes` as it was before it compared renderings: every
+    candidate mapping builds the substituted literals and looks them up among
+    `b`'s literals."""
+    if len(a.lits) > len(b.lits) or len(a.exists) > len(b.exists):
+        return False
+    if not a.shapes() <= b.shapes():
+        return False
+    b_lits = frozenset(b.lits)
+    bs_by_sort = b.vars_by_sort()
+    avars = a.exists
+    check_at = _lit_check_schedule(a)
+
+    def assign(i: int, sub: dict[IndexVar, IndexVar], used: set[IndexVar]) -> bool:
+        for l in check_at[i]:
+            if lit_subst(l, sub) not in b_lits:
+                return False
+        if i == len(avars):
+            return True
+        v = avars[i]
+        for w in bs_by_sort.get(v.sort, []):
+            if w in used:
+                continue
+            sub[v] = w
+            used.add(w)
+            if assign(i + 1, sub, used):
+                return True
+            used.discard(w)
+            del sub[v]
+        return False
+
+    return assign(0, {}, set())
 
 
 # ---------------------------------------------------------------------------

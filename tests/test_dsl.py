@@ -35,7 +35,7 @@ def test_cannon_structure():
         "gotoA", "gotoB", "goTargetA", "goTargetB", "blastA", "blastB",
     }
     assert att.var_sort("loc") == "Loc"
-    assert att.var_init("destroyed") == "no"
+    assert {v: init for v, _sort, init in att.variables}["destroyed"] == "no"
     assert p.alternation == (("Cannon",), ("Att",))
     assert [r.name for r in p.relations] == ["Snow"]
 

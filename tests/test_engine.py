@@ -29,6 +29,7 @@ from helpers import (
     reference_entailed_by,
     reference_open_clauses,
     reference_preimage,
+    reference_subsumes,
     region_of,
 )
 from pmasafety import engine
@@ -119,6 +120,29 @@ def canon_inputs(draw) -> Cube:
     return make_cube(vs, lits)
 
 
+# names for the variables of a cube that holds another's literals renamed;
+# each name is used in both sorts
+_SUBSUMER_NAMES = ["x", "y", "j", "k"]
+
+
+@st.composite
+def subsumption_pairs(draw) -> tuple[Cube, Cube]:
+    """Two `canon_inputs` cubes.  Often the second also holds some of the
+    first's literals, under a renaming of its variables to names that both
+    sorts use, so that both answers of `subsumes` occur.  The renaming may
+    merge variables, which no embedding may do."""
+    a, b = draw(canon_inputs()), draw(canon_inputs())
+    if draw(st.booleans()):
+        ren = {}
+        for sort, vs in a.vars_by_sort().items():
+            names = draw(st.lists(st.sampled_from(_SUBSUMER_NAMES), min_size=len(vs),
+                                  max_size=len(vs), unique=draw(st.booleans())))
+            ren.update((v, IndexVar(n, sort)) for v, n in zip(vs, names))
+        shared = [lit_subst(l, ren) for l in a.lits if draw(st.integers(0, 5))]
+        b = make_cube([*ren.values(), *b.exists], shared + list(b.lits))
+    return a, b
+
+
 class TestCanonCube:
     @settings(max_examples=400, deadline=None)
     @given(canon_inputs(), st.randoms(use_true_random=False))
@@ -172,6 +196,21 @@ class TestSubsumes:
         a = canon_cube(_loc_cube(["j"], "A"))
         b = canon_cube(_loc_cube(["j"], "B"))
         assert not subsumes(a, b)
+
+    def test_no_two_variables_share_an_image(self):
+        # two robots at the target do not embed into one at the target and one elsewhere
+        j1, j2 = IndexVar("j1", "Att_id"), IndexVar("j2", "Att_id")
+        one_there = make_cube([j1, j2], [lit_eq(ArrayRead("loc", j1), Const("target")),
+                                         lit_eq(ArrayRead("loc", j2), Const("A"))])
+        both_there = canon_cube(_loc_cube(["j1", "j2"]))
+        assert not subsumes(both_there, one_there)
+        assert not reference_subsumes(both_there, one_there)
+
+    @settings(max_examples=400, deadline=None)
+    @given(subsumption_pairs())
+    def test_matches_reference(self, pair):
+        a, b = pair
+        assert subsumes(a, b) == reference_subsumes(a, b)
 
 
 class TestRegion:
@@ -485,16 +524,20 @@ def _breach_with_spies(monkeypatch, abp):
 
 
 def _spied_breach(abp) -> SimpleNamespace:
-    """Run `breach`, recording for every `preimage` call whether it returned
-    the unpruned preimage less the cubes its region covers and whether the
-    unpruned preimage is `reference_preimage`'s, for every `canon_cube` call
+    """Run `breach`, recording for every `preimage` call whether its cube is
+    canonical, whether it returned the unpruned preimage less the cubes its
+    region covers and whether the unpruned preimage is
+    `reference_preimage`'s, for every `canon_cube` call
     whether the region of the preimage it runs in covers its cube, and every
     `entailed_by` call as (cube, region cubes, answer)."""
-    rec = SimpleNamespace(pruned_exactly=[], as_reference=[], canon_covered=[], entailed=[])
+    rec = SimpleNamespace(
+        pruned_exactly=[], as_reference=[], canon_covered=[], entailed=[], canonical_input=[]
+    )
     pre, canon, ent = engine.preimage, engine.canon_cube, engine.entailed_by
     current = [Region()]  # the region of the preimage call in progress
 
     def pre_spy(rule, cube, sig, region, *args):
+        rec.canonical_input.append(canon(cube) == cube)
         full = pre(rule, cube, sig, Region(), *args)
         rec.as_reference.append(full == reference_preimage(rule, cube, sig, Region(), *args))
         current[0] = region
@@ -553,6 +596,10 @@ class TestPreimageRegion:
 
     def test_canon_cube_never_gets_a_covered_cube(self, spied_run):
         assert spied_run.canon_covered and not any(spied_run.canon_covered)
+
+    def test_breach_hands_preimage_canonical_cubes(self, spied_run):
+        # `preimage` takes the cube's names as they are: none may be a rule's `$r<k>`
+        assert spied_run.canonical_input and all(spied_run.canonical_input)
 
 
 class TestCoverageInDifferentiate:

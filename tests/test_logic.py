@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -13,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     CUBE_SIG,
+    _ZS,
+    _rand_lit,
     brute_sat_cube,
     random_clause_problem,
     random_ground_cube,
@@ -328,6 +331,7 @@ class TestHashContract:
         pickled under one hash seed must be found in a set under another."""
         build = (
             "from pmasafety.logic import *\n"
+            "from pmasafety.logic import _lit_shape\n"
             "j = IndexVar('j', 'I')\n"
             "lits = [Lit(True, Eq(ArrayRead('arr', j), Const('A'))),"
             " Lit(False, RelAtom('R', (ArrayRead('arr', j), GlobalRef('x'))))]\n"
@@ -335,6 +339,8 @@ class TestHashContract:
         dump = build + (
             "import pickle, sys\n"
             "assert len(set(lits)) == 2\n"  # hash before pickling
+            "assert all(repr(l) and _lit_shape(l) for l in lits)\n"  # fill the memos
+            "assert all(l._repr and l._shape for l in lits)\n"
             "sys.stdout.buffer.write(pickle.dumps(lits))\n"
         )
         load = build + (
@@ -342,6 +348,9 @@ class TestHashContract:
             "copies = pickle.load(sys.stdin.buffer)\n"
             "assert copies == lits, copies\n"
             "assert all(c in set(lits) and hash(c) == hash(l) for c, l in zip(copies, lits))\n"
+            "assert not any(hasattr(c, '_repr') or hasattr(c, '_shape') for c in copies)\n"
+            "assert [(repr(c), _lit_shape(c)) for c in copies]"
+            " == [(repr(l), _lit_shape(l)) for l in lits]\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
@@ -355,6 +364,28 @@ class TestHashContract:
 
 
 class TestCubesAndHelpers:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 20), min_size=1, max_size=8), st.randoms(use_true_random=False))
+    def test_renderings_stand_for_literals(self, seeds, rng):
+        """Equal renderings exactly for equal literals; equal cube keys
+        exactly for equal `exists` and literal sets; and each template,
+        filled with the cube's own names, renders its literal.  A seed drawn
+        twice gives equal literals that are distinct objects."""
+        lits = [_rand_lit(random.Random(seed)) for seed in seeds]
+        for l1, l2 in itertools.product(lits, repeat=2):
+            assert (repr(l1) == repr(l2)) == (l1 == l2)
+        cubes = [
+            Cube(tuple(rng.sample(_ZS, rng.randint(0, 2))),
+                 tuple(rng.choices(lits, k=rng.randint(0, 3))))
+            for _ in range(6)
+        ]
+        for c1, c2 in itertools.product(cubes, repeat=2):
+            same = c1.exists == c2.exists and set(c1.lits) == set(c2.lits)
+            assert (c1.key() == c2.key()) == same
+        for c in cubes:
+            names = [v.name for v in c.exists]
+            assert [t.format(*names) for t in c.templates()] == list(map(repr, c.lits))
+
     def test_make_cube_dedups_and_prunes_vars(self):
         z1, z2 = IndexVar("z1", "I"), IndexVar("z2", "I")
         l = lit_eq(ArrayRead("arr", z1), A)

@@ -68,7 +68,7 @@ def test_goal_evaluation(cannon):
     interp = RelInterpretation()
     snap = initial_snapshot(cannon, {"Att": 1})
     assert not eval_agent_formula(cannon, snap, interp, cannon.goal)
-    at_target = snap.with_agent(("Att", 0), ("target", "no"))
+    at_target = Snapshot((("Att", (("target", "no"),)),), snap.env, snap.turn)
     assert eval_agent_formula(cannon, at_target, interp, cannon.goal)
 
 
@@ -85,7 +85,8 @@ def test_action_precondition_respects_relation(cannon):
 
 
 def test_snapshot_canonical_sorts_agents(cannon):
-    snap = initial_snapshot(cannon, {"Att": 2}).with_agent(("Att", 0), ("B", "no"))
+    init = initial_snapshot(cannon, {"Att": 2})
+    snap = Snapshot((("Att", (("init", "no"), ("B", "no"))),), init.env, init.turn)
     canon = snap.canonical()
     assert canon.agents_of("Att") == tuple(sorted(snap.agents_of("Att")))
 
