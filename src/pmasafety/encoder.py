@@ -563,28 +563,36 @@ class _RuleBuilder:
             )
         )
 
+    def agent_rule(
+        self, kind: str, t: AgentTemplate, action: str, exists: tuple[IndexVar, ...],
+        guard: list[Lit], at: str = "", **updates,
+    ) -> None:
+        """Add the `kind` rule by which an agent of `t` (or the environment)
+        takes part in `action`, labelled `<kind>:<template>.<action><at>`;
+        `updates` are its `globals_upd` and `arrays_upd`."""
+        self.rules.append(
+            TransitionRule(
+                label=f"{kind}:{t.name}.{action}{at}",
+                kind=kind,
+                template=t.name,
+                action=action,
+                exists=exists,
+                guard=tuple(guard),
+                **updates,
+            )
+        )
+
     # -- step generators ---------------------------------------------------
 
     def declare_local(self) -> None:
         """Eq-1 style: one agent (or the environment) declares a local action."""
         pairs = ((t, a) for t in self.p.all_templates() for a in t.local_actions())
         for t, a, x, lits, extra in self.declarers(pairs):
+            turn = self.turn_guard(self.p.turn_group(t.name))
             for ph in (P0, PL):
-                self.rules.append(
-                    TransitionRule(
-                        label=f"declare:{t.name}.{a.name}@{ph}",
-                        kind="declare",
-                        template=t.name,
-                        action=a.name,
-                        exists=(() if x is None else (x,)) + extra,
-                        guard=tuple(
-                            [self.phase_lit(ph), _idle(t, x)]
-                            + self.turn_guard(self.p.turn_group(t.name))
-                            + list(lits)
-                        ),
-                        **_declaring([(t, x)], a.name, PL),
-                    )
-                )
+                guard = [self.phase_lit(ph), _idle(t, x), *turn, *lits]
+                self.agent_rule("declare", t, a.name, (() if x is None else (x,)) + extra,
+                                guard, f"@{ph}", **_declaring([(t, x)], a.name, PL))
 
     def bulk_local(self, from_phase: str) -> None:
         """Eq-2 style: commit every declared local action at once."""
@@ -608,41 +616,18 @@ class _RuleBuilder:
         for ea, env_lits, env_extra in self.env_actions(SYNC):
             group = self.p.sync_initiator_group(ea.name)
             for t, _a, x, lits, extra in self.declarers(self.participants(ea)):
-                self.rules.append(
-                    TransitionRule(
-                        label=f"sync_start:{t.name}.{ea.name}",
-                        kind="sync_start",
-                        template=t.name,
-                        action=ea.name,
-                        exists=(x,) + extra + env_extra,
-                        guard=tuple(
-                            [self.phase_lit(P0), _idle(self.p.env, None), _idle(t, x)]
-                            + self.turn_guard(group)
-                            + list(lits)
-                            + list(env_lits)
-                        ),
-                        **_declaring([(self.p.env, None), (t, x)], ea.name, PS),
-                    )
-                )
+                guard = [self.phase_lit(P0), _idle(self.p.env, None), _idle(t, x),
+                         *self.turn_guard(group), *lits, *env_lits]
+                self.agent_rule("sync_start", t, ea.name, (x,) + extra + env_extra, guard,
+                                **_declaring([(self.p.env, None), (t, x)], ea.name, PS))
 
     def sync_join(self) -> None:
         """Eq-4 style: further agents join the open synchronization."""
         for ea in self.sync_actions():
             for t, _a, x, lits, extra in self.declarers(self.participants(ea)):
-                self.rules.append(
-                    TransitionRule(
-                        label=f"sync_join:{t.name}.{ea.name}",
-                        kind="sync_join",
-                        template=t.name,
-                        action=ea.name,
-                        exists=(x,) + extra,
-                        guard=tuple(
-                            [self.phase_lit(PS), self.envact_lit(ea.name), _idle(t, x)]
-                            + list(lits)
-                        ),
-                        **_declaring([(t, x)], ea.name, None),
-                    )
-                )
+                guard = [self.phase_lit(PS), self.envact_lit(ea.name), _idle(t, x), *lits]
+                self.agent_rule("sync_join", t, ea.name, (x,) + extra, guard,
+                                **_declaring([(t, x)], ea.name, None))
 
     def sync_commit(self, from_phase: str) -> None:
         """Eq-5 style: apply the synchronization to all participants at once."""
@@ -660,24 +645,13 @@ class _RuleBuilder:
             tg, tu = self.turn_toggle(self.p.sync_initiator_group(ea.name) or 0)
             pairs = ((t, a) for t, a in self.participants(ea) if a.kind == INDIVIDUAL)
             for t, a, x, lits, extra in self.declarers(pairs):
-                self.rules.append(
-                    TransitionRule(
-                        label=f"ind_sync:{t.name}.{ea.name}",
-                        kind="ind_sync",
-                        template=t.name,
-                        action=ea.name,
-                        exists=(x,) + extra + env_extra,
-                        guard=tuple(
-                            [self.phase_lit(P0), _idle(self.p.env, None)]
-                            + tg
-                            + list(lits)
-                            + list(env_lits)
-                        ),
-                        globals_upd=tuple([(v, Const(c)) for v, c in ea.eff] + tu),
-                        arrays_upd=tuple(
-                            (v, _point_update(v, index_sort(t), x, Const(c))) for v, c in a.eff
-                        ),
-                    )
+                guard = [self.phase_lit(P0), _idle(self.p.env, None), *tg, *lits, *env_lits]
+                self.agent_rule(
+                    "ind_sync", t, ea.name, (x,) + extra + env_extra, guard,
+                    globals_upd=tuple([(v, Const(c)) for v, c in ea.eff] + tu),
+                    arrays_upd=tuple(
+                        (v, _point_update(v, index_sort(t), x, Const(c))) for v, c in a.eff
+                    ),
                 )
 
     def gate_local(self) -> None:

@@ -31,15 +31,18 @@ from .logic import (
     RelAtom,
     Signature,
     StateFormula,
+    _lit_shape,
     conjoin,
     cube_vars_of_lits,
     dnf,
     expand_cases,
     ground_lits_sat,
     lit_dnf,
+    lit_renamed,
     lit_subst,
     memoized,
     minimal,
+    simplify_lits,
     term_subst,
 )
 from .encoder import (
@@ -219,7 +222,8 @@ def canon_cube(cube: Cube) -> Cube:
 
     A candidate renaming only fills the names into the literals' templates
     (`Cube.templates`), sorts and compares strings.  Only the winner is built
-    as a cube."""
+    as a cube, and its literals keep the renderings that won
+    (`lit_renamed`), so none is rendered a second time."""
     by_sort = sorted(cube.vars_by_sort().items())
     pos = {v: k for k, v in enumerate(cube.exists)}
     slots = [pos[v] for _, vs in by_sort for v in vs]  # exists positions, by sort
@@ -243,11 +247,13 @@ def canon_cube(cube: Cube) -> Cube:
             " & ".join(r for r, _ in rendered) or "true"
         )
         if best_key is None or key < best_key:
-            best_key, best = key, (list(names), ex, rendered)
-    named, ex, rendered = best
+            best_key, best = key, (list(names), rendered)
+    named, rendered = best
     sub = {v: IndexVar(n, v.sort) for v, n in zip(cube.exists, named)}
+    renamed: dict = {}
     return Cube(
-        tuple(IndexVar(n, s) for n, s in ex), tuple(lit_subst(lits[i], sub) for _, i in rendered)
+        tuple(sorted(sub[cube.exists[k]] for k in used)),  # by (name, sort), as `ex`
+        tuple(lit_renamed(lits[i], sub, r, renamed) for r, i in rendered),
     )
 
 
@@ -307,9 +313,14 @@ class Region:
     group: its variable count per sort and its negated index-free literals;
     `counts` keeps how many instances each group has per queried cube size.
     It keeps per cube its instances' negated literals built so far, each
-    literal interned: equal ones are one object, found by identity.  They are
-    built on the first `tables` call after the cube is added, so a region
-    only `covers` reads never builds them.
+    literal interned: equal ones are one object, found by identity.  It
+    also keeps per cube, for each of its variables, the mask (`unary`) of
+    the shape bits of its literals whose only variable that is.  Such a
+    literal is fixed by its shape and its variable, so one representative
+    `(literal, variable)` per shape stands for all of them, and `refuted`
+    builds a shape's negated instance at a query variable once.  The tables
+    are built on the first `tables` call after the cube is added, so a
+    region only `covers` reads never builds them.
     """
 
     def __init__(self) -> None:
@@ -317,6 +328,9 @@ class Region:
         # (sizes, refuted_by) -> positions in `cubes`, ascending
         self.groups: dict[tuple[tuple[tuple[str, int], ...], tuple[Lit, ...]], list[int]] = {}
         self.instances: list[dict[tuple[IndexVar, ...], list[Lit]]] = []
+        self.unary: list[list[int]] = []  # per cube, per variable: one-variable shape bits
+        self._unary_reps: dict[str, dict[int, tuple[Lit, IndexVar]]] = {}  # sort -> bit -> rep
+        self._unary_negs: dict[tuple[int, IndexVar], Lit] = {}  # see `refuted`
         self._lits: dict[Lit, Lit] = {}
         self._counts: dict[tuple[tuple[str, int], ...], list[int]] = {}  # see `counts`
         self._buckets: dict = {}  # shape (None: no literals) -> filed cubes
@@ -328,10 +342,31 @@ class Region:
         for cube in self.cubes[len(self.instances):]:
             sizes = tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items())
             # literals without its variables: in every instance
-            free = [l for l in cube.lits if cube_vars_of_lits((l,)).isdisjoint(cube.exists)]
+            free = [l for l in cube.lits if not any(v in cube.exists for v in l.index_vars())]
             refuted_by = tuple(self.intern(l.negate()) for l in free)
             self.groups.setdefault((sizes, refuted_by), []).append(len(self.instances))
             self.instances.append({})
+            masks = dict.fromkeys(cube.exists, 0)
+            for l in cube.lits:
+                vs = l.index_vars()
+                if len(vs) == 1 and vs[0] in masks:
+                    bit = self._bit[_lit_shape(l)]
+                    masks[vs[0]] |= bit
+                    self._unary_reps.setdefault(vs[0].sort, {}).setdefault(bit, (l, vs[0]))
+            self.unary.append(list(masks.values()))
+
+    def refuted(self, w: IndexVar, values: _Values) -> int:
+        """The bits of the one-variable shapes of `w`'s sort whose literal,
+        said of `w`, is false where `values` are read: its negated instance,
+        built once per shape and variable and interned, is true."""
+        negs, out = self._unary_negs, 0
+        for bit, (l, v) in self._unary_reps.get(w.sort, {}).items():
+            d = negs.get((bit, w))
+            if d is None:
+                d = negs[bit, w] = self.intern(lit_subst(l, {v: w}).negate())
+            if values[d]:
+                out |= bit
+        return out
 
     def counts(self, cube: Cube) -> list[int]:
         """Per group, in `groups` order: the number of injective
@@ -442,7 +477,16 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
     entailed), which is always sound — the cube is merely kept.  Below it,
     instance literals are built lazily into `region` and evaluated once per
     call; a clause stops at its first true literal, an all-false one proves
-    entailment, and only open clauses, deduplicated, reach the search."""
+    entailment, and only open clauses, deduplicated, reach the search.
+
+    Before the walk, `Region.refuted` gives each of the cube's variables
+    `w` the mask of the one-variable shapes whose literal the cube refutes
+    at `w`.  A region cube's variable j is then never instantiated by a `w`
+    whose mask meets `Region.unary` at j: every such instance holds a
+    literal whose negation is true, so the walk would close its clause at
+    or before that literal, and it adds no clause and proves nothing.  The
+    open clauses are therefore the same, in the same order, as without the
+    skip, and so is the answer."""
     cc = CongruenceClosure()
     if not cc.assert_lits(cube.lits):
         return True
@@ -460,10 +504,14 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
         if n and not any(values[d] for d in refuted_by)
         for i in at
     )
+    refuted = {w: region.refuted(w, values) for w in cube.exists} if live else {}
     open_: dict[tuple[Lit, ...], None] = {}
     for i in live:
         b, built = region.cubes[i], region.instances[i]
-        pools = [cvars_by_sort[v.sort] for v in b.exists]
+        pools = [
+            [w for w in cvars_by_sort[v.sort] if not m & refuted[w]]
+            for v, m in zip(b.exists, region.unary[i])
+        ]
         for combo in itertools.product(*pools):
             if len(set(combo)) != len(combo):
                 continue  # non-injective: differentiation clause vacuous
@@ -490,9 +538,22 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
 
 def init_sat(abp: AbPmas, cube: Cube) -> bool:
     """Some initial state satisfies the cube: its literals read through the
-    initial state are ground and jointly satisfiable."""
+    initial state are ground and jointly satisfiable.
+
+    The initial state maps every global and array to a constant, so
+    `simplify_lits` decides every equality the read-through leaves.  What
+    remains are relation atoms over constants and index variables.  With no
+    equality left, nothing merges their arguments, so an atom clashes only
+    with its own negation.  An equality left over, say over a global the
+    initial state does not map, goes to the congruence closure."""
     globals_map, arrays_map = abp.init.update_maps()
-    return ground_lits_sat([_lit_through(l, globals_map, arrays_map) for l in cube.lits])
+    lits = simplify_lits(_lit_through(l, globals_map, arrays_map) for l in cube.lits)
+    if lits is None:
+        return False
+    if any(isinstance(l.atom, Eq) for l in lits):
+        return ground_lits_sat(lits)
+    holds = {l.atom for l in lits if not l.neg}
+    return not any(l.atom in holds for l in lits if l.neg)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +729,7 @@ class LocalityReport:
 
 
 def _lit_local(l: Lit) -> bool:
-    return len(cube_vars_of_lits([l])) <= 1
+    return len(l.index_vars()) <= 1
 
 
 def check_locality(abp: AbPmas, goal: Optional[StateFormula] = None) -> LocalityReport:

@@ -292,11 +292,12 @@ Atom = Union[Eq, RelAtom]
 
 @dataclass(frozen=True)
 class Lit(_Hashed):
-    """A possibly negated atom.  Its rendering (`repr`) and its shape
-    (`_lit_shape`) are computed the first time they are read and kept in
-    slots, since cube keys, literal order and subsumption read them again
-    and again.  Both strings are interned: the equal literals of many cubes
-    then share one string each.
+    """A possibly negated atom.  Its rendering (`repr`), its shape
+    (`_lit_shape`) and its index variables (`index_vars`) are computed the
+    first time they are read and kept in slots, since cube keys, literal
+    order, subsumption and entailment read them again and again.  Both
+    strings are interned: the equal literals of many cubes then share one
+    string each.
 
     The rendering is injective on well-sorted literals, which is what lets
     `Cube.key` and `engine.subsumes` compare renderings in place of
@@ -305,7 +306,7 @@ class Lit(_Hashed):
     read's index, is the array's index sort (`differentiate` type-checks
     every cube it builds)."""
 
-    __slots__ = ("neg", "atom", "_repr", "_shape")
+    __slots__ = ("neg", "atom", "_repr", "_shape", "_vars")
     neg: bool
     atom: Atom
 
@@ -326,6 +327,21 @@ class Lit(_Hashed):
             r = sys.intern(("!" if self.neg else "") + repr(self.atom))
             _set(self, "_repr", r)
             return r
+
+    def index_vars(self) -> tuple["IndexVar", ...]:
+        """The index variables of the literal, array read indexes included,
+        once each in order of first occurrence."""
+        try:
+            return self._vars
+        except AttributeError:
+            pass
+        out = tuple(dict.fromkeys(
+            t.index if isinstance(t, ArrayRead) else t
+            for t in _atom_terms(self.atom)
+            if isinstance(t, (IndexVar, ArrayRead))
+        ))
+        _set(self, "_vars", out)
+        return out
 
 
 def lit_eq(lhs: Term, rhs: Term, neg: bool = False) -> Lit:
@@ -633,6 +649,25 @@ def lit_subst(l: Lit, sub: Subst) -> Lit:
     return Lit(l.neg, atom_subst(l.atom, sub))
 
 
+def lit_renamed(l: Lit, sub: Subst, rendering: str, renamed: dict) -> Lit:
+    """`lit_subst(l, sub)` with its memos filled, for a `sub` that renames
+    index variables injectively and within their sorts.  `rendering` is the
+    renamed literal's `repr`, which the caller has already made (from
+    `l`'s template); a renaming within sorts keeps the shape, and it keeps
+    the variables' order of first occurrence.  `renamed` maps `index_vars`
+    tuples to their images under `sub`, filled as it goes, so the literals
+    renamed by one `sub` share one tuple per variable list."""
+    out = lit_subst(l, sub)
+    _set(out, "_repr", sys.intern(rendering))
+    _set(out, "_shape", _lit_shape(l))
+    vs = l.index_vars()
+    image = renamed.get(vs)
+    if image is None:
+        image = renamed[vs] = tuple(sub.get(v, v) for v in vs)
+    _set(out, "_vars", image)
+    return out
+
+
 def formula_subst(f: Formula, sub: Subst) -> Formula:
     if isinstance(f, (FTrue, FFalse)):
         return f
@@ -832,7 +867,7 @@ class Cube:
         names of another cube's variables, a template renders the literal
         renamed, without building it."""
         fields = {v: f"{{{k}}}" for k, v in enumerate(self.exists)}
-        return [_template(l, fields) if cube_vars_of_lits((l,)) else _escaped(repr(l))
+        return [_template(l, fields) if l.index_vars() else _escaped(repr(l))
                 for l in self.lits]
 
     @memoized
@@ -844,7 +879,7 @@ class Cube:
         out: list[list[str]] = [[] for _ in range(len(self.exists) + 1)]
         pos = {v: k + 1 for k, v in enumerate(self.exists)}
         for l, t in zip(self.lits, self.templates()):
-            out[max((pos[v] for v in cube_vars_of_lits((l,)) if v in pos), default=0)].append(t)
+            out[max((pos[v] for v in l.index_vars() if v in pos), default=0)].append(t)
         return out
 
     @memoized
@@ -900,11 +935,7 @@ def simplify_lits(lits: Iterable[Lit]) -> Optional[tuple[Lit, ...]]:
 def cube_vars_of_lits(lits: Iterable[Lit]) -> set[IndexVar]:
     out: set[IndexVar] = set()
     for l in lits:
-        for t in _atom_terms(l.atom):
-            if isinstance(t, IndexVar):
-                out.add(t)
-            elif isinstance(t, ArrayRead):
-                out.add(t.index)
+        out.update(l.index_vars())
     return out
 
 

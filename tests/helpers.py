@@ -305,6 +305,57 @@ def random_grouped_region(seed: int) -> tuple[list[Cube], list[Cube]]:
     return region, queries
 
 
+# a second index sort K, whose array k holds S1 values
+_REGION_VARS = {"I": tuple(IndexVar(f"w{i}", "I") for i in range(1, 4)),
+                "K": tuple(IndexVar(f"v{i}", "K") for i in range(1, 3))}
+_QUERY_VARS = {"I": _ZS, "K": tuple(IndexVar(f"x{i}", "K") for i in range(1, 3))}
+
+
+def _one_var_lit(rng, v: IndexVar) -> Lit:
+    """A literal whose only variable is `v`: a cell of `v` (f, h for sort I,
+    k for sort K) against a constant or a global, in a relation, or `v`
+    itself in a relation."""
+    cell, sort = rng.choice(
+        [(ArrayRead("f", v), "S1"), (ArrayRead("h", v), "S2")] if v.sort == "I"
+        else [(ArrayRead("k", v), "S1")]
+    )
+    kind = rng.random()
+    if kind < 0.15:
+        atom = RelAtom(f"P{v.sort}", (v,))
+    elif kind < 0.3:
+        atom = RelAtom("R1", (cell,)) if sort == "S1" else RelAtom("R2", (GlobalRef("g1"), cell))
+    elif kind < 0.45:
+        atom = Eq(cell, GlobalRef("g1" if sort == "S1" else "g2"))
+    else:
+        atom = Eq(cell, Const(rng.choice(CUBE_SIG.sorts[sort].constants)))
+    return Lit(rng.random() < 0.3, atom)
+
+
+def random_unary_region(seed: int) -> tuple[list[Cube], list[Cube]]:
+    """Region cubes of 0 to 3 variables over two index sorts, I and K, each
+    variable with one to three literals of its own (`_one_var_lit`), some
+    with a literal over two variables or over none; and queries over z1-z3
+    and x1, x2 built the same way, with one or two literals per variable, so
+    that a query often refutes a region cube's one-variable literal at some
+    of its variables."""
+    rng = random.Random(seed)
+    pool = [Lit(rng.random() < 0.3, Eq(GlobalRef("g1"), Const(c))) for c in ("p", "q")]
+
+    def cube(vars_by_sort: dict[str, tuple[IndexVar, ...]], most: int, lits_each: int) -> Cube:
+        vs = [v for vs in vars_by_sort.values() for v in vs]
+        vs = rng.sample(vs, rng.randint(0, min(most, len(vs))))
+        lits = [_one_var_lit(rng, v) for v in vs for _ in range(rng.randint(1, lits_each))]
+        ivs = [v for v in vs if v.sort == "I"]
+        if len(ivs) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(ivs, 2)
+            lits.append(Lit(rng.random() < 0.5, Eq(ArrayRead("f", a), ArrayRead("f", b))))
+        return make_cube(vs, lits + rng.sample(pool, rng.randint(0, 1)))
+
+    region = [cube(_REGION_VARS, 3, 3) for _ in range(rng.randint(1, 10))]
+    queries = [cube(_QUERY_VARS, 5, 2) for _ in range(3)]
+    return region, queries
+
+
 def random_rule_and_cube(seed: int) -> tuple[TransitionRule, Cube]:
     """A random rule over CUBE_SIG, whose guard speaks of one rule variable
     and which writes some globals and resets some arrays in bulk to

@@ -15,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     CUBE_SIG,
     ConcreteAb,
+    _ZS,
+    _rand_lit,
     all_relation_tuples,
     brute_clauses_sat,
     brute_entailed,
@@ -25,6 +27,7 @@ from helpers import (
     random_rule_and_cube,
     random_split_input,
     random_state_formula,
+    random_unary_region,
     reference_canon_cube,
     reference_entailed_by,
     reference_open_clauses,
@@ -35,13 +38,14 @@ from helpers import (
 from pmasafety import engine
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_formula, parse_pmas
-from pmasafety.encoder import TransitionRule, differentiate, encode, encode_goal
+from pmasafety.encoder import AbInit, TransitionRule, differentiate, encode, encode_goal
 from pmasafety.engine import (
     SAFE,
     UNKNOWN,
     UNSAFE,
     Region,
     _clauses_sat,
+    _lit_through,
     breach,
     canon_cube,
     check_locality,
@@ -64,6 +68,8 @@ from pmasafety.logic import (
     RelAtom,
     StateFormula,
     TypingError,
+    _lit_shape,
+    ground_lits_sat,
     lit_eq,
     lit_subst,
     make_cube,
@@ -144,6 +150,17 @@ def subsumption_pairs(draw) -> tuple[Cube, Cube]:
 
 
 class TestCanonCube:
+    @settings(max_examples=200, deadline=None)
+    @given(canon_inputs())
+    def test_literals_keep_the_winning_renderings(self, cube):
+        """The rebuilt literals arrive with their memos filled from the
+        renderings and shapes already made; each equals what a literal
+        built afresh computes."""
+        for l in canon_cube(cube).lits:
+            fresh = Lit(l.neg, l.atom)
+            assert (l._repr, l._shape, l._vars) == (
+                repr(fresh), _lit_shape(fresh), fresh.index_vars())
+
     @settings(max_examples=400, deadline=None)
     @given(canon_inputs(), st.randoms(use_true_random=False))
     def test_matches_reference(self, cube, rng):
@@ -389,6 +406,69 @@ class TestEntailedByGroup:
                     assert searched == ([] if want is None else [want])
 
 
+def _entail_unary_region(seed: int) -> int:
+    """Grow the `random_unary_region` region one cube at a time and check
+    every query's `entailed_by` answer and the clauses it searches against
+    the references.  Returns how many calls dropped some query variable
+    from some live region cube's pool (the one-variable refutation skip)."""
+    cubes, queries = random_unary_region(seed)
+    searched: list[list[tuple[Lit, ...]]] = []
+    refuted: dict[IndexVar, int] = {}
+    refuted_at = Region.refuted
+
+    def spy(cc, todo, *args):
+        searched.append([tuple(cl) for cl in todo])
+        return _clauses_sat(cc, todo, *args)
+
+    def refuted_spy(self, w, values):
+        refuted[w] = refuted_at(self, w, values)
+        return refuted[w]
+
+    fired = 0
+    region = Region()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_clauses_sat", spy)
+        m.setattr(Region, "refuted", refuted_spy)
+        for k, c in enumerate(cubes, start=1):
+            region.add(c)
+            for q in queries:
+                searched.clear()
+                refuted.clear()
+                assert entailed_by(q, region) == reference_entailed_by(q, cubes[:k])
+                want = reference_open_clauses(q, cubes[:k])
+                assert searched == ([] if want is None else [want])
+                if not refuted:
+                    continue
+                cc = CongruenceClosure()
+                assert cc.assert_lits(q.lits)
+                have = q.vars_by_sort()
+                fired += any(
+                    region.unary[i][j] & refuted[w]
+                    for i, b in enumerate(cubes[:k])
+                    if all(len(vs) <= len(have.get(s, ())) for s, vs in b.vars_by_sort().items())
+                    and not any(cc.value(l.negate()) for l in b.lits if not l.index_vars())
+                    for j, v in enumerate(b.exists)
+                    for w in have.get(v.sort, ())
+                )
+    return fired
+
+
+class TestEntailedBySkip:
+    """`entailed_by` never instantiates a region cube's variable by a query
+    variable at which the query refutes one of that variable's one-variable
+    literals (`Region.unary`, `Region.refuted`).  The answer and the clauses
+    searched stay those of the full walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_agrees_with_the_full_walk(self, seed):
+        _entail_unary_region(seed)
+
+    def test_the_skip_fires(self):
+        fired = [_entail_unary_region(seed) for seed in range(30)]
+        assert sum(f > 0 for f in fired) >= 10, fired
+
+
 class TestClausesSat:
     def test_deep_search_is_iterative_and_fast(self):
         # one decision per clause: a recursive search would pass Python's
@@ -433,6 +513,30 @@ class TestInitSat:
     def test_contradicting_global_not_initial(self, abp):
         c = make_cube([], [lit_eq(GlobalRef("pulse_loc"), Const("A"))])
         assert not init_sat(abp, c)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 10**9), st.booleans())
+    @example(seed=4, unmapped=True)
+    def test_agrees_with_the_closure(self, seed, unmapped):
+        """Evaluation decides as the congruence closure does on the literals
+        read through the initial state; with `unmapped`, the initial state
+        leaves one global out, so an equality can survive the read-through."""
+        rng = random.Random(seed)
+
+        def some_const(sort):
+            return rng.choice(CUBE_SIG.sorts[sort].constants)
+
+        globals_ = [(g, some_const(sort)) for g, sort in CUBE_SIG.globals.items()]
+        if unmapped:
+            globals_.pop(rng.randrange(len(globals_)))
+        arrays = [(a, some_const(esort)) for a, (_isort, esort) in CUBE_SIG.arrays.items()]
+        init = AbInit(tuple(globals_), tuple(arrays))
+        lits = [_rand_lit(rng) for _ in range(rng.randint(1, 5))]
+        lits += [l.negate() for l in lits if rng.random() < 0.2]
+        cube = make_cube(_ZS, lits)
+        globals_map, arrays_map = init.update_maps()
+        through = [_lit_through(l, globals_map, arrays_map) for l in cube.lits]
+        assert init_sat(SimpleNamespace(init=init), cube) == ground_lits_sat(through)
 
 
 class TestBreach:

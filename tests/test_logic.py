@@ -46,6 +46,7 @@ from pmasafety.logic import (
     TRUE,
     TypingError,
     check_lit_types,
+    cube_vars_of_lits,
     dnf,
     euf_sat_cube,
     expand_cases_lit,
@@ -339,8 +340,8 @@ class TestHashContract:
         dump = build + (
             "import pickle, sys\n"
             "assert len(set(lits)) == 2\n"  # hash before pickling
-            "assert all(repr(l) and _lit_shape(l) for l in lits)\n"  # fill the memos
-            "assert all(l._repr and l._shape for l in lits)\n"
+            "assert all(repr(l) and _lit_shape(l) and l.index_vars() for l in lits)\n"  # fill the memos
+            "assert all(l._repr and l._shape and l._vars for l in lits)\n"
             "sys.stdout.buffer.write(pickle.dumps(lits))\n"
         )
         load = build + (
@@ -348,9 +349,9 @@ class TestHashContract:
             "copies = pickle.load(sys.stdin.buffer)\n"
             "assert copies == lits, copies\n"
             "assert all(c in set(lits) and hash(c) == hash(l) for c, l in zip(copies, lits))\n"
-            "assert not any(hasattr(c, '_repr') or hasattr(c, '_shape') for c in copies)\n"
-            "assert [(repr(c), _lit_shape(c)) for c in copies]"
-            " == [(repr(l), _lit_shape(l)) for l in lits]\n"
+            "assert not any(hasattr(c, m) for c in copies for m in ('_repr', '_shape', '_vars'))\n"
+            "assert [(repr(c), _lit_shape(c), c.index_vars()) for c in copies]"
+            " == [(repr(l), _lit_shape(l), l.index_vars()) for l in lits]\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
@@ -385,6 +386,13 @@ class TestCubesAndHelpers:
         for c in cubes:
             names = [v.name for v in c.exists]
             assert [t.format(*names) for t in c.templates()] == list(map(repr, c.lits))
+
+    def test_index_vars_in_order_of_first_occurrence(self):
+        z1, z2 = IndexVar("z1", "I"), IndexVar("z2", "I")
+        l = Lit(False, RelAtom("R", (ArrayRead("arr", z2), z1, ArrayRead("arr", z2), A)))
+        assert l.index_vars() == (z2, z1)
+        assert lit_eq(X, A).index_vars() == ()
+        assert cube_vars_of_lits([l, lit_eq(ArrayRead("arr", z1), A)]) == {z1, z2}
 
     def test_make_cube_dedups_and_prunes_vars(self):
         z1, z2 = IndexVar("z1", "I"), IndexVar("z2", "I")
