@@ -4,7 +4,7 @@ Submodules:
   logic    -- cubes, state formulae, one incremental backtrackable congruence
               closure (EUF)
   model    -- system model (templates, protocols, snapshots), formula evaluation
-  dsl      -- textual model format parser / printer
+  dsl      -- textual model format parser
   encoder  -- array-based transition-system encodings (interleaved, concurrent)
   engine   -- symbolic backward reachability, exists/forall entailment,
               locality analysis, trace extraction

@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import Optional, Sequence, TextIO
 
 from .dsl import parse_formula, parse_pmas
-from .encoder import EncodingError, encode, encode_goal
+from .encoder import EncodingError, encode
 from .engine import (
     DEFAULT_MAX_CUBES,
     DEFAULT_MAX_DEPTH,
@@ -66,6 +66,9 @@ def _load_model(path: str) -> Pmas:
 
 
 def _apply_goal(p: Pmas, goal_src: Optional[str]) -> Pmas:
+    """`p` with the `--goal` formula as its goal, if one is given.  Every
+    command reads `--goal` here, so an empty or malformed one is an input
+    error everywhere."""
     if goal_src is None:
         return p
     return replace(p, goal=parse_formula(goal_src))
@@ -185,14 +188,13 @@ def _cmd_check(args) -> int:
 def _cmd_encode(args) -> int:
     p = _apply_goal(_load_model(args.model), args.goal)
     abp = encode(p, args.semantics)
-    goal = encode_goal(p, abp.sig)
     _kv("model", p.name)
     _kv("semantics", args.semantics)
     _kv("rules", len(abp.rules))
     _kv("phases", " ".join(abp.sig.sorts["Phase"].constants))
     _kv("globals", " ".join(abp.sig.globals))
     _kv("arrays", " ".join(abp.sig.arrays))
-    _kv("goal-cubes", len(goal.cubes))
+    _kv("goal-cubes", len(abp.goal.cubes))
     for k, r in enumerate(abp.rules, start=1):
         _kv(f"rule-{k}", r.label)
     return EXIT_SAFE
@@ -250,11 +252,9 @@ def _cmd_cross_check(args) -> int:
         v = getattr(args, dest)
         if v < 1:
             raise InputError(f"--{dest.replace('_', '-')} must be at least 1, got {v}")
-    p = _load_model(args.model)
-    goal = parse_formula(args.goal) if args.goal else None
+    p = _apply_goal(_load_model(args.model), args.goal)
     r = cross_check(
         p,
-        goal=goal,
         semantics=args.semantics,
         max_count=args.max_count,
         oracle_depth=args.oracle_depth,

@@ -53,13 +53,10 @@ from .model import (
 )
 
 
-# The bracket form v[idx] is folded into a single token (v@idx) in a pre-pass,
-# which keeps the token grammar regular and the parser LL(1).
-
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<punct>:=|!=|[{}(),;:=])
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(@[A-Za-z_][A-Za-z0-9_]*)?)
+      | (?P<punct>:=|!=|[{}()\[\],;:=])
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     """,
     re.VERBOSE,
 )
@@ -77,12 +74,6 @@ class Token:
     text: str
     line: int
     col: int
-
-
-def _pre_lex_indexes(src: str) -> str:
-    return re.sub(
-        r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([A-Za-z_][A-Za-z0-9_]*)\s*\]", r"\1@\2", src
-    )
 
 
 def _tokenize(src: str) -> list[Token]:
@@ -106,13 +97,6 @@ def _tokenize(src: str) -> list[Token]:
     return toks
 
 
-def _split_indexed(text: str) -> Optional[tuple[str, str]]:
-    if "@" in text:
-        v, i = text.split("@", 1)
-        return v, i
-    return None
-
-
 # deepest `not` / parenthesis nesting a formula may have; the parser and the
 # passes after it recurse once per level
 MAX_NESTING = 100
@@ -120,7 +104,7 @@ MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, src: str):
-        self.toks = _tokenize(_pre_lex_indexes(src))
+        self.toks = _tokenize(src)
         self.pos = 0
         self.depth = 0  # `not` and parentheses open around the current token
 
@@ -145,7 +129,7 @@ class _Parser:
 
     def ident(self, what: str = "identifier") -> str:
         t = self.next()
-        if t.kind != "ident" or t.text in _KEYWORDS or "@" in t.text:
+        if t.kind != "ident" or t.text in _KEYWORDS:
             self.fail(f"expected {what}, found {t.text!r}", t)
         return t.text
 
@@ -192,16 +176,15 @@ class _Parser:
         tok = self.next()
         if tok.kind != "ident" or tok.text in _KEYWORDS:
             self.fail("expected atom", tok)
-        split = _split_indexed(tok.text)
-        if split is not None:
-            var, idx = split
+        name = tok.text
+        idx = self.index()
+        if idx is not None:
             op = self.next()
             if op.text not in ("=", "!="):
-                self.fail(f"expected = or != after {tok.text!r}", op)
+                self.fail(f"expected = or != after {name}[{idx}]", op)
             val = self.ident("constant")
-            atom: AgentFormula = VarTest(var, idx, val)
+            atom: AgentFormula = VarTest(name, idx, val)
             return Neg(atom) if op.text == "!=" else atom
-        name = tok.text
         nxt = self.peek()
         if nxt.text == "(":
             self.next()
@@ -216,21 +199,26 @@ class _Parser:
             return RelTest(name, tuple(args))
         if nxt.text in ("=", "!="):
             op = self.next().text
-            rhs_tok = self.next()
-            if rhs_tok.kind != "ident" or "@" in rhs_tok.text:
-                self.fail("expected index name", rhs_tok)
-            eq: AgentFormula = IdxEq(name, rhs_tok.text)
+            rhs = self.ident("index name")
+            eq: AgentFormula = IdxEq(name, rhs)
             return Neg(eq) if op == "!=" else eq
         self.fail(f"expected '(', '=' or '!=' after {name!r}", nxt)
+
+    def index(self) -> Optional[str]:
+        """The index of a `[ idx ]` suffix, if one follows."""
+        if self.peek().text != "[":
+            return None
+        self.next()
+        idx = self.ident("index name")
+        self.expect("]")
+        return idx
 
     def rel_arg(self) -> Union[VarRef, ConstRef]:
         tok = self.next()
         if tok.kind != "ident" or tok.text in _KEYWORDS:
             self.fail("expected relation argument", tok)
-        split = _split_indexed(tok.text)
-        if split is not None:
-            return VarRef(split[0], split[1])
-        return ConstRef(tok.text)
+        idx = self.index()
+        return ConstRef(tok.text) if idx is None else VarRef(tok.text, idx)
 
     # -- declarations ------------------------------------------------------
 
@@ -389,66 +377,6 @@ def parse_pmas(src: str, name: str = "model", validate: bool = True) -> Pmas:
         if diags:
             raise ModelError(diags)
     return p
-
-
-# ---------------------------------------------------------------------------
-# printing (round-trips through parse_pmas)
-
-
-def format_formula(f: AgentFormula, parent: str = "") -> str:
-    if isinstance(f, BoolConst):
-        return "true" if f.value else "false"
-    if isinstance(f, VarTest):
-        return f"{f.var}[{f.idx}] = {f.value}"
-    if isinstance(f, RelTest):
-        args = ", ".join(
-            a.name if isinstance(a, ConstRef) else f"{a.var}[{a.idx}]" for a in f.args
-        )
-        return f"{f.rel}({args})"
-    if isinstance(f, IdxEq):
-        return f"{f.lhs} = {f.rhs}"
-    if isinstance(f, Neg):
-        if isinstance(f.inner, VarTest):
-            return f"{f.inner.var}[{f.inner.idx}] != {f.inner.value}"
-        if isinstance(f.inner, IdxEq):
-            return f"{f.inner.lhs} != {f.inner.rhs}"
-        return f"not {format_formula(f.inner, 'not')}"
-    if isinstance(f, Conj):
-        s = " and ".join(format_formula(i, "and") for i in f.items)
-        return f"({s})" if parent == "not" else s
-    if isinstance(f, Disj):
-        s = " or ".join(format_formula(i, "or") for i in f.items)
-        return f"({s})" if parent in ("and", "not") else s
-    raise ModelError(f"not a formula: {f!r}")
-
-
-def format_pmas(p: Pmas) -> str:
-    out: list[str] = []
-    for s in p.sorts:
-        out.append(f"sort {s.name} {{ {', '.join(s.constants)} }}")
-    for r in p.relations:
-        out.append(f"relation {r.name}({', '.join(r.arg_sorts)})")
-    for t in p.all_templates():
-        out.append("")
-        out.append(f"template {t.name}" + (" env" if t.is_env else ""))
-        for v, sort, init in t.variables:
-            out.append(f"  var {v}: {sort} = {init}")
-        for a in t.actions:
-            kind = a.kind + (" initiator" if a.initiator else "")
-            eff = ", ".join(f"{v} := {c}" for v, c in a.eff)
-            out.append(f"  action {a.name} : {kind} {{")
-            out.append(f"    pre: {format_formula(a.pre)};")
-            if eff:
-                out.append(f"    eff: {eff}")
-            out.append("  }")
-    if p.alternation is not None:
-        g1, g2 = p.alternation
-        out.append("")
-        out.append(f"alternate {{ {', '.join(g1)} }} vs {{ {', '.join(g2)} }}")
-    out.append("")
-    out.append(f"goal: {format_formula(p.goal)}")
-    out.append("")
-    return "\n".join(out)
 
 
 def parse_formula(src: str) -> AgentFormula:

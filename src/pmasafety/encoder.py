@@ -186,6 +186,7 @@ class AbPmas:
     sig: Signature
     init: AbInit
     rules: tuple[TransitionRule, ...]
+    goal: StateFormula  # the unsafe states, from the model's goal formula
 
 
 class EncodingError(ModelError):
@@ -338,7 +339,7 @@ def differentiate(
     Variables in `distinct` are already differentiated (they come from an
     existing cube) and are never merged with each other.  A branch cube for
     which `covered` holds is dropped before its EUF check; it is still
-    type-checked."""
+    type-checked.  Two branches may yield equal cubes: callers dedup."""
     pos: list[tuple[IndexVar, IndexVar]] = []
     neg: list[tuple[IndexVar, IndexVar]] = []
     rest: list[Lit] = []
@@ -396,15 +397,7 @@ def differentiate(
             check_lit_types(cube.lits, sig)
         elif euf_sat_cube(cube, sig):
             out.append(cube)
-    # deterministic order, dedup
-    seen = set()
-    uniq = []
-    for c in out:
-        if c.key() in seen:
-            continue
-        seen.add(c.key())
-        uniq.append(c)
-    return uniq
+    return out
 
 
 def encode_goal(p: Pmas, sig: Signature) -> StateFormula:
@@ -702,4 +695,4 @@ def encode(p: Pmas, semantics: str) -> AbPmas:
         b.gate_sync()
     b.sync_commit(PS2 if concurrent else PS)
     b.individual_syncs()
-    return AbPmas(p, semantics, sig, build_init(p), tuple(b.rules))
+    return AbPmas(p, semantics, sig, build_init(p), tuple(b.rules), encode_goal(p, sig))

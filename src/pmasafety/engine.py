@@ -30,7 +30,6 @@ from .logic import (
     Lit,
     RelAtom,
     Signature,
-    StateFormula,
     _lit_shape,
     conjoin,
     cube_vars_of_lits,
@@ -50,7 +49,6 @@ from .encoder import (
     Gate,
     TransitionRule,
     differentiate,
-    encode_goal,
 )
 
 SAFE = "SAFE"
@@ -597,19 +595,15 @@ class Verdict:
 
 def breach(
     abp: AbPmas,
-    goal: Optional[StateFormula] = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
     max_cubes: int = DEFAULT_MAX_CUBES,
     dnf_cap: int = DEFAULT_DNF_CAP,
 ) -> Verdict:
     """Backward reachability from the goal; SAFE / UNSAFE / UNKNOWN."""
     sig = abp.sig
-    if goal is None:
-        goal = encode_goal(abp.pmas, sig)
-
     frontier: list[_Node] = []
     seen_layer = set()
-    for c in goal.cubes:
+    for c in abp.goal.cubes:
         cc = canon_cube(c)
         if cc.key() not in seen_layer:
             seen_layer.add(cc.key())
@@ -732,18 +726,16 @@ def _lit_local(l: Lit) -> bool:
     return len(l.index_vars()) <= 1
 
 
-def check_locality(abp: AbPmas, goal: Optional[StateFormula] = None) -> LocalityReport:
+def check_locality(abp: AbPmas) -> LocalityReport:
     """Syntactic locality: every literal touches at most one index variable.
 
     Local goal + local rule guards under interleaved semantics guarantee that
     the backward search terminates; concurrent semantics additionally makes an
     UNSAFE verdict potentially spurious (gates are over-approximated).
     """
-    if goal is None:
-        goal = encode_goal(abp.pmas, abp.sig)
     bad: list[str] = []
     goal_local = True
-    for c in goal.cubes:
+    for c in abp.goal.cubes:
         for l in c.lits:
             if not _lit_local(l):
                 goal_local = False

@@ -30,7 +30,6 @@ from .logic import (
     LambdaUpdate,
     Lit,
     RelAtom,
-    StateFormula,
     lit_subst,
     term_subst,
 )
@@ -39,7 +38,6 @@ from .encoder import (
     AbPmas,
     INTERLEAVED,
     TransitionRule,
-    encode_goal,
     index_sort,
 )
 from .engine import TraceStep
@@ -167,7 +165,7 @@ def _rule_cases(rule: TransitionRule, juniv: IndexVar) -> list[Optional[Lit]]:
     raise _err(f"rule kind {rule.kind} has no MCMT rendering")
 
 
-def emit_mcmt(abp: AbPmas, goal: Optional[StateFormula] = None) -> str:
+def emit_mcmt(abp: AbPmas) -> str:
     """Render an encoded system as an MCMT input document (UTF-8 text)."""
     if abp.semantics != INTERLEAVED:
         raise _err("MCMT emission supports interleaved semantics only")
@@ -177,8 +175,7 @@ def emit_mcmt(abp: AbPmas, goal: Optional[StateFormula] = None) -> str:
             f"(got {len(abp.pmas.templates)}): one index sort per file"
         )
     sig = abp.sig
-    if goal is None:
-        goal = encode_goal(abp.pmas, sig)
+    goal = abp.goal
     if not goal.cubes:
         raise _err("goal is unsatisfiable: nothing to emit as :unsafe")
 

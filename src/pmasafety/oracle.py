@@ -16,7 +16,6 @@ from typing import Iterator, Optional
 
 from .encoder import CONCURRENT, INTERLEAVED
 from .model import (
-    ActionDecl,
     AgentId,
     INDIVIDUAL,
     LOCAL,
@@ -67,14 +66,6 @@ class OracleResult:
     depth: Optional[int] = None
     run: Optional[list[StepVector]] = None
     states_seen: int = 0
-
-
-def _executable(p: Pmas, snap: Snapshot, interp: RelInterpretation, aid: AgentId, a: ActionDecl) -> bool:
-    return eval_agent_formula(p, snap, interp, a.pre, self_id=aid)
-
-
-def _env_executable(p: Pmas, snap: Snapshot, interp: RelInterpretation, a: ActionDecl) -> bool:
-    return eval_agent_formula(p, snap, interp, a.pre)
 
 
 def _apply(p: Pmas, snap: Snapshot, vec: StepVector) -> Snapshot:
@@ -129,8 +120,7 @@ def step_vectors(p: Pmas, snap: Snapshot, interp: RelInterpretation, semantics: 
             names = [
                 a.name
                 for a in t.local_actions()
-                if (_env_executable(p, snap, interp, a) if aid is None
-                    else _executable(p, snap, interp, aid, a))
+                if eval_agent_formula(p, snap, interp, a.pre, self_id=aid)
             ]
         return [None] + names if interleaved else names or [None]
 
@@ -151,14 +141,14 @@ def step_vectors(p: Pmas, snap: Snapshot, interp: RelInterpretation, semantics: 
                 continue
             if p.alternation is not None and p.sync_initiator_group(ea.name) != snap.turn:
                 continue
-            if not _env_executable(p, snap, interp, ea):
+            if not eval_agent_formula(p, snap, interp, ea.pre):
                 continue
             yield ea.name, [
                 aid
                 for aid in ids
                 if (a := p.template(aid[0]).action(ea.name)) is not None
                 and a.kind == kind
-                and _executable(p, snap, interp, aid, a)
+                and eval_agent_formula(p, snap, interp, a.pre, self_id=aid)
             ]
 
     for name, eligible in joiners(SYNC):
@@ -174,17 +164,15 @@ def step_vectors(p: Pmas, snap: Snapshot, interp: RelInterpretation, semantics: 
             yield StepVector(INDIVIDUAL, name, ((aid, name),))
 
 
-def enumerate_reachable(p: Pmas, cfg: ConcreteConfig, goal=None) -> OracleResult:
-    """BFS from the initial snapshot; stops at the first goal hit.
-
-    `goal` defaults to the model's own goal formula.  Ends in OVERFLOW once
-    it has examined more than `cfg.max_states` successors, duplicates
-    included: a step may have exponentially many vectors in the agent count,
-    most of them leading to snapshots already seen.
+def enumerate_reachable(p: Pmas, cfg: ConcreteConfig) -> OracleResult:
+    """BFS from the initial snapshot; stops at the first snapshot that meets
+    the model's goal.  Ends in OVERFLOW once it has examined more than
+    `cfg.max_states` successors, duplicates included: a step may have
+    exponentially many vectors in the agent count, most of them leading to
+    snapshots already seen.
     """
-    goal = goal if goal is not None else p.goal
     start = initial_snapshot(p, cfg.counts_dict()).canonical()
-    if eval_agent_formula(p, start, cfg.interp, goal):
+    if eval_agent_formula(p, start, cfg.interp, p.goal):
         return OracleResult(REACHED, depth=0, run=[], states_seen=1)
     seen = {start}
     examined = 0
@@ -200,7 +188,7 @@ def enumerate_reachable(p: Pmas, cfg: ConcreteConfig, goal=None) -> OracleResult
                 if succ in seen:
                     continue
                 seen.add(succ)
-                if eval_agent_formula(p, succ, cfg.interp, goal):
+                if eval_agent_formula(p, succ, cfg.interp, p.goal):
                     return OracleResult(REACHED, depth=depth, run=run + [vec], states_seen=len(seen))
                 nxt.append((succ, run + [vec]))
         if not nxt:
@@ -221,14 +209,12 @@ INVALID = "INVALID"
 class ReplayResult:
     status: str
     steps_matched: int
-    final: Optional[Snapshot] = None
 
 
 def replay_run_template(
     p: Pmas,
     template: list[frozenset[str]],
     cfg: ConcreteConfig,
-    goal=None,
 ) -> ReplayResult:
     """Check that a sequence of committed-action sets is executable and ends in
     the goal.
@@ -237,15 +223,13 @@ def replay_run_template(
     any number of agents may carry them.  The search branches over all matching
     legal vectors; VALID iff some completion reaches a goal snapshot.
     """
-    goal = goal if goal is not None else p.goal
-    snaps = [initial_snapshot(p, cfg.counts_dict())]
     best = 0
 
     def go(i: int, snap: Snapshot) -> bool:
         nonlocal best
         best = max(best, i)
         if i == len(template):
-            return eval_agent_formula(p, snap, cfg.interp, goal)
+            return eval_agent_formula(p, snap, cfg.interp, p.goal)
         want = template[i]
         for vec in step_vectors(p, snap, cfg.interp, cfg.semantics):
             if vec.label() != want:
@@ -254,8 +238,7 @@ def replay_run_template(
                 return True
         return False
 
-    start = snaps[0]
-    if go(0, start):
+    if go(0, initial_snapshot(p, cfg.counts_dict())):
         return ReplayResult(VALID, len(template))
     return ReplayResult(INVALID, best)
 
@@ -340,7 +323,6 @@ class CrossCheckReport:
 
 def cross_check(
     p: Pmas,
-    goal=None,
     semantics: str = INTERLEAVED,
     max_count: int = 3,
     oracle_depth: int = 15,
@@ -351,16 +333,12 @@ def cross_check(
     """Run the symbolic engine and the explicit oracle over all agent counts
     1..max_count and all (or budget-sampled) relation interpretations, and
     classify their agreement."""
-    from dataclasses import replace
-
     # imported per call, so that tracers and tests rebinding them after import reach these calls
     from .encoder import encode
     from .engine import DEFAULT_MAX_CUBES, DEFAULT_MAX_DEPTH, SAFE, UNSAFE, breach
 
     if max_count < 1:  # no configuration to run: any agreement would be vacuous
         raise ValueError(f"max_count must be at least 1, got {max_count}")
-    if goal is not None:
-        p = replace(p, goal=goal)
     # first, so that a budget below 1 fails before the engine runs
     interps = relation_interpretations(p, budget=interp_budget)
     abp = encode(p, semantics)

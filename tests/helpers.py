@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_pmas
-from pmasafety.encoder import Gate, TransitionRule, differentiate, encode_goal
+from pmasafety.encoder import Gate, TransitionRule, differentiate
 from pmasafety.engine import Region, _lit_through, canon_cube
 from pmasafety.logic import (
     ArrayRead,
@@ -943,7 +943,7 @@ def encoding_digest(abp) -> str:
         repr(abp.init),
     ]
     parts += map(repr, abp.rules)
-    parts += map(repr, encode_goal(abp.pmas, sig).cubes)
+    parts += map(repr, abp.goal.cubes)
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -129,7 +130,7 @@ def test_c4_locality(cannon):
     goal = StateFormula(
         (make_cube([j1, j2], [lit_eq(ArrayRead("av", j1), ArrayRead("bv", j2))]),)
     )
-    rep2 = check_locality(abp2, goal=goal)
+    rep2 = check_locality(replace(abp2, goal=goal))
     assert rep2.goal_local is False
     _report(4, "cannon guaranteed-termination true; cross-index goal not local")
 

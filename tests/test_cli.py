@@ -90,8 +90,13 @@ def test_missing_file_is_input_error(capsys):
 
 
 def test_bad_goal_is_input_error(cannon_path, capsys):
-    assert main(["check", cannon_path, "--goal", "loc[j] ="]) == 3
-    assert "error" in capsys.readouterr().err
+    # every command reads --goal the same way: an empty one is malformed, not absent
+    commands = [["check"], ["encode"], ["emit-mcmt"], ["oracle"],
+                ["explain-witness", "[t1]"], ["cross-check"]]
+    for goal in ("loc[j] =", ""):
+        for cmd, *rest in commands:
+            assert main([cmd, cannon_path, *rest, "--goal", goal]) == 3, (cmd, goal)
+            assert "error" in capsys.readouterr().err
 
 
 def test_encode_report(cannon_path, capsys):

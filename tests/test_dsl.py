@@ -1,29 +1,13 @@
-"""Surface-language parser and printer."""
+"""Surface-language parser."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmasafety.corpus import generate_model_text
-from pmasafety.dsl import _KEYWORDS, format_pmas, parse_formula, parse_pmas
+from pmasafety.dsl import _KEYWORDS, parse_formula, parse_pmas
 from pmasafety.model import ModelError
 from pmasafety.models import fixture_names, fixture_text
-
-
-@pytest.mark.parametrize("name", fixture_names())
-def test_fixture_round_trip(name):
-    p = parse_pmas(fixture_text(name), name)
-    printed = format_pmas(p)
-    p2 = parse_pmas(printed, name)
-    assert format_pmas(p2) == printed
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_corpus_round_trip(seed):
-    p = parse_pmas(generate_model_text(seed), f"corpus{seed}")
-    printed = format_pmas(p)
-    assert format_pmas(parse_pmas(printed, p.name)) == printed
 
 
 def test_cannon_structure():
@@ -52,6 +36,26 @@ def test_syntax_error_has_position():
     with pytest.raises(ModelError) as ei:
         parse_pmas("sort Loc {", "bad")
     assert any(d.line >= 1 for d in ei.value.diagnostics)
+
+
+def _error_at(parse, src: str) -> tuple[int, int]:
+    with pytest.raises(ModelError) as ei:
+        parse(src)
+    (d,) = ei.value.diagnostics
+    return d.line, d.col
+
+
+def test_error_position_after_an_index():
+    # columns after a spaced index on the same line, and lines after an index
+    # that spans a line break, count the source as written
+    plain = "pre: loc[self] = init and destroyed[self] = no and pulse_loc[e] != A"
+    line = "pre: loc[ self ] = init and destroyed[ self ] = no and pulse_loc[ e ] != ?"
+    src = fixture_text("cannon").replace(plain, line, 1)
+    assert src != fixture_text("cannon")
+    row = src[:src.index(line)].count("\n") + 1
+    col = src.split("\n")[row - 1].index("?") + 1
+    assert _error_at(parse_pmas, src) == (row, col)
+    assert _error_at(parse_formula, "loc[\n  j ] = A and\n ?") == (3, 2)
 
 
 def test_unknown_constant_rejected():

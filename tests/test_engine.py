@@ -831,7 +831,7 @@ class TestLocality:
         goal = StateFormula(
             (make_cube([j1, j2], [lit_eq(ArrayRead("loc", j1), ArrayRead("loc", j2))]),)
         )
-        rep = check_locality(abp, goal=goal)
+        rep = check_locality(replace(abp, goal=goal))
         assert not rep.goal_local
         assert rep.nonlocal_literals
 

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every function and class it defines is used outside the tests."""
 
 from __future__ import annotations
 
@@ -38,3 +39,35 @@ def test_no_unused_imports_in_package():
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def names_read(source: str) -> set[str]:
+    """Every identifier `source` reads: a name, or an attribute after a dot."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_names_read_detected():
+    source = "def f(): pass\nclass C: pass\ng = m.h\nf()\nm.k = 1\n"
+    assert names_read(source) == {"f", "m", "h"}
+
+
+def test_no_code_only_tests_call():
+    """Every top-level function and class of a package module is read by name
+    in the package, the benchmark or the demos."""
+    root = PACKAGE.parent.parent
+    read: set[str] = set()
+    for path in [*PACKAGE.rglob("*.py"), *root.glob("perfbench/*.py"), *root.glob("demos/*.py")]:
+        read |= names_read(path.read_text())
+    unread = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+    ]
+    assert unread == []

@@ -158,7 +158,7 @@ class TestCrossCheck:
 
     def test_goal_override(self, cannon):
         unreachable = parse_formula("loc[j] = nil")
-        rep = cross_check(cannon, goal=unreachable, max_count=1, interp_budget=1)
+        rep = cross_check(replace(cannon, goal=unreachable), max_count=1, interp_budget=1)
         assert rep.engine_status in ("SAFE", "UNSAFE")
         # loc never returns to nil, so both sides must agree it is safe
         assert rep.classification == "agree-safe"
