@@ -29,7 +29,7 @@ from .engine import (
     extract_run_template,
 )
 from .mcmt import McmtError, emit_mcmt, explain_witness, parse_mcmt_witness
-from .model import ModelError, Pmas, RelInterpretation
+from .model import ModelError, Pmas, RelInterpretation, goal_errors
 from .oracle import (
     ConcreteConfig,
     OVERFLOW,
@@ -67,11 +67,15 @@ def _load_model(path: str) -> Pmas:
 
 def _apply_goal(p: Pmas, goal_src: Optional[str]) -> Pmas:
     """`p` with the `--goal` formula as its goal, if one is given.  Every
-    command reads `--goal` here, so an empty or malformed one is an input
-    error everywhere."""
+    command reads `--goal` here, so an empty or malformed one, or one that
+    fails the checks of the model's own goal, is an input error everywhere."""
     if goal_src is None:
         return p
-    return replace(p, goal=parse_formula(goal_src))
+    goal = parse_formula(goal_src)
+    errors = goal_errors(p, goal)
+    if errors:
+        raise InputError("--goal: " + "; ".join(errors))
+    return replace(p, goal=goal)
 
 
 def _parse_counts(p: Pmas, text: Optional[str]) -> tuple[tuple[str, int], ...]:
@@ -221,6 +225,7 @@ def _cmd_oracle(args) -> int:
     _kv("counts", ",".join(f"{t}={k}" for t, k in cfg.counts))
     _kv("status", res.status)
     _kv("states", res.states_seen)
+    _kv("examined", res.examined)
     if res.status == REACHED:
         _kv("depth", res.depth)
         assert res.run is not None
@@ -313,8 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output path (default: stdout)")
     sp.set_defaults(fn=_cmd_emit_mcmt)
 
-    sp = sub.add_parser("oracle", help="explicit-state enumeration for fixed counts; OVERFLOW "
-                        f"(exit 2) after {ConcreteConfig.max_states} examined successors")
+    about = (f"explicit-state enumeration for fixed counts; OVERFLOW (exit 2) after "
+             f"{ConcreteConfig.max_states} examined successors, one per orbit of steps "
+             "under permutations of interchangeable agents")
+    sp = sub.add_parser("oracle", help=about, description=about)
     _add_common(sp)
     sp.add_argument("--counts", help="agent counts, e.g. Att=2 (default 2 each)")
     sp.add_argument("--interp", help="relation interpretation file, one R(c1,...) per line")

@@ -9,7 +9,6 @@ variables read existentially.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -158,6 +157,7 @@ class AgentTemplate:
                 return a
         return None
 
+    @memoized
     def local_actions(self) -> tuple[ActionDecl, ...]:
         return tuple(a for a in self.actions if a.kind == LOCAL)
 
@@ -202,6 +202,16 @@ class Pmas:
 
     def owner_of_var(self, v: str) -> AgentTemplate:
         return self.var_slot(v)[0]
+
+    @memoized
+    def effect_slots(self) -> dict[tuple[str, str], tuple[tuple[int, str], ...]]:
+        """Each action's effect as (slot, constant) pairs, keyed by (template,
+        action) (memoized)."""
+        return {
+            (t.name, a.name): tuple((self.var_slot(v)[1], c) for v, c in a.eff)
+            for t in self.all_templates()
+            for a in t.actions
+        }
 
     @memoized
     def compiled_formulas(self) -> dict:
@@ -344,16 +354,21 @@ def validate_pmas(p: Pmas) -> list[Diagnostic]:
         if missing:
             err(f"templates {sorted(missing)} in no alternation group")
 
-    try:
-        infer_formula_var_templates(p, p.goal, self_template=None)
-    except ModelError as me:
-        for d in me.diagnostics:
-            err(f"goal: {d.message}")
-    if any(
-        isinstance(x, VarTest) and x.idx == SELF for x in _walk(p.goal)
-    ):
-        err("goal must not use self")
+    for msg in goal_errors(p, p.goal):
+        err(f"goal: {msg}")
 
+    return out
+
+
+def goal_errors(p: Pmas, goal: AgentFormula) -> list[str]:
+    """What is wrong with `goal` as the goal of `p`."""
+    out = []
+    try:
+        infer_formula_var_templates(p, goal, self_template=None)
+    except ModelError as me:
+        out += [d.message for d in me.diagnostics]
+    if any(SELF in _indexes(x) for x in _walk(goal)):
+        out.append("must not use self")
     return out
 
 
@@ -503,9 +518,6 @@ class Snapshot:
             self.turn,
         )
 
-    def all_ids(self) -> list[AgentId]:
-        return [(name, i) for name, states in self.agents for i in range(len(states))]
-
 
 def initial_snapshot(p: Pmas, counts: dict[str, int]) -> Snapshot:
     agents = tuple(
@@ -517,27 +529,89 @@ def initial_snapshot(p: Pmas, counts: dict[str, int]) -> Snapshot:
     return Snapshot(agents, env, turn)
 
 
-# A compiled formula evaluates one grounding: it takes the snapshot, the
-# interpretation, the agent `self` denotes, the agent states of each free index
-# variable's template and the chosen position of each variable, in sorted order.
-Grounded = Callable[
-    [Snapshot, RelInterpretation, Optional[AgentId], list, tuple], bool
-]
+# A compiled part of a formula tests one grounding, or searches for one: it
+# takes the snapshot, the interpretation, the agent `self` denotes, the agent
+# states of each free index variable's template and the position bound to each
+# variable, in sorted variable order.  A search binds the variables its part
+# leaves free and leaves the others as it found them.
+Grounded = Callable[[Snapshot, RelInterpretation, Optional[AgentId], list, list], bool]
+Search = Callable[[Snapshot, RelInterpretation, Optional[AgentId]], bool]
 
 
-def _unbound() -> AgentId:
-    raise ModelError("self unbound in evaluation")
+def _indexes(g: AgentFormula) -> tuple[str, ...]:
+    """The indexes (variables, SELF or ENV) an atom of `g` names itself."""
+    if isinstance(g, VarTest):
+        return (g.idx,)
+    if isinstance(g, RelTest):
+        return tuple(a.idx for a in g.args if isinstance(a, VarRef))
+    if isinstance(g, IdxEq):
+        return (g.lhs, g.rhs)
+    return ()
+
+
+def _conjuncts(g: AgentFormula) -> Iterator[AgentFormula]:
+    if isinstance(g, Conj):
+        for i in g.items:
+            yield from _conjuncts(i)
+    else:
+        yield g
+
+
+def _all(parts: list[Grounded]) -> Grounded:
+    """A part true when each of `parts` is, tried in order."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def conj(snap, interp, self_id, states, ground):
+        for t in parts:
+            if not t(snap, interp, self_id, states, ground):
+                return False
+        return True
+    return conj
+
+
+def _any(parts: list[Grounded]) -> Grounded:
+    """A part true when one of `parts` is, tried in order."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def disj(snap, interp, self_id, states, ground):
+        for t in parts:
+            if t(snap, interp, self_id, states, ground):
+                return True
+        return False
+    return disj
+
+
+def _bind(k: int, rest: Grounded) -> Grounded:
+    """A search trying each agent for variable `k` until `rest` holds."""
+    def bind(snap, interp, self_id, states, ground):
+        for i in range(len(states[k])):
+            ground[k] = i
+            if rest(snap, interp, self_id, states, ground):
+                return True
+        return False
+    return bind
 
 
 def compile_agent_formula(
     p: Pmas, f: AgentFormula, self_template: Optional[str]
-) -> tuple[tuple[str, ...], Grounded]:
-    """Resolve `f` against `p` once: the templates of its free index variables,
-    in sorted variable order, and a closure evaluating one grounding."""
+) -> Search:
+    """Resolve `f` against `p` once, into a search for a grounding of its free
+    index variables that makes it true.
+
+    The search binds one variable at a time and tests each conjunct as soon as
+    its variables are bound; it searches each disjunct on its own, over its
+    own variables.  As over every grounding, `f` is false when the template
+    of one of its variables has no agents.  The search raises ModelError when
+    the snapshot lacks that template, and when `f` mentions `self` and no
+    agent is given for it."""
     st = p.template(self_template) if self_template else None
     assign = infer_formula_var_templates(p, f, self_template=st)
     names = sorted(assign)
     pos = {n: k for k, n in enumerate(names)}
+    templates = tuple(assign[n].name for n in names)
+    uses_self = any(SELF in _indexes(g) for g in _walk(f))
 
     def value(arg: Union[VarTest, VarRef, ConstRef]):
         """The getter of a constant, or of v[idx] in one grounding."""
@@ -549,7 +623,7 @@ def compile_agent_formula(
             return lambda snap, self_id, states, ground: snap.env[slot]
         if arg.idx == SELF:
             def of_self(snap, self_id, states, ground):
-                t, i = self_id if self_id is not None else _unbound()
+                t, i = self_id
                 return snap.agents_of(t)[i][slot]
             return of_self
         k = pos[arg.idx]
@@ -558,7 +632,7 @@ def compile_agent_formula(
     def agent(idx: str):
         """The getter of the agent an index denotes in one grounding."""
         if idx == SELF:
-            return lambda self_id, ground: self_id if self_id is not None else _unbound()
+            return lambda self_id, ground: self_id
         k, t = pos[idx], assign[idx].name
         return lambda self_id, ground: (t, ground[k])
 
@@ -587,26 +661,44 @@ def compile_agent_formula(
                 snap, interp, self_id, states, ground
             )
         if isinstance(g, Conj):
-            items = [comp(i) for i in g.items]
-
-            def conj(snap, interp, self_id, states, ground):
-                for i in items:
-                    if not i(snap, interp, self_id, states, ground):
-                        return False
-                return True
-            return conj
+            return _all([comp(i) for i in g.items])
         if isinstance(g, Disj):
-            items = [comp(i) for i in g.items]
-
-            def disj(snap, interp, self_id, states, ground):
-                for i in items:
-                    if i(snap, interp, self_id, states, ground):
-                        return True
-                return False
-            return disj
+            return _any([comp(i) for i in g.items])
         raise ModelError(f"not a formula: {g!r}")
 
-    return tuple(assign[n].name for n in names), comp(f)
+    def free(g: AgentFormula) -> frozenset[int]:
+        return frozenset(pos[i] for h in _walk(g) for i in _indexes(h) if i in pos)
+
+    def search(g: AgentFormula, bound: frozenset[int]) -> Grounded:
+        """Whether some binding of the variables of `g` outside `bound` makes
+        `g` true: a disjunction is searched disjunct by disjunct (the domains
+        are not empty), anything else as conjuncts tested once bound."""
+        if isinstance(g, Disj):
+            return _any([search(i, bound) for i in g.items])
+        tests = [(free(c), comp(c)) for c in _conjuncts(g)]
+        known = set(bound)
+        parts = [t for vs, t in tests if vs <= known]
+        levels = []  # (variable, the conjuncts it is the last variable of)
+        for k in sorted(set().union(*(vs for vs, _t in tests)) - known):
+            known.add(k)
+            levels.append((k, [t for vs, t in tests if k in vs and vs <= known]))
+        rest = None
+        for k, ts in reversed(levels):
+            rest = _bind(k, _all(ts + ([rest] if rest else [])))
+        return _all(parts + ([rest] if rest else []))
+
+    root = search(f, frozenset())
+    n = len(names)
+
+    def run(snap: Snapshot, interp: RelInterpretation, self_id: Optional[AgentId]) -> bool:
+        if self_id is None and uses_self:
+            raise ModelError("self unbound in evaluation")
+        if not n:
+            return root(snap, interp, self_id, [], [])
+        states = [snap.agents_of(t) for t in templates]
+        return all(states) and root(snap, interp, self_id, states, [0] * n)
+
+    return run
 
 
 def eval_agent_formula(
@@ -620,21 +712,18 @@ def eval_agent_formula(
     """Truth of `f` in `snap`: free index variables are existential.
 
     Index groundings range over the agents of the variable's template and need
-    not be injective.  `self_id` fixes the interpretation of `self`.  `f` is
-    compiled once per model and self template; a formula that fails to compile
-    is not remembered, so it raises again on every call.
+    not be injective.  `self_id` fixes the interpretation of `self`; a formula
+    that mentions `self` raises ModelError without it.  `f` is compiled once
+    per model and self template; a formula that fails to compile is not
+    remembered, so it raises again on every call.
     """
     st = self_template or (self_id[0] if self_id else None)
     memo = p.compiled_formulas()
     key = (id(f), st)
     try:
-        _f, templates, run = memo[key]
+        _f, run = memo[key]
     except KeyError:
-        templates, run = compile_agent_formula(p, f, st)
+        run = compile_agent_formula(p, f, st)
         # the entry keeps `f` alive, so its id cannot be reused while cached
-        memo[key] = (f, templates, run)
-    states = [snap.agents_of(t) for t in templates]
-    for ground in itertools.product(*[range(len(s)) for s in states]):
-        if run(snap, interp, self_id, states, ground):
-            return True
-    return False
+        memo[key] = (f, run)
+    return run(snap, interp, self_id)

@@ -66,29 +66,32 @@ class OracleResult:
     depth: Optional[int] = None
     run: Optional[list[StepVector]] = None
     states_seen: int = 0
+    examined: int = 0  # successors built, one per orbit of step vectors
 
 
 def _apply(p: Pmas, snap: Snapshot, vec: StepVector) -> Snapshot:
-    new_agents = {name: list(states) for name, states in snap.agents}
+    slots = p.effect_slots()
+    changed: dict[str, list[tuple[str, ...]]] = {}
     for (t, i), a_name in vec.agent_actions:
-        a = p.template(t).action(a_name)
-        assert a is not None
-        st = list(new_agents[t][i])
-        for v, c in a.eff:
-            st[p.var_slot(v)[1]] = c
-        new_agents[t][i] = tuple(st)
-    env = list(snap.env)
+        states = changed.get(t)
+        if states is None:
+            states = changed[t] = list(snap.agents_of(t))
+        st = list(states[i])
+        for k, c in slots[t, a_name]:
+            st[k] = c
+        states[i] = tuple(st)
+    env = snap.env
     if vec.env_action is not None:
-        ea = p.env.action(vec.env_action)
-        assert ea is not None
-        for v, c in ea.eff:
-            env[p.var_slot(v)[1]] = c
+        env = list(env)
+        for k, c in slots[p.env.name, vec.env_action]:
+            env[k] = c
+        env = tuple(env)
     turn = snap.turn
     if turn is not None:
         turn = 1 - turn
     return Snapshot(
-        tuple((name, tuple(states)) for name, states in ((n, new_agents[n]) for n, _ in snap.agents)),
-        tuple(env),
+        tuple((n, tuple(changed[n])) if n in changed else (n, ss) for n, ss in snap.agents),
+        env,
         turn,
     )
 
@@ -99,22 +102,57 @@ def _in_turn(p: Pmas, snap: Snapshot, template_name: str) -> bool:
     return p.turn_group(template_name) == snap.turn
 
 
+def _blocks(snap: Snapshot) -> list[tuple[str, int, int]]:
+    """The agents of `snap` as maximal runs of adjacent agents of one template
+    in one local state: (template, first position, length), in agent order.
+    The agents of a block are interchangeable; in a canonical snapshot a block
+    holds every agent of its template in its state."""
+    out = []
+    for name, states in snap.agents:
+        start = 0
+        for i in range(1, len(states)):
+            if states[i] != states[i - 1]:
+                out.append((name, start, i - start))
+                start = i
+        if states:
+            out.append((name, start, len(states) - start))
+    return out
+
+
+def _takes(sizes: list[int], r: int) -> Iterator[tuple[int, ...]]:
+    """Every way to take `r` agents from blocks of `sizes`, as a count per
+    block, with more from earlier blocks first."""
+    if not sizes:
+        yield ()
+        return
+    rest = sum(sizes) - sizes[0]
+    for c in range(min(sizes[0], r), max(r - rest, 0) - 1, -1):
+        for tail in _takes(sizes[1:], r - c):
+            yield (c,) + tail
+
+
 def step_vectors(p: Pmas, snap: Snapshot, interp: RelInterpretation, semantics: str) -> Iterator[StepVector]:
-    """Legal global steps from `snap` (never the fully idle vector).
+    """Legal global steps from `snap` (never the fully idle vector), one per
+    orbit under permutations of the agents within a block (`_blocks`).
 
     Interleaved: any agents each pick one executable local action, or stay
     idle, and a synchronisation takes any non-empty subset of the willing
     agents.  Concurrent: every agent with an executable local action must
     pick one, and a synchronisation takes all willing agents.  The
-    environment's local choice follows the agents' rule."""
+    environment's local choice follows the agents' rule.
+
+    Of each orbit, the vector emitted is the first one an enumeration of every
+    vector would give, agent by agent in order, and the emitted vectors come in
+    that enumeration's order: a block picks its choices sorted, a
+    synchronisation takes a prefix of each block, and an individual one the
+    first agent of a block.  Each precondition is evaluated once per block."""
     if semantics not in (INTERLEAVED, CONCURRENT):
         raise ValueError(f"unknown semantics {semantics!r}")
     interleaved = semantics == INTERLEAVED
-    ids = snap.all_ids()
+    blocks = _blocks(snap)
 
-    def choices(aid: Optional[AgentId]) -> list[Optional[str]]:
-        """The local choices of agent `aid`, or of the environment if None."""
-        t = p.env if aid is None else p.template(aid[0])
+    def choices(t, aid: Optional[AgentId]) -> list[Optional[str]]:
+        """The local choices of agent `aid` of `t`, or of the environment if None."""
         names = []
         if _in_turn(p, snap, t.name):
             names = [
@@ -124,18 +162,24 @@ def step_vectors(p: Pmas, snap: Snapshot, interp: RelInterpretation, semantics: 
             ]
         return [None] + names if interleaved else names or [None]
 
-    agent_opts = [choices(aid) for aid in ids]
-    env_opts = choices(None)
-    for env_choice in env_opts:
-        for combo in itertools.product(*agent_opts):
-            acting = tuple((aid, a) for aid, a in zip(ids, combo) if a is not None)
+    # per block, the acting pairs of each sorted choice of its agents
+    block_opts = [
+        [
+            tuple(((t, i + j), a) for j, a in enumerate(combo) if a is not None)
+            for combo in itertools.combinations_with_replacement(choices(p.template(t), (t, i)), k)
+        ]
+        for t, i, k in blocks
+    ]
+    for env_choice in choices(p.env, None):
+        for combo in itertools.product(*block_opts):
+            acting = tuple(itertools.chain.from_iterable(combo))
             if env_choice is None and not acting:
                 continue
             yield StepVector(LOCAL, env_choice, acting)
 
-    def joiners(kind: str) -> Iterator[tuple[str, list[AgentId]]]:
+    def joiners(kind: str) -> Iterator[tuple[str, list[tuple[str, int, int]]]]:
         """Each environment action of `kind` that may start now, with the
-        agents able to join it."""
+        blocks able to join it."""
         for ea in p.env.actions:
             if ea.kind != kind:
                 continue
@@ -144,32 +188,36 @@ def step_vectors(p: Pmas, snap: Snapshot, interp: RelInterpretation, semantics: 
             if not eval_agent_formula(p, snap, interp, ea.pre):
                 continue
             yield ea.name, [
-                aid
-                for aid in ids
-                if (a := p.template(aid[0]).action(ea.name)) is not None
+                (t, i, k)
+                for t, i, k in blocks
+                if (a := p.template(t).action(ea.name)) is not None
                 and a.kind == kind
-                and eval_agent_formula(p, snap, interp, a.pre, self_id=aid)
+                and eval_agent_formula(p, snap, interp, a.pre, self_id=(t, i))
             ]
 
     for name, eligible in joiners(SYNC):
-        n = len(eligible)
+        sizes = [k for _t, _i, k in eligible]
+        n = sum(sizes)
         # every non-empty subset, or only the full one
         for r in range(1, n + 1) if interleaved else range(max(n, 1), n + 1):
-            for subset in itertools.combinations(eligible, r):
-                yield StepVector(SYNC, name, tuple((aid, name) for aid in subset))
+            for counts in _takes(sizes, r):
+                yield StepVector(SYNC, name, tuple(
+                    ((t, i + j), name) for (t, i, _k), c in zip(eligible, counts) for j in range(c)
+                ))
 
     # individual synchronisations: the environment plus exactly one agent
     for name, eligible in joiners(INDIVIDUAL):
-        for aid in eligible:
-            yield StepVector(INDIVIDUAL, name, ((aid, name),))
+        for t, i, _k in eligible:
+            yield StepVector(INDIVIDUAL, name, (((t, i), name),))
 
 
 def enumerate_reachable(p: Pmas, cfg: ConcreteConfig) -> OracleResult:
     """BFS from the initial snapshot; stops at the first snapshot that meets
     the model's goal.  Ends in OVERFLOW once it has examined more than
-    `cfg.max_states` successors, duplicates included: a step may have
-    exponentially many vectors in the agent count, most of them leading to
-    snapshots already seen.
+    `cfg.max_states` successors, duplicates included.  A successor is
+    examined once per orbit of step vectors (`step_vectors`), but a step may
+    still have exponentially many orbits in the agent count, most of them
+    leading to snapshots already seen.
     """
     start = initial_snapshot(p, cfg.counts_dict()).canonical()
     if eval_agent_formula(p, start, cfg.interp, p.goal):
@@ -183,18 +231,20 @@ def enumerate_reachable(p: Pmas, cfg: ConcreteConfig) -> OracleResult:
             for vec in step_vectors(p, snap, cfg.interp, cfg.semantics):
                 examined += 1
                 if examined > cfg.max_states:
-                    return OracleResult(OVERFLOW, states_seen=len(seen))
+                    return OracleResult(OVERFLOW, states_seen=len(seen), examined=examined)
                 succ = _apply(p, snap, vec).canonical()
                 if succ in seen:
                     continue
                 seen.add(succ)
                 if eval_agent_formula(p, succ, cfg.interp, p.goal):
-                    return OracleResult(REACHED, depth=depth, run=run + [vec], states_seen=len(seen))
+                    return OracleResult(
+                        REACHED, depth=depth, run=run + [vec], states_seen=len(seen), examined=examined
+                    )
                 nxt.append((succ, run + [vec]))
         if not nxt:
             break
         frontier = nxt
-    return OracleResult(SILENT, states_seen=len(seen))
+    return OracleResult(SILENT, states_seen=len(seen), examined=examined)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +284,7 @@ def replay_run_template(
         for vec in step_vectors(p, snap, cfg.interp, cfg.semantics):
             if vec.label() != want:
                 continue
-            if go(i + 1, _apply(p, snap, vec)):
+            if go(i + 1, _apply(p, snap, vec).canonical()):
                 return True
         return False
 

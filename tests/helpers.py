@@ -5,8 +5,8 @@ satisfiability is decided by exhaustive enumeration over small finite
 universes, and transition rules are executed on fully concrete states.  The
 exceptions are the library's earlier procedures (`reference_canon_cube`,
 `reference_entailed_by`, `reference_open_clauses`, `reference_preimage`,
-`reference_subsumes`, `unabsorbed_dnf`), kept so that the current ones can be
-compared with them call by call.
+`reference_step_vectors`, `reference_subsumes`, `unabsorbed_dnf`), kept so
+that the current ones can be compared with them call by call.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_pmas
-from pmasafety.encoder import Gate, TransitionRule, differentiate
+from pmasafety.encoder import CONCURRENT, INTERLEAVED, Gate, TransitionRule, differentiate
 from pmasafety.engine import Region, _lit_through, canon_cube
 from pmasafety.logic import (
     ArrayRead,
@@ -65,18 +65,27 @@ from pmasafety.model import (
     Conj,
     ConstRef,
     Disj,
+    INDIVIDUAL,
     IdxEq,
+    LOCAL,
     ModelError,
     Neg,
     RelInterpretation,
     RelTest,
+    SYNC,
     Snapshot,
     VarRef,
     VarTest,
+    eval_agent_formula,
     infer_formula_var_templates,
 )
 from pmasafety.models import fixture_text
-from pmasafety.oracle import ConcreteConfig, enumerate_reachable, relation_interpretations
+from pmasafety.oracle import (
+    ConcreteConfig,
+    StepVector,
+    enumerate_reachable,
+    relation_interpretations,
+)
 
 # ---------------------------------------------------------------------------
 # brute-force EUF satisfiability for ground (skolemized) cubes
@@ -966,20 +975,33 @@ def oracle_digest(p, semantics: str) -> str:
 # reference agent-formula evaluation
 
 
+def _mentions_self(g) -> bool:
+    if isinstance(g, VarTest):
+        return g.idx == SELF
+    if isinstance(g, RelTest):
+        return any(isinstance(a, VarRef) and a.idx == SELF for a in g.args)
+    if isinstance(g, IdxEq):
+        return SELF in (g.lhs, g.rhs)
+    if isinstance(g, Neg):
+        return _mentions_self(g.inner)
+    if isinstance(g, (Conj, Disj)):
+        return any(map(_mentions_self, g.items))
+    return False
+
+
 def reference_eval_agent_formula(p, snap, interp, f, self_id=None, self_template=None) -> bool:
-    """`model.eval_agent_formula` as a tree walk that looks every variable's
-    owner and slot up afresh, the reference the compiled evaluator must match."""
+    """`model.eval_agent_formula` as a tree walk over every grounding that
+    looks every variable's owner and slot up afresh, the reference the
+    compiled evaluator must match."""
     st = p.template(self_template or self_id[0]) if (self_template or self_id) else None
     assign = infer_formula_var_templates(p, f, self_template=st)
+    if self_id is None and _mentions_self(f):
+        raise ModelError("self unbound in evaluation")
     names = sorted(assign)
     domains = [range(len(snap.agents_of(assign[n].name))) for n in names]
 
     def idx_val(idx, ground):
-        if idx == SELF:
-            if self_id is None:
-                raise ModelError("self unbound in evaluation")
-            return self_id
-        return ground[idx]
+        return self_id if idx == SELF else ground[idx]
 
     def value_of(var, idx, ground):
         (owner,) = [t for t in p.all_templates() if var in t.var_names()]
@@ -1094,3 +1116,67 @@ def random_interpretation(rng: random.Random, p):
         )
     ]
     return RelInterpretation.of(c for c in cells if rng.random() < 0.5)
+
+
+# ---------------------------------------------------------------------------
+# reference step vectors
+
+
+def agent_ids(snap) -> list:
+    """Every (template, position) of `snap`, in agent order."""
+    return [(name, i) for name, states in snap.agents for i in range(len(states))]
+
+
+def reference_step_vectors(p, snap, interp, semantics: str):
+    """`oracle.step_vectors` without symmetry reduction: every legal vector,
+    each precondition evaluated once per agent.  The reduced generator must
+    emit exactly the first vector of each orbit, in this order."""
+    if semantics not in (INTERLEAVED, CONCURRENT):
+        raise ValueError(f"unknown semantics {semantics!r}")
+    interleaved = semantics == INTERLEAVED
+    ids = agent_ids(snap)
+
+    def choices(aid):
+        t = p.env if aid is None else p.template(aid[0])
+        names = []
+        if snap.turn is None or p.turn_group(t.name) == snap.turn:
+            names = [
+                a.name
+                for a in t.local_actions()
+                if eval_agent_formula(p, snap, interp, a.pre, self_id=aid)
+            ]
+        return [None] + names if interleaved else names or [None]
+
+    agent_opts = [choices(aid) for aid in ids]
+    for env_choice in choices(None):
+        for combo in itertools.product(*agent_opts):
+            acting = tuple((aid, a) for aid, a in zip(ids, combo) if a is not None)
+            if env_choice is None and not acting:
+                continue
+            yield StepVector(LOCAL, env_choice, acting)
+
+    def joiners(kind):
+        for ea in p.env.actions:
+            if ea.kind != kind:
+                continue
+            if p.alternation is not None and p.sync_initiator_group(ea.name) != snap.turn:
+                continue
+            if not eval_agent_formula(p, snap, interp, ea.pre):
+                continue
+            yield ea.name, [
+                aid
+                for aid in ids
+                if (a := p.template(aid[0]).action(ea.name)) is not None
+                and a.kind == kind
+                and eval_agent_formula(p, snap, interp, a.pre, self_id=aid)
+            ]
+
+    for name, eligible in joiners(SYNC):
+        n = len(eligible)
+        for r in range(1, n + 1) if interleaved else range(max(n, 1), n + 1):
+            for subset in itertools.combinations(eligible, r):
+                yield StepVector(SYNC, name, tuple((aid, name) for aid in subset))
+
+    for name, eligible in joiners(INDIVIDUAL):
+        for aid in eligible:
+            yield StepVector(INDIVIDUAL, name, ((aid, name),))

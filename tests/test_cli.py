@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+from pmasafety import cli
 from pmasafety.cli import main
+from pmasafety.oracle import ConcreteConfig
 from pmasafety.models import fixture_text
 
 GOLDEN = Path(__file__).parent / "data" / "cannon.mcmt"
@@ -99,6 +102,18 @@ def test_bad_goal_is_input_error(cannon_path, capsys):
             assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("goal, message", [
+    ("loc[j] = Zed", "loc[j] = Zed ill-sorted"),
+    ("loc[self] = target", "self not allowed here"),
+])
+@pytest.mark.parametrize("cmd", ["check", "oracle"])
+def test_goal_override_checked_like_the_models_goal(cannon_path, capsys, cmd, goal, message):
+    assert main([cmd, cannon_path, "--goal", goal]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --goal: {message}")
+
+
 def test_encode_report(cannon_path, capsys):
     assert main(["encode", cannon_path]) == 0
     out = _kv_lines(capsys.readouterr().out)
@@ -175,13 +190,29 @@ def test_oracle_rejects_template_counted_twice(cannon_path, capsys):
     assert "--counts names template 'Att' twice" in capsys.readouterr().err
 
 
-def test_oracle_overflows_on_many_agents(cannon_path, capsys):
-    # 20 agents give about 2**20 step vectors per snapshot, most leading to
-    # snapshots already seen: the budget counts every examined successor
+def test_oracle_steps_once_per_orbit_of_many_agents(cannon_path, capsys):
+    # 20 robots give about 2**20 step vectors per snapshot, but the robots in
+    # one local state are interchangeable, so one vector per orbit is examined
     t0 = time.monotonic()
-    assert main(["oracle", cannon_path, "--counts", "Att=20", "--max-depth", "3"]) == 2
+    assert main(["oracle", cannon_path, "--counts", "Att=20", "--max-depth", "3"]) == 0
+    out = _kv_lines(capsys.readouterr().out)
+    assert (out["status"], out["states"]) == ("SILENT", "123")
+    assert main(["oracle", cannon_path, "--counts", "Att=20"]) == 1
+    out = _kv_lines(capsys.readouterr().out)
+    assert (out["status"], out["depth"]) == ("REACHED", "4")
+    assert int(out["examined"]) > int(out["states"])
     assert time.monotonic() - t0 < 30
-    assert _kv_lines(capsys.readouterr().out)["status"] == "OVERFLOW"
+
+
+def test_oracle_overflow_exits_2(cannon_path, capsys, monkeypatch):
+    @dataclass(frozen=True)
+    class Small(ConcreteConfig):
+        max_states: int = 3
+
+    monkeypatch.setattr(cli, "ConcreteConfig", Small)
+    assert main(["oracle", cannon_path, "--counts", "Att=2"]) == 2
+    out = _kv_lines(capsys.readouterr().out)
+    assert (out["status"], out["examined"]) == ("OVERFLOW", "4")
 
 
 def test_oracle_bad_counts(cannon_path, capsys):

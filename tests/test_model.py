@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import (
+    agent_ids,
     named_model,
     random_agent_formula,
     random_interpretation,
@@ -146,7 +147,7 @@ def test_compiled_evaluation_matches_reference(name):
         for _ in range(3):  # later calls with the same self template find `f` compiled
             snap = random_snapshot(rng, p)
             interp = random_interpretation(rng, p)
-            ids = snap.all_ids()
+            ids = agent_ids(snap)
             self_id = rng.choice(ids) if ids and rng.random() < 0.6 else None
             self_template = rng.choice(templates)
             want = _outcome(reference_eval_agent_formula, p, snap, interp, f, self_id, self_template)

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 
+from helpers import (
+    named_model,
+    random_interpretation,
+    random_snapshot,
+    reference_step_vectors,
+)
+from pmasafety import oracle
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_formula, parse_pmas
-from pmasafety.model import ModelError, RelInterpretation
+from pmasafety.model import ModelError, RelInterpretation, Snapshot, initial_snapshot
 from pmasafety.models import fixture_text
 from pmasafety.oracle import (
     ConcreteConfig,
@@ -17,11 +25,16 @@ from pmasafety.oracle import (
     REACHED,
     SILENT,
     VALID,
+    _apply,
     cross_check,
     enumerate_reachable,
     relation_interpretations,
     replay_run_template,
+    step_vectors,
 )
+
+MODELS = ["cannon", "trains"] + [f"corpus{s}" for s in range(16)]
+SEMANTICS = ["interleaved", "concurrent"]
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +92,104 @@ def test_environment_precondition_has_no_self():
 def test_concurrent_enumeration_runs(cannon):
     cfg = ConcreteConfig((("Att", 1),), RelInterpretation(), "concurrent")
     assert enumerate_reachable(cannon, cfg).status == REACHED
+
+
+def _orbit(snap, vec):
+    """`vec`'s orbit under permutations of adjacent agents of one template in
+    one local state."""
+    block = {}
+    for name, states in snap.agents:
+        b = 0
+        for i, state in enumerate(states):
+            b += i > 0 and state != states[i - 1]
+            block[name, i] = (name, b)
+    return vec.kind, vec.env_action, tuple(sorted((block[aid], a) for aid, a in vec.agent_actions))
+
+
+def _vectors(gen, *args):
+    try:
+        return list(gen(*args))
+    except ModelError as e:
+        return f"ModelError: {e}"
+
+
+def _crowded_snapshot(rng, p):
+    """One to three agents per template, each in the initial state or in one
+    other state, so that agents often share a state."""
+    init, other = initial_snapshot(p, {t.name: 1 for t in p.templates}), random_snapshot(rng, p)
+    agents = []
+    for name, (state,) in init.agents:
+        pool = [state, *(s for n, ss in other.agents if n == name for s in ss[:1])]
+        agents.append((name, tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))))
+    return Snapshot(tuple(agents), rng.choice((init, other)).env)
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+@pytest.mark.parametrize("name", MODELS)
+def test_step_vectors_are_the_first_of_each_orbit(name, semantics):
+    p = named_model(name)
+    rng = random.Random(f"{name}/{semantics}")
+    compared = 0
+    for k in range(80):
+        snap = (random_snapshot if k % 2 else _crowded_snapshot)(rng, p)
+        if p.alternation is not None:
+            snap = replace(snap, turn=rng.randint(0, 1))
+        interp = random_interpretation(rng, p) if k % 3 else RelInterpretation()
+        for s in (snap, snap.canonical()):
+            want = _vectors(reference_step_vectors, p, s, interp, semantics)
+            got = _vectors(step_vectors, p, s, interp, semantics)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            firsts: dict = {}
+            for v in want:
+                firsts.setdefault(_orbit(s, v), v)
+            assert got == list(firsts.values()), s
+            assert {_apply(p, s, v).canonical() for v in got} == {
+                _apply(p, s, v).canonical() for v in want
+            }
+            compared += len(want) > len(got)
+    # a concurrent orbit has several vectors only where an agent has two
+    # executable local actions, which most corpus models never give
+    assert compared or semantics == "concurrent", "no orbit of several vectors"
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+@pytest.mark.parametrize("name", MODELS)
+def test_replay_agrees_with_reference_vectors(name, semantics, monkeypatch):
+    p = named_model(name)
+    rng = random.Random(f"{name}/{semantics}")
+    counts = tuple((t.name, 2) for t in p.templates)
+    interp = random_interpretation(rng, p)
+    cfg = ConcreteConfig(counts, interp, semantics, max_depth=6)
+    found = enumerate_reachable(p, cfg)
+    templates = [[v.label() for v in found.run]] if found.run else []
+    seen = []
+    for _ in range(6):  # the labels of random walks, some with one label changed
+        snap, labels = initial_snapshot(p, dict(counts)), []
+        for _ in range(rng.randint(1, 4)):
+            vecs = list(reference_step_vectors(p, snap, interp, semantics))
+            if not vecs:
+                break
+            vec = rng.choice(vecs)
+            labels.append(vec.label())
+            seen.append(vec.label())
+            snap = _apply(p, snap, vec)
+        if labels and rng.random() < 0.3:
+            labels[rng.randrange(len(labels))] = rng.choice(seen)
+        templates.append(labels)
+    got = [replay_run_template(p, t, cfg) for t in templates]
+    monkeypatch.setattr(oracle, "step_vectors", reference_step_vectors)
+    assert got == [replay_run_template(p, t, cfg) for t in templates]
+
+
+def test_orbits_examine_fewer_successors(trains, monkeypatch):
+    cfg = ConcreteConfig((("PTrain", 3), ("NTrain", 3)), RelInterpretation(), "interleaved")
+    reduced = enumerate_reachable(trains, cfg)
+    monkeypatch.setattr(oracle, "step_vectors", reference_step_vectors)
+    full = enumerate_reachable(trains, cfg)
+    assert (reduced.status, reduced.states_seen) == (full.status, full.states_seen) == (SILENT, 470)
+    assert reduced.examined < full.examined
 
 
 class TestReplay:
