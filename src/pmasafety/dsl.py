@@ -107,6 +107,7 @@ class _Parser:
         self.toks = _tokenize(src)
         self.pos = 0
         self.depth = 0  # `not` and parentheses open around the current token
+        self.goal_at = (0, 0)  # line and column of the `goal` declaration
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -250,6 +251,7 @@ class _Parser:
             elif t.text == "goal":
                 if goal is not None:
                     self.fail("second goal declaration", t)
+                self.goal_at = (t.line, t.col)
                 self.next()
                 self.expect(":")
                 goal = self.formula()
@@ -371,9 +373,10 @@ class _Parser:
 
 def parse_pmas(src: str, name: str = "model", validate: bool = True) -> Pmas:
     """Parse and (optionally) validate a model; raises ModelError with diagnostics."""
-    p = _Parser(src).pmas(name)
+    parser = _Parser(src)
+    p = parser.pmas(name)
     if validate:
-        diags = validate_pmas(p)
+        diags = validate_pmas(p, parser.goal_at)
         if diags:
             raise ModelError(diags)
     return p

@@ -607,7 +607,7 @@ class _RuleBuilder:
     def sync_start(self) -> None:
         """Eq-3 style: the environment and one agent open a synchronization."""
         for ea, env_lits, env_extra in self.env_actions(SYNC):
-            group = self.p.sync_initiator_group(ea.name)
+            group = self.p.initiator_groups()[ea.name]
             for t, _a, x, lits, extra in self.declarers(self.participants(ea)):
                 guard = [self.phase_lit(P0), _idle(self.p.env, None), _idle(t, x),
                          *self.turn_guard(group), *lits, *env_lits]
@@ -628,14 +628,14 @@ class _RuleBuilder:
             arrays: list[tuple[str, LambdaUpdate]] = []
             for t, a in self.participants(ea):
                 arrays += _commit_updates(t, [a])
-            group = self.p.sync_initiator_group(ea.name) or 0
+            group = self.p.initiator_groups()[ea.name] or 0
             label = f"sync_commit:{ea.name}@{from_phase}"
             self.commit(label, "sync_commit", from_phase, ea, arrays, group)
 
     def individual_syncs(self) -> None:
         """Fused rule: environment plus exactly one agent, committed in place."""
         for ea, env_lits, env_extra in self.env_actions(INDIVIDUAL):
-            tg, tu = self.turn_toggle(self.p.sync_initiator_group(ea.name) or 0)
+            tg, tu = self.turn_toggle(self.p.initiator_groups()[ea.name] or 0)
             pairs = ((t, a) for t, a in self.participants(ea) if a.kind == INDIVIDUAL)
             for t, a, x, lits, extra in self.declarers(pairs):
                 guard = [self.phase_lit(P0), _idle(self.p.env, None), *tg, *lits, *env_lits]

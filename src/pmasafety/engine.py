@@ -181,9 +181,20 @@ def preimage(
     The DNF of guard /\\ (cube after the updates) /\\ gates is one `conjoin`
     of per-literal items: the guard's and those of the literals the rule
     rewrites come from the rule's `_CompiledRule`, and only the gates, which
-    range over the cube's variables, are built per call.  Returns
+    range over the cube's variables, are built per call.  The items with one
+    branch (guard literals, literals the rule leaves untouched) are merged
+    into one first branch, so only the others multiply; the conjunctions and
+    their order are those of conjoining the items as they come.  Returns
     differentiated cubes (already EUF-filtered; `differentiate` drops the
-    covered ones before their EUF check).  The cube's own index
+    covered ones before their EUF check).
+
+    When `region` holds `cube` itself (`Region.holds`; `breach` adds every
+    cube before taking its preimages), a conjunction holding every literal
+    of `cube` is skipped before `differentiate`: its branches keep the
+    cube's variables apart, so each holds an injective renaming of the
+    cube, which therefore subsumes it.  With any other region nothing is
+    skipped.  The cubes returned are canonical, their literals taken from
+    `region.canon_lits` (`canon_cube`).  The cube's own index
     variables stay pairwise distinct; rule existentials may merge with them or
     with each other, which the equality-partition split enumerates.  Coverage
     does not depend on variable names, so it is checked before `canon_cube`.
@@ -200,28 +211,46 @@ def preimage(
             cands.setdefault(v.sort, []).append(v)
         for gate in rule.gates:
             items += _gate_items(gate, cands, dnf_cap)
+    # the one-branch items form one first branch; only the others multiply
+    fixed: dict[Lit, None] = {}
+    multi = []
+    for item in items:
+        if not item:
+            return []
+        if len(item) == 1:
+            fixed.update(dict.fromkeys(item[0]))
+        else:
+            multi.append(item)
+    if len({l.atom for l in fixed}) < len(fixed):
+        return []  # two of its distinct literals share an atom: one negates the other
 
     out: list[Cube] = []
     seen = set()
     distinct = set(cube.exists)
-    for lits in minimal(conjoin(items, dnf_cap)):
+    whole = frozenset(cube.lits) if region.holds(cube) else None
+    for lits in minimal(conjoin([[tuple(fixed)], *multi], dnf_cap)):
+        if whole is not None and whole.issubset(lits):
+            continue  # every branch holds a renaming of `cube`, which `region` holds
         for c in differentiate(lits, sig, distinct=distinct, covered=region.covers):
-            cc = canon_cube(c)
+            cc = canon_cube(c, region.canon_lits)
             if cc.key() not in seen:
                 seen.add(cc.key())
                 out.append(cc)
     return out
 
 
-def canon_cube(cube: Cube) -> Cube:
+def canon_cube(cube: Cube, table: Optional[dict[str, Lit]] = None) -> Cube:
     """Deterministic variable renaming: of every per-sort renaming of the
     existential variables to `$c<sort>_<k>`, the one whose cube renders
     (`repr`) lexicographically smallest, the first one on a tie.
 
     A candidate renaming only fills the names into the literals' templates
     (`Cube.templates`), sorts and compares strings.  Only the winner is built
-    as a cube, and its literals keep the renderings that won
-    (`lit_renamed`), so none is rendered a second time."""
+    as a cube.  Each of its literals is looked up by the rendering that won
+    in `table` (rendering -> literal, `Region.canon_lits`) and built
+    (`lit_renamed`, which keeps that rendering) only when missing, and then
+    filed there; so a run that passes one table builds each canonical
+    literal once, and its cubes share it."""
     by_sort = sorted(cube.vars_by_sort().items())
     pos = {v: k for k, v in enumerate(cube.exists)}
     slots = [pos[v] for _, vs in by_sort for v in vs]  # exists positions, by sort
@@ -249,10 +278,15 @@ def canon_cube(cube: Cube) -> Cube:
     named, rendered = best
     sub = {v: IndexVar(n, v.sort) for v, n in zip(cube.exists, named)}
     renamed: dict = {}
-    return Cube(
-        tuple(sorted(sub[cube.exists[k]] for k in used)),  # by (name, sort), as `ex`
-        tuple(lit_renamed(lits[i], sub, r, renamed) for r, i in rendered),
-    )
+    if table is None:
+        table = {}
+    out = []
+    for r, i in rendered:
+        l = table.get(r)
+        if l is None:
+            l = table[r] = lit_renamed(lits[i], sub, r, renamed)
+        out.append(l)
+    return Cube(tuple(sorted(sub[cube.exists[k]] for k in used)), tuple(out))  # exists as `ex`
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +353,11 @@ class Region:
     builds a shape's negated instance at a query variable once.  The tables
     are built on the first `tables` call after the cube is added, so a
     region only `covers` reads never builds them.
+
+    `holds` answers in O(1) whether the region holds a given cube itself,
+    which lets `preimage` skip the conjunctions that cube subsumes; the skip
+    needs the region to hold the cube.  `canon_lits` is the run's table of
+    canonical literals by rendering, which `canon_cube` fills and reads.
     """
 
     def __init__(self) -> None:
@@ -334,6 +373,8 @@ class Region:
         self._buckets: dict = {}  # shape (None: no literals) -> filed cubes
         self._bit: dict = {}  # shape -> its bit
         self._freq: dict = {}  # shape -> number of region cubes that have it
+        self._keys: set[tuple] = set()  # `Cube.key` of every cube added
+        self.canon_lits: dict[str, Lit] = {}  # rendering -> canonical literal
 
     def tables(self) -> None:
         """Build the entailment tables of the cubes added since the last call."""
@@ -384,6 +425,7 @@ class Region:
 
     def add(self, cube: Cube) -> None:
         self.cubes.append(cube)
+        self._keys.add(cube.key())
         freq, bit = self._freq, self._bit
         for sh in cube.shapes():
             freq[sh] = freq.get(sh, 0) + 1
@@ -391,6 +433,10 @@ class Region:
         key = min(cube.shapes(), key=freq.__getitem__, default=None)
         filed = (self.mask(cube), len(cube.lits), len(cube.exists), cube)
         self._buckets.setdefault(key, []).append(filed)
+
+    def holds(self, cube: Cube) -> bool:
+        """`cube` itself (by `Cube.key`) was added to the region."""
+        return cube.key() in self._keys
 
     def intern(self, l: Lit) -> Lit:
         """The region's one object equal to `l`."""
@@ -601,15 +647,15 @@ def breach(
 ) -> Verdict:
     """Backward reachability from the goal; SAFE / UNSAFE / UNKNOWN."""
     sig = abp.sig
+    region = Region()
     frontier: list[_Node] = []
     seen_layer = set()
     for c in abp.goal.cubes:
-        cc = canon_cube(c)
+        cc = canon_cube(c, region.canon_lits)
         if cc.key() not in seen_layer:
             seen_layer.add(cc.key())
             frontier.append(_Node(cc, None, None, 0))
 
-    region = Region()
     layers: list[Frontier] = []
     total = len(frontier)
     depth = 0

@@ -235,15 +235,20 @@ class Pmas:
             return 1
         return None
 
-    def sync_initiator_group(self, action: str) -> Optional[int]:
-        """Turn group whose turn permits starting `action` (alternation only)."""
-        if self.alternation is None:
-            return None
+    @memoized
+    def initiator_groups(self) -> dict[str, Optional[int]]:
+        """Each action's turn group whose turn permits starting it, keyed by
+        action name: that of the first template declaring it as initiator,
+        else the environment's; None without alternation (memoized)."""
+        groups: dict[str, Optional[int]] = {}
         for t in self.all_templates():
-            a = t.action(action)
-            if a is not None and a.initiator:
-                return self.turn_group(t.name)
-        return self.turn_group(self.env.name)
+            for a in t.actions:
+                if a.initiator:
+                    groups.setdefault(a.name, self.turn_group(t.name))
+        env_group = self.turn_group(self.env.name)
+        return {
+            a.name: groups.get(a.name, env_group) for t in self.all_templates() for a in t.actions
+        }
 
     def sync_participants(self, action: str) -> tuple[AgentTemplate, ...]:
         """Non-environment templates declaring `action`."""
@@ -261,8 +266,9 @@ _RESERVED = {
 }
 
 
-def validate_pmas(p: Pmas) -> list[Diagnostic]:
-    """Static checks; returns diagnostics (empty = valid)."""
+def validate_pmas(p: Pmas, goal_at: tuple[int, int] = (0, 0)) -> list[Diagnostic]:
+    """Static checks; returns diagnostics (empty = valid).  Those of the goal
+    carry `goal_at`, the line and column of its declaration."""
     out: list[Diagnostic] = []
 
     def err(msg: str) -> None:
@@ -354,8 +360,7 @@ def validate_pmas(p: Pmas) -> list[Diagnostic]:
         if missing:
             err(f"templates {sorted(missing)} in no alternation group")
 
-    for msg in goal_errors(p, p.goal):
-        err(f"goal: {msg}")
+    out += [Diagnostic(*goal_at, f"goal: {msg}") for msg in goal_errors(p, p.goal)]
 
     return out
 

@@ -180,10 +180,11 @@ def step_vectors(p: Pmas, snap: Snapshot, interp: RelInterpretation, semantics: 
     def joiners(kind: str) -> Iterator[tuple[str, list[tuple[str, int, int]]]]:
         """Each environment action of `kind` that may start now, with the
         blocks able to join it."""
+        groups = p.initiator_groups()
         for ea in p.env.actions:
             if ea.kind != kind:
                 continue
-            if p.alternation is not None and p.sync_initiator_group(ea.name) != snap.turn:
+            if p.alternation is not None and groups[ea.name] != snap.turn:
                 continue
             if not eval_agent_formula(p, snap, interp, ea.pre):
                 continue

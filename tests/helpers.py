@@ -1159,7 +1159,7 @@ def reference_step_vectors(p, snap, interp, semantics: str):
         for ea in p.env.actions:
             if ea.kind != kind:
                 continue
-            if p.alternation is not None and p.sync_initiator_group(ea.name) != snap.turn:
+            if p.alternation is not None and p.initiator_groups()[ea.name] != snap.turn:
                 continue
             if not eval_agent_formula(p, snap, interp, ea.pre):
                 continue

@@ -114,6 +114,16 @@ def test_goal_override_checked_like_the_models_goal(cannon_path, capsys, cmd, go
     assert captured.err.startswith(f"error: --goal: {message}")
 
 
+def test_models_goal_diagnostic_is_positioned(tmp_path, capsys):
+    src = fixture_text("cannon")
+    assert "\ngoal: loc[j] = target\n" in src
+    path = tmp_path / "bad_goal.pmas"
+    path.write_text(src.replace("\ngoal: loc[j] = target\n", "\ngoal: loc[j] = Zed\n"))
+    assert main(["check", str(path)]) == 3
+    line = src[:src.index("\ngoal:")].count("\n") + 2
+    assert capsys.readouterr().err == f"error:{line}:1: goal: loc[j] = Zed ill-sorted\n"
+
+
 def test_encode_report(cannon_path, capsys):
     assert main(["encode", cannon_path]) == 0
     out = _kv_lines(capsys.readouterr().out)

@@ -188,6 +188,27 @@ class TestCanonCube:
         for c in cubes:
             assert canon_cube(c) == reference_canon_cube(c) == c
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(canon_inputs(), max_size=8))
+    def test_literal_table_changes_no_cube(self, cubes):
+        """With a table shared by every call, `canon_cube` gives the cube and
+        the literal memos it gives without one, and every literal is the
+        table's entry for its rendering."""
+        table: dict = {}
+        for c in cubes:
+            got, want = canon_cube(c, table), canon_cube(c)
+            assert got == want and repr(got) == repr(want)
+            for l, w in zip(got.lits, want.lits):
+                assert (l._repr, l._shape, l._vars) == (w._repr, w._shape, w._vars)
+                assert table[repr(l)] is l
+
+    def test_frontier_cubes_of_a_run_share_each_literal(self, two_robot):
+        lits = [l for layer in two_robot.verdict.layers for c in layer.cubes for l in c.lits]
+        by_rendering: dict = {}
+        for l in lits:
+            assert by_rendering.setdefault(repr(l), l) is l
+        assert len(lits) > 2 * len(by_rendering)
+
     def test_renaming_invariance(self):
         a = _loc_cube(["zz9", "q3"])
         b = _loc_cube(["j1", "j2"])
@@ -650,9 +671,9 @@ def _spied_breach(abp) -> SimpleNamespace:
         rec.pruned_exactly.append(out == [c for c in full if not region.covers(c)])
         return out
 
-    def canon_spy(cube):
+    def canon_spy(cube, *args):
         rec.canon_covered.append(current[0].covers(cube))
-        return canon(cube)
+        return canon(cube, *args)
 
     def ent_spy(cube, region, *args):
         out = ent(cube, region, *args)
@@ -756,6 +777,62 @@ class TestCompiledPreimage:
             fresh = encode(parse_pmas(fixture_text(model), model), semantics)
             v, w = breach(warm, dnf_cap=cap), breach(fresh, dnf_cap=cap)
             assert (v.status, v.depth, v.reason) == (w.status, w.depth, w.reason), cap
+
+
+def _preimage_work(run) -> tuple[list, list]:
+    """Call `run()`, recording every conjunction `preimage` builds (from
+    `minimal`) and every one it hands `differentiate`."""
+    built, split = [], []
+    mini, diff = engine.minimal, engine.differentiate
+
+    def mini_spy(conjs):
+        out = mini(conjs)
+        built.extend(out)
+        return out
+
+    def diff_spy(lits, *args, **kwargs):
+        split.append(lits)
+        return diff(lits, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "minimal", mini_spy)
+        m.setattr(engine, "differentiate", diff_spy)
+        run()
+    return built, split
+
+
+class TestPreimageSkip:
+    """With a region holding the cube itself, `preimage` skips the
+    conjunctions that hold every literal of the cube."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_cube_covers_every_branch_it_skips(self, seed):
+        rule, cube = random_rule_and_cube(seed)
+        region = region_of([cube])
+        built, _ = _preimage_work(lambda: preimage(rule, cube, CUBE_SIG, Region()))
+        for lits in built:
+            if set(cube.lits) <= set(lits):
+                branches = differentiate(lits, CUBE_SIG, distinct=set(cube.exists))
+                assert all(region.covers(c) for c in branches), lits
+        full = preimage(rule, cube, CUBE_SIG, Region())
+        assert preimage(rule, cube, CUBE_SIG, region) == [c for c in full if not region.covers(c)]
+
+    def test_skips_exactly_the_conjunctions_holding_the_cube(self):
+        fired = 0
+        for seed in range(200):
+            rule, cube = random_rule_and_cube(seed)
+            built, split = _preimage_work(lambda: preimage(rule, cube, CUBE_SIG, Region()))
+            assert split == built  # a region without the cube skips nothing
+            built, split = _preimage_work(
+                lambda: preimage(rule, cube, CUBE_SIG, region_of([cube])))
+            assert split == [lits for lits in built if not set(cube.lits) <= set(lits)]
+            fired += len(split) < len(built)
+        assert fired == 45
+
+    def test_skips_conjunctions_of_cannon(self, abp):
+        built, split = _preimage_work(lambda: breach(abp))
+        assert (len(built), len(built) - len(split)) == (216, 70)
 
 
 def _clash_cases():

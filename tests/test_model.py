@@ -183,4 +183,4 @@ def test_replaced_model_starts_without_compiled_formulas(cannon):
 def test_turn_groups(cannon):
     assert cannon.turn_group("Cannon") == 0
     assert cannon.turn_group("Att") == 1
-    assert cannon.sync_initiator_group("blastA") == 0
+    assert cannon.initiator_groups()["blastA"] == 0
