@@ -1,8 +1,8 @@
 """Safety verification of parameterised multi-agent systems.
 
 Submodules:
-  logic    -- cubes, state formulae, one incremental backtrackable congruence
-              closure (EUF)
+  logic    -- cubes, state formulae, a one-pass ground reading and one
+              incremental backtrackable congruence closure (EUF)
   model    -- system model (templates, protocols, snapshots), formula evaluation
   dsl      -- textual model format parser
   encoder  -- array-based transition-system encodings (interleaved, concurrent)

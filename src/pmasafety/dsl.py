@@ -107,7 +107,9 @@ class _Parser:
         self.toks = _tokenize(src)
         self.pos = 0
         self.depth = 0  # `not` and parentheses open around the current token
-        self.goal_at = (0, 0)  # line and column of the `goal` declaration
+        # line and column of the goal ("goal"), each template (its name), its
+        # k-th action ((template, k)) and that action's j-th effect ((template, k, j))
+        self.at: dict[object, tuple[int, int]] = {}
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -251,7 +253,7 @@ class _Parser:
             elif t.text == "goal":
                 if goal is not None:
                     self.fail("second goal declaration", t)
-                self.goal_at = (t.line, t.col)
+                self.at["goal"] = (t.line, t.col)
                 self.next()
                 self.expect(":")
                 goal = self.formula()
@@ -296,8 +298,9 @@ class _Parser:
         return RelDecl(name, tuple(args))
 
     def template_decl(self) -> AgentTemplate:
-        self.expect("template")
+        t = self.expect("template")
         name = self.ident("template name")
+        self.at[name] = (t.line, t.col)
         is_env = False
         if self.peek().text == "env":
             self.next()
@@ -314,12 +317,13 @@ class _Parser:
                 init = self.ident("constant")
                 variables.append((v, sort, init))
             else:
-                actions.append(self.action_decl())
+                actions.append(self.action_decl((name, len(actions))))
         return AgentTemplate(name, is_env, tuple(variables), tuple(actions))
 
-    def action_decl(self) -> ActionDecl:
-        self.expect("action")
+    def action_decl(self, where: tuple[str, int]) -> ActionDecl:
+        t = self.expect("action")
         name = self.ident("action name")
+        self.at[where] = (t.line, t.col)
         self.expect(":")
         kind_tok = self.next()
         if kind_tok.text not in (LOCAL, SYNC, INDIVIDUAL):
@@ -341,7 +345,9 @@ class _Parser:
             self.next()
             self.expect(":")
             while self.peek().text != "}":
+                t = self.peek()
                 v = self.ident("variable name")
+                self.at[(*where, len(eff))] = (t.line, t.col)
                 self.expect(":=")
                 c = self.ident("constant")
                 eff.append((v, c))
@@ -376,7 +382,7 @@ def parse_pmas(src: str, name: str = "model", validate: bool = True) -> Pmas:
     parser = _Parser(src)
     p = parser.pmas(name)
     if validate:
-        diags = validate_pmas(p, parser.goal_at)
+        diags = validate_pmas(p, parser.at)
         if diags:
             raise ModelError(diags)
     return p

@@ -40,13 +40,13 @@ from .logic import (
     const_cell,
     cube_vars_of_lits,
     dnf,
-    euf_sat_cube,
     fand,
     flit,
     fnot,
     f_or,
     lit_eq,
     lit_subst,
+    lits_sat,
     make_cube,
     memoized,
     simplify_lits,
@@ -338,8 +338,11 @@ def differentiate(
 
     Variables in `distinct` are already differentiated (they come from an
     existing cube) and are never merged with each other.  A branch cube for
-    which `covered` holds is dropped before its EUF check; it is still
-    type-checked.  Two branches may yield equal cubes: callers dedup."""
+    which `covered` holds is dropped before its EUF check (`lits_sat`: read,
+    or the closure where the reading cannot decide).  The literals other
+    than index (dis)equalities are type-checked once: a branch renames
+    variables within their sorts, so its literals are typed as they are.
+    Two branches may yield equal cubes: callers dedup."""
     pos: list[tuple[IndexVar, IndexVar]] = []
     neg: list[tuple[IndexVar, IndexVar]] = []
     rest: list[Lit] = []
@@ -356,6 +359,7 @@ def differentiate(
     for a, b in pos + neg:
         if a.sort != b.sort:
             raise EncodingError(f"index equality across sorts: {a!r} = {b!r}")
+    check_lit_types(rest, sig)
 
     out: list[Cube] = []
     per_sort_parts = [list(set_partitions(vs)) for vs in by_sort.values()]
@@ -393,9 +397,7 @@ def differentiate(
         if simplified is None:
             continue
         cube = make_cube(sorted(reps), simplified)
-        if covered is not None and covered(cube):
-            check_lit_types(cube.lits, sig)
-        elif euf_sat_cube(cube, sig):
+        if (covered is None or not covered(cube)) and lits_sat(cube.lits):
             out.append(cube)
     return out
 

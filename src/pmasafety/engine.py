@@ -26,6 +26,7 @@ from .logic import (
     Eq,
     FLit,
     GlobalRef,
+    GroundReading,
     IndexVar,
     Lit,
     RelAtom,
@@ -41,7 +42,6 @@ from .logic import (
     lit_subst,
     memoized,
     minimal,
-    simplify_lits,
     term_subst,
 )
 from .encoder import (
@@ -192,8 +192,11 @@ def preimage(
     cube before taking its preimages), a conjunction holding every literal
     of `cube` is skipped before `differentiate`: its branches keep the
     cube's variables apart, so each holds an injective renaming of the
-    cube, which therefore subsumes it.  With any other region nothing is
-    skipped.  The cubes returned are canonical, their literals taken from
+    cube, which therefore subsumes it.  When the first branch holds every
+    such literal, so does every conjunction, and `preimage` returns `[]`
+    before `conjoin` unless the product of the other items' sizes passes
+    `dnf_cap` (`conjoin` might then raise).  With any other region nothing
+    is skipped.  The cubes returned are canonical, their literals taken from
     `region.canon_lits` (`canon_cube`).  The cube's own index
     variables stay pairwise distinct; rule existentials may merge with them or
     with each other, which the equality-partition split enumerates.  Coverage
@@ -223,11 +226,13 @@ def preimage(
             multi.append(item)
     if len({l.atom for l in fixed}) < len(fixed):
         return []  # two of its distinct literals share an atom: one negates the other
+    whole = frozenset(cube.lits) if region.holds(cube) else None
+    if whole is not None and whole.issubset(fixed) and math.prod(map(len, multi)) <= dnf_cap:
+        return []  # every conjunction holds `cube`, and `conjoin` stays within `dnf_cap`
 
     out: list[Cube] = []
     seen = set()
     distinct = set(cube.exists)
-    whole = frozenset(cube.lits) if region.holds(cube) else None
     for lits in minimal(conjoin([[tuple(fixed)], *multi], dnf_cap)):
         if whole is not None and whole.issubset(lits):
             continue  # every branch holds a renaming of `cube`, which `region` holds
@@ -330,6 +335,12 @@ def subsumes(a: Cube, b: Cube) -> bool:
     return assign(0)
 
 
+def _fix_key(t, d) -> tuple:
+    """The key of `t = d` (`t` a global or array read, `d` a constant or
+    index variable): `t`'s cell as in `const_cell`, and `d` or its sort."""
+    return (t.array if isinstance(t, ArrayRead) else t, d.sort if isinstance(d, IndexVar) else d)
+
+
 class Region:
     """A set of cubes, indexed for "does some cube here subsume this one?".
 
@@ -350,9 +361,11 @@ class Region:
     the shape bits of its literals whose only variable that is.  Such a
     literal is fixed by its shape and its variable, so one representative
     `(literal, variable)` per shape stands for all of them, and `refuted`
-    builds a shape's negated instance at a query variable once.  The tables
-    are built on the first `tables` call after the cube is added, so a
-    region only `covers` reads never builds them.
+    builds a shape's negated instance at a query variable once.  `needs`
+    keeps per cube the bits (`fix_bits`) of the keys (`_fix_key`) of the
+    terms it fixes, which `entailed_by` reads.  The tables are built
+    on the first `tables` call after the cube is added, so a region only
+    `covers` reads never builds them.
 
     `holds` answers in O(1) whether the region holds a given cube itself,
     which lets `preimage` skip the conjunctions that cube subsumes; the skip
@@ -370,6 +383,8 @@ class Region:
         self._unary_negs: dict[tuple[int, IndexVar], Lit] = {}  # see `refuted`
         self._lits: dict[Lit, Lit] = {}
         self._counts: dict[tuple[tuple[str, int], ...], list[int]] = {}  # see `counts`
+        self.needs: list[int] = []  # per cube: bits of its fixed terms' keys
+        self.fix_bits: dict[tuple, int] = {}  # `_fix_key` -> its bit
         self._buckets: dict = {}  # shape (None: no literals) -> filed cubes
         self._bit: dict = {}  # shape -> its bit
         self._freq: dict = {}  # shape -> number of region cubes that have it
@@ -393,6 +408,10 @@ class Region:
                     masks[vs[0]] |= bit
                     self._unary_reps.setdefault(vs[0].sort, {}).setdefault(bit, (l, vs[0]))
             self.unary.append(list(masks.values()))
+            bits, need = self.fix_bits, 0
+            for t, d in GroundReading(cube.lits).val.items():
+                need |= bits.setdefault(_fix_key(t, d), 1 << len(bits))
+            self.needs.append(need)
 
     def refuted(self, w: IndexVar, values: _Values) -> int:
         """The bits of the one-variable shapes of `w`'s sort whose literal,
@@ -500,14 +519,37 @@ def _clauses_sat(
 
 
 class _Values(dict):
-    """Literal -> its value on a closure that no longer changes, each computed once."""
+    """Literal -> its value on a reading or closure that no longer changes,
+    each computed once."""
 
-    def __init__(self, cc: CongruenceClosure) -> None:
-        self.cc = cc
+    def __init__(self, source: GroundReading | CongruenceClosure) -> None:
+        self.source = source
 
     def __missing__(self, d: Lit) -> Optional[bool]:
-        v = self[d] = self.cc.value(d)
+        v = self[d] = self.source.value(d)
         return v
+
+
+def _open_clauses(region: Region, i: int, pools, values: _Values):
+    """For each injective instance of region cube `i` over `pools` whose
+    clause (its negated literals, built into `region` as needed) no literal
+    makes true: the clause's undecided literals, none when all are false."""
+    b, built = region.cubes[i], region.instances[i]
+    for combo in itertools.product(*pools):
+        if len(set(combo)) != len(combo):
+            continue  # non-injective: differentiation clause vacuous
+        negs = built.setdefault(combo, [])
+        undecided = []
+        for k, l in enumerate(b.lits):
+            if k == len(negs):
+                negs.append(region.intern(lit_subst(l, dict(zip(b.exists, combo))).negate()))
+            v = values[negs[k]]
+            if v:
+                break
+            if v is None:
+                undecided.append(negs[k])
+        else:
+            yield undecided
 
 
 def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
@@ -521,9 +563,19 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
     entailed), which is always sound — the cube is merely kept.  Below it,
     instance literals are built lazily into `region` and evaluated once per
     call; a clause stops at its first true literal, an all-false one proves
-    entailment, and only open clauses, deduplicated, reach the search.
+    entailment, and only open clauses, deduplicated, reach the search.  The
+    cube is read (`GroundReading`); the closure is built for the search, or
+    where the reading cannot decide.
 
-    Before the walk, `Region.refuted` gives each of the cube's variables
+    Where it decides, the cube's generic model M comes first: a term the
+    cube leaves unfixed has a fresh value, an atom it does not assert is
+    false.  So an instance holds in M only if the cube fixes a term of each
+    key in its cube's `Region.needs`, and only such cubes are walked.  One
+    refuted outright proves entailment; if every open clause holds a
+    negative literal, M satisfies them all and the search would find so.
+    Otherwise the full walk runs.
+
+    Before that walk, `Region.refuted` gives each of the cube's variables
     `w` the mask of the one-variable shapes whose literal the cube refutes
     at `w`.  A region cube's variable j is then never instantiated by a `w`
     whose mask meets `Region.unary` at j: every such instance holds a
@@ -531,15 +583,37 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
     or before that literal, and it adds no clause and proves nothing.  The
     open clauses are therefore the same, in the same order, as without the
     skip, and so is the answer."""
-    cc = CongruenceClosure()
-    if not cc.assert_lits(cube.lits):
+    reading, cc = GroundReading(cube.lits), None
+    if reading.sat is None:
+        cc = CongruenceClosure()
+        if not cc.assert_lits(cube.lits):
+            return True
+    elif not reading.sat:
         return True
     region.tables()
     cvars_by_sort = cube.vars_by_sort()
     counts = region.counts(cube)
     if sum(n * len(at) for n, at in zip(counts, region.groups.values())) > clause_cap:
         return False
-    values = _Values(cc)
+    values = _Values(reading if cc is None else cc)
+    if cc is None:
+        fixed = 0
+        for t, d in reading.val.items():
+            fixed |= region.fix_bits.get(_fix_key(t, d), 0)
+        in_m = (
+            clause
+            for n, at in zip(counts, region.groups.values()) if n
+            for i in at if not region.needs[i] & ~fixed
+            for clause in _open_clauses(
+                region, i, [cvars_by_sort[v.sort] for v in region.cubes[i].exists], values)
+        )
+        for clause in in_m:
+            if not clause:
+                return True
+            if not any(d.neg for d in clause):
+                break
+        else:
+            return False
     # a group without a total instantiation, or whose every instance some
     # index-free literal refutes, imposes nothing; the rest go in region order
     live = sorted(
@@ -551,28 +625,19 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
     refuted = {w: region.refuted(w, values) for w in cube.exists} if live else {}
     open_: dict[tuple[Lit, ...], None] = {}
     for i in live:
-        b, built = region.cubes[i], region.instances[i]
         pools = [
             [w for w in cvars_by_sort[v.sort] if not m & refuted[w]]
-            for v, m in zip(b.exists, region.unary[i])
+            for v, m in zip(region.cubes[i].exists, region.unary[i])
         ]
-        for combo in itertools.product(*pools):
-            if len(set(combo)) != len(combo):
-                continue  # non-injective: differentiation clause vacuous
-            negs = built.setdefault(combo, [])
-            undecided = []
-            for i, l in enumerate(b.lits):
-                if i == len(negs):
-                    negs.append(region.intern(lit_subst(l, dict(zip(b.exists, combo))).negate()))
-                v = values[negs[i]]
-                if v:
-                    break
-                if v is None:
-                    undecided.append(negs[i])
-            else:
-                if not undecided:
-                    return True
-                open_[tuple(undecided)] = None
+        for clause in _open_clauses(region, i, pools, values):
+            if not clause:
+                return True
+            open_[tuple(clause)] = None
+    if not open_:
+        return False
+    if cc is None:
+        cc = CongruenceClosure()
+        cc.assert_lits(cube.lits)
     return not _clauses_sat(cc, list(open_))
 
 
@@ -584,20 +649,13 @@ def init_sat(abp: AbPmas, cube: Cube) -> bool:
     """Some initial state satisfies the cube: its literals read through the
     initial state are ground and jointly satisfiable.
 
-    The initial state maps every global and array to a constant, so
-    `simplify_lits` decides every equality the read-through leaves.  What
-    remains are relation atoms over constants and index variables.  With no
-    equality left, nothing merges their arguments, so an atom clashes only
-    with its own negation.  An equality left over, say over a global the
-    initial state does not map, goes to the congruence closure."""
+    The initial state maps globals and arrays to constants, so the literals
+    are read (`GroundReading`) unless one equates two terms it does not
+    map: those go to the congruence closure."""
     globals_map, arrays_map = abp.init.update_maps()
-    lits = simplify_lits(_lit_through(l, globals_map, arrays_map) for l in cube.lits)
-    if lits is None:
-        return False
-    if any(isinstance(l.atom, Eq) for l in lits):
-        return ground_lits_sat(lits)
-    holds = {l.atom for l in lits if not l.neg}
-    return not any(l.atom in holds for l in lits if l.neg)
+    lits = [_lit_through(l, globals_map, arrays_map) for l in cube.lits]
+    sat = GroundReading(lits).sat
+    return ground_lits_sat(lits) if sat is None else sat
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ State formulae are disjunctions of *cubes*: existentially quantified conjunction
 of literals over global variables, array reads at index variables, and relation
 atoms.  Index variables inside one cube are *differentiated*: distinct variables
 of the same index sort denote distinct indexes, so no explicit disequalities are
-stored.  Satisfiability of ground conjunctions is decided by one incremental,
+stored.  A ground conjunction in which no positive equality joins two globals
+or array reads is decided by reading it through its constants
+(`GroundReading`); any other, and the entailment search, by one incremental,
 backtrackable congruence closure (`CongruenceClosure`, EUF plus distinctness of
 constants, of differentiated index variables and of true/false): literals are
 asserted one at a time and retracted by undoing a trail, so a search asserts a
 decision and takes it back without rebuilding anything.  The exists/forall
 fragment is decided only by `engine.entailed_by`, which instantiates the
 universals over the existential prefix literal by literal, settles every
-clause the cube's closure already decides, and searches on the same closure
-over the open ones alone.
+clause the cube's reading already decides, and searches on the closure over
+the open ones alone.
 """
 
 from __future__ import annotations
@@ -304,7 +306,8 @@ class Lit(_Hashed):
     literals: a name is never both a global and a constant (model
     validation), and the one thing the rendering drops, the sort of an array
     read's index, is the array's index sort (`differentiate` type-checks
-    every cube it builds)."""
+    the literals it splits, and its branches rename variables within their
+    sorts)."""
 
     __slots__ = ("neg", "atom", "_repr", "_shape", "_vars")
     neg: bool
@@ -1167,11 +1170,82 @@ class CongruenceClosure:
 
 
 def ground_lits_sat(lits: Iterable[Lit]) -> bool:
-    """Satisfiability of a conjunction of case-free literals.
+    """Satisfiability of a conjunction of case-free literals by the closure.
 
     Distinct constants are unequal and distinct index variables denote
     distinct indexes (the cube's differentiated skolems)."""
     return CongruenceClosure().assert_lits(lits)
+
+
+_FIXED = (Const, IndexVar)  # pairwise distinct values
+
+
+class GroundReading:
+    """Case-free literals read through their constants (the closure's
+    candidate model: de Moura & Bjørner, "Model-based Theory Combination",
+    2007).  Unless a positive equality joins two distinct globals or array
+    reads, nothing merges but such a term with the constant or index
+    variable it equals, its value in `val`; `apart` holds the disequalities
+    and `signs` each relation atom's `neg`, read through `val`.  `sat` and
+    `value(l)` then equal the closure's answers; otherwise `sat` is None."""
+
+    __slots__ = ("sat", "val", "apart", "signs")
+
+    def __init__(self, lits: Sequence[Lit]) -> None:
+        self.val: dict[Term, Term] = {}
+        self.apart: set[tuple[Term, Term]] = set()
+        self.signs: dict[RelAtom, bool] = {}
+        self.sat = self._read(lits)
+
+    def _read(self, lits: Sequence[Lit]) -> Optional[bool]:
+        val = self.val
+        for l in lits:
+            a = l.atom
+            if l.neg or type(a) is not Eq or a.lhs == a.rhs:
+                continue
+            t, d = (a.rhs, a.lhs) if isinstance(a.lhs, _FIXED) else (a.lhs, a.rhs)
+            if isinstance(t, _FIXED):
+                return False  # two distinct values
+            if not isinstance(d, _FIXED):
+                return None
+            if val.setdefault(t, d) != d:
+                return False
+        for l in lits:
+            a = l.atom
+            if type(a) is not Eq:
+                if self.signs.setdefault(self._read_atom(a), l.neg) != l.neg:
+                    return False
+            elif l.neg:
+                x, y = val.get(a.lhs, a.lhs), val.get(a.rhs, a.rhs)
+                if x == y:
+                    return False
+                self.apart.update(((x, y), (y, x)))
+        return True
+
+    def _read_atom(self, a: RelAtom) -> RelAtom:
+        val = self.val
+        if val and any(x in val for x in a.args):
+            return RelAtom(a.rel, tuple(val.get(x, x) for x in a.args))
+        return a
+
+    def value(self, l: Lit) -> Optional[bool]:
+        """The literal's truth value in every model of the literals read, or None."""
+        a, val = l.atom, self.val
+        if type(a) is not Eq:
+            neg = self.signs.get(self._read_atom(a))
+            return None if neg is None else neg == l.neg
+        x, y = val.get(a.lhs, a.lhs), val.get(a.rhs, a.rhs)
+        if x == y:
+            return not l.neg
+        if isinstance(x, _FIXED) and isinstance(y, _FIXED) or (x, y) in self.apart:
+            return l.neg
+        return None
+
+
+def lits_sat(lits: Sequence[Lit]) -> bool:
+    """Satisfiability of case-free literals: read, or by the closure."""
+    sat = GroundReading(lits).sat
+    return ground_lits_sat(lits) if sat is None else sat
 
 
 def check_lit_types(lits: Iterable[Lit], sig: Signature) -> None:
@@ -1203,12 +1277,6 @@ def check_lit_types(lits: Iterable[Lit], sig: Signature) -> None:
             for arg, want in zip(a.args, decl.arg_sorts):
                 if term_ok(arg) != want:
                     raise TypingError(f"argument of {a.rel} is not of sort {want}: {l!r}")
-
-
-def euf_sat_cube(cube: Cube, sig: Signature) -> bool:
-    """Decide satisfiability of one differentiated cube."""
-    check_lit_types(cube.lits, sig)
-    return ground_lits_sat(cube.lits)
 
 
 # ---------------------------------------------------------------------------

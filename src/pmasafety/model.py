@@ -266,13 +266,17 @@ _RESERVED = {
 }
 
 
-def validate_pmas(p: Pmas, goal_at: tuple[int, int] = (0, 0)) -> list[Diagnostic]:
-    """Static checks; returns diagnostics (empty = valid).  Those of the goal
-    carry `goal_at`, the line and column of its declaration."""
+def validate_pmas(p: Pmas, at: Optional[dict] = None) -> list[Diagnostic]:
+    """Static checks; returns diagnostics (empty = valid).  Those of the
+    goal, a template, an action or an effect carry its line and column from
+    `at`, keyed as `dsl` records them: "goal", the template's name, (its
+    name, k) for its k-th action and (its name, k, j) for that action's j-th
+    effect."""
     out: list[Diagnostic] = []
+    at = at or {}
 
-    def err(msg: str) -> None:
-        out.append(Diagnostic(0, 0, msg))
+    def err(msg: str, where: object = None) -> None:
+        out.append(Diagnostic(*at.get(where, (0, 0)), msg))
 
     consts: dict[str, str] = {}
     for s in p.sorts:
@@ -286,46 +290,47 @@ def validate_pmas(p: Pmas, goal_at: tuple[int, int] = (0, 0)) -> list[Diagnostic
     names: set[str] = set()
     for t in p.all_templates():
         if t.name in names:
-            err(f"duplicate template name {t.name}")
+            err(f"duplicate template name {t.name}", t.name)
         names.add(t.name)
         if not t.actions:
-            err(f"template {t.name} declares no actions")
+            err(f"template {t.name} declares no actions", t.name)
         seen_v: set[str] = set()
         for v, sort, init in t.variables:
             if v in _RESERVED:
-                err(f"variable name {v} is reserved")
+                err(f"variable name {v} is reserved", t.name)
             if v in seen_v:
-                err(f"template {t.name}: duplicate variable {v}")
+                err(f"template {t.name}: duplicate variable {v}", t.name)
             seen_v.add(v)
             if p.const_sort(init) != sort:
-                err(f"template {t.name}: initial value {init} not of sort {sort}")
+                err(f"template {t.name}: initial value {init} not of sort {sort}", t.name)
         seen_a: set[str] = set()
-        for a in t.actions:
+        for k, a in enumerate(t.actions):
+            where = (t.name, k)
             if a.name in _RESERVED:
-                err(f"action name {a.name} is reserved")
+                err(f"action name {a.name} is reserved", where)
             if a.name in seen_a:
-                err(f"template {t.name}: duplicate action {a.name}")
+                err(f"template {t.name}: duplicate action {a.name}", where)
             seen_a.add(a.name)
             if formula_has_disjunction(a.pre):
-                err(f"action {t.name}.{a.name}: precondition contains a disjunction")
-            for v, c in a.eff:
+                err(f"action {t.name}.{a.name}: precondition contains a disjunction", where)
+            for j, (v, c) in enumerate(a.eff):
                 if v not in t.var_names():
-                    err(f"action {t.name}.{a.name}: effect on foreign variable {v}")
+                    err(f"action {t.name}.{a.name}: effect on foreign variable {v}", (*where, j))
                 elif p.const_sort(c) != t.var_sort(v):
-                    err(f"action {t.name}.{a.name}: {v} := {c} ill-sorted")
+                    err(f"action {t.name}.{a.name}: {v} := {c} ill-sorted", (*where, j))
             try:
                 # `self` is an agent: the environment has none
                 infer_formula_var_templates(p, a.pre, self_template=None if t.is_env else t)
             except ModelError as me:
                 for d in me.diagnostics:
-                    err(f"action {t.name}.{a.name}: {d.message}")
+                    err(f"action {t.name}.{a.name}: {d.message}", where)
 
     # variable names must be globally unique (they name arrays/globals later)
     all_vars: dict[str, str] = {}
     for t in p.all_templates():
         for v, _s, _i in t.variables:
             if v in all_vars:
-                err(f"variable {v} declared in templates {all_vars[v]} and {t.name}")
+                err(f"variable {v} declared in templates {all_vars[v]} and {t.name}", t.name)
             all_vars[v] = t.name
     for v in all_vars:
         if v in consts:
@@ -360,7 +365,8 @@ def validate_pmas(p: Pmas, goal_at: tuple[int, int] = (0, 0)) -> list[Diagnostic
         if missing:
             err(f"templates {sorted(missing)} in no alternation group")
 
-    out += [Diagnostic(*goal_at, f"goal: {msg}") for msg in goal_errors(p, p.goal)]
+    for msg in goal_errors(p, p.goal):
+        err(f"goal: {msg}", "goal")
 
     return out
 

@@ -218,8 +218,11 @@ def enumerate_reachable(p: Pmas, cfg: ConcreteConfig) -> OracleResult:
     `cfg.max_states` successors, duplicates included.  A successor is
     examined once per orbit of step vectors (`step_vectors`), but a step may
     still have exponentially many orbits in the agent count, most of them
-    leading to snapshots already seen.
+    leading to snapshots already seen.  With more agents than
+    `cfg.max_states`, it ends in OVERFLOW before building a snapshot.
     """
+    if sum(k for _t, k in cfg.counts) > cfg.max_states:
+        return OracleResult(OVERFLOW)
     start = initial_snapshot(p, cfg.counts_dict()).canonical()
     if eval_agent_formula(p, start, cfg.interp, p.goal):
         return OracleResult(REACHED, depth=0, run=[], states_seen=1)
@@ -273,7 +276,11 @@ def replay_run_template(
     Each entry names the set of distinct actions committed in one global step;
     any number of agents may carry them.  The search branches over all matching
     legal vectors; VALID iff some completion reaches a goal snapshot.
+    OVERFLOW, before building a snapshot, with more agents than
+    `cfg.max_states`.
     """
+    if sum(k for _t, k in cfg.counts) > cfg.max_states:
+        return ReplayResult(OVERFLOW, 0)
     best = 0
 
     def go(i: int, snap: Snapshot) -> bool:

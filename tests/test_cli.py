@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pmasafety import cli
+from pmasafety import cli, oracle
 from pmasafety.cli import main
 from pmasafety.oracle import ConcreteConfig
 from pmasafety.models import fixture_text
@@ -124,6 +124,31 @@ def test_models_goal_diagnostic_is_positioned(tmp_path, capsys):
     assert capsys.readouterr().err == f"error:{line}:1: goal: loc[j] = Zed ill-sorted\n"
 
 
+def test_models_effect_diagnostic_is_positioned(tmp_path, capsys):
+    src = fixture_text("cannon")
+    lines = src.split("\n")
+    assert lines[18] == "    eff: loc := A"  # line 19, in action gotoA
+    lines[18] = "    eff: loc := Zed"
+    path = tmp_path / "bad_effect.pmas"
+    path.write_text("\n".join(lines))
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == "error:19:10: action Att.gotoA: loc := Zed ill-sorted\n"
+
+
+def test_models_action_and_template_diagnostics_are_positioned(tmp_path, capsys):
+    src = fixture_text("cannon")
+    src = src.replace("var destroyed: Flag = no", "var destroyed: Flag = init", 1)
+    src = src.replace("action goTargetB", "action gotoA", 1)
+    path = tmp_path / "bad_names.pmas"
+    path.write_text(src)
+    assert main(["check", str(path)]) == 3
+    second = src[:src.index("action gotoA", src.index("action gotoA") + 1)].count("\n") + 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error:14:1: template Att: initial value init not of sort Flag",
+        f"error:{second}:3: template Att: duplicate action gotoA",
+    ]
+
+
 def test_encode_report(cannon_path, capsys):
     assert main(["encode", cannon_path]) == 0
     out = _kv_lines(capsys.readouterr().out)
@@ -223,6 +248,16 @@ def test_oracle_overflow_exits_2(cannon_path, capsys, monkeypatch):
     assert main(["oracle", cannon_path, "--counts", "Att=2"]) == 2
     out = _kv_lines(capsys.readouterr().out)
     assert (out["status"], out["examined"]) == ("OVERFLOW", "4")
+
+
+def test_oracle_huge_count_overflows_without_allocating(cannon_path, capsys, monkeypatch):
+    def no_snapshot(*args):
+        raise AssertionError("initial_snapshot called")
+
+    monkeypatch.setattr(oracle, "initial_snapshot", no_snapshot)
+    assert main(["oracle", cannon_path, "--counts", "Att=999999999"]) == 2
+    out = _kv_lines(capsys.readouterr().out)
+    assert (out["status"], out["states"], out["examined"]) == ("OVERFLOW", "0", "0")
 
 
 def test_oracle_bad_counts(cannon_path, capsys):

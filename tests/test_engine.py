@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -67,6 +68,7 @@ from pmasafety.logic import (
     Lit,
     RelAtom,
     StateFormula,
+    BudgetError,
     TypingError,
     _lit_shape,
     ground_lits_sat,
@@ -354,6 +356,18 @@ class TestEntailedBy(object):
         cube, region = random_entailment(seed)
         assert entailed_by(cube, region_of(region)) == brute_entailed(cube, region, CUBE_SIG)
 
+    def test_fixed_terms_are_keyed_in_either_orientation(self):
+        """Seed 335 of `random_entailment`: the cube reads `q=f[z2]`, a
+        region cube `f[w1]=q`.  Keyed by literal shape, that region cube
+        would seem to need a term the cube leaves unfixed."""
+        cube, region = random_entailment(335)
+        assert "q=f[z2]" in map(repr, cube.lits) and "f[w1]=q" in map(repr, region[1].lits)
+        assert entailed_by(cube, region_of(region)) and brute_entailed(cube, region, CUBE_SIG)
+        z, w, f = IndexVar("z", "I"), IndexVar("w", "I"), "f"
+        for fix in (lit_eq(Const("q"), ArrayRead(f, z)), lit_eq(ArrayRead(f, z), Const("q"))):
+            for need in (lit_eq(Const("q"), ArrayRead(f, w)), lit_eq(ArrayRead(f, w), Const("q"))):
+                assert entailed_by(make_cube([z], [fix]), region_of([make_cube([w], [need])]))
+
 
 class TestEntailedByReference:
     """`entailed_by` builds only the open clauses; `reference_entailed_by`
@@ -424,7 +438,7 @@ class TestEntailedByGroup:
                     got = entailed_by(q, region, cap)
                     assert got == reference_entailed_by(q, cubes[:k], cap)
                     want = reference_open_clauses(q, cubes[:k], cap)
-                    assert searched == ([] if want is None else [want])
+                    assert searched in ([], [want]) if want else searched == []
 
 
 def _entail_unary_region(seed: int) -> int:
@@ -457,7 +471,7 @@ def _entail_unary_region(seed: int) -> int:
                 refuted.clear()
                 assert entailed_by(q, region) == reference_entailed_by(q, cubes[:k])
                 want = reference_open_clauses(q, cubes[:k])
-                assert searched == ([] if want is None else [want])
+                assert searched in ([], [want]) if want else searched == []
                 if not refuted:
                     continue
                 cc = CongruenceClosure()
@@ -819,20 +833,58 @@ class TestPreimageSkip:
         assert preimage(rule, cube, CUBE_SIG, region) == [c for c in full if not region.covers(c)]
 
     def test_skips_exactly_the_conjunctions_holding_the_cube(self):
-        fired = 0
+        # against the conjunctions built with no skip, since `preimage` now
+        # returns before building them when its first branch holds the cube
+        fired = early = 0
         for seed in range(200):
             rule, cube = random_rule_and_cube(seed)
             built, split = _preimage_work(lambda: preimage(rule, cube, CUBE_SIG, Region()))
             assert split == built  # a region without the cube skips nothing
-            built, split = _preimage_work(
+            some, kept = _preimage_work(
                 lambda: preimage(rule, cube, CUBE_SIG, region_of([cube])))
-            assert split == [lits for lits in built if not set(cube.lits) <= set(lits)]
-            fired += len(split) < len(built)
-        assert fired == 45
+            assert kept == [lits for lits in built if not set(cube.lits) <= set(lits)]
+            fired += len(kept) < len(built)
+            early += len(some) < len(built)
+        assert (fired, early) == (45, 45)
 
     def test_skips_conjunctions_of_cannon(self, abp):
-        built, split = _preimage_work(lambda: breach(abp))
-        assert (len(built), len(built) - len(split)) == (216, 70)
+        calls = []
+        real = engine.preimage
+
+        def spy(rule, cube, *args):
+            calls.append((rule, cube))
+            return real(rule, cube, *args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(engine, "preimage", spy)
+            built, split = _preimage_work(lambda: breach(abp))
+        full, _ = _preimage_work(lambda: [preimage(r, c, abp.sig, Region()) for r, c in calls])
+        _, kept = _preimage_work(
+            lambda: [preimage(r, c, abp.sig, region_of([c])) for r, c in calls])
+        assert (len(full), len(full) - len(kept)) == (216, 70)
+        assert (len(built), split) == (170, kept)  # returning early builds 46 fewer
+
+    def test_early_return_keeps_the_dnf_budget(self, abp):
+        """`preimage` returns early only where `conjoin` could not raise, so
+        a tiny `dnf_cap` raises, and ends a run, as it did before."""
+        runs = [(abp, cap) for cap in (1, 2, 3, 4)]
+        trains = encode(parse_pmas(fixture_text("trains"), "trains"), "concurrent")
+        runs += [(trains, cap) for cap in (4, 8)]
+        got = [(v.status, v.depth, v.reason) for a, cap in runs for v in [breach(a, dnf_cap=cap)]]
+        assert got == [
+            (UNKNOWN, 1, "dnf exceeded 1 cubes"), (UNKNOWN, 1, "dnf exceeded 2 cubes"),
+            (UNKNOWN, 5, "dnf exceeded 3 cubes"), (UNSAFE, 8, ""),
+            (UNKNOWN, 6, "dnf exceeded 4 cubes"), (SAFE, 8, "empty preimage"),
+        ]
+        # concurrent trains: every conjunction of a goal cube's preimage under
+        # its gate holds the cube, but the gate items multiply past the cap
+        rule = next(r for r in trains.rules if r.label == "gate_local")
+        for cube in [canon_cube(c) for c in trains.goal.cubes]:
+            held = region_of([cube])
+            assert _preimage_work(lambda: preimage(rule, cube, trains.sig, held)) == ([], [])
+            for cap, region in itertools.product((2, 3), (Region(), held)):
+                with pytest.raises(BudgetError, match=f"dnf exceeded {cap} cubes"):
+                    preimage(rule, cube, trains.sig, region, cap)
 
 
 def _clash_cases():

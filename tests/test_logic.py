@@ -35,6 +35,7 @@ from pmasafety.logic import (
     FNot,
     FOr,
     GlobalRef,
+    GroundReading,
     IndexVar,
     LambdaUpdate,
     Lit,
@@ -48,13 +49,13 @@ from pmasafety.logic import (
     check_lit_types,
     cube_vars_of_lits,
     dnf,
-    euf_sat_cube,
     expand_cases_lit,
     fand,
     f_or,
     flit,
     fnot,
     lit_eq,
+    lits_sat,
     make_cube,
     set_partitions,
     simplify_lits,
@@ -76,11 +77,14 @@ def cube(*lits):
 
 
 class TestEufSatCube:
+    """EUF satisfiability of ground cubes (`lits_sat`) and their typing
+    (`check_lit_types`)."""
+
     def test_identity_is_sat(self):
-        assert euf_sat_cube(cube(lit_eq(X, A), lit_eq(X, A)), SIG)
+        assert lits_sat(cube(lit_eq(X, A), lit_eq(X, A)).lits)
 
     def test_two_constants_unsat(self):
-        assert not euf_sat_cube(cube(lit_eq(X, A), lit_eq(X, B)), SIG)
+        assert not lits_sat(cube(lit_eq(X, A), lit_eq(X, B)).lits)
 
     def test_congruence_unsat(self):
         a, b, c = GlobalRef("a"), GlobalRef("b"), GlobalRef("c")
@@ -89,11 +93,11 @@ class TestEufSatCube:
             Lit(True, RelAtom("R", (c, b))),
             lit_eq(a, c),
         ]
-        assert not euf_sat_cube(cube(*lits), SIG)
+        assert not lits_sat(cube(*lits).lits)
 
     def test_disequality_chain_sat(self):
         a, b = GlobalRef("a"), GlobalRef("b")
-        assert euf_sat_cube(cube(lit_eq(a, b, neg=True)), SIG)
+        assert lits_sat(cube(lit_eq(a, b, neg=True)).lits)
 
     def test_differentiated_array_cells_independent(self):
         z1, z2 = IndexVar("z1", "I"), IndexVar("z2", "I")
@@ -101,7 +105,7 @@ class TestEufSatCube:
             [z1, z2],
             [lit_eq(ArrayRead("arr", z1), A), lit_eq(ArrayRead("arr", z2), B)],
         )
-        assert euf_sat_cube(c, SIG)
+        assert lits_sat(c.lits)
 
     def test_sort_mismatch_raises(self):
         sig = Signature(
@@ -113,7 +117,7 @@ class TestEufSatCube:
         )
         bad = cube(lit_eq(GlobalRef("x"), GlobalRef("y")))
         with pytest.raises(TypingError):
-            euf_sat_cube(bad, sig)
+            check_lit_types(bad.lits, sig)
 
     def test_unknown_relation_raises(self):
         with pytest.raises(TypingError):
@@ -202,7 +206,67 @@ class TestBruteForceAgreement:
     @given(st.integers(0, 10**9))
     def test_cube_agreement(self, seed):
         c = random_ground_cube(seed)
-        assert euf_sat_cube(c, CUBE_SIG) == brute_sat_cube(c, CUBE_SIG)
+        assert lits_sat(c.lits) == brute_sat_cube(c, CUBE_SIG)
+
+
+_RZ = [IndexVar(f"z{k}", "I") for k in range(3)]
+# uninterpreted and distinguished terms of an element sort and of an index sort
+_READ_TERMS = {
+    "S": [GlobalRef("g"), GlobalRef("g2"), *(ArrayRead("f", z) for z in _RZ),
+          Const("p"), Const("q")],
+    "I": [GlobalRef("gi"), *(ArrayRead("n", z) for z in _RZ), *_RZ],
+}
+
+
+@st.composite
+def ground_lits(draw) -> Lit:
+    """An equality between two terms of one sort, in either orientation, or
+    a relation atom over the element sort; either sign."""
+    neg = draw(st.booleans())
+    if draw(st.integers(0, 3)) == 0:
+        return Lit(neg, RelAtom("R", (draw(st.sampled_from(_READ_TERMS["S"])),)))
+    terms = _READ_TERMS[draw(st.sampled_from(["S", "I"]))]
+    return lit_eq(draw(st.sampled_from(terms)), draw(st.sampled_from(terms)), neg=neg)
+
+
+def _joins_two_cells(l: Lit) -> bool:
+    a = l.atom
+    return (not l.neg and isinstance(a, Eq) and a.lhs != a.rhs
+            and not isinstance(a.lhs, (Const, IndexVar)) and not isinstance(a.rhs, (Const, IndexVar)))
+
+
+class TestGroundReading:
+    """The reading decides as the congruence closure does, and reads every
+    literal's value as the closure does, wherever it decides."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ground_lits(), max_size=8), st.lists(ground_lits(), max_size=8))
+    def test_agrees_with_the_closure(self, lits, queries):
+        reading, cc = GroundReading(lits), CongruenceClosure()
+        sat = cc.assert_lits(lits)
+        assert lits_sat(lits) == sat
+        if reading.sat is None:
+            assert any(map(_joins_two_cells, lits))
+            return
+        assert reading.sat == sat
+        if sat:
+            for q in lits + queries:
+                assert reading.value(q) == cc.value(q), q
+
+    def test_reads_both_orientations(self):
+        f0, p, q = ArrayRead("f", _RZ[0]), Const("p"), Const("q")
+        for fix in (lit_eq(f0, p), lit_eq(p, f0)):
+            reading = GroundReading([fix, Lit(False, RelAtom("R", (f0,)))])
+            assert reading.sat and reading.val == {f0: p}
+            assert reading.value(Lit(False, RelAtom("R", (p,)))) is True
+            assert reading.value(lit_eq(q, f0)) is False
+            assert GroundReading([fix, lit_eq(f0, q)]).sat is False
+
+    def test_leaves_two_joined_cells_to_the_closure(self):
+        g, g2 = GlobalRef("g"), GlobalRef("g2")
+        lits = [lit_eq(g, g2), lit_eq(g, Const("p")), lit_eq(g2, Const("q"))]
+        assert GroundReading(lits).sat is None
+        assert not lits_sat(lits)
 
 
 # three independent propositional atoms for boolean-structure tests

@@ -72,6 +72,24 @@ def test_overflow_on_tiny_state_budget(cannon):
     assert enumerate_reachable(cannon, cfg).status == OVERFLOW
 
 
+def _no_snapshot(*args):
+    raise AssertionError("initial_snapshot called")
+
+
+def test_more_agents_than_states_overflows_before_a_snapshot(cannon, monkeypatch):
+    monkeypatch.setattr(oracle, "initial_snapshot", _no_snapshot)
+    cfg = ConcreteConfig((("Att", 999999999),), RelInterpretation(), "interleaved")
+    assert enumerate_reachable(cannon, cfg).status == OVERFLOW
+    assert replay_run_template(cannon, [frozenset({"gotoA"})], cfg).status == OVERFLOW
+    small = replace(cfg, counts=(("Att", 2),), max_states=1)
+    assert enumerate_reachable(cannon, small).status == OVERFLOW
+
+
+def test_as_many_agents_as_states_still_searches(cannon):
+    cfg = ConcreteConfig((("Att", 3),), RelInterpretation(), "interleaved", max_states=3)
+    assert enumerate_reachable(cannon, cfg).examined == 4  # overflows only past the budget
+
+
 def test_depth_bound_respected(cannon):
     cfg = ConcreteConfig((("Att", 1),), RelInterpretation(), "interleaved", max_depth=1)
     assert enumerate_reachable(cannon, cfg).status == SILENT
