@@ -107,8 +107,10 @@ class _Parser:
         self.toks = _tokenize(src)
         self.pos = 0
         self.depth = 0  # `not` and parentheses open around the current token
-        # line and column of the goal ("goal"), each template (its name), its
-        # k-th action ((template, k)) and that action's j-th effect ((template, k, j))
+        # line and column of the goal ("goal"), the alternation ("alternate"),
+        # the k-th sort ("sort", k) and its j-th constant ("sort", k, j), the
+        # k-th relation ("relation", k), each template (its name), its k-th
+        # action ((template, k)) and that action's j-th effect ((template, k, j))
         self.at: dict[object, tuple[int, int]] = {}
 
     def peek(self) -> Token:
@@ -235,9 +237,9 @@ class _Parser:
         while self.peek().kind != "eof":
             t = self.peek()
             if t.text == "sort":
-                sorts.append(self.sort_decl())
+                sorts.append(self.sort_decl(len(sorts)))
             elif t.text == "relation":
-                relations.append(self.relation_decl())
+                relations.append(self.relation_decl(len(relations)))
             elif t.text == "template":
                 tmpl = self.template_decl()
                 if tmpl.is_env:
@@ -249,6 +251,7 @@ class _Parser:
             elif t.text == "alternate":
                 if alternation is not None:
                     self.fail("second alternate declaration", t)
+                self.at["alternate"] = (t.line, t.col)
                 alternation = self.alternate_decl()
             elif t.text == "goal":
                 if goal is not None:
@@ -260,11 +263,11 @@ class _Parser:
             else:
                 self.fail(f"expected declaration, found {t.text!r}", t)
         if env is None:
-            raise ModelError([Diagnostic(0, 0, "no environment template declared")])
+            self.fail("no environment template declared")
         if goal is None:
-            raise ModelError([Diagnostic(0, 0, "no goal declared")])
+            self.fail("no goal declared")
         if not templates:
-            raise ModelError([Diagnostic(0, 0, "no agent template declared")])
+            self.fail("no agent template declared")
         return Pmas(
             name=name,
             sorts=tuple(sorts),
@@ -275,19 +278,24 @@ class _Parser:
             alternation=alternation,
         )
 
-    def sort_decl(self) -> SortDecl:
-        self.expect("sort")
+    def sort_decl(self, k: int) -> SortDecl:
+        t = self.expect("sort")
+        self.at["sort", k] = (t.line, t.col)
         name = self.ident("sort name")
         self.expect("{")
+        toks = [self.peek()]
         consts = [self.ident("constant")]
         while self.peek().text == ",":
             self.next()
+            toks.append(self.peek())
             consts.append(self.ident("constant"))
         self.expect("}")
+        self.at.update((("sort", k, j), (t.line, t.col)) for j, t in enumerate(toks))
         return SortDecl(name, ELEMENT, tuple(consts))
 
-    def relation_decl(self) -> RelDecl:
-        self.expect("relation")
+    def relation_decl(self, k: int) -> RelDecl:
+        t = self.expect("relation")
+        self.at["relation", k] = (t.line, t.col)
         name = self.ident("relation name")
         self.expect("(")
         args = [self.ident("sort name")]

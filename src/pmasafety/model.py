@@ -204,14 +204,14 @@ class Pmas:
         return self.var_slot(v)[0]
 
     @memoized
-    def effect_slots(self) -> dict[tuple[str, str], tuple[tuple[int, str], ...]]:
-        """Each action's effect as (slot, constant) pairs, keyed by (template,
-        action) (memoized)."""
-        return {
-            (t.name, a.name): tuple((self.var_slot(v)[1], c) for v, c in a.eff)
-            for t in self.all_templates()
-            for a in t.actions
-        }
+    def self_and_env_templates(self) -> frozenset[str]:
+        """The templates each of whose preconditions names no index but
+        `self` and `e`, so that its truth depends only on their local states
+        and the interpretation (memoized)."""
+        return frozenset(
+            t.name for t in self.all_templates()
+            if all(i in (SELF, ENV) for a in t.actions for g in _walk(a.pre) for i in _indexes(g))
+        )
 
     @memoized
     def compiled_formulas(self) -> dict:
@@ -267,11 +267,12 @@ _RESERVED = {
 
 
 def validate_pmas(p: Pmas, at: Optional[dict] = None) -> list[Diagnostic]:
-    """Static checks; returns diagnostics (empty = valid).  Those of the
-    goal, a template, an action or an effect carry its line and column from
-    `at`, keyed as `dsl` records them: "goal", the template's name, (its
-    name, k) for its k-th action and (its name, k, j) for that action's j-th
-    effect."""
+    """Static checks; returns diagnostics (empty = valid), each at the line
+    and column in `at` of what it is about, keyed as `dsl` records them (a
+    synchronisation's at the first action of its name): "goal", "alternate",
+    ("sort", k) and ("sort", k, j) for the k-th sort and its j-th constant,
+    ("relation", k), a template's name, (its name, k) for its k-th action and
+    (its name, k, j) for that action's j-th effect."""
     out: list[Diagnostic] = []
     at = at or {}
 
@@ -279,13 +280,22 @@ def validate_pmas(p: Pmas, at: Optional[dict] = None) -> list[Diagnostic]:
         out.append(Diagnostic(*at.get(where, (0, 0)), msg))
 
     consts: dict[str, str] = {}
-    for s in p.sorts:
-        for c in s.constants:
+    sorts: set[str] = set()
+    for k, s in enumerate(p.sorts):
+        if s.name in sorts:
+            err(f"duplicate sort {s.name}", ("sort", k))
+        sorts.add(s.name)
+        for j, c in enumerate(s.constants):
             if c in consts:
-                err(f"constant {c} declared in sorts {consts[c]} and {s.name}")
+                err(f"constant {c} declared in sorts {consts[c]} and {s.name}", ("sort", k, j))
             consts[c] = s.name
             if c in _RESERVED:
-                err(f"constant name {c} is reserved")
+                err(f"constant name {c} is reserved", ("sort", k, j))
+    for k, r in enumerate(p.relations):
+        if any(q.name == r.name for q in p.relations[:k]):
+            err(f"duplicate relation {r.name}", ("relation", k))
+        for s in sorted(set(r.arg_sorts) - sorts):
+            err(f"relation {r.name}: unknown sort {s}", ("relation", k))
 
     names: set[str] = set()
     for t in p.all_templates():
@@ -332,38 +342,41 @@ def validate_pmas(p: Pmas, at: Optional[dict] = None) -> list[Diagnostic]:
             if v in all_vars:
                 err(f"variable {v} declared in templates {all_vars[v]} and {t.name}", t.name)
             all_vars[v] = t.name
-    for v in all_vars:
+    for v, t_name in all_vars.items():
         if v in consts:
-            err(f"name {v} used both as variable and constant")
+            err(f"name {v} used both as variable and constant", t_name)
 
     # sync/individual actions need the environment plus at least one template
     sync_names = {
         a.name for t in p.all_templates() for a in t.actions if a.kind in (SYNC, INDIVIDUAL)
     }
     for a_name in sorted(sync_names):
+        where = next(
+            (t.name, k) for t in p.all_templates() for k, a in enumerate(t.actions) if a.name == a_name
+        )
         env_decl = p.env.action(a_name)
         if env_decl is None or env_decl.kind == LOCAL:
-            err(f"synchronization action {a_name} not declared by the environment")
+            err(f"synchronization action {a_name} not declared by the environment", where)
         parts = p.sync_participants(a_name)
         if not parts:
-            err(f"synchronization action {a_name} declared by no agent template (environment must not be its only participant)")
+            err(f"synchronization action {a_name} declared by no agent template (environment must not be its only participant)", where)
         kinds = {
             t.action(a_name).kind for t in p.all_templates() if t.action(a_name) is not None
         }
         if len(kinds) > 1:
-            err(f"action {a_name} declared with inconsistent kinds {sorted(kinds)}")
+            err(f"action {a_name} declared with inconsistent kinds {sorted(kinds)}", where)
 
     if p.alternation is not None:
         g1, g2 = p.alternation
         both = set(g1) & set(g2)
         if both:
-            err(f"templates {sorted(both)} in both alternation groups")
+            err(f"templates {sorted(both)} in both alternation groups", "alternate")
         for n in (*g1, *g2):
             if n not in names:
-                err(f"alternation names unknown template {n}")
+                err(f"alternation names unknown template {n}", "alternate")
         missing = names - set(g1) - set(g2)
         if missing:
-            err(f"templates {sorted(missing)} in no alternation group")
+            err(f"templates {sorted(missing)} in no alternation group", "alternate")
 
     for msg in goal_errors(p, p.goal):
         err(f"goal: {msg}", "goal")
@@ -505,34 +518,30 @@ class RelInterpretation:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One concrete configuration: per-template agent states plus env state.
+    """One concrete configuration: per-template agents plus env state.
 
-    Agent states are tuples of constants following the template's variable
-    order; agents of one template are interchangeable, so `canonical()` sorts
-    them.  `turn` is the current alternation group (or None).
+    Agents of one template in one local state (a tuple of constants in the
+    template's variable order) are interchangeable, so each template's
+    agents are (local state, count) pairs sorted by state, counts positive:
+    German & Sistla's counting abstraction.  Agent i of a template is the one
+    at offset i, counting each pair's agents in turn from 0.  `turn` is the
+    current alternation group (or None).
     """
 
-    agents: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]
+    agents: tuple[tuple[str, tuple[tuple[tuple[str, ...], int], ...]], ...]
     env: tuple[str, ...]
     turn: Optional[int] = None
 
-    def agents_of(self, template: str) -> tuple[tuple[str, ...], ...]:
-        for name, states in self.agents:
+    def agents_of(self, template: str) -> tuple[tuple[tuple[str, ...], int], ...]:
+        for name, blocks in self.agents:
             if name == template:
-                return states
+                return blocks
         raise ModelError(f"no agents for template {template}")
-
-    def canonical(self) -> "Snapshot":
-        return Snapshot(
-            tuple((name, tuple(sorted(states))) for name, states in self.agents),
-            self.env,
-            self.turn,
-        )
 
 
 def initial_snapshot(p: Pmas, counts: dict[str, int]) -> Snapshot:
     agents = tuple(
-        (t.name, tuple(tuple(init for _v, _s, init in t.variables) for _ in range(counts.get(t.name, 0))))
+        (t.name, ((tuple(i for _v, _s, i in t.variables), n),) if (n := counts.get(t.name, 0)) > 0 else ())
         for t in p.templates
     )
     env = tuple(init for _v, _s, init in p.env.variables)
@@ -541,11 +550,12 @@ def initial_snapshot(p: Pmas, counts: dict[str, int]) -> Snapshot:
 
 
 # A compiled part of a formula tests one grounding, or searches for one: it
-# takes the snapshot, the interpretation, the agent `self` denotes, the agent
-# states of each free index variable's template and the position bound to each
-# variable, in sorted variable order.  A search binds the variables its part
-# leaves free and leaves the others as it found them.
-Grounded = Callable[[Snapshot, RelInterpretation, Optional[AgentId], list, list], bool]
+# takes the snapshot, the interpretation, the agent `self` denotes with its
+# local state, the blocks of each free index variable's template and the
+# agent bound to each variable as (block, offset in the block), in sorted
+# variable order; `self` is (template, (block, 0)).  A search binds the
+# variables its part leaves free and leaves the others as it found them.
+Grounded = Callable[[Snapshot, RelInterpretation, Optional[tuple], list, list], bool]
 Search = Callable[[Snapshot, RelInterpretation, Optional[AgentId]], bool]
 
 
@@ -573,9 +583,9 @@ def _all(parts: list[Grounded]) -> Grounded:
     if len(parts) == 1:
         return parts[0]
 
-    def conj(snap, interp, self_id, states, ground):
+    def conj(snap, interp, me, states, ground):
         for t in parts:
-            if not t(snap, interp, self_id, states, ground):
+            if not t(snap, interp, me, states, ground):
                 return False
         return True
     return conj
@@ -586,21 +596,23 @@ def _any(parts: list[Grounded]) -> Grounded:
     if len(parts) == 1:
         return parts[0]
 
-    def disj(snap, interp, self_id, states, ground):
+    def disj(snap, interp, me, states, ground):
         for t in parts:
-            if t(snap, interp, self_id, states, ground):
+            if t(snap, interp, me, states, ground):
                 return True
         return False
     return disj
 
 
-def _bind(k: int, rest: Grounded) -> Grounded:
-    """A search trying each agent for variable `k` until `rest` holds."""
-    def bind(snap, interp, self_id, states, ground):
-        for i in range(len(states[k])):
-            ground[k] = i
-            if rest(snap, interp, self_id, states, ground):
-                return True
+def _bind(k: int, width: int, rest: Grounded) -> Grounded:
+    """A search trying the first `width` agents of each block for variable
+    `k` until `rest` holds."""
+    def bind(snap, interp, me, states, ground):
+        for b, (_state, count) in enumerate(states[k]):
+            for j in range(min(count, width)):
+                ground[k] = (b, j)
+                if rest(snap, interp, me, states, ground):
+                    return True
         return False
     return bind
 
@@ -613,10 +625,13 @@ def compile_agent_formula(
 
     The search binds one variable at a time and tests each conjunct as soon as
     its variables are bound; it searches each disjunct on its own, over its
-    own variables.  As over every grounding, `f` is false when the template
-    of one of its variables has no agents.  The search raises ModelError when
-    the snapshot lacks that template, and when `f` mentions `self` and no
-    agent is given for it."""
+    own variables.  A variable of a template with k variables in `f` ranges
+    over the first min(count, k + 1) agents of each block, and `self` is the
+    first agent of its block: permuting a block's agents maps any grounding
+    to one of these and changes no truth value.  As over every grounding, `f`
+    is false when the template of one of its variables has no agents.  The
+    search raises ModelError when the snapshot lacks that template, and when
+    `f` mentions `self` and no agent is given for it."""
     st = p.template(self_template) if self_template else None
     assign = infer_formula_var_templates(p, f, self_template=st)
     names = sorted(assign)
@@ -628,48 +643,43 @@ def compile_agent_formula(
         """The getter of a constant, or of v[idx] in one grounding."""
         if isinstance(arg, ConstRef):
             c = arg.name
-            return lambda snap, self_id, states, ground: c
+            return lambda snap, me, states, ground: c
         owner, slot = p.var_slot(arg.var)
         if owner.is_env:
-            return lambda snap, self_id, states, ground: snap.env[slot]
+            return lambda snap, me, states, ground: snap.env[slot]
         if arg.idx == SELF:
-            def of_self(snap, self_id, states, ground):
-                t, i = self_id
-                return snap.agents_of(t)[i][slot]
-            return of_self
+            return lambda snap, me, states, ground: me[1][slot]
         k = pos[arg.idx]
-        return lambda snap, self_id, states, ground: states[k][ground[k]][slot]
+        return lambda snap, me, states, ground: states[k][ground[k][0]][0][slot]
 
     def agent(idx: str):
         """The getter of the agent an index denotes in one grounding."""
         if idx == SELF:
-            return lambda self_id, ground: self_id
+            return lambda me, states, ground: me[0]
         k, t = pos[idx], assign[idx].name
-        return lambda self_id, ground: (t, ground[k])
+        return lambda me, states, ground: (t, ground[k])
 
     def comp(g: AgentFormula) -> Grounded:
         if isinstance(g, BoolConst):
             b = g.value
-            return lambda snap, interp, self_id, states, ground: b
+            return lambda snap, interp, me, states, ground: b
         if isinstance(g, VarTest):
             get, want = value(g), g.value
-            return lambda snap, interp, self_id, states, ground: (
-                get(snap, self_id, states, ground) == want
-            )
+            return lambda snap, interp, me, states, ground: get(snap, me, states, ground) == want
         if isinstance(g, RelTest):
             rel, gets = g.rel, [value(a) for a in g.args]
-            return lambda snap, interp, self_id, states, ground: interp.holds(
-                rel, tuple(get(snap, self_id, states, ground) for get in gets)
+            return lambda snap, interp, me, states, ground: interp.holds(
+                rel, tuple(get(snap, me, states, ground) for get in gets)
             )
         if isinstance(g, IdxEq):
             lhs, rhs = agent(g.lhs), agent(g.rhs)
-            return lambda snap, interp, self_id, states, ground: (
-                lhs(self_id, ground) == rhs(self_id, ground)
+            return lambda snap, interp, me, states, ground: (
+                lhs(me, states, ground) == rhs(me, states, ground)
             )
         if isinstance(g, Neg):
             inner = comp(g.inner)
-            return lambda snap, interp, self_id, states, ground: not inner(
-                snap, interp, self_id, states, ground
+            return lambda snap, interp, me, states, ground: not inner(
+                snap, interp, me, states, ground
             )
         if isinstance(g, Conj):
             return _all([comp(i) for i in g.items])
@@ -695,7 +705,7 @@ def compile_agent_formula(
             levels.append((k, [t for vs, t in tests if k in vs and vs <= known]))
         rest = None
         for k, ts in reversed(levels):
-            rest = _bind(k, _all(ts + ([rest] if rest else [])))
+            rest = _bind(k, templates.count(templates[k]) + 1, _all(ts + ([rest] if rest else [])))
         return _all(parts + ([rest] if rest else []))
 
     root = search(f, frozenset())
@@ -704,10 +714,20 @@ def compile_agent_formula(
     def run(snap: Snapshot, interp: RelInterpretation, self_id: Optional[AgentId]) -> bool:
         if self_id is None and uses_self:
             raise ModelError("self unbound in evaluation")
+        me = None
+        if uses_self:  # the first agent of self's block, which permuting the block swaps it with
+            t, i = self_id
+            for b, (state, count) in enumerate(snap.agents_of(t)):
+                if i < count:
+                    break
+                i -= count
+            else:
+                raise ModelError(f"no agent {self_id[1]} of template {t}")
+            me = (t, (b, 0)), state
         if not n:
-            return root(snap, interp, self_id, [], [])
+            return root(snap, interp, me, [], [])
         states = [snap.agents_of(t) for t in templates]
-        return all(states) and root(snap, interp, self_id, states, [0] * n)
+        return all(states) and root(snap, interp, me, states, [None] * n)
 
     return run
 

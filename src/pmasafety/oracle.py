@@ -2,9 +2,9 @@
 
 Ground truth for cross validation: fix agent counts and a relation
 interpretation, enumerate reachable snapshots breadth first under the chosen
-step semantics, and test the goal along the way.  Snapshots are canonicalised
-up to permutation of same-template agents.  The fully idle action vector is
-never generated.
+step semantics, and test the goal along the way.  A snapshot counts the agents
+of each template per local state, so it stands for every permutation of them.
+The fully idle action vector is never generated.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Iterator, Optional
 from .encoder import CONCURRENT, INTERLEAVED
 from .model import (
     AgentId,
+    AgentTemplate,
     INDIVIDUAL,
     LOCAL,
     Pmas,
@@ -69,71 +70,118 @@ class OracleResult:
     examined: int = 0  # successors built, one per orbit of step vectors
 
 
-def _apply(p: Pmas, snap: Snapshot, vec: StepVector) -> Snapshot:
-    slots = p.effect_slots()
-    changed: dict[str, list[tuple[str, ...]]] = {}
-    for (t, i), a_name in vec.agent_actions:
-        states = changed.get(t)
-        if states is None:
-            states = changed[t] = list(snap.agents_of(t))
-        st = list(states[i])
-        for k, c in slots[t, a_name]:
-            st[k] = c
-        states[i] = tuple(st)
+class StepTables:
+    """What the steps of one model depend on, under one interpretation and
+    semantics, filled in as a search reads it.  A block's view is kept when
+    each precondition of its template reads only `self` and `e`, so that it
+    depends only on its local state, the environment's and the turn."""
+
+    def __init__(self, p: Pmas, interp: RelInterpretation, semantics: str):
+        if semantics not in (INTERLEAVED, CONCURRENT):
+            raise ValueError(f"unknown semantics {semantics!r}")
+        self.p, self.interp = p, interp
+        self.interleaved = semantics == INTERLEAVED
+        self.post: dict = {}  # (template, action, local state) -> local state after it
+        self.moved: dict = {}  # (template, blocks, (offset, action) pairs) -> blocks after them
+        self.views: dict = {}  # `view` arguments -> its answer
+        self.joints: dict = {}  # `joint` arguments -> its answer
+
+    def after(self, t: str, a: str, state: tuple[str, ...]) -> tuple[str, ...]:
+        key = (t, a, state)
+        post = self.post.get(key)
+        if post is None:
+            st = list(state)
+            for v, c in self.p.template(t).action(a).eff:
+                st[self.p.var_slot(v)[1]] = c
+            post = self.post[key] = tuple(st)
+        return post
+
+    def move(self, t: str, blocks, acts: tuple[tuple[int, str], ...]):
+        """`blocks` of template `t` after the agent at each offset of `acts`
+        takes its action: its count moves to the state the action leaves."""
+        key = (t, blocks, acts)
+        out = self.moved.get(key)
+        if out is None:
+            counts = dict(blocks)
+            for i, a in acts:
+                for state, k in blocks:  # the block holding agent i
+                    if i < k:
+                        break
+                    i -= k
+                counts[state] -= 1
+                post = self.after(t, a, state)
+                counts[post] = counts.get(post, 0) + 1
+            out = self.moved[key] = tuple(sorted(b for b in counts.items() if b[1]))
+        return out
+
+    def view(self, t: AgentTemplate, snap: Snapshot, i: Optional[int] = None, k: int = 0, state=None):
+        """The `k` agents of `t` from offset `i`, in `state`: the acting pairs
+        of each sorted choice of local actions for them, and the kind of each
+        synchronisation they may join, by name.  For the environment (`i`
+        None): its local choices, and what it may start now."""
+        key = (t.name, i, k, state, snap.env, snap.turn)
+        view = self.views.get(key)
+        if view is None:
+            p, interp, aid, names = self.p, self.interp, None if i is None else (t.name, i), []
+            if snap.turn is None or p.turn_group(t.name) == snap.turn:
+                names = [a.name for a in t.local_actions() if eval_agent_formula(p, snap, interp, a.pre, aid)]
+            choices = [None] + names if self.interleaved else names or [None]
+            if aid:  # the choices of its k agents, one sorted combination per orbit
+                choices = [
+                    tuple(((t.name, i + j), a) for j, a in enumerate(combo) if a is not None)
+                    for combo in itertools.combinations_with_replacement(choices, k)
+                ]
+            view = choices, {
+                a.name: a.kind
+                for a in t.actions
+                if a.kind != LOCAL
+                and (aid or p.alternation is None or p.initiator_groups()[a.name] == snap.turn)
+                and eval_agent_formula(p, snap, interp, a.pre, aid)
+            }
+            if t.name in p.self_and_env_templates():
+                self.views[key] = view
+        return view
+
+    def joint(self, name: str, kind: str, eligible: tuple[tuple[str, int, int], ...]) -> list[StepVector]:
+        """The vectors of `name`, of `kind`, joined by agents of the blocks
+        `eligible` (template, first offset, count), one per orbit."""
+        vecs = self.joints.get((name, kind, eligible))
+        if vecs is None:
+            sizes = [k for _t, _i, k in eligible]
+            if kind == INDIVIDUAL:  # the first agent of one block
+                takes = [tuple(int(b == c) for b in range(len(sizes))) for c in range(len(sizes))]
+            elif self.interleaved:  # any of them: fewer first, then more from earlier blocks
+                takes = sorted(itertools.product(*(range(k, -1, -1) for k in sizes)), key=sum)[1:]
+            else:  # all of them
+                takes = [tuple(sizes)] if sizes else []
+            vecs = self.joints[name, kind, eligible] = [
+                StepVector(kind, name, tuple(
+                    ((t, i + j), name) for (t, i, _k), c in zip(eligible, cs) for j in range(c)
+                ))
+                for cs in takes
+            ]
+        return vecs
+
+
+def _apply(tables: StepTables, snap: Snapshot, vec: StepVector) -> Snapshot:
+    """The snapshot after `vec`."""
+    acts: dict[str, list] = {}
+    for (t, i), a in vec.agent_actions:
+        acts.setdefault(t, []).append((i, a))
     env = snap.env
     if vec.env_action is not None:
-        env = list(env)
-        for k, c in slots[p.env.name, vec.env_action]:
-            env[k] = c
-        env = tuple(env)
-    turn = snap.turn
-    if turn is not None:
-        turn = 1 - turn
+        env = tables.after(tables.p.env.name, vec.env_action, env)
     return Snapshot(
-        tuple((n, tuple(changed[n])) if n in changed else (n, ss) for n, ss in snap.agents),
+        tuple([(n, tables.move(n, b, tuple(acts[n])) if n in acts else b) for n, b in snap.agents]),
         env,
-        turn,
+        None if snap.turn is None else 1 - snap.turn,
     )
 
 
-def _in_turn(p: Pmas, snap: Snapshot, template_name: str) -> bool:
-    if snap.turn is None:
-        return True
-    return p.turn_group(template_name) == snap.turn
-
-
-def _blocks(snap: Snapshot) -> list[tuple[str, int, int]]:
-    """The agents of `snap` as maximal runs of adjacent agents of one template
-    in one local state: (template, first position, length), in agent order.
-    The agents of a block are interchangeable; in a canonical snapshot a block
-    holds every agent of its template in its state."""
-    out = []
-    for name, states in snap.agents:
-        start = 0
-        for i in range(1, len(states)):
-            if states[i] != states[i - 1]:
-                out.append((name, start, i - start))
-                start = i
-        if states:
-            out.append((name, start, len(states) - start))
-    return out
-
-
-def _takes(sizes: list[int], r: int) -> Iterator[tuple[int, ...]]:
-    """Every way to take `r` agents from blocks of `sizes`, as a count per
-    block, with more from earlier blocks first."""
-    if not sizes:
-        yield ()
-        return
-    rest = sum(sizes) - sizes[0]
-    for c in range(min(sizes[0], r), max(r - rest, 0) - 1, -1):
-        for tail in _takes(sizes[1:], r - c):
-            yield (c,) + tail
-
-
-def step_vectors(p: Pmas, snap: Snapshot, interp: RelInterpretation, semantics: str) -> Iterator[StepVector]:
+def step_vectors(tables: StepTables, snap: Snapshot) -> Iterator[StepVector]:
     """Legal global steps from `snap` (never the fully idle vector), one per
-    orbit under permutations of the agents within a block (`_blocks`).
+    orbit under permutations of the agents within a block, the agents of one
+    template in one local state.
 
     Interleaved: any agents each pick one executable local action, or stay
     idle, and a synchronisation takes any non-empty subset of the willing
@@ -145,71 +193,28 @@ def step_vectors(p: Pmas, snap: Snapshot, interp: RelInterpretation, semantics: 
     vector would give, agent by agent in order, and the emitted vectors come in
     that enumeration's order: a block picks its choices sorted, a
     synchronisation takes a prefix of each block, and an individual one the
-    first agent of a block.  Each precondition is evaluated once per block."""
-    if semantics not in (INTERLEAVED, CONCURRENT):
-        raise ValueError(f"unknown semantics {semantics!r}")
-    interleaved = semantics == INTERLEAVED
-    blocks = _blocks(snap)
-
-    def choices(t, aid: Optional[AgentId]) -> list[Optional[str]]:
-        """The local choices of agent `aid` of `t`, or of the environment if None."""
-        names = []
-        if _in_turn(p, snap, t.name):
-            names = [
-                a.name
-                for a in t.local_actions()
-                if eval_agent_formula(p, snap, interp, a.pre, self_id=aid)
-            ]
-        return [None] + names if interleaved else names or [None]
-
-    # per block, the acting pairs of each sorted choice of its agents
-    block_opts = [
-        [
-            tuple(((t, i + j), a) for j, a in enumerate(combo) if a is not None)
-            for combo in itertools.combinations_with_replacement(choices(p.template(t), (t, i)), k)
-        ]
-        for t, i, k in blocks
-    ]
-    for env_choice in choices(p.env, None):
+    first agent of a block."""
+    blocks = []  # (template, first offset, count, what it may join), in agent order
+    block_opts = []  # per block, the acting pairs of each sorted choice of its agents
+    for name, pairs in snap.agents:
+        t, i = tables.p.template(name), 0
+        for state, k in pairs:
+            opts, joins = tables.view(t, snap, i, k, state)
+            blocks.append((name, i, k, joins))
+            block_opts.append(opts)
+            i += k
+    env_choices, starts = tables.view(tables.p.env, snap)
+    for env_choice in env_choices:
         for combo in itertools.product(*block_opts):
             acting = tuple(itertools.chain.from_iterable(combo))
             if env_choice is None and not acting:
                 continue
             yield StepVector(LOCAL, env_choice, acting)
-
-    def joiners(kind: str) -> Iterator[tuple[str, list[tuple[str, int, int]]]]:
-        """Each environment action of `kind` that may start now, with the
-        blocks able to join it."""
-        groups = p.initiator_groups()
-        for ea in p.env.actions:
-            if ea.kind != kind:
-                continue
-            if p.alternation is not None and groups[ea.name] != snap.turn:
-                continue
-            if not eval_agent_formula(p, snap, interp, ea.pre):
-                continue
-            yield ea.name, [
-                (t, i, k)
-                for t, i, k in blocks
-                if (a := p.template(t).action(ea.name)) is not None
-                and a.kind == kind
-                and eval_agent_formula(p, snap, interp, a.pre, self_id=(t, i))
-            ]
-
-    for name, eligible in joiners(SYNC):
-        sizes = [k for _t, _i, k in eligible]
-        n = sum(sizes)
-        # every non-empty subset, or only the full one
-        for r in range(1, n + 1) if interleaved else range(max(n, 1), n + 1):
-            for counts in _takes(sizes, r):
-                yield StepVector(SYNC, name, tuple(
-                    ((t, i + j), name) for (t, i, _k), c in zip(eligible, counts) for j in range(c)
-                ))
-
-    # individual synchronisations: the environment plus exactly one agent
-    for name, eligible in joiners(INDIVIDUAL):
-        for t, i, _k in eligible:
-            yield StepVector(INDIVIDUAL, name, (((t, i), name),))
+    # the synchronisations, then the individual ones, each in declaration order
+    for kind in (SYNC, INDIVIDUAL):
+        for name in [a for a, k in starts.items() if k == kind]:
+            eligible = tuple((t, i, k) for t, i, k, joins in blocks if joins.get(name) == kind)
+            yield from tables.joint(name, kind, eligible)
 
 
 def enumerate_reachable(p: Pmas, cfg: ConcreteConfig) -> OracleResult:
@@ -223,32 +228,38 @@ def enumerate_reachable(p: Pmas, cfg: ConcreteConfig) -> OracleResult:
     """
     if sum(k for _t, k in cfg.counts) > cfg.max_states:
         return OracleResult(OVERFLOW)
-    start = initial_snapshot(p, cfg.counts_dict()).canonical()
+    start = initial_snapshot(p, cfg.counts_dict())
     if eval_agent_formula(p, start, cfg.interp, p.goal):
         return OracleResult(REACHED, depth=0, run=[], states_seen=1)
-    seen = {start}
+    tables = StepTables(p, cfg.interp, cfg.semantics)
+    # each snapshot seen, with the snapshot and step that first reached it
+    parent: dict[Snapshot, Optional[tuple[Snapshot, StepVector]]] = {start: None}
     examined = 0
-    frontier: list[tuple[Snapshot, list[StepVector]]] = [(start, [])]
+    frontier = [start]
     for depth in range(1, cfg.max_depth + 1):
-        nxt: list[tuple[Snapshot, list[StepVector]]] = []
-        for snap, run in frontier:
-            for vec in step_vectors(p, snap, cfg.interp, cfg.semantics):
+        nxt: list[Snapshot] = []
+        for snap in frontier:
+            for vec in step_vectors(tables, snap):
                 examined += 1
                 if examined > cfg.max_states:
-                    return OracleResult(OVERFLOW, states_seen=len(seen), examined=examined)
-                succ = _apply(p, snap, vec).canonical()
-                if succ in seen:
+                    return OracleResult(OVERFLOW, states_seen=len(parent), examined=examined)
+                succ = _apply(tables, snap, vec)
+                if succ in parent:
                     continue
-                seen.add(succ)
+                parent[succ] = (snap, vec)
                 if eval_agent_formula(p, succ, cfg.interp, p.goal):
+                    run = []
+                    while (step := parent[succ]) is not None:
+                        succ, last = step
+                        run.append(last)
                     return OracleResult(
-                        REACHED, depth=depth, run=run + [vec], states_seen=len(seen), examined=examined
+                        REACHED, depth=depth, run=run[::-1], states_seen=len(parent), examined=examined
                     )
-                nxt.append((succ, run + [vec]))
+                nxt.append(succ)
         if not nxt:
             break
         frontier = nxt
-    return OracleResult(SILENT, states_seen=len(seen), examined=examined)
+    return OracleResult(SILENT, states_seen=len(parent), examined=examined)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +292,7 @@ def replay_run_template(
     """
     if sum(k for _t, k in cfg.counts) > cfg.max_states:
         return ReplayResult(OVERFLOW, 0)
+    tables = StepTables(p, cfg.interp, cfg.semantics)
     best = 0
 
     def go(i: int, snap: Snapshot) -> bool:
@@ -289,10 +301,10 @@ def replay_run_template(
         if i == len(template):
             return eval_agent_formula(p, snap, cfg.interp, p.goal)
         want = template[i]
-        for vec in step_vectors(p, snap, cfg.interp, cfg.semantics):
+        for vec in step_vectors(tables, snap):
             if vec.label() != want:
                 continue
-            if go(i + 1, _apply(p, snap, vec).canonical()):
+            if go(i + 1, _apply(tables, snap, vec)):
                 return True
         return False
 

@@ -4,13 +4,15 @@ Everything here deliberately avoids the library's own solving machinery:
 satisfiability is decided by exhaustive enumeration over small finite
 universes, and transition rules are executed on fully concrete states.  The
 exceptions are the library's earlier procedures (`reference_canon_cube`,
-`reference_entailed_by`, `reference_open_clauses`, `reference_preimage`,
-`reference_step_vectors`, `reference_subsumes`, `unabsorbed_dnf`), kept so
-that the current ones can be compared with them call by call.
+`reference_entailed_by`, `reference_enumerate_reachable`,
+`reference_open_clauses`, `reference_preimage`, `reference_step_vectors`,
+`reference_subsumes`, `unabsorbed_dnf`), kept so that the current ones can be
+compared with them call by call.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import math
@@ -76,12 +78,15 @@ from pmasafety.model import (
     Snapshot,
     VarRef,
     VarTest,
-    eval_agent_formula,
     infer_formula_var_templates,
 )
 from pmasafety.models import fixture_text
 from pmasafety.oracle import (
+    OVERFLOW,
+    REACHED,
+    SILENT,
     ConcreteConfig,
+    OracleResult,
     StepVector,
     enumerate_reachable,
     relation_interpretations,
@@ -989,27 +994,56 @@ def _mentions_self(g) -> bool:
     return False
 
 
+def per_agent(snap) -> tuple:
+    """The agents of a counting snapshot one by one: each template's local
+    states, one per agent, in the order of their ids (block offsets)."""
+    return tuple((name, tuple(s for s, c in blocks for _ in range(c))) for name, blocks in snap.agents)
+
+
+def counting_snapshot(agents, env, turn=None) -> Snapshot:
+    """The counting snapshot of per-agent local states, given as (template,
+    states) pairs."""
+    return Snapshot(
+        tuple((name, tuple(sorted(collections.Counter(states).items()))) for name, states in agents),
+        tuple(env),
+        turn,
+    )
+
+
 def reference_eval_agent_formula(p, snap, interp, f, self_id=None, self_template=None) -> bool:
-    """`model.eval_agent_formula` as a tree walk over every grounding that
-    looks every variable's owner and slot up afresh, the reference the
+    """`model.eval_agent_formula` as a tree walk over every grounding of a
+    per-agent expansion of `snap` (`per_agent`), with each variable's owner
+    and slot read off the templates on every call: the reference the
     compiled evaluator must match."""
+    return _eval_per_agent(p, per_agent(snap), snap.env, interp, f, self_id, self_template)
+
+
+def _eval_per_agent(p, agents, env, interp, f, self_id=None, self_template=None) -> bool:
+    """`reference_eval_agent_formula` over per-agent local states."""
+    by_name = dict(agents)
+
+    def agents_of(t):
+        if t not in by_name:
+            raise ModelError(f"no agents for template {t}")
+        return by_name[t]
+
     st = p.template(self_template or self_id[0]) if (self_template or self_id) else None
     assign = infer_formula_var_templates(p, f, self_template=st)
     if self_id is None and _mentions_self(f):
         raise ModelError("self unbound in evaluation")
     names = sorted(assign)
-    domains = [range(len(snap.agents_of(assign[n].name))) for n in names]
+    domains = [range(len(agents_of(assign[n].name))) for n in names]
+    slots = {v: (t, k) for t in p.all_templates() for k, v in enumerate(t.var_names())}
 
     def idx_val(idx, ground):
         return self_id if idx == SELF else ground[idx]
 
     def value_of(var, idx, ground):
-        (owner,) = [t for t in p.all_templates() if var in t.var_names()]
-        slot = owner.var_names().index(var)
+        owner, slot = slots[var]
         if owner.is_env:
-            return snap.env[slot]
+            return env[slot]
         t, i = idx_val(idx, ground)
-        return snap.agents_of(t)[i][slot]
+        return agents_of(t)[i][slot]
 
     def ev(g, ground):
         if isinstance(g, BoolConst):
@@ -1104,7 +1138,7 @@ def random_snapshot(rng: random.Random, p):
         for t in p.templates
         if rng.random() < 0.9
     )
-    return Snapshot(agents, state(p.env))
+    return counting_snapshot(agents, state(p.env))
 
 
 def random_interpretation(rng: random.Random, p):
@@ -1119,32 +1153,35 @@ def random_interpretation(rng: random.Random, p):
 
 
 # ---------------------------------------------------------------------------
-# reference step vectors
+# reference step vectors and search, one local state per agent
 
 
 def agent_ids(snap) -> list:
     """Every (template, position) of `snap`, in agent order."""
-    return [(name, i) for name, states in snap.agents for i in range(len(states))]
+    return [(name, i) for name, states in per_agent(snap) for i in range(len(states))]
 
 
-def reference_step_vectors(p, snap, interp, semantics: str):
-    """`oracle.step_vectors` without symmetry reduction: every legal vector,
-    each precondition evaluated once per agent.  The reduced generator must
-    emit exactly the first vector of each orbit, in this order."""
-    if semantics not in (INTERLEAVED, CONCURRENT):
-        raise ValueError(f"unknown semantics {semantics!r}")
-    interleaved = semantics == INTERLEAVED
-    ids = agent_ids(snap)
+def reference_step_vectors(tables, snap):
+    """`oracle.step_vectors` without symmetry reduction or tables, over a
+    per-agent expansion of `snap`: every legal vector, each precondition
+    walked once per agent as `reference_eval_agent_formula` walks it.  The
+    reduced generator must emit exactly the first vector of each orbit, in
+    this order."""
+    interleaved = tables.interleaved
+    return _vectors_per_agent(tables.p, tables.interp, interleaved, per_agent(snap), snap.env, snap.turn)
+
+
+def _vectors_per_agent(p, interp, interleaved, agents, env, turn):
+    ids = [(name, i) for name, states in agents for i in range(len(states))]
+
+    def holds(f, aid=None):
+        return _eval_per_agent(p, agents, env, interp, f, self_id=aid)
 
     def choices(aid):
         t = p.env if aid is None else p.template(aid[0])
         names = []
-        if snap.turn is None or p.turn_group(t.name) == snap.turn:
-            names = [
-                a.name
-                for a in t.local_actions()
-                if eval_agent_formula(p, snap, interp, a.pre, self_id=aid)
-            ]
+        if turn is None or p.turn_group(t.name) == turn:
+            names = [a.name for a in t.local_actions() if holds(a.pre, aid)]
         return [None] + names if interleaved else names or [None]
 
     agent_opts = [choices(aid) for aid in ids]
@@ -1159,16 +1196,16 @@ def reference_step_vectors(p, snap, interp, semantics: str):
         for ea in p.env.actions:
             if ea.kind != kind:
                 continue
-            if p.alternation is not None and p.initiator_groups()[ea.name] != snap.turn:
+            if p.alternation is not None and p.initiator_groups()[ea.name] != turn:
                 continue
-            if not eval_agent_formula(p, snap, interp, ea.pre):
+            if not holds(ea.pre):
                 continue
             yield ea.name, [
                 aid
                 for aid in ids
                 if (a := p.template(aid[0]).action(ea.name)) is not None
                 and a.kind == kind
-                and eval_agent_formula(p, snap, interp, a.pre, self_id=aid)
+                and holds(a.pre, aid)
             ]
 
     for name, eligible in joiners(SYNC):
@@ -1180,3 +1217,91 @@ def reference_step_vectors(p, snap, interp, semantics: str):
     for name, eligible in joiners(INDIVIDUAL):
         for aid in eligible:
             yield StepVector(INDIVIDUAL, name, ((aid, name),))
+
+
+def _apply_per_agent(p, agents, env, turn, vec):
+    """The per-agent snapshot after `vec`, each template's states sorted."""
+    def after(t, a, state):
+        st = list(state)
+        for v, c in p.template(t).action(a).eff:
+            st[p.var_slot(v)[1]] = c
+        return tuple(st)
+
+    acts = dict(vec.agent_actions)
+    agents = tuple(
+        (name, tuple(sorted(
+            after(name, acts[name, i], st) if (name, i) in acts else st for i, st in enumerate(states)
+        )))
+        for name, states in agents
+    )
+    if vec.env_action is not None:
+        env = after(p.env.name, vec.env_action, env)
+    return agents, env, None if turn is None else 1 - turn
+
+
+def reference_apply(p, snap, vec):
+    """`oracle._apply` on a per-agent expansion of `snap`."""
+    agents, env, turn = _apply_per_agent(p, per_agent(snap), snap.env, snap.turn, vec)
+    return counting_snapshot(agents, env, turn)
+
+
+def orbit_key(agents, vec):
+    """`vec`'s orbit under permutations of adjacent agents of one template in
+    one local state."""
+    block = {}
+    for name, states in agents:
+        b = 0
+        for i, state in enumerate(states):
+            b += i > 0 and state != states[i - 1]
+            block[name, i] = (name, b)
+    return vec.kind, vec.env_action, tuple(sorted((block[aid], a) for aid, a in vec.agent_actions))
+
+
+def reference_enumerate_reachable(p, cfg):
+    """`oracle.enumerate_reachable` on snapshots that keep one local state
+    per agent, sorted per template: each step takes the first vector of each
+    orbit of every legal vector (`orbit_key`), and each snapshot carries a
+    copy of its run."""
+    if sum(k for _t, k in cfg.counts) > cfg.max_states:
+        return OracleResult(OVERFLOW)
+    counts = cfg.counts_dict()
+    start = (
+        tuple((t.name, (tuple(i for _v, _s, i in t.variables),) * counts.get(t.name, 0)) for t in p.templates),
+        tuple(i for _v, _s, i in p.env.variables),
+        0 if p.alternation is not None else None,
+    )
+    interleaved = cfg.semantics == INTERLEAVED
+    if cfg.semantics not in (INTERLEAVED, CONCURRENT):
+        raise ValueError(f"unknown semantics {cfg.semantics!r}")
+
+    def goal(snap):
+        return _eval_per_agent(p, snap[0], snap[1], cfg.interp, p.goal)
+
+    if goal(start):
+        return OracleResult(REACHED, depth=0, run=[], states_seen=1)
+    seen = {start}
+    examined = 0
+    frontier = [(start, [])]
+    for depth in range(1, cfg.max_depth + 1):
+        nxt = []
+        for snap, run in frontier:
+            firsts = {}
+            for vec in _vectors_per_agent(p, cfg.interp, interleaved, *snap):
+                firsts.setdefault(orbit_key(snap[0], vec), vec)
+            for vec in firsts.values():
+                examined += 1
+                if examined > cfg.max_states:
+                    return OracleResult(OVERFLOW, states_seen=len(seen), examined=examined)
+                succ = _apply_per_agent(p, *snap, vec)
+                if succ in seen:
+                    continue
+                seen.add(succ)
+                if goal(succ):
+                    return OracleResult(
+                        REACHED, depth=depth, run=run + [vec], states_seen=len(seen), examined=examined
+                    )
+                nxt.append((succ, run + [vec]))
+        if not nxt:
+            break
+        frontier = nxt
+    return OracleResult(SILENT, states_seen=len(seen), examined=examined)

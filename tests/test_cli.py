@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,6 +149,92 @@ def test_models_action_and_template_diagnostics_are_positioned(tmp_path, capsys)
         "error:14:1: template Att: initial value init not of sort Flag",
         f"error:{second}:3: template Att: duplicate action gotoA",
     ]
+
+
+@pytest.mark.parametrize("old, new, want", [
+    ("alternate { Cannon }", "alternate { targetCannon }", [
+        "error:59:1: alternation names unknown template targetCannon",
+        "error:59:1: templates ['Cannon'] in no alternation group",
+    ]),
+    ("action blastB : sync {", "action blastC : sync {", [
+        "error:55:3: synchronization action blastB declared by no agent template"
+        " (environment must not be its only participant)",
+        "error:37:3: synchronization action blastC not declared by the environment",
+    ]),
+    ("sort Flag { no, yes }", "sort Flag { no, yes, init }", [
+        "error:10:22: constant init declared in sorts Loc and Flag",
+    ]),
+    ("sort Flag { no, yes }", "sort Flag { no, turn0 }", ["error:10:17: constant name turn0 is reserved"]),
+    ("sort Flag { no, yes }", "sort Flag { no, loc }", ["error:14:1: name loc used both as variable and constant"]),
+    ("sort Flag { no, yes }", "sort Flag { no, yes }\nsort Flag { maybe }", ["error:11:1: duplicate sort Flag"]),
+    ("relation Snow(Loc, Loc)", "relation Snow(Loc, Loc)\nrelation Snow(Loc)", [
+        "error:13:1: duplicate relation Snow",
+    ]),
+    ("relation Snow(Loc, Loc)", "relation Snow(Loc, Lock)", ["error:12:1: relation Snow: unknown sort Lock"]),
+])
+def test_models_declaration_diagnostics_are_positioned(tmp_path, capsys, old, new, want):
+    src = fixture_text("cannon")
+    assert old in src
+    path = tmp_path / "bad_declaration.pmas"
+    path.write_text(src.replace(old, new, 1))
+    assert main(["check", str(path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert set(want) <= set(err), err
+
+
+@pytest.mark.parametrize("cut, want", [
+    ("\ngoal:", "no goal declared"),
+    ("\ntemplate Cannon env", "no environment template declared"),
+])
+def test_missing_declaration_points_at_the_end_of_input(tmp_path, capsys, cut, want):
+    src = fixture_text("cannon")
+    src = src[:src.index(cut)] + "\n"
+    path = tmp_path / "truncated.pmas"
+    path.write_text(src)
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == f"error:{src.count(chr(10)) + 1}:1: {want}\n"
+
+
+_TOKEN = re.compile(r"#[^\n]*|[A-Za-z_][A-Za-z0-9_]*|:=|!=|\S")
+
+
+def _token_mutants(text: str, rng: random.Random, n: int) -> list[str]:
+    """`n` copies of `text`, each with one token deleted, duplicated,
+    replaced by another token of the text, or swapped with one."""
+    spans = [m.span() for m in _TOKEN.finditer(text) if not m.group().startswith("#")]
+    out = []
+    for _ in range(n):
+        op, (a, b), (c, d) = rng.randrange(4), rng.choice(spans), rng.choice(spans)
+        if op == 0:
+            out.append(text[:a] + text[b:])
+        elif op == 1:
+            out.append(text[:a] + text[a:b] + " " + text[a:])
+        elif op == 2:
+            out.append(text[:a] + text[c:d] + text[b:])
+        else:
+            (a, b), (c, d) = sorted([(a, b), (c, d)])
+            out.append(text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:] if b <= c else text)
+    return out
+
+
+def test_token_mutants_of_the_fixtures_exit_cleanly(tmp_path, capsys):
+    """No mutant of a fixture crashes, and every input error it gives points
+    at a line of the input."""
+    rng = random.Random(20261019)
+    codes = []
+    t0 = time.monotonic()
+    for name in ("cannon", "trains"):
+        for k, text in enumerate(_token_mutants(fixture_text(name), rng, 60)):
+            path = tmp_path / f"{name}{k}.pmas"
+            path.write_text(text)
+            code = main(["check", str(path), "--max-depth", "2", "--max-cubes", "500"])
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 1, 2, 3), (name, k, err)
+            if code == 3:
+                assert err and all(re.match(r"error:[1-9][0-9]*:[0-9]+: ", e) for e in err), (name, k, err)
+            codes.append(code)
+    assert 3 in codes and len(set(codes)) > 1
+    assert time.monotonic() - t0 < 3
 
 
 def test_encode_report(cannon_path, capsys):

@@ -10,7 +10,9 @@ import pytest
 
 from helpers import (
     agent_ids,
+    counting_snapshot,
     named_model,
+    per_agent,
     random_agent_formula,
     random_interpretation,
     random_snapshot,
@@ -60,7 +62,8 @@ def test_model_error_carries_diagnostics():
 
 def test_initial_snapshot(cannon):
     snap = initial_snapshot(cannon, {"Att": 2})
-    assert snap.agents_of("Att") == (("init", "no"), ("init", "no"))
+    assert snap.agents_of("Att") == ((("init", "no"), 2),)
+    assert initial_snapshot(cannon, {"Att": 0}).agents_of("Att") == ()
     assert snap.env == ("nil",)
     assert snap.turn == 0  # the fixture declares alternation
 
@@ -69,7 +72,7 @@ def test_goal_evaluation(cannon):
     interp = RelInterpretation()
     snap = initial_snapshot(cannon, {"Att": 1})
     assert not eval_agent_formula(cannon, snap, interp, cannon.goal)
-    at_target = Snapshot((("Att", (("target", "no"),)),), snap.env, snap.turn)
+    at_target = Snapshot((("Att", ((("target", "no"), 1),)),), snap.env, snap.turn)
     assert eval_agent_formula(cannon, at_target, interp, cannon.goal)
 
 
@@ -85,11 +88,32 @@ def test_action_precondition_respects_relation(cannon):
     )
 
 
-def test_snapshot_canonical_sorts_agents(cannon):
-    init = initial_snapshot(cannon, {"Att": 2})
-    snap = Snapshot((("Att", (("init", "no"), ("B", "no"))),), init.env, init.turn)
-    canon = snap.canonical()
-    assert canon.agents_of("Att") == tuple(sorted(snap.agents_of("Att")))
+def test_snapshot_counts_agents_per_state(cannon):
+    init = initial_snapshot(cannon, {"Att": 3})
+    snap = counting_snapshot((("Att", (("init", "no"), ("B", "no"), ("init", "no"))),), init.env, init.turn)
+    assert snap.agents_of("Att") == ((("B", "no"), 1), (("init", "no"), 2))
+    assert per_agent(snap) == (("Att", (("B", "no"), ("init", "no"), ("init", "no"))),)
+
+
+def test_distinct_variables_bind_distinct_agents_of_one_block(cannon):
+    """`j1 != j2` over one block: false with one agent in it, true with two,
+    though a search binds each variable to the first agents of a block only
+    and `self` to the first agent of its block."""
+    interp, init = RelInterpretation(), initial_snapshot(cannon, {"Att": 1})
+    pair = parse_formula("loc[j1] = A and loc[j2] = A and j1 != j2")
+    other = parse_formula("loc[j] = A and j != self and loc[self] = A")
+    same = parse_formula("loc[j] = A and j = self")
+    for n in (1, 2, 3):
+        # offsets 0 to n-1 at A, then one agent at init
+        snap = counting_snapshot((("Att", (("init", "no"),) + (("A", "no"),) * n),), init.env, init.turn)
+        assert snap.agents_of("Att") == ((("A", "no"), n), (("init", "no"), 1))
+        for ev in (eval_agent_formula, reference_eval_agent_formula):
+            assert ev(cannon, snap, interp, pair) is (n > 1)
+            for me in range(n):  # `self` anywhere in the block at A
+                assert ev(cannon, snap, interp, other, self_id=("Att", me)) is (n > 1)
+                assert ev(cannon, snap, interp, same, self_id=("Att", me)) is True
+            assert ev(cannon, snap, interp, other, self_id=("Att", n)) is False
+            assert ev(cannon, snap, interp, same, self_id=("Att", n)) is False
 
 
 def test_rel_interpretation():

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
 
 from helpers import (
+    counting_snapshot,
     named_model,
+    orbit_key,
+    per_agent,
     random_interpretation,
     random_snapshot,
+    reference_apply,
+    reference_enumerate_reachable,
     reference_step_vectors,
 )
 from pmasafety import oracle
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_formula, parse_pmas
-from pmasafety.model import ModelError, RelInterpretation, Snapshot, initial_snapshot
+from pmasafety.corpus import generate_corpus
+from pmasafety.model import ModelError, RelInterpretation, initial_snapshot
 from pmasafety.models import fixture_text
 from pmasafety.oracle import (
     ConcreteConfig,
@@ -25,6 +32,7 @@ from pmasafety.oracle import (
     REACHED,
     SILENT,
     VALID,
+    StepTables,
     _apply,
     cross_check,
     enumerate_reachable,
@@ -112,18 +120,6 @@ def test_concurrent_enumeration_runs(cannon):
     assert enumerate_reachable(cannon, cfg).status == REACHED
 
 
-def _orbit(snap, vec):
-    """`vec`'s orbit under permutations of adjacent agents of one template in
-    one local state."""
-    block = {}
-    for name, states in snap.agents:
-        b = 0
-        for i, state in enumerate(states):
-            b += i > 0 and state != states[i - 1]
-            block[name, i] = (name, b)
-    return vec.kind, vec.env_action, tuple(sorted((block[aid], a) for aid, a in vec.agent_actions))
-
-
 def _vectors(gen, *args):
     try:
         return list(gen(*args))
@@ -136,10 +132,10 @@ def _crowded_snapshot(rng, p):
     other state, so that agents often share a state."""
     init, other = initial_snapshot(p, {t.name: 1 for t in p.templates}), random_snapshot(rng, p)
     agents = []
-    for name, (state,) in init.agents:
-        pool = [state, *(s for n, ss in other.agents if n == name for s in ss[:1])]
+    for name, (state,) in per_agent(init):
+        pool = [state, *(s for n, ss in per_agent(other) if n == name for s in ss[:1])]
         agents.append((name, tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))))
-    return Snapshot(tuple(agents), rng.choice((init, other)).env)
+    return counting_snapshot(agents, rng.choice((init, other)).env)
 
 
 @pytest.mark.parametrize("semantics", SEMANTICS)
@@ -149,24 +145,22 @@ def test_step_vectors_are_the_first_of_each_orbit(name, semantics):
     rng = random.Random(f"{name}/{semantics}")
     compared = 0
     for k in range(80):
-        snap = (random_snapshot if k % 2 else _crowded_snapshot)(rng, p)
+        s = (random_snapshot if k % 2 else _crowded_snapshot)(rng, p)
         if p.alternation is not None:
-            snap = replace(snap, turn=rng.randint(0, 1))
+            s = replace(s, turn=rng.randint(0, 1))
         interp = random_interpretation(rng, p) if k % 3 else RelInterpretation()
-        for s in (snap, snap.canonical()):
-            want = _vectors(reference_step_vectors, p, s, interp, semantics)
-            got = _vectors(step_vectors, p, s, interp, semantics)
-            if isinstance(want, str):
-                assert got == want
-                continue
-            firsts: dict = {}
-            for v in want:
-                firsts.setdefault(_orbit(s, v), v)
-            assert got == list(firsts.values()), s
-            assert {_apply(p, s, v).canonical() for v in got} == {
-                _apply(p, s, v).canonical() for v in want
-            }
-            compared += len(want) > len(got)
+        tables = StepTables(p, interp, semantics)
+        want = _vectors(reference_step_vectors, tables, s)
+        got = _vectors(step_vectors, tables, s)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        firsts: dict = {}
+        for v in want:
+            firsts.setdefault(orbit_key(per_agent(s), v), v)
+        assert got == list(firsts.values()), s
+        assert {_apply(tables, s, v) for v in got} == {reference_apply(p, s, v) for v in want}
+        compared += len(want) > len(got)
     # a concurrent orbit has several vectors only where an agent has two
     # executable local actions, which most corpus models never give
     assert compared or semantics == "concurrent", "no orbit of several vectors"
@@ -180,25 +174,65 @@ def test_replay_agrees_with_reference_vectors(name, semantics, monkeypatch):
     counts = tuple((t.name, 2) for t in p.templates)
     interp = random_interpretation(rng, p)
     cfg = ConcreteConfig(counts, interp, semantics, max_depth=6)
+    tables = StepTables(p, interp, semantics)
     found = enumerate_reachable(p, cfg)
     templates = [[v.label() for v in found.run]] if found.run else []
     seen = []
     for _ in range(6):  # the labels of random walks, some with one label changed
         snap, labels = initial_snapshot(p, dict(counts)), []
         for _ in range(rng.randint(1, 4)):
-            vecs = list(reference_step_vectors(p, snap, interp, semantics))
+            vecs = list(reference_step_vectors(tables, snap))
             if not vecs:
                 break
             vec = rng.choice(vecs)
             labels.append(vec.label())
             seen.append(vec.label())
-            snap = _apply(p, snap, vec)
+            snap = reference_apply(p, snap, vec)
         if labels and rng.random() < 0.3:
             labels[rng.randrange(len(labels))] = rng.choice(seen)
         templates.append(labels)
     got = [replay_run_template(p, t, cfg) for t in templates]
     monkeypatch.setattr(oracle, "step_vectors", reference_step_vectors)
     assert got == [replay_run_template(p, t, cfg) for t in templates]
+
+
+def _reference_models(name):
+    if name == "corpus":
+        return [p for _seed, p in generate_corpus(24, 0)]
+    cannon = named_model("cannon")
+    if name == "two-robot":
+        return [replace(cannon, goal=parse_formula("loc[j1] = target and loc[j2] = target and j1 != j2"))]
+    if name == "blasts":  # the cannon's blasts, whose preconditions read other agents, decide the goal
+        return [replace(cannon, goal=parse_formula("destroyed[j1] = yes and destroyed[j2] = yes and j1 != j2"))]
+    return [named_model(name)]
+
+
+def _outcome(r):
+    return r.status, r.depth, repr(r.run), r.states_seen, r.examined
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+@pytest.mark.parametrize("name", ["cannon", "trains", "two-robot", "blasts", "corpus"])
+def test_search_matches_per_agent_reference(name, semantics):
+    """Counting snapshots and step tables find what the per-agent search
+    found: the same verdict, depth, run, snapshots and examined successors,
+    and, with two agents per template and the budget cut half way, the same
+    successor to overflow on."""
+    overflows = 0
+    for p in _reference_models(name):
+        names = [t.name for t in p.templates]
+        for combo in itertools.product((1, 2, 3), repeat=len(names)):
+            for interp in relation_interpretations(p, budget=2):
+                cfg = ConcreteConfig(tuple(zip(names, combo)), interp, semantics, max_depth=12)
+                want = reference_enumerate_reachable(p, cfg)
+                assert _outcome(enumerate_reachable(p, cfg)) == _outcome(want), (p.name, cfg)
+                if set(combo) != {2}:
+                    continue
+                small = replace(cfg, max_states=max(want.examined // 2, 1))
+                cut = reference_enumerate_reachable(p, small)
+                assert _outcome(enumerate_reachable(p, small)) == _outcome(cut), (p.name, small)
+                overflows += cut.status == OVERFLOW
+    assert overflows
 
 
 def test_orbits_examine_fewer_successors(trains, monkeypatch):
