@@ -1,8 +1,8 @@
 """Safety verification of parameterised multi-agent systems.
 
 Submodules:
-  logic    -- cubes, state formulae, a one-pass ground reading and one
-              incremental backtrackable congruence closure (EUF)
+  logic    -- cubes, state formulae and one ground decision procedure
+              (EUF), a one-pass reading through constants and classes
   model    -- system model (templates, protocols, snapshots), formula evaluation
   dsl      -- textual model format parser
   encoder  -- array-based transition-system encodings (interleaved, concurrent)

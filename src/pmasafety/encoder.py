@@ -44,9 +44,9 @@ from .logic import (
     flit,
     fnot,
     f_or,
+    ground_lits_sat,
     lit_eq,
     lit_subst,
-    lits_sat,
     make_cube,
     memoized,
     simplify_lits,
@@ -338,11 +338,11 @@ def differentiate(
 
     Variables in `distinct` are already differentiated (they come from an
     existing cube) and are never merged with each other.  A branch cube for
-    which `covered` holds is dropped before its EUF check (`lits_sat`: read,
-    or the closure where the reading cannot decide).  The literals other
-    than index (dis)equalities are type-checked once: a branch renames
-    variables within their sorts, so its literals are typed as they are.
-    Two branches may yield equal cubes: callers dedup."""
+    which `covered` holds is dropped before its EUF check
+    (`ground_lits_sat`).  The literals other than index (dis)equalities are
+    type-checked once: a branch renames variables within their sorts, so its
+    literals are typed as they are.  Two branches may yield equal cubes:
+    callers dedup."""
     pos: list[tuple[IndexVar, IndexVar]] = []
     neg: list[tuple[IndexVar, IndexVar]] = []
     rest: list[Lit] = []
@@ -397,7 +397,7 @@ def differentiate(
         if simplified is None:
             continue
         cube = make_cube(sorted(reps), simplified)
-        if (covered is None or not covered(cube)) and lits_sat(cube.lits):
+        if (covered is None or not covered(cube)) and ground_lits_sat(cube.lits):
             out.append(cube)
     return out
 

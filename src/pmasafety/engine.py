@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from .logic import (
     ArrayRead,
     BudgetError,
-    CongruenceClosure,
     Cube,
     DEFAULT_DNF_CAP,
     Dnf,
@@ -31,7 +30,6 @@ from .logic import (
     Lit,
     RelAtom,
     Signature,
-    _lit_shape,
     conjoin,
     cube_vars_of_lits,
     dnf,
@@ -356,15 +354,10 @@ class Region:
     group: its variable count per sort and its negated index-free literals;
     `counts` keeps how many instances each group has per queried cube size.
     It keeps per cube its instances' negated literals built so far, each
-    literal interned: equal ones are one object, found by identity.  It
-    also keeps per cube, for each of its variables, the mask (`unary`) of
-    the shape bits of its literals whose only variable that is.  Such a
-    literal is fixed by its shape and its variable, so one representative
-    `(literal, variable)` per shape stands for all of them, and `refuted`
-    builds a shape's negated instance at a query variable once.  `needs`
-    keeps per cube the bits (`fix_bits`) of the keys (`_fix_key`) of the
-    terms it fixes, which `entailed_by` reads.  The tables are built
-    on the first `tables` call after the cube is added, so a region only
+    literal interned: equal ones are one object, found by identity.
+    `needs` keeps per cube the bits (`fix_bits`) of the keys (`_fix_key`) of
+    the terms it fixes, which `entailed_by` reads.  The tables are built on
+    the first `tables` call after the cube is added, so a region only
     `covers` reads never builds them.
 
     `holds` answers in O(1) whether the region holds a given cube itself,
@@ -378,9 +371,6 @@ class Region:
         # (sizes, refuted_by) -> positions in `cubes`, ascending
         self.groups: dict[tuple[tuple[tuple[str, int], ...], tuple[Lit, ...]], list[int]] = {}
         self.instances: list[dict[tuple[IndexVar, ...], list[Lit]]] = []
-        self.unary: list[list[int]] = []  # per cube, per variable: one-variable shape bits
-        self._unary_reps: dict[str, dict[int, tuple[Lit, IndexVar]]] = {}  # sort -> bit -> rep
-        self._unary_negs: dict[tuple[int, IndexVar], Lit] = {}  # see `refuted`
         self._lits: dict[Lit, Lit] = {}
         self._counts: dict[tuple[tuple[str, int], ...], list[int]] = {}  # see `counts`
         self.needs: list[int] = []  # per cube: bits of its fixed terms' keys
@@ -400,31 +390,10 @@ class Region:
             refuted_by = tuple(self.intern(l.negate()) for l in free)
             self.groups.setdefault((sizes, refuted_by), []).append(len(self.instances))
             self.instances.append({})
-            masks = dict.fromkeys(cube.exists, 0)
-            for l in cube.lits:
-                vs = l.index_vars()
-                if len(vs) == 1 and vs[0] in masks:
-                    bit = self._bit[_lit_shape(l)]
-                    masks[vs[0]] |= bit
-                    self._unary_reps.setdefault(vs[0].sort, {}).setdefault(bit, (l, vs[0]))
-            self.unary.append(list(masks.values()))
             bits, need = self.fix_bits, 0
             for t, d in GroundReading(cube.lits).val.items():
                 need |= bits.setdefault(_fix_key(t, d), 1 << len(bits))
             self.needs.append(need)
-
-    def refuted(self, w: IndexVar, values: _Values) -> int:
-        """The bits of the one-variable shapes of `w`'s sort whose literal,
-        said of `w`, is false where `values` are read: its negated instance,
-        built once per shape and variable and interned, is true."""
-        negs, out = self._unary_negs, 0
-        for bit, (l, v) in self._unary_reps.get(w.sort, {}).items():
-            d = negs.get((bit, w))
-            if d is None:
-                d = negs[bit, w] = self.intern(lit_subst(l, {v: w}).negate())
-            if values[d]:
-                out |= bit
-        return out
 
     def counts(self, cube: Cube) -> list[int]:
         """Per group, in `groups` order: the number of injective
@@ -473,36 +442,32 @@ class Region:
 
 
 def _clauses_sat(
-    cc: CongruenceClosure,
+    base: Sequence[Lit],
     todo: Sequence[Sequence[Lit]],
     node_cap: int = 20000,
 ) -> bool:
-    """Ground EUF satisfiability of the closure's literals /\\ CNF clauses.
+    """Satisfiability of the satisfiable ground literals `base` /\\ CNF
+    clauses.
 
     `entailed_by` passes only open clauses, none of whose literals the
-    closure decides yet, but any clauses are answered correctly.  The search
-    asserts one literal of the first clause no literal satisfies yet per node
-    and undoes it on backtrack; it keeps its own stack, so the number of
+    reading of `base` decides, but any clauses are answered correctly.  The
+    search decides one literal of the first clause no literal satisfies yet
+    per node, and each node's reading extends its parent's
+    (`GroundReading.extended`).  It keeps its own stack, so the number of
     clauses is not bounded by Python's recursion limit.  Gives up (answers
     "satisfiable") after `node_cap` search nodes, which callers treat as
     "entailment not proven" — always sound.
     """
     if not todo:
         return True
-
-    def next_open(k: int) -> int:
-        """The first clause from `k` on that no literal satisfies yet."""
-        while k < len(todo) and any(cc.value(d) for d in todo[k]):
-            k += 1
-        return k
-
+    lits = list(base)
     budget = node_cap
-    # one frame per decision: clause, next literal to try, mark before it
-    stack = [[0, 0, cc.mark()]]
+    # one frame per decision: clause, next literal to try, reading before it
+    stack = [[0, 0, GroundReading(lits)]]
     while stack:
         frame = stack[-1]
-        k, j, m = frame
-        cc.undo(m)
+        k, j, reading = frame
+        del lits[len(base) + len(stack) - 1:]
         if j == len(todo[k]):
             stack.pop()
             continue
@@ -510,32 +475,37 @@ def _clauses_sat(
         budget -= 1
         if budget <= 0:
             return True  # give up: report satisfiable
-        if cc.assert_lit(todo[k][j]):
-            k = next_open(k + 1)
+        l = todo[k][j]
+        reading = reading.extended(lits, l)
+        if reading is not None:
+            lits.append(l)
+            k += 1
+            while k < len(todo) and any(reading.value(d) for d in todo[k]):
+                k += 1
             if k == len(todo):
                 return True
-            stack.append([k, 0, cc.mark()])
+            stack.append([k, 0, reading])
     return False
 
 
 class _Values(dict):
-    """Literal -> its value on a reading or closure that no longer changes,
-    each computed once."""
+    """Literal -> its value on the cube's reading, each computed once."""
 
-    def __init__(self, source: GroundReading | CongruenceClosure) -> None:
-        self.source = source
+    def __init__(self, reading: GroundReading) -> None:
+        self.reading = reading
 
     def __missing__(self, d: Lit) -> Optional[bool]:
-        v = self[d] = self.source.value(d)
+        v = self[d] = self.reading.value(d)
         return v
 
 
-def _open_clauses(region: Region, i: int, pools, values: _Values):
-    """For each injective instance of region cube `i` over `pools` whose
-    clause (its negated literals, built into `region` as needed) no literal
-    makes true: the clause's undecided literals, none when all are false."""
+def _open_clauses(region: Region, i: int, cvars_by_sort, values: _Values):
+    """For each injective instance of region cube `i` by the cube's
+    variables (`cvars_by_sort`) whose clause (its negated literals, built
+    into `region` as needed) no literal makes true: the clause's undecided
+    literals, none when all are false."""
     b, built = region.cubes[i], region.instances[i]
-    for combo in itertools.product(*pools):
+    for combo in itertools.product(*(cvars_by_sort[v.sort] for v in b.exists)):
         if len(set(combo)) != len(combo):
             continue  # non-injective: differentiation clause vacuous
         negs = built.setdefault(combo, [])
@@ -561,59 +531,43 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
 
     Best-effort beyond `clause_cap` instantiations in all: answers False (not
     entailed), which is always sound — the cube is merely kept.  Below it,
-    instance literals are built lazily into `region` and evaluated once per
-    call; a clause stops at its first true literal, an all-false one proves
-    entailment, and only open clauses, deduplicated, reach the search.  The
-    cube is read (`GroundReading`); the closure is built for the search, or
-    where the reading cannot decide.
+    the cube is read (`GroundReading`), instance literals are built lazily
+    into `region` and evaluated once per call on the reading; a clause stops
+    at its first true literal, an all-false one proves entailment, and only
+    open clauses, deduplicated, reach the search over readings.
 
-    Where it decides, the cube's generic model M comes first: a term the
-    cube leaves unfixed has a fresh value, an atom it does not assert is
-    false.  So an instance holds in M only if the cube fixes a term of each
-    key in its cube's `Region.needs`, and only such cubes are walked.  One
-    refuted outright proves entailment; if every open clause holds a
-    negative literal, M satisfies them all and the search would find so.
-    Otherwise the full walk runs.
-
-    Before that walk, `Region.refuted` gives each of the cube's variables
-    `w` the mask of the one-variable shapes whose literal the cube refutes
-    at `w`.  A region cube's variable j is then never instantiated by a `w`
-    whose mask meets `Region.unary` at j: every such instance holds a
-    literal whose negation is true, so the walk would close its clause at
-    or before that literal, and it adds no clause and proves nothing.  The
-    open clauses are therefore the same, in the same order, as without the
-    skip, and so is the answer."""
-    reading, cc = GroundReading(cube.lits), None
-    if reading.sat is None:
-        cc = CongruenceClosure()
-        if not cc.assert_lits(cube.lits):
-            return True
-    elif not reading.sat:
+    The cube's generic model M comes first: a class of terms the cube gives
+    no value has a fresh value, an atom it does not assert is false.  So an
+    instance holds in M only if the cube fixes a term of each key in its
+    cube's `Region.needs`, and only such cubes are walked.  One refuted
+    outright proves entailment; if every open clause holds a negative
+    literal, M satisfies them all and the search would find so.  Otherwise
+    the full walk runs."""
+    reading = GroundReading(cube.lits)
+    if not reading.sat:
         return True
     region.tables()
     cvars_by_sort = cube.vars_by_sort()
     counts = region.counts(cube)
     if sum(n * len(at) for n, at in zip(counts, region.groups.values())) > clause_cap:
         return False
-    values = _Values(reading if cc is None else cc)
-    if cc is None:
-        fixed = 0
-        for t, d in reading.val.items():
-            fixed |= region.fix_bits.get(_fix_key(t, d), 0)
-        in_m = (
-            clause
-            for n, at in zip(counts, region.groups.values()) if n
-            for i in at if not region.needs[i] & ~fixed
-            for clause in _open_clauses(
-                region, i, [cvars_by_sort[v.sort] for v in region.cubes[i].exists], values)
-        )
-        for clause in in_m:
-            if not clause:
-                return True
-            if not any(d.neg for d in clause):
-                break
-        else:
-            return False
+    values = _Values(reading)
+    fixed = 0
+    for t, d in reading.val.items():
+        fixed |= region.fix_bits.get(_fix_key(t, d), 0)
+    in_m = (
+        clause
+        for n, at in zip(counts, region.groups.values()) if n
+        for i in at if not region.needs[i] & ~fixed
+        for clause in _open_clauses(region, i, cvars_by_sort, values)
+    )
+    for clause in in_m:
+        if not clause:
+            return True
+        if not any(d.neg for d in clause):
+            break
+    else:
+        return False
     # a group without a total instantiation, or whose every instance some
     # index-free literal refutes, imposes nothing; the rest go in region order
     live = sorted(
@@ -622,23 +576,13 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
         if n and not any(values[d] for d in refuted_by)
         for i in at
     )
-    refuted = {w: region.refuted(w, values) for w in cube.exists} if live else {}
     open_: dict[tuple[Lit, ...], None] = {}
     for i in live:
-        pools = [
-            [w for w in cvars_by_sort[v.sort] if not m & refuted[w]]
-            for v, m in zip(region.cubes[i].exists, region.unary[i])
-        ]
-        for clause in _open_clauses(region, i, pools, values):
+        for clause in _open_clauses(region, i, cvars_by_sort, values):
             if not clause:
                 return True
             open_[tuple(clause)] = None
-    if not open_:
-        return False
-    if cc is None:
-        cc = CongruenceClosure()
-        cc.assert_lits(cube.lits)
-    return not _clauses_sat(cc, list(open_))
+    return not _clauses_sat(cube.lits, list(open_))
 
 
 # ---------------------------------------------------------------------------
@@ -647,15 +591,9 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
 
 def init_sat(abp: AbPmas, cube: Cube) -> bool:
     """Some initial state satisfies the cube: its literals read through the
-    initial state are ground and jointly satisfiable.
-
-    The initial state maps globals and arrays to constants, so the literals
-    are read (`GroundReading`) unless one equates two terms it does not
-    map: those go to the congruence closure."""
+    initial state are ground and jointly satisfiable (`ground_lits_sat`)."""
     globals_map, arrays_map = abp.init.update_maps()
-    lits = [_lit_through(l, globals_map, arrays_map) for l in cube.lits]
-    sat = GroundReading(lits).sat
-    return ground_lits_sat(lits) if sat is None else sat
+    return ground_lits_sat([_lit_through(l, globals_map, arrays_map) for l in cube.lits])
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,13 @@ State formulae are disjunctions of *cubes*: existentially quantified conjunction
 of literals over global variables, array reads at index variables, and relation
 atoms.  Index variables inside one cube are *differentiated*: distinct variables
 of the same index sort denote distinct indexes, so no explicit disequalities are
-stored.  A ground conjunction in which no positive equality joins two globals
-or array reads is decided by reading it through its constants
-(`GroundReading`); any other, and the entailment search, by one incremental,
-backtrackable congruence closure (`CongruenceClosure`, EUF plus distinctness of
-constants, of differentiated index variables and of true/false): literals are
-asserted one at a time and retracted by undoing a trail, so a search asserts a
-decision and takes it back without rebuilding anything.  The exists/forall
-fragment is decided only by `engine.entailed_by`, which instantiates the
-universals over the existential prefix literal by literal, settles every
-clause the cube's reading already decides, and searches on the closure over
-the open ones alone.
+stored.  Every ground conjunction is decided by reading it through its
+constants (`GroundReading`), joining the classes of two globals or array
+reads that a positive equality equates; a search extends a reading literal
+by literal.  The exists/forall fragment is decided only by
+`engine.entailed_by`, which instantiates the universals over the existential
+prefix literal by literal, settles every clause the cube's reading already
+decides, and searches over readings on the open ones alone.
 """
 
 from __future__ import annotations
@@ -957,248 +953,41 @@ class StateFormula:
 
 
 # ---------------------------------------------------------------------------
-# congruence closure
-
-# trail records, undone last-in first-out by CongruenceClosure.undo
-_NODE, _UNION, _DISEQ, _SIG = range(4)
-
-
-class CongruenceClosure:
-    """Incremental, backtrackable congruence closure over ground literals.
-
-    Terms are interned to integers: constants, globals, array reads and index
-    variables are atoms, relation atoms are applications whose value is the
-    class of `true` or of `false`.  Constants, index variables (skolems:
-    distinct variables denote distinct indexes) and the two truth values are
-    *distinguished*: a class holding two of them is a conflict, found in O(1)
-    from a per-class flag.  This relies on literals being well-sorted, so one
-    class never mixes sorts.  Array reads need no congruence, because their
-    index skolems never merge; relation atoms get it from a signature table
-    with use lists (Nieuwenhuis & Oliveras, "Fast congruence closure and
-    extensions", 2007).
-
-    The union-find joins by size and never compresses paths, so every change
-    is a record on a trail: `mark()` names a point and `undo(mark)` returns
-    to it.  After a conflict the closure must be undone to a mark taken
-    before the conflicting assertion.
-    """
-
-    _TRUE, _FALSE = 0, 1  # the nodes of the two truth values
-
-    def __init__(self) -> None:
-        self._ids: dict[object, int] = {}
-        self._parent: list[int] = []
-        self._size: list[int] = []
-        self._dist: list[bool] = []
-        self._diseqs: list[list[int]] = []  # per root: terms its class differs from
-        self._uses: list[list[int]] = []  # per root: applications with an argument in it
-        self._app: list[Optional[tuple]] = []  # (relation, argument ids) of applications
-        self._sigs: dict[tuple, int] = {}
-        self._trail: list[tuple] = []
-        self._new(None, True)
-        self._new(None, True)
-
-    def _new(self, key: object, dist: bool) -> int:
-        n = len(self._parent)
-        self._parent.append(n)
-        self._size.append(1)
-        self._dist.append(dist)
-        self._diseqs.append([])
-        self._uses.append([])
-        self._app.append(None)
-        if key is not None:
-            self._ids[key] = n
-            self._trail.append((_NODE, key))
-        return n
-
-    def _term(self, t: Term) -> int:
-        n = self._ids.get(t)
-        if n is not None:
-            return n
-        if isinstance(t, CaseTerm):
-            raise LogicError(f"cannot ground term {t!r}")
-        return self._new(t, isinstance(t, (Const, IndexVar)))
-
-    def _relation(self, a: RelAtom) -> int:
-        n = self._ids.get(a)
-        if n is not None:
-            return n
-        args = tuple(self._term(x) for x in a.args)
-        n = self._new(a, False)
-        self._app[n] = (a.rel, args)
-        for x in args:
-            self._uses[self._find(x)].append(n)
-        key = self._signature(n)
-        q = self._sigs.get(key)
-        if q is None:
-            self._sigs[key] = n
-            self._trail.append((_SIG, key))
-        else:
-            self._merge(n, q)  # n is a fresh class: cannot conflict
-        return n
-
-    def _find(self, n: int) -> int:
-        parent = self._parent
-        while parent[n] != n:
-            n = parent[n]
-        return n
-
-    def _signature(self, n: int) -> tuple:
-        rel, args = self._app[n]
-        return (rel, *map(self._find, args))
-
-    def _apart(self, ra: int, rb: int) -> bool:
-        """Classes `ra` and `rb` (roots) are asserted or known different."""
-        if self._dist[ra] and self._dist[rb]:
-            return True
-        da, db = self._diseqs[ra], self._diseqs[rb]
-        other = rb
-        if len(da) > len(db):
-            da, other = db, ra
-        find = self._find
-        return any(find(t) == other for t in da)
-
-    def _merge(self, a: int, b: int) -> bool:
-        parent, size, dist = self._parent, self._size, self._dist
-        diseqs, uses, sigs, trail = self._diseqs, self._uses, self._sigs, self._trail
-        pending = [(a, b)]
-        while pending:
-            a, b = pending.pop()
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            if a == b:
-                continue
-            if self._apart(a, b):
-                return False
-            if size[a] > size[b]:
-                a, b = b, a
-            ub, db = uses[b], diseqs[b]
-            trail.append((_UNION, a, b, len(ub), len(db), dist[a] and not dist[b]))
-            parent[a] = b
-            size[b] += size[a]
-            dist[b] = dist[a] or dist[b]
-            db.extend(diseqs[a])
-            for p in uses[a]:
-                key = self._signature(p)
-                q = sigs.get(key)
-                if q is None:
-                    sigs[key] = p
-                    trail.append((_SIG, key))
-                elif q != p:
-                    pending.append((p, q))
-            ub.extend(uses[a])
-        return True
-
-    def _differ(self, a: int, b: int) -> bool:
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return False
-        if not (self._dist[ra] and self._dist[rb]):
-            self._diseqs[ra].append(b)
-            self._diseqs[rb].append(a)
-            self._trail.append((_DISEQ, ra, rb))
-        return True
-
-    def assert_lit(self, l: Lit) -> bool:
-        """Add one literal; False when the closure becomes inconsistent."""
-        a = l.atom
-        if isinstance(a, Eq):
-            x, y = self._term(a.lhs), self._term(a.rhs)
-            return self._differ(x, y) if l.neg else self._merge(x, y)
-        return self._merge(self._relation(a), self._FALSE if l.neg else self._TRUE)
-
-    def assert_lits(self, lits: Iterable[Lit]) -> bool:
-        return all(self.assert_lit(l) for l in lits)
-
-    def value(self, l: Lit) -> Optional[bool]:
-        """The literal's truth value in every model of the closure, or None."""
-        a = l.atom
-        if isinstance(a, Eq):
-            x, y = self._find(self._term(a.lhs)), self._find(self._term(a.rhs))
-            if x == y:
-                v = True
-            elif self._apart(x, y):
-                v = False
-            else:
-                return None
-        else:
-            r = self._find(self._relation(a))
-            if r == self._find(self._TRUE):
-                v = True
-            elif r == self._find(self._FALSE):
-                v = False
-            else:
-                return None
-        return v != l.neg
-
-    def mark(self) -> int:
-        return len(self._trail)
-
-    def undo(self, mark: int) -> None:
-        """Retract every change made since `mark` was taken."""
-        trail, parent, size, dist = self._trail, self._parent, self._size, self._dist
-        diseqs, uses = self._diseqs, self._uses
-        while len(trail) > mark:
-            rec = trail.pop()
-            tag = rec[0]
-            if tag == _UNION:
-                _, a, b, nu, nd, flag = rec
-                parent[a] = a
-                size[b] -= size[a]
-                del uses[b][nu:]
-                del diseqs[b][nd:]
-                if flag:
-                    dist[b] = False
-            elif tag == _DISEQ:
-                diseqs[rec[1]].pop()
-                diseqs[rec[2]].pop()
-            elif tag == _SIG:
-                del self._sigs[rec[1]]
-            else:
-                app = self._app.pop()
-                if app is not None:
-                    for x in reversed(app[1]):
-                        uses[self._find(x)].pop()
-                del self._ids[rec[1]]
-                parent.pop()
-                size.pop()
-                dist.pop()
-                diseqs.pop()
-                uses.pop()
-
-
-def ground_lits_sat(lits: Iterable[Lit]) -> bool:
-    """Satisfiability of a conjunction of case-free literals by the closure.
-
-    Distinct constants are unequal and distinct index variables denote
-    distinct indexes (the cube's differentiated skolems)."""
-    return CongruenceClosure().assert_lits(lits)
-
+# ground satisfiability
 
 _FIXED = (Const, IndexVar)  # pairwise distinct values
 
 
 class GroundReading:
-    """Case-free literals read through their constants (the closure's
-    candidate model: de Moura & Bjørner, "Model-based Theory Combination",
-    2007).  Unless a positive equality joins two distinct globals or array
-    reads, nothing merges but such a term with the constant or index
-    variable it equals, its value in `val`; `apart` holds the disequalities
-    and `signs` each relation atom's `neg`, read through `val`.  `sat` and
-    `value(l)` then equal the closure's answers; otherwise `sat` is None."""
+    """A conjunction of well-sorted, case-free ground literals read through
+    its constants: the one decision procedure for ground conjunctions (the
+    candidate model of de Moura & Bjørner, "Model-based Theory Combination",
+    2007).  Distinct constants are unequal and distinct index variables
+    denote distinct indexes (the cube's differentiated skolems).
 
-    __slots__ = ("sat", "val", "apart", "signs")
+    A positive equality between a global or array read and a constant or
+    index variable gives the term that value.  Only where one equates two
+    globals or array reads are their classes joined, by a small union-find:
+    a class takes the value of any member, and two values are a conflict.
+    `val` holds every term whose class has a value, and `root` maps each
+    member of a joined class without one to one member.  Disequalities
+    (`apart`) and relation atoms (`signs`, each atom's `neg`) are then read
+    through the classes.  Relation atoms are only true or false and are
+    never arguments, and array reads sit at index skolems that never merge,
+    so that is all the congruence this logic has: `sat` and `value(l)` are
+    exact."""
+
+    __slots__ = ("sat", "val", "root", "apart", "signs")
 
     def __init__(self, lits: Sequence[Lit]) -> None:
         self.val: dict[Term, Term] = {}
+        self.root: dict[Term, Term] = {}
         self.apart: set[tuple[Term, Term]] = set()
         self.signs: dict[RelAtom, bool] = {}
         self.sat = self._read(lits)
 
-    def _read(self, lits: Sequence[Lit]) -> Optional[bool]:
-        val = self.val
+    def _read(self, lits: Sequence[Lit]) -> bool:
+        val, joins = self.val, []
         for l in lits:
             a = l.atom
             if l.neg or type(a) is not Eq or a.lhs == a.rhs:
@@ -1207,9 +996,12 @@ class GroundReading:
             if isinstance(t, _FIXED):
                 return False  # two distinct values
             if not isinstance(d, _FIXED):
-                return None
-            if val.setdefault(t, d) != d:
+                joins.append((t, d))
+            elif val.setdefault(t, d) != d:
                 return False
+        if joins and not self._join(joins):
+            return False
+        root = self.root
         for l in lits:
             a = l.atom
             if type(a) is not Eq:
@@ -1217,35 +1009,93 @@ class GroundReading:
                     return False
             elif l.neg:
                 x, y = val.get(a.lhs, a.lhs), val.get(a.rhs, a.rhs)
+                if root:
+                    x, y = root.get(x, x), root.get(y, y)
                 if x == y:
                     return False
                 self.apart.update(((x, y), (y, x)))
         return True
 
+    def _join(self, joins: list[tuple[Term, Term]]) -> bool:
+        """Join the classes of each pair; False when a class gets two values."""
+        up: dict[Term, Term] = {}
+
+        def find(t: Term) -> Term:
+            while t in up:
+                t = up[t]
+            return t
+
+        for t, u in joins:
+            t, u = find(t), find(u)
+            if t != u:
+                up[t] = u
+        members: dict[Term, list[Term]] = {}
+        for t in dict.fromkeys(t for pair in joins for t in pair):
+            members.setdefault(find(t), []).append(t)
+        val = self.val
+        for r, ts in members.items():
+            values = {val[t] for t in ts if t in val}
+            if len(values) > 1:
+                return False
+            into = val if values else self.root
+            v = values.pop() if values else r
+            for t in ts:
+                into[t] = v
+        return True
+
+    def _rep(self, t: Term) -> Term:
+        """`t`'s value, else its class's root, else `t` itself."""
+        t = self.val.get(t, t)
+        return self.root.get(t, t) if self.root else t
+
     def _read_atom(self, a: RelAtom) -> RelAtom:
         val = self.val
-        if val and any(x in val for x in a.args):
-            return RelAtom(a.rel, tuple(val.get(x, x) for x in a.args))
+        if self.root or val and any(x in val for x in a.args):
+            return RelAtom(a.rel, tuple(map(self._rep, a.args)))
         return a
 
     def value(self, l: Lit) -> Optional[bool]:
         """The literal's truth value in every model of the literals read, or None."""
-        a, val = l.atom, self.val
+        a, val, root = l.atom, self.val, self.root
         if type(a) is not Eq:
             neg = self.signs.get(self._read_atom(a))
             return None if neg is None else neg == l.neg
         x, y = val.get(a.lhs, a.lhs), val.get(a.rhs, a.rhs)
+        if root:
+            x, y = root.get(x, x), root.get(y, y)
         if x == y:
             return not l.neg
         if isinstance(x, _FIXED) and isinstance(y, _FIXED) or (x, y) in self.apart:
             return l.neg
         return None
 
+    def extended(self, lits: Sequence[Lit], l: Lit) -> Optional[GroundReading]:
+        """The reading of `lits` and `l`, where this is the satisfiable
+        reading of `lits`; None when they are unsatisfiable.  A literal this
+        reading decides costs nothing, a disequality or relation literal adds
+        one entry to a copy, and only a positive equality re-reads `lits`."""
+        v = self.value(l)
+        if v is not None:
+            return self if v else None
+        a = l.atom
+        if type(a) is Eq and not l.neg:
+            out = GroundReading([*lits, l])
+            return out if out.sat else None
+        out = GroundReading.__new__(GroundReading)
+        out.sat, out.val, out.root = True, self.val, self.root
+        out.apart, out.signs = self.apart, self.signs
+        if type(a) is Eq:
+            x, y = self._rep(a.lhs), self._rep(a.rhs)
+            out.apart = self.apart | {(x, y), (y, x)}
+        else:
+            out.signs = {**self.signs, self._read_atom(a): l.neg}
+        return out
 
-def lits_sat(lits: Sequence[Lit]) -> bool:
-    """Satisfiability of case-free literals: read, or by the closure."""
-    sat = GroundReading(lits).sat
-    return ground_lits_sat(lits) if sat is None else sat
+
+def ground_lits_sat(lits: Sequence[Lit]) -> bool:
+    """Satisfiability of a conjunction of well-sorted, case-free ground
+    literals (`GroundReading`)."""
+    return GroundReading(lits).sat
 
 
 def check_lit_types(lits: Iterable[Lit], sig: Signature) -> None:

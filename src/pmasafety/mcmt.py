@@ -302,9 +302,19 @@ def emit_mcmt(abp: AbPmas) -> str:
 _TOKEN = re.compile(r"\[t(\d+)(?:_(\d+))?\]")
 
 
-def parse_mcmt_witness(text: str) -> list[tuple[int, Optional[int]]]:
-    """Decode "[t2][t17][t3_1]..." into (ordinal, optional sub-index) pairs."""
-    out: list[tuple[int, Optional[int]]] = []
+class WitnessToken(tuple):
+    """One witness token: the pair (ordinal, optional sub-index), compared
+    as that pair, and `offset`, where the token starts in the string."""
+
+    def __new__(cls, ordinal: int, sub: Optional[int], offset: int) -> "WitnessToken":
+        tok = super().__new__(cls, (ordinal, sub))
+        tok.offset = offset
+        return tok
+
+
+def parse_mcmt_witness(text: str) -> list[WitnessToken]:
+    """Decode "[t2][t17][t3_1]..." into (ordinal, optional sub-index) tokens."""
+    out: list[WitnessToken] = []
     pos = 0
     n = len(text)
     while pos < n:
@@ -314,7 +324,7 @@ def parse_mcmt_witness(text: str) -> list[tuple[int, Optional[int]]]:
         m = _TOKEN.match(text, pos)
         if m is None:
             raise McmtError([Diagnostic(1, pos + 1, f"malformed witness token at offset {pos}")])
-        out.append((int(m.group(1)), int(m.group(2)) if m.group(2) else None))
+        out.append(WitnessToken(int(m.group(1)), int(m.group(2)) if m.group(2) else None, pos))
         pos = m.end()
     if not out:
         raise McmtError([Diagnostic(1, 1, "witness contains no [tN] tokens")])
@@ -334,13 +344,15 @@ def serialize_witness(trace: Sequence[TraceStep], rules: Sequence[TransitionRule
 
 
 def explain_witness(
-    tokens: Sequence[tuple[int, Optional[int]]], rules: Sequence[TransitionRule]
+    tokens: Sequence[WitnessToken], rules: Sequence[TransitionRule]
 ) -> list[TraceStep]:
     """Map witness ordinals back onto the encoder's rules as trace steps."""
     steps: list[TraceStep] = []
-    for ordn, _sub in tokens:
+    for tok in tokens:
+        ordn = tok[0]
         if not 1 <= ordn <= len(rules):
-            raise _err(f"witness names transition t{ordn}; file has {len(rules)}")
+            msg = f"witness names transition t{ordn}; file has {len(rules)}"
+            raise McmtError([Diagnostic(1, tok.offset + 1, msg)])
         r = rules[ordn - 1]
         steps.append(TraceStep(r.label, r.kind, r.template, r.action))
     return steps

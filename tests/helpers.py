@@ -3,11 +3,12 @@
 Everything here deliberately avoids the library's own solving machinery:
 satisfiability is decided by exhaustive enumeration over small finite
 universes, and transition rules are executed on fully concrete states.  The
-exceptions are the library's earlier procedures (`reference_canon_cube`,
-`reference_entailed_by`, `reference_enumerate_reachable`,
-`reference_open_clauses`, `reference_preimage`, `reference_step_vectors`,
-`reference_subsumes`, `unabsorbed_dnf`), kept so that the current ones can be
-compared with them call by call.
+exceptions are the library's earlier procedures (`CongruenceClosure`,
+`reference_canon_cube`, `reference_entailed_by`,
+`reference_enumerate_reachable`, `reference_open_clauses`,
+`reference_preimage`, `reference_step_vectors`, `reference_subsumes`,
+`unabsorbed_dnf`), kept so that the current ones can be compared with them
+call by call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from pmasafety.logic import (
     ArrayRead,
     CaseTerm,
     Const,
-    CongruenceClosure,
     Cube,
     DEFAULT_DNF_CAP,
     Eq,
@@ -42,6 +42,7 @@ from pmasafety.logic import (
     IndexVar,
     LambdaUpdate,
     Lit,
+    LogicError,
     RelAtom,
     RelDecl,
     Signature,
@@ -778,6 +779,222 @@ def reference_subsumes(a: Cube, b: Cube) -> bool:
         return False
 
     return assign(0, {}, set())
+
+
+# ---------------------------------------------------------------------------
+# reference congruence closure
+
+# trail records, undone last-in first-out by CongruenceClosure.undo
+_NODE, _UNION, _DISEQ, _SIG = range(4)
+
+
+class CongruenceClosure:
+    """Incremental, backtrackable congruence closure over ground literals:
+    the library's earlier decision procedure for ground conjunctions and the
+    entailment search, kept as the independent reference for
+    `logic.GroundReading` and for `reference_entailed_by`.
+
+    Terms are interned to integers: constants, globals, array reads and index
+    variables are atoms, relation atoms are applications whose value is the
+    class of `true` or of `false`.  Constants, index variables (skolems:
+    distinct variables denote distinct indexes) and the two truth values are
+    *distinguished*: a class holding two of them is a conflict, found in O(1)
+    from a per-class flag.  This relies on literals being well-sorted, so one
+    class never mixes sorts.  Array reads need no congruence, because their
+    index skolems never merge; relation atoms get it from a signature table
+    with use lists (Nieuwenhuis & Oliveras, "Fast congruence closure and
+    extensions", 2007).
+
+    The union-find joins by size and never compresses paths, so every change
+    is a record on a trail: `mark()` names a point and `undo(mark)` returns
+    to it.  After a conflict the closure must be undone to a mark taken
+    before the conflicting assertion.
+    """
+
+    _TRUE, _FALSE = 0, 1  # the nodes of the two truth values
+
+    def __init__(self) -> None:
+        self._ids: dict[object, int] = {}
+        self._parent: list[int] = []
+        self._size: list[int] = []
+        self._dist: list[bool] = []
+        self._diseqs: list[list[int]] = []  # per root: terms its class differs from
+        self._uses: list[list[int]] = []  # per root: applications with an argument in it
+        self._app: list[Optional[tuple]] = []  # (relation, argument ids) of applications
+        self._sigs: dict[tuple, int] = {}
+        self._trail: list[tuple] = []
+        self._new(None, True)
+        self._new(None, True)
+
+    def _new(self, key: object, dist: bool) -> int:
+        n = len(self._parent)
+        self._parent.append(n)
+        self._size.append(1)
+        self._dist.append(dist)
+        self._diseqs.append([])
+        self._uses.append([])
+        self._app.append(None)
+        if key is not None:
+            self._ids[key] = n
+            self._trail.append((_NODE, key))
+        return n
+
+    def _term(self, t: Term) -> int:
+        n = self._ids.get(t)
+        if n is not None:
+            return n
+        if isinstance(t, CaseTerm):
+            raise LogicError(f"cannot ground term {t!r}")
+        return self._new(t, isinstance(t, (Const, IndexVar)))
+
+    def _relation(self, a: RelAtom) -> int:
+        n = self._ids.get(a)
+        if n is not None:
+            return n
+        args = tuple(self._term(x) for x in a.args)
+        n = self._new(a, False)
+        self._app[n] = (a.rel, args)
+        for x in args:
+            self._uses[self._find(x)].append(n)
+        key = self._signature(n)
+        q = self._sigs.get(key)
+        if q is None:
+            self._sigs[key] = n
+            self._trail.append((_SIG, key))
+        else:
+            self._merge(n, q)  # n is a fresh class: cannot conflict
+        return n
+
+    def _find(self, n: int) -> int:
+        parent = self._parent
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    def _signature(self, n: int) -> tuple:
+        rel, args = self._app[n]
+        return (rel, *map(self._find, args))
+
+    def _apart(self, ra: int, rb: int) -> bool:
+        """Classes `ra` and `rb` (roots) are asserted or known different."""
+        if self._dist[ra] and self._dist[rb]:
+            return True
+        da, db = self._diseqs[ra], self._diseqs[rb]
+        other = rb
+        if len(da) > len(db):
+            da, other = db, ra
+        find = self._find
+        return any(find(t) == other for t in da)
+
+    def _merge(self, a: int, b: int) -> bool:
+        parent, size, dist = self._parent, self._size, self._dist
+        diseqs, uses, sigs, trail = self._diseqs, self._uses, self._sigs, self._trail
+        pending = [(a, b)]
+        while pending:
+            a, b = pending.pop()
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
+                continue
+            if self._apart(a, b):
+                return False
+            if size[a] > size[b]:
+                a, b = b, a
+            ub, db = uses[b], diseqs[b]
+            trail.append((_UNION, a, b, len(ub), len(db), dist[a] and not dist[b]))
+            parent[a] = b
+            size[b] += size[a]
+            dist[b] = dist[a] or dist[b]
+            db.extend(diseqs[a])
+            for p in uses[a]:
+                key = self._signature(p)
+                q = sigs.get(key)
+                if q is None:
+                    sigs[key] = p
+                    trail.append((_SIG, key))
+                elif q != p:
+                    pending.append((p, q))
+            ub.extend(uses[a])
+        return True
+
+    def _differ(self, a: int, b: int) -> bool:
+        ra, rb = self._find(a), self._find(b)
+        if ra == rb:
+            return False
+        if not (self._dist[ra] and self._dist[rb]):
+            self._diseqs[ra].append(b)
+            self._diseqs[rb].append(a)
+            self._trail.append((_DISEQ, ra, rb))
+        return True
+
+    def assert_lit(self, l: Lit) -> bool:
+        """Add one literal; False when the closure becomes inconsistent."""
+        a = l.atom
+        if isinstance(a, Eq):
+            x, y = self._term(a.lhs), self._term(a.rhs)
+            return self._differ(x, y) if l.neg else self._merge(x, y)
+        return self._merge(self._relation(a), self._FALSE if l.neg else self._TRUE)
+
+    def assert_lits(self, lits: Iterable[Lit]) -> bool:
+        return all(self.assert_lit(l) for l in lits)
+
+    def value(self, l: Lit) -> Optional[bool]:
+        """The literal's truth value in every model of the closure, or None."""
+        a = l.atom
+        if isinstance(a, Eq):
+            x, y = self._find(self._term(a.lhs)), self._find(self._term(a.rhs))
+            if x == y:
+                v = True
+            elif self._apart(x, y):
+                v = False
+            else:
+                return None
+        else:
+            r = self._find(self._relation(a))
+            if r == self._find(self._TRUE):
+                v = True
+            elif r == self._find(self._FALSE):
+                v = False
+            else:
+                return None
+        return v != l.neg
+
+    def mark(self) -> int:
+        return len(self._trail)
+
+    def undo(self, mark: int) -> None:
+        """Retract every change made since `mark` was taken."""
+        trail, parent, size, dist = self._trail, self._parent, self._size, self._dist
+        diseqs, uses = self._diseqs, self._uses
+        while len(trail) > mark:
+            rec = trail.pop()
+            tag = rec[0]
+            if tag == _UNION:
+                _, a, b, nu, nd, flag = rec
+                parent[a] = a
+                size[b] -= size[a]
+                del uses[b][nu:]
+                del diseqs[b][nd:]
+                if flag:
+                    dist[b] = False
+            elif tag == _DISEQ:
+                diseqs[rec[1]].pop()
+                diseqs[rec[2]].pop()
+            elif tag == _SIG:
+                del self._sigs[rec[1]]
+            else:
+                app = self._app.pop()
+                if app is not None:
+                    for x in reversed(app[1]):
+                        uses[self._find(x)].pop()
+                del self._ids[rec[1]]
+                parent.pop()
+                size.pop()
+                dist.pop()
+                diseqs.pop()
+                uses.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ from pmasafety.logic import (
     IndexVar,
     StateFormula,
     cube_vars_of_lits,
+    ground_lits_sat,
     lit_eq,
-    lits_sat,
     make_cube,
 )
 from pmasafety.mcmt import emit_mcmt, parse_mcmt_witness
@@ -166,7 +166,7 @@ def test_c7_solver_vs_brute_force():
     t0 = time.monotonic()
     for seed in range(500):
         cube = random_ground_cube(seed)
-        assert lits_sat(cube.lits) == brute_sat_cube(cube, CUBE_SIG), f"cube {seed}"
+        assert ground_lits_sat(cube.lits) == brute_sat_cube(cube, CUBE_SIG), f"cube {seed}"
     for seed in range(500):
         cube, region = random_entailment(seed)
         assert entailed_by(cube, region_of(region)) == brute_entailed(cube, region, CUBE_SIG), f"entailment {seed}"

@@ -374,6 +374,11 @@ def test_explain_witness_malformed(cannon_path, capsys):
     capsys.readouterr()
 
 
+def test_explain_witness_unknown_transition_is_positioned(cannon_path, capsys):
+    assert main(["explain-witness", cannon_path, "[t1] [t99]"]) == 3
+    assert capsys.readouterr().err.startswith("error:1:6: witness names transition t99;")
+
+
 def test_explain_witness_truncated_run(cannon_path, capsys):
     # a lone declare step never commits: not a complete run
     assert main(["explain-witness", cannon_path, "[t1]"]) == 3

@@ -15,12 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     CUBE_SIG,
+    CongruenceClosure,
     ConcreteAb,
     _ZS,
     _rand_lit,
     all_relation_tuples,
     brute_clauses_sat,
     brute_entailed,
+    brute_sat_cube,
     random_clause_problem,
     random_entailment,
     random_grouped_region,
@@ -36,7 +38,7 @@ from helpers import (
     reference_subsumes,
     region_of,
 )
-from pmasafety import engine
+from pmasafety import encoder, engine
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_formula, parse_pmas
 from pmasafety.encoder import AbInit, TransitionRule, differentiate, encode, encode_goal
@@ -59,9 +61,9 @@ from pmasafety.engine import (
 )
 from pmasafety.logic import (
     ArrayRead,
-    CongruenceClosure,
     Const,
     Cube,
+    Eq,
     GlobalRef,
     IndexVar,
     LambdaUpdate,
@@ -422,9 +424,9 @@ class TestEntailedByGroup:
         cubes, queries = random_grouped_region(seed)
         searched: list[list[tuple[Lit, ...]]] = []
 
-        def spy(cc, todo, *args):
+        def spy(base, todo, *args):
             searched.append([tuple(cl) for cl in todo])
-            return _clauses_sat(cc, todo, *args)
+            return _clauses_sat(base, todo, *args)
 
         region = Region()
         with pytest.MonkeyPatch.context() as m:
@@ -441,67 +443,38 @@ class TestEntailedByGroup:
                     assert searched in ([], [want]) if want else searched == []
 
 
-def _entail_unary_region(seed: int) -> int:
+def _entail_unary_region(seed: int) -> None:
     """Grow the `random_unary_region` region one cube at a time and check
     every query's `entailed_by` answer and the clauses it searches against
-    the references.  Returns how many calls dropped some query variable
-    from some live region cube's pool (the one-variable refutation skip)."""
+    the references."""
     cubes, queries = random_unary_region(seed)
     searched: list[list[tuple[Lit, ...]]] = []
-    refuted: dict[IndexVar, int] = {}
-    refuted_at = Region.refuted
 
-    def spy(cc, todo, *args):
+    def spy(base, todo, *args):
         searched.append([tuple(cl) for cl in todo])
-        return _clauses_sat(cc, todo, *args)
+        return _clauses_sat(base, todo, *args)
 
-    def refuted_spy(self, w, values):
-        refuted[w] = refuted_at(self, w, values)
-        return refuted[w]
-
-    fired = 0
     region = Region()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(engine, "_clauses_sat", spy)
-        m.setattr(Region, "refuted", refuted_spy)
         for k, c in enumerate(cubes, start=1):
             region.add(c)
             for q in queries:
                 searched.clear()
-                refuted.clear()
                 assert entailed_by(q, region) == reference_entailed_by(q, cubes[:k])
                 want = reference_open_clauses(q, cubes[:k])
                 assert searched in ([], [want]) if want else searched == []
-                if not refuted:
-                    continue
-                cc = CongruenceClosure()
-                assert cc.assert_lits(q.lits)
-                have = q.vars_by_sort()
-                fired += any(
-                    region.unary[i][j] & refuted[w]
-                    for i, b in enumerate(cubes[:k])
-                    if all(len(vs) <= len(have.get(s, ())) for s, vs in b.vars_by_sort().items())
-                    and not any(cc.value(l.negate()) for l in b.lits if not l.index_vars())
-                    for j, v in enumerate(b.exists)
-                    for w in have.get(v.sort, ())
-                )
-    return fired
 
 
-class TestEntailedBySkip:
-    """`entailed_by` never instantiates a region cube's variable by a query
-    variable at which the query refutes one of that variable's one-variable
-    literals (`Region.unary`, `Region.refuted`).  The answer and the clauses
-    searched stay those of the full walk."""
+class TestEntailedByUnaryRegion:
+    """On regions over two index sorts whose cubes mostly speak of one
+    variable per literal, the answer and the clauses `entailed_by` searches
+    are those of the references."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**9))
-    def test_agrees_with_the_full_walk(self, seed):
+    def test_agrees_with_the_references(self, seed):
         _entail_unary_region(seed)
-
-    def test_the_skip_fires(self):
-        fired = [_entail_unary_region(seed) for seed in range(30)]
-        assert sum(f > 0 for f in fired) >= 10, fired
 
 
 class TestClausesSat:
@@ -510,30 +483,28 @@ class TestClausesSat:
         # recursion limit, and one rebuilt per node would be quadratic
         clauses = [[Lit(True, RelAtom("R", (Const(f"c{k}"),)))] for k in range(1100)]
         t0 = time.perf_counter()
-        assert _clauses_sat(CongruenceClosure(), clauses)
+        assert _clauses_sat([], clauses)
         assert time.perf_counter() - t0 < 1.0
 
     def test_backtracking_retracts_the_failed_choice(self):
         g1, p, q = GlobalRef("g1"), Const("p"), Const("q")
         clauses = [[lit_eq(g1, p), lit_eq(g1, q)], [lit_eq(g1, p, neg=True)]]
-        assert _clauses_sat(CongruenceClosure(), clauses)
+        assert _clauses_sat([], clauses)
 
     def test_every_clause_is_decided(self):
         g1, g2 = GlobalRef("g1"), GlobalRef("g2")
         clauses = [[lit_eq(g1, Const("p"))], [lit_eq(g2, Const("u"))], [lit_eq(g2, Const("v"))]]
-        assert not _clauses_sat(CongruenceClosure(), clauses)
+        assert not _clauses_sat([], clauses)
 
     def test_falsified_clause_is_unsat(self):
-        cc = CongruenceClosure()
-        assert cc.assert_lit(lit_eq(GlobalRef("g1"), Const("p")))
-        assert not _clauses_sat(cc, [[lit_eq(GlobalRef("g1"), Const("q"))]])
+        base = [lit_eq(GlobalRef("g1"), Const("p"))]
+        assert not _clauses_sat(base, [[lit_eq(GlobalRef("g1"), Const("q"))]])
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10**9))
     def test_agrees_with_brute_force(self, seed):
         base, clauses = random_clause_problem(seed)
-        cc = CongruenceClosure()
-        got = cc.assert_lits(base) and _clauses_sat(cc, clauses)
+        got = ground_lits_sat(base) and _clauses_sat(base, clauses)
         assert got == brute_clauses_sat(base, clauses, CUBE_SIG)
 
 
@@ -571,7 +542,77 @@ class TestInitSat:
         cube = make_cube(_ZS, lits)
         globals_map, arrays_map = init.update_maps()
         through = [_lit_through(l, globals_map, arrays_map) for l in cube.lits]
-        assert init_sat(SimpleNamespace(init=init), cube) == ground_lits_sat(through)
+        want = CongruenceClosure().assert_lits(through)
+        assert init_sat(SimpleNamespace(init=init), cube) == want
+
+
+_Z1, _Z2 = _ZS[:2]
+_F1, _F2, _H1, _H2 = (ArrayRead(a, z) for a in "fh" for z in (_Z1, _Z2))
+_G1, _G2 = GlobalRef("g1"), GlobalRef("g2")
+
+
+def _r1(t, neg=False):
+    return Lit(neg, RelAtom("R1", (t,)))
+
+
+def _r2(s, t, neg=False):
+    return Lit(neg, RelAtom("R2", (s, t)))
+
+
+# conjunctions in which a positive equality joins two cells; no DSL model's
+# cube holds one, so only these tests reach the reading's join branch
+_JOINED = [
+    [lit_eq(_F1, _F2), lit_eq(_F1, Const("p")), lit_eq(_F2, Const("q"))],
+    [lit_eq(_G1, _F1), lit_eq(_G1, Const("p"))],
+    [lit_eq(_G1, _F1), _r1(_G1), _r1(_F1, neg=True)],
+    [lit_eq(_F1, _F2), lit_eq(_G1, _F2), lit_eq(_G1, _F1, neg=True)],
+    [lit_eq(_F1, _F2), _r2(_F1, _H1), _r2(_F2, _G2, neg=True), lit_eq(_H1, _G2)],
+    [lit_eq(_F1, _F2), _r2(_F1, _H1), _r2(_F2, _G2, neg=True)],
+    [lit_eq(_H1, _G2), lit_eq(_H2, _G2), lit_eq(_H1, Const("u"), neg=True)],
+    [lit_eq(_F1, _G1), lit_eq(_F2, _G1), _r1(_F1)],
+]
+_W1, _W2 = IndexVar("w1", "I"), IndexVar("w2", "I")
+_JOIN_REGION = [
+    make_cube([_W1], [lit_eq(ArrayRead("f", _W1), Const("p"))]),
+    make_cube([_W1, _W2], [lit_eq(ArrayRead("f", _W1), ArrayRead("f", _W2))]),
+    make_cube([_W1], [lit_eq(_G1, ArrayRead("f", _W1)), _r1(ArrayRead("f", _W1))]),
+    make_cube([_W1], [lit_eq(ArrayRead("h", _W1), _G2, neg=True)]),
+]
+
+
+class TestJoinedCells:
+    """Cubes joining two cells, through the three callers of the reading,
+    against brute force."""
+
+    @pytest.mark.parametrize("k", range(len(_JOINED)))
+    def test_differentiate(self, k):
+        lits = (*_JOINED[k], Lit(True, Eq(_Z1, _Z2)) if k % 2 else lit_eq(_H1, _H2))
+        got = differentiate(lits, CUBE_SIG)
+
+        def brute(ls):
+            return brute_sat_cube(make_cube((), ls), CUBE_SIG)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(encoder, "ground_lits_sat", brute)
+            assert got == differentiate(lits, CUBE_SIG)
+
+    @pytest.mark.parametrize("k", range(len(_JOINED)))
+    def test_init_sat(self, k):
+        # g1 and f unmapped, so the joins of f cells and g1 survive the read-through
+        init = AbInit((("g2", "u"),), (("h", "v"),))
+        cube = make_cube(_ZS[:2], _JOINED[k])
+        globals_map, arrays_map = init.update_maps()
+        through = [_lit_through(l, globals_map, arrays_map) for l in cube.lits]
+        want = brute_sat_cube(make_cube((), through), CUBE_SIG)
+        assert init_sat(SimpleNamespace(init=init), cube) == want
+
+    @pytest.mark.parametrize("k", range(len(_JOINED)))
+    def test_entailed_by(self, k):
+        cube = make_cube(_ZS[:2], _JOINED[k])
+        for region in [[b] for b in _JOIN_REGION] + [_JOIN_REGION[:2], _JOIN_REGION[2:]]:
+            want = brute_entailed(cube, region, CUBE_SIG)
+            assert entailed_by(cube, region_of(region)) == want, region
+            assert reference_entailed_by(cube, region) == want, region
 
 
 class TestBreach:

@@ -1,9 +1,12 @@
-"""Every name a module of the package imports is used in that module, and
-every function and class it defines is used outside the tests."""
+"""Every name a module of the package imports is used in that module, every
+function and class it defines is used outside the tests, and every name the
+benchmark traces exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pmasafety
@@ -71,3 +74,22 @@ def test_no_code_only_tests_call():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
     ]
     assert unread == []
+
+
+def test_traced_names_exist():
+    """Every `(module, attribute)` site the benchmark's tracer rebinds
+    (`perfbench/layers.py`) names an attribute of the package, so a refactor
+    that drops one fails here and not only under `perfbench/run.py --trace 1`."""
+    path = PACKAGE.parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    sites = [site for _, sites, _ in layers.LAYERS for site in sites]
+    sites += [site for _, sites in layers.GENERATOR_LAYERS for site in sites]
+    assert sites
+    missing = [
+        f"{mod}.{attr}"
+        for mod, attr in sites
+        if not hasattr(importlib.import_module(f"pmasafety.{mod}"), attr)
+    ]
+    assert missing == []

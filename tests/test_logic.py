@@ -1,4 +1,4 @@
-"""Core solver: terms, DNF, congruence closure."""
+"""Core solver: terms, DNF, ground reading."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     CUBE_SIG,
+    CongruenceClosure,
     _ZS,
     _rand_lit,
     brute_sat_cube,
@@ -26,7 +27,6 @@ from pmasafety.logic import (
     ArrayRead,
     BudgetError,
     CaseTerm,
-    CongruenceClosure,
     Const,
     Cube,
     Eq,
@@ -54,8 +54,8 @@ from pmasafety.logic import (
     f_or,
     flit,
     fnot,
+    ground_lits_sat,
     lit_eq,
-    lits_sat,
     make_cube,
     set_partitions,
     simplify_lits,
@@ -77,14 +77,14 @@ def cube(*lits):
 
 
 class TestEufSatCube:
-    """EUF satisfiability of ground cubes (`lits_sat`) and their typing
+    """EUF satisfiability of ground cubes (`ground_lits_sat`) and their typing
     (`check_lit_types`)."""
 
     def test_identity_is_sat(self):
-        assert lits_sat(cube(lit_eq(X, A), lit_eq(X, A)).lits)
+        assert ground_lits_sat(cube(lit_eq(X, A), lit_eq(X, A)).lits)
 
     def test_two_constants_unsat(self):
-        assert not lits_sat(cube(lit_eq(X, A), lit_eq(X, B)).lits)
+        assert not ground_lits_sat(cube(lit_eq(X, A), lit_eq(X, B)).lits)
 
     def test_congruence_unsat(self):
         a, b, c = GlobalRef("a"), GlobalRef("b"), GlobalRef("c")
@@ -93,11 +93,11 @@ class TestEufSatCube:
             Lit(True, RelAtom("R", (c, b))),
             lit_eq(a, c),
         ]
-        assert not lits_sat(cube(*lits).lits)
+        assert not ground_lits_sat(cube(*lits).lits)
 
     def test_disequality_chain_sat(self):
         a, b = GlobalRef("a"), GlobalRef("b")
-        assert lits_sat(cube(lit_eq(a, b, neg=True)).lits)
+        assert ground_lits_sat(cube(lit_eq(a, b, neg=True)).lits)
 
     def test_differentiated_array_cells_independent(self):
         z1, z2 = IndexVar("z1", "I"), IndexVar("z2", "I")
@@ -105,7 +105,7 @@ class TestEufSatCube:
             [z1, z2],
             [lit_eq(ArrayRead("arr", z1), A), lit_eq(ArrayRead("arr", z2), B)],
         )
-        assert lits_sat(c.lits)
+        assert ground_lits_sat(c.lits)
 
     def test_sort_mismatch_raises(self):
         sig = Signature(
@@ -206,7 +206,7 @@ class TestBruteForceAgreement:
     @given(st.integers(0, 10**9))
     def test_cube_agreement(self, seed):
         c = random_ground_cube(seed)
-        assert lits_sat(c.lits) == brute_sat_cube(c, CUBE_SIG)
+        assert ground_lits_sat(c.lits) == brute_sat_cube(c, CUBE_SIG)
 
 
 _RZ = [IndexVar(f"z{k}", "I") for k in range(3)]
@@ -229,29 +229,48 @@ def ground_lits(draw) -> Lit:
     return lit_eq(draw(st.sampled_from(terms)), draw(st.sampled_from(terms)), neg=neg)
 
 
-def _joins_two_cells(l: Lit) -> bool:
-    a = l.atom
-    return (not l.neg and isinstance(a, Eq) and a.lhs != a.rhs
-            and not isinstance(a.lhs, (Const, IndexVar)) and not isinstance(a.rhs, (Const, IndexVar)))
+# positive joins of two cells over CUBE_SIG, which no DSL model's cube holds
+_F = [ArrayRead("f", z) for z in _ZS]
+_H = [ArrayRead("h", z) for z in _ZS]
+_JOINS = [
+    lit_eq(GlobalRef("g1"), _F[0]),
+    lit_eq(_F[0], _F[1]),
+    lit_eq(_H[0], GlobalRef("g2")),
+    lit_eq(_F[2], GlobalRef("g1")),
+    lit_eq(_H[1], _H[2]),
+]
 
 
 class TestGroundReading:
-    """The reading decides as the congruence closure does, and reads every
-    literal's value as the closure does, wherever it decides."""
+    """The reading decides every conjunction as the congruence closure of
+    `helpers` does, and reads every literal's value as the closure does."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(ground_lits(), max_size=8), st.lists(ground_lits(), max_size=8))
     def test_agrees_with_the_closure(self, lits, queries):
         reading, cc = GroundReading(lits), CongruenceClosure()
         sat = cc.assert_lits(lits)
-        assert lits_sat(lits) == sat
-        if reading.sat is None:
-            assert any(map(_joins_two_cells, lits))
-            return
-        assert reading.sat == sat
+        assert reading.sat is sat
+        assert ground_lits_sat(lits) is sat
         if sat:
             for q in lits + queries:
                 assert reading.value(q) == cc.value(q), q
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_joins_agree_with_the_closure(self, seed):
+        """Random literals on CUBE_SIG with some positive joins of two cells
+        among them: `sat` is never None, and it and every pool literal's
+        value are the closure's."""
+        rng = random.Random(seed)
+        pool = _JOINS + [_rand_lit(rng) for _ in range(10)]
+        pool += [l.negate() for l in pool]
+        lits = rng.sample(_JOINS, rng.randint(1, 3)) + rng.sample(pool, rng.randint(0, 6))
+        reading, cc = GroundReading(lits), CongruenceClosure()
+        assert reading.sat is cc.assert_lits(lits)
+        if reading.sat:
+            for q in pool:
+                assert reading.value(q) == cc.value(q), (lits, q)
 
     def test_reads_both_orientations(self):
         f0, p, q = ArrayRead("f", _RZ[0]), Const("p"), Const("q")
@@ -262,11 +281,40 @@ class TestGroundReading:
             assert reading.value(lit_eq(q, f0)) is False
             assert GroundReading([fix, lit_eq(f0, q)]).sat is False
 
-    def test_leaves_two_joined_cells_to_the_closure(self):
-        g, g2 = GlobalRef("g"), GlobalRef("g2")
-        lits = [lit_eq(g, g2), lit_eq(g, Const("p")), lit_eq(g2, Const("q"))]
-        assert GroundReading(lits).sat is None
-        assert not lits_sat(lits)
+    def test_decides_two_joined_cells(self):
+        g, g2, p, q = GlobalRef("g"), GlobalRef("g2"), Const("p"), Const("q")
+        f0, f1 = ArrayRead("f", _RZ[0]), ArrayRead("f", _RZ[1])
+        assert GroundReading([lit_eq(g, g2), lit_eq(g, p), lit_eq(g2, q)]).sat is False
+        assert GroundReading([lit_eq(g, g2), lit_eq(g, g2, neg=True)]).sat is False
+        # a value reaches every member of its class
+        reading = GroundReading([lit_eq(f0, g), lit_eq(g, f1), lit_eq(g2, p)])
+        assert reading.sat and reading.val == {g2: p}
+        assert reading.value(lit_eq(f0, f1)) is True
+        assert reading.value(lit_eq(f0, g2)) is None
+        reading = GroundReading([lit_eq(f0, g), lit_eq(g, f1), lit_eq(f1, p)])
+        assert reading.sat and reading.val == {f1: p, f0: p, g: p}
+        # relation atoms and disequalities are read through the classes
+        r = Lit(False, RelAtom("R", (f0,)))
+        assert GroundReading([lit_eq(g, f0), r, Lit(True, RelAtom("R", (g,)))]).sat is False
+        reading = GroundReading([lit_eq(g, f0), r, lit_eq(f1, g, neg=True)])
+        assert reading.value(Lit(True, RelAtom("R", (g,)))) is False
+        assert reading.value(lit_eq(f0, f1)) is False
+        assert reading.value(lit_eq(g2, f1)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ground_lits(), max_size=6), st.lists(ground_lits(), min_size=1, max_size=6))
+    def test_extended_reads_as_a_fresh_reading(self, lits, more):
+        reading = GroundReading(lits)
+        if not reading.sat:
+            return
+        for k, l in enumerate(more):
+            fresh = GroundReading(lits + more[: k + 1])
+            reading = reading.extended(lits + more[:k], l)
+            assert (reading is not None) is fresh.sat
+            if reading is None:
+                return
+            for q in lits + more:
+                assert reading.value(q) == fresh.value(q), q
 
 
 # three independent propositional atoms for boolean-structure tests

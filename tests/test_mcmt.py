@@ -82,8 +82,10 @@ class TestWitness:
             parse_mcmt_witness("[s1]")
 
     def test_out_of_range_token_rejected(self, abp):
-        with pytest.raises(McmtError):
-            explain_witness([(999, None)], abp.rules)
+        with pytest.raises(McmtError) as e:
+            explain_witness(parse_mcmt_witness("[t1]\t[t999]"), abp.rules)
+        (d,) = e.value.diagnostics
+        assert (d.line, d.col) == (1, 6)
 
     def test_round_trip_through_engine_trace(self, abp):
         v = breach(abp)
