@@ -29,7 +29,7 @@ from .engine import (
     extract_run_template,
 )
 from .mcmt import McmtError, emit_mcmt, explain_witness, parse_mcmt_witness
-from .model import ModelError, Pmas, RelInterpretation, goal_errors
+from .model import Diagnostic, ModelError, Pmas, RelInterpretation, goal_errors
 from .oracle import (
     ConcreteConfig,
     OVERFLOW,
@@ -68,13 +68,14 @@ def _load_model(path: str) -> Pmas:
 def _apply_goal(p: Pmas, goal_src: Optional[str]) -> Pmas:
     """`p` with the `--goal` formula as its goal, if one is given.  Every
     command reads `--goal` here, so an empty or malformed one, or one that
-    fails the checks of the model's own goal, is an input error everywhere."""
+    fails the checks of the model's own goal, is an input error everywhere,
+    positioned in the formula (a failed check at its start)."""
     if goal_src is None:
         return p
     goal = parse_formula(goal_src)
     errors = goal_errors(p, goal)
     if errors:
-        raise InputError("--goal: " + "; ".join(errors))
+        raise ModelError([Diagnostic(1, 1, f"--goal: {e}") for e in errors])
     return replace(p, goal=goal)
 
 

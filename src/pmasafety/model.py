@@ -214,6 +214,16 @@ class Pmas:
         )
 
     @memoized
+    def goal_reads(self) -> tuple[tuple[int, ...], bool]:
+        """The positions among `templates` of those whose variables the goal
+        reads, and whether it reads the environment's: its truth in a
+        snapshot depends only on these (memoized)."""
+        owners = {
+            t.name for g in _walk(self.goal) for x in _var_reads(g) for t, _k in self.var_table().get(x.var, ())
+        }
+        return tuple(k for k, t in enumerate(self.templates) if t.name in owners), self.env.name in owners
+
+    @memoized
     def compiled_formulas(self) -> dict:
         """`eval_agent_formula`'s compiled formulas, keyed by formula identity
         and self template (memoized, so a replaced model starts empty)."""
@@ -559,15 +569,20 @@ Grounded = Callable[[Snapshot, RelInterpretation, Optional[tuple], list, list], 
 Search = Callable[[Snapshot, RelInterpretation, Optional[AgentId]], bool]
 
 
+def _var_reads(g: AgentFormula) -> tuple[Union[VarTest, VarRef], ...]:
+    """The variable reads v[idx] an atom of `g` makes itself."""
+    if isinstance(g, VarTest):
+        return (g,)
+    if isinstance(g, RelTest):
+        return tuple(a for a in g.args if isinstance(a, VarRef))
+    return ()
+
+
 def _indexes(g: AgentFormula) -> tuple[str, ...]:
     """The indexes (variables, SELF or ENV) an atom of `g` names itself."""
-    if isinstance(g, VarTest):
-        return (g.idx,)
-    if isinstance(g, RelTest):
-        return tuple(a.idx for a in g.args if isinstance(a, VarRef))
     if isinstance(g, IdxEq):
         return (g.lhs, g.rhs)
-    return ()
+    return tuple(x.idx for x in _var_reads(g))
 
 
 def _conjuncts(g: AgentFormula) -> Iterator[AgentFormula]:

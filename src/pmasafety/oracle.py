@@ -72,9 +72,11 @@ class OracleResult:
 
 class StepTables:
     """What the steps of one model depend on, under one interpretation and
-    semantics, filled in as a search reads it.  A block's view is kept when
-    each precondition of its template reads only `self` and `e`, so that it
-    depends only on its local state, the environment's and the turn."""
+    semantics, filled in as a search reads it.  Nothing in them depends on
+    the agent counts, so one table serves every search of a cross-check under
+    its interpretation.  A template's row is kept when each precondition of
+    the template reads only `self` and `e`, so that it depends only on its
+    blocks, the environment's state and the turn."""
 
     def __init__(self, p: Pmas, interp: RelInterpretation, semantics: str):
         if semantics not in (INTERLEAVED, CONCURRENT):
@@ -82,9 +84,12 @@ class StepTables:
         self.p, self.interp = p, interp
         self.interleaved = semantics == INTERLEAVED
         self.post: dict = {}  # (template, action, local state) -> local state after it
-        self.moved: dict = {}  # (template, blocks, (offset, action) pairs) -> blocks after them
+        self.moved: dict = {}  # (template, blocks, moves) -> blocks after them
         self.views: dict = {}  # `view` arguments -> its answer
-        self.joints: dict = {}  # `joint` arguments -> its answer
+        self.options: dict = {}  # (choices, agents) -> `spread`'s answer
+        self.rows: dict = {}  # `row` arguments -> its answer
+        self.takes: dict = {}  # (kind, block sizes) -> `joint`'s answer
+        self.goals: dict = {}  # the snapshot's part the goal reads -> the goal's truth
 
     def after(self, t: str, a: str, state: tuple[str, ...]) -> tuple[str, ...]:
         key = (t, a, state)
@@ -96,42 +101,33 @@ class StepTables:
             post = self.post[key] = tuple(st)
         return post
 
-    def move(self, t: str, blocks, acts: tuple[tuple[int, str], ...]):
-        """`blocks` of template `t` after the agent at each offset of `acts`
-        takes its action: its count moves to the state the action leaves."""
-        key = (t, blocks, acts)
-        out = self.moved.get(key)
+    def shift(self, t: str, blocks, moves: tuple[tuple[int, str, int], ...]):
+        """`blocks` of template `t` after, for each (block, action, count) of
+        `moves`, that many agents of the block take the action."""
+        key = (t, blocks, moves)
+        out = self.moved.get(key) if moves else blocks
         if out is None:
             counts = dict(blocks)
-            for i, a in acts:
-                for state, k in blocks:  # the block holding agent i
-                    if i < k:
-                        break
-                    i -= k
-                counts[state] -= 1
+            for b, a, c in moves:
+                state = blocks[b][0]
+                counts[state] -= c
                 post = self.after(t, a, state)
-                counts[post] = counts.get(post, 0) + 1
+                counts[post] = counts.get(post, 0) + c
             out = self.moved[key] = tuple(sorted(b for b in counts.items() if b[1]))
         return out
 
-    def view(self, t: AgentTemplate, snap: Snapshot, i: Optional[int] = None, k: int = 0, state=None):
-        """The `k` agents of `t` from offset `i`, in `state`: the acting pairs
-        of each sorted choice of local actions for them, and the kind of each
-        synchronisation they may join, by name.  For the environment (`i`
-        None): its local choices, and what it may start now."""
-        key = (t.name, i, k, state, snap.env, snap.turn)
+    def view(self, t: AgentTemplate, snap: Snapshot, i: Optional[int] = None, state=None):
+        """The local choices of the agents of `t` in `state` from offset `i`
+        (None for idling), and the kind of each synchronisation they may
+        join, by name.  For the environment (`i` None): its local choices,
+        and what it may start now."""
+        key = (t.name, state, snap.env, snap.turn)
         view = self.views.get(key)
         if view is None:
-            p, interp, aid, names = self.p, self.interp, None if i is None else (t.name, i), []
+            p, interp, aid, names = self.p, self.interp, None if i is None else (t.name, i), ()
             if snap.turn is None or p.turn_group(t.name) == snap.turn:
-                names = [a.name for a in t.local_actions() if eval_agent_formula(p, snap, interp, a.pre, aid)]
-            choices = [None] + names if self.interleaved else names or [None]
-            if aid:  # the choices of its k agents, one sorted combination per orbit
-                choices = [
-                    tuple(((t.name, i + j), a) for j, a in enumerate(combo) if a is not None)
-                    for combo in itertools.combinations_with_replacement(choices, k)
-                ]
-            view = choices, {
+                names = tuple(a.name for a in t.local_actions() if eval_agent_formula(p, snap, interp, a.pre, aid))
+            view = (None,) + names if self.interleaved else names or (None,), {
                 a.name: a.kind
                 for a in t.actions
                 if a.kind != LOCAL
@@ -142,46 +138,80 @@ class StepTables:
                 self.views[key] = view
         return view
 
-    def joint(self, name: str, kind: str, eligible: tuple[tuple[str, int, int], ...]) -> list[StepVector]:
-        """The vectors of `name`, of `kind`, joined by agents of the blocks
-        `eligible` (template, first offset, count), one per orbit."""
-        vecs = self.joints.get((name, kind, eligible))
-        if vecs is None:
-            sizes = [k for _t, _i, k in eligible]
+    def spread(self, choices: tuple, k: int) -> list:
+        """Each way `k` agents pick among `choices`, one per orbit, as the
+        (action, count) pairs of the actions some agent takes, in the order
+        of `itertools.combinations_with_replacement(choices, k)`."""
+        key = (choices, k)
+        opts = self.options.get(key)
+        if opts is None:
+            opts = self.options[key] = [
+                tuple((a, c) for a, c in zip(choices, cs) if c and a is not None)
+                for cs in _counts(len(choices), k)
+            ]
+        return opts
+
+    def row(self, t: AgentTemplate, snap: Snapshot, blocks):
+        """For the agents `blocks` of `t` in `snap`: each product of their
+        blocks' local options (`spread`) with the blocks it leaves, and what
+        each block may join."""
+        key = (t.name, blocks, snap.env, snap.turn)
+        row = self.rows.get(key)
+        if row is None:
+            spreads, joins, i = [], [], 0
+            for state, k in blocks:
+                choices, j = self.view(t, snap, i, state)
+                spreads.append(self.spread(choices, k))
+                joins.append(j)
+                i += k
+            row = [
+                (opts, self.shift(t.name, blocks, tuple((b, a, c) for b, o in enumerate(opts) for a, c in o)))
+                for opts in itertools.product(*spreads)
+            ], joins
+            if t.name in self.p.self_and_env_templates():
+                self.rows[key] = row
+        return row
+
+    def joint(self, kind: str, sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """How many agents of each eligible block, of `sizes` agents, join a
+        synchronisation of `kind`, one choice per orbit."""
+        takes = self.takes.get((kind, sizes))
+        if takes is None:
             if kind == INDIVIDUAL:  # the first agent of one block
                 takes = [tuple(int(b == c) for b in range(len(sizes))) for c in range(len(sizes))]
             elif self.interleaved:  # any of them: fewer first, then more from earlier blocks
                 takes = sorted(itertools.product(*(range(k, -1, -1) for k in sizes)), key=sum)[1:]
             else:  # all of them
-                takes = [tuple(sizes)] if sizes else []
-            vecs = self.joints[name, kind, eligible] = [
-                StepVector(kind, name, tuple(
-                    ((t, i + j), name) for (t, i, _k), c in zip(eligible, cs) for j in range(c)
-                ))
-                for cs in takes
-            ]
-        return vecs
+                takes = [sizes] if sizes else []
+            self.takes[kind, sizes] = takes
+        return takes
+
+    def reaches(self, snap: Snapshot) -> bool:
+        """Whether `snap` meets the goal, decided once per part of a snapshot
+        the goal reads (`Pmas.goal_reads`)."""
+        positions, env = self.p.goal_reads()
+        key = tuple([snap.agents[k] for k in positions]), snap.env if env else None
+        hit = self.goals.get(key)
+        if hit is None:
+            hit = self.goals[key] = eval_agent_formula(self.p, snap, self.interp, self.p.goal)
+        return hit
 
 
-def _apply(tables: StepTables, snap: Snapshot, vec: StepVector) -> Snapshot:
-    """The snapshot after `vec`."""
-    acts: dict[str, list] = {}
-    for (t, i), a in vec.agent_actions:
-        acts.setdefault(t, []).append((i, a))
-    env = snap.env
-    if vec.env_action is not None:
-        env = tables.after(tables.p.env.name, vec.env_action, env)
-    return Snapshot(
-        tuple([(n, tables.move(n, b, tuple(acts[n])) if n in acts else b) for n, b in snap.agents]),
-        env,
-        None if snap.turn is None else 1 - snap.turn,
-    )
+def _counts(m: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every `m` counts summing to `k`, in descending lexicographic order."""
+    if m == 1:
+        yield (k,)
+        return
+    for n in range(k, -1, -1):
+        for rest in _counts(m - 1, k - n):
+            yield (n, *rest)
 
 
-def step_vectors(tables: StepTables, snap: Snapshot) -> Iterator[StepVector]:
-    """Legal global steps from `snap` (never the fully idle vector), one per
-    orbit under permutations of the agents within a block, the agents of one
-    template in one local state.
+def successors(tables: StepTables, snap: Snapshot) -> Iterator[tuple[tuple, Snapshot]]:
+    """Each legal global step from `snap` (never the fully idle one) as a
+    choice `vector` reads, with the snapshot after it, one per orbit under
+    permutations of the agents within a block, the agents of one template in
+    one local state.
 
     Interleaved: any agents each pick one executable local action, or stay
     idle, and a synchronisation takes any non-empty subset of the willing
@@ -189,69 +219,115 @@ def step_vectors(tables: StepTables, snap: Snapshot) -> Iterator[StepVector]:
     pick one, and a synchronisation takes all willing agents.  The
     environment's local choice follows the agents' rule.
 
-    Of each orbit, the vector emitted is the first one an enumeration of every
-    vector would give, agent by agent in order, and the emitted vectors come in
-    that enumeration's order: a block picks its choices sorted, a
+    Of each orbit, the step taken is the first one an enumeration of every
+    vector would give, agent by agent in order, and the steps come in that
+    enumeration's order: a block's agents pick their choices sorted, a
     synchronisation takes a prefix of each block, and an individual one the
     first agent of a block."""
-    blocks = []  # (template, first offset, count, what it may join), in agent order
-    block_opts = []  # per block, the acting pairs of each sorted choice of its agents
-    for name, pairs in snap.agents:
-        t, i = tables.p.template(name), 0
-        for state, k in pairs:
-            opts, joins = tables.view(t, snap, i, k, state)
-            blocks.append((name, i, k, joins))
-            block_opts.append(opts)
-            i += k
-    env_choices, starts = tables.view(tables.p.env, snap)
+    p = tables.p
+    rows = [tables.row(p.template(name), snap, blocks) for name, blocks in snap.agents]
+    env_choices, starts = tables.view(p.env, snap)
+    names = [name for name, _b in snap.agents]
+    turn = None if snap.turn is None else 1 - snap.turn
+    # the idle step, where every template has one, is the first product of options
+    idle = not any(any(entries[0][0]) for entries, _j in rows)
     for env_choice in env_choices:
-        for combo in itertools.product(*block_opts):
-            acting = tuple(itertools.chain.from_iterable(combo))
-            if env_choice is None and not acting:
-                continue
-            yield StepVector(LOCAL, env_choice, acting)
+        env = snap.env if env_choice is None else tables.after(p.env.name, env_choice, snap.env)
+        combos = itertools.product(*(entries for entries, _j in rows))
+        if env_choice is None and idle:
+            next(combos)
+        for combo in combos:
+            agents = tuple([(n, after) for n, (_o, after) in zip(names, combo)])
+            yield (LOCAL, env_choice, combo), Snapshot(agents, env, turn)
     # the synchronisations, then the individual ones, each in declaration order
     for kind in (SYNC, INDIVIDUAL):
         for name in [a for a, k in starts.items() if k == kind]:
-            eligible = tuple((t, i, k) for t, i, k, joins in blocks if joins.get(name) == kind)
-            yield from tables.joint(name, kind, eligible)
+            eligible = []  # (template position, block, first offset, count)
+            for pos, ((_t, blocks), (_e, joins)) in enumerate(zip(snap.agents, rows)):
+                i = 0
+                for b, ((_s, k), j) in enumerate(zip(blocks, joins)):
+                    if j.get(name) == kind:
+                        eligible.append((pos, b, i, k))
+                    i += k
+            env = tables.after(p.env.name, name, snap.env)
+            for cs in tables.joint(kind, tuple(k for *_x, k in eligible)):
+                moves: dict[int, list] = {}
+                for (pos, b, _i, _k), c in zip(eligible, cs):
+                    if c:
+                        moves.setdefault(pos, []).append((b, name, c))
+                agents = list(snap.agents)
+                for pos, m in moves.items():
+                    t, blocks = agents[pos]
+                    agents[pos] = t, tables.shift(t, blocks, tuple(m))
+                yield (kind, name, eligible, cs), Snapshot(tuple(agents), env, turn)
 
 
-def enumerate_reachable(p: Pmas, cfg: ConcreteConfig) -> OracleResult:
+def vector(snap: Snapshot, choice: tuple) -> StepVector:
+    """The step vector of a choice `successors` gave for `snap`: each block's
+    idle agents come first, then its agents of each action in turn."""
+    if choice[0] == LOCAL:
+        _kind, env_choice, combo = choice
+        acting = []
+        for (t, blocks), (opts, _after) in zip(snap.agents, combo):
+            i = 0
+            for (_state, k), opt in zip(blocks, opts):
+                j = i + k - sum(c for _a, c in opt)
+                for a, c in opt:
+                    acting += [((t, x), a) for x in range(j, j + c)]
+                    j += c
+                i += k
+        return StepVector(LOCAL, env_choice, tuple(acting))
+    kind, name, eligible, cs = choice
+    return StepVector(kind, name, tuple(
+        ((snap.agents[pos][0], i + j), name) for (pos, _b, i, _k), c in zip(eligible, cs) for j in range(c)
+    ))
+
+
+def step_vectors(tables: StepTables, snap: Snapshot) -> Iterator[tuple[StepVector, Snapshot]]:
+    """The steps of `successors(tables, snap)`, in its order, each as its
+    step vector with the snapshot after it."""
+    for choice, succ in successors(tables, snap):
+        yield vector(snap, choice), succ
+
+
+def enumerate_reachable(p: Pmas, cfg: ConcreteConfig, tables: Optional[StepTables] = None) -> OracleResult:
     """BFS from the initial snapshot; stops at the first snapshot that meets
     the model's goal.  Ends in OVERFLOW once it has examined more than
     `cfg.max_states` successors, duplicates included.  A successor is
-    examined once per orbit of step vectors (`step_vectors`), but a step may
-    still have exponentially many orbits in the agent count, most of them
-    leading to snapshots already seen.  With more agents than
-    `cfg.max_states`, it ends in OVERFLOW before building a snapshot.
+    examined once per orbit of steps (`successors`), but a step may still
+    have many orbits (a block of k agents with m choices has
+    C(k + m - 1, m - 1)), most of them leading to snapshots already seen.
+    With more agents than `cfg.max_states`, it ends in OVERFLOW before
+    building a snapshot.  `tables`, for `p` under `cfg`'s interpretation and
+    semantics, may be shared with other searches; without them the search
+    builds its own.  Only the run returned is turned into step vectors.
     """
     if sum(k for _t, k in cfg.counts) > cfg.max_states:
         return OracleResult(OVERFLOW)
     start = initial_snapshot(p, cfg.counts_dict())
     if eval_agent_formula(p, start, cfg.interp, p.goal):
         return OracleResult(REACHED, depth=0, run=[], states_seen=1)
-    tables = StepTables(p, cfg.interp, cfg.semantics)
-    # each snapshot seen, with the snapshot and step that first reached it
-    parent: dict[Snapshot, Optional[tuple[Snapshot, StepVector]]] = {start: None}
+    if tables is None:
+        tables = StepTables(p, cfg.interp, cfg.semantics)
+    # each snapshot seen, with the snapshot and the choice that first reached it
+    parent: dict[Snapshot, Optional[tuple[Snapshot, tuple]]] = {start: None}
     examined = 0
     frontier = [start]
     for depth in range(1, cfg.max_depth + 1):
         nxt: list[Snapshot] = []
         for snap in frontier:
-            for vec in step_vectors(tables, snap):
+            for choice, succ in successors(tables, snap):
                 examined += 1
                 if examined > cfg.max_states:
                     return OracleResult(OVERFLOW, states_seen=len(parent), examined=examined)
-                succ = _apply(tables, snap, vec)
                 if succ in parent:
                     continue
-                parent[succ] = (snap, vec)
-                if eval_agent_formula(p, succ, cfg.interp, p.goal):
+                parent[succ] = (snap, choice)
+                if tables.reaches(succ):
                     run = []
                     while (step := parent[succ]) is not None:
-                        succ, last = step
-                        run.append(last)
+                        succ, choice = step
+                        run.append(vector(succ, choice))
                     return OracleResult(
                         REACHED, depth=depth, run=run[::-1], states_seen=len(parent), examined=examined
                     )
@@ -299,12 +375,10 @@ def replay_run_template(
         nonlocal best
         best = max(best, i)
         if i == len(template):
-            return eval_agent_formula(p, snap, cfg.interp, p.goal)
+            return tables.reaches(snap)
         want = template[i]
-        for vec in step_vectors(tables, snap):
-            if vec.label() != want:
-                continue
-            if go(i + 1, _apply(tables, snap, vec)):
+        for vec, succ in step_vectors(tables, snap):
+            if vec.label() == want and go(i + 1, succ):
                 return True
         return False
 
@@ -402,7 +476,8 @@ def cross_check(
 ) -> CrossCheckReport:
     """Run the symbolic engine and the explicit oracle over all agent counts
     1..max_count and all (or budget-sampled) relation interpretations, and
-    classify their agreement."""
+    classify their agreement.  The searches under one interpretation share
+    one `StepTables`, built when that interpretation is first searched."""
     # imported per call, so that tracers and tests rebinding them after import reach these calls
     from .encoder import encode
     from .engine import DEFAULT_MAX_CUBES, DEFAULT_MAX_DEPTH, SAFE, UNSAFE, breach
@@ -422,12 +497,15 @@ def cross_check(
     reached_counts: Optional[tuple[tuple[str, int], ...]] = None
     configs = 0
     names = [t.name for t in p.templates]
+    tables: dict[int, StepTables] = {}  # by interpretation
     for combo in itertools.product(range(1, max_count + 1), repeat=len(names)):
         counts = tuple(zip(names, combo))
-        for interp in interps:
+        for k, interp in enumerate(interps):
             cfg = ConcreteConfig(counts, interp, semantics, max_depth=oracle_depth)
             configs += 1
-            if enumerate_reachable(p, cfg).status == REACHED:
+            if k not in tables:
+                tables[k] = StepTables(p, interp, semantics)
+            if enumerate_reachable(p, cfg, tables[k]).status == REACHED:
                 reached = True
                 reached_counts = counts
                 break

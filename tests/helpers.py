@@ -6,7 +6,8 @@ universes, and transition rules are executed on fully concrete states.  The
 exceptions are the library's earlier procedures (`CongruenceClosure`,
 `reference_canon_cube`, `reference_entailed_by`,
 `reference_enumerate_reachable`, `reference_open_clauses`,
-`reference_preimage`, `reference_step_vectors`, `reference_subsumes`,
+`reference_preimage`, `reference_replay_run_template`,
+`reference_step_vectors`, `reference_subsumes`,
 `unabsorbed_dnf`), kept so that the current ones can be compared with them
 call by call.
 """
@@ -83,11 +84,14 @@ from pmasafety.model import (
 )
 from pmasafety.models import fixture_text
 from pmasafety.oracle import (
+    INVALID,
     OVERFLOW,
     REACHED,
     SILENT,
+    VALID,
     ConcreteConfig,
     OracleResult,
+    ReplayResult,
     StepVector,
     enumerate_reachable,
     relation_interpretations,
@@ -1457,7 +1461,8 @@ def _apply_per_agent(p, agents, env, turn, vec):
 
 
 def reference_apply(p, snap, vec):
-    """`oracle._apply` on a per-agent expansion of `snap`."""
+    """The counting snapshot after `vec`, applied to a per-agent expansion of
+    `snap`."""
     agents, env, turn = _apply_per_agent(p, per_agent(snap), snap.env, snap.turn, vec)
     return counting_snapshot(agents, env, turn)
 
@@ -1474,22 +1479,27 @@ def orbit_key(agents, vec):
     return vec.kind, vec.env_action, tuple(sorted((block[aid], a) for aid, a in vec.agent_actions))
 
 
-def reference_enumerate_reachable(p, cfg):
-    """`oracle.enumerate_reachable` on snapshots that keep one local state
-    per agent, sorted per template: each step takes the first vector of each
-    orbit of every legal vector (`orbit_key`), and each snapshot carries a
-    copy of its run."""
-    if sum(k for _t, k in cfg.counts) > cfg.max_states:
-        return OracleResult(OVERFLOW)
+def _start_per_agent(p, cfg):
+    """The initial per-agent snapshot of `cfg`: (agents, env, turn)."""
+    if cfg.semantics not in (INTERLEAVED, CONCURRENT):
+        raise ValueError(f"unknown semantics {cfg.semantics!r}")
     counts = cfg.counts_dict()
-    start = (
+    return (
         tuple((t.name, (tuple(i for _v, _s, i in t.variables),) * counts.get(t.name, 0)) for t in p.templates),
         tuple(i for _v, _s, i in p.env.variables),
         0 if p.alternation is not None else None,
     )
+
+
+def reference_enumerate_reachable(p, cfg, orbits: bool = True):
+    """`oracle.enumerate_reachable` on snapshots that keep one local state
+    per agent, sorted per template: each step takes the first vector of each
+    orbit of every legal vector (`orbit_key`), or, without `orbits`, every
+    legal vector, and each snapshot carries a copy of its run."""
+    if sum(k for _t, k in cfg.counts) > cfg.max_states:
+        return OracleResult(OVERFLOW)
+    start = _start_per_agent(p, cfg)
     interleaved = cfg.semantics == INTERLEAVED
-    if cfg.semantics not in (INTERLEAVED, CONCURRENT):
-        raise ValueError(f"unknown semantics {cfg.semantics!r}")
 
     def goal(snap):
         return _eval_per_agent(p, snap[0], snap[1], cfg.interp, p.goal)
@@ -1502,10 +1512,13 @@ def reference_enumerate_reachable(p, cfg):
     for depth in range(1, cfg.max_depth + 1):
         nxt = []
         for snap, run in frontier:
-            firsts = {}
-            for vec in _vectors_per_agent(p, cfg.interp, interleaved, *snap):
-                firsts.setdefault(orbit_key(snap[0], vec), vec)
-            for vec in firsts.values():
+            vecs = list(_vectors_per_agent(p, cfg.interp, interleaved, *snap))
+            if orbits:
+                firsts = {}
+                for vec in vecs:
+                    firsts.setdefault(orbit_key(snap[0], vec), vec)
+                vecs = list(firsts.values())
+            for vec in vecs:
                 examined += 1
                 if examined > cfg.max_states:
                     return OracleResult(OVERFLOW, states_seen=len(seen), examined=examined)
@@ -1522,3 +1535,27 @@ def reference_enumerate_reachable(p, cfg):
             break
         frontier = nxt
     return OracleResult(SILENT, states_seen=len(seen), examined=examined)
+
+
+def reference_replay_run_template(p, template, cfg):
+    """`oracle.replay_run_template` on per-agent snapshots, branching over
+    every legal vector whose label matches, not one per orbit."""
+    if sum(k for _t, k in cfg.counts) > cfg.max_states:
+        return ReplayResult(OVERFLOW, 0)
+    interleaved = cfg.semantics == INTERLEAVED
+    best = 0
+
+    def go(i, snap):
+        nonlocal best
+        best = max(best, i)
+        if i == len(template):
+            return _eval_per_agent(p, snap[0], snap[1], cfg.interp, p.goal)
+        return any(
+            go(i + 1, _apply_per_agent(p, *snap, vec))
+            for vec in _vectors_per_agent(p, cfg.interp, interleaved, *snap)
+            if vec.label() == template[i]
+        )
+
+    if go(0, _start_per_agent(p, cfg)):
+        return ReplayResult(VALID, len(template))
+    return ReplayResult(INVALID, best)

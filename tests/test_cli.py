@@ -107,13 +107,15 @@ def test_bad_goal_is_input_error(cannon_path, capsys):
 @pytest.mark.parametrize("goal, message", [
     ("loc[j] = Zed", "loc[j] = Zed ill-sorted"),
     ("loc[self] = target", "self not allowed here"),
+    ("foo[j] = A", "variable foo owned by 0 templates"),
 ])
 @pytest.mark.parametrize("cmd", ["check", "oracle"])
 def test_goal_override_checked_like_the_models_goal(cannon_path, capsys, cmd, goal, message):
     assert main([cmd, cannon_path, "--goal", goal]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: --goal: {message}")
+    assert captured.err.startswith(f"error:1:1: --goal: {message}\n")
+    assert all(e.startswith("error:1:1: --goal: ") for e in captured.err.splitlines())
 
 
 def test_models_goal_diagnostic_is_positioned(tmp_path, capsys):
@@ -235,6 +237,41 @@ def test_token_mutants_of_the_fixtures_exit_cleanly(tmp_path, capsys):
             codes.append(code)
     assert 3 in codes and len(set(codes)) > 1
     assert time.monotonic() - t0 < 3
+
+
+_GOALS = (
+    "loc[j] = target",
+    "loc[j1] = target and loc[j2] = target and j1 != j2",
+    "not (destroyed[j] = no or Snow(loc[j], target)) and pulse_loc[e] != A",
+)
+
+
+def test_token_mutants_of_goals_and_interpretations_exit_cleanly(cannon_path, tmp_path, capsys):
+    """No mutant of a `--goal` formula or an `--interp` file crashes, and
+    every input error it gives is positioned: in the formula, or at a line of
+    the file."""
+    rng = random.Random(20261020)
+    codes = []
+    t0 = time.monotonic()
+    for k, goal in enumerate(m for g in _GOALS for m in _token_mutants(g, rng, 20)):
+        cmd = ["check", "--max-depth", "2", "--max-cubes", "500"] if k % 2 else ["oracle", "--counts", "Att=1"]
+        code = main([cmd[0], cannon_path, *cmd[1:], "--goal", goal])
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 1, 2, 3), (goal, err)
+        if code == 3:
+            assert err and all(re.match(r"error:1:[0-9]+: ", e) for e in err), (goal, err)
+        codes.append(code)
+    interp = tmp_path / "snow.interp"
+    for text in _token_mutants("# some snow\nSnow(init, A)\nSnow(B, target)\n", rng, 40):
+        interp.write_text(text)
+        code = main(["oracle", cannon_path, "--counts", "Att=1", "--interp", str(interp)])
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 1, 2, 3), (text, err)
+        if code == 3:
+            assert err and all(e.startswith(f"error: {interp}:") and re.match(r"[1-9][0-9]*: ", e[len(f"error: {interp}:"):]) for e in err), (text, err)
+        codes.append(code)
+    assert 3 in codes and len(set(codes)) > 1
+    assert time.monotonic() - t0 < 5
 
 
 def test_encode_report(cannon_path, capsys):

@@ -17,6 +17,7 @@ from helpers import (
     random_snapshot,
     reference_apply,
     reference_enumerate_reachable,
+    reference_replay_run_template,
     reference_step_vectors,
 )
 from pmasafety import oracle
@@ -33,7 +34,6 @@ from pmasafety.oracle import (
     SILENT,
     VALID,
     StepTables,
-    _apply,
     cross_check,
     enumerate_reachable,
     relation_interpretations,
@@ -151,15 +151,17 @@ def test_step_vectors_are_the_first_of_each_orbit(name, semantics):
         interp = random_interpretation(rng, p) if k % 3 else RelInterpretation()
         tables = StepTables(p, interp, semantics)
         want = _vectors(reference_step_vectors, tables, s)
-        got = _vectors(step_vectors, tables, s)
+        steps = _vectors(step_vectors, tables, s)
         if isinstance(want, str):
-            assert got == want
+            assert steps == want
             continue
         firsts: dict = {}
         for v in want:
             firsts.setdefault(orbit_key(per_agent(s), v), v)
+        got = [v for v, _succ in steps]
         assert got == list(firsts.values()), s
-        assert {_apply(tables, s, v) for v in got} == {reference_apply(p, s, v) for v in want}
+        assert [succ for _v, succ in steps] == [reference_apply(p, s, v) for v in got]
+        assert {succ for _v, succ in steps} == {reference_apply(p, s, v) for v in want}
         compared += len(want) > len(got)
     # a concurrent orbit has several vectors only where an agent has two
     # executable local actions, which most corpus models never give
@@ -168,7 +170,7 @@ def test_step_vectors_are_the_first_of_each_orbit(name, semantics):
 
 @pytest.mark.parametrize("semantics", SEMANTICS)
 @pytest.mark.parametrize("name", MODELS)
-def test_replay_agrees_with_reference_vectors(name, semantics, monkeypatch):
+def test_replay_agrees_with_reference_vectors(name, semantics):
     p = named_model(name)
     rng = random.Random(f"{name}/{semantics}")
     counts = tuple((t.name, 2) for t in p.templates)
@@ -192,8 +194,7 @@ def test_replay_agrees_with_reference_vectors(name, semantics, monkeypatch):
             labels[rng.randrange(len(labels))] = rng.choice(seen)
         templates.append(labels)
     got = [replay_run_template(p, t, cfg) for t in templates]
-    monkeypatch.setattr(oracle, "step_vectors", reference_step_vectors)
-    assert got == [replay_run_template(p, t, cfg) for t in templates]
+    assert got == [reference_replay_run_template(p, t, cfg) for t in templates]
 
 
 def _reference_models(name):
@@ -204,6 +205,8 @@ def _reference_models(name):
         return [replace(cannon, goal=parse_formula("loc[j1] = target and loc[j2] = target and j1 != j2"))]
     if name == "blasts":  # the cannon's blasts, whose preconditions read other agents, decide the goal
         return [replace(cannon, goal=parse_formula("destroyed[j1] = yes and destroyed[j2] = yes and j1 != j2"))]
+    if name == "pulse":  # a goal that reads the environment as well as the robots
+        return [replace(cannon, goal=parse_formula("loc[j] = A and pulse_loc[e] = A"))]
     return [named_model(name)]
 
 
@@ -212,36 +215,75 @@ def _outcome(r):
 
 
 @pytest.mark.parametrize("semantics", SEMANTICS)
-@pytest.mark.parametrize("name", ["cannon", "trains", "two-robot", "blasts", "corpus"])
+@pytest.mark.parametrize("name", ["cannon", "trains", "two-robot", "blasts", "pulse", "corpus"])
 def test_search_matches_per_agent_reference(name, semantics):
     """Counting snapshots and step tables find what the per-agent search
     found: the same verdict, depth, run, snapshots and examined successors,
     and, with two agents per template and the budget cut half way, the same
-    successor to overflow on."""
+    successor to overflow on.  As in `cross_check`, one table per
+    interpretation serves every agent count."""
     overflows = 0
     for p in _reference_models(name):
         names = [t.name for t in p.templates]
+        interps = relation_interpretations(p, budget=2)
+        tables = [StepTables(p, interp, semantics) for interp in interps]
         for combo in itertools.product((1, 2, 3), repeat=len(names)):
-            for interp in relation_interpretations(p, budget=2):
+            for interp, shared in zip(interps, tables):
                 cfg = ConcreteConfig(tuple(zip(names, combo)), interp, semantics, max_depth=12)
                 want = reference_enumerate_reachable(p, cfg)
-                assert _outcome(enumerate_reachable(p, cfg)) == _outcome(want), (p.name, cfg)
+                assert _outcome(enumerate_reachable(p, cfg, shared)) == _outcome(want), (p.name, cfg)
                 if set(combo) != {2}:
                     continue
                 small = replace(cfg, max_states=max(want.examined // 2, 1))
                 cut = reference_enumerate_reachable(p, small)
-                assert _outcome(enumerate_reachable(p, small)) == _outcome(cut), (p.name, small)
+                assert _outcome(enumerate_reachable(p, small, shared)) == _outcome(cut), (p.name, small)
                 overflows += cut.status == OVERFLOW
     assert overflows
 
 
-def test_orbits_examine_fewer_successors(trains, monkeypatch):
+def test_orbits_examine_fewer_successors(trains):
     cfg = ConcreteConfig((("PTrain", 3), ("NTrain", 3)), RelInterpretation(), "interleaved")
     reduced = enumerate_reachable(trains, cfg)
-    monkeypatch.setattr(oracle, "step_vectors", reference_step_vectors)
-    full = enumerate_reachable(trains, cfg)
+    full = reference_enumerate_reachable(trains, cfg, orbits=False)
     assert (reduced.status, reduced.states_seen) == (full.status, full.states_seen) == (SILENT, 470)
-    assert reduced.examined < full.examined
+    assert reduced.examined == reference_enumerate_reachable(trains, cfg).examined < full.examined
+
+
+def test_a_large_block_steps_on_counts(cannon, monkeypatch):
+    """A thousand interchangeable robots: each successor costs a few post-state
+    lookups, not one per robot."""
+    calls = 0
+    after = StepTables.after
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return after(self, *args)
+
+    monkeypatch.setattr(StepTables, "after", counted)
+    cfg = ConcreteConfig((("Att", 1000),), RelInterpretation(), "interleaved", max_depth=2)
+    res = enumerate_reachable(cannon, cfg)
+    assert (res.status, res.states_seen, res.examined) == (SILENT, 2003, 2002)
+    assert calls <= 2 * res.examined
+
+
+def test_goal_is_decided_once_per_part_it_reads(cannon, monkeypatch):
+    """The cannon's goal reads only the robots, so snapshots that differ in
+    the environment or the turn share one evaluation."""
+    goals = 0
+    evaluate = oracle.eval_agent_formula
+
+    def counted(p, snap, interp, f, *args):
+        nonlocal goals
+        goals += f is p.goal
+        return evaluate(p, snap, interp, f, *args)
+
+    monkeypatch.setattr(oracle, "eval_agent_formula", counted)
+    cfg = ConcreteConfig((("Att", 2),), RelInterpretation(), "interleaved", max_depth=12)
+    tables = StepTables(cannon, cfg.interp, cfg.semantics)
+    res = enumerate_reachable(cannon, cfg, tables)
+    assert res.status == REACHED
+    assert goals == len(tables.goals) + 1 < res.states_seen
 
 
 class TestReplay:
@@ -312,6 +354,19 @@ class TestCrossCheck:
         for p in (cannon, trains):
             with pytest.raises(ValueError, match="at least 1"):
                 cross_check(p, max_count=max_count)
+
+    def test_one_table_per_interpretation(self, trains, monkeypatch):
+        built = []
+
+        class Counted(StepTables):
+            def __init__(self, p, interp, semantics):
+                built.append(interp)
+                super().__init__(p, interp, semantics)
+
+        monkeypatch.setattr(oracle, "StepTables", Counted)
+        rep = cross_check(trains, max_count=3)
+        assert (rep.classification, rep.configs_run) == ("agree-safe", 9)
+        assert built == [RelInterpretation()]
 
     def test_cannon_agree_unsafe(self, cannon):
         rep = cross_check(cannon, max_count=1, oracle_depth=12, interp_budget=1)
