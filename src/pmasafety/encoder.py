@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .logic import (
     ArrayRead,
@@ -160,6 +160,17 @@ class TransitionRule:
             if isinstance(u.body, Const):
                 fixed[a] = u.body
         return fixed, frozenset(barred)
+
+    def rules_out(self, neg: bool, cell: Union[GlobalRef, str], c: Const) -> bool:
+        """Every successor the rule produces contradicts a cube literal that
+        sets `cell` to `c` (negated when `neg`; as in `Cube.const_lits`):
+        the rule fixes the cell to a constant, and distinct constants are
+        never equal, or it fixes nothing there and its guard bars `c`."""
+        fixed, barred = self.post_constants()
+        d = fixed.get(cell)
+        if d is not None:
+            return (d == c) == neg
+        return not neg and (cell, c) in barred
 
 
 @dataclass(frozen=True)

@@ -112,19 +112,26 @@ def _gate_items(gate: Gate, cands: dict[str, list[IndexVar]], cap: int) -> list[
     return out
 
 
-def constants_clash(rule: TransitionRule, cube: Cube) -> bool:
-    """The cube fixes a global or array cell to a constant that every state
-    the rule produces contradicts (`TransitionRule.post_constants`).  Distinct
-    constants are never equal, so the preimage of the cube is then empty."""
-    fixed, barred = rule.post_constants()
-    for neg, cell, c in cube.const_lits():
-        d = fixed.get(cell)
-        if d is not None:
-            if (d == c) == neg:
-                return True
-        elif not neg and (cell, c) in barred:
-            return True
-    return False
+class _ClashTable(dict):
+    """One `breach` run's `Cube.const_lits` triple -> the bit mask of the
+    positions of the rules that rule it out (`TransitionRule.rules_out`),
+    filled the first time a cube has the triple.  Under such a rule every
+    successor contradicts the cube, so its preimage is empty."""
+
+    def __init__(self, rules: Sequence[TransitionRule]) -> None:
+        self.rules = rules
+
+    def __missing__(self, triple: tuple) -> int:
+        mask = self[triple] = sum(1 << k for k, r in enumerate(self.rules) if r.rules_out(*triple))
+        return mask
+
+    def ruled_out(self, cube: Cube) -> int:
+        """The bit mask of the rules some constant literal of `cube` clashes
+        with."""
+        mask = 0
+        for triple in cube.const_lits():
+            mask |= self[triple]
+        return mask
 
 
 class _CompiledRule:
@@ -447,44 +454,127 @@ def _clauses_sat(
     node_cap: int = 20000,
 ) -> bool:
     """Satisfiability of the satisfiable ground literals `base` /\\ CNF
-    clauses.
+    clauses, by a search over readings that propagates units (Davis,
+    Logemann & Loveland, CACM 1962).
 
     `entailed_by` passes only open clauses, none of whose literals the
-    reading of `base` decides, but any clauses are answered correctly.  The
-    search decides one literal of the first clause no literal satisfies yet
-    per node, and each node's reading extends its parent's
-    (`GroundReading.extended`).  It keeps its own stack, so the number of
-    clauses is not bounded by Python's recursion limit.  Gives up (answers
-    "satisfiable") after `node_cap` search nodes, which callers treat as
-    "entailment not proven" — always sound.
+    reading of `base` decides, but any clauses are answered correctly.
+    Before each decision the reading is extended by the one literal not
+    false of every clause that has exactly one, and a clause all of whose
+    literals are false backtracks.  A decision tries in turn the literals
+    of the first clause no literal satisfies yet; each node's reading
+    extends its parent's (`GroundReading.extended`).  After an extension
+    only the clauses it can change are read again: those sharing a subject
+    with the literal (`GroundReading.subjects`), or every clause after a
+    positive equality or once the reading has joined a class.  The search
+    keeps its own stack, so the number of clauses is not bounded by
+    Python's recursion limit.  Every extension, propagated or decided,
+    counts against `node_cap`; past it the search gives up and answers
+    "satisfiable", which callers treat as "entailment not proven" — always
+    sound.
     """
     if not todo:
         return True
+    n = len(todo)
+    watch: dict = {}  # subject -> positions of the clauses with a literal of it
+    for i, clause in enumerate(todo):
+        for d in clause:
+            for s in GroundReading.subjects(d):
+                watch.setdefault(s, {})[i] = None
     lits = list(base)
+    done = bytearray(n)  # 1 where some literal of the clause is true
+    trail: list[int] = []  # the positions set in `done`, in order
+    queue = list(range(n - 1, -1, -1))  # clauses to read again, the first last
+    queued = bytearray(b"\1" * n)
     budget = node_cap
-    # one frame per decision: clause, next literal to try, reading before it
-    stack = [[0, 0, GroundReading(lits)]]
+
+    def extend(reading: GroundReading, d: Lit) -> Optional[GroundReading]:
+        """`reading` extended by `d`, which goes on `lits`, with the clauses
+        it can change queued; None when they are unsatisfiable."""
+        out = reading.extended(lits, d)
+        if out is None:
+            return None
+        lits.append(d)
+        if out.root or type(d.atom) is Eq and not d.neg:
+            touched = range(n)
+        else:
+            touched = [i for s in GroundReading.subjects(d) for i in watch[s]]
+        for i in touched:
+            if not done[i] and not queued[i]:
+                queued[i] = 1
+                queue.append(i)
+        return out
+
+    def settle(reading: Optional[GroundReading]) -> Optional[GroundReading]:
+        """Read the queued clauses again and extend `reading` by their units
+        until none is left; None when a clause is all false.  Stops early
+        when the budget is spent."""
+        nonlocal budget
+        while queue and reading is not None:
+            i = queue.pop()
+            queued[i] = 0
+            if done[i]:
+                continue
+            values = [reading.value(d) for d in todo[i]]
+            if True not in values:
+                undecided = values.count(None)
+                if not undecided:
+                    reading = None  # all false: backtrack
+                    break
+                if undecided > 1:
+                    continue
+                budget -= 1
+                if budget <= 0:
+                    break
+                reading = extend(reading, todo[i][values.index(None)])
+                if reading is None:
+                    break
+            done[i] = 1
+            trail.append(i)
+        for i in queue:
+            queued[i] = 0
+        queue.clear()
+        return reading
+
+    def first_open(k: int) -> int:
+        while k < n and done[k]:
+            k += 1
+        return k
+
+    reading = settle(GroundReading(lits))
+    if budget <= 0:
+        return True  # give up: report satisfiable
+    if reading is None:
+        return False
+    k = first_open(0)
+    if k == n:
+        return True
+    # one frame per decision: clause, next literal to try, reading before it,
+    # and how long `lits` and `trail` were then
+    stack = [[k, 0, reading, len(lits), len(trail)]]
     while stack:
         frame = stack[-1]
-        k, j, reading = frame
-        del lits[len(base) + len(stack) - 1:]
+        k, j, reading, nlits, ntrail = frame
+        del lits[nlits:]
+        for i in trail[ntrail:]:
+            done[i] = 0
+        del trail[ntrail:]
         if j == len(todo[k]):
             stack.pop()
             continue
         frame[1] = j + 1
         budget -= 1
         if budget <= 0:
-            return True  # give up: report satisfiable
-        l = todo[k][j]
-        reading = reading.extended(lits, l)
-        if reading is not None:
-            lits.append(l)
-            k += 1
-            while k < len(todo) and any(reading.value(d) for d in todo[k]):
-                k += 1
-            if k == len(todo):
-                return True
-            stack.append([k, 0, reading])
+            return True
+        child = settle(extend(reading, todo[k][j]))
+        if budget <= 0:
+            return True
+        if child is None:
+            continue
+        k = first_open(k + 1)
+        if k == n:
+            return True
+        stack.append([k, 0, child, len(lits), len(trail)])
     return False
 
 
@@ -534,7 +624,8 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
     the cube is read (`GroundReading`), instance literals are built lazily
     into `region` and evaluated once per call on the reading; a clause stops
     at its first true literal, an all-false one proves entailment, and only
-    open clauses, deduplicated, reach the search over readings.
+    open clauses, deduplicated, reach the search over readings, which
+    propagates units (`_clauses_sat`).
 
     The cube's generic model M comes first: a class of terms the cube gives
     no value has a fresh value, an atom it does not assert is false.  So an
@@ -641,9 +732,19 @@ def breach(
     max_cubes: int = DEFAULT_MAX_CUBES,
     dnf_cap: int = DEFAULT_DNF_CAP,
 ) -> Verdict:
-    """Backward reachability from the goal; SAFE / UNSAFE / UNKNOWN."""
+    """Backward reachability from the goal; SAFE / UNSAFE / UNKNOWN.
+
+    Each depth checks the frontier against the initial states (`init_sat`),
+    drops each frontier cube the layer kept so far covers or the visited
+    region entails (`entailed_by`), and takes the preimage of every kept
+    cube under every rule (`preimage`).  A (rule, cube) pair whose cube has
+    a constant literal the rule rules out is skipped; which rules those are
+    is looked up per literal in a table the run fills once per literal
+    (`_ClashTable`), not tested pair by pair.  The region, the clash table
+    and the canonical literals live in the run and go with it."""
     sig = abp.sig
     region = Region()
+    clashes = _ClashTable(abp.rules)
     frontier: list[_Node] = []
     seen_layer = set()
     for c in abp.goal.cubes:
@@ -692,10 +793,11 @@ def breach(
                            reason="depth budget exhausted")
         depth += 1
         nxt: dict = {}
+        skips = [clashes.ruled_out(n.cube) for n in new_nodes]
         try:
-            for rule in abp.rules:
-                for n in new_nodes:
-                    if constants_clash(rule, n.cube):
+            for k, rule in enumerate(abp.rules):
+                for n, skip in zip(new_nodes, skips):
+                    if skip >> k & 1:
                         continue
                     for c in preimage(rule, n.cube, sig, region, dnf_cap):
                         if c.key() not in nxt:

@@ -1069,6 +1069,20 @@ class GroundReading:
             return l.neg
         return None
 
+    @staticmethod
+    def subjects(l: Lit) -> tuple:
+        """What the literal speaks of: the globals and array reads of an
+        equality, the relation of a relation atom.  Where a reading has no
+        joined class (`root` empty), extending it by a disequality or a
+        relation literal (`extended`) changes the value of no literal that
+        shares no subject with it: a disequality only sets apart its two
+        sides' values, at least one of them a side itself, and a relation
+        literal only signs one atom of its relation."""
+        a = l.atom
+        if type(a) is Eq:
+            return tuple(t for t in (a.lhs, a.rhs) if not isinstance(t, _FIXED))
+        return (a.rel,)
+
     def extended(self, lits: Sequence[Lit], l: Lit) -> Optional[GroundReading]:
         """The reading of `lits` and `l`, where this is the satisfiable
         reading of `lits`; None when they are unsatisfiable.  A literal this

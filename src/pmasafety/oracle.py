@@ -320,9 +320,9 @@ def enumerate_reachable(p: Pmas, cfg: ConcreteConfig, tables: Optional[StepTable
                 examined += 1
                 if examined > cfg.max_states:
                     return OracleResult(OVERFLOW, states_seen=len(parent), examined=examined)
-                if succ in parent:
-                    continue
-                parent[succ] = (snap, choice)
+                step = (snap, choice)
+                if parent.setdefault(succ, step) is not step:
+                    continue  # seen before: one lookup, one hash
                 if tables.reaches(succ):
                     run = []
                     while (step := parent[succ]) is not None:

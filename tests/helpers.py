@@ -738,6 +738,13 @@ def reference_preimage(
     return out
 
 
+def constants_clash(rule: TransitionRule, cube: Cube) -> bool:
+    """The clash test `engine.breach` ran for each (rule, cube) pair before
+    its per-run table: some constant literal of the cube is one the rule
+    rules out (`TransitionRule.rules_out`), so the preimage is empty."""
+    return any(rule.rules_out(*triple) for triple in cube.const_lits())
+
+
 # ---------------------------------------------------------------------------
 # reference subsumption
 

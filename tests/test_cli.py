@@ -13,6 +13,7 @@ import pytest
 
 from pmasafety import cli, oracle
 from pmasafety.cli import main
+from pmasafety.corpus import generate_model_text
 from pmasafety.oracle import ConcreteConfig
 from pmasafety.models import fixture_text
 
@@ -234,6 +235,27 @@ def test_token_mutants_of_the_fixtures_exit_cleanly(tmp_path, capsys):
             assert code in (0, 1, 2, 3), (name, k, err)
             if code == 3:
                 assert err and all(re.match(r"error:[1-9][0-9]*:[0-9]+: ", e) for e in err), (name, k, err)
+            codes.append(code)
+    assert 3 in codes and len(set(codes)) > 1
+    assert time.monotonic() - t0 < 3
+
+
+def test_token_mutants_of_corpus_models_exit_cleanly(tmp_path, capsys):
+    """No mutant of a generated corpus model crashes under either semantics,
+    and every input error it gives points at a line of the input."""
+    rng = random.Random(20261021)
+    codes = []
+    t0 = time.monotonic()
+    for seed in range(20):
+        for k, text in enumerate(_token_mutants(generate_model_text(seed), rng, 2)):
+            path = tmp_path / f"corpus{seed}_{k}.pmas"
+            path.write_text(text)
+            semantics = ("interleaved", "concurrent")[k]
+            code = main(["check", str(path), "--semantics", semantics, "--max-depth", "2", "--max-cubes", "500"])
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 1, 2, 3), (seed, k, err)
+            if code == 3:
+                assert err and all(re.match(r"error:[1-9][0-9]*:[0-9]+: ", e) for e in err), (seed, k, err)
             codes.append(code)
     assert 3 in codes and len(set(codes)) > 1
     assert time.monotonic() - t0 < 3

@@ -18,11 +18,13 @@ from helpers import (
     CongruenceClosure,
     ConcreteAb,
     _ZS,
+    _reference_clauses_sat,
     _rand_lit,
     all_relation_tuples,
     brute_clauses_sat,
     brute_entailed,
     brute_sat_cube,
+    constants_clash,
     random_clause_problem,
     random_entailment,
     random_grouped_region,
@@ -39,7 +41,7 @@ from helpers import (
     region_of,
 )
 from pmasafety import encoder, engine
-from pmasafety.corpus import generate_model
+from pmasafety.corpus import generate_corpus, generate_model
 from pmasafety.dsl import parse_formula, parse_pmas
 from pmasafety.encoder import AbInit, TransitionRule, differentiate, encode, encode_goal
 from pmasafety.engine import (
@@ -52,7 +54,6 @@ from pmasafety.engine import (
     breach,
     canon_cube,
     check_locality,
-    constants_clash,
     entailed_by,
     extract_run_template,
     init_sat,
@@ -65,6 +66,7 @@ from pmasafety.logic import (
     Cube,
     Eq,
     GlobalRef,
+    GroundReading,
     IndexVar,
     LambdaUpdate,
     Lit,
@@ -479,12 +481,68 @@ class TestEntailedByUnaryRegion:
 
 class TestClausesSat:
     def test_deep_search_is_iterative_and_fast(self):
-        # one decision per clause: a recursive search would pass Python's
-        # recursion limit, and one rebuilt per node would be quadratic
+        # one unit per clause: propagation settles them one after another
         clauses = [[Lit(True, RelAtom("R", (Const(f"c{k}"),)))] for k in range(1100)]
         t0 = time.perf_counter()
         assert _clauses_sat([], clauses)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_deep_decision_stack_is_iterative_and_fast(self, monkeypatch):
+        # two undecided literals per clause, no units: one decision per
+        # clause, so a recursive search would pass Python's recursion limit,
+        # and one that read every clause again per node would be quadratic
+        a, b = Const("a"), Const("b")
+        clauses = [
+            [lit_eq(GlobalRef(f"g{k}"), a, neg=True), lit_eq(GlobalRef(f"g{k}"), b, neg=True)]
+            for k in range(1100)
+        ]
+        extended, calls = GroundReading.extended, []
+
+        def counting(reading, lits, l):
+            calls.append(l)
+            return extended(reading, lits, l)
+
+        monkeypatch.setattr(GroundReading, "extended", counting)
+        t0 = time.perf_counter()
+        assert _clauses_sat([], clauses)
+        assert time.perf_counter() - t0 < 1.0
+        assert calls == [cl[0] for cl in clauses]  # 1 100 decisions, each one deeper
+
+    def test_propagation_refutes_in_few_nodes(self):
+        # eight open clauses that do not matter, then two units that clash:
+        # propagation refutes the set at once, while a search that only
+        # decides tries the 2^8 ways through the first eight clauses
+        def rel(r, k):
+            return Lit(False, RelAtom(r, (Const(f"c{k}"),)))
+
+        g1 = GlobalRef("g1")
+        clauses = [[rel("R", k), rel("S", k)] for k in range(8)]
+        clauses += [[lit_eq(g1, Const("p"))], [lit_eq(g1, Const("q"))]]
+        assert not _clauses_sat([], clauses, node_cap=50)
+        assert _reference_clauses_sat(CongruenceClosure(), clauses, node_cap=50)  # gave up
+        assert not _reference_clauses_sat(CongruenceClosure(), clauses, node_cap=10**6)
+        assert not brute_clauses_sat([], clauses, CUBE_SIG)
+
+    def test_units_after_a_decision_are_propagated(self):
+        # either value of g1 forces g2 to both u and v: each decision is
+        # refuted by two propagated extensions, four extensions in all
+        g1, g2, p, q = GlobalRef("g1"), GlobalRef("g2"), Const("p"), Const("q")
+        clauses = [[lit_eq(g1, p), lit_eq(g1, q)]] + [
+            [lit_eq(g1, c, neg=True), lit_eq(g2, d)] for c in (p, q) for d in (Const("u"), Const("v"))
+        ]
+        assert not brute_clauses_sat([], clauses, CUBE_SIG)
+        assert not _clauses_sat([], clauses, node_cap=5)
+        assert _clauses_sat([], clauses, node_cap=4)  # gives up: "satisfiable"
+        assert _clauses_sat([], clauses[:-1]) and brute_clauses_sat([], clauses[:-1], CUBE_SIG)
+
+    def test_agrees_with_the_plain_search_on_every_call_of_a_run(self, spied_run):
+        # the answers of a search without propagation and without a node cap;
+        # each call stays far below the default cap of 20000 nodes
+        for base, todo, got in spied_run.searched:
+            cc = CongruenceClosure()
+            assert cc.assert_lits(base)
+            assert got == _reference_clauses_sat(cc, todo, node_cap=10**9), todo
+            assert _clauses_sat(base, todo, node_cap=50) == got, todo
 
     def test_backtracking_retracts_the_failed_choice(self):
         g1, p, q = GlobalRef("g1"), Const("p"), Const("q")
@@ -680,24 +738,23 @@ class TestPreimageExactness:
 
 
 def _breach_with_spies(monkeypatch, abp):
-    """Run `breach`, recording every (rule, cube) pair the constant-clash
-    filter skips and, for every preimage it builds, the preimage of the same
-    rule and cube against an empty region: nothing pruned."""
+    """Run `breach`, recording every (rule, cube) pair its clash table skips
+    and, for every preimage it builds, the preimage of the same rule and
+    cube against an empty region: nothing pruned."""
     skipped, built = [], []
-    clash, pre = engine.constants_clash, engine.preimage
+    ruled_out, pre = engine._ClashTable.ruled_out, engine.preimage
 
-    def clash_spy(rule, cube):
-        out = clash(rule, cube)
-        if out:
-            skipped.append((rule, cube))
-        return out
+    def clash_spy(table, cube):
+        mask = ruled_out(table, cube)
+        skipped.extend((rule, cube) for k, rule in enumerate(table.rules) if mask >> k & 1)
+        return mask
 
     def pre_spy(rule, cube, sig, region, *args):
         built.append(pre(rule, cube, sig, Region(), *args))
         return pre(rule, cube, sig, region, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(engine, "constants_clash", clash_spy)
+        m.setattr(engine._ClashTable, "ruled_out", clash_spy)
         m.setattr(engine, "preimage", pre_spy)
         breach(abp)
     return skipped, built
@@ -708,10 +765,12 @@ def _spied_breach(abp) -> SimpleNamespace:
     canonical, whether it returned the unpruned preimage less the cubes its
     region covers and whether the unpruned preimage is
     `reference_preimage`'s, for every `canon_cube` call
-    whether the region of the preimage it runs in covers its cube, and every
-    `entailed_by` call as (cube, region cubes, answer)."""
+    whether the region of the preimage it runs in covers its cube, every
+    `entailed_by` call as (cube, region cubes, answer) and every
+    `_clauses_sat` call as (base, clauses, answer)."""
     rec = SimpleNamespace(
-        pruned_exactly=[], as_reference=[], canon_covered=[], entailed=[], canonical_input=[]
+        pruned_exactly=[], as_reference=[], canon_covered=[], entailed=[], canonical_input=[],
+        searched=[],
     )
     pre, canon, ent = engine.preimage, engine.canon_cube, engine.entailed_by
     current = [Region()]  # the region of the preimage call in progress
@@ -735,10 +794,16 @@ def _spied_breach(abp) -> SimpleNamespace:
         rec.entailed.append((cube, list(region.cubes), out))
         return out
 
+    def clauses_spy(base, todo, *args):
+        out = _clauses_sat(base, todo, *args)
+        rec.searched.append((list(base), [list(cl) for cl in todo], out))
+        return out
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(engine, "preimage", pre_spy)
         m.setattr(engine, "canon_cube", canon_spy)
         m.setattr(engine, "entailed_by", ent_spy)
+        m.setattr(engine, "_clauses_sat", clauses_spy)
         breach(abp)
     return rec
 
@@ -953,6 +1018,35 @@ class TestConstantsClash:
         skipped, built = _breach_with_spies(monkeypatch, abp)
         assert len(skipped) == 1232
         assert len(built) == 176 and all(built)
+
+    @pytest.mark.parametrize("semantics", ["interleaved", "concurrent"])
+    @pytest.mark.parametrize("name", ["cannon", "trains", "corpus"])
+    def test_table_answers_as_the_pair_test(self, name, semantics):
+        """On every frontier cube of the run, the run's clash table rules
+        out exactly the rules `constants_clash` clashes with."""
+        if name == "corpus":
+            models = [m for _, m in generate_corpus(16, 0)]
+        else:
+            models = [parse_pmas(fixture_text(name), name)]
+        pairs = 0
+        for p in models:
+            abp = encode(p, semantics)
+            table = engine._ClashTable(abp.rules)
+            for fr in breach(abp).layers:
+                for cube in fr.cubes:
+                    mask = table.ruled_out(cube)
+                    for k, rule in enumerate(abp.rules):
+                        assert (mask >> k & 1) == constants_clash(rule, cube), (rule.label, cube)
+                        pairs += 1
+        assert pairs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_table_answers_as_the_pair_test_on_random_rules(self, seed):
+        rule, cube = random_rule_and_cube(seed)
+        table = engine._ClashTable([rule, rule])
+        assert table.ruled_out(cube) == (0b11 if constants_clash(rule, cube) else 0)
+        assert table.ruled_out(cube) == (0b11 if constants_clash(rule, cube) else 0)  # filled
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10**9))
