@@ -385,14 +385,13 @@ class _Parser:
         return tuple(names)
 
 
-def parse_pmas(src: str, name: str = "model", validate: bool = True) -> Pmas:
-    """Parse and (optionally) validate a model; raises ModelError with diagnostics."""
+def parse_pmas(src: str, name: str = "model") -> Pmas:
+    """Parse and validate a model; raises ModelError with diagnostics."""
     parser = _Parser(src)
     p = parser.pmas(name)
-    if validate:
-        diags = validate_pmas(p, parser.at)
-        if diags:
-            raise ModelError(diags)
+    diags = validate_pmas(p, parser.at)
+    if diags:
+        raise ModelError(diags)
     return p
 
 

@@ -36,7 +36,6 @@ from .logic import (
     SortDecl,
     StateFormula,
     TRUE,
-    check_lit_types,
     const_cell,
     cube_vars_of_lits,
     dnf,
@@ -71,6 +70,7 @@ from .model import (
     SYNC,
     VarTest,
     infer_formula_var_templates,
+    validate_pmas,
 )
 
 INTERLEAVED = "interleaved"
@@ -275,9 +275,7 @@ def translate_agent_formula(
     order: list[IndexVar] = []
 
     def ivar(idx: str) -> IndexVar:
-        if idx == SELF:
-            if self_var is None:
-                raise EncodingError("self not allowed in this formula")
+        if idx == SELF:  # inference rejects `self` where there is no `self_var`
             return self_var
         if idx not in varmap:
             varmap[idx] = IndexVar(f"{prefix}{idx}", index_sort(assign[idx]))
@@ -321,16 +319,13 @@ def precondition_cube(
     self_var: Optional[IndexVar],
     prefix: str = "$p_",
 ) -> Optional[tuple[tuple[Lit, ...], tuple[IndexVar, ...]]]:
-    """Translate a (disjunction-free) precondition to literals; None = false."""
+    """Translate a precondition to literals; None = false.  Validation rules
+    out disjunctions in preconditions, so its DNF has at most one cube."""
     f, extra = translate_agent_formula(
         p, a.pre, self_var, None if t.is_env else t, prefix=prefix
     )
     cubes = dnf(f)
-    if not cubes:
-        return None
-    if len(cubes) != 1:
-        raise EncodingError(f"precondition of {t.name}.{a.name} is not a cube")
-    return cubes[0], extra
+    return (cubes[0], extra) if cubes else None
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +334,6 @@ def precondition_cube(
 
 def differentiate(
     lits: tuple[Lit, ...],
-    sig: Signature,
     distinct: Optional[set[IndexVar]] = None,
     covered: Optional[Callable[[Cube], bool]] = None,
 ) -> list[Cube]:
@@ -350,10 +344,11 @@ def differentiate(
     Variables in `distinct` are already differentiated (they come from an
     existing cube) and are never merged with each other.  A branch cube for
     which `covered` holds is dropped before its EUF check
-    (`ground_lits_sat`).  The literals other than index (dis)equalities are
-    type-checked once: a branch renames variables within their sorts, so its
-    literals are typed as they are.  Two branches may yield equal cubes:
-    callers dedup."""
+    (`ground_lits_sat`).  The literals are trusted to be well-sorted:
+    `encode` accepts only a valid model, and every literal the search derives
+    comes from its rules and goal by renamings within sorts and case
+    expansion into values of the same sort; a branch, too, renames within
+    sorts.  Two branches may yield equal cubes: callers dedup."""
     pos: list[tuple[IndexVar, IndexVar]] = []
     neg: list[tuple[IndexVar, IndexVar]] = []
     rest: list[Lit] = []
@@ -367,10 +362,6 @@ def differentiate(
     by_sort: dict[str, list[IndexVar]] = {}
     for v in vars_:
         by_sort.setdefault(v.sort, []).append(v)
-    for a, b in pos + neg:
-        if a.sort != b.sort:
-            raise EncodingError(f"index equality across sorts: {a!r} = {b!r}")
-    check_lit_types(rest, sig)
 
     out: list[Cube] = []
     per_sort_parts = [list(set_partitions(vs)) for vs in by_sort.values()]
@@ -413,12 +404,12 @@ def differentiate(
     return out
 
 
-def encode_goal(p: Pmas, sig: Signature) -> StateFormula:
+def encode_goal(p: Pmas) -> StateFormula:
     f, _extra = translate_agent_formula(p, p.goal, None, None)
     cubes: list[Cube] = []
     seen = set()
     for lits in dnf(f):
-        for c in differentiate(lits, sig):
+        for c in differentiate(lits):
             if c.key() not in seen:
                 seen.add(c.key())
                 cubes.append(c)
@@ -693,8 +684,14 @@ class _RuleBuilder:
 
 
 def encode(p: Pmas, semantics: str) -> AbPmas:
+    """The array-based system of `p` under `semantics`.  Raises ModelError
+    with `validate_pmas`'s diagnostics when `p` is not valid: everything
+    below trusts a valid model."""
     if semantics not in (INTERLEAVED, CONCURRENT):
         raise EncodingError(f"unknown semantics {semantics!r}")
+    diags = validate_pmas(p)
+    if diags:
+        raise ModelError(diags)
     concurrent = semantics == CONCURRENT
     sig = build_signature(p, semantics)
     b = _RuleBuilder(p)
@@ -708,4 +705,4 @@ def encode(p: Pmas, semantics: str) -> AbPmas:
         b.gate_sync()
     b.sync_commit(PS2 if concurrent else PS)
     b.individual_syncs()
-    return AbPmas(p, semantics, sig, build_init(p), tuple(b.rules), encode_goal(p, sig))
+    return AbPmas(p, semantics, sig, build_init(p), tuple(b.rules), encode_goal(p))

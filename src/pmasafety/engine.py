@@ -29,7 +29,6 @@ from .logic import (
     IndexVar,
     Lit,
     RelAtom,
-    Signature,
     conjoin,
     cube_vars_of_lits,
     dnf,
@@ -55,6 +54,7 @@ UNKNOWN = "UNKNOWN"
 
 DEFAULT_MAX_DEPTH = 200
 DEFAULT_MAX_CUBES = 100000
+CLAUSE_CAP = 2000  # instantiations `entailed_by` tries before it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,6 @@ def _compiled(rule: TransitionRule) -> _CompiledRule:
 def preimage(
     rule: TransitionRule,
     cube: Cube,
-    sig: Signature,
     region: "Region",
     dnf_cap: int = DEFAULT_DNF_CAP,
 ) -> list[Cube]:
@@ -241,7 +240,7 @@ def preimage(
     for lits in minimal(conjoin([[tuple(fixed)], *multi], dnf_cap)):
         if whole is not None and whole.issubset(lits):
             continue  # every branch holds a renaming of `cube`, which `region` holds
-        for c in differentiate(lits, sig, distinct=distinct, covered=region.covers):
+        for c in differentiate(lits, distinct=distinct, covered=region.covers):
             cc = canon_cube(c, region.canon_lits)
             if cc.key() not in seen:
                 seen.add(cc.key())
@@ -612,14 +611,14 @@ def _open_clauses(region: Region, i: int, cvars_by_sort, values: _Values):
             yield undecided
 
 
-def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
+def entailed_by(cube: Cube, region: Region) -> bool:
     """cube |= \\/ region, via universal instantiation over the cube's own
     variables (sorts with no variable are empty in the restricted model).
     This is the one decision procedure for the exists/forall fragment: the
     cube is satisfiable together with the negation of every instance iff
     it is not entailed.
 
-    Best-effort beyond `clause_cap` instantiations in all: answers False (not
+    Best-effort beyond `CLAUSE_CAP` instantiations in all: answers False (not
     entailed), which is always sound — the cube is merely kept.  Below it,
     the cube is read (`GroundReading`), instance literals are built lazily
     into `region` and evaluated once per call on the reading; a clause stops
@@ -640,7 +639,7 @@ def entailed_by(cube: Cube, region: Region, clause_cap: int = 2000) -> bool:
     region.tables()
     cvars_by_sort = cube.vars_by_sort()
     counts = region.counts(cube)
-    if sum(n * len(at) for n, at in zip(counts, region.groups.values())) > clause_cap:
+    if sum(n * len(at) for n, at in zip(counts, region.groups.values())) > CLAUSE_CAP:
         return False
     values = _Values(reading)
     fixed = 0
@@ -742,7 +741,6 @@ def breach(
     is looked up per literal in a table the run fills once per literal
     (`_ClashTable`), not tested pair by pair.  The region, the clash table
     and the canonical literals live in the run and go with it."""
-    sig = abp.sig
     region = Region()
     clashes = _ClashTable(abp.rules)
     frontier: list[_Node] = []
@@ -799,7 +797,7 @@ def breach(
                 for n, skip in zip(new_nodes, skips):
                     if skip >> k & 1:
                         continue
-                    for c in preimage(rule, n.cube, sig, region, dnf_cap):
+                    for c in preimage(rule, n.cube, region, dnf_cap):
                         if c.key() not in nxt:
                             nxt[c.key()] = _Node(c, rule, n, depth)
         except BudgetError as be:

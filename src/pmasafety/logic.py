@@ -113,12 +113,6 @@ class Signature:
                 if s not in self.sorts:
                     raise TypingError(f"relation {r.name} has unknown sort {s}")
 
-    def sort_of_const(self, c: str) -> str:
-        try:
-            return self.const_sort[c]
-        except KeyError:
-            raise TypingError(f"unknown constant {c}") from None
-
 
 # ---------------------------------------------------------------------------
 # terms
@@ -227,26 +221,6 @@ class CaseTerm:
 Term = Union[Const, GlobalRef, ArrayRead, IndexVar, CaseTerm]
 
 
-def term_sort(t: Term, sig: Signature) -> str:
-    if isinstance(t, Const):
-        return sig.sort_of_const(t.name)
-    if isinstance(t, GlobalRef):
-        try:
-            return sig.globals[t.name]
-        except KeyError:
-            raise TypingError(f"unknown global {t.name}") from None
-    if isinstance(t, ArrayRead):
-        try:
-            return sig.arrays[t.array][1]
-        except KeyError:
-            raise TypingError(f"unknown array {t.array}") from None
-    if isinstance(t, IndexVar):
-        return t.sort
-    if isinstance(t, CaseTerm):
-        return term_sort(t.branches[0][1], sig)
-    raise TypingError(f"not a term: {t!r}")
-
-
 # ---------------------------------------------------------------------------
 # atoms, literals, formulae
 
@@ -301,9 +275,10 @@ class Lit(_Hashed):
     `Cube.key` and `engine.subsumes` compare renderings in place of
     literals: a name is never both a global and a constant (model
     validation), and the one thing the rendering drops, the sort of an array
-    read's index, is the array's index sort (`differentiate` type-checks
-    the literals it splits, and its branches rename variables within their
-    sorts)."""
+    read's index, is the array's index sort: `encode` accepts only a valid
+    model, and every literal the search derives comes from its rules and goal
+    by renamings within sorts and case expansion into values of the same
+    sort."""
 
     __slots__ = ("neg", "atom", "_repr", "_shape", "_vars")
     neg: bool
@@ -1110,37 +1085,6 @@ def ground_lits_sat(lits: Sequence[Lit]) -> bool:
     """Satisfiability of a conjunction of well-sorted, case-free ground
     literals (`GroundReading`)."""
     return GroundReading(lits).sat
-
-
-def check_lit_types(lits: Iterable[Lit], sig: Signature) -> None:
-    """Raise TypingError when any literal is ill-typed under `sig`."""
-
-    def term_ok(t: Term) -> str:
-        if isinstance(t, ArrayRead):
-            isort = sig.arrays.get(t.array)
-            if isort is None:
-                raise TypingError(f"unknown array {t.array}")
-            if t.index.sort != isort[0]:
-                raise TypingError(
-                    f"array {t.array} indexed by {t.index.sort}, expects {isort[0]}"
-                )
-        return term_sort(t, sig)
-
-    for l in lits:
-        a = l.atom
-        if isinstance(a, Eq):
-            ls, rs = term_ok(a.lhs), term_ok(a.rhs)
-            if ls != rs:
-                raise TypingError(f"equality between sorts {ls} and {rs}: {l!r}")
-        else:
-            decl = sig.relations.get(a.rel)
-            if decl is None:
-                raise TypingError(f"unknown relation {a.rel}")
-            if len(a.args) != len(decl.arg_sorts):
-                raise TypingError(f"relation {a.rel} expects {len(decl.arg_sorts)} arguments")
-            for arg, want in zip(a.args, decl.arg_sorts):
-                if term_ok(arg) != want:
-                    raise TypingError(f"argument of {a.rel} is not of sort {want}: {l!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -645,8 +645,9 @@ def compile_agent_formula(
     first agent of its block: permuting a block's agents maps any grounding
     to one of these and changes no truth value.  As over every grounding, `f`
     is false when the template of one of its variables has no agents.  The
-    search raises ModelError when the snapshot lacks that template, and when
-    `f` mentions `self` and no agent is given for it."""
+    search raises ModelError when the snapshot lacks that template.  `f` may
+    mention `self` only with a `self_template` (inference rejects it
+    otherwise), and the search is then run with an agent of that template."""
     st = p.template(self_template) if self_template else None
     assign = infer_formula_var_templates(p, f, self_template=st)
     names = sorted(assign)
@@ -727,8 +728,6 @@ def compile_agent_formula(
     n = len(names)
 
     def run(snap: Snapshot, interp: RelInterpretation, self_id: Optional[AgentId]) -> bool:
-        if self_id is None and uses_self:
-            raise ModelError("self unbound in evaluation")
         me = None
         if uses_self:  # the first agent of self's block, which permuting the block swaps it with
             t, i = self_id
@@ -753,17 +752,16 @@ def eval_agent_formula(
     interp: RelInterpretation,
     f: AgentFormula,
     self_id: Optional[AgentId] = None,
-    self_template: Optional[str] = None,
 ) -> bool:
     """Truth of `f` in `snap`: free index variables are existential.
 
     Index groundings range over the agents of the variable's template and need
     not be injective.  `self_id` fixes the interpretation of `self`; a formula
     that mentions `self` raises ModelError without it.  `f` is compiled once
-    per model and self template; a formula that fails to compile is not
+    per model and template of `self_id`; a formula that fails to compile is not
     remembered, so it raises again on every call.
     """
-    st = self_template or (self_id[0] if self_id else None)
+    st = self_id[0] if self_id else None
     memo = p.compiled_formulas()
     key = (id(f), st)
     try:

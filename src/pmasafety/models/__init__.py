@@ -6,11 +6,3 @@ from importlib import resources
 def fixture_text(name: str) -> str:
     """Source text of a bundled model, e.g. fixture_text('cannon')."""
     return (resources.files(__name__) / f"{name}.pmas").read_text()
-
-
-def fixture_names() -> list[str]:
-    return sorted(
-        p.name[: -len(".pmas")]
-        for p in resources.files(__name__).iterdir()
-        if p.name.endswith(".pmas")
-    )

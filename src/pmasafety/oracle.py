@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from . import encoder, engine
 from .encoder import CONCURRENT, INTERLEAVED
 from .model import (
     AgentId,
@@ -304,11 +305,11 @@ def enumerate_reachable(p: Pmas, cfg: ConcreteConfig, tables: Optional[StepTable
     """
     if sum(k for _t, k in cfg.counts) > cfg.max_states:
         return OracleResult(OVERFLOW)
-    start = initial_snapshot(p, cfg.counts_dict())
-    if eval_agent_formula(p, start, cfg.interp, p.goal):
-        return OracleResult(REACHED, depth=0, run=[], states_seen=1)
     if tables is None:
         tables = StepTables(p, cfg.interp, cfg.semantics)
+    start = initial_snapshot(p, cfg.counts_dict())
+    if tables.reaches(start):
+        return OracleResult(REACHED, depth=0, run=[], states_seen=1)
     # each snapshot seen, with the snapshot and the choice that first reached it
     parent: dict[Snapshot, Optional[tuple[Snapshot, tuple]]] = {start: None}
     examined = 0
@@ -471,27 +472,20 @@ def cross_check(
     max_count: int = 3,
     oracle_depth: int = 15,
     interp_budget: Optional[int] = None,
-    engine_max_depth: Optional[int] = None,
-    engine_max_cubes: Optional[int] = None,
+    engine_max_depth: int = engine.DEFAULT_MAX_DEPTH,
+    engine_max_cubes: int = engine.DEFAULT_MAX_CUBES,
 ) -> CrossCheckReport:
     """Run the symbolic engine and the explicit oracle over all agent counts
     1..max_count and all (or budget-sampled) relation interpretations, and
     classify their agreement.  The searches under one interpretation share
     one `StepTables`, built when that interpretation is first searched."""
-    # imported per call, so that tracers and tests rebinding them after import reach these calls
-    from .encoder import encode
-    from .engine import DEFAULT_MAX_CUBES, DEFAULT_MAX_DEPTH, SAFE, UNSAFE, breach
-
     if max_count < 1:  # no configuration to run: any agreement would be vacuous
         raise ValueError(f"max_count must be at least 1, got {max_count}")
     # first, so that a budget below 1 fails before the engine runs
     interps = relation_interpretations(p, budget=interp_budget)
-    abp = encode(p, semantics)
-    verdict = breach(
-        abp,
-        max_depth=engine_max_depth if engine_max_depth is not None else DEFAULT_MAX_DEPTH,
-        max_cubes=engine_max_cubes if engine_max_cubes is not None else DEFAULT_MAX_CUBES,
-    )
+    # through the modules, so that tracers and tests rebinding these names reach the calls
+    abp = encoder.encode(p, semantics)
+    verdict = engine.breach(abp, max_depth=engine_max_depth, max_cubes=engine_max_cubes)
 
     reached = False
     reached_counts: Optional[tuple[tuple[str, int], ...]] = None
@@ -512,9 +506,9 @@ def cross_check(
         if reached:
             break
 
-    if verdict.status == SAFE:
+    if verdict.status == engine.SAFE:
         cls = "engine-safe-oracle-reached" if reached else "agree-safe"
-    elif verdict.status == UNSAFE:
+    elif verdict.status == engine.UNSAFE:
         cls = "agree-unsafe" if reached else "engine-unsafe-oracle-silent"
     else:
         cls = "engine-unknown"

@@ -19,10 +19,12 @@ import hashlib
 import itertools
 import math
 import random
-from typing import Iterable, Optional, Sequence
+from dataclasses import replace
+from importlib import resources
+from typing import Iterable, Iterator, Optional, Sequence
 
 from pmasafety.corpus import generate_model
-from pmasafety.dsl import parse_pmas
+from pmasafety.dsl import parse_formula, parse_pmas
 from pmasafety.encoder import CONCURRENT, INTERLEAVED, Gate, TransitionRule, differentiate
 from pmasafety.engine import Region, _lit_through, canon_cube
 from pmasafety.logic import (
@@ -49,6 +51,8 @@ from pmasafety.logic import (
     Signature,
     SortDecl,
     StateFormula,
+    TRUE,
+    TypingError,
     cube_vars_of_lits,
     dnf,
     expand_cases,
@@ -159,6 +163,102 @@ def brute_sat_cube(cube: Cube, sig: Signature, fresh: int = 2) -> bool:
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# sorts of terms and literals
+#
+# `encode` accepts only a valid model, and the search derives every literal
+# from the encoding's by renamings within sorts and case expansion, so the
+# library never checks sorts; these check that claim.
+
+
+def term_sort(t, sig: Signature) -> str:
+    """The sort of a term under `sig`; a case term's is its first value's."""
+    if isinstance(t, Const):
+        if t.name not in sig.const_sort:
+            raise TypingError(f"unknown constant {t.name}")
+        return sig.const_sort[t.name]
+    if isinstance(t, GlobalRef):
+        if t.name not in sig.globals:
+            raise TypingError(f"unknown global {t.name}")
+        return sig.globals[t.name]
+    if isinstance(t, ArrayRead):
+        if t.array not in sig.arrays:
+            raise TypingError(f"unknown array {t.array}")
+        return sig.arrays[t.array][1]
+    if isinstance(t, IndexVar):
+        return t.sort
+    if isinstance(t, CaseTerm):
+        return term_sort(t.branches[0][1], sig)
+    raise TypingError(f"not a term: {t!r}")
+
+
+def check_lit_types(lits: Iterable[Lit], sig: Signature) -> None:
+    """Raise TypingError when any literal is ill-sorted under `sig`, an
+    array read's index included."""
+
+    def term_ok(t) -> str:
+        if isinstance(t, ArrayRead):
+            isort = sig.arrays.get(t.array)
+            if isort is None:
+                raise TypingError(f"unknown array {t.array}")
+            if t.index.sort != isort[0]:
+                raise TypingError(f"array {t.array} indexed by {t.index.sort}, expects {isort[0]}")
+        return term_sort(t, sig)
+
+    for l in lits:
+        a = l.atom
+        if isinstance(a, Eq):
+            ls, rs = term_ok(a.lhs), term_ok(a.rhs)
+            if ls != rs:
+                raise TypingError(f"equality between sorts {ls} and {rs}: {l!r}")
+        else:
+            decl = sig.relations.get(a.rel)
+            if decl is None:
+                raise TypingError(f"unknown relation {a.rel}")
+            if len(a.args) != len(decl.arg_sorts):
+                raise TypingError(f"relation {a.rel} expects {len(decl.arg_sorts)} arguments")
+            for arg, want in zip(a.args, decl.arg_sorts):
+                if term_ok(arg) != want:
+                    raise TypingError(f"argument of {a.rel} is not of sort {want}: {l!r}")
+
+
+def _formula_lits(f: Formula) -> Iterator[Lit]:
+    if isinstance(f, FLit):
+        yield f.lit
+    elif isinstance(f, (FAnd, FOr)):
+        for g in f.items:
+            yield from _formula_lits(g)
+    elif isinstance(f, FNot):
+        yield from _formula_lits(f.inner)
+
+
+def check_encoding_types(abp) -> None:
+    """Raise TypingError when a literal or update of `abp` is ill-sorted
+    under `abp.sig`: rule guards, writes to globals, bulk array updates (the
+    bound variable, every case guard and value), gate literals and the goal's
+    cubes."""
+    sig = abp.sig
+    for rule in abp.rules:
+        check_lit_types(rule.guard, sig)
+        for g, c in rule.globals_upd:
+            if term_sort(c, sig) != sig.globals[g]:
+                raise TypingError(f"{rule.label}: {g} := {c!r}")
+        for a, u in rule.arrays_upd:
+            isort, esort = sig.arrays[a]
+            body = u.body.branches if isinstance(u.body, CaseTerm) else ((TRUE, u.body),)
+            if u.var.sort != isort:
+                raise TypingError(f"{rule.label}: {a} updated over {u.var.sort}")
+            for guard, value in body:
+                check_lit_types(_formula_lits(guard), sig)
+                check_lit_types([lit_eq(ArrayRead(a, u.var), value)], sig)
+        for gate in rule.gates:
+            check_lit_types([gate.declared], sig)
+            for b in gate.blocked:
+                check_lit_types(b.lits, sig)
+    for c in abp.goal.cubes:
+        check_lit_types(c.lits, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +388,7 @@ def random_split_input(seed: int) -> tuple[tuple[Lit, ...], set[IndexVar], list[
         a, b = rng.sample(vs, 2)
         lits.append(Lit(rng.random() < 0.5, Eq(a, b)))
     distinct = set(rng.sample(_ZS, rng.randint(0, 3)))
-    branches = differentiate(tuple(lits), CUBE_SIG, distinct=distinct)
+    branches = differentiate(tuple(lits), distinct=distinct)
     region = []
     for _ in range(rng.randint(0, 3)):
         if branches and rng.random() < 0.6:
@@ -704,7 +804,7 @@ def _gate_formula(gate: Gate, cands: dict[str, list[IndexVar]]) -> Formula:
 
 
 def reference_preimage(
-    rule: TransitionRule, cube: Cube, sig: Signature, region: Region, dnf_cap: int = DEFAULT_DNF_CAP
+    rule: TransitionRule, cube: Cube, region: Region, dnf_cap: int = DEFAULT_DNF_CAP
 ) -> list[Cube]:
     """`engine.preimage` as a formula tree: guard, cube after the updates and
     gates are conjoined into one formula, whose case terms are expanded and
@@ -728,7 +828,7 @@ def reference_preimage(
     seen = set()
     distinct = set(cube_ren.values())
     for lits in dnf(expand_cases(fand(parts)), dnf_cap):
-        for c in differentiate(lits, sig, distinct=distinct):
+        for c in differentiate(lits, distinct=distinct):
             if region.covers(c):
                 continue
             cc = canon_cube(c)
@@ -1149,10 +1249,23 @@ def reference_open_clauses(
 # verdict fingerprints
 
 
+def fixture_names() -> list[str]:
+    """The names of the bundled models."""
+    return sorted(
+        p.name[: -len(".pmas")]
+        for p in resources.files("pmasafety.models").iterdir()
+        if p.name.endswith(".pmas")
+    )
+
+
 def named_model(name: str):
-    """A bundled model by name, or corpus model `corpus<seed>`."""
+    """A bundled model by name, corpus model `corpus<seed>`, or `two-robot`:
+    cannon with a goal that needs two distinct robots at the target."""
     if name.startswith("corpus"):
         return generate_model(int(name[len("corpus"):]))
+    if name == "two-robot":
+        goal = parse_formula("loc[j1] = target and loc[j2] = target and j1 != j2")
+        return replace(named_model("cannon"), goal=goal)
     return parse_pmas(fixture_text(name), name)
 
 
@@ -1208,20 +1321,6 @@ def oracle_digest(p, semantics: str) -> str:
 # reference agent-formula evaluation
 
 
-def _mentions_self(g) -> bool:
-    if isinstance(g, VarTest):
-        return g.idx == SELF
-    if isinstance(g, RelTest):
-        return any(isinstance(a, VarRef) and a.idx == SELF for a in g.args)
-    if isinstance(g, IdxEq):
-        return SELF in (g.lhs, g.rhs)
-    if isinstance(g, Neg):
-        return _mentions_self(g.inner)
-    if isinstance(g, (Conj, Disj)):
-        return any(map(_mentions_self, g.items))
-    return False
-
-
 def per_agent(snap) -> tuple:
     """The agents of a counting snapshot one by one: each template's local
     states, one per agent, in the order of their ids (block offsets)."""
@@ -1238,15 +1337,15 @@ def counting_snapshot(agents, env, turn=None) -> Snapshot:
     )
 
 
-def reference_eval_agent_formula(p, snap, interp, f, self_id=None, self_template=None) -> bool:
+def reference_eval_agent_formula(p, snap, interp, f, self_id=None) -> bool:
     """`model.eval_agent_formula` as a tree walk over every grounding of a
     per-agent expansion of `snap` (`per_agent`), with each variable's owner
     and slot read off the templates on every call: the reference the
     compiled evaluator must match."""
-    return _eval_per_agent(p, per_agent(snap), snap.env, interp, f, self_id, self_template)
+    return _eval_per_agent(p, per_agent(snap), snap.env, interp, f, self_id)
 
 
-def _eval_per_agent(p, agents, env, interp, f, self_id=None, self_template=None) -> bool:
+def _eval_per_agent(p, agents, env, interp, f, self_id=None) -> bool:
     """`reference_eval_agent_formula` over per-agent local states."""
     by_name = dict(agents)
 
@@ -1255,10 +1354,8 @@ def _eval_per_agent(p, agents, env, interp, f, self_id=None, self_template=None)
             raise ModelError(f"no agents for template {t}")
         return by_name[t]
 
-    st = p.template(self_template or self_id[0]) if (self_template or self_id) else None
+    st = p.template(self_id[0]) if self_id else None
     assign = infer_formula_var_templates(p, f, self_template=st)
-    if self_id is None and _mentions_self(f):
-        raise ModelError("self unbound in evaluation")
     names = sorted(assign)
     domains = [range(len(agents_of(assign[n].name))) for n in names]
     slots = {v: (t, k) for t in p.all_templates() for k, v in enumerate(t.var_names())}

@@ -193,7 +193,7 @@ def test_c8_preimage_one_step_soundness():
         rules = [r for r in abp.rules if not r.gates]
         rule = rng.choice(rules)
         phi = random_state_formula(rng, abp)
-        pre = [c for cu in phi.cubes for c in preimage(rule, cu, abp.sig, Region())]
+        pre = [c for cu in phi.cubes for c in preimage(rule, cu, Region())]
         # well-formed: differentiated cubes, closed prefixes, no index equalities
         for c in pre:
             assert set(cube_vars_of_lits(c.lits)) <= set(c.exists)

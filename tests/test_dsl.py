@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import fixture_names
 from pmasafety.dsl import _KEYWORDS, parse_formula, parse_pmas
 from pmasafety.model import ModelError
-from pmasafety.models import fixture_names, fixture_text
+from pmasafety.models import fixture_text
 
 
 def test_cannon_structure():
@@ -63,12 +64,6 @@ def test_unknown_constant_rejected():
     with pytest.raises(ModelError) as ei:
         parse_pmas(src, "bad")
     assert "Z" in str(ei.value)
-
-
-def test_validation_can_be_deferred():
-    src = fixture_text("cannon").replace("loc := A", "loc := Z")
-    p = parse_pmas(src, "bad", validate=False)
-    assert p.name == "bad"
 
 
 def test_parse_formula():

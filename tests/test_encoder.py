@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import check_encoding_types, check_lit_types, named_model
 from pmasafety.dsl import parse_formula, parse_pmas
 from pmasafety.encoder import (
     EncodingError,
@@ -23,9 +24,11 @@ from pmasafety.logic import (
     IndexVar,
     Lit,
     RelAtom,
+    TypingError,
     lit_eq,
 )
-from pmasafety.model import ModelError
+from pmasafety.engine import breach
+from pmasafety.model import ModelError, validate_pmas
 from pmasafety.models import fixture_text
 
 
@@ -103,8 +106,58 @@ def test_unknown_semantics_rejected(cannon):
     assert issubclass(EncodingError, ModelError)
 
 
+def test_invalid_model_rejected(cannon):
+    """`encode` rejects, with `validate_pmas`'s diagnostics, a model that
+    never went through the parser: here `gotoA` sets `loc` to a `Flag`."""
+    att = cannon.templates[0]
+    goto = replace(att.actions[0], eff=(("loc", "yes"),))
+    bad = replace(cannon, templates=(replace(att, actions=(goto, *att.actions[1:])),))
+    assert validate_pmas(bad)
+    for semantics in ("interleaved", "concurrent"):
+        with pytest.raises(ModelError, match="loc := yes ill-sorted") as ei:
+            encode(bad, semantics)
+        assert ei.value.diagnostics == validate_pmas(bad)
+
+
+WELL_SORTED = ["cannon", "trains", "two-robot"] + [f"corpus{k}" for k in range(16)]
+
+
+@pytest.mark.parametrize("semantics", ["interleaved", "concurrent"])
+@pytest.mark.parametrize("name", WELL_SORTED)
+def test_every_literal_is_well_sorted(name, semantics):
+    """Nothing below `encode` checks sorts, so every literal of the encoding
+    and of every cube the search derives must be well-sorted against the
+    encoding's signature.  Concurrent two-robot stops at depth 1 here, as its
+    full run takes seconds; the `slow` test checks that run."""
+    abp = encode(named_model(name), semantics)
+    check_encoding_types(abp)
+    v = breach(abp, max_depth=1 if (name, semantics) == ("two-robot", "concurrent") else 200)
+    assert v.layers
+    for frontier in v.layers:
+        for c in frontier.cubes:
+            check_lit_types(c.lits, abp.sig)
+
+
+def test_sort_check_catches_ill_sorted_encodings(abp):
+    """The check above fails on an update, a case value or a goal literal of
+    the wrong sort."""
+    declare = next(r for r in abp.rules if r.arrays_upd and r.globals_upd)
+    g, _c = declare.globals_upd[0]
+    a, u = declare.arrays_upd[0]
+    j = IndexVar("j", "Att_id")
+    broken = [
+        replace(declare, globals_upd=((g, Const("yes")),)),
+        replace(declare, arrays_upd=((a, replace(u, body=Const("yes"))),)),
+        replace(declare, guard=(lit_eq(ArrayRead("loc", j), Const("yes")),)),
+    ]
+    for rule in broken:
+        with pytest.raises(TypingError):
+            check_encoding_types(replace(abp, rules=(rule,)))
+    check_encoding_types(replace(abp, rules=(declare,)))
+
+
 def test_goal_single_variable(cannon, abp):
-    g = encode_goal(cannon, abp.sig)
+    g = encode_goal(cannon)
     assert len(g.cubes) == 1
     (c,) = g.cubes
     assert len(c.exists) == 1
@@ -114,7 +167,7 @@ def test_goal_single_variable(cannon, abp):
 def test_goal_differentiation_splits_equality_cases(cannon, abp):
     # without an explicit j1 != j2 the two variables may or may not coincide
     p2 = replace(cannon, goal=parse_formula("loc[j1] = target and loc[j2] = target"))
-    g = encode_goal(p2, abp.sig)
+    g = encode_goal(p2)
     arities = sorted(len(c.exists) for c in g.cubes)
     assert arities == [1, 2]
 
@@ -124,7 +177,7 @@ def test_goal_distinctness_drops_merged_branch(cannon, abp):
         cannon,
         goal=parse_formula("loc[j1] = target and loc[j2] = target and j1 != j2"),
     )
-    g = encode_goal(p2, abp.sig)
+    g = encode_goal(p2)
     assert [len(c.exists) for c in g.cubes] == [2]
     # the differentiated cube carries no explicit index disequality
     for c in g.cubes:
@@ -137,15 +190,14 @@ def test_goal_distinctness_drops_merged_branch(cannon, abp):
             )
 
 
-def test_differentiate_filters_unsat_branches(abp):
-    sig = abp.sig
+def test_differentiate_filters_unsat_branches():
     j1, j2 = IndexVar("j1", "Att_id"), IndexVar("j2", "Att_id")
     # loc[j1]=A and loc[j2]=B: merging j1=j2 is contradictory, so one cube
     lits = (
         lit_eq(ArrayRead("loc", j1), Const("A")),
         lit_eq(ArrayRead("loc", j2), Const("B")),
     )
-    cubes = differentiate(lits, sig)
+    cubes = differentiate(lits)
     assert len(cubes) == 1
     assert len(cubes[0].exists) == 2
 

@@ -24,6 +24,7 @@ from helpers import (
     brute_clauses_sat,
     brute_entailed,
     brute_sat_cube,
+    check_lit_types,
     constants_clash,
     random_clause_problem,
     random_entailment,
@@ -73,7 +74,6 @@ from pmasafety.logic import (
     RelAtom,
     StateFormula,
     BudgetError,
-    TypingError,
     _lit_shape,
     ground_lits_sat,
     lit_eq,
@@ -373,6 +373,13 @@ class TestEntailedBy(object):
                 assert entailed_by(make_cube([z], [fix]), region_of([make_cube([w], [need])]))
 
 
+def _entailed_by_at_cap(cube: Cube, region: Region, cap: int) -> bool:
+    """`entailed_by` with `cap` in place of `engine.CLAUSE_CAP`."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "CLAUSE_CAP", cap)
+        return entailed_by(cube, region)
+
+
 class TestEntailedByReference:
     """`entailed_by` builds only the open clauses; `reference_entailed_by`
     builds every clause, as the engine did before.  They must agree."""
@@ -383,11 +390,11 @@ class TestEntailedByReference:
         # slack 0: the instance count equals the cap; 1: it is one above it
         cube, region = random_entailment(seed)
         if slack is None:
-            cap = 2000
+            cap = engine.CLAUSE_CAP
         else:
             total = sum(math.perm(len(cube.exists), len(b.exists)) for b in region)
             cap = total - slack
-        got = entailed_by(cube, region_of(region), cap)
+        got = _entailed_by_at_cap(cube, region_of(region), cap)
         assert got == reference_entailed_by(cube, region, cap)
 
     def test_refuted_instance_proves_entailment(self):
@@ -399,14 +406,14 @@ class TestEntailedByReference:
             make_cube([w], [lit_eq(ArrayRead("f", w), p), lit_eq(g1, q)]),  # all false
         ]
         for cap, want in ((2, True), (1, False)):  # count equal to the cap, one above
-            assert entailed_by(cube, region_of(region), cap) is want
+            assert _entailed_by_at_cap(cube, region_of(region), cap) is want
             assert reference_entailed_by(cube, region, cap) is want
 
     def test_inconsistent_cube_is_entailed(self):
         g1 = GlobalRef("g1")
         cube = make_cube([], [lit_eq(g1, Const("p")), lit_eq(g1, Const("q"))])
         assert entailed_by(cube, Region()) and reference_entailed_by(cube, [])
-        assert entailed_by(cube, region_of([cube]), 0)
+        assert _entailed_by_at_cap(cube, region_of([cube]), 0)
 
     def test_agrees_with_reference_on_every_call_of_a_run(self, spied_run):
         assert spied_run.entailed
@@ -437,9 +444,9 @@ class TestEntailedByGroup:
                 region.add(c)
                 for q in queries:
                     total = sum(math.perm(len(q.exists), len(b.exists)) for b in cubes[:k])
-                    cap = 2000 if slack is None else total - slack
+                    cap = engine.CLAUSE_CAP if slack is None else total - slack
                     searched.clear()
-                    got = entailed_by(q, region, cap)
+                    got = _entailed_by_at_cap(q, region, cap)
                     assert got == reference_entailed_by(q, cubes[:k], cap)
                     want = reference_open_clauses(q, cubes[:k], cap)
                     assert searched in ([], [want]) if want else searched == []
@@ -568,7 +575,7 @@ class TestClausesSat:
 
 class TestInitSat:
     def test_goal_not_initial(self, abp, cannon):
-        (goal_cube,) = encode_goal(cannon, abp.sig).cubes
+        (goal_cube,) = encode_goal(cannon).cubes
         assert not init_sat(abp, goal_cube)
 
     def test_initial_location_is_initial(self, abp):
@@ -645,14 +652,14 @@ class TestJoinedCells:
     @pytest.mark.parametrize("k", range(len(_JOINED)))
     def test_differentiate(self, k):
         lits = (*_JOINED[k], Lit(True, Eq(_Z1, _Z2)) if k % 2 else lit_eq(_H1, _H2))
-        got = differentiate(lits, CUBE_SIG)
+        got = differentiate(lits)
 
         def brute(ls):
             return brute_sat_cube(make_cube((), ls), CUBE_SIG)
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(encoder, "ground_lits_sat", brute)
-            assert got == differentiate(lits, CUBE_SIG)
+            assert got == differentiate(lits)
 
     @pytest.mark.parametrize("k", range(len(_JOINED)))
     def test_init_sat(self, k):
@@ -721,7 +728,7 @@ class TestPreimageExactness:
             for _ in range(6):
                 rule = rng.choice([r for r in abp.rules if not r.gates])
                 phi = random_state_formula(rng, abp)
-                pre = [c for cu in phi.cubes for c in preimage(rule, cu, abp.sig, Region())]
+                pre = [c for cu in phi.cubes for c in preimage(rule, cu, Region())]
                 for st in states:
                     sym = any(ca.cube_sat(c, st) for c in pre)
                     conc = any(
@@ -749,9 +756,9 @@ def _breach_with_spies(monkeypatch, abp):
         skipped.extend((rule, cube) for k, rule in enumerate(table.rules) if mask >> k & 1)
         return mask
 
-    def pre_spy(rule, cube, sig, region, *args):
-        built.append(pre(rule, cube, sig, Region(), *args))
-        return pre(rule, cube, sig, region, *args)
+    def pre_spy(rule, cube, region, *args):
+        built.append(pre(rule, cube, Region(), *args))
+        return pre(rule, cube, region, *args)
 
     with monkeypatch.context() as m:
         m.setattr(engine._ClashTable, "ruled_out", clash_spy)
@@ -775,12 +782,12 @@ def _spied_breach(abp) -> SimpleNamespace:
     pre, canon, ent = engine.preimage, engine.canon_cube, engine.entailed_by
     current = [Region()]  # the region of the preimage call in progress
 
-    def pre_spy(rule, cube, sig, region, *args):
+    def pre_spy(rule, cube, region, *args):
         rec.canonical_input.append(canon(cube) == cube)
-        full = pre(rule, cube, sig, Region(), *args)
-        rec.as_reference.append(full == reference_preimage(rule, cube, sig, Region(), *args))
+        full = pre(rule, cube, Region(), *args)
+        rec.as_reference.append(full == reference_preimage(rule, cube, Region(), *args))
         current[0] = region
-        out = pre(rule, cube, sig, region, *args)
+        out = pre(rule, cube, region, *args)
         current[0] = Region()
         rec.pruned_exactly.append(out == [c for c in full if not region.covers(c)])
         return out
@@ -819,7 +826,7 @@ def spied_run(request) -> SimpleNamespace:
     return _spied_breach(encode(p, semantics or "interleaved"))
 
 
-# `preimage(rule, cube, sig, Region())` over every rule and every frontier
+# `preimage(rule, cube, Region())` over every rule and every frontier
 # cube of the interleaved verdict, hashed; recorded before coverage was
 # checked inside `preimage`, when it returned every cube it found
 _EMPTY_REGION_PREIMAGE_DIGESTS = {"cannon": "f3e343a1a798f9fc", "trains": "5c6214f3af20170c"}
@@ -830,7 +837,7 @@ class TestPreimageRegion:
     def test_empty_region_keeps_every_cube(self, name):
         abp = encode(parse_pmas(fixture_text(name), name), "interleaved")
         outs = [
-            repr(preimage(rule, c, abp.sig, Region()))
+            repr(preimage(rule, c, Region()))
             for fr in breach(abp).layers for c in fr.cubes for rule in abp.rules
         ]
         digest = hashlib.sha256("\n".join(outs).encode()).hexdigest()[:16]
@@ -856,17 +863,9 @@ class TestCoverageInDifferentiate:
     def test_same_cubes_as_filtering_afterwards(self, seed):
         lits, distinct, cubes = random_split_input(seed)
         region = region_of(cubes)
-        full = differentiate(lits, CUBE_SIG, distinct=distinct)
-        got = differentiate(lits, CUBE_SIG, distinct=distinct, covered=region.covers)
+        full = differentiate(lits, distinct=distinct)
+        got = differentiate(lits, distinct=distinct, covered=region.covers)
         assert got == [c for c in full if not region.covers(c)]
-
-    def test_covered_ill_typed_cube_still_raises(self):
-        z = IndexVar("z1", "I")
-        lits = (lit_eq(ArrayRead("f", z), Const("u")),)  # f holds S1, u is of S2
-        everything = region_of([make_cube([], [])])
-        assert everything.covers(make_cube([z], lits))
-        with pytest.raises(TypingError):
-            differentiate(lits, CUBE_SIG, covered=everything.covers)
 
 
 class TestCompiledPreimage:
@@ -881,8 +880,8 @@ class TestCompiledPreimage:
     @example(17445)  # the cube holds f[z1]=f[z1], which the rule leaves untouched
     def test_matches_reference_on_random_rules(self, seed):
         rule, cube = random_rule_and_cube(seed)
-        assert preimage(rule, cube, CUBE_SIG, Region()) == reference_preimage(
-            rule, cube, CUBE_SIG, Region()
+        assert preimage(rule, cube, Region()) == reference_preimage(
+            rule, cube, Region()
         )
 
     @pytest.mark.parametrize("model, semantics", [
@@ -930,13 +929,13 @@ class TestPreimageSkip:
     def test_cube_covers_every_branch_it_skips(self, seed):
         rule, cube = random_rule_and_cube(seed)
         region = region_of([cube])
-        built, _ = _preimage_work(lambda: preimage(rule, cube, CUBE_SIG, Region()))
+        built, _ = _preimage_work(lambda: preimage(rule, cube, Region()))
         for lits in built:
             if set(cube.lits) <= set(lits):
-                branches = differentiate(lits, CUBE_SIG, distinct=set(cube.exists))
+                branches = differentiate(lits, distinct=set(cube.exists))
                 assert all(region.covers(c) for c in branches), lits
-        full = preimage(rule, cube, CUBE_SIG, Region())
-        assert preimage(rule, cube, CUBE_SIG, region) == [c for c in full if not region.covers(c)]
+        full = preimage(rule, cube, Region())
+        assert preimage(rule, cube, region) == [c for c in full if not region.covers(c)]
 
     def test_skips_exactly_the_conjunctions_holding_the_cube(self):
         # against the conjunctions built with no skip, since `preimage` now
@@ -944,10 +943,10 @@ class TestPreimageSkip:
         fired = early = 0
         for seed in range(200):
             rule, cube = random_rule_and_cube(seed)
-            built, split = _preimage_work(lambda: preimage(rule, cube, CUBE_SIG, Region()))
+            built, split = _preimage_work(lambda: preimage(rule, cube, Region()))
             assert split == built  # a region without the cube skips nothing
             some, kept = _preimage_work(
-                lambda: preimage(rule, cube, CUBE_SIG, region_of([cube])))
+                lambda: preimage(rule, cube, region_of([cube])))
             assert kept == [lits for lits in built if not set(cube.lits) <= set(lits)]
             fired += len(kept) < len(built)
             early += len(some) < len(built)
@@ -964,9 +963,9 @@ class TestPreimageSkip:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(engine, "preimage", spy)
             built, split = _preimage_work(lambda: breach(abp))
-        full, _ = _preimage_work(lambda: [preimage(r, c, abp.sig, Region()) for r, c in calls])
+        full, _ = _preimage_work(lambda: [preimage(r, c, Region()) for r, c in calls])
         _, kept = _preimage_work(
-            lambda: [preimage(r, c, abp.sig, region_of([c])) for r, c in calls])
+            lambda: [preimage(r, c, region_of([c])) for r, c in calls])
         assert (len(full), len(full) - len(kept)) == (216, 70)
         assert (len(built), split) == (170, kept)  # returning early builds 46 fewer
 
@@ -987,10 +986,10 @@ class TestPreimageSkip:
         rule = next(r for r in trains.rules if r.label == "gate_local")
         for cube in [canon_cube(c) for c in trains.goal.cubes]:
             held = region_of([cube])
-            assert _preimage_work(lambda: preimage(rule, cube, trains.sig, held)) == ([], [])
+            assert _preimage_work(lambda: preimage(rule, cube, held)) == ([], [])
             for cap, region in itertools.product((2, 3), (Region(), held)):
                 with pytest.raises(BudgetError, match=f"dnf exceeded {cap} cubes"):
-                    preimage(rule, cube, trains.sig, region, cap)
+                    preimage(rule, cube, region, cap)
 
 
 def _clash_cases():
@@ -1012,7 +1011,7 @@ class TestConstantsClash:
         abp = encode(p, semantics)
         skipped, _ = _breach_with_spies(monkeypatch, abp)
         for rule, cube in skipped:
-            assert preimage(rule, cube, abp.sig, Region()) == [], (rule.label, cube)
+            assert preimage(rule, cube, Region()) == [], (rule.label, cube)
 
     def test_skips_every_empty_preimage_of_cannon(self, abp, monkeypatch):
         skipped, built = _breach_with_spies(monkeypatch, abp)
@@ -1053,7 +1052,7 @@ class TestConstantsClash:
     def test_clash_implies_empty_preimage_on_random_rules(self, seed):
         rule, cube = random_rule_and_cube(seed)
         if constants_clash(rule, cube):
-            assert preimage(rule, cube, CUBE_SIG, Region()) == []
+            assert preimage(rule, cube, Region()) == []
 
     def test_guard_and_bulk_reset_tables(self):
         g, f, z = GlobalRef("g1"), "f", IndexVar("z", "I")
@@ -1126,8 +1125,12 @@ def test_two_robot_concurrent_verdict():
 
     p = parse_pmas(fixture_text("cannon"), "cannon")
     p2 = replace(p, goal=parse_formula("loc[j1] = target and loc[j2] = target and j1 != j2"))
-    v = breach(encode(p2, "concurrent"))
+    abp = encode(p2, "concurrent")
+    v = breach(abp)
     assert (v.status, v.depth, v.total_cubes) == (UNSAFE, 14, 6887)
+    for frontier in v.layers:  # nothing in the search checks sorts
+        for c in frontier.cubes:
+            check_lit_types(c.lits, abp.sig)
     assert v.run_template == [frozenset({a}) for a in ("pulseA", "gotoB", "pulseA", "goTargetB")]
     for att, want in ((1, INVALID), (2, VALID), (3, VALID)):
         cfg = ConcreteConfig((("Att", att),), RelInterpretation(), "concurrent")

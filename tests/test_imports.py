@@ -61,15 +61,15 @@ def test_names_read_detected():
 
 
 def test_no_code_only_tests_call():
-    """Every top-level function and class of a package module is read by name
-    in the package, the benchmark or the demos."""
+    """Every top-level function and class of a package module, subpackages
+    included, is read by name in the package, the benchmark or the demos."""
     root = PACKAGE.parent.parent
     read: set[str] = set()
     for path in [*PACKAGE.rglob("*.py"), *root.glob("perfbench/*.py"), *root.glob("demos/*.py")]:
         read |= names_read(path.read_text())
     unread = [
-        f"{path.stem}.{node.name}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        f"{path.relative_to(PACKAGE)}:{node.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
         for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
     ]

@@ -18,8 +18,10 @@ from helpers import (
     _ZS,
     _rand_lit,
     brute_sat_cube,
+    check_lit_types,
     random_clause_problem,
     random_ground_cube,
+    term_sort,
     unabsorbed_dnf,
 )
 from pmasafety import logic
@@ -46,7 +48,6 @@ from pmasafety.logic import (
     SortDecl,
     TRUE,
     TypingError,
-    check_lit_types,
     cube_vars_of_lits,
     dnf,
     expand_cases_lit,
@@ -59,7 +60,6 @@ from pmasafety.logic import (
     make_cube,
     set_partitions,
     simplify_lits,
-    term_sort,
 )
 
 SIG = Signature(
@@ -77,8 +77,8 @@ def cube(*lits):
 
 
 class TestEufSatCube:
-    """EUF satisfiability of ground cubes (`ground_lits_sat`) and their typing
-    (`check_lit_types`)."""
+    """EUF satisfiability of ground cubes (`ground_lits_sat`) and the tests'
+    typing check (`helpers.check_lit_types`)."""
 
     def test_identity_is_sat(self):
         assert ground_lits_sat(cube(lit_eq(X, A), lit_eq(X, A)).lits)

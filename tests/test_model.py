@@ -164,7 +164,6 @@ def _outcome(fn, *args):
 def test_compiled_evaluation_matches_reference(name):
     p = named_model(name)
     rng = random.Random(name)
-    templates = [None] + [t.name for t in p.all_templates()]
     seen = collections.Counter()
     for _ in range(150):
         f = random_agent_formula(rng, p)
@@ -173,27 +172,25 @@ def test_compiled_evaluation_matches_reference(name):
             interp = random_interpretation(rng, p)
             ids = agent_ids(snap)
             self_id = rng.choice(ids) if ids and rng.random() < 0.6 else None
-            self_template = rng.choice(templates)
-            want = _outcome(reference_eval_agent_formula, p, snap, interp, f, self_id, self_template)
-            got = _outcome(eval_agent_formula, p, snap, interp, f, self_id, self_template)
-            assert got == want, (f, snap, interp, self_id, self_template)
+            want = _outcome(reference_eval_agent_formula, p, snap, interp, f, self_id)
+            got = _outcome(eval_agent_formula, p, snap, interp, f, self_id)
+            assert got == want, (f, snap, interp, self_id)
             seen[want] += 1
-    # both truth values, both evaluation-time failures and inference failures
+    # both truth values, evaluation-time failures and inference failures
     errors = [w for w in seen if isinstance(w, str)]
-    late = [e for e in errors if "self unbound" in e or "no agents" in e]
+    late = [e for e in errors if "no agents" in e]
     assert seen[True] and seen[False], seen
-    assert any("self unbound" in e for e in late) and any("no agents" in e for e in late), seen
-    assert len(errors) > len(late), seen
+    assert late and len(errors) > len(late), seen
 
 
 def test_failed_compilation_raises_on_every_call(cannon):
     p = replace(cannon)
     snap = initial_snapshot(p, {"Att": 1})
     bad = parse_formula("loc[self] = target")  # `self` of the environment's template
-    for f, st in [(bad, "Cannon"), (parse_formula("nope[j] = target"), None)]:
+    for f, self_id in [(bad, ("Cannon", 0)), (parse_formula("nope[j] = target"), None)]:
         for _ in range(2):
             with pytest.raises(ModelError):
-                eval_agent_formula(p, snap, RelInterpretation(), f, self_template=st)
+                eval_agent_formula(p, snap, RelInterpretation(), f, self_id)
     assert p.compiled_formulas() == {}
 
 

@@ -103,16 +103,22 @@ def test_depth_bound_respected(cannon):
     assert enumerate_reachable(cannon, cfg).status == SILENT
 
 
-def test_environment_precondition_has_no_self():
-    # unvalidated, so only the oracle's own evaluation can reject it
-    src = fixture_text("cannon").replace(
-        "action pulseA : local {\n    pre: true;",
-        "action pulseA : local {\n    pre: pulse_loc[self] = nil;",
-    )
-    p = parse_pmas(src, "bad", validate=False)
+def test_environment_precondition_has_no_self(cannon):
+    # built past validation, so only the oracle's own evaluation can reject it
+    pulse = replace(cannon.env.actions[0], pre=parse_formula("pulse_loc[self] = nil"))
+    p = replace(cannon, env=replace(cannon.env, actions=(pulse, *cannon.env.actions[1:])))
     cfg = ConcreteConfig((("Att", 1),), RelInterpretation(), "interleaved")
     with pytest.raises(ModelError, match="self not allowed here"):
         enumerate_reachable(p, cfg)
+
+
+def test_unknown_semantics_rejected_even_at_a_goal_start(cannon):
+    # the initial snapshot meets this goal, so the search would end before a step
+    at_start = replace(cannon, goal=parse_formula("loc[j] = init"))
+    cfg = ConcreteConfig((("Att", 1),), RelInterpretation(), "interleaved")
+    assert enumerate_reachable(at_start, cfg).status == REACHED
+    with pytest.raises(ValueError, match="unknown semantics"):
+        enumerate_reachable(at_start, replace(cfg, semantics="parallel"))
 
 
 def test_concurrent_enumeration_runs(cannon):
@@ -283,7 +289,7 @@ def test_goal_is_decided_once_per_part_it_reads(cannon, monkeypatch):
     tables = StepTables(cannon, cfg.interp, cfg.semantics)
     res = enumerate_reachable(cannon, cfg, tables)
     assert res.status == REACHED
-    assert goals == len(tables.goals) + 1 < res.states_seen
+    assert goals == len(tables.goals) < res.states_seen  # the start's evaluation included
 
 
 class TestReplay:
