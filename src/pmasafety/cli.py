@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import Optional, Sequence, TextIO
 
 from .dsl import parse_formula, parse_pmas
-from .encoder import EncodingError, encode
+from .encoder import encode
 from .engine import (
     DEFAULT_MAX_CUBES,
     DEFAULT_MAX_DEPTH,
@@ -28,8 +28,8 @@ from .engine import (
     check_locality,
     extract_run_template,
 )
-from .mcmt import McmtError, emit_mcmt, explain_witness, parse_mcmt_witness
-from .model import Diagnostic, ModelError, Pmas, RelInterpretation, goal_errors
+from .mcmt import emit_mcmt, explain_witness, parse_mcmt_witness
+from .model import NOP, PHASE_SORT, Diagnostic, ModelError, Pmas, RelInterpretation, goal_errors
 from .oracle import (
     ConcreteConfig,
     OVERFLOW,
@@ -196,7 +196,7 @@ def _cmd_encode(args) -> int:
     _kv("model", p.name)
     _kv("semantics", args.semantics)
     _kv("rules", len(abp.rules))
-    _kv("phases", " ".join(abp.sig.sorts["Phase"].constants))
+    _kv("phases", " ".join(abp.sig.sorts[PHASE_SORT].constants))
     _kv("globals", " ".join(abp.sig.globals))
     _kv("arrays", " ".join(abp.sig.arrays))
     _kv("goal-cubes", len(abp.goal.cubes))
@@ -231,7 +231,7 @@ def _cmd_oracle(args) -> int:
         _kv("depth", res.depth)
         assert res.run is not None
         for k, vec in enumerate(res.run, start=1):
-            _kv(f"step-{k}", ",".join(sorted(vec.label())) or "nop")
+            _kv(f"step-{k}", ",".join(sorted(vec.label())) or NOP)
         return EXIT_UNSAFE
     return EXIT_UNKNOWN if res.status == OVERFLOW else EXIT_SAFE
 
@@ -241,14 +241,14 @@ def _cmd_explain_witness(args) -> int:
     abp = encode(p, args.semantics)
     tokens = parse_mcmt_witness(args.witness)
     steps = explain_witness(tokens, abp.rules)
-    _kv("model", p.name)
-    _kv("tokens", len(tokens))
-    for k, st in enumerate(steps, start=1):
-        _kv(f"step-{k}", st.rule_label)
     try:
         tmpl = extract_run_template(steps)
     except RuntimeError as e:
         raise InputError(f"witness is not a complete run: {e}") from e
+    _kv("model", p.name)
+    _kv("tokens", len(tokens))
+    for k, st in enumerate(steps, start=1):
+        _kv(f"step-{k}", st.rule_label)
     _kv("run-template", " ".join("[" + ",".join(sorted(s)) + "]" for s in tmpl))
     return EXIT_SAFE
 
@@ -356,7 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_non_negative(args)
         return args.fn(args)
-    except (ModelError, EncodingError, McmtError) as e:
+    except ModelError as e:
         for d in e.diagnostics:
             print(f"error:{d.line}:{d.col}: {d.message}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -48,7 +48,6 @@ from .model import (
     RelTest,
     VarRef,
     VarTest,
-    formula_has_disjunction,
     validate_pmas,
 )
 
@@ -345,7 +344,6 @@ class _Parser:
         self.expect("{")
         self.expect("pre")
         self.expect(":")
-        pre_tok = self.peek()
         pre: AgentFormula = BoolConst(True) if self.peek().text == ";" else self.formula()
         self.expect(";")
         eff: list[tuple[str, str]] = []
@@ -364,8 +362,6 @@ class _Parser:
                     continue
                 break
         self.expect("}")
-        if formula_has_disjunction(pre):
-            self.fail("precondition contains a disjunction (or / not over non-atom)", pre_tok)
         return ActionDecl(name, kind_tok.text, pre, tuple(eff), initiator)
 
     def alternate_decl(self) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -52,6 +52,23 @@ from .logic import (
     set_partitions,
 )
 from .model import (
+    ACTION_SORT,
+    ENV_ACT,
+    INDIVIDUAL,
+    NOP,
+    P0,
+    PHASE_SORT,
+    PHASE_VAR,
+    PHASES,
+    PL,
+    PL2,
+    PS,
+    PS2,
+    SELF,
+    SYNC,
+    TURN_CONSTS,
+    TURN_SORT,
+    TURN_VAR,
     ActionDecl,
     AgentFormula,
     AgentTemplate,
@@ -60,40 +77,19 @@ from .model import (
     ConstRef,
     Disj,
     IdxEq,
-    INDIVIDUAL,
     ModelError,
-    NOP,
     Neg,
     Pmas,
     RelTest,
-    SELF,
-    SYNC,
     VarTest,
+    act_array,
+    index_sort,
     infer_formula_var_templates,
     validate_pmas,
 )
 
 INTERLEAVED = "interleaved"
 CONCURRENT = "concurrent"
-
-PHASE_VAR = "phase"
-ENV_ACT = "env_act"
-TURN_VAR = "turn"
-
-P0, PL, PS, PL2, PS2 = "P0", "PL", "PS", "PL2", "PS2"
-TURN_CONSTS = ("turn0", "turn1")
-
-ACTION_SORT = "Act"
-PHASE_SORT = "Phase"
-TURN_SORT = "Turn"
-
-
-def index_sort(t: AgentTemplate) -> str:
-    return f"{t.name}_id"
-
-
-def act_array(t: AgentTemplate) -> str:
-    return f"act_{t.name}"
 
 
 @dataclass(frozen=True)
@@ -216,7 +212,7 @@ def build_signature(p: Pmas, semantics: str) -> Signature:
             if a.name not in action_names:
                 action_names.append(a.name)
     sorts.append(SortDecl(ACTION_SORT, ACTION, tuple(action_names)))
-    phases = (P0, PL, PS) if semantics == INTERLEAVED else (P0, PL, PS, PL2, PS2)
+    phases = (P0, PL, PS) if semantics == INTERLEAVED else PHASES
     sorts.append(SortDecl(PHASE_SORT, PHASE, phases))
     if p.alternation is not None:
         sorts.append(SortDecl(TURN_SORT, ELEMENT, TURN_CONSTS))

@@ -47,6 +47,7 @@ from .encoder import (
     TransitionRule,
     differentiate,
 )
+from .model import NOP
 
 SAFE = "SAFE"
 UNSAFE = "UNSAFE"
@@ -831,7 +832,7 @@ def extract_run_template(trace: list[TraceStep]) -> list[frozenset[str]]:
             if st.action is not None and st.action not in current:
                 current.append(st.action)
         elif st.kind in ("bulk_local", "sync_commit"):
-            if st.kind == "bulk_local" and st.action not in (None, "nop") and st.action not in current:
+            if st.kind == "bulk_local" and st.action not in (None, NOP) and st.action not in current:
                 current.append(st.action)
             if not current:
                 raise RuntimeError("commit rule without any declared action in trace")

@@ -25,10 +25,6 @@ class LogicError(Exception):
     pass
 
 
-class TypingError(LogicError):
-    """A term or formula is not well-sorted against the signature."""
-
-
 class BudgetError(LogicError):
     """A normalisation or search budget was exceeded."""
 
@@ -49,14 +45,6 @@ class SortDecl:
     kind: str  # index | element | action | phase
     constants: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (INDEX, ELEMENT, ACTION, PHASE):
-            raise TypingError(f"unknown sort kind {self.kind!r}")
-        if self.kind == INDEX and self.constants:
-            raise TypingError(f"index sort {self.name} cannot declare constants")
-        if self.kind != INDEX and not self.constants:
-            raise TypingError(f"enumerated sort {self.name} needs at least one constant")
-
 
 @dataclass(frozen=True)
 class RelDecl:
@@ -65,7 +53,9 @@ class RelDecl:
 
 
 class Signature:
-    """Sorts, relations, global variables and arrays of one transition system."""
+    """Sorts, relations, global variables and arrays of one transition
+    system, each by name.  It checks nothing: `encode` builds it from a model
+    `model.validate_pmas` accepted."""
 
     def __init__(
         self,
@@ -74,44 +64,10 @@ class Signature:
         globals_: Optional[dict[str, str]] = None,
         arrays: Optional[dict[str, tuple[str, str]]] = None,
     ) -> None:
-        self.sorts: dict[str, SortDecl] = {}
-        self.relations: dict[str, RelDecl] = {}
+        self.sorts: dict[str, SortDecl] = {s.name: s for s in sorts}
+        self.relations: dict[str, RelDecl] = {r.name: r for r in relations}
         self.globals: dict[str, str] = dict(globals_ or {})
         self.arrays: dict[str, tuple[str, str]] = dict(arrays or {})
-        self.const_sort: dict[str, str] = {}
-        for s in sorts:
-            self.add_sort(s)
-        for r in relations:
-            self.add_relation(r)
-        self._check_refs()
-
-    def add_sort(self, s: SortDecl) -> None:
-        if s.name in self.sorts:
-            raise TypingError(f"duplicate sort {s.name}")
-        for c in s.constants:
-            if c in self.const_sort:
-                raise TypingError(f"constant {c} declared in two sorts")
-            self.const_sort[c] = s.name
-        self.sorts[s.name] = s
-
-    def add_relation(self, r: RelDecl) -> None:
-        if r.name in self.relations:
-            raise TypingError(f"duplicate relation {r.name}")
-        self.relations[r.name] = r
-
-    def _check_refs(self) -> None:
-        for g, s in self.globals.items():
-            if s not in self.sorts:
-                raise TypingError(f"global {g} has unknown sort {s}")
-        for a, (isort, esort) in self.arrays.items():
-            if isort not in self.sorts or self.sorts[isort].kind != INDEX:
-                raise TypingError(f"array {a} needs an index sort, got {isort}")
-            if esort not in self.sorts:
-                raise TypingError(f"array {a} has unknown element sort {esort}")
-        for r in self.relations.values():
-            for s in r.arg_sorts:
-                if s not in self.sorts:
-                    raise TypingError(f"relation {r.name} has unknown sort {s}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +229,14 @@ class Lit(_Hashed):
 
     The rendering is injective on well-sorted literals, which is what lets
     `Cube.key` and `engine.subsumes` compare renderings in place of
-    literals: a name is never both a global and a constant (model
-    validation), and the one thing the rendering drops, the sort of an array
-    read's index, is the array's index sort: `encode` accepts only a valid
-    model, and every literal the search derives comes from its rules and goal
-    by renamings within sorts and case expansion into values of the same
-    sort."""
+    literals: each name of the encoded system means one thing, since
+    `model.validate_pmas` rejects a model that declares a name the encoding
+    adds or uses one name as both a variable and a constant (action names,
+    the constants of the action sort, included); and the one thing the
+    rendering drops, the sort of an array read's index, is the array's index
+    sort: `encode` accepts only a valid model, and every literal the search
+    derives comes from its rules and goal by renamings within sorts and case
+    expansion into values of the same sort."""
 
     __slots__ = ("neg", "atom", "_repr", "_shape", "_vars")
     neg: bool

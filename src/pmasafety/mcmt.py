@@ -33,13 +33,8 @@ from .logic import (
     lit_subst,
     term_subst,
 )
-from .model import Diagnostic, ModelError, NOP
-from .encoder import (
-    AbPmas,
-    INTERLEAVED,
-    TransitionRule,
-    index_sort,
-)
+from .model import Diagnostic, ModelError, NOP, index_sort
+from .encoder import AbPmas, INTERLEAVED, TransitionRule
 from .engine import TraceStep
 
 # the MCMT listing style spells the idle action with this name

@@ -121,8 +121,6 @@ LOCAL = "local"
 SYNC = "sync"
 INDIVIDUAL = "individual"
 
-NOP = "nop"
-
 
 @dataclass(frozen=True)
 class ActionDecl:
@@ -268,12 +266,21 @@ class Pmas:
 # ---------------------------------------------------------------------------
 # validation
 
+# The names the encoding adds to the model's, which `encoder` reads from here
+# and `validate_pmas` keeps the model from reusing.
+PHASE_VAR, ENV_ACT, TURN_VAR = "phase", "env_act", "turn"
+NOP = "nop"
+PHASES = P0, PL, PS, PL2, PS2 = "P0", "PL", "PS", "PL2", "PS2"
+TURN_CONSTS = ("turn0", "turn1")
+ACTION_SORT, PHASE_SORT, TURN_SORT = "Act", "Phase", "Turn"
 
-_RESERVED = {
-    NOP, "phase", "env_act", "turn", SELF, ENV, "true", "false",
-    # encoding-internal constants
-    "P0", "PL", "PS", "PL2", "PS2", "turn0", "turn1",
-}
+
+def index_sort(t: AgentTemplate) -> str:
+    return f"{t.name}_id"
+
+
+def act_array(t: AgentTemplate) -> str:
+    return f"act_{t.name}"
 
 
 def validate_pmas(p: Pmas, at: Optional[dict] = None) -> list[Diagnostic]:
@@ -282,24 +289,33 @@ def validate_pmas(p: Pmas, at: Optional[dict] = None) -> list[Diagnostic]:
     synchronisation's at the first action of its name): "goal", "alternate",
     ("sort", k) and ("sort", k, j) for the k-th sort and its j-th constant,
     ("relation", k), a template's name, (its name, k) for its k-th action and
-    (its name, k, j) for that action's j-th effect."""
+    (its name, k, j) for that action's j-th effect.  The names the encoding
+    adds count as declared, the action names as the constants of
+    `ACTION_SORT`: one name must not denote two things in the encoding."""
     out: list[Diagnostic] = []
     at = at or {}
 
     def err(msg: str, where: object = None) -> None:
         out.append(Diagnostic(*at.get(where, (0, 0)), msg))
 
+    reserved = {
+        SELF, ENV, "true", "false",  # the formula language's own words
+        PHASE_VAR, ENV_ACT, TURN_VAR, NOP, *PHASES, *TURN_CONSTS, *map(act_array, p.templates),
+    }
+    encoded_sorts = {ACTION_SORT, PHASE_SORT, TURN_SORT, *map(index_sort, p.templates)}
     consts: dict[str, str] = {}
     sorts: set[str] = set()
     for k, s in enumerate(p.sorts):
         if s.name in sorts:
             err(f"duplicate sort {s.name}", ("sort", k))
+        if s.name in encoded_sorts:
+            err(f"sort name {s.name} is reserved", ("sort", k))
         sorts.add(s.name)
         for j, c in enumerate(s.constants):
             if c in consts:
                 err(f"constant {c} declared in sorts {consts[c]} and {s.name}", ("sort", k, j))
             consts[c] = s.name
-            if c in _RESERVED:
+            if c in reserved:
                 err(f"constant name {c} is reserved", ("sort", k, j))
     for k, r in enumerate(p.relations):
         if any(q.name == r.name for q in p.relations[:k]):
@@ -316,7 +332,7 @@ def validate_pmas(p: Pmas, at: Optional[dict] = None) -> list[Diagnostic]:
             err(f"template {t.name} declares no actions", t.name)
         seen_v: set[str] = set()
         for v, sort, init in t.variables:
-            if v in _RESERVED:
+            if v in reserved:
                 err(f"variable name {v} is reserved", t.name)
             if v in seen_v:
                 err(f"template {t.name}: duplicate variable {v}", t.name)
@@ -326,8 +342,10 @@ def validate_pmas(p: Pmas, at: Optional[dict] = None) -> list[Diagnostic]:
         seen_a: set[str] = set()
         for k, a in enumerate(t.actions):
             where = (t.name, k)
-            if a.name in _RESERVED:
+            if a.name in reserved:
                 err(f"action name {a.name} is reserved", where)
+            elif consts.setdefault(a.name, ACTION_SORT) != ACTION_SORT:
+                err(f"constant {a.name} declared in sorts {consts[a.name]} and {ACTION_SORT}", where)
             if a.name in seen_a:
                 err(f"template {t.name}: duplicate action {a.name}", where)
             seen_a.add(a.name)

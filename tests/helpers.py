@@ -52,7 +52,6 @@ from pmasafety.logic import (
     SortDecl,
     StateFormula,
     TRUE,
-    TypingError,
     cube_vars_of_lits,
     dnf,
     expand_cases,
@@ -173,12 +172,17 @@ def brute_sat_cube(cube: Cube, sig: Signature, fresh: int = 2) -> bool:
 # library never checks sorts; these check that claim.
 
 
+class TypingError(Exception):
+    """A term or formula is not well-sorted against the signature."""
+
+
 def term_sort(t, sig: Signature) -> str:
     """The sort of a term under `sig`; a case term's is its first value's."""
     if isinstance(t, Const):
-        if t.name not in sig.const_sort:
-            raise TypingError(f"unknown constant {t.name}")
-        return sig.const_sort[t.name]
+        for s in sig.sorts.values():
+            if t.name in s.constants:
+                return s.name
+        raise TypingError(f"unknown constant {t.name}")
     if isinstance(t, GlobalRef):
         if t.name not in sig.globals:
             raise TypingError(f"unknown global {t.name}")

@@ -25,7 +25,7 @@ from helpers import (
 )
 from pmasafety.corpus import generate_corpus, generate_model
 from pmasafety.dsl import parse_pmas
-from pmasafety.encoder import encode, index_sort
+from pmasafety.encoder import encode
 from pmasafety.engine import (
     SAFE,
     UNSAFE,
@@ -46,7 +46,7 @@ from pmasafety.logic import (
     make_cube,
 )
 from pmasafety.mcmt import emit_mcmt, parse_mcmt_witness
-from pmasafety.model import RelInterpretation
+from pmasafety.model import RelInterpretation, index_sort
 from pmasafety.models import fixture_text
 from pmasafety.oracle import (
     ConcreteConfig,

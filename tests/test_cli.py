@@ -14,6 +14,9 @@ import pytest
 from pmasafety import cli, oracle
 from pmasafety.cli import main
 from pmasafety.corpus import generate_model_text
+from pmasafety.dsl import parse_pmas
+from pmasafety.encoder import encode
+from pmasafety.model import Pmas
 from pmasafety.oracle import ConcreteConfig
 from pmasafety.models import fixture_text
 
@@ -174,6 +177,17 @@ def test_models_action_and_template_diagnostics_are_positioned(tmp_path, capsys)
         "error:13:1: duplicate relation Snow",
     ]),
     ("relation Snow(Loc, Loc)", "relation Snow(Loc, Lock)", ["error:12:1: relation Snow: unknown sort Lock"]),
+    *(
+        ("sort Flag { no, yes }", f"sort Flag {{ no, yes }}\nsort {s} {{ go }}", [f"error:11:1: sort name {s} is reserved"])
+        for s in ("Act", "Phase", "Turn", "Att_id")
+    ),
+    ("  var destroyed: Flag = no", "  var destroyed: Flag = no\n  var act_Att: Flag = no", [
+        "error:14:1: variable name act_Att is reserved",
+    ]),
+    ("action pulseA", "action yes", ["error:44:3: constant yes declared in sorts Flag and Act"]),
+    ("pre: loc[self] = A and destroyed[self] = no;", "pre: loc[self] = A or destroyed[self] = no;", [
+        "error:33:3: action Att.blastA: precondition contains a disjunction",
+    ]),
 ])
 def test_models_declaration_diagnostics_are_positioned(tmp_path, capsys, old, new, want):
     src = fixture_text("cannon")
@@ -183,6 +197,64 @@ def test_models_declaration_diagnostics_are_positioned(tmp_path, capsys, old, ne
     assert main(["check", str(path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert set(want) <= set(err), err
+
+
+def test_variable_named_like_an_action_array_is_rejected(tmp_path, capsys):
+    """With cannon's `destroyed` renamed `act_Att`, one name denoted both the
+    robots' flag and their action array: `check` answered SAFE while
+    `cross-check` found the oracle reaching the goal."""
+    path = tmp_path / "act_array.pmas"
+    path.write_text(fixture_text("cannon").replace("destroyed", "act_Att"))
+    for argv in (
+        ["check", str(path)],
+        ["check", str(path), "--semantics", "concurrent"],
+        ["cross-check", str(path), "--max-count", "2"],
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:14:1: variable name act_Att is reserved\n"
+
+
+def _declaring(text: str, p: Pmas, role: str, name: str) -> str:
+    """`text`, the source of `p`, with `name` declared as a sort, a constant
+    of its first sort, a variable of its environment (a "global") or a
+    variable of its first agent template (an "array")."""
+    first = p.sorts[0]
+    sort = re.search(rf"^sort {first.name} {{[^}}]*", text, re.M)
+    if role == "sort":
+        return f"{text[:sort.start()]}sort {name} {{ fresh }}\n{text[sort.start():]}"
+    if role == "constant":
+        return f"{text[:sort.end()]}, {name} {text[sort.end():]}"
+    t = p.env if role == "global" else p.templates[0]
+    head = re.search(rf"^template {t.name}\b.*\n", text, re.M)
+    return f"{text[:head.end()]}  var {name}: {first.name} = {first.constants[0]}\n{text[head.end():]}"
+
+
+@pytest.mark.parametrize("semantics", ["interleaved", "concurrent"])
+@pytest.mark.parametrize("name", ["cannon", "trains"])
+def test_models_declaring_a_name_the_encoding_adds_are_rejected(tmp_path, capsys, name, semantics):
+    """Every sort, global, array and constant the encoding adds to a model,
+    declared by the model in the same role, is an input error at a position:
+    validation knows every name the encoding adds."""
+    text = fixture_text(name)
+    p = parse_pmas(text)
+    sig = encode(p, semantics).sig
+    added = {
+        "sort": set(sig.sorts) - {s.name for s in p.sorts},
+        "constant": {c for s in sig.sorts.values() for c in s.constants} - {c for s in p.sorts for c in s.constants},
+        "global": set(sig.globals) - set(p.env.var_names()),
+        "array": set(sig.arrays) - {v for t in p.templates for v in t.var_names()},
+    }
+    assert all(added.values())
+    for role, names in added.items():
+        for n in sorted(names):
+            path = tmp_path / f"{role}_{n}.pmas"
+            path.write_text(_declaring(text, p, role, n))
+            assert main(["check", str(path), "--semantics", semantics]) == 3, (role, n)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.fullmatch(r"(error:[1-9][0-9]*:[0-9]+: [^\n]*\n)+", captured.err), (role, n, captured.err)
 
 
 @pytest.mark.parametrize("cut, want", [
@@ -441,7 +513,9 @@ def test_explain_witness_unknown_transition_is_positioned(cannon_path, capsys):
 def test_explain_witness_truncated_run(cannon_path, capsys):
     # a lone declare step never commits: not a complete run
     assert main(["explain-witness", cannon_path, "[t1]"]) == 3
-    assert "complete run" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "complete run" in captured.err
+    assert captured.out == ""
 
 
 def test_cross_check_agreement(cannon_path, capsys):

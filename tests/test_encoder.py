@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import check_encoding_types, check_lit_types, named_model
+from helpers import TypingError, check_encoding_types, check_lit_types, named_model
 from pmasafety.dsl import parse_formula, parse_pmas
 from pmasafety.encoder import (
     EncodingError,
@@ -24,7 +24,6 @@ from pmasafety.logic import (
     IndexVar,
     Lit,
     RelAtom,
-    TypingError,
     lit_eq,
 )
 from pmasafety.engine import breach

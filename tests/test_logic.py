@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     CUBE_SIG,
     CongruenceClosure,
+    TypingError,
     _ZS,
     _rand_lit,
     brute_sat_cube,
@@ -47,7 +48,6 @@ from pmasafety.logic import (
     Signature,
     SortDecl,
     TRUE,
-    TypingError,
     cube_vars_of_lits,
     dnf,
     expand_cases_lit,
