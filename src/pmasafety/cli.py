@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
              "under permutations of interchangeable agents")
     sp = sub.add_parser("oracle", help=about, description=about)
     _add_common(sp)
-    sp.add_argument("--counts", help="agent counts, e.g. Att=2 (default 2 each)")
+    sp.add_argument("--counts", help="agent counts, e.g. Att=2; a template it does not "
+                    "name gets 0 (without --counts: 2 each)")
     sp.add_argument("--interp", help="relation interpretation file, one R(c1,...) per line")
     sp.add_argument("--max-depth", type=int, default=15)
     sp.set_defaults(fn=_cmd_oracle)

@@ -56,6 +56,7 @@ UNKNOWN = "UNKNOWN"
 DEFAULT_MAX_DEPTH = 200
 DEFAULT_MAX_CUBES = 100000
 CLAUSE_CAP = 2000  # instantiations `entailed_by` tries before it gives up
+NODE_CAP = 20000  # readings `entailed_by` searches before it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +358,17 @@ class Region:
     (`subsumes`) only on candidates whose mask lies within its own and that
     are no longer than it.  `cubes` holds the cubes in insertion order.
 
-    For `entailed_by`, `tables` files the position of each cube under its
-    group: its variable count per sort and its negated index-free literals;
+    For `entailed_by`, `tables` files the position of each cube in `groups`
+    by its variable count per sort, and within its group under its needs
+    mask: the bits (`fix_bits`) of the keys (`_fix_key`) of the terms the
+    cube fixes.  No instance of the cube holds on the generic model of a
+    reading that fixes no term of some such key, so `entailed_by` finds the
+    cubes worth reading by their masks, without testing each cube.
     `counts` keeps how many instances each group has per queried cube size.
-    It keeps per cube its instances' negated literals built so far, each
-    literal interned: equal ones are one object, found by identity.
-    `needs` keeps per cube the bits (`fix_bits`) of the keys (`_fix_key`) of
-    the terms it fixes, which `entailed_by` reads.  The tables are built on
-    the first `tables` call after the cube is added, so a region only
-    `covers` reads never builds them.
+    `instances` keeps per cube its instances' negated literals built so far,
+    each literal interned: equal ones are one object, found by identity.
+    The tables are built on the first `tables` call after the cube is added,
+    so a region only `covers` reads never builds them.
 
     `holds` answers in O(1) whether the region holds a given cube itself,
     which lets `preimage` skip the conjunctions that cube subsumes; the skip
@@ -375,12 +378,11 @@ class Region:
 
     def __init__(self) -> None:
         self.cubes: list[Cube] = []
-        # (sizes, refuted_by) -> positions in `cubes`, ascending
-        self.groups: dict[tuple[tuple[tuple[str, int], ...], tuple[Lit, ...]], list[int]] = {}
+        # sizes -> needs mask -> positions in `cubes`, ascending
+        self.groups: dict[tuple[tuple[str, int], ...], dict[int, list[int]]] = {}
         self.instances: list[dict[tuple[IndexVar, ...], list[Lit]]] = []
         self._lits: dict[Lit, Lit] = {}
         self._counts: dict[tuple[tuple[str, int], ...], list[int]] = {}  # see `counts`
-        self.needs: list[int] = []  # per cube: bits of its fixed terms' keys
         self.fix_bits: dict[tuple, int] = {}  # `_fix_key` -> its bit
         self._buckets: dict = {}  # shape (None: no literals) -> filed cubes
         self._bit: dict = {}  # shape -> its bit
@@ -392,15 +394,11 @@ class Region:
         """Build the entailment tables of the cubes added since the last call."""
         for cube in self.cubes[len(self.instances):]:
             sizes = tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items())
-            # literals without its variables: in every instance
-            free = [l for l in cube.lits if not any(v in cube.exists for v in l.index_vars())]
-            refuted_by = tuple(self.intern(l.negate()) for l in free)
-            self.groups.setdefault((sizes, refuted_by), []).append(len(self.instances))
-            self.instances.append({})
             bits, need = self.fix_bits, 0
             for t, d in GroundReading(cube.lits).val.items():
                 need |= bits.setdefault(_fix_key(t, d), 1 << len(bits))
-            self.needs.append(need)
+            self.groups.setdefault(sizes, {}).setdefault(need, []).append(len(self.instances))
+            self.instances.append({})
 
     def counts(self, cube: Cube) -> list[int]:
         """Per group, in `groups` order: the number of injective
@@ -409,7 +407,7 @@ class Region:
         so the list is kept per variable count and extended as groups come."""
         have = {s: len(vs) for s, vs in cube.vars_by_sort().items()}
         out = self._counts.setdefault(tuple(sorted(have.items())), [])
-        for sizes, _ in itertools.islice(self.groups, len(out), None):
+        for sizes in itertools.islice(self.groups, len(out), None):
             out.append(math.prod(math.perm(have.get(s, 0), k) for s, k in sizes))
         return out
 
@@ -448,153 +446,13 @@ class Region:
         return False
 
 
-def _clauses_sat(
-    base: Sequence[Lit],
-    todo: Sequence[Sequence[Lit]],
-    node_cap: int = 20000,
-) -> bool:
-    """Satisfiability of the satisfiable ground literals `base` /\\ CNF
-    clauses, by a search over readings that propagates units (Davis,
-    Logemann & Loveland, CACM 1962).
-
-    `entailed_by` passes only open clauses, none of whose literals the
-    reading of `base` decides, but any clauses are answered correctly.
-    Before each decision the reading is extended by the one literal not
-    false of every clause that has exactly one, and a clause all of whose
-    literals are false backtracks.  A decision tries in turn the literals
-    of the first clause no literal satisfies yet; each node's reading
-    extends its parent's (`GroundReading.extended`).  After an extension
-    only the clauses it can change are read again: those sharing a subject
-    with the literal (`GroundReading.subjects`), or every clause after a
-    positive equality or once the reading has joined a class.  The search
-    keeps its own stack, so the number of clauses is not bounded by
-    Python's recursion limit.  Every extension, propagated or decided,
-    counts against `node_cap`; past it the search gives up and answers
-    "satisfiable", which callers treat as "entailment not proven" — always
-    sound.
-    """
-    if not todo:
-        return True
-    n = len(todo)
-    watch: dict = {}  # subject -> positions of the clauses with a literal of it
-    for i, clause in enumerate(todo):
-        for d in clause:
-            for s in GroundReading.subjects(d):
-                watch.setdefault(s, {})[i] = None
-    lits = list(base)
-    done = bytearray(n)  # 1 where some literal of the clause is true
-    trail: list[int] = []  # the positions set in `done`, in order
-    queue = list(range(n - 1, -1, -1))  # clauses to read again, the first last
-    queued = bytearray(b"\1" * n)
-    budget = node_cap
-
-    def extend(reading: GroundReading, d: Lit) -> Optional[GroundReading]:
-        """`reading` extended by `d`, which goes on `lits`, with the clauses
-        it can change queued; None when they are unsatisfiable."""
-        out = reading.extended(lits, d)
-        if out is None:
-            return None
-        lits.append(d)
-        if out.root or type(d.atom) is Eq and not d.neg:
-            touched = range(n)
-        else:
-            touched = [i for s in GroundReading.subjects(d) for i in watch[s]]
-        for i in touched:
-            if not done[i] and not queued[i]:
-                queued[i] = 1
-                queue.append(i)
-        return out
-
-    def settle(reading: Optional[GroundReading]) -> Optional[GroundReading]:
-        """Read the queued clauses again and extend `reading` by their units
-        until none is left; None when a clause is all false.  Stops early
-        when the budget is spent."""
-        nonlocal budget
-        while queue and reading is not None:
-            i = queue.pop()
-            queued[i] = 0
-            if done[i]:
-                continue
-            values = [reading.value(d) for d in todo[i]]
-            if True not in values:
-                undecided = values.count(None)
-                if not undecided:
-                    reading = None  # all false: backtrack
-                    break
-                if undecided > 1:
-                    continue
-                budget -= 1
-                if budget <= 0:
-                    break
-                reading = extend(reading, todo[i][values.index(None)])
-                if reading is None:
-                    break
-            done[i] = 1
-            trail.append(i)
-        for i in queue:
-            queued[i] = 0
-        queue.clear()
-        return reading
-
-    def first_open(k: int) -> int:
-        while k < n and done[k]:
-            k += 1
-        return k
-
-    reading = settle(GroundReading(lits))
-    if budget <= 0:
-        return True  # give up: report satisfiable
-    if reading is None:
-        return False
-    k = first_open(0)
-    if k == n:
-        return True
-    # one frame per decision: clause, next literal to try, reading before it,
-    # and how long `lits` and `trail` were then
-    stack = [[k, 0, reading, len(lits), len(trail)]]
-    while stack:
-        frame = stack[-1]
-        k, j, reading, nlits, ntrail = frame
-        del lits[nlits:]
-        for i in trail[ntrail:]:
-            done[i] = 0
-        del trail[ntrail:]
-        if j == len(todo[k]):
-            stack.pop()
-            continue
-        frame[1] = j + 1
-        budget -= 1
-        if budget <= 0:
-            return True
-        child = settle(extend(reading, todo[k][j]))
-        if budget <= 0:
-            return True
-        if child is None:
-            continue
-        k = first_open(k + 1)
-        if k == n:
-            return True
-        stack.append([k, 0, child, len(lits), len(trail)])
-    return False
-
-
-class _Values(dict):
-    """Literal -> its value on the cube's reading, each computed once."""
-
-    def __init__(self, reading: GroundReading) -> None:
-        self.reading = reading
-
-    def __missing__(self, d: Lit) -> Optional[bool]:
-        v = self[d] = self.reading.value(d)
-        return v
-
-
-def _open_clauses(region: Region, i: int, cvars_by_sort, values: _Values):
+def _open_clauses(region: Region, i: int, cvars_by_sort, reading: GroundReading) -> list:
     """For each injective instance of region cube `i` by the cube's
     variables (`cvars_by_sort`) whose clause (its negated literals, built
     into `region` as needed) no literal makes true: the clause's undecided
     literals, none when all are false."""
     b, built = region.cubes[i], region.instances[i]
+    out = []
     for combo in itertools.product(*(cvars_by_sort[v.sort] for v in b.exists)):
         if len(set(combo)) != len(combo):
             continue  # non-injective: differentiation clause vacuous
@@ -603,13 +461,14 @@ def _open_clauses(region: Region, i: int, cvars_by_sort, values: _Values):
         for k, l in enumerate(b.lits):
             if k == len(negs):
                 negs.append(region.intern(lit_subst(l, dict(zip(b.exists, combo))).negate()))
-            v = values[negs[k]]
+            v = reading.value(negs[k])
             if v:
                 break
             if v is None:
                 undecided.append(negs[k])
         else:
-            yield undecided
+            out.append(undecided)
+    return out
 
 
 def entailed_by(cube: Cube, region: Region) -> bool:
@@ -619,61 +478,69 @@ def entailed_by(cube: Cube, region: Region) -> bool:
     cube is satisfiable together with the negation of every instance iff
     it is not entailed.
 
-    Best-effort beyond `CLAUSE_CAP` instantiations in all: answers False (not
-    entailed), which is always sound — the cube is merely kept.  Below it,
-    the cube is read (`GroundReading`), instance literals are built lazily
-    into `region` and evaluated once per call on the reading; a clause stops
-    at its first true literal, an all-false one proves entailment, and only
-    open clauses, deduplicated, reach the search over readings, which
-    propagates units (`_clauses_sat`).
+    It is one depth-first search over readings (`GroundReading`) with two
+    budgets, `CLAUSE_CAP` instantiations in all, checked before the search,
+    and `NODE_CAP` readings searched; past either it answers False (not
+    entailed), which is always sound — the cube is merely kept.
 
-    The cube's generic model M comes first: a class of terms the cube gives
-    no value has a fresh value, an atom it does not assert is false.  So an
-    instance holds in M only if the cube fixes a term of each key in its
-    cube's `Region.needs`, and only such cubes are walked.  One refuted
-    outright proves entailment; if every open clause holds a negative
-    literal, M satisfies them all and the search would find so.  Otherwise
-    the full walk runs."""
+    The root is the cube's reading, and a child extends its parent's by one
+    literal (`GroundReading.extended`).  A reading's generic model M gives
+    each class of terms without a value a fresh value and makes each atom
+    it does not assert false.  An instance holds in M only if the reading
+    fixes a term of each key in its cube's needs mask (`Region`), so a node
+    walks only those cubes, in region order, reading their instance clauses
+    (negated literals, built into `region` as needed) on its reading.  An
+    all-false clause backtracks.  If every open clause holds a negative
+    literal, M satisfies them all: not entailed.  Otherwise M falsifies the
+    first open clause without one, every model of the reading that
+    satisfies the clauses makes one of its literals true, and the search
+    branches on each.  A cube all of whose instance clauses hold on a
+    node's reading holds on its descendants', which skip it.  The search
+    keeps its own stack, so its depth is not bounded by Python's recursion
+    limit."""
     reading = GroundReading(cube.lits)
     if not reading.sat:
         return True
     region.tables()
-    cvars_by_sort = cube.vars_by_sort()
     counts = region.counts(cube)
-    if sum(n * len(at) for n, at in zip(counts, region.groups.values())) > CLAUSE_CAP:
+    index = [
+        (n, need, at)
+        for n, by_need in zip(counts, region.groups.values()) if n
+        for need, at in by_need.items()
+    ]
+    if sum(n * len(at) for n, _, at in index) > CLAUSE_CAP:
         return False
-    values = _Values(reading)
-    fixed = 0
-    for t, d in reading.val.items():
-        fixed |= region.fix_bits.get(_fix_key(t, d), 0)
-    in_m = (
-        clause
-        for n, at in zip(counts, region.groups.values()) if n
-        for i in at if not region.needs[i] & ~fixed
-        for clause in _open_clauses(region, i, cvars_by_sort, values)
-    )
-    for clause in in_m:
-        if not clause:
-            return True
-        if not any(d.neg for d in clause):
-            break
-    else:
-        return False
-    # a group without a total instantiation, or whose every instance some
-    # index-free literal refutes, imposes nothing; the rest go in region order
-    live = sorted(
-        i
-        for n, ((_, refuted_by), at) in zip(counts, region.groups.items())
-        if n and not any(values[d] for d in refuted_by)
-        for i in at
-    )
-    open_: dict[tuple[Lit, ...], None] = {}
-    for i in live:
-        for clause in _open_clauses(region, i, cvars_by_sort, values):
-            if not clause:
-                return True
-            open_[tuple(clause)] = None
-    return not _clauses_sat(cube.lits, list(open_))
+    cvars_by_sort = cube.vars_by_sort()
+    # a node: its reading, the literals it reads, the region cubes whose
+    # instance clauses all hold on it
+    stack = [(reading, cube.lits, frozenset())]
+    for _ in range(NODE_CAP):
+        if not stack:
+            return True  # every branch has an all-false clause
+        reading, lits, settled = stack.pop()
+        fixed = 0
+        for t, d in reading.val.items():
+            fixed |= region.fix_bits.get(_fix_key(t, d), 0)
+        true_here = []
+        for i in sorted(i for _, need, at in index if not need & ~fixed for i in at):
+            if i in settled:
+                continue
+            clauses = _open_clauses(region, i, cvars_by_sort, reading)
+            # M falsifies a clause without a negative literal; an all-false
+            # one has no literal to branch on
+            clause = next((c for c in clauses if not any(d.neg for d in c)), None)
+            if clause is not None:
+                break
+            if not clauses:
+                true_here.append(i)
+        else:
+            return False  # M satisfies every instance clause
+        settled = settled.union(true_here)
+        for d in reversed(clause):  # tried in clause order
+            child = reading.extended(lits, d)
+            if child is not None:
+                stack.append((child, (*lits, d), settled))
+    return not stack  # past `NODE_CAP` unless the search is done
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +608,10 @@ def breach(
     a constant literal the rule rules out is skipped; which rules those are
     is looked up per literal in a table the run fills once per literal
     (`_ClashTable`), not tested pair by pair.  The region, the clash table
-    and the canonical literals live in the run and go with it."""
+    and the canonical literals live in the run and go with it.
+
+    `max_cubes` bounds the cubes of all layers so far, the goal's included:
+    a layer that passes it ends the run UNKNOWN before it is checked."""
     region = Region()
     clashes = _ClashTable(abp.rules)
     frontier: list[_Node] = []
@@ -768,6 +638,9 @@ def breach(
         return v
 
     while True:
+        if total > max_cubes:
+            return Verdict(UNKNOWN, depth=depth, layers=layers, total_cubes=total,
+                           reason="cube budget exhausted")
         layers.append(Frontier(depth, [n.cube for n in frontier]))
         for n in frontier:
             if init_sat(abp, n.cube):
@@ -805,9 +678,6 @@ def breach(
             return Verdict(UNKNOWN, depth=depth, layers=layers, total_cubes=total,
                            reason=str(be))
         total += len(nxt)
-        if total > max_cubes:
-            return Verdict(UNKNOWN, depth=depth, layers=layers, total_cubes=total,
-                           reason="cube budget exhausted")
         frontier = list(nxt.values())
         if not frontier:
             return Verdict(SAFE, depth=depth, layers=layers, total_cubes=total,

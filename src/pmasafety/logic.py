@@ -6,11 +6,15 @@ atoms.  Index variables inside one cube are *differentiated*: distinct variables
 of the same index sort denote distinct indexes, so no explicit disequalities are
 stored.  Every ground conjunction is decided by reading it through its
 constants (`GroundReading`), joining the classes of two globals or array
-reads that a positive equality equates; a search extends a reading literal
-by literal.  The exists/forall fragment is decided only by
-`engine.entailed_by`, which instantiates the universals over the existential
-prefix literal by literal, settles every clause the cube's reading already
-decides, and searches over readings on the open ones alone.
+reads that a positive equality equates.  The exists/forall fragment is
+decided only by `engine.entailed_by`, which instantiates the universals over
+the existential prefix literal by literal and searches depth first over
+readings, each extending its parent's by one literal: a node reads only the
+instances that can hold on its reading's generic model, backtracks on an
+all-false clause, stops (not entailed) when the generic model satisfies
+every clause, and branches on the literals of the first clause it
+falsifies.  The search has two budgets, the instantiations in all and the
+readings searched; past either it answers "not entailed".
 """
 
 from __future__ import annotations
@@ -1001,20 +1005,6 @@ class GroundReading:
         if isinstance(x, _FIXED) and isinstance(y, _FIXED) or (x, y) in self.apart:
             return l.neg
         return None
-
-    @staticmethod
-    def subjects(l: Lit) -> tuple:
-        """What the literal speaks of: the globals and array reads of an
-        equality, the relation of a relation atom.  Where a reading has no
-        joined class (`root` empty), extending it by a disequality or a
-        relation literal (`extended`) changes the value of no literal that
-        shares no subject with it: a disequality only sets apart its two
-        sides' values, at least one of them a side itself, and a relation
-        literal only signs one atom of its relation."""
-        a = l.atom
-        if type(a) is Eq:
-            return tuple(t for t in (a.lhs, a.rhs) if not isinstance(t, _FIXED))
-        return (a.rel,)
 
     def extended(self, lits: Sequence[Lit], l: Lit) -> Optional[GroundReading]:
         """The reading of `lits` and `l`, where this is the satisfiable

@@ -5,10 +5,9 @@ satisfiability is decided by exhaustive enumeration over small finite
 universes, and transition rules are executed on fully concrete states.  The
 exceptions are the library's earlier procedures (`CongruenceClosure`,
 `reference_canon_cube`, `reference_entailed_by`,
-`reference_enumerate_reachable`, `reference_open_clauses`,
-`reference_preimage`, `reference_replay_run_template`,
-`reference_step_vectors`, `reference_subsumes`,
-`unabsorbed_dnf`), kept so that the current ones can be compared with them
+`reference_enumerate_reachable`, `reference_preimage`,
+`reference_replay_run_template`, `reference_step_vectors`,
+`reference_subsumes`, `unabsorbed_dnf`), kept so that the current ones can be compared with them
 call by call.
 """
 
@@ -1203,50 +1202,6 @@ def reference_entailed_by(cube: Cube, region: Iterable[Cube], clause_cap: int = 
             sub = dict(zip(b.exists, combo))
             clauses.append([lit_subst(l, sub).negate() for l in b.lits])
     return not _reference_clauses_sat(cc, clauses)
-
-
-def reference_open_clauses(
-    cube: Cube, region: Sequence[Cube], clause_cap: int = 2000
-) -> Optional[list[tuple[Lit, ...]]]:
-    """The open clauses `engine.entailed_by` hands its search, found by one
-    scan over the region cubes in order: a cube with no total instantiation
-    or with a refuted index-free literal is skipped, each instance clause
-    stops at its first true literal, and the rest, deduplicated, are listed
-    in order.  None when no search is needed: the cube is inconsistent, the
-    instances pass `clause_cap`, or some instance clause is all false."""
-    cc = CongruenceClosure()
-    if not cc.assert_lits(cube.lits):
-        return None
-    cvars_by_sort = cube.vars_by_sort()
-    counts = [
-        math.prod(
-            math.perm(len(cvars_by_sort.get(s, ())), len(vs)) for s, vs in b.vars_by_sort().items()
-        )
-        for b in region
-    ]
-    if sum(counts) > clause_cap:
-        return None
-    open_: dict[tuple[Lit, ...], None] = {}
-    for b, count in zip(region, counts):
-        if not count or any(cc.value(l) is False for l in b.lits if not cube_vars_of_lits((l,))):
-            continue
-        for combo in itertools.product(*(cvars_by_sort[v.sort] for v in b.exists)):
-            if len(set(combo)) != len(combo):
-                continue
-            sub = dict(zip(b.exists, combo))
-            undecided = []
-            for l in b.lits:
-                d = lit_subst(l, sub).negate()
-                v = cc.value(d)
-                if v:
-                    break
-                if v is None:
-                    undecided.append(d)
-            else:
-                if not undecided:
-                    return None
-                open_[tuple(undecided)] = None
-    return list(open_)
 
 
 # ---------------------------------------------------------------------------

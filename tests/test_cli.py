@@ -479,6 +479,16 @@ def test_oracle_huge_count_overflows_without_allocating(cannon_path, capsys, mon
     assert (out["status"], out["states"], out["examined"]) == ("OVERFLOW", "0", "0")
 
 
+def test_oracle_counts_give_an_unnamed_template_zero(trains_path, capsys):
+    assert main(["oracle", trains_path, "--counts", "PTrain=1"]) == 0
+    assert _kv_lines(capsys.readouterr().out)["counts"] == "PTrain=1,NTrain=0"
+    assert main(["oracle", trains_path]) == 0
+    assert _kv_lines(capsys.readouterr().out)["counts"] == "PTrain=2,NTrain=2"
+    assert main(["oracle", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "a template it does not name gets 0 (without --counts: 2 each)" in help_text
+
+
 def test_oracle_bad_counts(cannon_path, capsys):
     assert main(["oracle", cannon_path, "--counts", "Nope=2"]) == 3
     assert "unknown template" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -18,10 +19,8 @@ from helpers import (
     CongruenceClosure,
     ConcreteAb,
     _ZS,
-    _reference_clauses_sat,
     _rand_lit,
     all_relation_tuples,
-    brute_clauses_sat,
     brute_entailed,
     brute_sat_cube,
     check_lit_types,
@@ -36,7 +35,6 @@ from helpers import (
     random_unary_region,
     reference_canon_cube,
     reference_entailed_by,
-    reference_open_clauses,
     reference_preimage,
     reference_subsumes,
     region_of,
@@ -50,7 +48,6 @@ from pmasafety.engine import (
     UNKNOWN,
     UNSAFE,
     Region,
-    _clauses_sat,
     _lit_through,
     breach,
     canon_cube,
@@ -75,7 +72,6 @@ from pmasafety.logic import (
     StateFormula,
     BudgetError,
     _lit_shape,
-    ground_lits_sat,
     lit_eq,
     lit_subst,
     make_cube,
@@ -417,68 +413,44 @@ class TestEntailedByReference:
 
     def test_agrees_with_reference_on_every_call_of_a_run(self, spied_run):
         assert spied_run.entailed
-        for cube, cubes, got in spied_run.entailed:
+        for cube, cubes, got, _ in spied_run.entailed:
             assert got == reference_entailed_by(cube, cubes), cube
 
 
 class TestEntailedByGroup:
     """`Region.tables` files the cubes in groups that share their variable
-    counts and index-free literals, and `entailed_by` dismisses a group at
-    once; the rest must still be visited in region order."""
+    counts, each indexed by needs mask, as the region grows; `entailed_by`
+    must answer as a scan of every cube in region order does."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9), st.sampled_from([None, 0, 1]))
     def test_grown_region_agrees_with_an_ungrouped_scan(self, seed, slack):
         # slack 0: the instance count equals the cap; 1: it is one above it
         cubes, queries = random_grouped_region(seed)
-        searched: list[list[tuple[Lit, ...]]] = []
-
-        def spy(base, todo, *args):
-            searched.append([tuple(cl) for cl in todo])
-            return _clauses_sat(base, todo, *args)
-
         region = Region()
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(engine, "_clauses_sat", spy)
-            for k, c in enumerate(cubes, start=1):
-                region.add(c)
-                for q in queries:
-                    total = sum(math.perm(len(q.exists), len(b.exists)) for b in cubes[:k])
-                    cap = engine.CLAUSE_CAP if slack is None else total - slack
-                    searched.clear()
-                    got = _entailed_by_at_cap(q, region, cap)
-                    assert got == reference_entailed_by(q, cubes[:k], cap)
-                    want = reference_open_clauses(q, cubes[:k], cap)
-                    assert searched in ([], [want]) if want else searched == []
+        for k, c in enumerate(cubes, start=1):
+            region.add(c)
+            for q in queries:
+                total = sum(math.perm(len(q.exists), len(b.exists)) for b in cubes[:k])
+                cap = engine.CLAUSE_CAP if slack is None else total - slack
+                got = _entailed_by_at_cap(q, region, cap)
+                assert got == reference_entailed_by(q, cubes[:k], cap)
 
 
 def _entail_unary_region(seed: int) -> None:
     """Grow the `random_unary_region` region one cube at a time and check
-    every query's `entailed_by` answer and the clauses it searches against
-    the references."""
+    every query's `entailed_by` answer against the reference."""
     cubes, queries = random_unary_region(seed)
-    searched: list[list[tuple[Lit, ...]]] = []
-
-    def spy(base, todo, *args):
-        searched.append([tuple(cl) for cl in todo])
-        return _clauses_sat(base, todo, *args)
-
     region = Region()
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine, "_clauses_sat", spy)
-        for k, c in enumerate(cubes, start=1):
-            region.add(c)
-            for q in queries:
-                searched.clear()
-                assert entailed_by(q, region) == reference_entailed_by(q, cubes[:k])
-                want = reference_open_clauses(q, cubes[:k])
-                assert searched in ([], [want]) if want else searched == []
+    for k, c in enumerate(cubes, start=1):
+        region.add(c)
+        for q in queries:
+            assert entailed_by(q, region) == reference_entailed_by(q, cubes[:k])
 
 
 class TestEntailedByUnaryRegion:
     """On regions over two index sorts whose cubes mostly speak of one
-    variable per literal, the answer and the clauses `entailed_by` searches
-    are those of the references."""
+    variable per literal, the answer is the reference's."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**9))
@@ -486,23 +458,60 @@ class TestEntailedByUnaryRegion:
         _entail_unary_region(seed)
 
 
-class TestClausesSat:
-    def test_deep_search_is_iterative_and_fast(self):
-        # one unit per clause: propagation settles them one after another
-        clauses = [[Lit(True, RelAtom("R", (Const(f"c{k}"),)))] for k in range(1100)]
-        t0 = time.perf_counter()
-        assert _clauses_sat([], clauses)
-        assert time.perf_counter() - t0 < 1.0
+def _ground_entailment(base: list[Lit], clauses: list[list[Lit]]) -> tuple[Cube, list[Cube]]:
+    """The cube of `base` and a region of cubes without variables, one per
+    clause, whose one instance clause is that clause."""
+    return make_cube([], base), [make_cube([], [d.negate() for d in cl]) for cl in clauses]
 
-    def test_deep_decision_stack_is_iterative_and_fast(self, monkeypatch):
-        # two undecided literals per clause, no units: one decision per
-        # clause, so a recursive search would pass Python's recursion limit,
-        # and one that read every clause again per node would be quadratic
-        a, b = Const("a"), Const("b")
+
+def _branching_entailment(cover_q: bool) -> tuple[Cube, list[Cube]]:
+    """A cube over z and a region on whose instances the cube's generic
+    model is inconclusive: it falsifies the first cube's clause, f[z]=p or
+    f[z]=q, and satisfies the others'.  The second cube covers f[z]=p and,
+    with `cover_q`, the third covers f[z]=q, so the cube is entailed only
+    once both branches fail."""
+    z, w = IndexVar("z", "I"), IndexVar("w", "I")
+    fw, p, q = ArrayRead("f", w), Const("p"), Const("q")
+    cube = make_cube([z], [lit_eq(ArrayRead("h", z), Const("u"))])
+    region = [
+        make_cube([w], [lit_eq(fw, p, neg=True), lit_eq(fw, q, neg=True)]),
+        make_cube([w], [lit_eq(fw, p)]),
+    ]
+    if cover_q:
+        region.append(make_cube([w], [lit_eq(fw, q)]))
+    return cube, region
+
+
+def _entailed_by_at_node_cap(cube: Cube, region: Region, cap: int) -> bool:
+    """`entailed_by` with `cap` in place of `engine.NODE_CAP`."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "NODE_CAP", cap)
+        return entailed_by(cube, region)
+
+
+def _agree(cube: Cube, region: list[Cube], want: bool) -> None:
+    assert entailed_by(cube, region_of(region)) is want
+    assert reference_entailed_by(cube, region) is want
+    assert brute_entailed(cube, region, CUBE_SIG) is want
+
+
+class TestClausesSat:
+    """Whether the cube is satisfiable together with every instance clause:
+    where the cube's generic model settles nothing, `entailed_by` searches
+    depth first over readings."""
+
+    def _deep(self, monkeypatch, width: int) -> None:
+        # region cube k's one clause, R1(c<k>) or also R1(d<k>), is false on
+        # the generic model of every reading before it: one decision per
+        # cube, each one deeper, more than a recursive search could take
+        n = sys.getrecursionlimit() + 100
+        assert n <= engine.CLAUSE_CAP
         clauses = [
-            [lit_eq(GlobalRef(f"g{k}"), a, neg=True), lit_eq(GlobalRef(f"g{k}"), b, neg=True)]
-            for k in range(1100)
+            [Lit(False, RelAtom("R1", (Const(f"{c}{k}"),))) for c in "cd"[:width]]
+            for k in range(n)
         ]
+        cube, cubes = _ground_entailment([], clauses)
+        region = region_of(cubes)
         extended, calls = GroundReading.extended, []
 
         def counting(reading, lits, l):
@@ -511,66 +520,66 @@ class TestClausesSat:
 
         monkeypatch.setattr(GroundReading, "extended", counting)
         t0 = time.perf_counter()
-        assert _clauses_sat([], clauses)
+        assert not entailed_by(cube, region)
         assert time.perf_counter() - t0 < 1.0
-        assert calls == [cl[0] for cl in clauses]  # 1 100 decisions, each one deeper
+        assert calls == [d for cl in clauses for d in reversed(cl)]
 
-    def test_propagation_refutes_in_few_nodes(self):
-        # eight open clauses that do not matter, then two units that clash:
-        # propagation refutes the set at once, while a search that only
-        # decides tries the 2^8 ways through the first eight clauses
-        def rel(r, k):
-            return Lit(False, RelAtom(r, (Const(f"c{k}"),)))
+    def test_deep_search_is_iterative_and_fast(self, monkeypatch):
+        self._deep(monkeypatch, 1)  # one literal per clause: one child per node
 
-        g1 = GlobalRef("g1")
-        clauses = [[rel("R", k), rel("S", k)] for k in range(8)]
-        clauses += [[lit_eq(g1, Const("p"))], [lit_eq(g1, Const("q"))]]
-        assert not _clauses_sat([], clauses, node_cap=50)
-        assert _reference_clauses_sat(CongruenceClosure(), clauses, node_cap=50)  # gave up
-        assert not _reference_clauses_sat(CongruenceClosure(), clauses, node_cap=10**6)
-        assert not brute_clauses_sat([], clauses, CUBE_SIG)
+    def test_deep_decision_stack_is_iterative_and_fast(self, monkeypatch):
+        self._deep(monkeypatch, 2)  # two: the first literal is the one taken deeper
 
     def test_units_after_a_decision_are_propagated(self):
-        # either value of g1 forces g2 to both u and v: each decision is
-        # refuted by two propagated extensions, four extensions in all
+        # either value of g1 forces g2 to both u and v: a unit clause is a
+        # branch with one child, so five readings refute the region
         g1, g2, p, q = GlobalRef("g1"), GlobalRef("g2"), Const("p"), Const("q")
         clauses = [[lit_eq(g1, p), lit_eq(g1, q)]] + [
             [lit_eq(g1, c, neg=True), lit_eq(g2, d)] for c in (p, q) for d in (Const("u"), Const("v"))
         ]
-        assert not brute_clauses_sat([], clauses, CUBE_SIG)
-        assert not _clauses_sat([], clauses, node_cap=5)
-        assert _clauses_sat([], clauses, node_cap=4)  # gives up: "satisfiable"
-        assert _clauses_sat([], clauses[:-1]) and brute_clauses_sat([], clauses[:-1], CUBE_SIG)
+        cube, region = _ground_entailment([], clauses)
+        _agree(cube, region, True)
+        assert _entailed_by_at_node_cap(cube, region_of(region), 5)
+        assert not _entailed_by_at_node_cap(cube, region_of(region), 4)  # gives up
+        _agree(cube, region[:-1], False)
+
+    def test_past_the_node_cap_it_answers_not_entailed(self):
+        # three readings: the cube's and one per branch, each refuted
+        cube, region = _branching_entailment(True)
+        assert reference_entailed_by(cube, region)
+        assert _entailed_by_at_node_cap(cube, region_of(region), 3)
+        assert not _entailed_by_at_node_cap(cube, region_of(region), 2)
 
     def test_agrees_with_the_plain_search_on_every_call_of_a_run(self, spied_run):
-        # the answers of a search without propagation and without a node cap;
-        # each call stays far below the default cap of 20000 nodes
-        for base, todo, got in spied_run.searched:
-            cc = CongruenceClosure()
-            assert cc.assert_lits(base)
-            assert got == _reference_clauses_sat(cc, todo, node_cap=10**9), todo
-            assert _clauses_sat(base, todo, node_cap=50) == got, todo
+        # each call searches fewer than 50 readings, far below `NODE_CAP`
+        assert spied_run.entailed
+        for cube, _, got, capped in spied_run.entailed:
+            assert capped == got, cube
 
     def test_backtracking_retracts_the_failed_choice(self):
+        # not entailed: the branch f[z]=p fails, f[z]=q does not
+        _agree(*_branching_entailment(False), False)
         g1, p, q = GlobalRef("g1"), Const("p"), Const("q")
         clauses = [[lit_eq(g1, p), lit_eq(g1, q)], [lit_eq(g1, p, neg=True)]]
-        assert _clauses_sat([], clauses)
+        _agree(*_ground_entailment([], clauses), False)
 
     def test_every_clause_is_decided(self):
+        # entailed only once every branch fails
+        _agree(*_branching_entailment(True), True)
         g1, g2 = GlobalRef("g1"), GlobalRef("g2")
         clauses = [[lit_eq(g1, Const("p"))], [lit_eq(g2, Const("u"))], [lit_eq(g2, Const("v"))]]
-        assert not _clauses_sat([], clauses)
+        _agree(*_ground_entailment([], clauses), True)
 
     def test_falsified_clause_is_unsat(self):
         base = [lit_eq(GlobalRef("g1"), Const("p"))]
-        assert not _clauses_sat(base, [[lit_eq(GlobalRef("g1"), Const("q"))]])
+        _agree(*_ground_entailment(base, [[lit_eq(GlobalRef("g1"), Const("q"))]]), True)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10**9))
     def test_agrees_with_brute_force(self, seed):
-        base, clauses = random_clause_problem(seed)
-        got = ground_lits_sat(base) and _clauses_sat(base, clauses)
-        assert got == brute_clauses_sat(base, clauses, CUBE_SIG)
+        # up to four region cubes without variables, each with one instance
+        cube, region = _ground_entailment(*random_clause_problem(seed))
+        assert entailed_by(cube, region_of(region)) == brute_entailed(cube, region, CUBE_SIG)
 
 
 class TestInitSat:
@@ -704,6 +713,19 @@ class TestBreach:
         v = breach(abp, max_cubes=2)
         assert v.status == UNKNOWN
 
+    def test_cube_budget_counts_the_goal_layer(self, abp, monkeypatch):
+        # cannon's goal is one cube: a budget of none ends before any preimage
+        pre, calls = engine.preimage, []
+        monkeypatch.setattr(engine, "preimage", lambda *a: calls.append(a) or pre(*a))
+        v = breach(abp, max_cubes=0)
+        assert (v.status, v.depth, v.total_cubes, v.reason) == (
+            UNKNOWN, 0, 1, "cube budget exhausted"
+        )
+        assert v.layers == [] and calls == []
+        v = breach(abp, max_cubes=1)
+        assert (v.status, v.depth, v.reason) == (UNKNOWN, 1, "cube budget exhausted")
+        assert calls
+
     def test_deterministic(self, abp):
         v1, v2 = breach(abp), breach(abp)
         assert (v1.status, v1.depth, v1.total_cubes) == (v2.status, v2.depth, v2.total_cubes)
@@ -772,12 +794,11 @@ def _spied_breach(abp) -> SimpleNamespace:
     canonical, whether it returned the unpruned preimage less the cubes its
     region covers and whether the unpruned preimage is
     `reference_preimage`'s, for every `canon_cube` call
-    whether the region of the preimage it runs in covers its cube, every
-    `entailed_by` call as (cube, region cubes, answer) and every
-    `_clauses_sat` call as (base, clauses, answer)."""
+    whether the region of the preimage it runs in covers its cube and every
+    `entailed_by` call as (cube, region cubes, answer, answer within 50
+    readings)."""
     rec = SimpleNamespace(
         pruned_exactly=[], as_reference=[], canon_covered=[], entailed=[], canonical_input=[],
-        searched=[],
     )
     pre, canon, ent = engine.preimage, engine.canon_cube, engine.entailed_by
     current = [Region()]  # the region of the preimage call in progress
@@ -798,19 +819,14 @@ def _spied_breach(abp) -> SimpleNamespace:
 
     def ent_spy(cube, region, *args):
         out = ent(cube, region, *args)
-        rec.entailed.append((cube, list(region.cubes), out))
-        return out
-
-    def clauses_spy(base, todo, *args):
-        out = _clauses_sat(base, todo, *args)
-        rec.searched.append((list(base), [list(cl) for cl in todo], out))
+        capped = _entailed_by_at_node_cap(cube, region, 50)
+        rec.entailed.append((cube, list(region.cubes), out, capped))
         return out
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(engine, "preimage", pre_spy)
         m.setattr(engine, "canon_cube", canon_spy)
         m.setattr(engine, "entailed_by", ent_spy)
-        m.setattr(engine, "_clauses_sat", clauses_spy)
         breach(abp)
     return rec
 

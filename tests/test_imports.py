@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, every
-function and class it defines is used outside the tests, and every name the
-benchmark traces exists."""
+function, class and method it defines is used outside the tests, and every
+name the benchmark traces exists."""
 
 from __future__ import annotations
 
@@ -60,18 +60,42 @@ def test_names_read_detected():
     assert names_read(source) == {"f", "m", "h"}
 
 
+def defined_names(source: str) -> list[str]:
+    """The top-level functions and classes of `source`, and the methods of
+    its classes other than dunder methods, the latter as `Class.method`."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            out += [
+                f"{node.name}.{m.name}"
+                for m in node.body
+                if isinstance(m, ast.FunctionDef)
+                and not (m.name.startswith("__") and m.name.endswith("__"))
+            ]
+    return out
+
+
+def test_defined_names_detected():
+    source = "def f(): pass\nclass C:\n    def __init__(self): pass\n    def g(self): pass\n"
+    assert defined_names(source) == ["f", "C", "C.g"]
+
+
 def test_no_code_only_tests_call():
     """Every top-level function and class of a package module, subpackages
-    included, is read by name in the package, the benchmark or the demos."""
+    included, and every method of its classes but the dunder ones, is read
+    by name in the package, the benchmark or the demos."""
     root = PACKAGE.parent.parent
     read: set[str] = set()
     for path in [*PACKAGE.rglob("*.py"), *root.glob("perfbench/*.py"), *root.glob("demos/*.py")]:
         read |= names_read(path.read_text())
     unread = [
-        f"{path.relative_to(PACKAGE)}:{node.name}"
+        f"{path.relative_to(PACKAGE)}:{name}"
         for path in sorted(PACKAGE.rglob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+        for name in defined_names(path.read_text())
+        if name.rpartition(".")[2] not in read
     ]
     assert unread == []
 

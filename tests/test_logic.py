@@ -316,22 +316,6 @@ class TestGroundReading:
             for q in lits + more:
                 assert reading.value(q) == fresh.value(q), q
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(ground_lits(), max_size=6), ground_lits())
-    def test_extension_changes_only_literals_sharing_a_subject(self, lits, l):
-        # what lets the clause search read only some clauses again
-        reading = GroundReading(lits)
-        if not reading.sat or reading.root or type(l.atom) is Eq and not l.neg:
-            return
-        out = reading.extended(lits, l)
-        if out is None:
-            return
-        every = [lit_eq(a, b) for terms in _READ_TERMS.values() for a in terms for b in terms]
-        every += [Lit(False, RelAtom("R", (t,))) for t in _READ_TERMS["S"]]
-        for d in every:
-            if not set(GroundReading.subjects(d)) & set(GroundReading.subjects(l)):
-                assert out.value(d) == reading.value(d), d
-
 
 # three independent propositional atoms for boolean-structure tests
 _ATOMS = [
