@@ -185,6 +185,15 @@ class AbInit:
             {a: LambdaUpdate(j, Const(c)) for a, c in self.arrays},
         )
 
+    @memoized
+    def cell_values(self) -> dict[Union[GlobalRef, str], Const]:
+        """Each cell, as in `const_cell`, to its initial constant (memoized)."""
+        out: dict[Union[GlobalRef, str], Const] = {
+            GlobalRef(g): Const(c) for g, c in self.globals_
+        }
+        out.update((a, Const(c)) for a, c in self.arrays)
+        return out
+
 
 @dataclass(frozen=True)
 class AbPmas:
@@ -338,8 +347,9 @@ def differentiate(
     EUF-satisfiable branches as differentiated cubes.
 
     Variables in `distinct` are already differentiated (they come from an
-    existing cube) and are never merged with each other.  A branch cube for
-    which `covered` holds is dropped before its EUF check
+    existing cube) and are never merged with each other: only the
+    partitions that keep them apart are enumerated (`set_partitions`).  A
+    branch cube for which `covered` holds is dropped before its EUF check
     (`ground_lits_sat`).  The literals are trusted to be well-sorted:
     `encode` accepts only a valid model, and every literal the search derives
     comes from its rules and goal by renamings within sorts and case
@@ -360,22 +370,15 @@ def differentiate(
         by_sort.setdefault(v.sort, []).append(v)
 
     out: list[Cube] = []
-    per_sort_parts = [list(set_partitions(vs)) for vs in by_sort.values()]
+    per_sort_parts = [list(set_partitions(vs, distinct or ())) for vs in by_sort.values()]
     for combo in itertools.product(*per_sort_parts) if per_sort_parts else [()]:
         cls_of: dict[IndexVar, IndexVar] = {}
-        ok = True
         for part in combo:
             for cls in part:
-                if distinct is not None and sum(1 for v in cls if v in distinct) > 1:
-                    ok = False
-                    break
                 rep = min(cls)
                 for v in cls:
                     cls_of[v] = rep
-            if not ok:
-                break
-        if not ok:
-            continue
+        ok = True
         for a, b in pos:
             if cls_of[a] != cls_of[b]:
                 ok = False

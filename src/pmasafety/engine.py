@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .logic import (
     ArrayRead,
     BudgetError,
+    Const,
     Cube,
     DEFAULT_DNF_CAP,
     Dnf,
@@ -30,6 +31,8 @@ from .logic import (
     Lit,
     RelAtom,
     conjoin,
+    conjoin_with,
+    const_cell,
     cube_vars_of_lits,
     dnf,
     expand_cases,
@@ -38,7 +41,6 @@ from .logic import (
     lit_renamed,
     lit_subst,
     memoized,
-    minimal,
     term_subst,
 )
 from .encoder import (
@@ -105,7 +107,7 @@ def _gate_items(gate: Gate, cands: dict[str, list[IndexVar]], cap: int) -> list[
         for bp in gate.blocked:
             for combo in itertools.product(*(cands.get(v.sort, []) for v in bp.extra_vars)):
                 sub = {**base, **dict(zip(bp.extra_vars, combo))}
-                clauses.append([c for l in bp.lits for c in lit_dnf(lit_subst(l, sub).negate())])
+                clauses.append([c for l in bp.lits for c in lit_dnf(lit_subst(l.negate(), sub))])
         if clauses:  # with none, nothing is blocked and the candidate passes
             item = lit_dnf(lit_subst(gate.declared, base)) + conjoin(clauses, cap)
             if len(item) > cap:
@@ -154,12 +156,18 @@ class _CompiledRule:
         self.writes = {GlobalRef(g) for g in self.globals_map} | set(self.arrays_map)
         self.items: dict[Lit, Dnf] = {}
 
-    def item_after(self, l: Lit, cap: int) -> Dnf:
-        """The DNF of cube literal `l` evaluated after the rule's updates."""
-        a = l.atom
-        terms = (a.lhs, a.rhs) if isinstance(a, Eq) else a.args
-        if not any((t.array if isinstance(t, ArrayRead) else t) in self.writes for t in terms):
-            return lit_dnf(l)  # untouched; a `make_cube` cube may hold f[z]=f[z]
+    def item_after(self, l: Lit, cap: int) -> Optional[Dnf]:
+        """The DNF of cube literal `l` evaluated after the rule's updates, or
+        None when that is `l` itself: the rule writes no cell `l` reads, and
+        `l` is not trivially true or false (a `make_cube` cube may hold
+        f[z]=f[z])."""
+        if self.writes.isdisjoint(l.cells()):
+            a = l.atom
+            if type(a) is Eq and (
+                a.lhs == a.rhs or isinstance(a.lhs, Const) and isinstance(a.rhs, Const)
+            ):
+                return lit_dnf(l)
+            return None
         item = self.items.get(l)
         if item is None:
             f = expand_cases(FLit(_lit_through(l, self.globals_map, self.arrays_map)))
@@ -184,15 +192,20 @@ def preimage(
     """Exact preimage of one differentiated cube under one rule, less the
     cubes `region` covers.
 
-    The DNF of guard /\\ (cube after the updates) /\\ gates is one `conjoin`
-    of per-literal items: the guard's and those of the literals the rule
+    The DNF of guard /\\ (cube after the updates) /\\ gates is built from
+    per-literal items: the guard's and those of the literals the rule
     rewrites come from the rule's `_CompiledRule`, and only the gates, which
-    range over the cube's variables, are built per call.  The items with one
-    branch (guard literals, literals the rule leaves untouched) are merged
-    into one first branch, so only the others multiply; the conjunctions and
-    their order are those of conjoining the items as they come.  Returns
-    differentiated cubes (already EUF-filtered; `differentiate` drops the
-    covered ones before their EUF check).
+    range over the cube's variables, are built per call.  A cube literal
+    the rule leaves untouched (`Lit.cells`) is its own item.  The items
+    with one branch (guard literals, untouched literals) are merged into one
+    first branch, and only the others multiply, in one `conjoin_with` that
+    conjoins them stripped of the first branch's literals and puts that
+    branch before each result; the conjunctions and their order are those
+    of conjoining the items as they come.  Every item is built before
+    `preimage` returns `[]` for an item without a branch, so a budget
+    raises where it did.  Returns differentiated cubes (already
+    EUF-filtered; `differentiate` drops the covered ones before their EUF
+    check).
 
     When `region` holds `cube` itself (`Region.holds`; `breach` adds every
     cube before taking its preimages), a conjunction holding every literal
@@ -213,7 +226,10 @@ def preimage(
     passes are canonical (`$c<sort>_<k>`), and so are those returned.
     """
     rc = _compiled(rule)
-    items = rc.guard_items + [rc.item_after(l, dnf_cap) for l in cube.lits]
+    items = list(rc.guard_items)
+    for l in cube.lits:
+        item = rc.item_after(l, dnf_cap)
+        items.append([(l,)] if item is None else item)
     if rule.gates:
         cands: dict[str, list[IndexVar]] = {}
         for v in itertools.chain(rc.exists, cube.exists):
@@ -232,14 +248,14 @@ def preimage(
             multi.append(item)
     if len({l.atom for l in fixed}) < len(fixed):
         return []  # two of its distinct literals share an atom: one negates the other
-    whole = frozenset(cube.lits) if region.holds(cube) else None
+    whole = cube.lit_set() if region.holds(cube) else None
     if whole is not None and whole.issubset(fixed) and math.prod(map(len, multi)) <= dnf_cap:
         return []  # every conjunction holds `cube`, and `conjoin` stays within `dnf_cap`
 
     out: list[Cube] = []
     seen = set()
     distinct = set(cube.exists)
-    for lits in minimal(conjoin([[tuple(fixed)], *multi], dnf_cap)):
+    for lits in conjoin_with(tuple(fixed), multi, dnf_cap):
         if whole is not None and whole.issubset(lits):
             continue  # every branch holds a renaming of `cube`, which `region` holds
         for c in differentiate(lits, distinct=distinct, covered=region.covers):
@@ -256,7 +272,8 @@ def canon_cube(cube: Cube, table: Optional[dict[str, Lit]] = None) -> Cube:
     (`repr`) lexicographically smallest, the first one on a tie.
 
     A candidate renaming only fills the names into the literals' templates
-    (`Cube.templates`), sorts and compares strings.  Only the winner is built
+    (`Cube.templates`), sorts and compares strings; the literals without
+    variables are rendered once for all renamings.  Only the winner is built
     as a cube.  Each of its literals is looked up by the rendering that won
     in `table` (rendering -> literal, `Region.canon_lits`) and built
     (`lit_renamed`, which keeps that rendering) only when missing, and then
@@ -266,24 +283,30 @@ def canon_cube(cube: Cube, table: Optional[dict[str, Lit]] = None) -> Cube:
     pos = {v: k for k, v in enumerate(cube.exists)}
     slots = [pos[v] for _, vs in by_sort for v in vs]  # exists positions, by sort
     template_of = dict(zip(cube.lits, cube.templates()))  # once per literal
-    lits, templates = list(template_of), list(template_of.values())
+    lits = list(template_of)
+    # a literal without variables renders the same under every renaming
+    fixed = [(repr(l), i) for i, l in enumerate(lits) if not l.index_vars()]
+    varying = [(t, i) for i, (l, t) in enumerate(template_of.items()) if l.index_vars()]
     # a variable no literal uses is dropped
     used = [pos[v] for v in cube_vars_of_lits(lits) if v in pos]
     sorts = [v.sort for v in cube.exists]
     renamings = [
         itertools.permutations([f"$c{s}_{k}" for k in range(len(vs))]) for s, vs in by_sort
     ]
+    # the key's `E ...` prefix names the variables kept: unless one is
+    # dropped, every renaming names the same ones, and the literals decide
+    same_prefix = len(used) == len(slots)
     names = [""] * len(slots)
     best_key, best = None, None
     for combo in itertools.product(*renamings):
         for k, name in zip(slots, itertools.chain.from_iterable(combo)):
             names[k] = name
         # (rendering, literal) in `make_cube` order
-        rendered = sorted(zip([t.format(*names) for t in templates], range(len(lits))))
-        ex = sorted((names[k], sorts[k]) for k in used)
-        key = (f"E {', '.join(f'{n}:{s}' for n, s in ex)}. " if ex else "") + (
-            " & ".join(r for r, _ in rendered) or "true"
-        )
+        rendered = sorted([*fixed, *((t.format(*names), i) for t, i in varying)])
+        key = " & ".join([r for r, _ in rendered]) or "true"
+        if not same_prefix:
+            ex = sorted((names[k], sorts[k]) for k in used)
+            key = (f"E {', '.join(f'{n}:{s}' for n, s in ex)}. " if ex else "") + key
         if best_key is None or key < best_key:
             best_key, best = key, (list(names), rendered)
     named, rendered = best
@@ -460,7 +483,7 @@ def _open_clauses(region: Region, i: int, cvars_by_sort, reading: GroundReading)
         undecided = []
         for k, l in enumerate(b.lits):
             if k == len(negs):
-                negs.append(region.intern(lit_subst(l, dict(zip(b.exists, combo))).negate()))
+                negs.append(region.intern(lit_subst(l.negate(), dict(zip(b.exists, combo)))))
             v = reading.value(negs[k])
             if v:
                 break
@@ -488,16 +511,22 @@ def entailed_by(cube: Cube, region: Region) -> bool:
     each class of terms without a value a fresh value and makes each atom
     it does not assert false.  An instance holds in M only if the reading
     fixes a term of each key in its cube's needs mask (`Region`), so a node
-    walks only those cubes, in region order, reading their instance clauses
-    (negated literals, built into `region` as needed) on its reading.  An
-    all-false clause backtracks.  If every open clause holds a negative
-    literal, M satisfies them all: not entailed.  Otherwise M falsifies the
-    first open clause without one, every model of the reading that
-    satisfies the clauses makes one of its literals true, and the search
-    branches on each.  A cube all of whose instance clauses hold on a
-    node's reading holds on its descendants', which skip it.  The search
-    keeps its own stack, so its depth is not bounded by Python's recursion
-    limit."""
+    reads only those cubes' instance clauses (negated literals, built into
+    `region` as needed).  If M satisfies every open clause (each holds a
+    negative literal), the cube is not entailed.  Otherwise every model of
+    the reading that satisfies the clauses makes a literal of each clause M
+    falsifies true, and the search branches on the literals of the shortest
+    such clause, the first in region order on a tie: an all-false clause
+    backtracks, and a unit clause gives one child.
+
+    A node hands its children what it read: per region cube its open
+    clauses (`_open_clauses`; none once all hold, and then on every
+    descendant too) and the shortest M falsifies, and per read key
+    (`GroundReading.read_keys`) the cubes with an open literal that reads
+    it.  A child re-reads only the cubes whose literals its new literal can
+    change (`GroundReading.changes`), and those its reading newly admits;
+    its entries are undone when the search leaves it.  The search keeps its
+    own stack, so its depth is not bounded by Python's recursion limit."""
     reading = GroundReading(cube.lits)
     if not reading.sat:
         return True
@@ -511,36 +540,73 @@ def entailed_by(cube: Cube, region: Region) -> bool:
     if sum(n * len(at) for n, _, at in index) > CLAUSE_CAP:
         return False
     cvars_by_sort = cube.vars_by_sort()
-    # a node: its reading, the literals it reads, the region cubes whose
-    # instance clauses all hold on it
-    stack = [(reading, cube.lits, frozenset())]
-    for _ in range(NODE_CAP):
-        if not stack:
-            return True  # every branch has an all-false clause
-        reading, lits, settled = stack.pop()
-        fixed = 0
-        for t, d in reading.val.items():
-            fixed |= region.fix_bits.get(_fix_key(t, d), 0)
-        true_here = []
-        for i in sorted(i for _, need, at in index if not need & ~fixed for i in at):
-            if i in settled:
-                continue
-            clauses = _open_clauses(region, i, cvars_by_sort, reading)
-            # M falsifies a clause without a negative literal; an all-false
-            # one has no literal to branch on
-            clause = next((c for c in clauses if not any(d.neg for d in c)), None)
-            if clause is not None:
-                break
-            if not clauses:
-                true_here.append(i)
+    # what the nodes on the path to the current one read: per region cube
+    # its open clauses, per cube with a clause M falsifies the shortest as
+    # (length, position, clause), and per read key the cubes with an open
+    # literal that reads it
+    found: dict[int, list] = {}
+    shortest: dict[int, tuple] = {}
+    by_key: dict = {}
+    # a node: its reading, the literals it reads, its parent's values and
+    # the needs bits they fix, and the keys its last literal changes (None
+    # at the root); or a list of (table, key, entry before) that undoes a
+    # node's entries once the search leaves its subtree
+    stack: list = [(reading, cube.lits, None, 0, None)]
+    budget = NODE_CAP
+    while stack:
+        top = stack.pop()
+        if type(top) is list:
+            for table, k, entry in reversed(top):
+                if entry is None:
+                    table.pop(k, None)
+                else:
+                    table[k] = entry
+            continue
+        if not budget:
+            return False  # past `NODE_CAP` with a node left
+        budget -= 1
+        reading, lits, val, was, changed = top
+        if changed is None:
+            read = [i for i, clauses in found.items() if clauses]
         else:
+            read = list({i for k in changed for i in by_key.get(k, ()) if found[i]})
+        fixed = was
+        if reading.val is not val:  # values only grow down the search
+            start = len(val) if changed is not None else 0  # one more, or read anew
+            for t, d in itertools.islice(reading.val.items(), start, None):
+                fixed |= region.fix_bits.get(_fix_key(t, d), 0)
+            # the cubes whose needs the new values meet
+            read += [i for _, need, at in index
+                     if not need & ~fixed and (val is None or need & ~was) for i in at]
+        undo: list = []
+        stack.append(undo)
+        for i in read:
+            undo += ((found, i, found.get(i)), (shortest, i, shortest.get(i)))
+            clauses = found[i] = _open_clauses(region, i, cvars_by_sort, reading)
+            # M falsifies a clause without a negative literal
+            falsified = [c for c in clauses if not any(d.neg for d in c)]
+            if falsified:
+                c = min(falsified, key=len)
+                shortest[i] = (len(c), i, c)
+            else:
+                shortest.pop(i, None)
+        if not shortest:
             return False  # M satisfies every instance clause
-        settled = settled.union(true_here)
+        _, _, clause = min(shortest.values())
+        if not clause:
+            continue  # all false
+        for i in read:
+            for c in found[i]:
+                for d in c:
+                    for k in reading.read_keys(d):
+                        cubes = by_key.get(k)
+                        undo.append((by_key, k, cubes))
+                        by_key[k] = (cubes or frozenset()) | {i}
         for d in reversed(clause):  # tried in clause order
             child = reading.extended(lits, d)
             if child is not None:
-                stack.append((child, (*lits, d), settled))
-    return not stack  # past `NODE_CAP` unless the search is done
+                stack.append((child, (*lits, d), reading.val, fixed, reading.changes(d)))
+    return True  # every branch has an all-false clause
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +615,37 @@ def entailed_by(cube: Cube, region: Region) -> bool:
 
 def init_sat(abp: AbPmas, cube: Cube) -> bool:
     """Some initial state satisfies the cube: its literals read through the
-    initial state are ground and jointly satisfiable (`ground_lits_sat`)."""
+    initial state are ground and jointly satisfiable (`ground_lits_sat`).
+
+    The initial state fixes cells to constants (`AbInit.cell_values`).  While
+    every literal sets such a cell to a constant or is a relation literal
+    over such cells, constants and index variables, the cube is decided from
+    those values directly: each equality reads as one of two constants, so
+    it holds or not, and the relation literals contradict each other only
+    when two read as the same atom with opposite signs.  Any other cube is
+    read through the initial state by `ground_lits_sat`."""
+    values = abp.init.cell_values()
+    signs: dict[tuple, bool] = {}
+    for l in cube.lits:
+        a = l.atom
+        if type(a) is Eq:
+            cc = const_cell(l)
+            if cc is None or cc[0] not in values:
+                break
+            if (values[cc[0]] == cc[1]) == l.neg:
+                return False
+        else:
+            args = tuple(
+                values.get(t.array if isinstance(t, ArrayRead) else t)
+                if isinstance(t, (GlobalRef, ArrayRead)) else t
+                for t in a.args
+            )
+            if None in args:
+                break
+            if signs.setdefault((a.rel, args), l.neg) != l.neg:
+                return False
+    else:
+        return True
     globals_map, arrays_map = abp.init.update_maps()
     return ground_lits_sat([_lit_through(l, globals_map, arrays_map) for l in cube.lits])
 

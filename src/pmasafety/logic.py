@@ -12,7 +12,7 @@ the existential prefix literal by literal and searches depth first over
 readings, each extending its parent's by one literal: a node reads only the
 instances that can hold on its reading's generic model, backtracks on an
 all-false clause, stops (not entailed) when the generic model satisfies
-every clause, and branches on the literals of the first clause it
+every clause, and branches on the literals of the shortest clause it
 falsifies.  The search has two budgets, the instantiations in all and the
 readings searched; past either it answers "not entailed".
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, KeysView, Optional, Sequence, Union
+from typing import Container, Iterable, Iterator, KeysView, Optional, Sequence, Union
 
 
 class LogicError(Exception):
@@ -224,12 +224,13 @@ Atom = Union[Eq, RelAtom]
 
 @dataclass(frozen=True)
 class Lit(_Hashed):
-    """A possibly negated atom.  Its rendering (`repr`), its shape
-    (`_lit_shape`) and its index variables (`index_vars`) are computed the
-    first time they are read and kept in slots, since cube keys, literal
-    order, subsumption and entailment read them again and again.  Both
-    strings are interned: the equal literals of many cubes then share one
-    string each.
+    """A possibly negated atom.  What the search reads about a literal again
+    and again is computed the first time it is read and kept in a slot: its
+    rendering (`repr`), its shape (`_lit_shape`), its index variables
+    (`index_vars`), the cells it reads (`cells`), its rendering split at its
+    index variables (`parts`) and its negation (`negate`).  The rendering and
+    the shape are interned strings: the equal literals of many cubes then
+    share one string each.
 
     The rendering is injective on well-sorted literals, which is what lets
     `Cube.key` and `engine.subsumes` compare renderings in place of
@@ -242,7 +243,7 @@ class Lit(_Hashed):
     derives comes from its rules and goal by renamings within sorts and case
     expansion into values of the same sort."""
 
-    __slots__ = ("neg", "atom", "_repr", "_shape", "_vars")
+    __slots__ = ("neg", "atom", "_repr", "_shape", "_vars", "_cells", "_parts", "_not")
     neg: bool
     atom: Atom
 
@@ -254,7 +255,14 @@ class Lit(_Hashed):
     __hash__ = _Hashed.__hash__
 
     def negate(self) -> "Lit":
-        return Lit(not self.neg, self.atom)
+        """`Lit(not neg, atom)`, kept on this literal only: the negation does
+        not point back, so the two make no reference cycle.  Many literals
+        are negated once and dropped, so a miss is kept cheap (`getattr`)."""
+        out = getattr(self, "_not", None)
+        if out is None:
+            out = Lit(not self.neg, self.atom)
+            _set(self, "_not", out)
+        return out
 
     def __repr__(self) -> str:
         try:
@@ -278,6 +286,57 @@ class Lit(_Hashed):
         ))
         _set(self, "_vars", out)
         return out
+
+    def cells(self) -> tuple[Union[GlobalRef, str], ...]:
+        """The cells the literal reads, one per global or array read among
+        its terms, each as in `const_cell`: the `GlobalRef`, or the array's
+        name."""
+        try:
+            return self._cells
+        except AttributeError:
+            pass
+        out = tuple(
+            t.array if isinstance(t, ArrayRead) else t
+            for t in _atom_terms(self.atom)
+            if isinstance(t, (GlobalRef, ArrayRead))
+        )
+        _set(self, "_cells", out)
+        return out
+
+    def parts(self) -> tuple:
+        """The rendering split at each occurrence of an index variable (as a
+        term or as an array read's index): `(text, var, text, ..., text)`,
+        each text escaped for `str.format` (`Cube.templates`)."""
+        try:
+            return self._parts
+        except AttributeError:
+            pass
+        out: list = ["!" if self.neg else ""]
+
+        def term(t: Term) -> None:
+            if isinstance(t, IndexVar):
+                out.extend((t, ":" + _escaped(t.sort)))
+            elif isinstance(t, ArrayRead):
+                out[-1] += _escaped(t.array) + "["
+                out.extend((t.index, "]"))
+            else:
+                out[-1] += _escaped(repr(t))
+
+        a = self.atom
+        if isinstance(a, Eq):
+            term(a.lhs)
+            out[-1] += "="
+            term(a.rhs)
+        else:
+            out[-1] += _escaped(a.rel) + "("
+            for k, t in enumerate(a.args):
+                if k:
+                    out[-1] += ", "
+                term(t)
+            out[-1] += ")"
+        parts = tuple(out)
+        _set(self, "_parts", parts)
+        return parts
 
 
 def lit_eq(lhs: Term, rhs: Term, neg: bool = False) -> Lit:
@@ -487,6 +546,9 @@ def conjoin(items: Iterable[Dnf], cap: int = DEFAULT_DNF_CAP) -> Dnf:
     after each step; an earlier subset absorbs it, and what it would add
     later its absorber adds first, so the order of the rest is kept.
 
+    `preimage` hands it only the items with more than one branch, stripped
+    of the literals every conjunction holds (`conjoin_with`).
+
     Raises BudgetError when a step would keep more than `cap` conjunctions.
     """
     bits = _Bits()
@@ -525,6 +587,41 @@ def minimal(conjs: Iterable[tuple[Lit, ...]]) -> Dnf:
         gone = _absorbed(kept, sorted(range(len(kept)), key=lambda i: len(kept[i][0])))
         kept = [k for i, k in enumerate(kept) if i not in gone]
     return [c for c, _ in kept]
+
+
+def conjoin_with(first: tuple[Lit, ...], items: Sequence[Dnf], cap: int = DEFAULT_DNF_CAP) -> Dnf:
+    """`minimal(conjoin([[first], *items], cap))` for a consistent `first`,
+    without conjoining `first` again at every step: the items' branches lose
+    the literals of `first`, those that contradict it are dropped, and
+    `first` is put before each conjunction of the rest at the end.  Every
+    conjunction is `first` and a rest disjoint from it, so the conjunctions
+    repeat, contain and contradict each other as their rests do, and
+    `conjoin` keeps and drops the same ones, in the same order, raising
+    where it would.  No `conjoin` runs without items, and no `minimal` for
+    one conjunction."""
+    if cap < 1:
+        raise BudgetError(f"dnf exceeded {cap} cubes")  # as conjoining [first] would
+    if not items:
+        return [first]
+    signs = {l.atom: l.neg for l in first}
+    rests = []
+    for item in items:
+        rest = []
+        for b in item:
+            kept = []
+            for l in b:
+                s = signs.get(l.atom)
+                if s is None:
+                    kept.append(l)
+                elif s != l.neg:
+                    break  # contradicts `first`
+            else:
+                rest.append(tuple(kept))
+        rests.append(rest)
+    out = conjoin(rests, cap)
+    if len(out) > 1:
+        out = minimal(out)
+    return [first + r for r in out]
 
 
 def dnf(f: Formula, cap: int = DEFAULT_DNF_CAP) -> Dnf:
@@ -592,10 +689,14 @@ def lit_renamed(l: Lit, sub: Subst, rendering: str, renamed: dict) -> Lit:
     `l`'s template); a renaming within sorts keeps the shape, and it keeps
     the variables' order of first occurrence.  `renamed` maps `index_vars`
     tuples to their images under `sub`, filled as it goes, so the literals
-    renamed by one `sub` share one tuple per variable list."""
+    renamed by one `sub` share one tuple per variable list.  The cells stay
+    those of `l`, and the split rendering is `l`'s with the variables
+    renamed."""
     out = lit_subst(l, sub)
     _set(out, "_repr", sys.intern(rendering))
     _set(out, "_shape", _lit_shape(l))
+    _set(out, "_cells", l.cells())
+    _set(out, "_parts", tuple(sub.get(p, p) if k % 2 else p for k, p in enumerate(l.parts())))
     vs = l.index_vars()
     image = renamed.get(vs)
     if image is None:
@@ -718,23 +819,6 @@ def _escaped(s: str) -> str:
     return s.replace("{", "{{").replace("}", "}}")
 
 
-def _template(l: Lit, fields: dict[IndexVar, str]) -> str:
-    """`repr(l)` as a `str.format` template: the field `fields[v]` stands for
-    the name of each variable `v` in `fields`."""
-
-    def term(t: Term) -> str:
-        if isinstance(t, IndexVar):
-            return fields.get(t, _escaped(t.name)) + ":" + _escaped(t.sort)
-        if isinstance(t, ArrayRead):
-            return f"{_escaped(t.array)}[{fields.get(t.index, _escaped(t.index.name))}]"
-        return _escaped(repr(t))
-
-    a = l.atom
-    if isinstance(a, Eq):
-        return ("!" if l.neg else "") + f"{term(a.lhs)}={term(a.rhs)}"
-    return ("!" if l.neg else "") + f"{_escaped(a.rel)}({', '.join(map(term, a.args))})"
-
-
 def const_cell(l: Lit) -> Optional[tuple[Union[GlobalRef, str], Const]]:
     """`(cell, c)` when the literal's atom equates a global or an array read
     with the constant `c`.  The cell is the `GlobalRef`, or the array's name,
@@ -790,6 +874,11 @@ class Cube:
         return (self.exists, frozenset(map(repr, self.lits)))
 
     @memoized
+    def lit_set(self) -> frozenset[Lit]:
+        """The literals as a set (memoized)."""
+        return frozenset(self.lits)
+
+    @memoized
     def vars_by_sort(self) -> dict[str, list[IndexVar]]:
         """`exists` split by sort, each in `exists` order (memoized)."""
         out: dict[str, list[IndexVar]] = {}
@@ -803,8 +892,18 @@ class Cube:
         names of another cube's variables, a template renders the literal
         renamed, without building it."""
         fields = {v: f"{{{k}}}" for k, v in enumerate(self.exists)}
-        return [_template(l, fields) if l.index_vars() else _escaped(repr(l))
-                for l in self.lits]
+        out = []
+        for l in self.lits:
+            parts = l.parts()
+            if len(parts) == 1:
+                out.append(parts[0])
+                continue
+            t = [parts[0]]
+            for k in range(1, len(parts), 2):
+                v = parts[k]
+                t += (fields.get(v) or _escaped(v.name), parts[k + 1])
+            out.append("".join(t))
+        return out
 
     @memoized
     def check_schedule(self) -> list[list[str]]:
@@ -909,18 +1008,19 @@ class GroundReading:
     `val` holds every term whose class has a value, and `root` maps each
     member of a joined class without one to one member.  Disequalities
     (`apart`) and relation atoms (`signs`, each atom's `neg`) are then read
-    through the classes.  Relation atoms are only true or false and are
-    never arguments, and array reads sit at index skolems that never merge,
-    so that is all the congruence this logic has: `sat` and `value(l)` are
-    exact."""
+    through the classes, and `rest` keeps those literals.  Relation atoms
+    are only true or false and are never arguments, and array reads sit at
+    index skolems that never merge, so that is all the congruence this
+    logic has: `sat` and `value(l)` are exact."""
 
-    __slots__ = ("sat", "val", "root", "apart", "signs")
+    __slots__ = ("sat", "val", "root", "apart", "signs", "rest")
 
     def __init__(self, lits: Sequence[Lit]) -> None:
         self.val: dict[Term, Term] = {}
         self.root: dict[Term, Term] = {}
         self.apart: set[tuple[Term, Term]] = set()
         self.signs: dict[RelAtom, bool] = {}
+        self.rest: tuple[Lit, ...] = ()
         self.sat = self._read(lits)
 
     def _read(self, lits: Sequence[Lit]) -> bool:
@@ -938,7 +1038,12 @@ class GroundReading:
                 return False
         if joins and not self._join(joins):
             return False
-        root = self.root
+        return self._read_rest(lits)
+
+    def _read_rest(self, lits: Iterable[Lit]) -> bool:
+        """Read the disequalities and relation literals of `lits` through
+        the classes, and keep them in `rest`; False on a conflict."""
+        val, root, rest = self.val, self.root, []
         for l in lits:
             a = l.atom
             if type(a) is not Eq:
@@ -951,6 +1056,10 @@ class GroundReading:
                 if x == y:
                     return False
                 self.apart.update(((x, y), (y, x)))
+            else:
+                continue
+            rest.append(l)
+        self.rest = tuple(rest)
         return True
 
     def _join(self, joins: list[tuple[Term, Term]]) -> bool:
@@ -1006,21 +1115,83 @@ class GroundReading:
             return l.neg
         return None
 
+    def read_keys(self, l: Lit) -> tuple:
+        """What `value(l)` depends on besides `l`'s own fixed terms: its
+        sides or arguments as this reading reads them (`_rep`) that have no
+        value, and for a relation literal its atom as read."""
+        a = l.atom
+        if type(a) is Eq:
+            terms: Iterable[Term] = (self._rep(a.lhs), self._rep(a.rhs))
+        else:
+            terms = map(self._rep, a.args)
+        keys = tuple(t for t in terms if not isinstance(t, _FIXED))
+        return keys if type(a) is Eq else (*keys, self._read_atom(a))
+
+    def _valued_cell(self, l: Lit) -> Optional[tuple[Term, Term]]:
+        """`(t, d)` when `l`, undecided, is a positive equality that gives a
+        global or array read `t` without a value the constant or index
+        variable `d`, in a reading with no joined classes."""
+        a = l.atom
+        if type(a) is not Eq or l.neg or self.root:
+            return None
+        if isinstance(a.lhs, _FIXED):
+            return a.rhs, a.lhs
+        return (a.lhs, a.rhs) if isinstance(a.rhs, _FIXED) else None
+
+    def changes(self, l: Lit) -> Optional[tuple]:
+        """For an undecided `l`: keys such that a literal none of whose
+        `read_keys` is among them has the same `value` when this reading is
+        `extended` by `l` as here; None when any literal's value may change
+        (a positive equality that joins two classes, or read among classes).
+
+        A relation literal adds its atom as read to `signs`, and only a
+        literal reading that atom changes.  A disequality adds its pair as
+        read to `apart`; a literal reading that pair reads its term without
+        a value.  A `_valued_cell` equality `t = d` changes the literals
+        that read `t`, and reads each literal of `rest` that reads `t` anew:
+        as a pair of `d` and a term, which changes only literals reading
+        that term (or none, when it has a value), or as an atom."""
+        if type(l.atom) is not Eq or l.neg:
+            return self.read_keys(l)
+        cell = self._valued_cell(l)
+        if cell is None:
+            return None
+        t, d = cell
+        out = [t]
+        for m in self.rest:
+            b = m.atom
+            if t not in _atom_terms(b):
+                continue
+            if type(b) is Eq:
+                y = self._rep(b.rhs if b.lhs == t else b.lhs)
+                if not isinstance(y, _FIXED):
+                    out.append(y)
+            else:
+                out.append(RelAtom(b.rel, tuple(d if x == t else self._rep(x) for x in b.args)))
+        return tuple(out)
+
     def extended(self, lits: Sequence[Lit], l: Lit) -> Optional[GroundReading]:
         """The reading of `lits` and `l`, where this is the satisfiable
         reading of `lits`; None when they are unsatisfiable.  A literal this
-        reading decides costs nothing, a disequality or relation literal adds
-        one entry to a copy, and only a positive equality re-reads `lits`."""
+        reading decides costs nothing, and a disequality or relation literal
+        adds one entry to a copy.  A positive equality that gives a term a
+        value (`_valued_cell`) re-reads only `rest`, with the values
+        extended by it; any other positive equality re-reads `lits`."""
         v = self.value(l)
         if v is not None:
             return self if v else None
         a = l.atom
-        if type(a) is Eq and not l.neg:
-            out = GroundReading([*lits, l])
-            return out if out.sat else None
         out = GroundReading.__new__(GroundReading)
         out.sat, out.val, out.root = True, self.val, self.root
-        out.apart, out.signs = self.apart, self.signs
+        if type(a) is Eq and not l.neg:
+            cell = self._valued_cell(l)
+            if cell is None:
+                out = GroundReading([*lits, l])
+                return out if out.sat else None
+            t, d = cell
+            out.val, out.apart, out.signs = {**self.val, t: d}, set(), {}
+            return out if out._read_rest(self.rest) else None
+        out.apart, out.signs, out.rest = self.apart, self.signs, (*self.rest, l)
         if type(a) is Eq:
             x, y = self._rep(a.lhs), self._rep(a.rhs)
             out.apart = self.apart | {(x, y), (y, x)}
@@ -1039,14 +1210,19 @@ def ground_lits_sat(lits: Sequence[Lit]) -> bool:
 # partitions
 
 
-def set_partitions(items: Sequence) -> Iterator[list[list]]:
-    """All set partitions of `items` (Bell-number many)."""
+def set_partitions(items: Sequence, apart: Container = ()) -> Iterator[list[list]]:
+    """The set partitions of `items` that put no two members of `apart` in
+    one block, in the order of the enumeration of all of them (Bell-number
+    many): a partial partition that joins two is not extended."""
     items = list(items)
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
+    alone = first in apart
+    for part in set_partitions(rest, apart):
         for i in range(len(part)):
+            if alone and any(v in apart for v in part[i]):
+                continue
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
         yield [[first]] + part

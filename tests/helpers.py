@@ -5,9 +5,10 @@ satisfiability is decided by exhaustive enumeration over small finite
 universes, and transition rules are executed on fully concrete states.  The
 exceptions are the library's earlier procedures (`CongruenceClosure`,
 `reference_canon_cube`, `reference_entailed_by`,
-`reference_enumerate_reachable`, `reference_preimage`,
-`reference_replay_run_template`, `reference_step_vectors`,
-`reference_subsumes`, `unabsorbed_dnf`), kept so that the current ones can be compared with them
+`reference_enumerate_reachable`, `reference_init_sat`, `reference_preimage`,
+`reference_replay_run_template`, `reference_set_partitions`,
+`reference_step_vectors`, `reference_subsumes`, `reference_template`,
+`unabsorbed_dnf`), kept so that the current ones can be compared with them
 call by call.
 """
 
@@ -57,6 +58,7 @@ from pmasafety.logic import (
     f_or,
     fand,
     flit,
+    ground_lits_sat,
     lit_eq,
     lit_subst,
     make_cube,
@@ -729,6 +731,51 @@ def reference_canon_cube(cube: Cube) -> Cube:
         if best_key is None or key < best_key:
             best, best_key = cand, key
     return best
+
+
+def _escaped(s: str) -> str:
+    return s.replace("{", "{{").replace("}", "}}")
+
+
+def reference_template(l: Lit, fields: dict[IndexVar, str]) -> str:
+    """The literal's `str.format` template as `Cube.templates` built it
+    before literals kept their split rendering (`Lit.parts`): `repr(l)` with
+    the field `fields[v]` for the name of each variable `v` in `fields`, by
+    a walk over the atom."""
+
+    def term(t) -> str:
+        if isinstance(t, IndexVar):
+            return fields.get(t, _escaped(t.name)) + ":" + _escaped(t.sort)
+        if isinstance(t, ArrayRead):
+            return f"{_escaped(t.array)}[{fields.get(t.index, _escaped(t.index.name))}]"
+        return _escaped(repr(t))
+
+    a = l.atom
+    if isinstance(a, Eq):
+        return ("!" if l.neg else "") + f"{term(a.lhs)}={term(a.rhs)}"
+    return ("!" if l.neg else "") + f"{_escaped(a.rel)}({', '.join(map(term, a.args))})"
+
+
+def reference_set_partitions(items: Sequence) -> Iterator[list[list]]:
+    """All set partitions of `items`, as `logic.set_partitions` enumerated
+    them before it learned to keep some items apart."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in reference_set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def reference_init_sat(abp, cube: Cube) -> bool:
+    """`engine.init_sat` before it decided cubes from the initial values:
+    the literals read through the initial state, decided by
+    `ground_lits_sat`."""
+    globals_map, arrays_map = abp.init.update_maps()
+    return ground_lits_sat([_lit_through(l, globals_map, arrays_map) for l in cube.lits])
 
 
 # ---------------------------------------------------------------------------

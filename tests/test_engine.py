@@ -35,6 +35,7 @@ from helpers import (
     random_unary_region,
     reference_canon_cube,
     reference_entailed_by,
+    reference_init_sat,
     reference_preimage,
     reference_subsumes,
     region_of,
@@ -489,6 +490,18 @@ def _entailed_by_at_node_cap(cube: Cube, region: Region, cap: int) -> bool:
         return entailed_by(cube, region)
 
 
+def _extended_calls(monkeypatch) -> list[Lit]:
+    """The literals `GroundReading.extended` is called with from now on."""
+    extended, calls = GroundReading.extended, []
+
+    def counting(reading, lits, l):
+        calls.append(l)
+        return extended(reading, lits, l)
+
+    monkeypatch.setattr(GroundReading, "extended", counting)
+    return calls
+
+
 def _agree(cube: Cube, region: list[Cube], want: bool) -> None:
     assert entailed_by(cube, region_of(region)) is want
     assert reference_entailed_by(cube, region) is want
@@ -530,6 +543,54 @@ class TestClausesSat:
     def test_deep_decision_stack_is_iterative_and_fast(self, monkeypatch):
         self._deep(monkeypatch, 2)  # two: the first literal is the one taken deeper
 
+    def test_the_shortest_clause_of_a_cube_is_taken(self, monkeypatch):
+        # the cube fixes h[z2]=v, so the first cube's instance clause at z2
+        # is the unit f[z2]=p, shorter than its clause at z1; once f[z2]=p
+        # the second cube's clause at z2 is all false
+        z1, z2, w = _ZS[0], _ZS[1], IndexVar("w", "I")
+        p, u, v = Const("p"), Const("u"), Const("v")
+        r1 = Lit(False, RelAtom("R1", (ArrayRead("f", z1),)))
+        cube = make_cube([z1, z2], [lit_eq(ArrayRead("h", z2), v), r1])
+        assert cube.exists == (z1, z2)
+        region = [
+            make_cube([w], [lit_eq(ArrayRead("h", w), u, neg=True),
+                            lit_eq(ArrayRead("f", w), p, neg=True)]),
+            make_cube([w], [lit_eq(ArrayRead("f", w), p)]),
+        ]
+        _agree(cube, region, True)
+        calls = _extended_calls(monkeypatch)
+        assert entailed_by(cube, region_of(region))
+        assert calls == [lit_eq(ArrayRead("f", z2), p)]
+
+    def test_a_value_re_reads_the_clauses_it_shortens(self, monkeypatch):
+        # under g!=h, the decision g=p makes h=p false, which shortens the
+        # second cube's clause h=p or S(c) to the unit S(c) though that
+        # clause does not read g
+        g, h, p, q = GlobalRef("g"), GlobalRef("h"), Const("p"), Const("q")
+        s = Lit(False, RelAtom("S", (Const("c"),)))
+        cube = make_cube([], [lit_eq(g, h, neg=True)])
+        region = [
+            make_cube([], [lit_eq(g, p, neg=True), lit_eq(g, q, neg=True)]),
+            make_cube([], [lit_eq(h, p, neg=True), s.negate()]),
+            make_cube([], [s]),
+        ]
+        assert not reference_entailed_by(cube, region)
+        calls = _extended_calls(monkeypatch)
+        assert not entailed_by(cube, region_of(region))
+        # after g=p the unit S(c) alone; after g=q both literals
+        assert calls == [lit_eq(g, q), lit_eq(g, p), s, lit_eq(h, p), s]
+
+    def test_equality_chain_is_fast(self):
+        # each clause g<k>=a or g<k>=b is false on the generic model until a
+        # decision gives g<k> a value; that decision re-reads none of the
+        # literals before it, so the search is not quadratic in them
+        a, b = Const("a"), Const("b")
+        clauses = [[lit_eq(GlobalRef(f"g{k}"), c) for c in (a, b)] for k in range(1100)]
+        cube, region = _ground_entailment([], clauses)
+        t0 = time.perf_counter()
+        assert not entailed_by(cube, region_of(region))
+        assert time.perf_counter() - t0 < 1.0
+
     def test_units_after_a_decision_are_propagated(self):
         # either value of g1 forces g2 to both u and v: a unit clause is a
         # branch with one child, so five readings refute the region
@@ -542,6 +603,27 @@ class TestClausesSat:
         assert _entailed_by_at_node_cap(cube, region_of(region), 5)
         assert not _entailed_by_at_node_cap(cube, region_of(region), 4)  # gives up
         _agree(cube, region[:-1], False)
+
+    def test_a_unit_clause_is_taken_before_longer_ones(self, monkeypatch):
+        # fifteen two-literal clauses, R(c<i>) or S(c<i>), then g1=p and
+        # g1=q, which no model satisfies both of: taking the unit g1=p
+        # leaves g1=q all false, so one extension proves entailment, where
+        # branching on the clauses in region order took 20 008 extensions
+        # and gave up at `NODE_CAP`
+        g1, p, q = GlobalRef("g1"), Const("p"), Const("q")
+        clauses = [
+            [Lit(False, RelAtom(r, (Const(f"c{i}"),))) for r in ("R", "S")] for i in range(15)
+        ] + [[lit_eq(g1, p)], [lit_eq(g1, q)]]
+        cube, region = _ground_entailment([], clauses)
+        extended, calls = GroundReading.extended, []
+
+        def counting(reading, lits, l):
+            calls.append(l)
+            return extended(reading, lits, l)
+
+        monkeypatch.setattr(GroundReading, "extended", counting)
+        assert entailed_by(cube, region_of(region))
+        assert len(calls) <= 3
 
     def test_past_the_node_cap_it_answers_not_entailed(self):
         # three readings: the cube's and one per branch, each refuted
@@ -617,7 +699,22 @@ class TestInitSat:
         globals_map, arrays_map = init.update_maps()
         through = [_lit_through(l, globals_map, arrays_map) for l in cube.lits]
         want = CongruenceClosure().assert_lits(through)
-        assert init_sat(SimpleNamespace(init=init), cube) == want
+        abp = SimpleNamespace(init=init)
+        assert init_sat(abp, cube) == reference_init_sat(abp, cube) == want
+
+
+    def test_decides_every_cube_of_a_run_as_before(self, abp):
+        calls = []
+
+        def spy(a, cube):
+            calls.append(cube)
+            return init_sat(a, cube)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(engine, "init_sat", spy)
+            breach(abp)
+        assert len(calls) > 50
+        assert [init_sat(abp, c) for c in calls] == [reference_init_sat(abp, c) for c in calls]
 
 
 _Z1, _Z2 = _ZS[:2]
@@ -916,12 +1013,12 @@ class TestCompiledPreimage:
 
 def _preimage_work(run) -> tuple[list, list]:
     """Call `run()`, recording every conjunction `preimage` builds (from
-    `minimal`) and every one it hands `differentiate`."""
+    `conjoin_with`) and every one it hands `differentiate`."""
     built, split = [], []
-    mini, diff = engine.minimal, engine.differentiate
+    conj, diff = engine.conjoin_with, engine.differentiate
 
-    def mini_spy(conjs):
-        out = mini(conjs)
+    def conj_spy(*args):
+        out = conj(*args)
         built.extend(out)
         return out
 
@@ -930,7 +1027,7 @@ def _preimage_work(run) -> tuple[list, list]:
         return diff(lits, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine, "minimal", mini_spy)
+        m.setattr(engine, "conjoin_with", conj_spy)
         m.setattr(engine, "differentiate", diff_spy)
         run()
     return built, split

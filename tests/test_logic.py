@@ -22,6 +22,8 @@ from helpers import (
     check_lit_types,
     random_clause_problem,
     random_ground_cube,
+    reference_set_partitions,
+    reference_template,
     term_sort,
     unabsorbed_dnf,
 )
@@ -32,6 +34,7 @@ from pmasafety.logic import (
     CaseTerm,
     Const,
     Cube,
+    DEFAULT_DNF_CAP,
     Eq,
     FAnd,
     FLit,
@@ -48,6 +51,8 @@ from pmasafety.logic import (
     Signature,
     SortDecl,
     TRUE,
+    conjoin,
+    conjoin_with,
     cube_vars_of_lits,
     dnf,
     expand_cases_lit,
@@ -58,6 +63,7 @@ from pmasafety.logic import (
     ground_lits_sat,
     lit_eq,
     make_cube,
+    minimal,
     set_partitions,
     simplify_lits,
 )
@@ -301,20 +307,51 @@ class TestGroundReading:
         assert reading.value(lit_eq(f0, f1)) is False
         assert reading.value(lit_eq(g2, f1)) is None
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(ground_lits(), max_size=6), st.lists(ground_lits(), min_size=1, max_size=6))
     def test_extended_reads_as_a_fresh_reading(self, lits, more):
-        reading = GroundReading(lits)
+        """An extension by an undecided literal holds what a fresh reading
+        holds."""
+        reading, read = GroundReading(lits), list(lits)  # `read`: all but decided ones
         if not reading.sat:
             return
-        for k, l in enumerate(more):
-            fresh = GroundReading(lits + more[: k + 1])
-            reading = reading.extended(lits + more[:k], l)
-            assert (reading is not None) is fresh.sat
-            if reading is None:
+        for l in more:
+            fresh = GroundReading([*read, l])
+            got = reading.extended(read, l)
+            assert (got is not None) is fresh.sat
+            if got is None:
                 return
             for q in lits + more:
-                assert reading.value(q) == fresh.value(q), q
+                assert got.value(q) == fresh.value(q), q
+            if reading.value(l) is None:
+                assert (got.val, got.root, got.apart, got.signs, got.rest) == (
+                    fresh.val, fresh.root, fresh.apart, fresh.signs, fresh.rest)
+                read.append(l)
+            reading = got
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_changes_name_every_literal_an_extension_moves(self, seed):
+        """Along a chain of extensions by undecided literals, among them
+        equalities that give cells values and joins: each literal whose
+        value an extension changes reads (`read_keys`) one of the keys
+        `changes` names, unless that is None."""
+        rng = random.Random(seed)
+        pool = [_rand_lit(rng) for _ in range(12)] + rng.sample(_JOINS, 1)
+        pool += [l.negate() for l in pool]
+        lits: list[Lit] = []
+        reading = GroundReading(lits)
+        for l in rng.sample(pool, 8):
+            if reading.value(l) is not None:
+                continue
+            changes, got = reading.changes(l), reading.extended(lits, l)
+            if got is None:
+                return
+            for q in pool:
+                if got.value(q) != reading.value(q):
+                    assert changes is None or set(changes) & set(reading.read_keys(q)), (l, q)
+            lits.append(l)
+            reading = got
 
 
 # three independent propositional atoms for boolean-structure tests
@@ -394,6 +431,28 @@ class TestDnf:
         ]
         with pytest.raises(BudgetError):
             dnf(fand(parts), cap=4)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([1, 2, 3, 5, 8, DEFAULT_DNF_CAP]))
+    def test_conjoin_with_a_first_branch(self, rng, cap):
+        """`conjoin_with` on items stripped of the first branch gives what
+        conjoining the first branch and the items gives, or raises where it
+        raises; empty items and branches included."""
+        atoms = _ATOMS + _MORE_ATOMS
+
+        def branch():
+            picked = rng.sample(atoms, rng.randint(0, 3))
+            return tuple(l.negate() if rng.random() < 0.5 else l for l in picked)
+
+        first = branch()
+        items = [[branch() for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(0, 4))]
+        try:
+            want = minimal(conjoin([[first], *items], cap))
+        except BudgetError as e:
+            with pytest.raises(BudgetError, match=str(e)):
+                conjoin_with(first, items, cap)
+            return
+        assert conjoin_with(first, items, cap) == want
 
 
 def _hashed_pairs() -> list[tuple]:
@@ -530,12 +589,84 @@ class TestCubesAndHelpers:
         for n, bell in enumerate([1, 1, 2, 5, 15]):
             assert len(list(set_partitions(range(n)))) == bell
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.sets(st.integers(0, 6)))
+    def test_set_partitions_keep_apart_as_a_filter(self, n, apart):
+        """Keeping `apart` in distinct blocks drops exactly the partitions
+        that join two of them from the full enumeration, in its order."""
+        full = list(reference_set_partitions(range(n)))
+        assert list(set_partitions(range(n))) == full
+        want = [p for p in full if all(sum(v in apart for v in b) <= 1 for b in p)]
+        assert list(set_partitions(range(n), apart)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 50), min_size=1, max_size=6), st.randoms(use_true_random=False))
+    def test_templates_are_the_walks(self, seeds, rng):
+        """`Cube.templates`, built from the literals' split renderings, are
+        the templates of the walk over each atom, braces in names escaped."""
+        lits = [_rand_lit(random.Random(seed)) for seed in seeds] + _BRACED
+        for _ in range(4):
+            exists = tuple(rng.sample([*_ZS, _W], rng.randint(0, 4)))
+            c = Cube(exists, tuple(rng.sample(lits, rng.randint(0, 4))))
+            fields = {v: f"{{{k}}}" for k, v in enumerate(c.exists)}
+            assert c.templates() == [reference_template(l, fields) for l in c.lits]
+            names = [v.name for v in c.exists]
+            assert [t.format(*names) for t in c.templates()] == list(map(repr, c.lits))
+
     def test_term_sort(self):
         assert term_sort(A, SIG) == "S"
         assert term_sort(X, SIG) == "S"
         assert term_sort(ArrayRead("arr", IndexVar("z", "I")), SIG) == "S"
         with pytest.raises(TypingError):
             term_sort(GlobalRef("nope"), SIG)
+
+
+_W = IndexVar("w{", "I}")
+# literals whose names hold braces, which a `str.format` template escapes
+_BRACED = [
+    lit_eq(ArrayRead("f}", _W), Const("{p}")),
+    Lit(True, RelAtom("R{", (GlobalRef("g}"), _W, ArrayRead("f", _ZS[0])))),
+    Lit(False, RelAtom("N", ())),
+]
+
+
+class TestPerLiteralFacts:
+    """What a literal keeps about itself (`Lit`) is what a fresh walk over
+    its atom finds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_negation_is_a_fresh_literal_and_involutive(self, seed):
+        l = _rand_lit(random.Random(seed))
+        n = l.negate()
+        assert n == Lit(not l.neg, l.atom) and hash(n) == hash(Lit(not l.neg, l.atom))
+        assert l.negate() is n  # kept
+        assert n.negate() == l and n.negate().negate() == n
+        assert n.negate() is not l  # kept one way only: no cycle
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_cells_are_the_read_cells(self, seed):
+        l = _rand_lit(random.Random(seed))
+        terms = (l.atom.lhs, l.atom.rhs) if isinstance(l.atom, Eq) else l.atom.args
+        want = [t.array if isinstance(t, ArrayRead) else t
+                for t in terms if isinstance(t, (GlobalRef, ArrayRead))]
+        assert list(l.cells()) == want
+        cc = logic.const_cell(l)
+        assert cc is None or cc[0] in l.cells()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**9), st.permutations(range(3)))
+    def test_renamed_literal_keeps_fresh_facts(self, seed, perm):
+        """`lit_renamed` gives the renamed literal the cells and split
+        rendering a fresh literal computes."""
+        rng = random.Random(seed)
+        for l in [_rand_lit(rng) for _ in range(4)] + _BRACED:
+            sub = dict(zip(_ZS, [IndexVar(f"$cI_{k}", "I") for k in perm]))
+            fresh = logic.lit_subst(l, sub)
+            renamed = logic.lit_renamed(l, sub, repr(fresh), {})
+            assert renamed == fresh
+            assert renamed.cells() == fresh.cells() and renamed.parts() == fresh.parts()
 
 
 class TestCaseElimination:

@@ -15,6 +15,9 @@ rewrite of the encoder, must keep all of them.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,26 @@ def test_oracle_unchanged(case):
 def test_encoding_unchanged(case):
     name, semantics = case.split("/")
     assert encoding_digest(encode(named_model(name), semantics)) == ENCODING_DIGESTS[case]
+
+
+def test_verdicts_unchanged_under_another_hash_seed():
+    """Every recorded verdict digest again, in a process with another str
+    hash seed: a verdict that depends on the iteration order of a set or
+    dict of strings fails here."""
+    code = (
+        "import json, sys\n"
+        "from helpers import named_model, verdict_digest\n"
+        "from pmasafety.encoder import encode\n"
+        "from pmasafety.engine import breach\n"
+        "out = {}\n"
+        "for case in json.load(sys.stdin):\n"
+        "    name, semantics = case.split('/')\n"
+        "    out[case] = verdict_digest(breach(encode(named_model(name), semantics)))\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED="12345")
+    run = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(sorted(DIGESTS)), capture_output=True,
+        text=True, check=True, env=env, timeout=300,
+    )
+    assert json.loads(run.stdout) == DIGESTS
