@@ -615,13 +615,7 @@ class TestClausesSat:
             [Lit(False, RelAtom(r, (Const(f"c{i}"),))) for r in ("R", "S")] for i in range(15)
         ] + [[lit_eq(g1, p)], [lit_eq(g1, q)]]
         cube, region = _ground_entailment([], clauses)
-        extended, calls = GroundReading.extended, []
-
-        def counting(reading, lits, l):
-            calls.append(l)
-            return extended(reading, lits, l)
-
-        monkeypatch.setattr(GroundReading, "extended", counting)
+        calls = _extended_calls(monkeypatch)
         assert entailed_by(cube, region_of(region))
         assert len(calls) <= 3
 
@@ -701,7 +695,6 @@ class TestInitSat:
         want = CongruenceClosure().assert_lits(through)
         abp = SimpleNamespace(init=init)
         assert init_sat(abp, cube) == reference_init_sat(abp, cube) == want
-
 
     def test_decides_every_cube_of_a_run_as_before(self, abp):
         calls = []

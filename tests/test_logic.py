@@ -433,7 +433,7 @@ class TestDnf:
             dnf(fand(parts), cap=4)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.randoms(use_true_random=False), st.sampled_from([1, 2, 3, 5, 8, DEFAULT_DNF_CAP]))
+    @given(st.randoms(use_true_random=False), st.sampled_from([0, 1, 2, 3, 5, 8, DEFAULT_DNF_CAP]))
     def test_conjoin_with_a_first_branch(self, rng, cap):
         """`conjoin_with` on items stripped of the first branch gives what
         conjoining the first branch and the items gives, or raises where it
