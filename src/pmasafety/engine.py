@@ -156,10 +156,10 @@ class _CompiledRule:
         self.writes = {GlobalRef(g) for g in self.globals_map} | set(self.arrays_map)
         self.items: dict[Lit, Dnf] = {}
 
-    def item_after(self, l: Lit, cap: int) -> Optional[Dnf]:
-        """The DNF of cube literal `l` evaluated after the rule's updates, or
-        None when that is `l` itself: the rule writes no cell `l` reads, and
-        `l` is not trivially true or false (a `make_cube` cube may hold
+    def item_after(self, l: Lit, cap: int) -> Dnf:
+        """The DNF of cube literal `l` evaluated after the rule's updates.
+        When the rule writes no cell `l` reads, that is `l` itself, unless
+        `l` is trivially true or false (a `make_cube` cube may hold
         f[z]=f[z])."""
         if self.writes.isdisjoint(l.cells()):
             a = l.atom
@@ -167,7 +167,7 @@ class _CompiledRule:
                 a.lhs == a.rhs or isinstance(a.lhs, Const) and isinstance(a.rhs, Const)
             ):
                 return lit_dnf(l)
-            return None
+            return [(l,)]
         item = self.items.get(l)
         if item is None:
             f = expand_cases(FLit(_lit_through(l, self.globals_map, self.arrays_map)))
@@ -226,10 +226,7 @@ def preimage(
     passes are canonical (`$c<sort>_<k>`), and so are those returned.
     """
     rc = _compiled(rule)
-    items = list(rc.guard_items)
-    for l in cube.lits:
-        item = rc.item_after(l, dnf_cap)
-        items.append([(l,)] if item is None else item)
+    items = rc.guard_items + [rc.item_after(l, dnf_cap) for l in cube.lits]
     if rule.gates:
         cands: dict[str, list[IndexVar]] = {}
         for v in itertools.chain(rc.exists, cube.exists):
