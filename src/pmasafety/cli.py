@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence, TextIO
 
-from .dsl import parse_formula, parse_pmas
+from .dsl import parse_formula, parse_pmas_at
 from .encoder import encode
 from .engine import (
     DEFAULT_MAX_CUBES,
@@ -56,13 +56,19 @@ class InputError(Exception):
 
 
 def _load_model(path: str) -> Pmas:
+    return _load_model_at(path)[0]
+
+
+def _load_model_at(path: str) -> tuple[Pmas, dict]:
+    """The model in the file at `path`, and where its declarations are
+    (`parse_pmas_at`)."""
     try:
         with open(path, encoding="utf-8") as fh:
             src = fh.read()
     except OSError as e:
         raise InputError(f"cannot read model file: {e}") from e
     name = re.sub(r"\.[^.]*$", "", path.rsplit("/", 1)[-1])
-    return parse_pmas(src, name=name)
+    return parse_pmas_at(src, name=name)
 
 
 def _apply_goal(p: Pmas, goal_src: Optional[str]) -> Pmas:
@@ -206,9 +212,10 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_emit_mcmt(args) -> int:
-    p = _apply_goal(_load_model(args.model), args.goal)
+    p, at = _load_model_at(args.model)
+    p = _apply_goal(p, args.goal)
     with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(emit_mcmt(encode(p, args.semantics)))
+        fh.write(emit_mcmt(encode(p, args.semantics), at))
     return EXIT_SAFE
 
 

@@ -317,6 +317,7 @@ class _Parser:
         while self.peek().text in ("var", "action"):
             if self.peek().text == "var":
                 self.next()
+                self.at[name, "var", len(variables)] = (self.peek().line, self.peek().col)
                 v = self.ident("variable name")
                 self.expect(":")
                 sort = self.ident("sort name")
@@ -383,12 +384,19 @@ class _Parser:
 
 def parse_pmas(src: str, name: str = "model") -> Pmas:
     """Parse and validate a model; raises ModelError with diagnostics."""
+    return parse_pmas_at(src, name)[0]
+
+
+def parse_pmas_at(src: str, name: str = "model") -> tuple[Pmas, dict]:
+    """`parse_pmas`, and the line and column of each declaration, keyed as
+    `validate_pmas` reads them, with `(t, "var", k)` for the name of the
+    k-th variable of template `t`."""
     parser = _Parser(src)
     p = parser.pmas(name)
     diags = validate_pmas(p, parser.at)
     if diags:
         raise ModelError(diags)
-    return p
+    return p, parser.at
 
 
 def parse_formula(src: str) -> AgentFormula:

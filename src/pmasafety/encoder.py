@@ -45,7 +45,7 @@ from .logic import (
     f_or,
     ground_lits_sat,
     lit_eq,
-    lit_subst,
+    lit_merged,
     make_cube,
     memoized,
     simplify_lits,
@@ -349,7 +349,11 @@ def differentiate(
     Variables in `distinct` are already differentiated (they come from an
     existing cube) and are never merged with each other: only the
     partitions that keep them apart are enumerated (`set_partitions`).  A
-    branch cube for which `covered` holds is dropped before its EUF check
+    branch that merges variables maps only the literals over a merged one,
+    each by `lit_merged`, which hands on the facts the literal keeps; the
+    rest stand as they are.  Each branch cube comes from `make_cube`, which
+    records that it uses all its variables (`Cube.used_vars`).  A branch
+    cube for which `covered` holds is dropped before its EUF check
     (`ground_lits_sat`).  The literals are trusted to be well-sorted:
     `encode` accepts only a valid model, and every literal the search derives
     comes from its rules and goal by renamings within sorts and case
@@ -364,7 +368,8 @@ def differentiate(
             (neg if l.neg else pos).append((a.lhs, a.rhs))
         else:
             rest.append(l)
-    vars_ = sorted(cube_vars_of_lits(lits))
+    used = cube_vars_of_lits(rest)  # the classes of these are a branch's variables
+    vars_ = sorted(used.union(*pos, *neg))
     by_sort: dict[str, list[IndexVar]] = {}
     for v in vars_:
         by_sort.setdefault(v.sort, []).append(v)
@@ -392,12 +397,18 @@ def differentiate(
             continue
         reps = set(cls_of.values())
         if len(reps) < len(cls_of):
-            simplified = simplify_lits(lit_subst(l, cls_of) for l in rest)
+            moved = {v for v, r in cls_of.items() if v is not r}
+            simplified = simplify_lits(
+                l if moved.isdisjoint(l.index_vars()) else lit_merged(l, cls_of) for l in rest
+            )
         else:  # every class a singleton: the literals stand as they are
             simplified = simplify_lits(rest)
         if simplified is None:
             continue
-        cube = make_cube(sorted(reps), simplified)
+        if len(simplified) < len(rest):  # a literal fell: its variables may have gone
+            cube = make_cube(sorted(reps), simplified)
+        else:
+            cube = make_cube(sorted(reps), simplified, {cls_of[v] for v in used})
         if (covered is None or not covered(cube)) and ground_lits_sat(cube.lits):
             out.append(cube)
     return out

@@ -33,7 +33,6 @@ from .logic import (
     conjoin,
     conjoin_with,
     const_cell,
-    cube_vars_of_lits,
     dnf,
     expand_cases,
     ground_lits_sat,
@@ -140,15 +139,18 @@ class _ClashTable(dict):
 
 class _CompiledRule:
     """The part of every preimage under one rule that depends on the rule
-    alone: its existentials renamed apart to `$r<k>`, each renamed guard
-    literal as a one-branch DNF item, its renamed updates and what they
-    write.  `items` keeps the DNF item of each (renamed) cube literal the
-    rule rewrites, built the first time a cube has it."""
+    alone: its existentials renamed apart to `$r<k>`, the renamed guard
+    literals (`guard_lits`, less the trivially true ones; `guard_false` when
+    one is trivially false), its renamed updates and what they write.
+    `items` keeps the DNF item of each (renamed) cube literal the rule
+    rewrites, built the first time a cube has it."""
 
     def __init__(self, rule: TransitionRule) -> None:
         ren = {v: IndexVar(f"$r{k}", v.sort) for k, v in enumerate(rule.exists)}
         self.exists = tuple(ren.values())
-        self.guard_items = [lit_dnf(lit_subst(l, ren)) for l in rule.guard]
+        guard = [lit_dnf(lit_subst(l, ren)) for l in rule.guard]  # one branch or none
+        self.guard_lits = tuple(dict.fromkeys(l for item in guard if item for l in item[0]))
+        self.guard_false = not all(guard)
         self.globals_map = rule.globals_map()
         self.arrays_map = {
             a: type(u)(u.var, term_subst(u.body, ren)) for a, u in rule.arrays_upd
@@ -156,18 +158,23 @@ class _CompiledRule:
         self.writes = {GlobalRef(g) for g in self.globals_map} | set(self.arrays_map)
         self.items: dict[Lit, Dnf] = {}
 
+    def untouched(self, l: Lit) -> bool:
+        """The rule writes no cell cube literal `l` reads, and `l` is not
+        trivially true or false (a `make_cube` cube may hold f[z]=f[z]):
+        after the updates `l` is itself, its own one-branch item."""
+        if not self.writes.isdisjoint(l.cells()):
+            return False
+        a = l.atom  # two terms are equal, or both constants, only within one type
+        return type(a) is not Eq or type(a.lhs) is not type(a.rhs) or (
+            type(a.lhs) is not Const and a.lhs != a.rhs)
+
     def item_after(self, l: Lit, cap: int) -> Dnf:
-        """The DNF of cube literal `l` evaluated after the rule's updates.
-        When the rule writes no cell `l` reads, that is `l` itself, unless
-        `l` is trivially true or false (a `make_cube` cube may hold
-        f[z]=f[z])."""
+        """The DNF of cube literal `l` evaluated after the rule's updates, for
+        an `l` that is not `untouched`: a trivially true or false literal the
+        rule does not write is its own DNF, and any other is built once and
+        kept in `items`."""
         if self.writes.isdisjoint(l.cells()):
-            a = l.atom
-            if type(a) is Eq and (
-                a.lhs == a.rhs or isinstance(a.lhs, Const) and isinstance(a.rhs, Const)
-            ):
-                return lit_dnf(l)
-            return [(l,)]
+            return lit_dnf(l)
         item = self.items.get(l)
         if item is None:
             f = expand_cases(FLit(_lit_through(l, self.globals_map, self.arrays_map)))
@@ -196,12 +203,14 @@ def preimage(
     per-literal items: the guard's and those of the literals the rule
     rewrites come from the rule's `_CompiledRule`, and only the gates, which
     range over the cube's variables, are built per call.  A cube literal
-    the rule leaves untouched (`Lit.cells`) is its own item.  The items
-    with one branch (guard literals, untouched literals) are merged into one
-    first branch, and only the others multiply, in one `conjoin_with` that
-    conjoins them stripped of the first branch's literals and puts that
-    branch before each result; the conjunctions and their order are those
-    of conjoining the items as they come.  Every item is built before
+    the rule leaves untouched (`_CompiledRule.untouched`, by `Lit.cells`)
+    is its own item, and goes into the first branch with no item built.
+    The items with one branch (guard literals, untouched literals) are
+    merged into one first branch, and only the others multiply, in one
+    `conjoin_with` that conjoins them stripped of the first branch's
+    literals and puts that branch before each result; the conjunctions are
+    those of conjoining the items as they come, in their order, up to the
+    order of the literals within each.  Every item is built before
     `preimage` returns `[]` for an item without a branch, so a budget
     raises where it did.  Returns differentiated cubes (already
     EUF-filtered; `differentiate` drops the covered ones before their EUF
@@ -226,15 +235,22 @@ def preimage(
     passes are canonical (`$c<sort>_<k>`), and so are those returned.
     """
     rc = _compiled(rule)
-    items = rc.guard_items + [rc.item_after(l, dnf_cap) for l in cube.lits]
+    # the one-branch items form one first branch; only the others multiply
+    fixed = dict.fromkeys(rc.guard_lits)
+    items = []
+    for l in cube.lits:
+        if rc.untouched(l):
+            fixed[l] = None
+        else:
+            items.append(rc.item_after(l, dnf_cap))
     if rule.gates:
         cands: dict[str, list[IndexVar]] = {}
         for v in itertools.chain(rc.exists, cube.exists):
             cands.setdefault(v.sort, []).append(v)
         for gate in rule.gates:
             items += _gate_items(gate, cands, dnf_cap)
-    # the one-branch items form one first branch; only the others multiply
-    fixed: dict[Lit, None] = {}
+    if rc.guard_false:
+        return []
     multi = []
     for item in items:
         if not item:
@@ -245,15 +261,18 @@ def preimage(
             multi.append(item)
     if len({l.atom for l in fixed}) < len(fixed):
         return []  # two of its distinct literals share an atom: one negates the other
-    whole = cube.lit_set() if region.holds(cube) else None
-    if whole is not None and whole.issubset(fixed) and math.prod(map(len, multi)) <= dnf_cap:
+    # the literals of `cube` a conjunction must hold beyond the first branch
+    # for `region` to hold each of its branches
+    whole = cube.lit_set().difference(fixed) if region.holds(cube) else None
+    if whole is not None and not whole and math.prod(map(len, multi)) <= dnf_cap:
         return []  # every conjunction holds `cube`, and `conjoin` stays within `dnf_cap`
 
     out: list[Cube] = []
     seen = set()
     distinct = set(cube.exists)
-    for lits in conjoin_with(tuple(fixed), multi, dnf_cap):
-        if whole is not None and whole.issubset(lits):
+    first = tuple(fixed)
+    for lits in conjoin_with(first, multi, dnf_cap):
+        if whole is not None and whole.issubset(lits[len(first):]):
             continue  # every branch holds a renaming of `cube`, which `region` holds
         for c in differentiate(lits, distinct=distinct, covered=region.covers):
             cc = canon_cube(c, region.canon_lits)
@@ -270,7 +289,9 @@ def canon_cube(cube: Cube, table: Optional[dict[str, Lit]] = None) -> Cube:
 
     A candidate renaming only fills the names into the literals' templates
     (`Cube.templates`), sorts and compares strings; the literals without
-    variables are rendered once for all renamings.  Only the winner is built
+    variables are rendered once for all renamings, and a variable no literal
+    uses (`Cube.used_vars`, which a `make_cube` cube has without a scan) is
+    dropped.  Only the winner is built
     as a cube.  Each of its literals is looked up by the rendering that won
     in `table` (rendering -> literal, `Region.canon_lits`) and built
     (`lit_renamed`, which keeps that rendering) only when missing, and then
@@ -285,7 +306,7 @@ def canon_cube(cube: Cube, table: Optional[dict[str, Lit]] = None) -> Cube:
     fixed = [(repr(l), i) for i, l in enumerate(lits) if not l.index_vars()]
     varying = [(t, i) for i, (l, t) in enumerate(template_of.items()) if l.index_vars()]
     # a variable no literal uses is dropped
-    used = [pos[v] for v in cube_vars_of_lits(lits) if v in pos]
+    used = [pos[v] for v in cube.used_vars()]
     sorts = [v.sort for v in cube.exists]
     renamings = [
         itertools.permutations([f"$c{s}_{k}" for k in range(len(vs))]) for s, vs in by_sort
@@ -387,8 +408,9 @@ class Region:
     `counts` keeps how many instances each group has per queried cube size.
     `instances` keeps per cube its instances' negated literals built so far,
     each literal interned: equal ones are one object, found by identity.
-    The tables are built on the first `tables` call after the cube is added,
-    so a region only `covers` reads never builds them.
+    The tables are built on the first `tables` call after the cube is added
+    (`breach` calls it once per layer), so a region only `covers` reads
+    never builds them.
 
     `holds` answers in O(1) whether the region holds a given cube itself,
     which lets `preimage` skip the conjunctions that cube subsumes; the skip
@@ -411,11 +433,15 @@ class Region:
         self.canon_lits: dict[str, Lit] = {}  # rendering -> canonical literal
 
     def tables(self) -> None:
-        """Build the entailment tables of the cubes added since the last call."""
+        """Build the entailment tables of the cubes added since the last
+        call.  A cube's needs mask comes from its reading: the one
+        `entailed_by` left on it (`Cube.reading`), taken off here so that no
+        region cube keeps a reading, or a new one."""
         for cube in self.cubes[len(self.instances):]:
             sizes = tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items())
             bits, need = self.fix_bits, 0
-            for t, d in GroundReading(cube.lits).val.items():
+            reading = cube.__dict__.pop("_reading", None) or GroundReading(cube.lits)
+            for t, d in reading.val.items():
                 need |= bits.setdefault(_fix_key(t, d), 1 << len(bits))
             self.groups.setdefault(sizes, {}).setdefault(need, []).append(len(self.instances))
             self.instances.append({})
@@ -433,8 +459,7 @@ class Region:
 
     def mask(self, cube: Cube) -> int:
         """The bits of the cube's shapes that the region has numbered."""
-        bit = self._bit
-        return sum(bit[sh] for sh in cube.shapes() if sh in bit)
+        return sum(map(self._bit.get, cube.shapes(), itertools.repeat(0)))
 
     def add(self, cube: Cube) -> None:
         self.cubes.append(cube)
@@ -503,7 +528,9 @@ def entailed_by(cube: Cube, region: Region) -> bool:
     and `NODE_CAP` readings searched; past either it answers False (not
     entailed), which is always sound — the cube is merely kept.
 
-    The root is the cube's reading, and a child extends its parent's by one
+    The root is the cube's reading (`Cube.reading`, kept on the cube for
+    `Region.tables`, which files the cube by it once the cube joins the
+    region and drops it), and a child extends its parent's by one
     literal (`GroundReading.extended`).  A reading's generic model M gives
     each class of terms without a value a fresh value and makes each atom
     it does not assert false.  An instance holds in M only if the reading
@@ -524,7 +551,7 @@ def entailed_by(cube: Cube, region: Region) -> bool:
     change (`GroundReading.changes`), and those its reading newly admits;
     its entries are undone when the search leaves it.  The search keeps its
     own stack, so its depth is not bounded by Python's recursion limit."""
-    reading = GroundReading(cube.lits)
+    reading = cube.reading()
     if not reading.sat:
         return True
     region.tables()
@@ -701,7 +728,10 @@ def breach(
     a constant literal the rule rules out is skipped; which rules those are
     is looked up per literal in a table the run fills once per literal
     (`_ClashTable`), not tested pair by pair.  The region, the clash table
-    and the canonical literals live in the run and go with it.
+    and the canonical literals live in the run and go with it.  The region
+    files the kept cubes for entailment as soon as a layer is kept
+    (`Region.tables`), taking the reading `entailed_by` left on each, so the
+    reading of a kept cube does not outlive its layer's check.
 
     `max_cubes` bounds the cubes of all layers so far, the goal's included:
     a layer that passes it ends the run UNKNOWN before it is checked."""
@@ -752,6 +782,7 @@ def breach(
                            reason="fixpoint")
         for n in new_nodes:
             region.add(n.cube)
+        region.tables()  # takes the readings `entailed_by` left on the cubes
 
         if depth >= max_depth:
             return Verdict(UNKNOWN, depth=depth, layers=layers, total_cubes=total,

@@ -705,6 +705,24 @@ def lit_renamed(l: Lit, sub: Subst, rendering: str, renamed: dict) -> Lit:
     return out
 
 
+def lit_merged(l: Lit, sub: Subst) -> Lit:
+    """`lit_subst(l, sub)` with its memos filled, for a `sub` that maps index
+    variables within their sorts, several perhaps to one (a class map).  The
+    shape and the cells stay those of `l`, the split rendering is `l`'s with
+    the variables mapped, the index variables are its variables, once each
+    in order of first occurrence, and the rendering is its texts, unescaped,
+    with the variables' names between them."""
+    out = lit_subst(l, sub)
+    parts = tuple(sub.get(p, p) if k % 2 else p for k, p in enumerate(l.parts()))
+    vs = parts[1::2]
+    _set(out, "_repr", sys.intern("{}".join(parts[::2]).format(*[v.name for v in vs])))
+    _set(out, "_shape", _lit_shape(l))
+    _set(out, "_cells", l.cells())
+    _set(out, "_parts", parts)
+    _set(out, "_vars", tuple(dict.fromkeys(vs)))
+    return out
+
+
 def formula_subst(f: Formula, sub: Subst) -> Formula:
     if isinstance(f, (FTrue, FFalse)):
         return f
@@ -879,6 +897,20 @@ class Cube:
         return frozenset(self.lits)
 
     @memoized
+    def used_vars(self) -> tuple[IndexVar, ...]:
+        """The variables of `exists` some literal uses, in `exists` order
+        (memoized; `make_cube` fills it with the `exists` it keeps, all of
+        which its literals use)."""
+        used = cube_vars_of_lits(self.lits)
+        return tuple(v for v in self.exists if v in used)
+
+    @memoized
+    def reading(self) -> "GroundReading":
+        """The `GroundReading` of the literals (memoized until
+        `engine.Region.tables` takes it)."""
+        return GroundReading(self.lits)
+
+    @memoized
     def vars_by_sort(self) -> dict[str, list[IndexVar]]:
         """`exists` split by sort, each in `exists` order (memoized)."""
         out: dict[str, list[IndexVar]] = {}
@@ -890,7 +922,9 @@ class Cube:
         """Each literal's rendering as a `str.format` template with field k
         for the name of `exists[k]`, in literal order: filled in with the
         names of another cube's variables, a template renders the literal
-        renamed, without building it."""
+        renamed, without building it.  Joined from each literal's split
+        rendering (`Lit.parts`) per cube, since a variable's field is its
+        position in this cube's `exists`."""
         fields = {v: f"{{{k}}}" for k, v in enumerate(self.exists)}
         out = []
         for l in self.lits:
@@ -921,7 +955,7 @@ class Cube:
     def shapes(self) -> KeysView:
         """The `_lit_shape` of every literal, once each and in literal order,
         as a set-like view (memoized)."""
-        return dict.fromkeys(_lit_shape(l) for l in self.lits).keys()
+        return dict.fromkeys(map(_lit_shape, self.lits)).keys()
 
     @memoized
     def const_lits(self) -> tuple[tuple[bool, Union[GlobalRef, str], Const], ...]:
@@ -939,12 +973,19 @@ class Cube:
         return pre + " & ".join(map(repr, self.lits)) if self.lits else pre + "true"
 
 
-def make_cube(exists: Iterable[IndexVar], lits: Iterable[Lit]) -> Cube:
-    """Normalise: dedup literals, sort deterministically, keep only used vars."""
+def make_cube(
+    exists: Iterable[IndexVar], lits: Iterable[Lit], used: Optional[Container] = None
+) -> Cube:
+    """Normalise: dedup literals, sort deterministically, keep only used vars
+    (`used`, when the caller knows the variables the literals use).  The
+    cube's `used_vars` are then its `exists`, filled in here."""
     lits2 = tuple(sorted(dict.fromkeys(lits), key=repr))
-    used = cube_vars_of_lits(lits2)
+    if used is None:
+        used = cube_vars_of_lits(lits2)
     ex = tuple(v for v in dict.fromkeys(exists) if v in used)
-    return Cube(ex, lits2)
+    out = Cube(ex, lits2)
+    out.__dict__["_used_vars"] = ex  # the memo `used_vars` would compute
+    return out
 
 
 def simplify_lits(lits: Iterable[Lit]) -> Optional[tuple[Lit, ...]]:
@@ -953,12 +994,12 @@ def simplify_lits(lits: Iterable[Lit]) -> Optional[tuple[Lit, ...]]:
     out: list[Lit] = []
     for l in lits:
         a = l.atom
-        if isinstance(a, Eq):
+        if type(a) is Eq and type(a.lhs) is type(a.rhs):  # terms of two types differ
             if a.lhs == a.rhs:
                 if l.neg:
                     return None
                 continue
-            if isinstance(a.lhs, Const) and isinstance(a.rhs, Const):
+            if type(a.lhs) is Const:
                 # distinct names: unequal in every model
                 if not l.neg:
                     return None
@@ -1027,7 +1068,7 @@ class GroundReading:
         val, joins = self.val, []
         for l in lits:
             a = l.atom
-            if l.neg or type(a) is not Eq or a.lhs == a.rhs:
+            if l.neg or type(a) is not Eq or type(a.lhs) is type(a.rhs) and a.lhs == a.rhs:
                 continue
             t, d = (a.rhs, a.lhs) if isinstance(a.lhs, _FIXED) else (a.lhs, a.rhs)
             if isinstance(t, _FIXED):

@@ -33,7 +33,7 @@ from .logic import (
     lit_subst,
     term_subst,
 )
-from .model import Diagnostic, ModelError, NOP, index_sort
+from .model import Diagnostic, ModelError, NOP, Pmas, index_sort
 from .encoder import AbPmas, INTERLEAVED, TransitionRule
 from .engine import TraceStep
 
@@ -53,8 +53,36 @@ class McmtError(ModelError):
     pass
 
 
-def _err(msg: str) -> McmtError:
-    return McmtError([Diagnostic(0, 0, msg)])
+def _err(msg: str, at: Optional[tuple[int, int]] = None) -> McmtError:
+    return McmtError([Diagnostic(*(at or (0, 0)), msg)])
+
+
+def _clashes(p: Pmas, at: dict) -> list[Diagnostic]:
+    """A diagnostic for each name of `p` with a meaning in MCMT, at its
+    declaration in `at` (`dsl.parse_pmas_at`): a sort constant, an action
+    (a constant of the action sort; at its first declaration), a global (a
+    variable of the environment) or an array (a variable of an agent
+    template).  The names the encoding adds have none."""
+    out = []
+
+    def clash(what: str, name: str, where: object) -> None:
+        if name in _MCMT_RESERVED:
+            msg = f"{what} {name!r} clashes with an MCMT keyword"
+            out.append(Diagnostic(*at.get(where, (0, 0)), msg))
+
+    for k, s in enumerate(p.sorts):
+        for j, c in enumerate(s.constants):
+            clash("constant", c, ("sort", k, j))
+    actions = set()
+    for t in p.all_templates():
+        for k, a in enumerate(t.actions):
+            if a.name not in actions:
+                actions.add(a.name)
+                clash("action", a.name, (t.name, k))
+    for t in (p.env, *p.templates):
+        for k, (v, _s, _i) in enumerate(t.variables):
+            clash("state variable", v, (t.name, "var", k))
+    return out
 
 
 def _name(c: str) -> str:
@@ -160,27 +188,27 @@ def _rule_cases(rule: TransitionRule, juniv: IndexVar) -> list[Optional[Lit]]:
     raise _err(f"rule kind {rule.kind} has no MCMT rendering")
 
 
-def emit_mcmt(abp: AbPmas) -> str:
-    """Render an encoded system as an MCMT input document (UTF-8 text)."""
+def emit_mcmt(abp: AbPmas, at: Optional[dict] = None) -> str:
+    """Render an encoded system as an MCMT input document (UTF-8 text).  A
+    model it cannot render gets diagnostics at the positions `at` gives its
+    declarations (`dsl.parse_pmas_at`), or at 0:0 where it gives none."""
+    at = at or {}
     if abp.semantics != INTERLEAVED:
         raise _err("MCMT emission supports interleaved semantics only")
-    if len(abp.pmas.templates) != 1:
+    templates = abp.pmas.templates
+    if len(templates) != 1:
         raise _err(
             "MCMT emission needs exactly one agent template "
-            f"(got {len(abp.pmas.templates)}): one index sort per file"
+            f"(got {len(templates)}): one index sort per file",
+            at.get(templates[1].name) if templates else None,
         )
     sig = abp.sig
     goal = abp.goal
     if not goal.cubes:
         raise _err("goal is unsatisfiable: nothing to emit as :unsafe")
-
-    for s in sig.sorts.values():
-        for c in s.constants:
-            if c in _MCMT_RESERVED and c != NOP:
-                raise _err(f"constant {c!r} clashes with an MCMT keyword")
-    for nm in list(sig.globals) + list(sig.arrays):
-        if nm in _MCMT_RESERVED:
-            raise _err(f"state variable {nm!r} clashes with an MCMT keyword")
+    clashes = _clashes(abp.pmas, at)
+    if clashes:
+        raise McmtError(clashes)
 
     (tmpl,) = abp.pmas.templates
     idx_sort = index_sort(tmpl)

@@ -4,7 +4,7 @@ Everything here deliberately avoids the library's own solving machinery:
 satisfiability is decided by exhaustive enumeration over small finite
 universes, and transition rules are executed on fully concrete states.  The
 exceptions are the library's earlier procedures (`CongruenceClosure`,
-`reference_canon_cube`, `reference_entailed_by`,
+`reference_canon_cube`, `reference_differentiate`, `reference_entailed_by`,
 `reference_enumerate_reachable`, `reference_init_sat`, `reference_preimage`,
 `reference_replay_run_template`, `reference_set_partitions`,
 `reference_step_vectors`, `reference_subsumes`, `reference_template`,
@@ -63,6 +63,7 @@ from pmasafety.logic import (
     lit_subst,
     make_cube,
     nnf,
+    set_partitions,
     simplify_lits,
     term_subst,
 )
@@ -768,6 +769,40 @@ def reference_set_partitions(items: Sequence) -> Iterator[list[list]]:
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
         yield [[first]] + part
+
+
+def reference_differentiate(lits, distinct=None, covered=None) -> list[Cube]:
+    """`encoder.differentiate` before a merged branch's literals kept the
+    facts of the literals they come from (`logic.lit_merged`): each is a
+    fresh `lit_subst`, which computes its rendering, shape, cells, split
+    rendering and index variables on first use."""
+    pos, neg, rest = [], [], []
+    for l in lits:
+        a = l.atom
+        if isinstance(a, Eq) and isinstance(a.lhs, IndexVar) and isinstance(a.rhs, IndexVar):
+            (neg if l.neg else pos).append((a.lhs, a.rhs))
+        else:
+            rest.append(l)
+    by_sort: dict[str, list[IndexVar]] = {}
+    for v in sorted(cube_vars_of_lits(lits)):
+        by_sort.setdefault(v.sort, []).append(v)
+    out = []
+    per_sort_parts = [list(set_partitions(vs, distinct or ())) for vs in by_sort.values()]
+    for combo in itertools.product(*per_sort_parts) if per_sort_parts else [()]:
+        cls_of = {v: min(cls) for part in combo for cls in part for v in cls}
+        if any(cls_of[a] != cls_of[b] for a, b in pos) or any(cls_of[a] == cls_of[b] for a, b in neg):
+            continue
+        reps = set(cls_of.values())
+        if len(reps) < len(cls_of):
+            simplified = simplify_lits(lit_subst(l, cls_of) for l in rest)
+        else:
+            simplified = simplify_lits(rest)
+        if simplified is None:
+            continue
+        cube = make_cube(sorted(reps), simplified)
+        if (covered is None or not covered(cube)) and ground_lits_sat(cube.lits):
+            out.append(cube)
+    return out
 
 
 def reference_init_sat(abp, cube: Cube) -> bool:

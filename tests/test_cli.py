@@ -393,6 +393,52 @@ def test_emit_mcmt_concurrent_rejected(cannon_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# cannon copies with one name MCMT gives a meaning: `check` accepts each
+_MCMT_CLASHES = {
+    "constant": (("sort Flag { no, yes }", "sort Flag { no, x }"), ("destroyed := yes", "destroyed := x"),
+                 "error:10:17: constant 'x' clashes with an MCMT keyword"),
+    "action": (("gotoA", "Nop_Action"),
+               "error:17:3: action 'Nop_Action' clashes with an MCMT keyword"),
+    "array": (("var destroyed:", "var x:"), ("destroyed", "x"),
+              "error:16:7: state variable 'x' clashes with an MCMT keyword"),
+    "global": (("var pulse_loc:", "var j:"), ("pulse_loc", "j"),
+               "error:43:7: state variable 'j' clashes with an MCMT keyword"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MCMT_CLASHES))
+def test_emit_mcmt_clash_is_positioned(kind, tmp_path, capsys):
+    *edits, want = _MCMT_CLASHES[kind]
+    text = fixture_text("cannon")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / f"{kind}.pmas"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1  # a valid model, UNSAFE as cannon
+    capsys.readouterr()
+    assert main(["emit-mcmt", str(path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [want]
+
+
+def test_emit_mcmt_reports_every_clash(tmp_path, capsys):
+    text = fixture_text("cannon").replace("gotoA", "Nop_Action").replace("destroyed", "x")
+    path = tmp_path / "two_clashes.pmas"
+    path.write_text(text)
+    assert main(["emit-mcmt", str(path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error:17:3: action 'Nop_Action' clashes with an MCMT keyword",
+        "error:16:7: state variable 'x' clashes with an MCMT keyword",
+    ]
+
+
+def test_emit_mcmt_second_template_is_positioned(trains_path, capsys):
+    assert main(["emit-mcmt", trains_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:36:1: MCMT emission needs exactly one agent template (got 2)")
+    assert fixture_text("trains").splitlines()[35].startswith("template NTrain")
+
+
 def test_oracle_reached(cannon_path, capsys):
     assert main(["oracle", cannon_path, "--counts", "Att=1"]) == 1
     out = _kv_lines(capsys.readouterr().out)

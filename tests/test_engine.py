@@ -34,13 +34,14 @@ from helpers import (
     random_state_formula,
     random_unary_region,
     reference_canon_cube,
+    reference_differentiate,
     reference_entailed_by,
     reference_init_sat,
     reference_preimage,
     reference_subsumes,
     region_of,
 )
-from pmasafety import encoder, engine
+from pmasafety import encoder, engine, logic
 from pmasafety.corpus import generate_corpus, generate_model
 from pmasafety.dsl import parse_formula, parse_pmas
 from pmasafety.encoder import AbInit, TransitionRule, differentiate, encode, encode_goal
@@ -49,6 +50,7 @@ from pmasafety.engine import (
     UNKNOWN,
     UNSAFE,
     Region,
+    _fix_key,
     _lit_through,
     breach,
     canon_cube,
@@ -889,8 +891,10 @@ def _spied_breach(abp) -> SimpleNamespace:
     readings)."""
     rec = SimpleNamespace(
         pruned_exactly=[], as_reference=[], canon_covered=[], entailed=[], canonical_input=[],
+        split_as_reference=[],
     )
     pre, canon, ent = engine.preimage, engine.canon_cube, engine.entailed_by
+    diff = engine.differentiate
     current = [Region()]  # the region of the preimage call in progress
 
     def pre_spy(rule, cube, region, *args):
@@ -913,10 +917,17 @@ def _spied_breach(abp) -> SimpleNamespace:
         rec.entailed.append((cube, list(region.cubes), out, capped))
         return out
 
+    def diff_spy(lits, *args, **kwargs):
+        out = diff(lits, *args, **kwargs)
+        want = reference_differentiate(lits, *args, **kwargs)
+        rec.split_as_reference.append(_lit_facts(out) == _lit_facts(want))
+        return out
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(engine, "preimage", pre_spy)
         m.setattr(engine, "canon_cube", canon_spy)
         m.setattr(engine, "entailed_by", ent_spy)
+        m.setattr(engine, "differentiate", diff_spy)
         breach(abp)
     return rec
 
@@ -972,6 +983,34 @@ class TestCoverageInDifferentiate:
         full = differentiate(lits, distinct=distinct)
         got = differentiate(lits, distinct=distinct, covered=region.covers)
         assert got == [c for c in full if not region.covers(c)]
+
+
+def _lit_facts(cubes: list[Cube]) -> list:
+    """Each cube with, per literal, the literal and every fact it keeps."""
+    return [
+        (c, [(l, repr(l), _lit_shape(l), l.cells(), l.parts(), l.index_vars()) for l in c.lits])
+        for c in cubes
+    ]
+
+
+class TestMergedBranches:
+    """`differentiate` builds a merged branch's literals with the facts of
+    those they come from (`lit_merged`); `reference_differentiate` builds
+    fresh ones, which compute theirs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_matches_reference(self, seed):
+        lits, distinct, cubes = random_split_input(seed)
+        region = region_of(cubes)
+        for apart, covered in ((None, None), (distinct, region.covers)):
+            got = differentiate(lits, distinct=apart, covered=covered)
+            want = reference_differentiate(lits, distinct=apart, covered=covered)
+            assert _lit_facts(got) == _lit_facts(want)
+            assert all(c.used_vars() == c.exists for c in got)
+
+    def test_matches_reference_on_every_call_of_a_run(self, spied_run):
+        assert spied_run.split_as_reference and all(spied_run.split_as_reference)
 
 
 class TestCompiledPreimage:
@@ -1208,6 +1247,84 @@ class TestLocality:
         rep = check_locality(encode(cannon, "concurrent"))
         assert rep.spurious_unsafe_possible
         assert not rep.guaranteed_termination
+
+
+class TestWorkCounts:
+    """Each branch cube's facts are derived once and handed on.  Ceilings on
+    what the interleaved two-robot run computes, counted by spies, fail a
+    change that derives them again where wall times are too noisy to show
+    it.  Before literals carried their facts through the class substitution
+    (and `Region.tables` took the root reading of `entailed_by`), the run
+    built 1 350 readings, computed 2 750 shapes and 2 748 renderings on
+    first use and scanned literals for their variables 2 731 times."""
+
+    def test_two_robot(self, two_robot, monkeypatch):
+        abp = encode(two_robot.model, "interleaved")
+        counts = dict.fromkeys(("readings", "shapes", "renderings", "scans"), 0)
+        read, shape, render = GroundReading.__init__, logic._lit_shape, Lit.__repr__
+        scan = logic.cube_vars_of_lits
+
+        def read_spy(reading, lits):
+            counts["readings"] += 1
+            read(reading, lits)
+
+        def shape_spy(l):
+            counts["shapes"] += not hasattr(l, "_shape")
+            return shape(l)
+
+        def render_spy(l):
+            counts["renderings"] += not hasattr(l, "_repr")
+            return render(l)
+
+        def scan_spy(lits):
+            counts["scans"] += 1
+            return scan(lits)
+
+        monkeypatch.setattr(GroundReading, "__init__", read_spy)
+        monkeypatch.setattr(logic, "_lit_shape", shape_spy)
+        monkeypatch.setattr(Lit, "__repr__", render_spy)
+        for mod in (logic, encoder):
+            monkeypatch.setattr(mod, "cube_vars_of_lits", scan_spy)
+        v = breach(abp)
+        assert (v.status, v.depth, v.total_cubes) == (UNSAFE, 10, 524)
+        ceilings = dict(readings=1037, shapes=474, renderings=460, scans=1010)
+        assert {k: n for k, n in counts.items() if n > ceilings[k]} == {}, counts
+
+
+class TestRegionReadings:
+    """`entailed_by` keeps the root reading of its cube (`Cube.reading`) for
+    `Region.tables`, which takes it once the cube is in the region: after
+    `tables`, and so after the run, no region cube holds a reading."""
+
+    @pytest.mark.parametrize("name", ["two-robot", "trains"])
+    def test_no_region_cube_keeps_a_reading(self, name, two_robot, monkeypatch):
+        p = two_robot.model if name == "two-robot" else parse_pmas(fixture_text(name), name)
+        regions, holding = [], []
+        tables = Region.tables
+
+        def keeping(region) -> list[Cube]:
+            return [c for c in region.cubes
+                    if any(isinstance(x, GroundReading) for x in vars(c).values())]
+
+        def spy(region):
+            tables(region)
+            regions.append(region)
+            holding.append(keeping(region))
+
+        monkeypatch.setattr(Region, "tables", spy)
+        breach(encode(p, "interleaved"))
+        assert len(regions[-1].cubes) > 1 and not any(holding)
+        assert keeping(regions[-1]) == []
+
+    def test_tables_take_the_root_reading(self):
+        cube = make_cube([], [lit_eq(GlobalRef("g1"), Const("p"))])
+        region = region_of([])
+        assert not entailed_by(cube, region)
+        reading = vars(cube)["_reading"]
+        region.add(cube)
+        region.tables()
+        assert "_reading" not in vars(cube)
+        assert list(region.fix_bits) == [_fix_key(*next(iter(reading.val.items())))]
 
 
 def test_two_robot_template_needs_three_agents(two_robot):

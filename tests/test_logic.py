@@ -572,6 +572,17 @@ class TestCubesAndHelpers:
         assert c.lits == (l,)
         assert c.exists == (z1,)  # z2 unused, dropped
 
+    def test_used_vars(self):
+        """A `make_cube` cube uses every existential, and says so without a
+        scan; another cube finds the ones its literals use, in `exists`
+        order."""
+        z1, z2, z3 = IndexVar("z1", "I"), IndexVar("z2", "I"), IndexVar("z3", "I")
+        lits = (lit_eq(ArrayRead("arr", z3), A), Lit(False, RelAtom("R", (ArrayRead("arr", z1), B))))
+        c = make_cube([z1, z2, z3], lits)
+        assert vars(c)["_used_vars"] == c.exists == (z1, z3)
+        assert Cube((z3, z2, z1), lits).used_vars() == (z3, z1)
+        assert Cube((z1,), ()).used_vars() == ()
+
     def test_duplicate_existential_rejected(self):
         z = IndexVar("z", "I")
         with pytest.raises(LogicError):
@@ -584,6 +595,12 @@ class TestCubesAndHelpers:
         assert simplify_lits([lit_eq(A, B, neg=True)]) == ()
         kept = lit_eq(X, A)
         assert simplify_lits([kept, lit_eq(B, B)]) == (kept,)
+        z = IndexVar("z", "I")
+        assert simplify_lits([lit_eq(X, X)]) == () and simplify_lits([lit_eq(X, X, True)]) is None
+        read = ArrayRead("arr", z)
+        assert simplify_lits([lit_eq(read, ArrayRead("arr", z), True)]) is None
+        mixed = [lit_eq(read, A), lit_eq(X, read, True), lit_eq(z, A)]  # terms of two types
+        assert simplify_lits(mixed) == tuple(mixed)
 
     def test_set_partitions_bell_numbers(self):
         for n, bell in enumerate([1, 1, 2, 5, 15]):
@@ -630,6 +647,42 @@ _BRACED = [
 ]
 
 
+# index variables of one sort whose names and sort hold braces
+_BRACED_VARS = (IndexVar("w{", "I}"), IndexVar("}w", "I}"), IndexVar("{w}", "I}"))
+
+
+def _braced_lit(rng) -> Lit:
+    """A random literal over `_BRACED_VARS`, as a term and as an array read's
+    index, in names that hold braces."""
+    def w():
+        return rng.choice(_BRACED_VARS)
+
+    atom = rng.choice([
+        lambda: RelAtom("R{", (w(), ArrayRead("f}", w()), Const("{p}"))),
+        lambda: Eq(ArrayRead("f}", w()), ArrayRead("f}", w())),
+        lambda: RelAtom("}Q", (w(), w(), GlobalRef("g{"))),
+    ])()
+    return Lit(rng.random() < 0.5, atom)
+
+
+def _class_map(rng, vs) -> dict:
+    """A random map of `vs` onto representatives of classes within sorts,
+    each class a random block of its sort and its representative a random
+    member."""
+    by_sort: dict = {}
+    for v in vs:
+        by_sort.setdefault(v.sort, []).append(v)
+    sub = {}
+    for group in by_sort.values():
+        blocks: dict = {}
+        for v in group:
+            blocks.setdefault(rng.randrange(len(group)), []).append(v)
+        for block in blocks.values():
+            rep = rng.choice(block)
+            sub.update(dict.fromkeys(block, rep))
+    return sub
+
+
 class TestPerLiteralFacts:
     """What a literal keeps about itself (`Lit`) is what a fresh walk over
     its atom finds."""
@@ -667,6 +720,23 @@ class TestPerLiteralFacts:
             renamed = logic.lit_renamed(l, sub, repr(fresh), {})
             assert renamed == fresh
             assert renamed.cells() == fresh.cells() and renamed.parts() == fresh.parts()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_merged_literal_keeps_fresh_facts(self, seed):
+        """`lit_merged` builds the literal a class map makes with every fact
+        filled in, each what a fresh `lit_subst` literal computes: several
+        variables may become one, and names may hold braces."""
+        rng = random.Random(seed)
+        for l in [_rand_lit(rng) for _ in range(3)] + [_braced_lit(rng) for _ in range(3)]:
+            sub = _class_map(rng, _ZS + _BRACED_VARS)
+            merged = logic.lit_merged(l, sub)
+            slots = ("_repr", "_shape", "_cells", "_parts", "_vars")
+            filled = [getattr(merged, k) for k in slots]  # AttributeError: not filled in
+            fresh = logic.lit_subst(l, sub)
+            assert merged == fresh and hash(merged) == hash(fresh)
+            assert filled == [repr(fresh), logic._lit_shape(fresh), fresh.cells(),
+                              fresh.parts(), fresh.index_vars()]
 
 
 class TestCaseElimination:
