@@ -287,6 +287,11 @@ def _cmd_cross_check(args) -> int:
         return EXIT_SAFE
     if r.classification == "engine-unknown":
         return EXIT_UNKNOWN
+    if r.classification == "oracle-overflow":
+        at = ",".join(f"{t}={k}" for t, k in r.overflow_counts)
+        _kv("reason", f"the oracle search at {at} overflowed, "
+            "and no configuration reached the goal")
+        return EXIT_UNKNOWN
     if r.classification == "engine-unsafe-oracle-silent" and r.semantics == "concurrent":
         return EXIT_SAFE  # permitted: the concurrent encoding over-approximates
     return EXIT_UNSAFE

@@ -37,6 +37,7 @@ from .logic import (
     expand_cases,
     ground_lits_sat,
     lit_dnf,
+    lit_merged,
     lit_renamed,
     lit_subst,
     memoized,
@@ -137,13 +138,43 @@ class _ClashTable(dict):
         return mask
 
 
+class _Update:
+    """A rule's renamed update of one cell, as part of the key of a shared
+    preimage item: hashed once, and equal to another rule's update of equal
+    value."""
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value) -> None:
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Update and self.value == other.value
+
+
+class _Items(dict):
+    """One run's preimage items (`Region.items`): (cube literal,
+    `_CompiledRule`) -> the item `item_after` returned.  `shared` keeps each
+    item built, with the variables it was built for, under the literal's
+    template up to a renaming of its variables and the rule's updates of the
+    cells it reads, so that another rule updating them alike, or another
+    literal of that template, finds it."""
+
+    def __init__(self) -> None:
+        self.shared: dict[tuple, tuple[tuple[IndexVar, ...], Dnf]] = {}
+
+
 class _CompiledRule:
     """The part of every preimage under one rule that depends on the rule
     alone: its existentials renamed apart to `$r<k>`, the renamed guard
     literals (`guard_lits`, less the trivially true ones; `guard_false` when
-    one is trivially false), its renamed updates and what they write.
-    `items` keeps the DNF item of each (renamed) cube literal the rule
-    rewrites, built the first time a cube has it."""
+    one is trivially false), its renamed updates, and per cell it writes
+    that update as a key (`updates`).  The items of the cube literals it
+    rewrites live in the run's table (`Region.items`), not here."""
 
     def __init__(self, rule: TransitionRule) -> None:
         ren = {v: IndexVar(f"$r{k}", v.sort) for k, v in enumerate(rule.exists)}
@@ -155,33 +186,66 @@ class _CompiledRule:
         self.arrays_map = {
             a: type(u)(u.var, term_subst(u.body, ren)) for a, u in rule.arrays_upd
         }
-        self.writes = {GlobalRef(g) for g in self.globals_map} | set(self.arrays_map)
-        self.items: dict[Lit, Dnf] = {}
+        self.updates: dict = {GlobalRef(g): _Update(c) for g, c in self.globals_map.items()}
+        self.updates.update((a, _Update(u)) for a, u in self.arrays_map.items())
 
     def untouched(self, l: Lit) -> bool:
         """The rule writes no cell cube literal `l` reads, and `l` is not
         trivially true or false (a `make_cube` cube may hold f[z]=f[z]):
         after the updates `l` is itself, its own one-branch item."""
-        if not self.writes.isdisjoint(l.cells()):
+        if not self.updates.keys().isdisjoint(l.cells()):
             return False
         a = l.atom  # two terms are equal, or both constants, only within one type
         return type(a) is not Eq or type(a.lhs) is not type(a.rhs) or (
             type(a.lhs) is not Const and a.lhs != a.rhs)
 
-    def item_after(self, l: Lit, cap: int) -> Dnf:
+    def item_after(self, l: Lit, cap: int, items: _Items) -> Dnf:
         """The DNF of cube literal `l` evaluated after the rule's updates, for
         an `l` that is not `untouched`: a trivially true or false literal the
-        rule does not write is its own DNF, and any other is built once and
-        kept in `items`."""
-        if self.writes.isdisjoint(l.cells()):
+        rule does not write is its own DNF, and any other is looked up in the
+        run's `items`, and found in `items.shared` or built there, the first
+        time the rule asks for `l`.
+
+        The item depends on `l` only up to an injective renaming of its index
+        variables, and on the rule only through its updates of the cells `l`
+        reads: `shared` is keyed by the texts of `l`'s split rendering
+        (`Lit.parts`), the position in `l.index_vars()` of each variable
+        between them, their sorts and those updates.  Case expansion and
+        `dnf` substitute index variables and compare them for identity, never
+        order them, so the item of `l` is the kept one with each literal
+        renamed (`lit_merged`, which carries its facts).  No variable of `l`
+        may be named `$r<k>`, as in `preimage`."""
+        if self.updates.keys().isdisjoint(l.cells()):
             return lit_dnf(l)
-        item = self.items.get(l)
+        item = items.get((l, self))
         if item is None:
-            f = expand_cases(FLit(_lit_through(l, self.globals_map, self.arrays_map)))
-            item = self.items[l] = dnf(f, cap)
+            item = items[l, self] = self._shared_item(l, cap, items.shared)
         elif len(item) > cap:
             raise BudgetError(f"dnf exceeded {cap} cubes")
         return item
+
+    def _shared_item(self, l: Lit, cap: int, shared: dict) -> Dnf:
+        parts, vs = l.parts(), l.index_vars()
+        key = (parts[::2], tuple(map(vs.index, parts[1::2])), tuple(v.sort for v in vs),
+               tuple(map(self.updates.get, l.cells())))
+        kept = shared.get(key)
+        if kept is None:
+            f = expand_cases(FLit(_lit_through(l, self.globals_map, self.arrays_map)))
+            item = dnf(f, cap)
+            shared[key] = (vs, item)
+            return item
+        built_for, item = kept
+        if len(item) > cap:
+            raise BudgetError(f"dnf exceeded {cap} cubes")
+        if built_for == vs:
+            return item
+        sub = dict(zip(built_for, vs))
+        renamed: dict[Lit, Lit] = {}
+        for c in item:
+            for x in c:
+                if x not in renamed:
+                    renamed[x] = x if sub.keys().isdisjoint(x.index_vars()) else lit_merged(x, sub)
+        return [tuple(map(renamed.__getitem__, c)) for c in item]
 
 
 @memoized
@@ -200,9 +264,13 @@ def preimage(
     cubes `region` covers.
 
     The DNF of guard /\\ (cube after the updates) /\\ gates is built from
-    per-literal items: the guard's and those of the literals the rule
-    rewrites come from the rule's `_CompiledRule`, and only the gates, which
-    range over the cube's variables, are built per call.  A cube literal
+    per-literal items: the guard's comes from the rule's `_CompiledRule`,
+    kept on the rule; that of a cube literal the rule rewrites from
+    `region.items`, the run's table, built once per run for all literals
+    equal up to a renaming of their variables and all rules that update
+    the cells they read alike (`_CompiledRule.item_after`), and dropped
+    with the region; only the gates, which range over the cube's variables,
+    are built per call.  A cube literal
     the rule leaves untouched (`_CompiledRule.untouched`, by `Lit.cells`)
     is its own item, and goes into the first branch with no item built.
     The items with one branch (guard literals, untouched literals) are
@@ -242,7 +310,7 @@ def preimage(
         if rc.untouched(l):
             fixed[l] = None
         else:
-            items.append(rc.item_after(l, dnf_cap))
+            items.append(rc.item_after(l, dnf_cap, region.items))
     if rule.gates:
         cands: dict[str, list[IndexVar]] = {}
         for v in itertools.chain(rc.exists, cube.exists):
@@ -415,7 +483,11 @@ class Region:
     `holds` answers in O(1) whether the region holds a given cube itself,
     which lets `preimage` skip the conjunctions that cube subsumes; the skip
     needs the region to hold the cube.  `canon_lits` is the run's table of
-    canonical literals by rendering, which `canon_cube` fills and reads.
+    canonical literals by rendering, which `canon_cube` fills and reads, and
+    `items` its table of preimage items (`_Items`), which `preimage` fills
+    and reads; both live as long as the region, so a `breach` run shares
+    them across its layers and rules, and a `Region()` made for one call
+    starts empty.
     """
 
     def __init__(self) -> None:
@@ -431,6 +503,7 @@ class Region:
         self._freq: dict = {}  # shape -> number of region cubes that have it
         self._keys: set[tuple] = set()  # `Cube.key` of every cube added
         self.canon_lits: dict[str, Lit] = {}  # rendering -> canonical literal
+        self.items = _Items()
 
     def tables(self) -> None:
         """Build the entailment tables of the cubes added since the last

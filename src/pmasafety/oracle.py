@@ -302,7 +302,11 @@ def enumerate_reachable(p: Pmas, cfg: ConcreteConfig, tables: Optional[StepTable
     building a snapshot.  `tables`, for `p` under `cfg`'s interpretation and
     semantics, may be shared with other searches; without them the search
     builds its own.  Only the run returned is turned into step vectors.
+    Raises ValueError for a negative `cfg.max_depth`, whose search would
+    examine nothing and report SILENT.
     """
+    if cfg.max_depth < 0:
+        raise ValueError(f"oracle depth must not be negative, got {cfg.max_depth}")
     if sum(k for _t, k in cfg.counts) > cfg.max_states:
         return OracleResult(OVERFLOW)
     if tables is None:
@@ -452,6 +456,10 @@ class CrossCheckReport:
                                   the bounds allow)
       engine-safe-oracle-reached  engine SAFE but the oracle reached the goal:
                                   always a soundness failure
+      oracle-overflow             engine SAFE or UNSAFE, no bounded config
+                                  reaches the goal and the search of at least
+                                  one overflowed (`overflow_counts`, the
+                                  first), so the oracle decides nothing
       engine-unknown              engine exhausted its budgets
     """
 
@@ -464,6 +472,7 @@ class CrossCheckReport:
     reached_counts: Optional[tuple[tuple[str, int], ...]] = None
     # (interpretations tried per agent count, interpretations there are)
     interpretations: tuple[int, int] = (1, 1)
+    overflow_counts: Optional[tuple[tuple[str, int], ...]] = None
 
 
 def cross_check(
@@ -481,6 +490,8 @@ def cross_check(
     one `StepTables`, built when that interpretation is first searched."""
     if max_count < 1:  # no configuration to run: any agreement would be vacuous
         raise ValueError(f"max_count must be at least 1, got {max_count}")
+    if oracle_depth < 0:  # every search would examine nothing
+        raise ValueError(f"oracle depth must not be negative, got {oracle_depth}")
     # first, so that a budget below 1 fails before the engine runs
     interps = relation_interpretations(p, budget=interp_budget)
     # through the modules, so that tracers and tests rebinding these names reach the calls
@@ -489,6 +500,7 @@ def cross_check(
 
     reached = False
     reached_counts: Optional[tuple[tuple[str, int], ...]] = None
+    overflow_counts: Optional[tuple[tuple[str, int], ...]] = None
     configs = 0
     names = [t.name for t in p.templates]
     tables: dict[int, StepTables] = {}  # by interpretation
@@ -499,19 +511,24 @@ def cross_check(
             configs += 1
             if k not in tables:
                 tables[k] = StepTables(p, interp, semantics)
-            if enumerate_reachable(p, cfg, tables[k]).status == REACHED:
+            status = enumerate_reachable(p, cfg, tables[k]).status
+            if status == REACHED:
                 reached = True
                 reached_counts = counts
                 break
+            if status == OVERFLOW and overflow_counts is None:
+                overflow_counts = counts
         if reached:
             break
 
-    if verdict.status == engine.SAFE:
-        cls = "engine-safe-oracle-reached" if reached else "agree-safe"
-    elif verdict.status == engine.UNSAFE:
-        cls = "agree-unsafe" if reached else "engine-unsafe-oracle-silent"
-    else:
+    if verdict.status == engine.UNKNOWN:
         cls = "engine-unknown"
+    elif not reached and overflow_counts is not None:
+        cls = "oracle-overflow"  # a search that overflowed might have reached the goal
+    elif verdict.status == engine.SAFE:
+        cls = "engine-safe-oracle-reached" if reached else "agree-safe"
+    else:
+        cls = "agree-unsafe" if reached else "engine-unsafe-oracle-silent"
     return CrossCheckReport(
         semantics=semantics,
         engine_status=verdict.status,
@@ -520,5 +537,6 @@ def cross_check(
         classification=cls,
         configs_run=configs,
         reached_counts=reached_counts,
+        overflow_counts=overflow_counts,
         interpretations=(len(interps), interps.total),
     )

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import cyclic_model_text
 from pmasafety import cli, oracle
 from pmasafety.cli import main
 from pmasafety.corpus import generate_model_text
@@ -590,6 +591,26 @@ def test_cross_check_cannon_with_default_budget(cannon_path, capsys):
     out = _kv_lines(capsys.readouterr().out)
     assert out["classification"] == "agree-unsafe"
     assert out["interpretations"] == f"sampled 64 of {2**25}"
+
+
+def test_cross_check_overflow_exits_2(tmp_path, capsys, monkeypatch):
+    """No configuration reaches the goal and one search overflowed: the
+    oracle decides nothing, so the engine's SAFE is no agreement.  The state
+    budget is lowered so that one agent's search completes and two agents'
+    overflows, as both do at the default budget after 200 000 successors."""
+
+    @dataclass(frozen=True)
+    class Small(ConcreteConfig):
+        max_states: int = 2000
+
+    monkeypatch.setattr(oracle, "ConcreteConfig", Small)
+    path = tmp_path / "cyclic.pmas"
+    path.write_text(cyclic_model_text())
+    assert main(["cross-check", str(path), "--max-count", "3"]) == 2
+    out = _kv_lines(capsys.readouterr().out)
+    assert (out["engine-status"], out["classification"]) == ("SAFE", "oracle-overflow")
+    assert out["reason"] == (
+        "the oracle search at A=2 overflowed, and no configuration reached the goal")
 
 
 def test_cross_check_reports_exhaustive_interpretations(trains_path, capsys):

@@ -1256,13 +1256,15 @@ class TestWorkCounts:
     it.  Before literals carried their facts through the class substitution
     (and `Region.tables` took the root reading of `entailed_by`), the run
     built 1 350 readings, computed 2 750 shapes and 2 748 renderings on
-    first use and scanned literals for their variables 2 731 times."""
+    first use and scanned literals for their variables 2 731 times; before
+    the run shared its preimage items across rules and renamings
+    (`Region.items`), it expanded the cases of 307 literals."""
 
     def test_two_robot(self, two_robot, monkeypatch):
         abp = encode(two_robot.model, "interleaved")
-        counts = dict.fromkeys(("readings", "shapes", "renderings", "scans"), 0)
+        counts = dict.fromkeys(("readings", "shapes", "renderings", "scans", "expansions"), 0)
         read, shape, render = GroundReading.__init__, logic._lit_shape, Lit.__repr__
-        scan = logic.cube_vars_of_lits
+        scan, expand = logic.cube_vars_of_lits, engine.expand_cases
 
         def read_spy(reading, lits):
             counts["readings"] += 1
@@ -1280,15 +1282,91 @@ class TestWorkCounts:
             counts["scans"] += 1
             return scan(lits)
 
+        def expand_spy(f):
+            counts["expansions"] += 1
+            return expand(f)
+
         monkeypatch.setattr(GroundReading, "__init__", read_spy)
         monkeypatch.setattr(logic, "_lit_shape", shape_spy)
         monkeypatch.setattr(Lit, "__repr__", render_spy)
         for mod in (logic, encoder):
             monkeypatch.setattr(mod, "cube_vars_of_lits", scan_spy)
+        monkeypatch.setattr(engine, "expand_cases", expand_spy)
         v = breach(abp)
         assert (v.status, v.depth, v.total_cubes) == (UNSAFE, 10, 524)
-        ceilings = dict(readings=1037, shapes=474, renderings=460, scans=1010)
+        ceilings = dict(readings=1037, shapes=474, renderings=460, scans=1010, expansions=63)
         assert {k: n for k, n in counts.items() if n > ceilings[k]} == {}, counts
+
+
+def _facts(l: Lit) -> tuple:
+    """What a literal carries: rendering, shape, cells, split rendering and
+    variables."""
+    return repr(l), _lit_shape(l), l.cells(), l.parts(), l.index_vars()
+
+
+class TestSharedItems:
+    """A run's preimage items are shared across rules with equal updates and
+    across renamings of a literal's variables (`Region.items`)."""
+
+    @pytest.mark.parametrize("semantics", ["interleaved", "concurrent"])
+    @pytest.mark.parametrize("name", ["cannon", "trains"])
+    def test_items_are_exact(self, name, semantics, monkeypatch):
+        """Every item a run asks for equals the item built afresh for its
+        literal, fact for fact, and the item of the literal with its
+        variables renamed is the item renamed."""
+        asked = []
+        item_after = engine._CompiledRule.item_after
+
+        def spy(rc, l, cap, items):
+            out = item_after(rc, l, cap, items)
+            asked.append((rc, l, cap, items, out))
+            return out
+
+        monkeypatch.setattr(engine._CompiledRule, "item_after", spy)
+        breach(encode(parse_pmas(fixture_text(name), name), semantics))
+        monkeypatch.undo()
+        assert len({id(items) for *_, items, _ in asked}) == 1
+        renamed_some = False
+        for rc, l, cap, items, item in asked:
+            fresh = logic.dnf(logic.expand_cases(
+                logic.FLit(_lit_through(l, rc.globals_map, rc.arrays_map))), cap)
+            assert item == fresh, l
+            assert [[_facts(x) for x in c] for c in item] == [[_facts(x) for x in c]
+                                                              for c in fresh]
+            sub = {v: IndexVar(f"$z{k}", v.sort) for k, v in enumerate(l.index_vars())}
+            renamed_some |= bool(sub)
+            got = rc.item_after(lit_subst(l, sub), cap, items)
+            want = [tuple(lit_subst(x, sub) for x in c) for c in item]
+            assert got == want, l
+            assert [[_facts(x) for x in c] for c in got] == [[_facts(x) for x in c]
+                                                            for c in want]
+        assert renamed_some
+
+    def test_rules_with_equal_updates_share_items(self, abp):
+        """The bulk commits of `cannon` update every array alike, so one run
+        expands a literal's cases once for all of them."""
+        bulk = [r for r in abp.rules if r.kind == "bulk_local"]
+        assert len(bulk) > 1
+        v = IndexVar("$cAtt_id_0", "Att_id")
+        l = lit_eq(ArrayRead("loc", v), Const("target"))
+        items = Region().items
+        got = [engine._compiled(r).item_after(l, 10, items) for r in bulk]
+        assert len(items.shared) == 1 and all(g is got[0] for g in got)
+
+    def test_literals_alike_but_for_repeated_variables_differ(self, abp):
+        """`loc[a]=loc[b]` and `loc[b]=loc[b]` read the same texts, as do
+        `R(loc[a], loc[b], loc[a])` and `R(loc[a], loc[b], loc[b])`; the
+        positions of their variables keep their items apart."""
+        rc = engine._compiled(next(r for r in abp.rules if r.kind == "bulk_local"))
+        a, b = IndexVar("a", "Att_id"), IndexVar("b", "Att_id")
+        items = Region().items
+        for x, y, z in ((a, b, None), (b, b, None), (a, b, a), (a, b, b)):
+            reads = [ArrayRead("loc", v) for v in (x, y, z) if v is not None]
+            l = Lit(False, RelAtom("R", tuple(reads)) if z else Eq(*reads))
+            fresh = logic.dnf(logic.expand_cases(
+                logic.FLit(_lit_through(l, rc.globals_map, rc.arrays_map))), 100)
+            assert rc.item_after(l, 100, items) == fresh
+        assert len(items.shared) == 4
 
 
 class TestRegionReadings:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
 from helpers import (
     counting_snapshot,
+    cyclic_model_text,
     named_model,
     orbit_key,
     per_agent,
@@ -73,6 +74,15 @@ def test_blocking_snow_keeps_goal_unreached(cannon):
 def test_trains_goal_unreached(trains):
     cfg = ConcreteConfig((("PTrain", 2), ("NTrain", 1)), RelInterpretation(), "interleaved")
     assert enumerate_reachable(trains, cfg).status == SILENT
+
+
+@pytest.mark.parametrize("depth", [-1, -5])
+def test_negative_depth_rejected(cannon, depth):
+    cfg = ConcreteConfig((("Att", 1),), RelInterpretation(), "interleaved", max_depth=depth)
+    with pytest.raises(ValueError, match="must not be negative"):
+        enumerate_reachable(cannon, cfg)
+    # depth 0 decides the initial snapshot alone
+    assert enumerate_reachable(cannon, replace(cfg, max_depth=0)).status == SILENT
 
 
 def test_overflow_on_tiny_state_budget(cannon):
@@ -386,6 +396,49 @@ class TestCrossCheck:
         assert rep.engine_status in ("SAFE", "UNSAFE")
         # loc never returns to nil, so both sides must agree it is safe
         assert rep.classification == "agree-safe"
+
+    def test_rejects_negative_oracle_depth_before_the_engine(self, cannon, monkeypatch):
+        def engine_ran(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr("pmasafety.engine.breach", engine_ran)
+        with pytest.raises(ValueError, match="must not be negative"):
+            cross_check(cannon, max_count=1, oracle_depth=-1, interp_budget=1)
+
+    def test_overflow_is_no_agreement(self, monkeypatch):
+        """A configuration whose search overflowed might reach the goal, so
+        when none reaches it the report says `oracle-overflow`, whatever the
+        engine said; one that reaches the goal still decides.  The state
+        budget is lowered so that one agent's search (1 750 successors)
+        completes and two agents' overflows."""
+
+        def budget(n: int) -> None:
+            @dataclass(frozen=True)
+            class Small(ConcreteConfig):
+                max_states: int = n
+
+            monkeypatch.setattr(oracle, "ConcreteConfig", Small)
+
+        budget(2000)
+        p = parse_pmas(cyclic_model_text(), "cyclic")
+        rep = cross_check(p, max_count=3)
+        assert (rep.engine_status, rep.classification) == ("SAFE", "oracle-overflow")
+        assert (rep.oracle_reached, rep.configs_run) == (False, 3)
+        assert rep.overflow_counts == (("A", 2),)
+        # the engine finds this goal, and with 5 states every search overflows
+        # before reaching it (one agent reaches it after 9)
+        budget(5)
+        both = parse_formula("x[j] = v1 and y[j] = v1")
+        rep = cross_check(replace(p, goal=both), max_count=2)
+        assert (rep.engine_status, rep.classification) == ("UNSAFE", "oracle-overflow")
+        assert rep.overflow_counts == (("A", 1),)
+        # one agent cannot reach a goal over two, and with 1 000 states its
+        # search overflows; two agents reach it
+        budget(1000)
+        two = parse_formula("x[j1] = v1 and x[j2] = v1 and j1 != j2")
+        rep = cross_check(replace(p, goal=two), max_count=2)
+        assert (rep.classification, rep.reached_counts) == ("agree-unsafe", (("A", 2),))
+        assert rep.overflow_counts == (("A", 1),)
 
     def test_engine_unknown_classification(self, cannon):
         rep = cross_check(
