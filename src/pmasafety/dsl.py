@@ -69,6 +69,8 @@ _KEYWORDS = {
 
 @dataclass(frozen=True)
 class Token:
+    """One token of the model language, with its position."""
+
     kind: str  # punct | ident | eof
     text: str
     line: int

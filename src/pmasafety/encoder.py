@@ -115,6 +115,9 @@ class Gate:
 
 @dataclass(frozen=True)
 class TransitionRule:
+    """One guarded transition of the encoded system, with its updates, gates
+    and the model action it comes from."""
+
     label: str
     kind: str  # declare | bulk_local | sync_start | sync_join | sync_commit
     #          # | ind_sync | gate_local | gate_sync
@@ -171,6 +174,8 @@ class TransitionRule:
 
 @dataclass(frozen=True)
 class AbInit:
+    """The initial state: each global and each array cell set to a constant."""
+
     globals_: tuple[tuple[str, str], ...]  # global -> constant
     arrays: tuple[tuple[str, str], ...]  # array -> constant (lambda j . c)
 
@@ -197,6 +202,8 @@ class AbInit:
 
 @dataclass(frozen=True)
 class AbPmas:
+    """A model encoded as an array-based transition system under one semantics."""
+
     pmas: Pmas
     semantics: str
     sig: Signature

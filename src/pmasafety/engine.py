@@ -157,15 +157,20 @@ class _Update:
 
 
 class _Items(dict):
-    """One run's preimage items (`Region.items`): (cube literal,
-    `_CompiledRule`) -> the item `item_after` returned.  `shared` keeps each
+    """One run's preimage items (`Region.items`): (cube literal, the number
+    of the rule's updates of the cells it reads) -> the item `item_after`
+    returned, which depends on nothing else.  `numbers` numbers each
+    distinct tuple of `_Update`s the run meets, and `number_of` keeps the
+    number per (`_CompiledRule`, cells), so that the updates of two rules
+    are compared once per run, not at every lookup.  `shared` keeps each
     item built, with the variables it was built for, under the literal's
-    template up to a renaming of its variables and the rule's updates of the
-    cells it reads, so that another rule updating them alike, or another
-    literal of that template, finds it."""
+    template up to a renaming of its variables and that number, so that
+    another literal of that template finds it."""
 
     def __init__(self) -> None:
         self.shared: dict[tuple, tuple[tuple[IndexVar, ...], Dnf]] = {}
+        self.numbers: dict[tuple, int] = {}
+        self.number_of: dict[tuple, int] = {}
 
 
 class _CompiledRule:
@@ -203,31 +208,37 @@ class _CompiledRule:
         """The DNF of cube literal `l` evaluated after the rule's updates, for
         an `l` that is not `untouched`: a trivially true or false literal the
         rule does not write is its own DNF, and any other is looked up in the
-        run's `items`, and found in `items.shared` or built there, the first
-        time the rule asks for `l`.
+        run's `items` under `l` and the number of the rule's updates of the
+        cells it reads, and found in `items.shared` or built there, the first
+        time a rule updating them so asks for `l`.
 
         The item depends on `l` only up to an injective renaming of its index
         variables, and on the rule only through its updates of the cells `l`
         reads: `shared` is keyed by the texts of `l`'s split rendering
         (`Lit.parts`), the position in `l.index_vars()` of each variable
-        between them, their sorts and those updates.  Case expansion and
-        `dnf` substitute index variables and compare them for identity, never
-        order them, so the item of `l` is the kept one with each literal
-        renamed (`lit_merged`, which carries its facts).  No variable of `l`
-        may be named `$r<k>`, as in `preimage`."""
-        if self.updates.keys().isdisjoint(l.cells()):
+        between them, their sorts and the number of those updates.  Case
+        expansion and `dnf` substitute index variables and compare them for
+        identity, never order them, so the item of `l` is the kept one with
+        each literal renamed (`lit_merged`, which carries its facts).  No
+        variable of `l` may be named `$r<k>`, as in `preimage`."""
+        cells = l.cells()
+        if self.updates.keys().isdisjoint(cells):
             return lit_dnf(l)
-        item = items.get((l, self))
+        number = items.number_of.get((self, cells))
+        if number is None:
+            numbers = items.numbers
+            number = numbers.setdefault(tuple(map(self.updates.get, cells)), len(numbers))
+            items.number_of[self, cells] = number
+        item = items.get((l, number))
         if item is None:
-            item = items[l, self] = self._shared_item(l, cap, items.shared)
+            item = items[l, number] = self._shared_item(l, number, cap, items.shared)
         elif len(item) > cap:
             raise BudgetError(f"dnf exceeded {cap} cubes")
         return item
 
-    def _shared_item(self, l: Lit, cap: int, shared: dict) -> Dnf:
+    def _shared_item(self, l: Lit, number: int, cap: int, shared: dict) -> Dnf:
         parts, vs = l.parts(), l.index_vars()
-        key = (parts[::2], tuple(map(vs.index, parts[1::2])), tuple(v.sort for v in vs),
-               tuple(map(self.updates.get, l.cells())))
+        key = (parts[::2], tuple(map(vs.index, parts[1::2])), tuple(v.sort for v in vs), number)
         kept = shared.get(key)
         if kept is None:
             f = expand_cases(FLit(_lit_through(l, self.globals_map, self.arrays_map)))
@@ -459,23 +470,30 @@ def _fix_key(t, d) -> tuple:
 class Region:
     """A set of cubes, indexed for "does some cube here subsume this one?".
 
-    A cube can subsume another only if its literal shapes are a subset of the
-    other's (`Cube.shapes`).  The region numbers each shape with a bit and
-    files each cube as `(shape mask, #literals, #variables, cube)` under one
-    of its shapes, the one fewest region cubes have had so far; a query scans
-    only the buckets of its own shapes and runs the embedding search
-    (`subsumes`) only on candidates whose mask lies within its own and that
-    are no longer than it.  `cubes` holds the cubes in insertion order.
+    A cube can subsume another only if its multiset of literal shapes lies
+    within the other's (`Cube.shapes`, whose keys number repeated shapes):
+    an injective renaming maps distinct literals to distinct literals of the
+    same shape.  The region numbers each key with a bit and files each cube
+    as `(shape mask, #literals, #variables, cube)` under one of its keys,
+    the one fewest region cubes have had so far; a query scans only the
+    buckets of its own keys and runs the embedding search (`subsumes`) only
+    on candidates whose mask lies within its own and that are no longer than
+    it.  `cubes` holds the cubes in insertion order.
 
     For `entailed_by`, `tables` files the position of each cube in `groups`
     by its variable count per sort, and within its group under its needs
-    mask: the bits (`fix_bits`) of the keys (`_fix_key`) of the terms the
-    cube fixes.  No instance of the cube holds on the generic model of a
-    reading that fixes no term of some such key, so `entailed_by` finds the
-    cubes worth reading by their masks, without testing each cube.
-    `counts` keeps how many instances each group has per queried cube size.
-    `instances` keeps per cube its instances' negated literals built so far,
-    each literal interned: equal ones are one object, found by identity.
+    mask: per key (`_fix_key`) of the terms the cube fixes, the bits
+    (`fix_bits`) of the first n terms of that key it fixes, the first term's
+    bit filed under the key itself and the n-th's under `(key, n)`.  An
+    instance of the cube holds on the generic model of a reading only if
+    the reading fixes the images of those terms, and an injective instance
+    keeps distinct terms distinct; so it holds only where the reading fixes
+    at least n terms of each such key, and `entailed_by` finds the cubes
+    worth reading by their masks, without testing each cube.  `counts`
+    keeps, per queried cube size, the masks with their groups' instance
+    counts.  `instances` keeps per cube its instances' negated literals
+    built so far, each literal interned: equal ones are one object, found by
+    identity.
     The tables are built on the first `tables` call after the cube is added
     (`breach` calls it once per layer), so a region only `covers` reads
     never builds them.
@@ -496,11 +514,11 @@ class Region:
         self.groups: dict[tuple[tuple[str, int], ...], dict[int, list[int]]] = {}
         self.instances: list[dict[tuple[IndexVar, ...], list[Lit]]] = []
         self._lits: dict[Lit, Lit] = {}
-        self._counts: dict[tuple[tuple[str, int], ...], list[int]] = {}  # see `counts`
-        self.fix_bits: dict[tuple, int] = {}  # `_fix_key` -> its bit
-        self._buckets: dict = {}  # shape (None: no literals) -> filed cubes
-        self._bit: dict = {}  # shape -> its bit
-        self._freq: dict = {}  # shape -> number of region cubes that have it
+        self._counts: dict[tuple[tuple[str, int], ...], tuple[list, int]] = {}  # see `counts`
+        self.fix_bits: dict[tuple, int] = {}  # `_fix_key`, or `(_fix_key, n)` -> its bit
+        self._buckets: dict = {}  # shape key (None: no literals) -> filed cubes
+        self._bit: dict = {}  # shape key -> its bit
+        self._freq: dict = {}  # shape key -> number of region cubes that have it
         self._keys: set[tuple] = set()  # `Cube.key` of every cube added
         self.canon_lits: dict[str, Lit] = {}  # rendering -> canonical literal
         self.items = _Items()
@@ -510,28 +528,43 @@ class Region:
         call.  A cube's needs mask comes from its reading: the one
         `entailed_by` left on it (`Cube.reading`), taken off here so that no
         region cube keeps a reading, or a new one."""
-        for cube in self.cubes[len(self.instances):]:
+        new = self.cubes[len(self.instances):]
+        if new:
+            self._counts.clear()  # built from the groups, which grow
+        bits = self.fix_bits
+        for cube in new:
             sizes = tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items())
-            bits, need = self.fix_bits, 0
             reading = cube.__dict__.pop("_reading", None) or GroundReading(cube.lits)
+            need, seen = 0, {}
             for t, d in reading.val.items():
-                need |= bits.setdefault(_fix_key(t, d), 1 << len(bits))
+                k = _fix_key(t, d)
+                n = seen[k] = seen.get(k, 0) + 1
+                need |= bits.setdefault(k if n == 1 else (k, n), 1 << len(bits))
             self.groups.setdefault(sizes, {}).setdefault(need, []).append(len(self.instances))
             self.instances.append({})
 
-    def counts(self, cube: Cube) -> list[int]:
-        """Per group, in `groups` order: the number of injective
-        instantiations of its cubes' variables by `cube`'s.  It depends on
-        nothing but the group's sizes and `cube`'s variable count per sort,
-        so the list is kept per variable count and extended as groups come."""
+    def counts(self, cube: Cube) -> tuple[list[tuple[int, int, list[int]]], int]:
+        """What `entailed_by` reads of the groups for `cube`: per needs mask
+        of each group whose cubes have n > 0 injective instantiations of
+        their variables by `cube`'s, in `groups` order, `(n, need,
+        positions)`; and the instances of all of them, n per position.  It
+        depends on nothing but the groups and `cube`'s variable count per
+        sort, so it is built once per variable count and kept until `tables`
+        files more cubes (once per layer in `breach`)."""
         have = {s: len(vs) for s, vs in cube.vars_by_sort().items()}
-        out = self._counts.setdefault(tuple(sorted(have.items())), [])
-        for sizes in itertools.islice(self.groups, len(out), None):
-            out.append(math.prod(math.perm(have.get(s, 0), k) for s, k in sizes))
+        key = tuple(sorted(have.items()))
+        out = self._counts.get(key)
+        if out is None:
+            index = []
+            for sizes, by_need in self.groups.items():
+                n = math.prod(math.perm(have.get(s, 0), k) for s, k in sizes)
+                if n:
+                    index += [(n, need, at) for need, at in by_need.items()]
+            out = self._counts[key] = (index, sum(n * len(at) for n, _, at in index))
         return out
 
     def mask(self, cube: Cube) -> int:
-        """The bits of the cube's shapes that the region has numbered."""
+        """The bits of the cube's shape keys that the region has numbered."""
         return sum(map(self._bit.get, cube.shapes(), itertools.repeat(0)))
 
     def add(self, cube: Cube) -> None:
@@ -607,9 +640,15 @@ def entailed_by(cube: Cube, region: Region) -> bool:
     literal (`GroundReading.extended`).  A reading's generic model M gives
     each class of terms without a value a fresh value and makes each atom
     it does not assert false.  An instance holds in M only if the reading
-    fixes a term of each key in its cube's needs mask (`Region`), so a node
-    reads only those cubes' instance clauses (negated literals, built into
-    `region` as needed).  If M satisfies every open clause (each holds a
+    fixes, for each key in its cube's needs mask, as many terms of that key
+    as the cube does (`Region`): an injective instance keeps distinct terms
+    distinct.  So a node reads only those cubes' instance clauses (negated
+    literals, built into `region` as needed).  A node's mask has the bits
+    of the first n terms of a key set where its reading fixes n terms of
+    that key; a child extends its parent's mask by its new value, and
+    counts anew only where its reading was built anew.  The masks, instance
+    counts and `CLAUSE_CAP` total come from `Region.counts`, built once per
+    layer and cube size.  If M satisfies every open clause (each holds a
     negative literal), the cube is not entailed.  Otherwise every model of
     the reading that satisfies the clauses makes a literal of each clause M
     falsifies true, and the search branches on the literals of the shortest
@@ -628,15 +667,11 @@ def entailed_by(cube: Cube, region: Region) -> bool:
     if not reading.sat:
         return True
     region.tables()
-    counts = region.counts(cube)
-    index = [
-        (n, need, at)
-        for n, by_need in zip(counts, region.groups.values()) if n
-        for need, at in by_need.items()
-    ]
-    if sum(n * len(at) for n, _, at in index) > CLAUSE_CAP:
+    index, total = region.counts(cube)
+    if total > CLAUSE_CAP:
         return False
     cvars_by_sort = cube.vars_by_sort()
+    bits = region.fix_bits
     # what the nodes on the path to the current one read: per region cube
     # its open clauses, per cube with a clause M falsifies the shortest as
     # (length, position, clause), and per read key the cubes with an open
@@ -669,9 +704,19 @@ def entailed_by(cube: Cube, region: Region) -> bool:
             read = list({i for k in changed for i in by_key.get(k, ()) if found[i]})
         fixed = was
         if reading.val is not val:  # values only grow down the search
-            start = len(val) if changed is not None else 0  # one more, or read anew
-            for t, d in itertools.islice(reading.val.items(), start, None):
-                fixed |= region.fix_bits.get(_fix_key(t, d), 0)
+            if changed is None:  # read anew
+                fixed, new = 0, reading.val.items()
+            else:  # one more value
+                new = itertools.islice(reading.val.items(), len(val), None)
+            for t, d in new:
+                # the bits of a key's first n terms are set: set the next one
+                k = _fix_key(t, d)
+                b, n = bits.get(k), 1
+                while b is not None and fixed & b:
+                    n += 1
+                    b = bits.get((k, n))
+                if b is not None:
+                    fixed |= b
             # the cubes whose needs the new values meet
             read += [i for _, need, at in index
                      if not need & ~fixed and (val is None or need & ~was) for i in at]
@@ -753,6 +798,8 @@ def init_sat(abp: AbPmas, cube: Cube) -> bool:
 
 @dataclass
 class _Node:
+    """A frontier cube with the rule and the cube it was reached from."""
+
     cube: Cube
     rule: Optional[TransitionRule]
     parent: Optional["_Node"]
@@ -769,6 +816,8 @@ class Frontier:
 
 @dataclass
 class TraceStep:
+    """One rule of a forward trace, with the model action it comes from."""
+
     rule_label: str
     kind: str
     template: Optional[str]
@@ -777,6 +826,8 @@ class TraceStep:
 
 @dataclass
 class Verdict:
+    """The outcome of a backward search: status, depth, trace and layers."""
+
     status: str  # SAFE | UNSAFE | UNKNOWN
     depth: int
     trace: list[TraceStep] = field(default_factory=list)
@@ -924,6 +975,8 @@ def extract_run_template(trace: list[TraceStep]) -> list[frozenset[str]]:
 
 @dataclass
 class LocalityReport:
+    """Which literals of the goal and the guards leave the local fragment."""
+
     semantics: str
     goal_local: bool
     protocols_local: bool

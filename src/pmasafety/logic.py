@@ -45,6 +45,8 @@ PHASE = "phase"
 
 @dataclass(frozen=True)
 class SortDecl:
+    """A sort and its constants."""
+
     name: str
     kind: str  # index | element | action | phase
     constants: tuple[str, ...] = ()
@@ -52,6 +54,8 @@ class SortDecl:
 
 @dataclass(frozen=True)
 class RelDecl:
+    """A relation symbol and the sorts of its arguments."""
+
     name: str
     arg_sorts: tuple[str, ...]
 
@@ -99,8 +103,10 @@ class _Hashed:
 _set = object.__setattr__  # how `__init__` fills the slots of a frozen instance
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False, repr=False)
 class IndexVar(_Hashed):
+    """An index variable of a sort."""
+
     __slots__ = ("name", "sort")
     name: str
     sort: str
@@ -116,8 +122,10 @@ class IndexVar(_Hashed):
         return f"{self.name}:{self.sort}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Const(_Hashed):
+    """A constant."""
+
     __slots__ = ("name",)
     name: str
 
@@ -131,8 +139,10 @@ class Const(_Hashed):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class GlobalRef(_Hashed):
+    """A global variable."""
+
     __slots__ = ("name",)
     name: str
 
@@ -146,8 +156,10 @@ class GlobalRef(_Hashed):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ArrayRead(_Hashed):
+    """An array read at an index variable."""
+
     __slots__ = ("array", "index")
     array: str
     index: IndexVar
@@ -163,7 +175,7 @@ class ArrayRead(_Hashed):
         return f"{self.array}[{self.index.name}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CaseTerm:
     """Case-defined value: first branch whose guard holds wins.
 
@@ -185,8 +197,10 @@ Term = Union[Const, GlobalRef, ArrayRead, IndexVar, CaseTerm]
 # atoms, literals, formulae
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Eq(_Hashed):
+    """An equality atom."""
+
     __slots__ = ("lhs", "rhs")
     lhs: Term
     rhs: Term
@@ -202,8 +216,10 @@ class Eq(_Hashed):
         return f"{self.lhs!r}={self.rhs!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class RelAtom(_Hashed):
+    """A relation atom."""
+
     __slots__ = ("rel", "args")
     rel: str
     args: tuple[Term, ...]
@@ -222,7 +238,7 @@ class RelAtom(_Hashed):
 Atom = Union[Eq, RelAtom]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Lit(_Hashed):
     """A possibly negated atom.  What the search reads about a literal again
     and again is computed the first time it is read and kept in a slot: its
@@ -346,44 +362,56 @@ def lit_eq(lhs: Term, rhs: Term, neg: bool = False) -> Lit:
 # quantifier-free formula AST (used for guards and case conditions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FTrue:
+    """The true formula."""
+
     def __repr__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FFalse:
+    """The false formula."""
+
     def __repr__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FLit:
+    """A literal as a formula."""
+
     lit: Lit
 
     def __repr__(self) -> str:
         return repr(self.lit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FAnd:
+    """A conjunction of formulae."""
+
     items: tuple["Formula", ...]
 
     def __repr__(self) -> str:
         return "(" + " & ".join(map(repr, self.items)) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FOr:
+    """A disjunction of formulae."""
+
     items: tuple["Formula", ...]
 
     def __repr__(self) -> str:
         return "(" + " | ".join(map(repr, self.items)) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FNot:
+    """A negated formula."""
+
     inner: "Formula"
 
     def __repr__(self) -> str:
@@ -870,7 +898,7 @@ def memoized(method):
     return get
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Cube:
     """Existentially quantified conjunction of literals.
 
@@ -953,9 +981,24 @@ class Cube:
 
     @memoized
     def shapes(self) -> KeysView:
-        """The `_lit_shape` of every literal, once each and in literal order,
-        as a set-like view (memoized)."""
-        return dict.fromkeys(map(_lit_shape, self.lits)).keys()
+        """The multiset of the distinct literals' `_lit_shape`s, as a
+        set-like view of keys in literal order (memoized): the k-th literal
+        of shape S gives the key `(S, k)`, the first one the plain `S`.
+
+        An injective renaming of the variables maps distinct literals to
+        distinct literals of the same shape, so a cube embeds into another
+        (`engine.subsumes`) only if its keys are a subset of the other's."""
+        shapes = [*map(_lit_shape, self.lits)]
+        out = dict.fromkeys(shapes)
+        if len(out) < len(shapes):  # a shape repeats, or a literal does
+            distinct = dict.fromkeys(self.lits)
+            if len(distinct) < len(shapes):
+                shapes = [*map(_lit_shape, distinct)]
+            seen, out = dict.fromkeys(out, 0), {}
+            for s in shapes:
+                n = seen[s] = seen[s] + 1
+                out[s if n == 1 else (s, n)] = None
+        return out.keys()
 
     @memoized
     def const_lits(self) -> tuple[tuple[bool, Union[GlobalRef, str], Const], ...]:
@@ -1021,8 +1064,10 @@ def _atom_terms(a: Atom) -> tuple[Term, ...]:
     return a.args
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class StateFormula:
+    """A disjunction of cubes."""
+
     cubes: tuple[Cube, ...]
 
     def __repr__(self) -> str:

@@ -27,6 +27,8 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """A message about a model, at a line and column (0 when unknown)."""
+
     line: int
     col: int
     message: str
@@ -63,11 +65,15 @@ class VarRef:
 
 @dataclass(frozen=True)
 class ConstRef:
+    """A constant in an agent formula."""
+
     name: str
 
 
 @dataclass(frozen=True)
 class RelTest:
+    """A relation atom in an agent formula."""
+
     rel: str
     args: tuple[Union[VarRef, ConstRef], ...]
 
@@ -82,21 +88,29 @@ class IdxEq:
 
 @dataclass(frozen=True)
 class BoolConst:
+    """`true` or `false` in an agent formula."""
+
     value: bool
 
 
 @dataclass(frozen=True)
 class Neg:
+    """A negated agent formula."""
+
     inner: "AgentFormula"
 
 
 @dataclass(frozen=True)
 class Conj:
+    """A conjunction of agent formulae."""
+
     items: tuple["AgentFormula", ...]
 
 
 @dataclass(frozen=True)
 class Disj:
+    """A disjunction of agent formulae."""
+
     items: tuple["AgentFormula", ...]
 
 
@@ -124,6 +138,8 @@ INDIVIDUAL = "individual"
 
 @dataclass(frozen=True)
 class ActionDecl:
+    """An action of an agent template: its kind, precondition and effects."""
+
     name: str
     kind: str  # local | sync | individual
     pre: AgentFormula
@@ -134,6 +150,8 @@ class ActionDecl:
 
 @dataclass(frozen=True)
 class AgentTemplate:
+    """An agent template: its variables and actions."""
+
     name: str
     is_env: bool
     # variable name -> (sort, initial constant), in declaration order
@@ -162,6 +180,8 @@ class AgentTemplate:
 
 @dataclass(frozen=True)
 class Pmas:
+    """A parameterised multi-agent system: sorts, relations, templates and goal."""
+
     name: str
     sorts: tuple[SortDecl, ...]  # value sorts (kind=element)
     relations: tuple[RelDecl, ...]

@@ -32,6 +32,8 @@ from .model import (
 
 @dataclass(frozen=True)
 class ConcreteConfig:
+    """A finite instance to search: agent counts, interpretation, semantics and budgets."""
+
     counts: tuple[tuple[str, int], ...]  # (template, agent count)
     interp: RelInterpretation = RelInterpretation()
     semantics: str = INTERLEAVED
@@ -42,10 +44,12 @@ class ConcreteConfig:
         return dict(self.counts)
 
 
-# One global step: the executed (action, agent id) pairs plus the environment's
-# action (None = idle).  `label()` is the action multiset used for replay.
 @dataclass(frozen=True)
 class StepVector:
+    """One global step: the executed (action, agent id) pairs plus the
+    environment's action (None = idle).  `label()` is the action multiset
+    used for replay."""
+
     kind: str  # local | sync | individual
     env_action: Optional[str]
     agent_actions: tuple[tuple[AgentId, str], ...]
@@ -64,6 +68,8 @@ OVERFLOW = "OVERFLOW"
 
 @dataclass
 class OracleResult:
+    """The outcome of a search of one finite instance."""
+
     status: str
     depth: Optional[int] = None
     run: Optional[list[StepVector]] = None
@@ -353,6 +359,8 @@ INVALID = "INVALID"
 
 @dataclass
 class ReplayResult:
+    """Whether a run template replays, and how many steps matched."""
+
     status: str
     steps_matched: int
 

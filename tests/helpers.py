@@ -52,6 +52,7 @@ from pmasafety.logic import (
     SortDecl,
     StateFormula,
     TRUE,
+    _lit_shape,
     cube_vars_of_lits,
     dnf,
     expand_cases,
@@ -946,10 +947,11 @@ def _lit_check_schedule(cube: Cube) -> list[list[Lit]]:
 def reference_subsumes(a: Cube, b: Cube) -> bool:
     """`engine.subsumes` as it was before it compared renderings: every
     candidate mapping builds the substituted literals and looks them up among
-    `b`'s literals."""
+    `b`'s literals.  Its shape pre-check compares sets of shapes, as the
+    engine did before `Cube.shapes` counted repeated shapes."""
     if len(a.lits) > len(b.lits) or len(a.exists) > len(b.exists):
         return False
-    if not a.shapes() <= b.shapes():
+    if not set(map(_lit_shape, a.lits)) <= set(map(_lit_shape, b.lits)):
         return False
     b_lits = frozenset(b.lits)
     bs_by_sort = b.vars_by_sort()

@@ -224,6 +224,30 @@ class TestCanonCube:
         assert canon_cube(c) == c
 
 
+_REPEAT_VARS = tuple(IndexVar(f"v{k}", "Att_id") for k in range(3))
+
+
+def _at(v: IndexVar, place: str = "target", neg: bool = False) -> Lit:
+    return lit_eq(ArrayRead("loc", v), Const(place), neg=neg)
+
+
+@st.composite
+def repeating_shapes(draw) -> Cube:
+    """A cube over up to three robots whose literals have few shapes, so
+    that shapes repeat: `loc[v]` at `target` or `A`, either sign, `R(loc[v])`
+    and `g=target`.  Sometimes built with `Cube(...)` directly, so a literal
+    may repeat and a variable go unused."""
+    vs = _REPEAT_VARS[:draw(st.integers(0, 3))]
+    pool = [lit_eq(GlobalRef("g"), Const("target"))]
+    for v in vs:
+        pool += [_at(v, place, neg) for place in ("target", "A") for neg in (False, True)]
+        pool.append(Lit(False, RelAtom("R", (ArrayRead("loc", v),))))
+    lits = draw(st.lists(st.sampled_from(pool), max_size=5))
+    if draw(st.booleans()):
+        return Cube(vs, tuple(lits))
+    return make_cube(vs, lits)
+
+
 class TestSubsumes:
     def test_reflexive(self):
         c = canon_cube(_loc_cube(["j"]))
@@ -273,6 +297,32 @@ class TestRegion:
         region = Region()
         region.add(make_cube([], []))
         assert region.covers(canon_cube(_loc_cube(["j"])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(repeating_shapes(), max_size=8),
+           st.lists(repeating_shapes(), min_size=1, max_size=4))
+    @example(  # a repeated literal is one literal: it needs one of its shape
+        [Cube(_REPEAT_VARS[:1], (_at(_REPEAT_VARS[0]),) * 2)],
+        [make_cube(_REPEAT_VARS[:1], [_at(_REPEAT_VARS[0])])],
+    )
+    def test_covers_counts_repeated_shapes(self, cubes, queries):
+        region = Region()
+        for k, c in enumerate(cubes, start=1):
+            region.add(c)
+            for q in queries:
+                want = any(reference_subsumes(a, q) for a in cubes[:k])
+                assert region.covers(q) == want == any(subsumes(a, q) for a in cubes[:k])
+
+    def test_two_of_a_shape_are_not_searched_in_one(self, monkeypatch):
+        # two robots at the target are not looked for where one robot is
+        calls = []
+        monkeypatch.setattr(engine, "subsumes", lambda a, b: calls.append(b) or subsumes(a, b))
+        region = region_of([canon_cube(_loc_cube(["j1", "j2"]))])
+        j1, j2 = IndexVar("j1", "Att_id"), IndexVar("j2", "Att_id")
+        one = make_cube([j1, j2], [_at(j1), lit_eq(ArrayRead("loc", j2), Const("A"))])
+        assert not region.covers(one) and calls == []
+        two = canon_cube(_loc_cube(["j1", "j2", "j3"]))
+        assert region.covers(two) and calls == [two]
 
 
 class TestEntailedBy(object):
@@ -1249,6 +1299,55 @@ class TestLocality:
         assert not rep.guaranteed_termination
 
 
+def _f(v: IndexVar, c: str, neg: bool = False) -> Lit:
+    return lit_eq(ArrayRead("f", v), Const(c), neg=neg)
+
+
+class TestNeedsCountTerms:
+    """A region cube that fixes n terms of one key is read only at a
+    reading that fixes n terms of that key: an injective instance keeps
+    distinct terms distinct."""
+
+    Z1, Z2, W1, W2 = (IndexVar(n, "I") for n in ("z1", "z2", "w1", "w2"))
+
+    def _reads(self, monkeypatch) -> list[int]:
+        """The region positions `entailed_by` reads from now on."""
+        reads, open_clauses = [], engine._open_clauses
+
+        def spy(region, i, *args):
+            reads.append(i)
+            return open_clauses(region, i, *args)
+
+        monkeypatch.setattr(engine, "_open_clauses", spy)
+        return reads
+
+    def test_the_query_fixes_one_then_two(self, monkeypatch):
+        z1, z2, w1, w2 = self.Z1, self.Z2, self.W1, self.W2
+        both = make_cube([w1, w2], [_f(w1, "p"), _f(w2, "p")])
+        reads = self._reads(monkeypatch)
+        _agree(make_cube([z1, z2], [_f(z1, "p"), _f(z2, "q")]), [both], False)
+        assert reads == []
+        _agree(make_cube([z1, z2], [_f(z1, "p"), _f(z2, "p")]), [both], True)
+        assert reads == [0]
+
+    def test_a_decision_fixes_the_second(self, monkeypatch):
+        # the cube fixes f[z1]=p and leaves f[z2] open; the second region
+        # cube's clause at z2 is the unit f[z2]=p, and only once the search
+        # takes it is the first region cube read, and found all false
+        z1, z2, w1, w2 = self.Z1, self.Z2, self.W1, self.W2
+        cube = make_cube([z1, z2], [_f(z1, "p"), lit_eq(ArrayRead("h", z2), Const("u"))])
+        region = [
+            make_cube([w1, w2], [_f(w1, "p"), _f(w2, "p")]),
+            make_cube([w1], [_f(w1, "p", neg=True), lit_eq(ArrayRead("h", w1), Const("u"))]),
+        ]
+        _agree(cube, region, True)
+        reads = self._reads(monkeypatch)
+        assert entailed_by(cube, region_of(region))
+        # the second at the root and again at the child, whose value changes
+        # its clause; the first only at the child
+        assert reads == [1, 1, 0]
+
+
 class TestWorkCounts:
     """Each branch cube's facts are derived once and handed on.  Ceilings on
     what the interleaved two-robot run computes, counted by spies, fail a
@@ -1258,13 +1357,18 @@ class TestWorkCounts:
     built 1 350 readings, computed 2 750 shapes and 2 748 renderings on
     first use and scanned literals for their variables 2 731 times; before
     the run shared its preimage items across rules and renamings
-    (`Region.items`), it expanded the cases of 307 literals."""
+    (`Region.items`), it expanded the cases of 307 literals; before the
+    region's filters counted repeated shapes and fixed terms, it ran 1 396
+    embedding searches (`subsumes`) and read 415 region cubes for
+    entailment (`_open_clauses`)."""
 
     def test_two_robot(self, two_robot, monkeypatch):
         abp = encode(two_robot.model, "interleaved")
-        counts = dict.fromkeys(("readings", "shapes", "renderings", "scans", "expansions"), 0)
+        counts = dict.fromkeys(("readings", "shapes", "renderings", "scans", "expansions",
+                                "embeddings", "open"), 0)
         read, shape, render = GroundReading.__init__, logic._lit_shape, Lit.__repr__
         scan, expand = logic.cube_vars_of_lits, engine.expand_cases
+        embed, open_clauses = engine.subsumes, engine._open_clauses
 
         def read_spy(reading, lits):
             counts["readings"] += 1
@@ -1286,15 +1390,26 @@ class TestWorkCounts:
             counts["expansions"] += 1
             return expand(f)
 
+        def embed_spy(a, b):
+            counts["embeddings"] += 1
+            return embed(a, b)
+
+        def open_spy(*args):
+            counts["open"] += 1
+            return open_clauses(*args)
+
         monkeypatch.setattr(GroundReading, "__init__", read_spy)
         monkeypatch.setattr(logic, "_lit_shape", shape_spy)
         monkeypatch.setattr(Lit, "__repr__", render_spy)
         for mod in (logic, encoder):
             monkeypatch.setattr(mod, "cube_vars_of_lits", scan_spy)
         monkeypatch.setattr(engine, "expand_cases", expand_spy)
+        monkeypatch.setattr(engine, "subsumes", embed_spy)
+        monkeypatch.setattr(engine, "_open_clauses", open_spy)
         v = breach(abp)
         assert (v.status, v.depth, v.total_cubes) == (UNSAFE, 10, 524)
-        ceilings = dict(readings=1037, shapes=474, renderings=460, scans=1010, expansions=63)
+        ceilings = dict(readings=1037, shapes=474, renderings=460, scans=1010, expansions=63,
+                        embeddings=580, open=114)
         assert {k: n for k, n in counts.items() if n > ceilings[k]} == {}, counts
 
 
@@ -1352,6 +1467,10 @@ class TestSharedItems:
         items = Region().items
         got = [engine._compiled(r).item_after(l, 10, items) for r in bulk]
         assert len(items.shared) == 1 and all(g is got[0] for g in got)
+        # the literal over another variable is renamed once for all of them
+        w = IndexVar("$cAtt_id_1", "Att_id")
+        renamed = [engine._compiled(r).item_after(lit_subst(l, {v: w}), 10, items) for r in bulk]
+        assert renamed[0] is not got[0] and all(g is renamed[0] for g in renamed)
 
     def test_literals_alike_but_for_repeated_variables_differ(self, abp):
         """`loc[a]=loc[b]` and `loc[b]=loc[b]` read the same texts, as do
@@ -1394,15 +1513,21 @@ class TestRegionReadings:
         assert len(regions[-1].cubes) > 1 and not any(holding)
         assert keeping(regions[-1]) == []
 
-    def test_tables_take_the_root_reading(self):
-        cube = make_cube([], [lit_eq(GlobalRef("g1"), Const("p"))])
+    def test_tables_take_the_root_reading(self, monkeypatch):
+        z1, z2 = IndexVar("z1", "I"), IndexVar("z2", "I")
+        cube = make_cube([z1, z2], [_f(z1, "p"), _f(z2, "p"), lit_eq(GlobalRef("g1"), Const("q"))])
         region = region_of([])
         assert not entailed_by(cube, region)
         reading = vars(cube)["_reading"]
         region.add(cube)
+        monkeypatch.setattr(GroundReading, "__init__", None)  # no reading is built
         region.tables()
         assert "_reading" not in vars(cube)
-        assert list(region.fix_bits) == [_fix_key(*next(iter(reading.val.items())))]
+        # a bit per fixed term of the root reading, the second of a key under (key, 2)
+        fp, gq = ("f", Const("p")), (GlobalRef("g1"), Const("q"))
+        assert [_fix_key(t, d) for t, d in reading.val.items()] == [fp, fp, gq]
+        assert region.fix_bits == {fp: 1, (fp, 2): 2, gq: 4}
+        assert region.groups == {(("I", 2),): {7: [0]}}
 
 
 def test_two_robot_template_needs_three_agents(two_robot):

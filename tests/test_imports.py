@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-function, class and method it defines is used outside the tests, and every
-name the benchmark traces exists."""
+function, class and method it defines is used outside the tests, every name
+the benchmark traces exists, and no dataclass costs its import more than it
+must."""
 
 from __future__ import annotations
 
@@ -98,6 +99,57 @@ def test_no_code_only_tests_call():
         if name.rpartition(".")[2] not in read
     ]
     assert unread == []
+
+
+# the methods `dataclass` writes by default, each with the keyword that turns it off
+_GENERATED = {"__init__": "init", "__repr__": "repr", "__eq__": "eq"}
+
+
+def dataclass_waste(source: str) -> list[str]:
+    """The work a `dataclass` decorator of `source` does at import for
+    nothing: a method it builds that the class body defines, so that the
+    built one is thrown away, and a docstring it builds with
+    `inspect.signature` for a class without one; each as `Class: what`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for d in node.decorator_list:
+            f = d.func if isinstance(d, ast.Call) else d
+            if getattr(f, "id", getattr(f, "attr", None)) != "dataclass":
+                continue
+            off = {k.arg for k in getattr(d, "keywords", ())
+                   if isinstance(k.value, ast.Constant) and k.value.value is False}
+            defined = {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+            out += [f"{node.name}: {m}" for m, kw in _GENERATED.items()
+                    if m in defined and kw not in off]
+            if ast.get_docstring(node) is None:
+                out.append(f"{node.name}: docstring")
+    return out
+
+
+def test_dataclass_waste_detected():
+    source = (
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(frozen=True, repr=False)\nclass B:\n    '''B.'''\n"
+        "    def __init__(self): pass\n    def __repr__(self): return ''\n"
+        "@dataclasses.dataclass(init=False, eq=False)\nclass C:\n    '''C.'''\n"
+        "    def __init__(self): pass\n    def __eq__(self, o): return True\n"
+        "class D:\n    def __init__(self): pass\n"
+    )
+    assert dataclass_waste(source) == ["A: docstring", "B: __init__"]
+
+
+def test_dataclasses_build_nothing_they_drop():
+    """`dataclass` is a large part of importing the package; building a
+    method the class replaces, or a docstring from the class's signature,
+    only adds to it."""
+    found = {
+        str(path.relative_to(PACKAGE)): waste
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (waste := dataclass_waste(path.read_text()))
+    }
+    assert found == {}
 
 
 def test_traced_names_exist():
