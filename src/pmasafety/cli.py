@@ -24,10 +24,12 @@ from .engine import (
     SAFE,
     UNKNOWN,
     UNSAFE,
+    Verdict,
     breach,
     check_locality,
     extract_run_template,
 )
+from .logic import BudgetError
 from .mcmt import emit_mcmt, explain_witness, parse_mcmt_witness
 from .model import NOP, PHASE_SORT, Diagnostic, ModelError, Pmas, RelInterpretation, goal_errors
 from .oracle import (
@@ -59,14 +61,26 @@ def _load_model(path: str) -> Pmas:
     return _load_model_at(path)[0]
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of the `what` file at `path`, UTF-8 with universal newlines;
+    an input error naming the file if it cannot be read or, with the offset
+    of the first bad byte, if it is not UTF-8."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise InputError(f"cannot read {what} file: {e}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{what} file {path} is not UTF-8: {e.reason} at byte {e.start}") from e
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_model_at(path: str) -> tuple[Pmas, dict]:
     """The model in the file at `path`, and where its declarations are
     (`parse_pmas_at`)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            src = fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read model file: {e}") from e
+    src = _read_text(path, "model")
     name = re.sub(r"\.[^.]*$", "", path.rsplit("/", 1)[-1])
     return parse_pmas_at(src, name=name)
 
@@ -125,12 +139,7 @@ def _load_interp(p: Pmas, path: Optional[str]) -> RelInterpretation:
         return RelInterpretation()
     rels = {r.name: r.arg_sorts for r in p.relations}
     cells = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as e:
-        raise InputError(f"cannot read interpretation file: {e}") from e
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in enumerate(_read_text(path, "interpretation").split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         m = _INTERP_LINE.match(line)
@@ -171,9 +180,12 @@ def _kv(key: str, value) -> None:
 def _cmd_check(args) -> int:
     p = _apply_goal(_load_model(args.model), args.goal)
     with _open_out(args.trace_out) if args.trace_out else contextlib.nullcontext() as trace_out:
-        abp = encode(p, args.semantics)
-        v = breach(abp, max_depth=args.max_depth, max_cubes=args.max_cubes)
-        loc = check_locality(abp)
+        try:
+            abp = encode(p, args.semantics)
+        except BudgetError as e:  # the goal's DNF passed its budget: no search runs
+            abp, v = None, Verdict(UNKNOWN, depth=0, reason=f"goal encoding: {e}")
+        else:
+            v = breach(abp, max_depth=args.max_depth, max_cubes=args.max_cubes)
         _kv("model", p.name)
         _kv("semantics", args.semantics)
         _kv("status", v.status)
@@ -183,10 +195,12 @@ def _cmd_check(args) -> int:
             _kv("reason", v.reason)
         if v.status == UNSAFE:
             _kv("run-template", " ".join("[" + ",".join(sorted(s)) + "]" for s in v.run_template))
-        _kv("goal-local", loc.goal_local)
-        _kv("protocols-local", loc.protocols_local)
-        _kv("guaranteed-termination", loc.guaranteed_termination)
-        _kv("spurious-unsafe-possible", loc.spurious_unsafe_possible)
+        if abp is not None:
+            loc = check_locality(abp)
+            _kv("goal-local", loc.goal_local)
+            _kv("protocols-local", loc.protocols_local)
+            _kv("guaranteed-termination", loc.guaranteed_termination)
+            _kv("spurious-unsafe-possible", loc.spurious_unsafe_possible)
         if trace_out is not None:
             for st in v.trace:
                 trace_out.write(json.dumps({
@@ -376,6 +390,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BudgetError as e:  # a budget of the encoding, as the goal's DNF
+        print(f"unknown: {e}", file=sys.stderr)
+        return EXIT_UNKNOWN
     except Exception as e:  # a bug, never a verdict: keep it off codes 0-2
         msg = " ".join(str(e).split())
         print(f"internal error: {type(e).__name__}: {msg}", file=sys.stderr)

@@ -57,8 +57,7 @@ UNKNOWN = "UNKNOWN"
 
 DEFAULT_MAX_DEPTH = 200
 DEFAULT_MAX_CUBES = 100000
-CLAUSE_CAP = 2000  # instantiations `entailed_by` tries before it gives up
-NODE_CAP = 20000  # readings `entailed_by` searches before it gives up
+CLAUSE_CAP = 2000  # instances `entailed_by` counts before it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +428,11 @@ def subsumes(a: Cube, b: Cube) -> bool:
 
     A candidate mapping is tested by filling the names it gives `a`'s
     variables into `a`'s literal templates (`Cube.check_schedule`) and
-    looking the renderings up among `b`'s (`Cube.key`); no literal is built."""
-    if len(a.lits) > len(b.lits) or len(a.exists) > len(b.exists):
-        return False
-    if not a.shapes() <= b.shapes():
+    looking the renderings up among `b`'s (`Cube.key`); no literal is built.
+    The search is exact without the shape and variable-count tests that
+    `Region.covers` makes; an `a` repeating a literal (not a `make_cube`
+    cube) is still longer than a `b` holding it once."""
+    if len(a.lits) > len(b.lits):
         return False
     b_lits = b.key()[1]
     bs_by_sort = b.vars_by_sort()
@@ -482,21 +482,17 @@ class Region:
 
     For `entailed_by`, `tables` files the position of each cube in `groups`
     by its variable count per sort, and within its group under its needs
-    mask: per key (`_fix_key`) of the terms the cube fixes, the bits
-    (`fix_bits`) of the first n terms of that key it fixes, the first term's
-    bit filed under the key itself and the n-th's under `(key, n)`.  An
-    instance of the cube holds on the generic model of a reading only if
-    the reading fixes the images of those terms, and an injective instance
-    keeps distinct terms distinct; so it holds only where the reading fixes
-    at least n terms of each such key, and `entailed_by` finds the cubes
-    worth reading by their masks, without testing each cube.  `counts`
-    keeps, per queried cube size, the masks with their groups' instance
-    counts.  `instances` keeps per cube its instances' negated literals
-    built so far, each literal interned: equal ones are one object, found by
-    identity.
-    The tables are built on the first `tables` call after the cube is added
-    (`breach` calls it once per layer), so a region only `covers` reads
-    never builds them.
+    mask (`needs`): per key (`_fix_key`) of the terms the cube fixes, the
+    bits (`fix_bits`) of the first n terms of that key it fixes, the first
+    term's bit filed under the key itself and the n-th's under `(key, n)`.
+    An instance of the cube holds on a reading only if the reading fixes
+    the images of those terms, kept distinct by an injective instance; so
+    `entailed_by` reads a cube only where the reading's mask holds its
+    needs, without testing each cube.  `counts` keeps, per queried cube
+    size, the masks with their groups' instance counts.  The tables are
+    built on the first `tables` call after the cube is added (`breach`
+    calls it once per layer), so a region only `covers` reads never builds
+    them.
 
     `holds` answers in O(1) whether the region holds a given cube itself,
     which lets `preimage` skip the conjunctions that cube subsumes; the skip
@@ -512,8 +508,7 @@ class Region:
         self.cubes: list[Cube] = []
         # sizes -> needs mask -> positions in `cubes`, ascending
         self.groups: dict[tuple[tuple[str, int], ...], dict[int, list[int]]] = {}
-        self.instances: list[dict[tuple[IndexVar, ...], list[Lit]]] = []
-        self._lits: dict[Lit, Lit] = {}
+        self._filed = 0  # the cubes `tables` has filed in `groups`
         self._counts: dict[tuple[tuple[str, int], ...], tuple[list, int]] = {}  # see `counts`
         self.fix_bits: dict[tuple, int] = {}  # `_fix_key`, or `(_fix_key, n)` -> its bit
         self._buckets: dict = {}  # shape key (None: no literals) -> filed cubes
@@ -528,39 +523,47 @@ class Region:
         call.  A cube's needs mask comes from its reading: the one
         `entailed_by` left on it (`Cube.reading`), taken off here so that no
         region cube keeps a reading, or a new one."""
-        new = self.cubes[len(self.instances):]
+        new = self.cubes[self._filed:]
         if new:
             self._counts.clear()  # built from the groups, which grow
-        bits = self.fix_bits
         for cube in new:
             sizes = tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items())
             reading = cube.__dict__.pop("_reading", None) or GroundReading(cube.lits)
-            need, seen = 0, {}
-            for t, d in reading.val.items():
-                k = _fix_key(t, d)
-                n = seen[k] = seen.get(k, 0) + 1
-                need |= bits.setdefault(k if n == 1 else (k, n), 1 << len(bits))
-            self.groups.setdefault(sizes, {}).setdefault(need, []).append(len(self.instances))
-            self.instances.append({})
+            by_need = self.groups.setdefault(sizes, {})
+            by_need.setdefault(self.needs(reading), []).append(self._filed)
+            self._filed += 1
 
-    def counts(self, cube: Cube) -> tuple[list[tuple[int, int, list[int]]], int]:
+    def needs(self, reading: GroundReading) -> int:
+        """The `fix_bits` of the terms `reading` fixes: per `_fix_key`, the
+        bits of its first n terms, n the number of its terms the reading
+        fixes, each numbered with the next bit when first met."""
+        bits = self.fix_bits
+        out, seen = 0, {}
+        for t, d in reading.val.items():
+            k = _fix_key(t, d)
+            n = seen[k] = seen.get(k, 0) + 1
+            out |= bits.setdefault(k if n == 1 else (k, n), 1 << len(bits))
+        return out
+
+    def counts(self, cube: Cube) -> tuple[list[tuple[int, list[int]]], int]:
         """What `entailed_by` reads of the groups for `cube`: per needs mask
-        of each group whose cubes have n > 0 injective instantiations of
-        their variables by `cube`'s, in `groups` order, `(n, need,
-        positions)`; and the instances of all of them, n per position.  It
-        depends on nothing but the groups and `cube`'s variable count per
-        sort, so it is built once per variable count and kept until `tables`
-        files more cubes (once per layer in `breach`)."""
+        of each group whose cubes have injective instantiations of their
+        variables by `cube`'s, in `groups` order, `(need, positions)`; and
+        the number of those instances in all.  It depends on nothing but the
+        groups and `cube`'s variable count per sort, so it is built once per
+        variable count and kept until `tables` files more cubes (once per
+        layer in `breach`)."""
         have = {s: len(vs) for s, vs in cube.vars_by_sort().items()}
         key = tuple(sorted(have.items()))
         out = self._counts.get(key)
         if out is None:
-            index = []
+            index, total = [], 0
             for sizes, by_need in self.groups.items():
                 n = math.prod(math.perm(have.get(s, 0), k) for s, k in sizes)
                 if n:
-                    index += [(n, need, at) for need, at in by_need.items()]
-            out = self._counts[key] = (index, sum(n * len(at) for n, _, at in index))
+                    index += by_need.items()
+                    total += n * sum(map(len, by_need.values()))
+            out = self._counts[key] = (index, total)
         return out
 
     def mask(self, cube: Cube) -> int:
@@ -582,10 +585,6 @@ class Region:
         """`cube` itself (by `Cube.key`) was added to the region."""
         return cube.key() in self._keys
 
-    def intern(self, l: Lit) -> Lit:
-        """The region's one object equal to `l`."""
-        return self._lits.setdefault(l, l)
-
     def covers(self, cube: Cube) -> bool:
         """Some cube of the region subsumes `cube`."""
         buckets = self._buckets
@@ -597,72 +596,38 @@ class Region:
         return False
 
 
-def _open_clauses(region: Region, i: int, cvars_by_sort, reading: GroundReading) -> list:
-    """For each injective instance of region cube `i` by the cube's
-    variables (`cvars_by_sort`) whose clause (its negated literals, built
-    into `region` as needed) no literal makes true: the clause's undecided
-    literals, none when all are false."""
-    b, built = region.cubes[i], region.instances[i]
-    out = []
+def _instance_holds(b: Cube, cvars_by_sort, reading: GroundReading) -> bool:
+    """Some injective instance of region cube `b` by the cube's variables
+    (`cvars_by_sort`) has every literal true on `reading`
+    (`GroundReading.value`)."""
+    value = reading.value
     for combo in itertools.product(*(cvars_by_sort[v.sort] for v in b.exists)):
         if len(set(combo)) != len(combo):
-            continue  # non-injective: differentiation clause vacuous
-        negs = built.setdefault(combo, [])
-        undecided = []
-        for k, l in enumerate(b.lits):
-            if k == len(negs):
-                negs.append(region.intern(lit_subst(l.negate(), dict(zip(b.exists, combo)))))
-            v = reading.value(negs[k])
-            if v:
-                break
-            if v is None:
-                undecided.append(negs[k])
-        else:
-            out.append(undecided)
-    return out
+            continue  # non-injective: distinct variables are distinct indexes
+        sub = dict(zip(b.exists, combo))
+        if all(value(lit_subst(l, sub)) for l in b.lits):
+            return True
+    return False
 
 
 def entailed_by(cube: Cube, region: Region) -> bool:
-    """cube |= \\/ region, via universal instantiation over the cube's own
-    variables (sorts with no variable are empty in the restricted model).
-    This is the one decision procedure for the exists/forall fragment: the
-    cube is satisfiable together with the negation of every instance iff
-    it is not entailed.
+    """cube |= \\/ region, decided by single instances: True when the
+    cube's reading (`Cube.reading`) is unsatisfiable, or when some region
+    cube has an injective instance over the cube's own variables whose
+    literals the reading all makes true (`GroundReading.value`); False
+    otherwise, and False without a look past `CLAUSE_CAP` instances in all.
 
-    It is one depth-first search over readings (`GroundReading`) with two
-    budgets, `CLAUSE_CAP` instantiations in all, checked before the search,
-    and `NODE_CAP` readings searched; past either it answers False (not
-    entailed), which is always sound — the cube is merely kept.
+    True is sound: every model of the cube satisfies that instance, the
+    cube's variables being distinct indexes.  False may be wrong where only
+    a case split proves entailment (a term the cube leaves open, each of
+    whose values some region cube covers) or where `value` leaves a literal
+    the cube implies unknown; that keeps the cube, never costs soundness.
+    A region cube over a sort the cube has no variable of has no instance.
 
-    The root is the cube's reading (`Cube.reading`, kept on the cube for
-    `Region.tables`, which files the cube by it once the cube joins the
-    region and drops it), and a child extends its parent's by one
-    literal (`GroundReading.extended`).  A reading's generic model M gives
-    each class of terms without a value a fresh value and makes each atom
-    it does not assert false.  An instance holds in M only if the reading
-    fixes, for each key in its cube's needs mask, as many terms of that key
-    as the cube does (`Region`): an injective instance keeps distinct terms
-    distinct.  So a node reads only those cubes' instance clauses (negated
-    literals, built into `region` as needed).  A node's mask has the bits
-    of the first n terms of a key set where its reading fixes n terms of
-    that key; a child extends its parent's mask by its new value, and
-    counts anew only where its reading was built anew.  The masks, instance
-    counts and `CLAUSE_CAP` total come from `Region.counts`, built once per
-    layer and cube size.  If M satisfies every open clause (each holds a
-    negative literal), the cube is not entailed.  Otherwise every model of
-    the reading that satisfies the clauses makes a literal of each clause M
-    falsifies true, and the search branches on the literals of the shortest
-    such clause, the first in region order on a tie: an all-false clause
-    backtracks, and a unit clause gives one child.
-
-    A node hands its children what it read: per region cube its open
-    clauses (`_open_clauses`; none once all hold, and then on every
-    descendant too) and the shortest M falsifies, and per read key
-    (`GroundReading.read_keys`) the cubes with an open literal that reads
-    it.  A child re-reads only the cubes whose literals its new literal can
-    change (`GroundReading.changes`), and those its reading newly admits;
-    its entries are undone when the search leaves it.  The search keeps its
-    own stack, so its depth is not bounded by Python's recursion limit."""
+    Only the region cubes whose needs mask the reading meets are read
+    (`Region`); the masks and the `CLAUSE_CAP` total come from
+    `Region.counts`.  The reading stays on the cube for `Region.tables`,
+    which files the cube by it once the cube joins the region."""
     reading = cube.reading()
     if not reading.sat:
         return True
@@ -670,85 +635,13 @@ def entailed_by(cube: Cube, region: Region) -> bool:
     index, total = region.counts(cube)
     if total > CLAUSE_CAP:
         return False
+    have = region.needs(reading)
     cvars_by_sort = cube.vars_by_sort()
-    bits = region.fix_bits
-    # what the nodes on the path to the current one read: per region cube
-    # its open clauses, per cube with a clause M falsifies the shortest as
-    # (length, position, clause), and per read key the cubes with an open
-    # literal that reads it
-    found: dict[int, list] = {}
-    shortest: dict[int, tuple] = {}
-    by_key: dict = {}
-    # a node: its reading, the literals it reads, its parent's values and
-    # the needs bits they fix, and the keys its last literal changes (None
-    # at the root); or a list of (table, key, entry before) that undoes a
-    # node's entries once the search leaves its subtree
-    stack: list = [(reading, cube.lits, None, 0, None)]
-    budget = NODE_CAP
-    while stack:
-        top = stack.pop()
-        if type(top) is list:
-            for table, k, entry in reversed(top):
-                if entry is None:
-                    table.pop(k, None)
-                else:
-                    table[k] = entry
-            continue
-        if not budget:
-            return False  # past `NODE_CAP` with a node left
-        budget -= 1
-        reading, lits, val, was, changed = top
-        if changed is None:
-            read = [i for i, clauses in found.items() if clauses]
-        else:
-            read = list({i for k in changed for i in by_key.get(k, ()) if found[i]})
-        fixed = was
-        if reading.val is not val:  # values only grow down the search
-            if changed is None:  # read anew
-                fixed, new = 0, reading.val.items()
-            else:  # one more value
-                new = itertools.islice(reading.val.items(), len(val), None)
-            for t, d in new:
-                # the bits of a key's first n terms are set: set the next one
-                k = _fix_key(t, d)
-                b, n = bits.get(k), 1
-                while b is not None and fixed & b:
-                    n += 1
-                    b = bits.get((k, n))
-                if b is not None:
-                    fixed |= b
-            # the cubes whose needs the new values meet
-            read += [i for _, need, at in index
-                     if not need & ~fixed and (val is None or need & ~was) for i in at]
-        undo: list = []
-        stack.append(undo)
-        for i in read:
-            undo += ((found, i, found.get(i)), (shortest, i, shortest.get(i)))
-            clauses = found[i] = _open_clauses(region, i, cvars_by_sort, reading)
-            # M falsifies a clause without a negative literal
-            falsified = [c for c in clauses if not any(d.neg for d in c)]
-            if falsified:
-                c = min(falsified, key=len)
-                shortest[i] = (len(c), i, c)
-            else:
-                shortest.pop(i, None)
-        if not shortest:
-            return False  # M satisfies every instance clause
-        _, _, clause = min(shortest.values())
-        if not clause:
-            continue  # all false
-        for i in read:
-            for c in found[i]:
-                for d in c:
-                    for k in reading.read_keys(d):
-                        cubes = by_key.get(k)
-                        undo.append((by_key, k, cubes))
-                        by_key[k] = (cubes or frozenset()) | {i}
-        for d in reversed(clause):  # tried in clause order
-            child = reading.extended(lits, d)
-            if child is not None:
-                stack.append((child, (*lits, d), reading.val, fixed, reading.changes(d)))
-    return True  # every branch has an all-false clause
+    cubes = region.cubes
+    return any(
+        _instance_holds(cubes[i], cvars_by_sort, reading)
+        for need, at in index if not need & ~have for i in at
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -847,11 +740,11 @@ def breach(
 
     Each depth checks the frontier against the initial states (`init_sat`),
     drops each frontier cube the layer kept so far covers or the visited
-    region entails (`entailed_by`), and takes the preimage of every kept
-    cube under every rule (`preimage`).  A (rule, cube) pair whose cube has
-    a constant literal the rule rules out is skipped; which rules those are
-    is looked up per literal in a table the run fills once per literal
-    (`_ClashTable`), not tested pair by pair.  The region, the clash table
+    region entails by a single instance (`entailed_by`), and takes the
+    preimage of every kept cube under every rule (`preimage`).  A (rule,
+    cube) pair whose cube has a constant literal the rule rules out is
+    skipped; which rules those are is looked up per literal in a table the
+    run fills once per literal (`_ClashTable`), not tested pair by pair.  The region, the clash table
     and the canonical literals live in the run and go with it.  The region
     files the kept cubes for entailment as soon as a layer is kept
     (`Region.tables`), taking the reading `entailed_by` left on each, so the

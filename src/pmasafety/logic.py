@@ -8,13 +8,9 @@ stored.  Every ground conjunction is decided by reading it through its
 constants (`GroundReading`), joining the classes of two globals or array
 reads that a positive equality equates.  The exists/forall fragment is
 decided only by `engine.entailed_by`, which instantiates the universals over
-the existential prefix literal by literal and searches depth first over
-readings, each extending its parent's by one literal: a node reads only the
-instances that can hold on its reading's generic model, backtracks on an
-all-false clause, stops (not entailed) when the generic model satisfies
-every clause, and branches on the literals of the shortest clause it
-falsifies.  The search has two budgets, the instantiations in all and the
-readings searched; past either it answers "not entailed".
+the existential prefix and proves entailment by single instances: an
+instance whose literals the cube's reading all makes true.  Past a budget
+of instances in all it answers "not entailed".
 """
 
 from __future__ import annotations
@@ -1094,19 +1090,25 @@ class GroundReading:
     `val` holds every term whose class has a value, and `root` maps each
     member of a joined class without one to one member.  Disequalities
     (`apart`) and relation atoms (`signs`, each atom's `neg`) are then read
-    through the classes, and `rest` keeps those literals.  Relation atoms
-    are only true or false and are never arguments, and array reads sit at
-    index skolems that never merge, so that is all the congruence this
-    logic has: `sat` and `value(l)` are exact."""
+    through the classes.  Relation atoms are only true or false and are
+    never arguments, and array reads sit at index skolems that never merge,
+    so `sat` is exact: the generic model, which gives each class without a
+    value a fresh one and makes each relation atom true only where it is
+    asserted, satisfies a conjunction `sat` accepts.
 
-    __slots__ = ("sat", "val", "root", "apart", "signs", "rest")
+    `value(l)` is sound but not complete: True or False only when every
+    model of the literals agrees, but None may hide a value they imply:
+    `!R2(f[z1], h[z2]) & R2(f[z2], h[z2])` implies `f[z1] != f[z2]`, since
+    equal arguments would give one atom two signs, yet `value` reads
+    `f[z1] = f[z2]` as None."""
+
+    __slots__ = ("sat", "val", "root", "apart", "signs")
 
     def __init__(self, lits: Sequence[Lit]) -> None:
         self.val: dict[Term, Term] = {}
         self.root: dict[Term, Term] = {}
         self.apart: set[tuple[Term, Term]] = set()
         self.signs: dict[RelAtom, bool] = {}
-        self.rest: tuple[Lit, ...] = ()
         self.sat = self._read(lits)
 
     def _read(self, lits: Sequence[Lit]) -> bool:
@@ -1124,28 +1126,17 @@ class GroundReading:
                 return False
         if joins and not self._join(joins):
             return False
-        return self._read_rest(lits)
-
-    def _read_rest(self, lits: Iterable[Lit]) -> bool:
-        """Read the disequalities and relation literals of `lits` through
-        the classes, and keep them in `rest`; False on a conflict."""
-        val, root, rest = self.val, self.root, []
+        # the disequalities and relation literals, read through the classes
         for l in lits:
             a = l.atom
             if type(a) is not Eq:
                 if self.signs.setdefault(self._read_atom(a), l.neg) != l.neg:
                     return False
             elif l.neg:
-                x, y = val.get(a.lhs, a.lhs), val.get(a.rhs, a.rhs)
-                if root:
-                    x, y = root.get(x, x), root.get(y, y)
+                x, y = self._rep(a.lhs), self._rep(a.rhs)
                 if x == y:
                     return False
                 self.apart.update(((x, y), (y, x)))
-            else:
-                continue
-            rest.append(l)
-        self.rest = tuple(rest)
         return True
 
     def _join(self, joins: list[tuple[Term, Term]]) -> bool:
@@ -1188,102 +1179,16 @@ class GroundReading:
 
     def value(self, l: Lit) -> Optional[bool]:
         """The literal's truth value in every model of the literals read, or None."""
-        a, val, root = l.atom, self.val, self.root
+        a = l.atom
         if type(a) is not Eq:
             neg = self.signs.get(self._read_atom(a))
             return None if neg is None else neg == l.neg
-        x, y = val.get(a.lhs, a.lhs), val.get(a.rhs, a.rhs)
-        if root:
-            x, y = root.get(x, x), root.get(y, y)
+        x, y = self._rep(a.lhs), self._rep(a.rhs)
         if x == y:
             return not l.neg
         if isinstance(x, _FIXED) and isinstance(y, _FIXED) or (x, y) in self.apart:
             return l.neg
         return None
-
-    def read_keys(self, l: Lit) -> tuple:
-        """What `value(l)` depends on besides `l`'s own fixed terms: its
-        sides or arguments as this reading reads them (`_rep`) that have no
-        value, and for a relation literal its atom as read."""
-        a = l.atom
-        if type(a) is Eq:
-            terms: Iterable[Term] = (self._rep(a.lhs), self._rep(a.rhs))
-        else:
-            terms = map(self._rep, a.args)
-        keys = tuple(t for t in terms if not isinstance(t, _FIXED))
-        return keys if type(a) is Eq else (*keys, self._read_atom(a))
-
-    def _valued_cell(self, l: Lit) -> Optional[tuple[Term, Term]]:
-        """`(t, d)` when `l`, undecided, is a positive equality that gives a
-        global or array read `t` without a value the constant or index
-        variable `d`, in a reading with no joined classes."""
-        a = l.atom
-        if type(a) is not Eq or l.neg or self.root:
-            return None
-        if isinstance(a.lhs, _FIXED):
-            return a.rhs, a.lhs
-        return (a.lhs, a.rhs) if isinstance(a.rhs, _FIXED) else None
-
-    def changes(self, l: Lit) -> Optional[tuple]:
-        """For an undecided `l`: keys such that a literal none of whose
-        `read_keys` is among them has the same `value` when this reading is
-        `extended` by `l` as here; None when any literal's value may change
-        (a positive equality that joins two classes, or read among classes).
-
-        A relation literal adds its atom as read to `signs`, and only a
-        literal reading that atom changes.  A disequality adds its pair as
-        read to `apart`; a literal reading that pair reads its term without
-        a value.  A `_valued_cell` equality `t = d` changes the literals
-        that read `t`, and reads each literal of `rest` that reads `t` anew:
-        as a pair of `d` and a term, which changes only literals reading
-        that term (or none, when it has a value), or as an atom."""
-        if type(l.atom) is not Eq or l.neg:
-            return self.read_keys(l)
-        cell = self._valued_cell(l)
-        if cell is None:
-            return None
-        t, d = cell
-        out = [t]
-        for m in self.rest:
-            b = m.atom
-            if t not in _atom_terms(b):
-                continue
-            if type(b) is Eq:
-                y = self._rep(b.rhs if b.lhs == t else b.lhs)
-                if not isinstance(y, _FIXED):
-                    out.append(y)
-            else:
-                out.append(RelAtom(b.rel, tuple(d if x == t else self._rep(x) for x in b.args)))
-        return tuple(out)
-
-    def extended(self, lits: Sequence[Lit], l: Lit) -> Optional[GroundReading]:
-        """The reading of `lits` and `l`, where this is the satisfiable
-        reading of `lits`; None when they are unsatisfiable.  A literal this
-        reading decides costs nothing, and a disequality or relation literal
-        adds one entry to a copy.  A positive equality that gives a term a
-        value (`_valued_cell`) re-reads only `rest`, with the values
-        extended by it; any other positive equality re-reads `lits`."""
-        v = self.value(l)
-        if v is not None:
-            return self if v else None
-        a = l.atom
-        out = GroundReading.__new__(GroundReading)
-        out.sat, out.val, out.root = True, self.val, self.root
-        if type(a) is Eq and not l.neg:
-            cell = self._valued_cell(l)
-            if cell is None:
-                out = GroundReading([*lits, l])
-                return out if out.sat else None
-            t, d = cell
-            out.val, out.apart, out.signs = {**self.val, t: d}, set(), {}
-            return out if out._read_rest(self.rest) else None
-        out.apart, out.signs, out.rest = self.apart, self.signs, (*self.rest, l)
-        if type(a) is Eq:
-            x, y = self._rep(a.lhs), self._rep(a.rhs)
-            out.apart = self.apart | {(x, y), (y, x)}
-        else:
-            out.signs = {**self.signs, self._read_atom(a): l.neg}
-        return out
 
 
 def ground_lits_sat(lits: Sequence[Lit]) -> bool:

@@ -16,6 +16,7 @@ from typing import Iterator, Optional
 
 from . import encoder, engine
 from .encoder import CONCURRENT, INTERLEAVED
+from .logic import BudgetError
 from .model import (
     AgentId,
     AgentTemplate,
@@ -503,8 +504,12 @@ def cross_check(
     # first, so that a budget below 1 fails before the engine runs
     interps = relation_interpretations(p, budget=interp_budget)
     # through the modules, so that tracers and tests rebinding these names reach the calls
-    abp = encoder.encode(p, semantics)
-    verdict = engine.breach(abp, max_depth=engine_max_depth, max_cubes=engine_max_cubes)
+    try:
+        abp = encoder.encode(p, semantics)
+    except BudgetError:  # the goal's DNF passed its budget: the engine cannot run
+        verdict = engine.Verdict(engine.UNKNOWN, depth=0)
+    else:
+        verdict = engine.breach(abp, max_depth=engine_max_depth, max_cubes=engine_max_cubes)
 
     reached = False
     reached_counts: Optional[tuple[tuple[str, int], ...]] = None

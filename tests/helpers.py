@@ -17,7 +17,6 @@ from __future__ import annotations
 import collections
 import hashlib
 import itertools
-import math
 import random
 from dataclasses import replace
 from importlib import resources
@@ -42,6 +41,7 @@ from pmasafety.logic import (
     FTrue,
     Formula,
     GlobalRef,
+    GroundReading,
     IndexVar,
     LambdaUpdate,
     Lit,
@@ -316,14 +316,16 @@ def brute_clauses_sat(base: list[Lit], clauses: list[list[Lit]], sig: Signature)
     )
 
 
-def _region_instances(cube: Cube, region: list[Cube]) -> list[list[Lit]]:
+def _region_instances(cube: Cube, region: Iterable[Cube]) -> list[Iterator[Lit]]:
     """Every region cube's literals under every injective mapping of its
-    variables onto the cube's (all of sort I)."""
+    variables onto the cube's of their sorts, in region order; each
+    instance's literals are built as they are read, once."""
+    pools = cube.vars_by_sort()
     out = []
     for b in region:
-        for combo in itertools.permutations(cube.exists, len(b.exists)):
-            sub = dict(zip(b.exists, combo))
-            out.append([lit_subst(l, sub) for l in b.lits])
+        for combo in itertools.product(*(pools.get(v.sort, ()) for v in b.exists)):
+            if len(set(combo)) == len(combo):
+                out.append(map(lit_subst, b.lits, itertools.repeat(dict(zip(b.exists, combo)))))
     return out
 
 
@@ -549,14 +551,6 @@ class ConcreteAb:
         }
 
     # states are (globals dict, arrays dict keyed (name, idx))
-    def initial_state(self):
-        g = dict(self.abp.init.globals_)
-        arrs = {}
-        for a, c in self.abp.init.arrays:
-            for i in self.domains[self.sig.arrays[a][0]]:
-                arrs[(a, i)] = c
-        return (g, arrs)
-
     def all_states(self):
         gnames = sorted(self.sig.globals)
         cells = [
@@ -1207,85 +1201,19 @@ def region_of(cubes: Iterable[Cube]) -> Region:
     return region
 
 
-def _reference_clauses_sat(
-    cc: CongruenceClosure, clauses: Iterable[Sequence[Lit]], node_cap: int = 20000
-) -> bool:
-    """The clause search `engine.entailed_by` used before it built only open
-    clauses: literals the closure decides are settled first, the open
-    clauses deduplicated in order, then one literal of the first open clause
-    is asserted per node, up to `node_cap` nodes (then: satisfiable)."""
-    open_: dict[tuple[Lit, ...], None] = {}
-    for cl in clauses:
-        undecided = []
-        for d in cl:
-            v = cc.value(d)
-            if v:
-                break
-            if v is None:
-                undecided.append(d)
-        else:
-            if not undecided:
-                return False
-            open_[tuple(undecided)] = None
-    todo = list(open_)
-    if not todo:
-        return True
-
-    def next_open(k: int) -> int:
-        while k < len(todo) and any(cc.value(d) for d in todo[k]):
-            k += 1
-        return k
-
-    budget = node_cap
-    stack = [[0, 0, cc.mark()]]
-    while stack:
-        frame = stack[-1]
-        k, j, m = frame
-        cc.undo(m)
-        if j == len(todo[k]):
-            stack.pop()
-            continue
-        frame[1] = j + 1
-        budget -= 1
-        if budget <= 0:
-            return True
-        if cc.assert_lit(todo[k][j]):
-            k = next_open(k + 1)
-            if k == len(todo):
-                return True
-            stack.append([k, 0, cc.mark()])
-    return False
-
-
 def reference_entailed_by(cube: Cube, region: Iterable[Cube], clause_cap: int = 2000) -> bool:
-    """`engine.entailed_by` as it was before it built only open clauses:
-    every clause of every injective instance is built, in region order, and
-    the answer is False as soon as the instances counted so far pass
-    `clause_cap`."""
-    cc = CongruenceClosure()
-    if not cc.assert_lits(cube.lits):
+    """What `engine.entailed_by` answers, as a plain double loop with no
+    needs filter: True when the cube's reading is unsatisfiable; else False
+    past `clause_cap` instances in all; else whether some instance of a
+    region cube (`_region_instances`) has every literal true on the cube's
+    reading (`GroundReading.value`)."""
+    reading = GroundReading(cube.lits)
+    if not reading.sat:
         return True
-    cvars_by_sort = cube.vars_by_sort()
-    instances = 0
-    clauses: list[list[Lit]] = []
-    for b in region:
-        count = math.prod(
-            math.perm(len(cvars_by_sort.get(s, ())), len(vs)) for s, vs in b.vars_by_sort().items()
-        )
-        if not count:
-            continue
-        instances += count
-        if instances > clause_cap:
-            return False
-        if any(cc.value(l) is False for l in b.lits if not cube_vars_of_lits((l,))):
-            continue
-        pools = [cvars_by_sort[v.sort] for v in b.exists]
-        for combo in itertools.product(*pools):
-            if len(set(combo)) != len(combo):
-                continue
-            sub = dict(zip(b.exists, combo))
-            clauses.append([lit_subst(l, sub).negate() for l in b.lits])
-    return not _reference_clauses_sat(cc, clauses)
+    instances = _region_instances(cube, region)
+    if len(instances) > clause_cap:
+        return False
+    return any(all(reading.value(l) for l in inst) for inst in instances)
 
 
 # ---------------------------------------------------------------------------

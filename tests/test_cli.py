@@ -691,3 +691,43 @@ def test_internal_error_exits_4(cannon_path, capsys, monkeypatch):
     assert main(["check", cannon_path]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom second line\n"
+
+
+def test_model_file_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin.pmas"
+    path.write_bytes(fixture_text("cannon").encode()[:40] + b"\xff\xfe")
+    assert main(["check", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: model file {path} is not UTF-8: invalid start byte at byte 40\n"
+
+
+def test_interp_file_not_utf8_is_input_error(cannon_path, tmp_path, capsys):
+    path = tmp_path / "latin.interp"
+    path.write_bytes(b"Snow(init, A)\n\xff\xfe")
+    assert main(["oracle", cannon_path, "--counts", "Att=1", "--interp", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: interpretation file {path} is not UTF-8: invalid start byte at byte 14\n"
+
+
+# 17 two-way disjunctions: the goal's DNF passes the default budget of 100 000 cubes
+_WIDE_GOAL = " and ".join(f"(loc[j{k}] = A or loc[j{k}] = B)" for k in range(1, 18))
+
+
+def test_goal_budget_check_is_unknown(cannon_path, capsys):
+    assert main(["check", cannon_path, "--goal", _WIDE_GOAL]) == 2
+    out = _kv_lines(capsys.readouterr().out)
+    assert out["status"] == "UNKNOWN"
+    assert out["reason"] == "goal encoding: dnf exceeded 100000 cubes"
+
+
+def test_goal_budget_cross_check_is_engine_unknown(cannon_path, capsys):
+    assert main(["cross-check", cannon_path, "--goal", _WIDE_GOAL, "--max-count", "1"]) == 2
+    out = _kv_lines(capsys.readouterr().out)
+    assert (out["engine-status"], out["classification"]) == ("UNKNOWN", "engine-unknown")
+
+
+@pytest.mark.parametrize("cmd", ["encode", "emit-mcmt"])
+def test_goal_budget_encoding_exits_2(cannon_path, capsys, cmd):
+    assert main([cmd, cannon_path, "--goal", _WIDE_GOAL]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "unknown: dnf exceeded 100000 cubes\n" and captured.out == ""

@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import math
 import random
-import sys
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -20,12 +19,12 @@ from helpers import (
     ConcreteAb,
     _ZS,
     _rand_lit,
+    _region_instances,
     all_relation_tuples,
     brute_entailed,
     brute_sat_cube,
     check_lit_types,
     constants_clash,
-    random_clause_problem,
     random_entailment,
     random_grouped_region,
     random_region,
@@ -348,8 +347,9 @@ class TestEntailedBy(object):
         ])
         assert not entailed_by(canon_cube(one_of_two), region_of([big]))
 
-    def test_case_split_on_a_global_entails(self):
-        # the cube leaves g1 open; the region covers both of its cases
+    def test_case_split_on_a_global_is_not_proved(self):
+        # the cube leaves g1 open; the region covers both of its cases, so
+        # the cube is entailed, but no single instance proves it
         z, w = IndexVar("z", "I"), IndexVar("w", "I")
         g1, p = GlobalRef("g1"), Const("p")
         cube = make_cube([z], [lit_eq(ArrayRead("f", z), p)])
@@ -357,8 +357,13 @@ class TestEntailedBy(object):
             make_cube([w], [lit_eq(g1, p, neg=neg), lit_eq(ArrayRead("f", w), p)])
             for neg in (False, True)
         ]
-        assert entailed_by(cube, region_of(region))
+        assert brute_entailed(cube, region, CUBE_SIG)
+        assert not entailed_by(cube, region_of(region))
+        assert not brute_entailed(cube, region[:1], CUBE_SIG)
         assert not entailed_by(cube, region_of(region[:1]))
+        # once the cube fixes g1, the instance of its case proves it
+        fixed = make_cube([z], [*cube.lits, lit_eq(g1, p)])
+        assert entailed_by(fixed, region_of(region))
 
     # the exists/forall cases: the cube is the existential part, each region
     # cube the negation of a universal one
@@ -405,9 +410,11 @@ class TestEntailedBy(object):
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9))
-    def test_agrees_with_brute_force(self, seed):
+    def test_is_sound_against_brute_force(self, seed):
         cube, region = random_entailment(seed)
-        assert entailed_by(cube, region_of(region)) == brute_entailed(cube, region, CUBE_SIG)
+        got = entailed_by(cube, region_of(region))
+        assert got == reference_entailed_by(cube, region)
+        assert not got or brute_entailed(cube, region, CUBE_SIG)
 
     def test_fixed_terms_are_keyed_in_either_orientation(self):
         """Seed 335 of `random_entailment`: the cube reads `q=f[z2]`, a
@@ -430,8 +437,9 @@ def _entailed_by_at_cap(cube: Cube, region: Region, cap: int) -> bool:
 
 
 class TestEntailedByReference:
-    """`entailed_by` builds only the open clauses; `reference_entailed_by`
-    builds every clause, as the engine did before.  They must agree."""
+    """`entailed_by` reads only the region cubes whose needs the cube's
+    reading meets; `reference_entailed_by` tries every instance of every
+    region cube.  They must agree."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10**9), st.sampled_from([None, 0, 1]))
@@ -466,7 +474,7 @@ class TestEntailedByReference:
 
     def test_agrees_with_reference_on_every_call_of_a_run(self, spied_run):
         assert spied_run.entailed
-        for cube, cubes, got, _ in spied_run.entailed:
+        for cube, cubes, got in spied_run.entailed:
             assert got == reference_entailed_by(cube, cubes), cube
 
 
@@ -517,125 +525,38 @@ def _ground_entailment(base: list[Lit], clauses: list[list[Lit]]) -> tuple[Cube,
     return make_cube([], base), [make_cube([], [d.negate() for d in cl]) for cl in clauses]
 
 
-def _branching_entailment(cover_q: bool) -> tuple[Cube, list[Cube]]:
-    """A cube over z and a region on whose instances the cube's generic
-    model is inconclusive: it falsifies the first cube's clause, f[z]=p or
-    f[z]=q, and satisfies the others'.  The second cube covers f[z]=p and,
-    with `cover_q`, the third covers f[z]=q, so the cube is entailed only
-    once both branches fail."""
-    z, w = IndexVar("z", "I"), IndexVar("w", "I")
-    fw, p, q = ArrayRead("f", w), Const("p"), Const("q")
-    cube = make_cube([z], [lit_eq(ArrayRead("h", z), Const("u"))])
-    region = [
-        make_cube([w], [lit_eq(fw, p, neg=True), lit_eq(fw, q, neg=True)]),
-        make_cube([w], [lit_eq(fw, p)]),
-    ]
-    if cover_q:
-        region.append(make_cube([w], [lit_eq(fw, q)]))
-    return cube, region
-
-
-def _entailed_by_at_node_cap(cube: Cube, region: Region, cap: int) -> bool:
-    """`entailed_by` with `cap` in place of `engine.NODE_CAP`."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine, "NODE_CAP", cap)
-        return entailed_by(cube, region)
-
-
-def _extended_calls(monkeypatch) -> list[Lit]:
-    """The literals `GroundReading.extended` is called with from now on."""
-    extended, calls = GroundReading.extended, []
-
-    def counting(reading, lits, l):
-        calls.append(l)
-        return extended(reading, lits, l)
-
-    monkeypatch.setattr(GroundReading, "extended", counting)
-    return calls
-
-
 def _agree(cube: Cube, region: list[Cube], want: bool) -> None:
     assert entailed_by(cube, region_of(region)) is want
     assert reference_entailed_by(cube, region) is want
     assert brute_entailed(cube, region, CUBE_SIG) is want
 
 
+def _closure_entailed_by(cube: Cube, region: list[Cube]) -> bool:
+    """`reference_entailed_by` with each literal valued by the congruence
+    closure of `helpers`, which decides independently of the reading."""
+    cc = CongruenceClosure()
+    if not cc.assert_lits(cube.lits):
+        return True
+    instances = _region_instances(cube, region)
+    return len(instances) <= engine.CLAUSE_CAP and any(
+        all(cc.value(l) for l in inst) for inst in instances)
+
+
 class TestClausesSat:
-    """Whether the cube is satisfiable together with every instance clause:
-    where the cube's generic model settles nothing, `entailed_by` searches
-    depth first over readings."""
+    """The instance clauses, each the negated literals of an instance of a
+    region cube: `entailed_by` proves the cube entailed when its reading
+    falsifies one of them."""
 
-    def _deep(self, monkeypatch, width: int) -> None:
-        # region cube k's one clause, R1(c<k>) or also R1(d<k>), is false on
-        # the generic model of every reading before it: one decision per
-        # cube, each one deeper, more than a recursive search could take
-        n = sys.getrecursionlimit() + 100
-        assert n <= engine.CLAUSE_CAP
-        clauses = [
-            [Lit(False, RelAtom("R1", (Const(f"{c}{k}"),))) for c in "cd"[:width]]
-            for k in range(n)
-        ]
-        cube, cubes = _ground_entailment([], clauses)
-        region = region_of(cubes)
-        extended, calls = GroundReading.extended, []
-
-        def counting(reading, lits, l):
-            calls.append(l)
-            return extended(reading, lits, l)
-
-        monkeypatch.setattr(GroundReading, "extended", counting)
-        t0 = time.perf_counter()
-        assert not entailed_by(cube, region)
-        assert time.perf_counter() - t0 < 1.0
-        assert calls == [d for cl in clauses for d in reversed(cl)]
-
-    def test_deep_search_is_iterative_and_fast(self, monkeypatch):
-        self._deep(monkeypatch, 1)  # one literal per clause: one child per node
-
-    def test_deep_decision_stack_is_iterative_and_fast(self, monkeypatch):
-        self._deep(monkeypatch, 2)  # two: the first literal is the one taken deeper
-
-    def test_the_shortest_clause_of_a_cube_is_taken(self, monkeypatch):
-        # the cube fixes h[z2]=v, so the first cube's instance clause at z2
-        # is the unit f[z2]=p, shorter than its clause at z1; once f[z2]=p
-        # the second cube's clause at z2 is all false
-        z1, z2, w = _ZS[0], _ZS[1], IndexVar("w", "I")
-        p, u, v = Const("p"), Const("u"), Const("v")
-        r1 = Lit(False, RelAtom("R1", (ArrayRead("f", z1),)))
-        cube = make_cube([z1, z2], [lit_eq(ArrayRead("h", z2), v), r1])
-        assert cube.exists == (z1, z2)
-        region = [
-            make_cube([w], [lit_eq(ArrayRead("h", w), u, neg=True),
-                            lit_eq(ArrayRead("f", w), p, neg=True)]),
-            make_cube([w], [lit_eq(ArrayRead("f", w), p)]),
-        ]
-        _agree(cube, region, True)
-        calls = _extended_calls(monkeypatch)
-        assert entailed_by(cube, region_of(region))
-        assert calls == [lit_eq(ArrayRead("f", z2), p)]
-
-    def test_a_value_re_reads_the_clauses_it_shortens(self, monkeypatch):
-        # under g!=h, the decision g=p makes h=p false, which shortens the
-        # second cube's clause h=p or S(c) to the unit S(c) though that
-        # clause does not read g
-        g, h, p, q = GlobalRef("g"), GlobalRef("h"), Const("p"), Const("q")
-        s = Lit(False, RelAtom("S", (Const("c"),)))
-        cube = make_cube([], [lit_eq(g, h, neg=True)])
-        region = [
-            make_cube([], [lit_eq(g, p, neg=True), lit_eq(g, q, neg=True)]),
-            make_cube([], [lit_eq(h, p, neg=True), s.negate()]),
-            make_cube([], [s]),
-        ]
-        assert not reference_entailed_by(cube, region)
-        calls = _extended_calls(monkeypatch)
-        assert not entailed_by(cube, region_of(region))
-        # after g=p the unit S(c) alone; after g=q both literals
-        assert calls == [lit_eq(g, q), lit_eq(g, p), s, lit_eq(h, p), s]
+    def test_agrees_with_the_plain_search_on_every_call_of_a_run(self, spied_run):
+        # the plain search values every literal of every instance by the
+        # congruence closure, not by the reading
+        assert spied_run.entailed
+        for cube, cubes, got in spied_run.entailed:
+            assert got == _closure_entailed_by(cube, cubes), cube
 
     def test_equality_chain_is_fast(self):
-        # each clause g<k>=a or g<k>=b is false on the generic model until a
-        # decision gives g<k> a value; that decision re-reads none of the
-        # literals before it, so the search is not quadratic in them
+        # no clause g<k>=a or g<k>=b is falsified: 1 100 region cubes are
+        # each read once
         a, b = Const("a"), Const("b")
         clauses = [[lit_eq(GlobalRef(f"g{k}"), c) for c in (a, b)] for k in range(1100)]
         cube, region = _ground_entailment([], clauses)
@@ -643,71 +564,9 @@ class TestClausesSat:
         assert not entailed_by(cube, region_of(region))
         assert time.perf_counter() - t0 < 1.0
 
-    def test_units_after_a_decision_are_propagated(self):
-        # either value of g1 forces g2 to both u and v: a unit clause is a
-        # branch with one child, so five readings refute the region
-        g1, g2, p, q = GlobalRef("g1"), GlobalRef("g2"), Const("p"), Const("q")
-        clauses = [[lit_eq(g1, p), lit_eq(g1, q)]] + [
-            [lit_eq(g1, c, neg=True), lit_eq(g2, d)] for c in (p, q) for d in (Const("u"), Const("v"))
-        ]
-        cube, region = _ground_entailment([], clauses)
-        _agree(cube, region, True)
-        assert _entailed_by_at_node_cap(cube, region_of(region), 5)
-        assert not _entailed_by_at_node_cap(cube, region_of(region), 4)  # gives up
-        _agree(cube, region[:-1], False)
-
-    def test_a_unit_clause_is_taken_before_longer_ones(self, monkeypatch):
-        # fifteen two-literal clauses, R(c<i>) or S(c<i>), then g1=p and
-        # g1=q, which no model satisfies both of: taking the unit g1=p
-        # leaves g1=q all false, so one extension proves entailment, where
-        # branching on the clauses in region order took 20 008 extensions
-        # and gave up at `NODE_CAP`
-        g1, p, q = GlobalRef("g1"), Const("p"), Const("q")
-        clauses = [
-            [Lit(False, RelAtom(r, (Const(f"c{i}"),))) for r in ("R", "S")] for i in range(15)
-        ] + [[lit_eq(g1, p)], [lit_eq(g1, q)]]
-        cube, region = _ground_entailment([], clauses)
-        calls = _extended_calls(monkeypatch)
-        assert entailed_by(cube, region_of(region))
-        assert len(calls) <= 3
-
-    def test_past_the_node_cap_it_answers_not_entailed(self):
-        # three readings: the cube's and one per branch, each refuted
-        cube, region = _branching_entailment(True)
-        assert reference_entailed_by(cube, region)
-        assert _entailed_by_at_node_cap(cube, region_of(region), 3)
-        assert not _entailed_by_at_node_cap(cube, region_of(region), 2)
-
-    def test_agrees_with_the_plain_search_on_every_call_of_a_run(self, spied_run):
-        # each call searches fewer than 50 readings, far below `NODE_CAP`
-        assert spied_run.entailed
-        for cube, _, got, capped in spied_run.entailed:
-            assert capped == got, cube
-
-    def test_backtracking_retracts_the_failed_choice(self):
-        # not entailed: the branch f[z]=p fails, f[z]=q does not
-        _agree(*_branching_entailment(False), False)
-        g1, p, q = GlobalRef("g1"), Const("p"), Const("q")
-        clauses = [[lit_eq(g1, p), lit_eq(g1, q)], [lit_eq(g1, p, neg=True)]]
-        _agree(*_ground_entailment([], clauses), False)
-
-    def test_every_clause_is_decided(self):
-        # entailed only once every branch fails
-        _agree(*_branching_entailment(True), True)
-        g1, g2 = GlobalRef("g1"), GlobalRef("g2")
-        clauses = [[lit_eq(g1, Const("p"))], [lit_eq(g2, Const("u"))], [lit_eq(g2, Const("v"))]]
-        _agree(*_ground_entailment([], clauses), True)
-
     def test_falsified_clause_is_unsat(self):
         base = [lit_eq(GlobalRef("g1"), Const("p"))]
         _agree(*_ground_entailment(base, [[lit_eq(GlobalRef("g1"), Const("q"))]]), True)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_agrees_with_brute_force(self, seed):
-        # up to four region cubes without variables, each with one instance
-        cube, region = _ground_entailment(*random_clause_problem(seed))
-        assert entailed_by(cube, region_of(region)) == brute_entailed(cube, region, CUBE_SIG)
 
 
 class TestInitSat:
@@ -826,9 +685,9 @@ class TestJoinedCells:
     def test_entailed_by(self, k):
         cube = make_cube(_ZS[:2], _JOINED[k])
         for region in [[b] for b in _JOIN_REGION] + [_JOIN_REGION[:2], _JOIN_REGION[2:]]:
-            want = brute_entailed(cube, region, CUBE_SIG)
-            assert entailed_by(cube, region_of(region)) == want, region
-            assert reference_entailed_by(cube, region) == want, region
+            got = entailed_by(cube, region_of(region))
+            assert got == reference_entailed_by(cube, region), region
+            assert not got or brute_entailed(cube, region, CUBE_SIG), region
 
 
 class TestBreach:
@@ -937,8 +796,7 @@ def _spied_breach(abp) -> SimpleNamespace:
     region covers and whether the unpruned preimage is
     `reference_preimage`'s, for every `canon_cube` call
     whether the region of the preimage it runs in covers its cube and every
-    `entailed_by` call as (cube, region cubes, answer, answer within 50
-    readings)."""
+    `entailed_by` call as (cube, region cubes, answer)."""
     rec = SimpleNamespace(
         pruned_exactly=[], as_reference=[], canon_covered=[], entailed=[], canonical_input=[],
         split_as_reference=[],
@@ -963,8 +821,7 @@ def _spied_breach(abp) -> SimpleNamespace:
 
     def ent_spy(cube, region, *args):
         out = ent(cube, region, *args)
-        capped = _entailed_by_at_node_cap(cube, region, 50)
-        rec.entailed.append((cube, list(region.cubes), out, capped))
+        rec.entailed.append((cube, list(region.cubes), out))
         return out
 
     def diff_spy(lits, *args, **kwargs):
@@ -1310,15 +1167,15 @@ class TestNeedsCountTerms:
 
     Z1, Z2, W1, W2 = (IndexVar(n, "I") for n in ("z1", "z2", "w1", "w2"))
 
-    def _reads(self, monkeypatch) -> list[int]:
-        """The region positions `entailed_by` reads from now on."""
-        reads, open_clauses = [], engine._open_clauses
+    def _reads(self, monkeypatch) -> list[Cube]:
+        """The region cubes `entailed_by` reads from now on."""
+        reads, holds = [], engine._instance_holds
 
-        def spy(region, i, *args):
-            reads.append(i)
-            return open_clauses(region, i, *args)
+        def spy(b, *args):
+            reads.append(b)
+            return holds(b, *args)
 
-        monkeypatch.setattr(engine, "_open_clauses", spy)
+        monkeypatch.setattr(engine, "_instance_holds", spy)
         return reads
 
     def test_the_query_fixes_one_then_two(self, monkeypatch):
@@ -1328,24 +1185,7 @@ class TestNeedsCountTerms:
         _agree(make_cube([z1, z2], [_f(z1, "p"), _f(z2, "q")]), [both], False)
         assert reads == []
         _agree(make_cube([z1, z2], [_f(z1, "p"), _f(z2, "p")]), [both], True)
-        assert reads == [0]
-
-    def test_a_decision_fixes_the_second(self, monkeypatch):
-        # the cube fixes f[z1]=p and leaves f[z2] open; the second region
-        # cube's clause at z2 is the unit f[z2]=p, and only once the search
-        # takes it is the first region cube read, and found all false
-        z1, z2, w1, w2 = self.Z1, self.Z2, self.W1, self.W2
-        cube = make_cube([z1, z2], [_f(z1, "p"), lit_eq(ArrayRead("h", z2), Const("u"))])
-        region = [
-            make_cube([w1, w2], [_f(w1, "p"), _f(w2, "p")]),
-            make_cube([w1], [_f(w1, "p", neg=True), lit_eq(ArrayRead("h", w1), Const("u"))]),
-        ]
-        _agree(cube, region, True)
-        reads = self._reads(monkeypatch)
-        assert entailed_by(cube, region_of(region))
-        # the second at the root and again at the child, whose value changes
-        # its clause; the first only at the child
-        assert reads == [1, 1, 0]
+        assert reads == [both]
 
 
 class TestWorkCounts:
@@ -1360,15 +1200,16 @@ class TestWorkCounts:
     (`Region.items`), it expanded the cases of 307 literals; before the
     region's filters counted repeated shapes and fixed terms, it ran 1 396
     embedding searches (`subsumes`) and read 415 region cubes for
-    entailment (`_open_clauses`)."""
+    entailment, and 114 while entailment searched over readings; `read`
+    counts the region cubes `entailed_by` reads (`_instance_holds`)."""
 
     def test_two_robot(self, two_robot, monkeypatch):
         abp = encode(two_robot.model, "interleaved")
         counts = dict.fromkeys(("readings", "shapes", "renderings", "scans", "expansions",
-                                "embeddings", "open"), 0)
+                                "embeddings", "read"), 0)
         read, shape, render = GroundReading.__init__, logic._lit_shape, Lit.__repr__
         scan, expand = logic.cube_vars_of_lits, engine.expand_cases
-        embed, open_clauses = engine.subsumes, engine._open_clauses
+        embed, holds = engine.subsumes, engine._instance_holds
 
         def read_spy(reading, lits):
             counts["readings"] += 1
@@ -1394,9 +1235,9 @@ class TestWorkCounts:
             counts["embeddings"] += 1
             return embed(a, b)
 
-        def open_spy(*args):
-            counts["open"] += 1
-            return open_clauses(*args)
+        def holds_spy(*args):
+            counts["read"] += 1
+            return holds(*args)
 
         monkeypatch.setattr(GroundReading, "__init__", read_spy)
         monkeypatch.setattr(logic, "_lit_shape", shape_spy)
@@ -1405,11 +1246,11 @@ class TestWorkCounts:
             monkeypatch.setattr(mod, "cube_vars_of_lits", scan_spy)
         monkeypatch.setattr(engine, "expand_cases", expand_spy)
         monkeypatch.setattr(engine, "subsumes", embed_spy)
-        monkeypatch.setattr(engine, "_open_clauses", open_spy)
+        monkeypatch.setattr(engine, "_instance_holds", holds_spy)
         v = breach(abp)
         assert (v.status, v.depth, v.total_cubes) == (UNSAFE, 10, 524)
         ceilings = dict(readings=1037, shapes=474, renderings=460, scans=1010, expansions=63,
-                        embeddings=580, open=114)
+                        embeddings=580, read=44)
         assert {k: n for k, n in counts.items() if n > ceilings[k]} == {}, counts
 
 

@@ -101,6 +101,20 @@ def test_no_code_only_tests_call():
     assert unread == []
 
 
+def test_no_orphaned_test_helpers():
+    """Every top-level function and class of `tests/helpers.py`, and every
+    method of its classes but the dunder ones, is read by name in a test
+    module or in `helpers.py` itself: a reference no test reaches any more
+    goes with the code it checked."""
+    tests = Path(__file__).parent
+    read: set[str] = set()
+    for path in tests.glob("*.py"):
+        read |= names_read(path.read_text())
+    unread = [name for name in defined_names((tests / "helpers.py").read_text())
+              if name.rpartition(".")[2] not in read]
+    assert unread == []
+
+
 # the methods `dataclass` writes by default, each with the keyword that turns it off
 _GENERATED = {"__init__": "init", "__repr__": "repr", "__eq__": "eq"}
 

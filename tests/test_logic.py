@@ -307,52 +307,6 @@ class TestGroundReading:
         assert reading.value(lit_eq(f0, f1)) is False
         assert reading.value(lit_eq(g2, f1)) is None
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(ground_lits(), max_size=6), st.lists(ground_lits(), min_size=1, max_size=6))
-    def test_extended_reads_as_a_fresh_reading(self, lits, more):
-        """An extension by an undecided literal holds what a fresh reading
-        holds."""
-        reading, read = GroundReading(lits), list(lits)  # `read`: all but decided ones
-        if not reading.sat:
-            return
-        for l in more:
-            fresh = GroundReading([*read, l])
-            got = reading.extended(read, l)
-            assert (got is not None) is fresh.sat
-            if got is None:
-                return
-            for q in lits + more:
-                assert got.value(q) == fresh.value(q), q
-            if reading.value(l) is None:
-                assert (got.val, got.root, got.apart, got.signs, got.rest) == (
-                    fresh.val, fresh.root, fresh.apart, fresh.signs, fresh.rest)
-                read.append(l)
-            reading = got
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_changes_name_every_literal_an_extension_moves(self, seed):
-        """Along a chain of extensions by undecided literals, among them
-        equalities that give cells values and joins: each literal whose
-        value an extension changes reads (`read_keys`) one of the keys
-        `changes` names, unless that is None."""
-        rng = random.Random(seed)
-        pool = [_rand_lit(rng) for _ in range(12)] + rng.sample(_JOINS, 1)
-        pool += [l.negate() for l in pool]
-        lits: list[Lit] = []
-        reading = GroundReading(lits)
-        for l in rng.sample(pool, 8):
-            if reading.value(l) is not None:
-                continue
-            changes, got = reading.changes(l), reading.extended(lits, l)
-            if got is None:
-                return
-            for q in pool:
-                if got.value(q) != reading.value(q):
-                    assert changes is None or set(changes) & set(reading.read_keys(q)), (l, q)
-            lits.append(l)
-            reading = got
-
 
 # three independent propositional atoms for boolean-structure tests
 _ATOMS = [
