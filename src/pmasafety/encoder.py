@@ -13,13 +13,16 @@ every committing rule.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .logic import (
     ArrayRead,
+    BudgetError,
     Const,
     Cube,
+    DEFAULT_DNF_CAP,
     ELEMENT,
     Eq,
     Formula,
@@ -48,6 +51,7 @@ from .logic import (
     lit_merged,
     make_cube,
     memoized,
+    partition_count,
     simplify_lits,
     set_partitions,
 )
@@ -348,6 +352,7 @@ def differentiate(
     lits: tuple[Lit, ...],
     distinct: Optional[set[IndexVar]] = None,
     covered: Optional[Callable[[Cube], bool]] = None,
+    cap: int = DEFAULT_DNF_CAP,
 ) -> list[Cube]:
     """Split a raw literal conjunction over equality partitions of its index
     variables, honouring explicit index (dis)equalities, and keep the
@@ -365,7 +370,10 @@ def differentiate(
     `encode` accepts only a valid model, and every literal the search derives
     comes from its rules and goal by renamings within sorts and case
     expansion into values of the same sort; a branch, too, renames within
-    sorts.  Two branches may yield equal cubes: callers dedup."""
+    sorts.  Two branches may yield equal cubes: callers dedup.
+
+    Raises BudgetError, before listing any, when there would be more than
+    `cap` branches (`partition_count`)."""
     pos: list[tuple[IndexVar, IndexVar]] = []
     neg: list[tuple[IndexVar, IndexVar]] = []
     rest: list[Lit] = []
@@ -382,7 +390,11 @@ def differentiate(
         by_sort.setdefault(v.sort, []).append(v)
 
     out: list[Cube] = []
-    per_sort_parts = [list(set_partitions(vs, distinct or ())) for vs in by_sort.values()]
+    apart = distinct or ()
+    branches = math.prod(partition_count(vs, apart) for vs in by_sort.values())
+    if branches > cap:
+        raise BudgetError(f"differentiation exceeded {cap} cubes: {branches} partitions")
+    per_sort_parts = [list(set_partitions(vs, apart)) for vs in by_sort.values()]
     for combo in itertools.product(*per_sort_parts) if per_sort_parts else [()]:
         cls_of: dict[IndexVar, IndexVar] = {}
         for part in combo:

@@ -137,34 +137,16 @@ class _ClashTable(dict):
         return mask
 
 
-class _Update:
-    """A rule's renamed update of one cell, as part of the key of a shared
-    preimage item: hashed once, and equal to another rule's update of equal
-    value."""
-
-    __slots__ = ("value", "_hash")
-
-    def __init__(self, value) -> None:
-        self.value = value
-        self._hash = hash(value)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return type(other) is _Update and self.value == other.value
-
-
 class _Items(dict):
     """One run's preimage items (`Region.items`): (cube literal, the number
     of the rule's updates of the cells it reads) -> the item `item_after`
     returned, which depends on nothing else.  `numbers` numbers each
-    distinct tuple of `_Update`s the run meets, and `number_of` keeps the
+    distinct tuple of updates the run meets, and `number_of` keeps the
     number per (`_CompiledRule`, cells), so that the updates of two rules
-    are compared once per run, not at every lookup.  `shared` keeps each
-    item built, with the variables it was built for, under the literal's
-    template up to a renaming of its variables and that number, so that
-    another literal of that template finds it."""
+    are hashed and compared once per run, not at every lookup.  `shared`
+    keeps each item built, with the variables it was built for, under the
+    literal's template up to a renaming of its variables and that number,
+    so that another literal of that template finds it."""
 
     def __init__(self) -> None:
         self.shared: dict[tuple, tuple[tuple[IndexVar, ...], Dnf]] = {}
@@ -190,8 +172,8 @@ class _CompiledRule:
         self.arrays_map = {
             a: type(u)(u.var, term_subst(u.body, ren)) for a, u in rule.arrays_upd
         }
-        self.updates: dict = {GlobalRef(g): _Update(c) for g, c in self.globals_map.items()}
-        self.updates.update((a, _Update(u)) for a, u in self.arrays_map.items())
+        self.updates: dict = {GlobalRef(g): c for g, c in self.globals_map.items()}
+        self.updates.update(self.arrays_map)
 
     def untouched(self, l: Lit) -> bool:
         """The rule writes no cell cube literal `l` reads, and `l` is not

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, KeysView, Optional, Sequence, Union
 
@@ -79,80 +80,87 @@ class Signature:
 
 
 class _Hashed:
-    """Base of the term, atom and literal classes, which sets, substitution
-    maps and subsumption checks hash constantly: each instance computes its
-    hash once, in `__init__`, into a slot that `__hash__` only reads.  Every
-    subclass names `__hash__` again, since `dataclass` would otherwise put a
-    hash over the fields in its place.  A pickle rebuilds the instance from
-    its fields, because str hashes differ from one process to the next; a
-    memo slot beside the fields is left to be filled again."""
+    """Base of the term, atom and literal classes, hash-consed: `__new__`
+    hands out the one live instance of the given field values, kept weakly
+    in a table per class (`_intern`), so equal values are one object, and
+    equality and hashing are CPython's identity operations.  Pickle, `copy`
+    and `dataclasses.replace` rebuild through the constructor: a copy is
+    the original, and a pickle re-interns in the loading process.  No field
+    changes once built, since every holder of the value would see it; only
+    `Lit`'s memo slots, equal for equal values, are filled later."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __init_subclass__(cls) -> None:
+        cls._table = {}  # field values -> weak reference to the instance
+
+    @classmethod
+    def _intern(cls, *key):
+        table = cls._table
+        ref = table.get(key)
+        out = ref and ref()
+        if out is None:
+            out = object.__new__(cls)
+            for f, v in zip(cls.__dataclass_fields__, key):
+                _set(out, f, v)
+            # the entry goes with the instance, unless a new one took its place
+            table[key] = weakref.ref(out, lambda r: table.get(key) is r and table.pop(key))
+        return out
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
 
 
-_set = object.__setattr__  # how `__init__` fills the slots of a frozen instance
+_set = object.__setattr__  # how `_intern` and the memos fill the slots of a frozen instance
 
 
-@dataclass(frozen=True, order=True, init=False, repr=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class IndexVar(_Hashed):
-    """An index variable of a sort."""
+    """An index variable of a sort, ordered by (name, sort)."""
 
     __slots__ = ("name", "sort")
     name: str
     sort: str
 
-    def __init__(self, name: str, sort: str) -> None:
-        _set(self, "name", name)
-        _set(self, "sort", sort)
-        _set(self, "_hash", hash((name, sort)))
+    def __new__(cls, name: str, sort: str) -> "IndexVar":
+        return cls._intern(name, sort)
 
-    __hash__ = _Hashed.__hash__
+    def __lt__(self, other: "IndexVar") -> bool:
+        return (self.name, self.sort) < (other.name, other.sort)
 
     def __repr__(self) -> str:
         return f"{self.name}:{self.sort}"
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Const(_Hashed):
     """A constant."""
 
     __slots__ = ("name",)
     name: str
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-        _set(self, "_hash", hash((name,)))
-
-    __hash__ = _Hashed.__hash__
+    def __new__(cls, name: str) -> "Const":
+        return cls._intern(name)
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GlobalRef(_Hashed):
     """A global variable."""
 
     __slots__ = ("name",)
     name: str
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-        _set(self, "_hash", hash((name,)))
-
-    __hash__ = _Hashed.__hash__
+    def __new__(cls, name: str) -> "GlobalRef":
+        return cls._intern(name)
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class ArrayRead(_Hashed):
     """An array read at an index variable."""
 
@@ -160,12 +168,8 @@ class ArrayRead(_Hashed):
     array: str
     index: IndexVar
 
-    def __init__(self, array: str, index: IndexVar) -> None:
-        _set(self, "array", array)
-        _set(self, "index", index)
-        _set(self, "_hash", hash((array, index)))
-
-    __hash__ = _Hashed.__hash__
+    def __new__(cls, array: str, index: IndexVar) -> "ArrayRead":
+        return cls._intern(array, index)
 
     def __repr__(self) -> str:
         return f"{self.array}[{self.index.name}]"
@@ -193,7 +197,7 @@ Term = Union[Const, GlobalRef, ArrayRead, IndexVar, CaseTerm]
 # atoms, literals, formulae
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Eq(_Hashed):
     """An equality atom."""
 
@@ -201,18 +205,14 @@ class Eq(_Hashed):
     lhs: Term
     rhs: Term
 
-    def __init__(self, lhs: Term, rhs: Term) -> None:
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "_hash", hash((lhs, rhs)))
-
-    __hash__ = _Hashed.__hash__
+    def __new__(cls, lhs: Term, rhs: Term) -> "Eq":
+        return cls._intern(lhs, rhs)
 
     def __repr__(self) -> str:
         return f"{self.lhs!r}={self.rhs!r}"
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class RelAtom(_Hashed):
     """A relation atom."""
 
@@ -220,12 +220,8 @@ class RelAtom(_Hashed):
     rel: str
     args: tuple[Term, ...]
 
-    def __init__(self, rel: str, args: tuple[Term, ...]) -> None:
-        _set(self, "rel", rel)
-        _set(self, "args", args)
-        _set(self, "_hash", hash((rel, args)))
-
-    __hash__ = _Hashed.__hash__
+    def __new__(cls, rel: str, args: tuple[Term, ...]) -> "RelAtom":
+        return cls._intern(rel, args)
 
     def __repr__(self) -> str:
         return f"{self.rel}({', '.join(map(repr, self.args))})"
@@ -234,15 +230,16 @@ class RelAtom(_Hashed):
 Atom = Union[Eq, RelAtom]
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Lit(_Hashed):
     """A possibly negated atom.  What the search reads about a literal again
     and again is computed the first time it is read and kept in a slot: its
     rendering (`repr`), its shape (`_lit_shape`), its index variables
-    (`index_vars`), the cells it reads (`cells`), its rendering split at its
-    index variables (`parts`) and its negation (`negate`).  The rendering and
-    the shape are interned strings: the equal literals of many cubes then
-    share one string each.
+    (`index_vars`), the cells it reads (`cells`) and its rendering split at its
+    index variables (`parts`).  A literal is hash-consed (`_Hashed`): one
+    object per value, compared and hashed by identity, so the cubes that
+    hold a literal share it and its memos, and the rendering and the shape
+    are interned strings too.
 
     The rendering is injective on well-sorted literals, which is what lets
     `Cube.key` and `engine.subsumes` compare renderings in place of
@@ -255,26 +252,16 @@ class Lit(_Hashed):
     derives comes from its rules and goal by renamings within sorts and case
     expansion into values of the same sort."""
 
-    __slots__ = ("neg", "atom", "_repr", "_shape", "_vars", "_cells", "_parts", "_not")
+    __slots__ = ("neg", "atom", "_repr", "_shape", "_vars", "_cells", "_parts")
     neg: bool
     atom: Atom
 
-    def __init__(self, neg: bool, atom: Atom) -> None:
-        _set(self, "neg", neg)
-        _set(self, "atom", atom)
-        _set(self, "_hash", hash((neg, atom)))
-
-    __hash__ = _Hashed.__hash__
+    def __new__(cls, neg: bool, atom: Atom) -> "Lit":
+        return cls._intern(neg, atom)
 
     def negate(self) -> "Lit":
-        """`Lit(not neg, atom)`, kept on this literal only: the negation does
-        not point back, so the two make no reference cycle.  Many literals
-        are negated once and dropped, so a miss is kept cheap (`getattr`)."""
-        out = getattr(self, "_not", None)
-        if out is None:
-            out = Lit(not self.neg, self.atom)
-            _set(self, "_not", out)
-        return out
+        """`Lit(not neg, atom)`, not kept: it would keep this one, a cycle."""
+        return Lit(not self.neg, self.atom)
 
     def __repr__(self) -> str:
         try:
@@ -506,7 +493,7 @@ _Conj = tuple[tuple[Lit, ...], int]  # a conjunction and its literal set, as a b
 class _Bits(dict):
     """Literal -> its own bit, numbered in order of first use, so that a
     literal set is an int: union, subset and a contradiction test are each
-    one integer operation, and a set hashes with no call to `Lit.__hash__`."""
+    one integer operation, and a set hashes as one int."""
 
     def __missing__(self, l: Lit) -> int:
         b = self[l] = 1 << len(self)
@@ -1217,3 +1204,14 @@ def set_partitions(items: Sequence, apart: Container = ()) -> Iterator[list[list
                 continue
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
         yield [[first]] + part
+
+
+def partition_count(items: Sequence, apart: Container = ()) -> int:
+    """How many partitions `set_partitions(items, apart)` yields, counted
+    without listing them: each member of `apart` opens a block of its own,
+    and each other item joins one of the blocks so far or opens another."""
+    fixed = sum(1 for v in items if v in apart)
+    row = [1]  # row[b]: the partial partitions with fixed + b blocks
+    for _ in range(len(items) - fixed):
+        row = [(fixed + b) * w + (row[b - 1] if b else 0) for b, w in enumerate(row + [0])]
+    return sum(row)

@@ -731,3 +731,30 @@ def test_goal_budget_encoding_exits_2(cannon_path, capsys, cmd):
     assert main([cmd, cannon_path, "--goal", _WIDE_GOAL]) == 2
     captured = capsys.readouterr()
     assert captured.err == "unknown: dnf exceeded 100000 cubes\n" and captured.out == ""
+
+
+# 12 index variables: 4 213 597 equality partitions, past the default budget of 100 000
+_MANY_VARS_GOAL = " and ".join(f"loc[j{k}] = A" for k in range(1, 13))
+_PARTITIONS = "differentiation exceeded 100000 cubes: 4213597 partitions"
+
+
+def test_goal_partition_budget_check_is_unknown_at_once(cannon_path, capsys):
+    start = time.perf_counter()
+    assert main(["check", cannon_path, "--goal", _MANY_VARS_GOAL]) == 2
+    assert time.perf_counter() - start < 1  # counted, not listed
+    out = _kv_lines(capsys.readouterr().out)
+    assert (out["status"], out["reason"]) == ("UNKNOWN", f"goal encoding: {_PARTITIONS}")
+
+
+def test_goal_partition_budget_cross_check_is_engine_unknown(cannon_path, capsys):
+    args = ["cross-check", cannon_path, "--goal", _MANY_VARS_GOAL, "--max-count", "1"]
+    assert main(args) == 2
+    out = _kv_lines(capsys.readouterr().out)
+    assert (out["engine-status"], out["classification"]) == ("UNKNOWN", "engine-unknown")
+
+
+@pytest.mark.parametrize("cmd", ["encode", "emit-mcmt"])
+def test_goal_partition_budget_encoding_exits_2(cannon_path, capsys, cmd):
+    assert main([cmd, cannon_path, "--goal", _MANY_VARS_GOAL]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"unknown: {_PARTITIONS}\n" and captured.out == ""

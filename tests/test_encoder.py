@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import TypingError, check_encoding_types, check_lit_types, named_model
+from pmasafety import encoder
 from pmasafety.dsl import parse_formula, parse_pmas
 from pmasafety.encoder import (
     EncodingError,
@@ -18,6 +19,7 @@ from pmasafety.encoder import (
 )
 from pmasafety.logic import (
     ArrayRead,
+    BudgetError,
     Const,
     Eq,
     GlobalRef,
@@ -199,6 +201,20 @@ def test_differentiate_filters_unsat_branches():
     cubes = differentiate(lits)
     assert len(cubes) == 1
     assert len(cubes[0].exists) == 2
+
+
+def test_differentiate_counts_its_branches_before_listing(monkeypatch):
+    """Past `cap` branches `differentiate` raises before it lists any: a
+    goal over many index variables has Bell-number many."""
+    vs = [IndexVar(f"j{k}", "Att_id") for k in range(1, 5)]
+    lits = tuple(lit_eq(ArrayRead("loc", v), Const("A")) for v in vs)
+    assert len(differentiate(lits, cap=15)) == 15  # the partitions of 4 variables
+    assert len(differentiate(lits, set(vs[:2]), cap=10)) == 10  # j1, j2 kept apart
+    monkeypatch.setattr(encoder, "set_partitions", None)  # listing would fail
+    with pytest.raises(BudgetError, match="exceeded 14 cubes: 15 partitions"):
+        differentiate(lits, cap=14)
+    with pytest.raises(BudgetError, match="exceeded 9 cubes: 10 partitions"):
+        differentiate(lits, set(vs[:2]), cap=9)
 
 
 def test_index_sort_naming(cannon):

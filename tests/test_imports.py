@@ -183,3 +183,65 @@ def test_traced_names_exist():
         if not hasattr(importlib.import_module(f"pmasafety.{mod}"), attr)
     ]
     assert missing == []
+
+
+# the memo slots of `logic.Lit`: equal for equal values, so filled after construction
+_MEMO_SLOTS = {"_repr", "_shape", "_vars", "_cells", "_parts"}
+_CONSTRUCTORS = {"__new__", "_intern"}
+
+
+def kernel_mutations(source: str) -> list[str]:
+    """Each call of `source`, outside a constructor (`__new__`, `_intern`),
+    that builds an instance with `object.__new__`, passing by the intern
+    table, or sets a slot other than a memo slot with `_set` (or
+    `object.__setattr__`), which would change the value for every holder of
+    the interned object; each as `line: call`."""
+    out = []
+
+    def visit(node: ast.AST, in_constructor: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_constructor = node.name in _CONSTRUCTORS
+        if isinstance(node, ast.Call) and not in_constructor:
+            f = ast.unparse(node.func)
+            slot = node.args[1] if len(node.args) > 1 else None
+            if f == "object.__new__" or f in ("_set", "object.__setattr__") and not (
+                isinstance(slot, ast.Constant) and slot.value in _MEMO_SLOTS
+            ):
+                out.append(f"{node.lineno}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_constructor)
+
+    visit(ast.parse(source), False)
+    return out
+
+
+def test_kernel_mutations_detected():
+    source = (
+        "class C:\n"
+        "    def __new__(cls, x):\n"
+        "        out = object.__new__(cls)\n"
+        "        _set(out, 'x', x)\n"
+        "        return out\n"
+        "def f(l, v):\n"
+        "    _set(l, '_repr', 'r')\n"
+        "    _set(l, 'neg', True)\n"
+        "    object.__setattr__(l, name, v)\n"
+        "    return object.__new__(C)\n"
+    )
+    assert kernel_mutations(source) == [
+        "8: _set(l, 'neg', True)",
+        "9: object.__setattr__(l, name, v)",
+        "10: object.__new__(C)",
+    ]
+
+
+def test_no_kernel_object_built_or_changed_outside_its_constructor():
+    """Terms, atoms and literals are interned (`logic._Hashed`): one object
+    stands for every occurrence of its value, so only the constructors
+    build one, and nothing else sets a field of one."""
+    found = {
+        str(path.relative_to(PACKAGE)): bad
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (bad := kernel_mutations(path.read_text()))
+    }
+    assert found == {}

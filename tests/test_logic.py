@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +68,7 @@ from pmasafety.logic import (
     lit_eq,
     make_cube,
     minimal,
+    partition_count,
     set_partitions,
     simplify_lits,
 )
@@ -410,7 +415,7 @@ class TestDnf:
 
 
 def _hashed_pairs() -> list[tuple]:
-    """Two separately built copies of one value of each hashed class."""
+    """Two separate constructions of one value of each hashed class."""
 
     def build():
         j, a, x = IndexVar("j", "I"), Const("A"), GlobalRef("x")
@@ -425,9 +430,15 @@ def _hashed_pairs() -> list[tuple]:
 class TestHashContract:
     @pytest.mark.parametrize("a, b", _hashed_pairs())
     def test_equal_values_hash_equal(self, a, b):
-        assert a is not b
-        assert a == b and hash(a) == hash(b)
+        """Equal values are one object, so equality and hashing are
+        identity's; `copy`, `dataclasses.replace` and a pickle round trip
+        rebuild through the constructor and give the same object back."""
+        assert a is b
+        assert type(a).__eq__ is object.__eq__ and type(a).__hash__ is object.__hash__
         assert b in {a} and {a: 1}[b] == 1
+        for twin in (copy.copy(a), copy.deepcopy(a), dataclasses.replace(a),
+                     pickle.loads(pickle.dumps(a))):
+            assert twin is a
 
     @pytest.mark.parametrize("a", [a for a, _ in _hashed_pairs()])
     def test_no_instance_dict(self, a):
@@ -496,7 +507,7 @@ class TestCubesAndHelpers:
         """Equal renderings exactly for equal literals; equal cube keys
         exactly for equal `exists` and literal sets; and each template,
         filled with the cube's own names, renders its literal.  A seed drawn
-        twice gives equal literals that are distinct objects."""
+        twice gives the one literal of that value twice."""
         lits = [_rand_lit(random.Random(seed)) for seed in seeds]
         for l1, l2 in itertools.product(lits, repeat=2):
             assert (repr(l1) == repr(l2)) == (l1 == l2)
@@ -559,6 +570,15 @@ class TestCubesAndHelpers:
     def test_set_partitions_bell_numbers(self):
         for n, bell in enumerate([1, 1, 2, 5, 15]):
             assert len(list(set_partitions(range(n)))) == bell
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 7), st.sets(st.integers(0, 8)))
+    def test_partition_count_counts_the_enumeration(self, n, apart):
+        assert partition_count(range(n), apart) == len(list(set_partitions(range(n), apart)))
+
+    def test_partition_count_bell_numbers(self):
+        bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
+        assert [partition_count(range(n)) for n in range(13)] == bell
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 6), st.sets(st.integers(0, 6)))
@@ -643,13 +663,25 @@ class TestPerLiteralFacts:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10**9))
-    def test_negation_is_a_fresh_literal_and_involutive(self, seed):
+    def test_negation_is_involutive_and_leaves_no_cycle(self, seed):
         l = _rand_lit(random.Random(seed))
         n = l.negate()
-        assert n == Lit(not l.neg, l.atom) and hash(n) == hash(Lit(not l.neg, l.atom))
-        assert l.negate() is n  # kept
-        assert n.negate() == l and n.negate().negate() == n
-        assert n.negate() is not l  # kept one way only: no cycle
+        assert n is Lit(not l.neg, l.atom) and n.neg != l.neg
+        assert n.negate() is l and l.negate() is n
+        # a literal and its negation, memos filled, die by reference counting
+        # alone: neither keeps the other
+        probe = Lit(bool(seed % 2), Eq(ArrayRead("negation_probe", _ZS[0]), Const(str(seed))))
+        pair = [probe, probe.negate()]
+        for x in pair:
+            assert repr(x) and x.parts() and x.index_vars() and x.cells()
+            assert x.negate().negate() is x
+        refs = [weakref.ref(x) for x in pair]
+        gc.disable()
+        try:
+            del probe, pair, x
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10**9))

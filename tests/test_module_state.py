@@ -1,12 +1,16 @@
 """No run leaves state behind in a module: every cache lives on the object it
-serves, so one check cannot slow down or change the next."""
+serves, so one check cannot slow down or change the next.  The one table
+beyond a run, each kernel class's intern table, holds its values weakly, so
+it holds no more once the run's results are dropped."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import sys
 
 from pmasafety import cli  # noqa: F401  (imports every module of the package)
+from pmasafety import logic
 from pmasafety.dsl import parse_pmas
 from pmasafety.encoder import encode
 from pmasafety.engine import breach
@@ -50,3 +54,21 @@ def test_runs_leave_no_module_level_state():
     counters = [(n, a) for n, a, v in _module_values() if isinstance(v, itertools.count)]
     assert counters == []
     assert _container_sizes() == before
+
+
+def _intern_sizes() -> dict:
+    gc.collect()
+    return {cls.__name__: len(cls._table) for cls in logic._Hashed.__subclasses__()}
+
+
+def test_intern_tables_drop_what_runs_leave():
+    cannon = parse_pmas(fixture_text("cannon"), "cannon")
+    before = _intern_sizes()
+    assert set(before) == {"IndexVar", "Const", "GlobalRef", "ArrayRead", "Eq", "RelAtom", "Lit"}
+    verdict = breach(encode(cannon, "interleaved"))
+    report = cross_check(cannon, max_count=1, interp_budget=2)
+    lits = {l for layer in verdict.layers for c in layer.cubes for l in c.lits}
+    assert lits and all(logic.Lit(l.neg, l.atom) is l for l in lits)  # interned while alive
+    del lits
+    del verdict, report
+    assert _intern_sizes() == before

@@ -50,6 +50,28 @@ def test_encoding_unchanged(case):
     assert encoding_digest(encode(named_model(name), semantics)) == ENCODING_DIGESTS[case]
 
 
+_ORDER = ["cannon/interleaved", "cannon/concurrent", "trains/interleaved",
+          "trains/concurrent", "two-robot/interleaved"]
+
+
+def test_verdicts_independent_of_run_order():
+    """Terms, atoms and literals hash by identity, so a set of them iterates
+    in the order of their addresses, which follow all the process allocated
+    before.  The same runs in two orders within one process, the first
+    order's verdicts alive while the second runs, give the recorded digests
+    (each layer's cube renderings included) both times."""
+
+    def run(cases):
+        return {case: breach(encode(named_model(name), semantics))
+                for case in cases for name, semantics in [case.split("/")]}
+
+    first = run(_ORDER)
+    second = run(_ORDER[::-1])
+    want = {case: DIGESTS[case] for case in _ORDER}
+    assert {case: verdict_digest(v) for case, v in first.items()} == want
+    assert {case: verdict_digest(v) for case, v in second.items()} == want
+
+
 def test_verdicts_unchanged_under_another_hash_seed():
     """Every recorded verdict digest again, in a process with another str
     hash seed: a verdict that depends on the iteration order of a set or
