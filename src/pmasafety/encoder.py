@@ -352,7 +352,6 @@ def differentiate(
     lits: tuple[Lit, ...],
     distinct: Optional[set[IndexVar]] = None,
     covered: Optional[Callable[[Cube], bool]] = None,
-    cap: int = DEFAULT_DNF_CAP,
 ) -> list[Cube]:
     """Split a raw literal conjunction over equality partitions of its index
     variables, honouring explicit index (dis)equalities, and keep the
@@ -373,7 +372,9 @@ def differentiate(
     sorts.  Two branches may yield equal cubes: callers dedup.
 
     Raises BudgetError, before listing any, when there would be more than
-    `cap` branches (`partition_count`)."""
+    `DEFAULT_DNF_CAP` branches (`partition_count`).  The count is of all
+    partitions: explicit index equalities, which discard branches only while
+    they are listed, do not reduce it."""
     pos: list[tuple[IndexVar, IndexVar]] = []
     neg: list[tuple[IndexVar, IndexVar]] = []
     rest: list[Lit] = []
@@ -392,8 +393,11 @@ def differentiate(
     out: list[Cube] = []
     apart = distinct or ()
     branches = math.prod(partition_count(vs, apart) for vs in by_sort.values())
-    if branches > cap:
-        raise BudgetError(f"differentiation exceeded {cap} cubes: {branches} partitions")
+    if branches > DEFAULT_DNF_CAP:
+        raise BudgetError(
+            f"differentiation would list {branches} partitions,"
+            f" past the budget of {DEFAULT_DNF_CAP}"
+        )
     per_sort_parts = [list(set_partitions(vs, apart)) for vs in by_sort.values()]
     for combo in itertools.product(*per_sort_parts) if per_sort_parts else [()]:
         cls_of: dict[IndexVar, IndexVar] = {}
