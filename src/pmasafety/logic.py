@@ -338,6 +338,9 @@ class Lit(_Hashed):
         return parts
 
 
+_MEMOS = Lit.__slots__[2:]  # the memo slots `lit_renamed` and `lit_merged` fill in
+
+
 def lit_eq(lhs: Term, rhs: Term, neg: bool = False) -> Lit:
     return Lit(neg, Eq(lhs, rhs))
 
@@ -702,8 +705,10 @@ def lit_renamed(l: Lit, sub: Subst, rendering: str, renamed: dict) -> Lit:
     tuples to their images under `sub`, filled as it goes, so the literals
     renamed by one `sub` share one tuple per variable list.  The cells stay
     those of `l`, and the split rendering is `l`'s with the variables
-    renamed."""
+    renamed.  An interned literal that holds every memo is returned as it is."""
     out = lit_subst(l, sub)
+    if all(hasattr(out, k) for k in _MEMOS):
+        return out
     _set(out, "_repr", sys.intern(rendering))
     _set(out, "_shape", _lit_shape(l))
     _set(out, "_cells", l.cells())
@@ -722,8 +727,11 @@ def lit_merged(l: Lit, sub: Subst) -> Lit:
     shape and the cells stay those of `l`, the split rendering is `l`'s with
     the variables mapped, the index variables are its variables, once each
     in order of first occurrence, and the rendering is its texts, unescaped,
-    with the variables' names between them."""
+    with the variables' names between them.  An interned literal that holds
+    every memo is returned as it is."""
     out = lit_subst(l, sub)
+    if all(hasattr(out, k) for k in _MEMOS):
+        return out
     parts = tuple(sub.get(p, p) if k % 2 else p for k, p in enumerate(l.parts()))
     vs = parts[1::2]
     _set(out, "_repr", sys.intern("{}".join(parts[::2]).format(*[v.name for v in vs])))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from . import encoder, engine
@@ -477,6 +477,8 @@ class CrossCheckReport:
     engine_depth: int
     oracle_reached: bool
     classification: str
+    # configurations decided, each by its own search or by a SILENT search of
+    # the largest counts under its interpretation (`cross_check`)
     configs_run: int
     reached_counts: Optional[tuple[tuple[str, int], ...]] = None
     # (interpretations tried per agent count, interpretations there are)
@@ -496,7 +498,18 @@ def cross_check(
     """Run the symbolic engine and the explicit oracle over all agent counts
     1..max_count and all (or budget-sampled) relation interpretations, and
     classify their agreement.  The searches under one interpretation share
-    one `StepTables`, built when that interpretation is first searched."""
+    one `StepTables`, built when that interpretation is first searched.
+
+    Behind an interleaved SAFE verdict, each interpretation's configuration
+    of `max_count` agents per template is searched first, when its table is
+    built.  An interleaved run lifts to more agents, the extra ones idle, and
+    preconditions and goal bind index variables existentially, so each
+    successor a smaller search examines lifts to one this search examines:
+    if it is SILENT, so is every smaller one, which is not searched.
+    Otherwise, and under concurrent semantics (not monotone: an extra agent
+    may have to act) or behind any other verdict, the configurations are
+    searched in order, and the first to reach the goal or overflow is the
+    one reported."""
     if max_count < 1:  # no configuration to run: any agreement would be vacuous
         raise ValueError(f"max_count must be at least 1, got {max_count}")
     if oracle_depth < 0:  # every search would examine nothing
@@ -516,7 +529,10 @@ def cross_check(
     overflow_counts: Optional[tuple[tuple[str, int], ...]] = None
     configs = 0
     names = [t.name for t in p.templates]
+    largest = tuple((name, max_count) for name in names)
+    largest_first = semantics == INTERLEAVED and verdict.status == engine.SAFE
     tables: dict[int, StepTables] = {}  # by interpretation
+    at_largest: dict[int, str] = {}  # by interpretation: the status of its largest search
     for combo in itertools.product(range(1, max_count + 1), repeat=len(names)):
         counts = tuple(zip(names, combo))
         for k, interp in enumerate(interps):
@@ -524,7 +540,12 @@ def cross_check(
             configs += 1
             if k not in tables:
                 tables[k] = StepTables(p, interp, semantics)
-            status = enumerate_reachable(p, cfg, tables[k]).status
+                if largest_first:
+                    at_largest[k] = enumerate_reachable(p, replace(cfg, counts=largest), tables[k]).status
+            if k in at_largest and (at_largest[k] == SILENT or counts == largest):
+                status = at_largest[k]
+            else:
+                status = enumerate_reachable(p, cfg, tables[k]).status
             if status == REACHED:
                 reached = True
                 reached_counts = counts

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     counting_snapshot,
@@ -21,11 +23,12 @@ from helpers import (
     reference_replay_run_template,
     reference_step_vectors,
 )
-from pmasafety import oracle
+from pmasafety import encoder, engine, oracle
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_formula, parse_pmas
 from pmasafety.corpus import generate_corpus
-from pmasafety.model import ModelError, RelInterpretation, initial_snapshot
+from pmasafety.logic import BudgetError
+from pmasafety.model import ModelError, RelInterpretation, Snapshot, initial_snapshot
 from pmasafety.models import fixture_text
 from pmasafety.oracle import (
     ConcreteConfig,
@@ -40,6 +43,7 @@ from pmasafety.oracle import (
     relation_interpretations,
     replay_run_template,
     step_vectors,
+    successors,
 )
 
 MODELS = ["cannon", "trains"] + [f"corpus{s}" for s in range(16)]
@@ -302,6 +306,91 @@ def test_goal_is_decided_once_per_part_it_reads(cannon, monkeypatch):
     assert goals == len(tables.goals) < res.states_seen  # the start's evaluation included
 
 
+# ---------------------------------------------------------------------------
+# monotonicity: what lets `cross_check` search the largest counts first
+
+
+def _plus(m: Snapshot, x: dict) -> Snapshot:
+    """`m` with the extra agents `x`, a list of local states per template."""
+    agents = []
+    for name, blocks in m.agents:
+        counts = dict(blocks)
+        for state in x.get(name, ()):
+            counts[state] = counts.get(state, 0) + 1
+        agents.append((name, tuple(sorted(counts.items()))))
+    return Snapshot(tuple(agents), m.env, m.turn)
+
+
+def _layers(tables: StepTables, start: Snapshot, depth: int) -> list[Snapshot]:
+    """Every snapshot within `depth` steps of `start`, breadth first; the
+    goal does not stop the search."""
+    seen, layer = {start: None}, [start]
+    for _ in range(depth):
+        nxt = []
+        for m in layer:
+            for _c, s in successors(tables, m):
+                if s not in seen:
+                    seen[s] = None
+                    nxt.append(s)
+        layer = nxt
+    return list(seen)
+
+
+@functools.cache
+def _reachable(name: str, k: int, count: int):
+    """The model `name`, its interleaved tables under its `k`-th of at most
+    two interpretations, and the snapshots within 4 steps of `count` agents
+    per template."""
+    p = named_model(name)
+    interps = relation_interpretations(p, budget=2)
+    tables = StepTables(p, interps[k % len(interps)], "interleaved")
+    start = initial_snapshot(p, {t.name: count for t in p.templates})
+    return p, tables, _layers(tables, start, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODELS), st.integers(0, 1), st.integers(1, 2), st.data())
+def test_interleaved_steps_lift_to_more_agents(name, k, count, data):
+    """For a reachable snapshot m and extra agents x in any local states, each
+    interleaved successor s of m gives s + x among the successors of m + x
+    (the extra agents idle), and m + x meets the goal if m does: the
+    monotonicity of well-structured systems (Abdulla, Čerāns, Jonsson & Tsay,
+    LICS 1996) on counting snapshots."""
+    p, tables, snaps = _reachable(name, k, count)
+    m = data.draw(st.sampled_from(snaps))
+    x: dict = {}
+    for t in p.templates:
+        sorts = [next(s for s in p.sorts if s.name == sort).constants for _v, sort, _i in t.variables]
+        states = st.tuples(*map(st.sampled_from, sorts))
+        x[t.name] = data.draw(st.lists(states, max_size=2))
+    assume(any(x.values()))
+    bigger = _plus(m, x)
+    lifted = {succ for _c, succ in successors(tables, bigger)}
+    for _c, succ in successors(tables, m):
+        assert _plus(succ, x) in lifted, (m, x, succ)
+    assert tables.reaches(bigger) or not tables.reaches(m)
+
+
+@pytest.mark.parametrize("semantics, unlifted", [("interleaved", 0), ("concurrent", 6)])
+def test_concurrent_steps_do_not_lift(cannon, semantics, unlifted):
+    """Why `cross_check` searches the largest counts first only under
+    interleaved semantics: a concurrent step makes every robot with an
+    executable local action act, so one more robot in the initial state
+    cannot stay idle.  Over the first 6 layers from one robot (13 snapshots,
+    16 successors), 6 successors do not lift to two robots."""
+    tables = StepTables(cannon, RelInterpretation(), semantics)
+    start = initial_snapshot(cannon, {"Att": 1})
+    x = {"Att": [state for state, _n in start.agents[0][1]]}
+    snaps = _layers(tables, start, 5)
+    pairs = [(m, succ) for m in snaps for _c, succ in successors(tables, m)]
+    assert (len(snaps), len(pairs)) == (13, 16)
+    missed = [
+        (m, succ) for m, succ in pairs
+        if _plus(succ, x) not in {s for _c, s in successors(tables, _plus(m, x))}
+    ]
+    assert len(missed) == unlifted
+
+
 class TestReplay:
     def test_known_good_template(self, cannon):
         cfg = ConcreteConfig((("Att", 1),), RelInterpretation(), "interleaved")
@@ -358,7 +447,90 @@ class TestRelationInterpretations:
         assert list(relation_interpretations(trains)) == [RelInterpretation()]
 
 
+def _in_order_cross_check(p, semantics, max_count):
+    """The reference for `cross_check` at its default budgets: every
+    configuration searched in product order, counts outermost, up to the
+    first that reaches the goal."""
+    try:
+        verdict = engine.breach(encoder.encode(p, semantics))
+    except BudgetError:
+        verdict = engine.Verdict(engine.UNKNOWN, depth=0)
+    interps = relation_interpretations(p)
+    names = [t.name for t in p.templates]
+    reached_counts = overflow_counts = None
+    configs = 0
+    for combo in itertools.product(range(1, max_count + 1), repeat=len(names)):
+        counts = tuple(zip(names, combo))
+        for interp in interps:
+            configs += 1
+            status = enumerate_reachable(p, ConcreteConfig(counts, interp, semantics)).status
+            if status == REACHED:
+                reached_counts = counts
+                break
+            if status == OVERFLOW and overflow_counts is None:
+                overflow_counts = counts
+        if reached_counts:
+            break
+    reached = reached_counts is not None
+    if verdict.status == engine.UNKNOWN:
+        cls = "engine-unknown"
+    elif not reached and overflow_counts is not None:
+        cls = "oracle-overflow"
+    elif verdict.status == engine.SAFE:
+        cls = "engine-safe-oracle-reached" if reached else "agree-safe"
+    else:
+        cls = "agree-unsafe" if reached else "engine-unsafe-oracle-silent"
+    return oracle.CrossCheckReport(
+        semantics, verdict.status, verdict.depth, reached, cls, configs, reached_counts,
+        (len(interps), interps.total), overflow_counts,
+    )
+
+
+def _spy_searches(monkeypatch) -> list:
+    """The agent counts of each search `cross_check` makes, in order."""
+    searched = []
+    search = oracle.enumerate_reachable
+
+    def spy(p, cfg, tables=None):
+        searched.append(cfg.counts)
+        return search(p, cfg, tables)
+
+    monkeypatch.setattr(oracle, "enumerate_reachable", spy)
+    return searched
+
+
 class TestCrossCheck:
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_matches_the_in_order_loop(self, semantics):
+        """Searching the largest counts first changes no report: cannon and
+        trains at every `max_count` to 3, and 16 corpus models."""
+        cases = [(name, k) for name in ("cannon", "trains") for k in (1, 2, 3)]
+        for name, k in cases + [(f"corpus{seed}", 3) for seed in range(16)]:
+            p = named_model(name)
+            assert cross_check(p, semantics, max_count=k) == _in_order_cross_check(p, semantics, k), (name, k)
+
+    @pytest.mark.parametrize("semantics, searches, first", [("interleaved", 1, 3), ("concurrent", 9, 1)])
+    def test_a_silent_largest_search_decides_every_count(self, trains, monkeypatch, semantics, searches, first):
+        """Under interleaved semantics trains' SAFE is backed by one search,
+        of 3 trains each way; concurrent steps are not monotone, so each of
+        the 9 configurations is searched, in order."""
+        searched = _spy_searches(monkeypatch)
+        rep = cross_check(trains, semantics, max_count=3)
+        assert (rep.classification, rep.configs_run) == ("agree-safe", 9)
+        assert len(searched) == searches
+        assert searched[0] == (("PTrain", first), ("NTrain", first))
+
+    def test_a_reaching_largest_search_falls_back_to_the_in_order_loop(self, cannon, monkeypatch):
+        """An engine stubbed to SAFE on cannon: two robots reach the goal, so
+        the configurations are searched in order and the first to reach it,
+        one robot, is reported."""
+        monkeypatch.setattr("pmasafety.engine.breach", lambda abp, **kw: engine.Verdict(engine.SAFE, depth=0))
+        searched = _spy_searches(monkeypatch)
+        rep = cross_check(cannon, max_count=2, oracle_depth=12, interp_budget=1)
+        assert (rep.classification, rep.configs_run) == ("engine-safe-oracle-reached", 1)
+        assert rep.reached_counts == (("Att", 1),)
+        assert searched == [(("Att", 2),), (("Att", 1),)]
+
     @pytest.mark.parametrize("max_count", [0, -1])
     def test_rejects_max_count_below_one_before_the_engine(
         self, cannon, trains, monkeypatch, max_count
@@ -420,11 +592,15 @@ class TestCrossCheck:
             monkeypatch.setattr(oracle, "ConcreteConfig", Small)
 
         budget(2000)
+        searched = _spy_searches(monkeypatch)
         p = parse_pmas(cyclic_model_text(), "cyclic")
         rep = cross_check(p, max_count=3)
         assert (rep.engine_status, rep.classification) == ("SAFE", "oracle-overflow")
         assert (rep.oracle_reached, rep.configs_run) == (False, 3)
         assert rep.overflow_counts == (("A", 2),)
+        # three agents overflow first, so the counts are searched in order,
+        # and the three agents' search is not repeated
+        assert searched == [(("A", 3),), (("A", 1),), (("A", 2),)]
         # the engine finds this goal, and with 5 states every search overflows
         # before reaching it (one agent reaches it after 9)
         budget(5)
