@@ -228,6 +228,8 @@ def _cmd_encode(args) -> int:
 def _cmd_emit_mcmt(args) -> int:
     p, at = _load_model_at(args.model)
     p = _apply_goal(p, args.goal)
+    if args.goal is not None:  # positioned as every other `--goal` diagnostic
+        at = {**at, "goal": (1, 1)}
     with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(emit_mcmt(encode(p, args.semantics), at))
     return EXIT_SAFE

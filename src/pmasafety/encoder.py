@@ -25,6 +25,7 @@ from .logic import (
     DEFAULT_DNF_CAP,
     ELEMENT,
     Eq,
+    FLit,
     Formula,
     GlobalRef,
     INDEX,
@@ -43,12 +44,11 @@ from .logic import (
     cube_vars_of_lits,
     dnf,
     fand,
-    flit,
     fnot,
     f_or,
     ground_lits_sat,
     lit_eq,
-    lit_merged,
+    lit_subst,
     make_cube,
     memoized,
     partition_count,
@@ -308,15 +308,15 @@ def translate_agent_formula(
         if isinstance(g, BoolConst):
             return TRUE if g.value else fnot(TRUE)
         if isinstance(g, VarTest):
-            return flit(lit_eq(term_of(g.var, g.idx), Const(g.value)))
+            return FLit(lit_eq(term_of(g.var, g.idx), Const(g.value)))
         if isinstance(g, RelTest):
             args = tuple(
                 Const(a.name) if isinstance(a, ConstRef) else term_of(a.var, a.idx)
                 for a in g.args
             )
-            return flit(Lit(False, RelAtom(g.rel, args)))
+            return FLit(Lit(False, RelAtom(g.rel, args)))
         if isinstance(g, IdxEq):
-            return flit(lit_eq(ivar(g.lhs), ivar(g.rhs)))
+            return FLit(lit_eq(ivar(g.lhs), ivar(g.rhs)))
         if isinstance(g, Neg):
             return fnot(go(g.inner))
         if isinstance(g, Conj):
@@ -360,16 +360,16 @@ def differentiate(
     Variables in `distinct` are already differentiated (they come from an
     existing cube) and are never merged with each other: only the
     partitions that keep them apart are enumerated (`set_partitions`).  A
-    branch that merges variables maps only the literals over a merged one,
-    each by `lit_merged`, which hands on the facts the literal keeps; the
-    rest stand as they are.  Each branch cube comes from `make_cube`, which
-    records that it uses all its variables (`Cube.used_vars`).  A branch
-    cube for which `covered` holds is dropped before its EUF check
-    (`ground_lits_sat`).  The literals are trusted to be well-sorted:
-    `encode` accepts only a valid model, and every literal the search derives
-    comes from its rules and goal by renamings within sorts and case
-    expansion into values of the same sort; a branch, too, renames within
-    sorts.  Two branches may yield equal cubes: callers dedup.
+    branch that merges variables maps only the literals over a merged one
+    (`lit_subst`: hash-consed, the image is most often a literal the search
+    already holds, its facts computed); the rest stand as they are.  Each
+    branch cube comes from `make_cube`, which records that it uses all its
+    variables (`Cube.used_vars`).  A branch cube for which `covered` holds
+    is dropped before its EUF check (`ground_lits_sat`).  The literals are
+    trusted to be well-sorted: `encode` accepts only a valid model, and
+    every literal the search derives comes from its rules and goal by
+    renamings within sorts and case expansion into values of the same sort;
+    a branch, too, renames within sorts.  Two branches may yield equal cubes: callers dedup.
 
     Raises BudgetError, before listing any, when there would be more than
     `DEFAULT_DNF_CAP` branches (`partition_count`).  The count is of all
@@ -422,7 +422,7 @@ def differentiate(
         if len(reps) < len(cls_of):
             moved = {v for v, r in cls_of.items() if v is not r}
             simplified = simplify_lits(
-                l if moved.isdisjoint(l.index_vars()) else lit_merged(l, cls_of) for l in rest
+                l if moved.isdisjoint(l.index_vars()) else lit_subst(l, cls_of) for l in rest
             )
         else:  # every class a singleton: the literals stand as they are
             simplified = simplify_lits(rest)
@@ -456,7 +456,7 @@ def encode_goal(p: Pmas) -> StateFormula:
 def _point_update(arr: str, sort: str, at: IndexVar, value: Const) -> LambdaUpdate:
     j = IndexVar("$u", sort)
     return LambdaUpdate(
-        j, CaseTerm(((flit(lit_eq(j, at)), value), (TRUE, ArrayRead(arr, j))))
+        j, CaseTerm(((FLit(lit_eq(j, at)), value), (TRUE, ArrayRead(arr, j))))
     )
 
 
@@ -469,7 +469,7 @@ def _commit_updates(
     updates = []
     for v, _s, _i in t.variables:
         branches = [
-            (flit(lit_eq(ArrayRead(act_array(t), j), Const(a.name))), Const(c))
+            (FLit(lit_eq(ArrayRead(act_array(t), j), Const(a.name))), Const(c))
             for a in actions
             if (c := dict(a.eff).get(v)) is not None
         ]

@@ -37,8 +37,6 @@ from .logic import (
     expand_cases,
     ground_lits_sat,
     lit_dnf,
-    lit_merged,
-    lit_renamed,
     lit_subst,
     memoized,
     term_subst,
@@ -200,8 +198,8 @@ class _CompiledRule:
         between them, their sorts and the number of those updates.  Case
         expansion and `dnf` substitute index variables and compare them for
         identity, never order them, so the item of `l` is the kept one with
-        each literal renamed (`lit_merged`, which carries its facts).  No
-        variable of `l` may be named `$r<k>`, as in `preimage`."""
+        each literal renamed (`lit_subst`).  No variable of `l` may be named
+        `$r<k>`, as in `preimage`."""
         cells = l.cells()
         if self.updates.keys().isdisjoint(cells):
             return lit_dnf(l)
@@ -232,12 +230,7 @@ class _CompiledRule:
         if built_for == vs:
             return item
         sub = dict(zip(built_for, vs))
-        renamed: dict[Lit, Lit] = {}
-        for c in item:
-            for x in c:
-                if x not in renamed:
-                    renamed[x] = x if sub.keys().isdisjoint(x.index_vars()) else lit_merged(x, sub)
-        return [tuple(map(renamed.__getitem__, c)) for c in item]
+        return [tuple(lit_subst(x, sub) for x in c) for c in item]
 
 
 @memoized
@@ -354,9 +347,9 @@ def canon_cube(cube: Cube, table: Optional[dict[str, Lit]] = None) -> Cube:
     dropped.  Only the winner is built
     as a cube.  Each of its literals is looked up by the rendering that won
     in `table` (rendering -> literal, `Region.canon_lits`) and built
-    (`lit_renamed`, which keeps that rendering) only when missing, and then
-    filed there; so a run that passes one table builds each canonical
-    literal once, and its cubes share it."""
+    (`lit_subst`) only when missing, and then filed there; so a run that
+    passes one table builds each canonical literal once, and its cubes
+    share it."""
     by_sort = sorted(cube.vars_by_sort().items())
     pos = {v: k for k, v in enumerate(cube.exists)}
     slots = [pos[v] for _, vs in by_sort for v in vs]  # exists positions, by sort
@@ -389,14 +382,13 @@ def canon_cube(cube: Cube, table: Optional[dict[str, Lit]] = None) -> Cube:
             best_key, best = key, (list(names), rendered)
     named, rendered = best
     sub = {v: IndexVar(n, v.sort) for v, n in zip(cube.exists, named)}
-    renamed: dict = {}
     if table is None:
         table = {}
     out = []
     for r, i in rendered:
         l = table.get(r)
         if l is None:
-            l = table[r] = lit_renamed(lits[i], sub, r, renamed)
+            l = table[r] = lit_subst(lits[i], sub)
         out.append(l)
     return Cube(tuple(sorted(sub[cube.exists[k]] for k in used)), tuple(out))  # exists as `ex`
 

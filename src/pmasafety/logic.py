@@ -239,7 +239,8 @@ class Lit(_Hashed):
     index variables (`parts`).  A literal is hash-consed (`_Hashed`): one
     object per value, compared and hashed by identity, so the cubes that
     hold a literal share it and its memos, and the rendering and the shape
-    are interned strings too.
+    are interned strings too.  A literal a substitution maps to
+    (`lit_subst`) is the interned one, with whatever memos it already holds.
 
     The rendering is injective on well-sorted literals, which is what lets
     `Cube.key` and `engine.subsumes` compare renderings in place of
@@ -336,9 +337,6 @@ class Lit(_Hashed):
         parts = tuple(out)
         _set(self, "_parts", parts)
         return parts
-
-
-_MEMOS = Lit.__slots__[2:]  # the memo slots `lit_renamed` and `lit_merged` fill in
 
 
 def lit_eq(lhs: Term, rhs: Term, neg: bool = False) -> Lit:
@@ -444,10 +442,6 @@ def f_or(items: Sequence[Formula]) -> Formula:
     if len(flat) == 1:
         return flat[0]
     return FOr(tuple(flat))
-
-
-def flit(lit: Lit) -> Formula:
-    return FLit(lit)
 
 
 def fnot(f: Formula) -> Formula:
@@ -694,52 +688,6 @@ def atom_subst(a: Atom, sub: Subst) -> Atom:
 
 def lit_subst(l: Lit, sub: Subst) -> Lit:
     return Lit(l.neg, atom_subst(l.atom, sub))
-
-
-def lit_renamed(l: Lit, sub: Subst, rendering: str, renamed: dict) -> Lit:
-    """`lit_subst(l, sub)` with its memos filled, for a `sub` that renames
-    index variables injectively and within their sorts.  `rendering` is the
-    renamed literal's `repr`, which the caller has already made (from
-    `l`'s template); a renaming within sorts keeps the shape, and it keeps
-    the variables' order of first occurrence.  `renamed` maps `index_vars`
-    tuples to their images under `sub`, filled as it goes, so the literals
-    renamed by one `sub` share one tuple per variable list.  The cells stay
-    those of `l`, and the split rendering is `l`'s with the variables
-    renamed.  An interned literal that holds every memo is returned as it is."""
-    out = lit_subst(l, sub)
-    if all(hasattr(out, k) for k in _MEMOS):
-        return out
-    _set(out, "_repr", sys.intern(rendering))
-    _set(out, "_shape", _lit_shape(l))
-    _set(out, "_cells", l.cells())
-    _set(out, "_parts", tuple(sub.get(p, p) if k % 2 else p for k, p in enumerate(l.parts())))
-    vs = l.index_vars()
-    image = renamed.get(vs)
-    if image is None:
-        image = renamed[vs] = tuple(sub.get(v, v) for v in vs)
-    _set(out, "_vars", image)
-    return out
-
-
-def lit_merged(l: Lit, sub: Subst) -> Lit:
-    """`lit_subst(l, sub)` with its memos filled, for a `sub` that maps index
-    variables within their sorts, several perhaps to one (a class map).  The
-    shape and the cells stay those of `l`, the split rendering is `l`'s with
-    the variables mapped, the index variables are its variables, once each
-    in order of first occurrence, and the rendering is its texts, unescaped,
-    with the variables' names between them.  An interned literal that holds
-    every memo is returned as it is."""
-    out = lit_subst(l, sub)
-    if all(hasattr(out, k) for k in _MEMOS):
-        return out
-    parts = tuple(sub.get(p, p) if k % 2 else p for k, p in enumerate(l.parts()))
-    vs = parts[1::2]
-    _set(out, "_repr", sys.intern("{}".join(parts[::2]).format(*[v.name for v in vs])))
-    _set(out, "_shape", _lit_shape(l))
-    _set(out, "_cells", l.cells())
-    _set(out, "_parts", parts)
-    _set(out, "_vars", tuple(dict.fromkeys(vs)))
-    return out
 
 
 def formula_subst(f: Formula, sub: Subst) -> Formula:

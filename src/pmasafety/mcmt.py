@@ -205,7 +205,7 @@ def emit_mcmt(abp: AbPmas, at: Optional[dict] = None) -> str:
     sig = abp.sig
     goal = abp.goal
     if not goal.cubes:
-        raise _err("goal is unsatisfiable: nothing to emit as :unsafe")
+        raise _err("goal is unsatisfiable: nothing to emit as :unsafe", at.get("goal"))
     clashes = _clashes(abp.pmas, at)
     if clashes:
         raise McmtError(clashes)
@@ -276,9 +276,14 @@ def emit_mcmt(abp: AbPmas, at: Optional[dict] = None) -> str:
             raise _err(f"rule {rule.label}: universal gates have no MCMT rendering")
         exist_names = ["x", "y"]
         if len(rule.exists) > len(exist_names):
+            where = None  # the declaration of the action the rule comes from
+            if rule.template is not None:
+                actions = [a.name for a in abp.pmas.template(rule.template).actions]
+                where = at.get((rule.template, actions.index(rule.action)))
             raise _err(
                 f"rule {rule.label}: {len(rule.exists)} existential index "
-                "variables; MCMT transitions allow at most two (x, y)"
+                "variables; MCMT transitions allow at most two (x, y)",
+                where,
             )
         ren = dict(base_ren)
         for v, nm in zip(rule.exists, exist_names):

@@ -58,7 +58,6 @@ from pmasafety.logic import (
     expand_cases,
     f_or,
     fand,
-    flit,
     ground_lits_sat,
     lit_eq,
     lit_subst,
@@ -767,10 +766,10 @@ def reference_set_partitions(items: Sequence) -> Iterator[list[list]]:
 
 
 def reference_differentiate(lits, distinct=None, covered=None) -> list[Cube]:
-    """`encoder.differentiate` before a merged branch's literals kept the
-    facts of the literals they come from (`logic.lit_merged`): each is a
-    fresh `lit_subst`, which computes its rendering, shape, cells, split
-    rendering and index variables on first use."""
+    """`encoder.differentiate` without its shortcuts: a branch that merges
+    variables maps every literal (`lit_subst`), not only those over a
+    merged variable, `make_cube` scans each branch cube for its variables,
+    and no partition budget is checked."""
     pos, neg, rest = [], [], []
     for l in lits:
         a = l.atom
@@ -870,16 +869,16 @@ def _gate_formula(gate: Gate, cands: dict[str, list[IndexVar]]) -> Formula:
             for combo in itertools.product(*pools) if bp.extra_vars else [()]:
                 sub = dict(base)
                 sub.update(zip(bp.extra_vars, combo))
-                insts.append(f_or([flit(lit_subst(l, sub).negate()) for l in bp.lits]))
+                insts.append(f_or([FLit(lit_subst(l, sub).negate()) for l in bp.lits]))
             conj.append(fand(insts))
         return fand(conj)
 
     if gate.var is None:
-        return f_or([flit(gate.declared), blocked_formula({})])
+        return f_or([FLit(gate.declared), blocked_formula({})])
     out = []
     for v in cands.get(gate.var.sort, []):
         sub = {gate.var: v}
-        out.append(f_or([flit(lit_subst(gate.declared, sub)), blocked_formula(sub)]))
+        out.append(f_or([FLit(lit_subst(gate.declared, sub)), blocked_formula(sub)]))
     return fand(out)
 
 
@@ -894,9 +893,9 @@ def reference_preimage(
     globals_map = rule.globals_map()
     arrays_map = {a: type(u)(u.var, term_subst(u.body, rule_ren)) for a, u in rule.arrays_upd}
     parts: list[Formula] = [
-        fand([flit(lit_subst(l, rule_ren)) for l in rule.guard]),
+        fand([FLit(lit_subst(l, rule_ren)) for l in rule.guard]),
         fand([
-            flit(_lit_through(lit_subst(l, cube_ren), globals_map, arrays_map)) for l in cube.lits
+            FLit(_lit_through(lit_subst(l, cube_ren), globals_map, arrays_map)) for l in cube.lits
         ]),
     ]
     cands: dict[str, list[IndexVar]] = {}

@@ -38,6 +38,7 @@ from helpers import (
     reference_init_sat,
     reference_preimage,
     reference_subsumes,
+    reference_template,
     region_of,
 )
 from pmasafety import encoder, engine, logic
@@ -157,13 +158,16 @@ class TestCanonCube:
     @settings(max_examples=200, deadline=None)
     @given(canon_inputs())
     def test_literals_keep_the_winning_renderings(self, cube):
-        """The rebuilt literals arrive with their memos filled from the
-        renderings and shapes already made; each equals what a literal
-        built afresh computes."""
-        for l in canon_cube(cube).lits:
-            fresh = Lit(l.neg, l.atom)
-            assert (l._repr, l._shape, l._vars) == (
-                repr(fresh), _lit_shape(fresh), fresh.index_vars())
+        """The canonical cube's literals render, in order, as the renamings
+        that won, which are the walks over their atoms, and each has the
+        shape and the variables of the reference's literal so rendered."""
+        got, want = canon_cube(cube), reference_canon_cube(cube)
+        renderings = [reference_template(l, {}).format() for l in got.lits]
+        assert [repr(l) for l in got.lits] == renderings == sorted(renderings)
+        by_rendering = {repr(w): w for w in want.lits}
+        for l in got.lits:
+            w = by_rendering[repr(l)]
+            assert (_lit_shape(l), l.index_vars()) == (_lit_shape(w), w.index_vars())
 
     @settings(max_examples=400, deadline=None)
     @given(canon_inputs(), st.randoms(use_true_random=False))
@@ -196,14 +200,16 @@ class TestCanonCube:
     @given(st.lists(canon_inputs(), max_size=8))
     def test_literal_table_changes_no_cube(self, cubes):
         """With a table shared by every call, `canon_cube` gives the cube and
-        the literal memos it gives without one, and every literal is the
-        table's entry for its rendering."""
+        the literals, rendering, shape and variables, it gives without one,
+        and every literal is the table's entry for its rendering."""
         table: dict = {}
         for c in cubes:
             got, want = canon_cube(c, table), canon_cube(c)
             assert got == want and repr(got) == repr(want)
             for l, w in zip(got.lits, want.lits):
-                assert (l._repr, l._shape, l._vars) == (w._repr, w._shape, w._vars)
+                assert l is w
+                assert (repr(l), _lit_shape(l), l.index_vars()) == (
+                    repr(w), _lit_shape(w), w.index_vars())
                 assert table[repr(l)] is l
 
     def test_frontier_cubes_of_a_run_share_each_literal(self, two_robot):
@@ -901,9 +907,9 @@ def _lit_facts(cubes: list[Cube]) -> list:
 
 
 class TestMergedBranches:
-    """`differentiate` builds a merged branch's literals with the facts of
-    those they come from (`lit_merged`); `reference_differentiate` builds
-    fresh ones, which compute theirs."""
+    """`differentiate` maps only a merged branch's literals over a merged
+    variable, and `reference_differentiate` maps every literal: both give
+    the same cubes, literal by literal and fact by fact."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10**9))
@@ -1189,11 +1195,15 @@ class TestNeedsCountTerms:
 
 
 class TestWorkCounts:
-    """Each branch cube's facts are derived once and handed on.  Ceilings on
-    what the interleaved two-robot run computes, counted by spies, fail a
-    change that derives them again where wall times are too noisy to show
-    it.  Before literals carried their facts through the class substitution
-    (and `Region.tables` took the root reading of `entailed_by`), the run
+    """Each literal's facts are derived once, on first use, and kept by the
+    hash-consed literal for every cube that holds it; each branch cube's
+    variables and reading are derived once and handed on.  Ceilings on what
+    the interleaved two-robot run computes, counted by spies, fail a change
+    that derives them again where wall times are too noisy to show it.
+    The run computes 111 shapes and 111 renderings on first use.  Before
+    literals kept their facts across the class substitution (once by
+    copying them, now by hash-consing) and `Region.tables` took the root
+    reading of `entailed_by`, the run
     built 1 350 readings, computed 2 750 shapes and 2 748 renderings on
     first use and scanned literals for their variables 2 731 times; before
     the run shared its preimage items across rules and renamings

@@ -188,30 +188,37 @@ def test_traced_names_exist():
 # the memo slots of `logic.Lit`: equal for equal values, so filled after construction
 _MEMO_SLOTS = {"_repr", "_shape", "_vars", "_cells", "_parts"}
 _CONSTRUCTORS = {"__new__", "_intern"}
+# the definitions that compute the memos: `Lit`'s methods and `_lit_shape`
+_MEMO_WRITERS = {"Lit", "_lit_shape"}
 
 
 def kernel_mutations(source: str) -> list[str]:
     """Each call of `source`, outside a constructor (`__new__`, `_intern`),
     that builds an instance with `object.__new__`, passing by the intern
-    table, or sets a slot other than a memo slot with `_set` (or
-    `object.__setattr__`), which would change the value for every holder of
-    the interned object; each as `line: call`."""
+    table, or sets a slot with `_set` (or `object.__setattr__`), which would
+    change the value for every holder of the interned object; each as
+    `line: call`.  Only a function that computes a memo (`_MEMO_WRITERS`)
+    may set a memo slot, so no code copies a memo from one literal to
+    another."""
     out = []
 
-    def visit(node: ast.AST, in_constructor: bool) -> None:
+    def visit(node: ast.AST, in_constructor: bool, top: str, in_writer: bool) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             in_constructor = node.name in _CONSTRUCTORS
+            in_writer = (top or node.name) in _MEMO_WRITERS
         if isinstance(node, ast.Call) and not in_constructor:
             f = ast.unparse(node.func)
             slot = node.args[1] if len(node.args) > 1 else None
             if f == "object.__new__" or f in ("_set", "object.__setattr__") and not (
-                isinstance(slot, ast.Constant) and slot.value in _MEMO_SLOTS
+                in_writer and isinstance(slot, ast.Constant) and slot.value in _MEMO_SLOTS
             ):
                 out.append(f"{node.lineno}: {ast.unparse(node)}")
+        if not top and isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            top = node.name  # the module-level definition `node` lies in
         for child in ast.iter_child_nodes(node):
-            visit(child, in_constructor)
+            visit(child, in_constructor, top, in_writer)
 
-    visit(ast.parse(source), False)
+    visit(ast.parse(source), False, "", False)
     return out
 
 
@@ -227,18 +234,27 @@ def test_kernel_mutations_detected():
         "    _set(l, 'neg', True)\n"
         "    object.__setattr__(l, name, v)\n"
         "    return object.__new__(C)\n"
+        "class Lit:\n"
+        "    def parts(self):\n"
+        "        _set(self, '_parts', ())\n"
+        "        _set(self, 'atom', None)\n"
+        "def _lit_shape(l):\n"
+        "    _set(l, '_shape', 's')\n"
     )
     assert kernel_mutations(source) == [
+        "7: _set(l, '_repr', 'r')",
         "8: _set(l, 'neg', True)",
         "9: object.__setattr__(l, name, v)",
         "10: object.__new__(C)",
+        "14: _set(self, 'atom', None)",
     ]
 
 
 def test_no_kernel_object_built_or_changed_outside_its_constructor():
     """Terms, atoms and literals are interned (`logic._Hashed`): one object
     stands for every occurrence of its value, so only the constructors
-    build one, and nothing else sets a field of one."""
+    build one, nothing else sets a field of one, and only the functions
+    that compute a literal's memos fill one."""
     found = {
         str(path.relative_to(PACKAGE)): bad
         for path in sorted(PACKAGE.rglob("*.py"))

@@ -62,7 +62,6 @@ from pmasafety.logic import (
     expand_cases_lit,
     fand,
     f_or,
-    flit,
     fnot,
     ground_lits_sat,
     lit_eq,
@@ -344,7 +343,7 @@ _MORE_ATOMS = [
 def _rand_prop(rng, depth=3, atoms=_ATOMS, arity=2):
     if depth == 0 or rng.random() < 0.3:
         l = rng.choice(atoms)
-        return flit(l.negate() if rng.random() < 0.5 else l)
+        return FLit(l.negate() if rng.random() < 0.5 else l)
     k = rng.random()
     n = 2 if arity == 2 else rng.randint(2, arity)
     if k < 0.4:
@@ -379,13 +378,13 @@ class TestDnf:
 
     def test_dnf_drops_contradictory_branches(self):
         l = _ATOMS[0]
-        f = fand([flit(l), flit(l.negate())])
+        f = fand([FLit(l), FLit(l.negate())])
         assert dnf(f) == []
 
     def test_dnf_cap_raises_budget_error(self):
         # (g_i = A | g_i = B) conjoined n times: 2^n irreducible branches
         parts = [
-            f_or([flit(lit_eq(GlobalRef(f"g{i}"), A)), flit(lit_eq(GlobalRef(f"g{i}"), B))])
+            f_or([FLit(lit_eq(GlobalRef(f"g{i}"), A)), FLit(lit_eq(GlobalRef(f"g{i}"), B))])
             for i in range(10)
         ]
         with pytest.raises(BudgetError):
@@ -594,10 +593,14 @@ class TestCubesAndHelpers:
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=6), st.randoms(use_true_random=False))
     def test_templates_are_the_walks(self, seeds, rng):
         """`Cube.templates`, built from the literals' split renderings, are
-        the templates of the walk over each atom, braces in names escaped."""
+        the templates of the walk over each atom, braces in names escaped,
+        the literals a class map makes (`lit_subst`) included: several
+        variables may become one, and names may hold braces."""
         lits = [_rand_lit(random.Random(seed)) for seed in seeds] + _BRACED
+        lits += [logic.lit_subst(l, _class_map(rng, _ZS + _BRACED_VARS))
+                 for l in lits + [_braced_lit(rng) for _ in range(3)]]
         for _ in range(4):
-            exists = tuple(rng.sample([*_ZS, _W], rng.randint(0, 4)))
+            exists = tuple(rng.sample([*_ZS, *_BRACED_VARS], rng.randint(0, 5)))
             c = Cube(exists, tuple(rng.sample(lits, rng.randint(0, 4))))
             fields = {v: f"{{{k}}}" for k, v in enumerate(c.exists)}
             assert c.templates() == [reference_template(l, fields) for l in c.lits]
@@ -694,36 +697,6 @@ class TestPerLiteralFacts:
         cc = logic.const_cell(l)
         assert cc is None or cc[0] in l.cells()
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 10**9), st.permutations(range(3)))
-    def test_renamed_literal_keeps_fresh_facts(self, seed, perm):
-        """`lit_renamed` gives the renamed literal the cells and split
-        rendering a fresh literal computes."""
-        rng = random.Random(seed)
-        for l in [_rand_lit(rng) for _ in range(4)] + _BRACED:
-            sub = dict(zip(_ZS, [IndexVar(f"$cI_{k}", "I") for k in perm]))
-            fresh = logic.lit_subst(l, sub)
-            renamed = logic.lit_renamed(l, sub, repr(fresh), {})
-            assert renamed == fresh
-            assert renamed.cells() == fresh.cells() and renamed.parts() == fresh.parts()
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_merged_literal_keeps_fresh_facts(self, seed):
-        """`lit_merged` builds the literal a class map makes with every fact
-        filled in, each what a fresh `lit_subst` literal computes: several
-        variables may become one, and names may hold braces."""
-        rng = random.Random(seed)
-        for l in [_rand_lit(rng) for _ in range(3)] + [_braced_lit(rng) for _ in range(3)]:
-            sub = _class_map(rng, _ZS + _BRACED_VARS)
-            merged = logic.lit_merged(l, sub)
-            slots = ("_repr", "_shape", "_cells", "_parts", "_vars")
-            filled = [getattr(merged, k) for k in slots]  # AttributeError: not filled in
-            fresh = logic.lit_subst(l, sub)
-            assert merged == fresh and hash(merged) == hash(fresh)
-            assert filled == [repr(fresh), logic._lit_shape(fresh), fresh.cells(),
-                              fresh.parts(), fresh.index_vars()]
-
 
 class TestCaseElimination:
     def test_lambda_apply_constant(self):
@@ -734,7 +707,7 @@ class TestCaseElimination:
 
     def test_expand_cases_lit_is_case_free_and_equivalent(self):
         h = GlobalRef("a")
-        case = CaseTerm(((flit(lit_eq(h, A)), A), (TRUE, B)))
+        case = CaseTerm(((FLit(lit_eq(h, A)), A), (TRUE, B)))
         lit = lit_eq(X, case)
         expanded = expand_cases_lit(lit)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from pmasafety.cli import main
 from pmasafety.corpus import generate_model
 from pmasafety.dsl import parse_pmas
 from pmasafety.encoder import encode
@@ -94,3 +95,37 @@ class TestWitness:
         steps = explain_witness(tokens, abp.rules)
         assert [s.rule_label for s in steps] == [s.rule_label for s in v.trace]
         assert extract_run_template(steps) == v.run_template
+
+
+def _emit_mcmt_errors(tmp_path, capsys, text: str, *opts: str) -> list[str]:
+    """The diagnostics `emit-mcmt` prints, with exit 3, for a model file
+    holding `text`."""
+    path = tmp_path / "model.pmas"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["emit-mcmt", str(path), *opts]) == 3
+    return capsys.readouterr().err.splitlines()
+
+
+def test_unsatisfiable_goal_is_positioned(tmp_path, capsys):
+    """At the model's `goal:`, or at 1:1 for a `--goal` formula, as every
+    other `--goal` diagnostic."""
+    lines = fixture_text("cannon").splitlines()
+    assert lines[60] == "goal: loc[j] = target"
+    lines[60] = "goal: loc[j] = target and not loc[j] = target"
+    msg = "goal is unsatisfiable: nothing to emit as :unsafe"
+    text = "\n".join(lines) + "\n"
+    assert _emit_mcmt_errors(tmp_path, capsys, text) == [f"error:61:1: {msg}"]
+    goal = ("--goal", "loc[j] = A and not loc[j] = A")
+    assert _emit_mcmt_errors(tmp_path, capsys, fixture_text("cannon"), *goal) == [
+        f"error:1:1: {msg}"]
+
+
+def test_too_many_existentials_are_positioned(tmp_path, capsys):
+    """At the declaration of the action the rule comes from."""
+    lines = fixture_text("cannon").splitlines()
+    assert lines[24].startswith("  action goTargetA") and lines[25].endswith(";")
+    lines[25] = lines[25][:-1] + " and loc[k1] = B and loc[k2] = init;"
+    assert _emit_mcmt_errors(tmp_path, capsys, "\n".join(lines) + "\n") == [
+        "error:25:3: rule declare:Att.goTargetA@P0: 3 existential index variables;"
+        " MCMT transitions allow at most two (x, y)"]
