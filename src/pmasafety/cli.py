@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import Optional, Sequence, TextIO
 
 from .dsl import parse_formula, parse_pmas_at
-from .encoder import encode
+from .encoder import INTERLEAVED, encode
 from .engine import (
     DEFAULT_MAX_CUBES,
     DEFAULT_MAX_DEPTH,
@@ -226,6 +226,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_emit_mcmt(args) -> int:
+    if args.semantics != INTERLEAVED:
+        raise InputError(f"--semantics {args.semantics}: "
+                         "MCMT emission supports interleaved semantics only")
     p, at = _load_model_at(args.model)
     p = _apply_goal(p, args.goal)
     if args.goal is not None:  # positioned as every other `--goal` diagnostic

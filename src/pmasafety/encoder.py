@@ -25,7 +25,7 @@ from .logic import (
     DEFAULT_DNF_CAP,
     ELEMENT,
     Eq,
-    FLit,
+    FALSE,
     Formula,
     GlobalRef,
     INDEX,
@@ -306,17 +306,17 @@ def translate_agent_formula(
 
     def go(g: AgentFormula) -> Formula:
         if isinstance(g, BoolConst):
-            return TRUE if g.value else fnot(TRUE)
+            return TRUE if g.value else FALSE
         if isinstance(g, VarTest):
-            return FLit(lit_eq(term_of(g.var, g.idx), Const(g.value)))
+            return lit_eq(term_of(g.var, g.idx), Const(g.value))
         if isinstance(g, RelTest):
             args = tuple(
                 Const(a.name) if isinstance(a, ConstRef) else term_of(a.var, a.idx)
                 for a in g.args
             )
-            return FLit(Lit(False, RelAtom(g.rel, args)))
+            return Lit(False, RelAtom(g.rel, args))
         if isinstance(g, IdxEq):
-            return FLit(lit_eq(ivar(g.lhs), ivar(g.rhs)))
+            return lit_eq(ivar(g.lhs), ivar(g.rhs))
         if isinstance(g, Neg):
             return fnot(go(g.inner))
         if isinstance(g, Conj):
@@ -456,7 +456,7 @@ def encode_goal(p: Pmas) -> StateFormula:
 def _point_update(arr: str, sort: str, at: IndexVar, value: Const) -> LambdaUpdate:
     j = IndexVar("$u", sort)
     return LambdaUpdate(
-        j, CaseTerm(((FLit(lit_eq(j, at)), value), (TRUE, ArrayRead(arr, j))))
+        j, CaseTerm(((lit_eq(j, at), value), (None, ArrayRead(arr, j))))
     )
 
 
@@ -469,12 +469,12 @@ def _commit_updates(
     updates = []
     for v, _s, _i in t.variables:
         branches = [
-            (FLit(lit_eq(ArrayRead(act_array(t), j), Const(a.name))), Const(c))
+            (lit_eq(ArrayRead(act_array(t), j), Const(a.name)), Const(c))
             for a in actions
             if (c := dict(a.eff).get(v)) is not None
         ]
         if branches:
-            branches.append((TRUE, ArrayRead(v, j)))
+            branches.append((None, ArrayRead(v, j)))
             updates.append((v, LambdaUpdate(j, CaseTerm(tuple(branches)))))
     updates.append((act_array(t), LambdaUpdate(j, Const(NOP))))
     return updates

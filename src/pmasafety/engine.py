@@ -24,7 +24,6 @@ from .logic import (
     DEFAULT_DNF_CAP,
     Dnf,
     Eq,
-    FLit,
     GlobalRef,
     GroundReading,
     IndexVar,
@@ -220,7 +219,7 @@ class _CompiledRule:
         key = (parts[::2], tuple(map(vs.index, parts[1::2])), tuple(v.sort for v in vs), number)
         kept = shared.get(key)
         if kept is None:
-            f = expand_cases(FLit(_lit_through(l, self.globals_map, self.arrays_map)))
+            f = expand_cases(_lit_through(l, self.globals_map, self.arrays_map))
             item = dnf(f, cap)
             shared[key] = (vs, item)
             return item

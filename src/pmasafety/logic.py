@@ -179,14 +179,15 @@ class ArrayRead(_Hashed):
 class CaseTerm:
     """Case-defined value: first branch whose guard holds wins.
 
-    The last branch must have guard FTrue (the catch-all).  Guards are
-    quantifier-free formulae; values are plain terms (no nesting of cases).
+    Each guard is one literal, as in MCMT's `:case` conditions, except the
+    last branch's, `None`: the catch-all.  Values are plain terms (no
+    nesting of cases).
     """
 
-    branches: tuple[tuple["Formula", "Term"], ...]
+    branches: tuple[tuple[Optional["Lit"], "Term"], ...]
 
     def __repr__(self) -> str:
-        inner = "; ".join(f"{g} -> {t}" for g, t in self.branches)
+        inner = "; ".join(f"{'true' if g is None else g} -> {t}" for g, t in self.branches)
         return f"case{{{inner}}}"
 
 
@@ -343,141 +344,75 @@ def lit_eq(lhs: Term, rhs: Term, neg: bool = False) -> Lit:
     return Lit(neg, Eq(lhs, rhs))
 
 
-# quantifier-free formula AST (used for guards and case conditions)
-
-
-@dataclass(frozen=True, repr=False)
-class FTrue:
-    """The true formula."""
-
-    def __repr__(self) -> str:
-        return "true"
-
-
-@dataclass(frozen=True, repr=False)
-class FFalse:
-    """The false formula."""
-
-    def __repr__(self) -> str:
-        return "false"
-
-
-@dataclass(frozen=True, repr=False)
-class FLit:
-    """A literal as a formula."""
-
-    lit: Lit
-
-    def __repr__(self) -> str:
-        return repr(self.lit)
+# quantifier-free formulae, in negation normal form by construction: a
+# literal is its own formula, the only leaf, under conjunctions and
+# disjunctions, and `fnot` pushes a negation down to the literals.  The
+# encoder translates the goal and each precondition into one, and
+# `expand_cases` rewrites a literal over case terms into one; `dnf` turns
+# one into the conjunctions of literals the search reads.
 
 
 @dataclass(frozen=True, repr=False)
 class FAnd:
-    """A conjunction of formulae."""
+    """A conjunction of formulae; `TRUE` is the empty one."""
 
     items: tuple["Formula", ...]
 
     def __repr__(self) -> str:
-        return "(" + " & ".join(map(repr, self.items)) + ")"
+        return "(" + " & ".join(map(repr, self.items)) + ")" if self.items else "true"
 
 
 @dataclass(frozen=True, repr=False)
 class FOr:
-    """A disjunction of formulae."""
+    """A disjunction of formulae; `FALSE` is the empty one."""
 
     items: tuple["Formula", ...]
 
     def __repr__(self) -> str:
-        return "(" + " | ".join(map(repr, self.items)) + ")"
+        return "(" + " | ".join(map(repr, self.items)) + ")" if self.items else "false"
 
 
-@dataclass(frozen=True, repr=False)
-class FNot:
-    """A negated formula."""
+Formula = Union[Lit, FAnd, FOr]
 
-    inner: "Formula"
-
-    def __repr__(self) -> str:
-        return f"~{self.inner!r}"
-
-
-Formula = Union[FTrue, FFalse, FLit, FAnd, FOr, FNot]
-
-TRUE: Formula = FTrue()
-FALSE: Formula = FFalse()
+TRUE: Formula = FAnd(())
+FALSE: Formula = FOr(())
 
 
 def fand(items: Sequence[Formula]) -> Formula:
+    """The conjunction of `items`: `FALSE` if one of them is, else the
+    items of each `FAnd` among them spliced in, and the one item left
+    alone or an `FAnd` of them all (`TRUE` when none is left)."""
     flat: list[Formula] = []
     for it in items:
-        if isinstance(it, FFalse):
-            return FALSE
-        if isinstance(it, FTrue):
-            continue
         if isinstance(it, FAnd):
             flat.extend(it.items)
+        elif it == FALSE:
+            return FALSE
         else:
             flat.append(it)
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return FAnd(tuple(flat))
+    return flat[0] if len(flat) == 1 else FAnd(tuple(flat))
 
 
 def f_or(items: Sequence[Formula]) -> Formula:
+    """The disjunction of `items`, flattened as `fand` flattens."""
     flat: list[Formula] = []
     for it in items:
-        if isinstance(it, FTrue):
-            return TRUE
-        if isinstance(it, FFalse):
-            continue
         if isinstance(it, FOr):
             flat.extend(it.items)
+        elif it == TRUE:
+            return TRUE
         else:
             flat.append(it)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return FOr(tuple(flat))
+    return flat[0] if len(flat) == 1 else FOr(tuple(flat))
 
 
 def fnot(f: Formula) -> Formula:
-    if isinstance(f, FTrue):
-        return FALSE
-    if isinstance(f, FFalse):
-        return TRUE
-    if isinstance(f, FNot):
-        return f.inner
-    if isinstance(f, FLit):
-        return FLit(f.lit.negate())
-    return FNot(f)
-
-
-def nnf(f: Formula) -> Formula:
-    if isinstance(f, (FTrue, FFalse, FLit)):
-        return f
+    """The negation of `f`, pushed down to its literals (De Morgan)."""
+    if isinstance(f, Lit):
+        return f.negate()
     if isinstance(f, FAnd):
-        return fand([nnf(i) for i in f.items])
-    if isinstance(f, FOr):
-        return f_or([nnf(i) for i in f.items])
-    if isinstance(f, FNot):
-        g = f.inner
-        if isinstance(g, FLit):
-            return FLit(g.lit.negate())
-        if isinstance(g, FTrue):
-            return FALSE
-        if isinstance(g, FFalse):
-            return TRUE
-        if isinstance(g, FNot):
-            return nnf(g.inner)
-        if isinstance(g, FAnd):
-            return f_or([nnf(FNot(i)) for i in g.items])
-        if isinstance(g, FOr):
-            return fand([nnf(FNot(i)) for i in g.items])
-    raise LogicError(f"not a formula: {f!r}")
+        return f_or([fnot(i) for i in f.items])
+    return fand([fnot(i) for i in f.items])
 
 
 DEFAULT_DNF_CAP = 100000
@@ -635,18 +570,15 @@ def conjoin_with(first: tuple[Lit, ...], items: Sequence[Dnf], cap: int = DEFAUL
 def dnf(f: Formula, cap: int = DEFAULT_DNF_CAP) -> Dnf:
     """Disjunctive normal form as a list of literal tuples: duplicates,
     contradictions and absorbed conjunctions (a strict superset of another's
-    literals) removed, the rest in the order of the full expansion.
+    literals) removed, the rest in the order of the full expansion.  `f` is
+    in negation normal form already, as every `Formula` is.
 
     Raises BudgetError when an intermediate list would exceed `cap`.
     """
 
     def go(g: Formula) -> Dnf:
-        if isinstance(g, FTrue):
-            return [()]
-        if isinstance(g, FFalse):
-            return []
-        if isinstance(g, FLit):
-            return lit_dnf(g.lit)
+        if isinstance(g, Lit):
+            return lit_dnf(g)
         if isinstance(g, FOr):
             out: Dnf = []
             for it in g.items:
@@ -656,9 +588,9 @@ def dnf(f: Formula, cap: int = DEFAULT_DNF_CAP) -> Dnf:
             return out
         if isinstance(g, FAnd):
             return conjoin(map(go, g.items), cap)
-        raise LogicError(f"dnf expects NNF, got {g!r}")
+        raise LogicError(f"not a formula: {g!r}")
 
-    return minimal(go(nnf(f)))
+    return minimal(go(f))
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +606,9 @@ def term_subst(t: Term, sub: Subst) -> Term:
     if isinstance(t, ArrayRead):
         return ArrayRead(t.array, sub.get(t.index, t.index))
     if isinstance(t, CaseTerm):
-        return CaseTerm(
-            tuple((formula_subst(g, sub), term_subst(v, sub)) for g, v in t.branches)
-        )
+        return CaseTerm(tuple(
+            (g if g is None else lit_subst(g, sub), term_subst(v, sub)) for g, v in t.branches
+        ))
     return t
 
 
@@ -688,20 +620,6 @@ def atom_subst(a: Atom, sub: Subst) -> Atom:
 
 def lit_subst(l: Lit, sub: Subst) -> Lit:
     return Lit(l.neg, atom_subst(l.atom, sub))
-
-
-def formula_subst(f: Formula, sub: Subst) -> Formula:
-    if isinstance(f, (FTrue, FFalse)):
-        return f
-    if isinstance(f, FLit):
-        return FLit(lit_subst(f.lit, sub))
-    if isinstance(f, FAnd):
-        return fand([formula_subst(i, sub) for i in f.items])
-    if isinstance(f, FOr):
-        return f_or([formula_subst(i, sub) for i in f.items])
-    if isinstance(f, FNot):
-        return fnot(formula_subst(f.inner, sub))
-    raise LogicError(f"not a formula: {f!r}")
 
 
 def _case_terms(a: Atom) -> list[CaseTerm]:
@@ -722,39 +640,28 @@ def _replace_case(a: Atom, old: CaseTerm, new: Term) -> Atom:
     return RelAtom(a.rel, tuple(rep(x) for x in a.args))
 
 
-def expand_cases_lit(l: Lit) -> Formula:
-    """Rewrite a literal over case-defined terms into a case-free formula.
-
-    Branches are ordered, so A(case{k1->t1; ...; kn->tn}) becomes
-    OR_i (~k1 & ... & ~k(i-1) & ki & A(ti)): branch i fires when its guard
-    holds and no earlier guard does.
-    """
-    cases = _case_terms(l.atom)
-    if not cases:
-        return FLit(l)
-    ct = cases[0]
-    out: list[Formula] = []
-    earlier: list[Formula] = []
-    for guard, val in ct.branches:
-        picked = fand(earlier + [guard, expand_cases_lit(Lit(l.neg, _replace_case(l.atom, ct, val)))])
-        out.append(picked)
-        earlier.append(fnot(guard))
-    return f_or(out)
-
-
 def expand_cases(f: Formula) -> Formula:
-    """Eliminate every CaseTerm in `f`, yielding an equivalent case-free formula."""
-    if isinstance(f, (FTrue, FFalse)):
-        return f
-    if isinstance(f, FLit):
-        return expand_cases_lit(f.lit)
+    """An equivalent formula without a `CaseTerm`, item by item under `FAnd`
+    and `FOr`.  Branches are ordered, so a literal A(case{k1->t1; ...;
+    kn->tn}) becomes OR_i (~k1 & ... & ~k(i-1) & ki & A(ti)): branch i fires
+    when its guard holds and no earlier guard does, and the catch-all's
+    guard (`None`) always holds.
+    """
     if isinstance(f, FAnd):
         return fand([expand_cases(i) for i in f.items])
     if isinstance(f, FOr):
         return f_or([expand_cases(i) for i in f.items])
-    if isinstance(f, FNot):
-        return fnot(expand_cases(f.inner))
-    raise LogicError(f"not a formula: {f!r}")
+    cases = _case_terms(f.atom)
+    if not cases:
+        return f
+    ct = cases[0]
+    out: list[Formula] = []
+    earlier: list[Formula] = []
+    for guard, val in ct.branches:
+        g = TRUE if guard is None else guard
+        out.append(fand(earlier + [g, expand_cases(Lit(f.neg, _replace_case(f.atom, ct, val)))]))
+        earlier.append(fnot(g))
+    return f_or(out)
 
 
 @dataclass(frozen=True)

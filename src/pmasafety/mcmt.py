@@ -23,8 +23,6 @@ from .logic import (
     Const,
     Cube,
     Eq,
-    FLit,
-    FTrue,
     GlobalRef,
     IndexVar,
     LambdaUpdate,
@@ -136,15 +134,14 @@ def _update_value(
     assert isinstance(body, CaseTerm)
     sub = {upd.var: juniv}
     catch: Optional[str] = None
-    for f, v in body.branches:
-        if isinstance(f, FTrue):
+    for g, v in body.branches:
+        if g is None:
             rendered = _term(term_subst(v, sub), ren)
             if cond_key is None:
                 return rendered
             catch = rendered
             continue
-        assert isinstance(f, FLit)
-        if cond_key is not None and _lit_matches(lit_subst(f.lit, sub), cond_key):
+        if cond_key is not None and _lit_matches(lit_subst(g, sub), cond_key):
             return _term(term_subst(v, sub), ren)
     # no explicit branch for this case: fall through to the catch-all
     if catch is not None:
@@ -160,9 +157,7 @@ def _rule_cases(rule: TransitionRule, juniv: IndexVar) -> list[Optional[Lit]]:
         for _a, upd in rule.arrays_upd:
             body = upd.body
             assert isinstance(body, CaseTerm)
-            first = body.branches[0][0]
-            assert isinstance(first, FLit)
-            eq = first.lit.atom
+            eq = body.branches[0][0].atom
             assert isinstance(eq, Eq) and isinstance(eq.rhs, IndexVar)
             if at is None:
                 at = eq.rhs
@@ -177,11 +172,10 @@ def _rule_cases(rule: TransitionRule, juniv: IndexVar) -> list[Optional[Lit]]:
             body = upd.body
             if not isinstance(body, CaseTerm):
                 continue
-            for f, _v in body.branches:
-                if isinstance(f, FTrue):
+            for g, _v in body.branches:
+                if g is None:
                     continue
-                assert isinstance(f, FLit)
-                c = lit_subst(f.lit, {upd.var: juniv})
+                c = lit_subst(g, {upd.var: juniv})
                 if c not in conds:
                     conds.append(c)
         return list(conds) + [None]

@@ -34,11 +34,7 @@ from pmasafety.logic import (
     DEFAULT_DNF_CAP,
     Eq,
     FAnd,
-    FFalse,
-    FLit,
-    FNot,
     FOr,
-    FTrue,
     Formula,
     GlobalRef,
     GroundReading,
@@ -51,7 +47,6 @@ from pmasafety.logic import (
     Signature,
     SortDecl,
     StateFormula,
-    TRUE,
     _lit_shape,
     cube_vars_of_lits,
     dnf,
@@ -62,7 +57,6 @@ from pmasafety.logic import (
     lit_eq,
     lit_subst,
     make_cube,
-    nnf,
     set_partitions,
     simplify_lits,
     term_subst,
@@ -230,21 +224,11 @@ def check_lit_types(lits: Iterable[Lit], sig: Signature) -> None:
                     raise TypingError(f"argument of {a.rel} is not of sort {want}: {l!r}")
 
 
-def _formula_lits(f: Formula) -> Iterator[Lit]:
-    if isinstance(f, FLit):
-        yield f.lit
-    elif isinstance(f, (FAnd, FOr)):
-        for g in f.items:
-            yield from _formula_lits(g)
-    elif isinstance(f, FNot):
-        yield from _formula_lits(f.inner)
-
-
 def check_encoding_types(abp) -> None:
     """Raise TypingError when a literal or update of `abp` is ill-sorted
-    under `abp.sig`: rule guards, writes to globals, bulk array updates (the
-    bound variable, every case guard and value), gate literals and the goal's
-    cubes."""
+    under `abp.sig`, or a case guard is neither a literal nor `None`: rule
+    guards, writes to globals, bulk array updates (the bound variable, every
+    case guard and value), gate literals and the goal's cubes."""
     sig = abp.sig
     for rule in abp.rules:
         check_lit_types(rule.guard, sig)
@@ -253,11 +237,13 @@ def check_encoding_types(abp) -> None:
                 raise TypingError(f"{rule.label}: {g} := {c!r}")
         for a, u in rule.arrays_upd:
             isort, esort = sig.arrays[a]
-            body = u.body.branches if isinstance(u.body, CaseTerm) else ((TRUE, u.body),)
+            body = u.body.branches if isinstance(u.body, CaseTerm) else ((None, u.body),)
             if u.var.sort != isort:
                 raise TypingError(f"{rule.label}: {a} updated over {u.var.sort}")
             for guard, value in body:
-                check_lit_types(_formula_lits(guard), sig)
+                if not (guard is None or isinstance(guard, Lit)):
+                    raise TypingError(f"{rule.label}: case guard {guard!r} is not a literal")
+                check_lit_types(() if guard is None else [guard], sig)
                 check_lit_types([lit_eq(ArrayRead(a, u.var), value)], sig)
         for gate in rule.gates:
             check_lit_types([gate.declared], sig)
@@ -584,7 +570,7 @@ class ConcreteAb:
             return arrs[(t.array, idx[t.index])]
         if isinstance(t, CaseTerm):
             for cond, val in t.branches:
-                if self.eval_formula(cond, state, idx):
+                if cond is None or self.eval_lit(cond, state, idx):
                     return self.eval_term(val, state, idx)
             raise AssertionError("non-exhaustive case term")
         raise AssertionError(f"unexpected term {t!r}")
@@ -596,21 +582,6 @@ class ConcreteAb:
         else:
             v = (a.rel, tuple(self.eval_term(x, state, idx) for x in a.args)) in self.interp
         return v != l.neg
-
-    def eval_formula(self, f: Formula, state, idx) -> bool:
-        if isinstance(f, FTrue):
-            return True
-        if isinstance(f, FFalse):
-            return False
-        if isinstance(f, FLit):
-            return self.eval_lit(f.lit, state, idx)
-        if isinstance(f, FAnd):
-            return all(self.eval_formula(i, state, idx) for i in f.items)
-        if isinstance(f, FOr):
-            return any(self.eval_formula(i, state, idx) for i in f.items)
-        if isinstance(f, FNot):
-            return not self.eval_formula(f.inner, state, idx)
-        raise AssertionError(f"not a formula: {f!r}")
 
     def cube_sat(self, cube: Cube, state) -> bool:
         """Existential index variables range injectively per sort (differentiated)."""
@@ -816,12 +787,8 @@ def unabsorbed_dnf(f: Formula) -> list[tuple[Lit, ...]]:
     expansion, with repeated literal sets and contradictions dropped."""
 
     def go(g: Formula) -> list[tuple[Lit, ...]]:
-        if isinstance(g, FTrue):
-            return [()]
-        if isinstance(g, FFalse):
-            return []
-        if isinstance(g, FLit):
-            s = simplify_lits((g.lit,))
+        if isinstance(g, Lit):
+            s = simplify_lits((g,))
             return [] if s is None else [s]
         if isinstance(g, FOr):
             return [c for it in g.items for c in go(it)]
@@ -844,7 +811,7 @@ def unabsorbed_dnf(f: Formula) -> list[tuple[Lit, ...]]:
 
     out: list[tuple[Lit, ...]] = []
     seen: set[frozenset[Lit]] = set()
-    for c in go(nnf(f)):
+    for c in go(f):
         dedup = tuple(dict.fromkeys(c))
         key = frozenset(dedup)
         if key in seen or any(l.negate() in key for l in dedup):
@@ -869,16 +836,16 @@ def _gate_formula(gate: Gate, cands: dict[str, list[IndexVar]]) -> Formula:
             for combo in itertools.product(*pools) if bp.extra_vars else [()]:
                 sub = dict(base)
                 sub.update(zip(bp.extra_vars, combo))
-                insts.append(f_or([FLit(lit_subst(l, sub).negate()) for l in bp.lits]))
+                insts.append(f_or([lit_subst(l, sub).negate() for l in bp.lits]))
             conj.append(fand(insts))
         return fand(conj)
 
     if gate.var is None:
-        return f_or([FLit(gate.declared), blocked_formula({})])
+        return f_or([gate.declared, blocked_formula({})])
     out = []
     for v in cands.get(gate.var.sort, []):
         sub = {gate.var: v}
-        out.append(f_or([FLit(lit_subst(gate.declared, sub)), blocked_formula(sub)]))
+        out.append(f_or([lit_subst(gate.declared, sub), blocked_formula(sub)]))
     return fand(out)
 
 
@@ -893,10 +860,8 @@ def reference_preimage(
     globals_map = rule.globals_map()
     arrays_map = {a: type(u)(u.var, term_subst(u.body, rule_ren)) for a, u in rule.arrays_upd}
     parts: list[Formula] = [
-        fand([FLit(lit_subst(l, rule_ren)) for l in rule.guard]),
-        fand([
-            FLit(_lit_through(lit_subst(l, cube_ren), globals_map, arrays_map)) for l in cube.lits
-        ]),
+        fand([lit_subst(l, rule_ren) for l in rule.guard]),
+        fand([_lit_through(lit_subst(l, cube_ren), globals_map, arrays_map) for l in cube.lits]),
     ]
     cands: dict[str, list[IndexVar]] = {}
     for v in itertools.chain(rule_ren.values(), cube_ren.values()):

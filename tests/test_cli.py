@@ -391,7 +391,8 @@ def test_emit_mcmt_stdout(cannon_path, capsys):
 
 def test_emit_mcmt_concurrent_rejected(cannon_path, capsys):
     assert main(["emit-mcmt", cannon_path, "--semantics", "concurrent"]) == 3
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --semantics concurrent: MCMT emission supports interleaved semantics only\n")
 
 
 # cannon copies with one name MCMT gives a meaning: `check` accepts each

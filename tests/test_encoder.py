@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import collections
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
-from helpers import TypingError, check_encoding_types, check_lit_types, named_model
+from helpers import (
+    ConcreteAb,
+    TypingError,
+    check_encoding_types,
+    check_lit_types,
+    named_model,
+    per_agent,
+    random_agent_formula,
+    random_interpretation,
+    random_snapshot,
+)
 from pmasafety import encoder
+from pmasafety.corpus import generate_corpus
 from pmasafety.dsl import parse_formula, parse_pmas
 from pmasafety.encoder import (
     EncodingError,
@@ -16,20 +30,24 @@ from pmasafety.encoder import (
     encode,
     encode_goal,
     index_sort,
+    translate_agent_formula,
 )
 from pmasafety.logic import (
     ArrayRead,
     BudgetError,
+    CaseTerm,
     Const,
     Eq,
     GlobalRef,
     IndexVar,
     Lit,
     RelAtom,
+    dnf,
+    fand,
     lit_eq,
 )
 from pmasafety.engine import breach
-from pmasafety.model import ModelError, validate_pmas
+from pmasafety.model import ModelError, eval_agent_formula, goal_errors, validate_pmas
 from pmasafety.models import fixture_text
 
 
@@ -141,20 +159,74 @@ def test_every_literal_is_well_sorted(name, semantics):
 
 def test_sort_check_catches_ill_sorted_encodings(abp):
     """The check above fails on an update, a case value or a goal literal of
-    the wrong sort."""
+    the wrong sort, and on a case guard that is not one literal."""
     declare = next(r for r in abp.rules if r.arrays_upd and r.globals_upd)
     g, _c = declare.globals_upd[0]
     a, u = declare.arrays_upd[0]
     j = IndexVar("j", "Att_id")
+    (first, value), catch_all = u.body.branches
     broken = [
         replace(declare, globals_upd=((g, Const("yes")),)),
         replace(declare, arrays_upd=((a, replace(u, body=Const("yes"))),)),
         replace(declare, guard=(lit_eq(ArrayRead("loc", j), Const("yes")),)),
+        replace(declare, arrays_upd=(
+            (a, replace(u, body=CaseTerm(((fand([first, first.negate()]), value), catch_all)))),)),
     ]
     for rule in broken:
         with pytest.raises(TypingError):
             check_encoding_types(replace(abp, rules=(rule,)))
     check_encoding_types(replace(abp, rules=(declare,)))
+
+
+def _dnf_holds(ab: ConcreteAb, p, cubes, extra, snap) -> bool:
+    """Whether some conjunction of `cubes` holds in `snap`, read as a state
+    of `ab`, the encoding of `p`, for some grounding of the index variables
+    `extra`, each to any agent of its template."""
+    agents = dict(per_agent(snap))
+    arrays = {
+        (v, i): state[k]
+        for t in p.templates
+        for i, state in enumerate(agents.get(t.name, ()))
+        for k, v in enumerate(t.var_names())
+    }
+    state = (dict(zip(p.env.var_names(), snap.env)), arrays)
+    template_of = {index_sort(t): t.name for t in p.templates}
+    domains = [range(len(agents.get(template_of[v.sort], ()))) for v in extra]
+    return any(
+        all(ab.eval_lit(l, state, dict(zip(extra, combo))) for l in c)
+        for combo in itertools.product(*domains)
+        for c in cubes
+    )
+
+
+def test_translated_goal_holds_where_the_goal_holds():
+    """Random goals, negated compound formulas among them, translate to a
+    formula whose DNF holds for some grounding of its index variables
+    exactly where `eval_agent_formula` says the goal holds; an index
+    variable grounds to any agent of its template, distinct or not, as in
+    the agent formula.  `differentiate` is left out: it drops a variable no
+    literal uses."""
+    models = [named_model("cannon"), named_model("trains")] + [p for _s, p in generate_corpus(8, 0)]
+    seen = collections.Counter()
+    for p in models:
+        rng = random.Random(p.name)
+        abp = encode(p, "interleaved")
+        for _ in range(300):
+            f = random_agent_formula(rng, p)
+            if goal_errors(p, f):
+                continue
+            g, extra = translate_agent_formula(p, f, None, None)
+            cubes = dnf(g)
+            for _ in range(8):
+                snap, interp = random_snapshot(rng, p), random_interpretation(rng, p)
+                try:
+                    want = eval_agent_formula(p, snap, interp, f)
+                except ModelError:  # the snapshot leaves out a template the goal names
+                    continue
+                ab = ConcreteAb(abp, 0, interp.tuple_set())
+                assert _dnf_holds(ab, p, cubes, extra, snap) == want, (p.name, f, snap)
+                seen[want] += 1
+    assert seen[True] > 1000 and seen[False] > 1000, seen
 
 
 def test_goal_single_variable(cannon, abp):

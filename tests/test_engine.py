@@ -1295,7 +1295,7 @@ class TestSharedItems:
         renamed_some = False
         for rc, l, cap, items, item in asked:
             fresh = logic.dnf(logic.expand_cases(
-                logic.FLit(_lit_through(l, rc.globals_map, rc.arrays_map))), cap)
+                _lit_through(l, rc.globals_map, rc.arrays_map)), cap)
             assert item == fresh, l
             assert [[_facts(x) for x in c] for c in item] == [[_facts(x) for x in c]
                                                               for c in fresh]
@@ -1334,7 +1334,7 @@ class TestSharedItems:
             reads = [ArrayRead("loc", v) for v in (x, y, z) if v is not None]
             l = Lit(False, RelAtom("R", tuple(reads)) if z else Eq(*reads))
             fresh = logic.dnf(logic.expand_cases(
-                logic.FLit(_lit_through(l, rc.globals_map, rc.arrays_map))), 100)
+                _lit_through(l, rc.globals_map, rc.arrays_map)), 100)
             assert rc.item_after(l, 100, items) == fresh
         assert len(items.shared) == 4
 

@@ -41,8 +41,6 @@ from pmasafety.logic import (
     DEFAULT_DNF_CAP,
     Eq,
     FAnd,
-    FLit,
-    FNot,
     FOr,
     GlobalRef,
     GroundReading,
@@ -54,12 +52,11 @@ from pmasafety.logic import (
     RelDecl,
     Signature,
     SortDecl,
-    TRUE,
     conjoin,
     conjoin_with,
     cube_vars_of_lits,
     dnf,
-    expand_cases_lit,
+    expand_cases,
     fand,
     f_or,
     fnot,
@@ -321,15 +318,12 @@ _ATOMS = [
 
 
 def _eval(f, asg):
-    if isinstance(f, FLit):
-        key = f.lit.atom
-        return asg[key] != f.lit.neg
+    if isinstance(f, Lit):
+        return asg[f.atom] != f.neg
     if isinstance(f, FAnd):
         return all(_eval(i, asg) for i in f.items)
     if isinstance(f, FOr):
         return any(_eval(i, asg) for i in f.items)
-    if isinstance(f, FNot):
-        return not _eval(f.inner, asg)
     raise AssertionError(f)
 
 
@@ -343,7 +337,7 @@ _MORE_ATOMS = [
 def _rand_prop(rng, depth=3, atoms=_ATOMS, arity=2):
     if depth == 0 or rng.random() < 0.3:
         l = rng.choice(atoms)
-        return FLit(l.negate() if rng.random() < 0.5 else l)
+        return l.negate() if rng.random() < 0.5 else l
     k = rng.random()
     n = 2 if arity == 2 else rng.randint(2, arity)
     if k < 0.4:
@@ -357,14 +351,19 @@ class TestDnf:
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_dnf_preserves_truth_tables(self, rng):
+        """The DNF is true exactly where the formula is, and the DNF of its
+        negation (`fnot`, De Morgan) exactly where it is not; negating twice
+        gives the formula back."""
         f = _rand_prop(rng)
-        cubes = dnf(f)
+        assert fnot(fnot(f)) == f
+        cubes, complement = dnf(f), dnf(fnot(f))
         keys = [l.atom for l in _ATOMS]
         for vals in itertools.product([False, True], repeat=3):
             asg = dict(zip(keys, vals))
             orig = _eval(f, asg)
             as_dnf = any(all(asg[l.atom] != l.neg for l in cb) for cb in cubes)
             assert orig == as_dnf
+            assert any(all(asg[l.atom] != l.neg for l in cb) for cb in complement) != orig
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -378,13 +377,13 @@ class TestDnf:
 
     def test_dnf_drops_contradictory_branches(self):
         l = _ATOMS[0]
-        f = fand([FLit(l), FLit(l.negate())])
+        f = fand([l, l.negate()])
         assert dnf(f) == []
 
     def test_dnf_cap_raises_budget_error(self):
         # (g_i = A | g_i = B) conjoined n times: 2^n irreducible branches
         parts = [
-            f_or([FLit(lit_eq(GlobalRef(f"g{i}"), A)), FLit(lit_eq(GlobalRef(f"g{i}"), B))])
+            f_or([lit_eq(GlobalRef(f"g{i}"), A), lit_eq(GlobalRef(f"g{i}"), B)])
             for i in range(10)
         ]
         with pytest.raises(BudgetError):
@@ -707,20 +706,16 @@ class TestCaseElimination:
 
     def test_expand_cases_lit_is_case_free_and_equivalent(self):
         h = GlobalRef("a")
-        case = CaseTerm(((FLit(lit_eq(h, A)), A), (TRUE, B)))
+        case = CaseTerm(((lit_eq(h, A), A), (None, B)))
         lit = lit_eq(X, case)
-        expanded = expand_cases_lit(lit)
+        expanded = expand_cases(lit)
 
         def no_cases(f):
-            if isinstance(f, FLit):
-                at = f.lit.atom
+            if isinstance(f, Lit):
+                at = f.atom
                 terms = (at.lhs, at.rhs) if hasattr(at, "lhs") else at.args
                 return not any(isinstance(t, CaseTerm) for t in terms)
-            if isinstance(f, (FAnd, FOr)):
-                return all(no_cases(i) for i in f.items)
-            if isinstance(f, FNot):
-                return no_cases(f.inner)
-            return True
+            return all(no_cases(i) for i in f.items)
 
         assert no_cases(expanded)
 
@@ -736,16 +731,13 @@ class TestCaseElimination:
                 raise AssertionError(t)
 
             def ev(f):
-                if isinstance(f, FLit):
-                    at = f.lit.atom
-                    return (tval(at.lhs) == tval(at.rhs)) != f.lit.neg
+                if isinstance(f, Lit):
+                    at = f.atom
+                    return (tval(at.lhs) == tval(at.rhs)) != f.neg
                 if isinstance(f, FAnd):
                     return all(ev(i) for i in f.items)
-                if isinstance(f, FOr):
-                    return any(ev(i) for i in f.items)
-                if isinstance(f, FNot):
-                    return not ev(f.inner)
-                return bool(f == TRUE)
+                assert isinstance(f, FOr), f
+                return any(ev(i) for i in f.items)
 
             want = xv == ("A" if hv == "A" else "B")
             assert ev(expanded) == want
