@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 from dataclasses import replace
@@ -225,7 +226,9 @@ def _cmd_encode(args) -> int:
     return EXIT_SAFE
 
 
-def _cmd_emit_mcmt(args) -> int:
+def _mcmt_model(args) -> tuple[Pmas, dict]:
+    """The model to render in MCMT, `--goal` applied, and where its
+    declarations are; any semantics but interleaved is refused first."""
     if args.semantics != INTERLEAVED:
         raise InputError(f"--semantics {args.semantics}: "
                          "MCMT emission supports interleaved semantics only")
@@ -233,6 +236,11 @@ def _cmd_emit_mcmt(args) -> int:
     p = _apply_goal(p, args.goal)
     if args.goal is not None:  # positioned as every other `--goal` diagnostic
         at = {**at, "goal": (1, 1)}
+    return p, at
+
+
+def _cmd_emit_mcmt(args) -> int:
+    p, at = _mcmt_model(args)
     with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(emit_mcmt(encode(p, args.semantics), at))
     return EXIT_SAFE
@@ -263,8 +271,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_explain_witness(args) -> int:
-    p = _apply_goal(_load_model(args.model), args.goal)
+    p, at = _mcmt_model(args)
     abp = encode(p, args.semantics)
+    emit_mcmt(abp, at)  # the ordinals number its transitions: refuse what it refuses
     tokens = parse_mcmt_witness(args.witness)
     steps = explain_witness(tokens, abp.rules)
     try:
@@ -387,7 +396,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT_ERROR if e.code else EXIT_SAFE
     try:
         _check_non_negative(args)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed standard output fails here, not at exit
+        return code
+    except BrokenPipeError as e:  # what the buffer holds goes to the null device at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {e.strerror}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except ModelError as e:
         for d in e.diagnostics:
             print(f"error:{d.line}:{d.col}: {d.message}", file=sys.stderr)

@@ -3,7 +3,7 @@
 Frontier cubes are pulled backwards through the transition rules (preimage =
 substitute updates, eliminate case-defined values, renormalise to
 differentiated cubes), accumulated into the visited region B, and checked
-against the initial condition.  Safe when the frontier is entailed by B;
+against the initial condition.  Safe when B entails the frontier;
 unsafe when a frontier cube intersects the initial states, in which case the
 provenance chain yields a forward rule trace and a step template that can be
 replayed on concrete instances.
@@ -25,10 +25,11 @@ from .logic import (
     Dnf,
     Eq,
     GlobalRef,
-    GroundReading,
     IndexVar,
     Lit,
     RelAtom,
+    Signature,
+    _lit_shape,
     conjoin,
     conjoin_with,
     const_cell,
@@ -36,6 +37,7 @@ from .logic import (
     expand_cases,
     ground_lits_sat,
     lit_dnf,
+    lit_eq,
     lit_subst,
     memoized,
     term_subst,
@@ -54,7 +56,6 @@ UNKNOWN = "UNKNOWN"
 
 DEFAULT_MAX_DEPTH = 200
 DEFAULT_MAX_CUBES = 100000
-CLAUSE_CAP = 2000  # instances `entailed_by` counts before it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +435,6 @@ def subsumes(a: Cube, b: Cube) -> bool:
     return assign(0)
 
 
-def _fix_key(t, d) -> tuple:
-    """The key of `t = d` (`t` a global or array read, `d` a constant or
-    index variable): `t`'s cell as in `const_cell`, and `d` or its sort."""
-    return (t.array if isinstance(t, ArrayRead) else t, d.sort if isinstance(d, IndexVar) else d)
-
-
 class Region:
     """A set of cubes, indexed for "does some cube here subsume this one?".
 
@@ -453,19 +448,9 @@ class Region:
     on candidates whose mask lies within its own and that are no longer than
     it.  `cubes` holds the cubes in insertion order.
 
-    For `entailed_by`, `tables` files the position of each cube in `groups`
-    by its variable count per sort, and within its group under its needs
-    mask (`needs`): per key (`_fix_key`) of the terms the cube fixes, the
-    bits (`fix_bits`) of the first n terms of that key it fixes, the first
-    term's bit filed under the key itself and the n-th's under `(key, n)`.
-    An instance of the cube holds on a reading only if the reading fixes
-    the images of those terms, kept distinct by an injective instance; so
-    `entailed_by` reads a cube only where the reading's mask holds its
-    needs, without testing each cube.  `counts` keeps, per queried cube
-    size, the masks with their groups' instance counts.  The tables are
-    built on the first `tables` call after the cube is added (`breach`
-    calls it once per layer), so a region only `covers` reads never builds
-    them.
+    `implied` extends a query with the literals it implies, for
+    `entailed_by`, and keeps each literal it builds alive for the run
+    (`_others`), so that the literal's shape is computed once.
 
     `holds` answers in O(1) whether the region holds a given cube itself,
     which lets `preimage` skip the conjunctions that cube subsumes; the skip
@@ -479,65 +464,13 @@ class Region:
 
     def __init__(self) -> None:
         self.cubes: list[Cube] = []
-        # sizes -> needs mask -> positions in `cubes`, ascending
-        self.groups: dict[tuple[tuple[str, int], ...], dict[int, list[int]]] = {}
-        self._filed = 0  # the cubes `tables` has filed in `groups`
-        self._counts: dict[tuple[tuple[str, int], ...], tuple[list, int]] = {}  # see `counts`
-        self.fix_bits: dict[tuple, int] = {}  # `_fix_key`, or `(_fix_key, n)` -> its bit
         self._buckets: dict = {}  # shape key (None: no literals) -> filed cubes
         self._bit: dict = {}  # shape key -> its bit
         self._freq: dict = {}  # shape key -> number of region cubes that have it
         self._keys: set[tuple] = set()  # `Cube.key` of every cube added
         self.canon_lits: dict[str, Lit] = {}  # rendering -> canonical literal
         self.items = _Items()
-
-    def tables(self) -> None:
-        """Build the entailment tables of the cubes added since the last
-        call.  A cube's needs mask comes from its reading: the one
-        `entailed_by` left on it (`Cube.reading`), taken off here so that no
-        region cube keeps a reading, or a new one."""
-        new = self.cubes[self._filed:]
-        if new:
-            self._counts.clear()  # built from the groups, which grow
-        for cube in new:
-            sizes = tuple((s, len(vs)) for s, vs in cube.vars_by_sort().items())
-            reading = cube.__dict__.pop("_reading", None) or GroundReading(cube.lits)
-            by_need = self.groups.setdefault(sizes, {})
-            by_need.setdefault(self.needs(reading), []).append(self._filed)
-            self._filed += 1
-
-    def needs(self, reading: GroundReading) -> int:
-        """The `fix_bits` of the terms `reading` fixes: per `_fix_key`, the
-        bits of its first n terms, n the number of its terms the reading
-        fixes, each numbered with the next bit when first met."""
-        bits = self.fix_bits
-        out, seen = 0, {}
-        for t, d in reading.val.items():
-            k = _fix_key(t, d)
-            n = seen[k] = seen.get(k, 0) + 1
-            out |= bits.setdefault(k if n == 1 else (k, n), 1 << len(bits))
-        return out
-
-    def counts(self, cube: Cube) -> tuple[list[tuple[int, list[int]]], int]:
-        """What `entailed_by` reads of the groups for `cube`: per needs mask
-        of each group whose cubes have injective instantiations of their
-        variables by `cube`'s, in `groups` order, `(need, positions)`; and
-        the number of those instances in all.  It depends on nothing but the
-        groups and `cube`'s variable count per sort, so it is built once per
-        variable count and kept until `tables` files more cubes (once per
-        layer in `breach`)."""
-        have = {s: len(vs) for s, vs in cube.vars_by_sort().items()}
-        key = tuple(sorted(have.items()))
-        out = self._counts.get(key)
-        if out is None:
-            index, total = [], 0
-            for sizes, by_need in self.groups.items():
-                n = math.prod(math.perm(have.get(s, 0), k) for s, k in sizes)
-                if n:
-                    index += by_need.items()
-                    total += n * sum(map(len, by_need.values()))
-            out = self._counts[key] = (index, total)
-        return out
+        self._others: dict = {}  # t=c -> its t!=d; (relation literal, args) -> copy
 
     def mask(self, cube: Cube) -> int:
         """The bits of the cube's shape keys that the region has numbered."""
@@ -568,53 +501,54 @@ class Region:
                     return True
         return False
 
+    def implied(self, cube: Cube, sig: Signature) -> Cube:
+        """`cube` with literals it implies: `t != d` beside each `t = c` that
+        sets a cell to a constant, for each other constant `d` of the cell's
+        sort in `sig`, and the copies of each relation literal with arguments
+        swapped for terms of equal value, a constant and the cells the cube
+        sets to it.  Only literals of a shape the region has numbered are
+        added, as no region cube holds another; `cube` itself when none is."""
+        bit, others = self._bit, self._others
+        extra: list[Lit] = []
+        same: dict = {}  # a constant, or a cell the cube sets to it -> those terms
+        for l in cube.lits:
+            cc = None if l.neg else const_cell(l)
+            if cc is not None and l.atom.rhs is cc[1]:  # `t = c`, the cell first
+                t, c = l.atom.lhs, cc[1]
+                ts = same[t] = same.setdefault(c, [c])
+                ts.append(t)
+                diseqs = others.get(l)
+                if diseqs is None:
+                    sort = sig.globals[t.name] if type(t) is GlobalRef else sig.arrays[t.array][1]
+                    diseqs = others[l] = tuple(
+                        lit_eq(t, Const(d), neg=True) for d in sig.sorts[sort].constants if d != c.name)
+                extra += [d for d in diseqs if _lit_shape(d) in bit]
+        for l in cube.lits:
+            a = l.atom
+            if type(a) is RelAtom and any(x in same for x in a.args):
+                for args in itertools.product(*(same.get(x, (x,)) for x in a.args)):
+                    copy = others.setdefault((l, args), Lit(l.neg, RelAtom(a.rel, args)))
+                    if copy is not l and _lit_shape(copy) in bit:
+                        extra.append(copy)
+        return Cube(cube.exists, tuple(dict.fromkeys((*cube.lits, *extra)))) if extra else cube
 
-def _instance_holds(b: Cube, cvars_by_sort, reading: GroundReading) -> bool:
-    """Some injective instance of region cube `b` by the cube's variables
-    (`cvars_by_sort`) has every literal true on `reading`
-    (`GroundReading.value`)."""
-    value = reading.value
-    for combo in itertools.product(*(cvars_by_sort[v.sort] for v in b.exists)):
-        if len(set(combo)) != len(combo):
-            continue  # non-injective: distinct variables are distinct indexes
-        sub = dict(zip(b.exists, combo))
-        if all(value(lit_subst(l, sub)) for l in b.lits):
-            return True
-    return False
 
+def entailed_by(cube: Cube, region: Region, sig: Signature) -> bool:
+    """cube |= \\/ region, decided by subsumption: some region cube embeds
+    into the cube together with the literals the cube implies
+    (`Region.implied`, by the sorts of `sig`).
 
-def entailed_by(cube: Cube, region: Region) -> bool:
-    """cube |= \\/ region, decided by single instances: True when the
-    cube's reading (`Cube.reading`) is unsatisfiable, or when some region
-    cube has an injective instance over the cube's own variables whose
-    literals the reading all makes true (`GroundReading.value`); False
-    otherwise, and False without a look past `CLAUSE_CAP` instances in all.
-
-    True is sound: every model of the cube satisfies that instance, the
-    cube's variables being distinct indexes.  False may be wrong where only
-    a case split proves entailment (a term the cube leaves open, each of
-    whose values some region cube covers) or where `value` leaves a literal
-    the cube implies unknown; that keeps the cube, never costs soundness.
-    A region cube over a sort the cube has no variable of has no instance.
-
-    Only the region cubes whose needs mask the reading meets are read
-    (`Region`); the masks and the `CLAUSE_CAP` total come from
-    `Region.counts`.  The reading stays on the cube for `Region.tables`,
-    which files the cube by it once the cube joins the region."""
-    reading = cube.reading()
-    if not reading.sat:
-        return True
-    region.tables()
-    index, total = region.counts(cube)
-    if total > CLAUSE_CAP:
-        return False
-    have = region.needs(reading)
-    cvars_by_sort = cube.vars_by_sort()
-    cubes = region.cubes
-    return any(
-        _instance_holds(cubes[i], cvars_by_sort, reading)
-        for need, at in index if not need & ~have for i in at
-    )
+    True is sound: every model of the cube satisfies the implied literals,
+    and the cube's variables are distinct indexes.  The answer is that of a
+    search for an injective instance of a region cube over the cube's
+    variables whose every literal holds on the cube read through its
+    constants (`GroundReading`), as long as the cube is satisfiable and
+    every equality of the cube and the region sets a cell to a constant,
+    the cell first, as in every cube `breach` builds; elsewhere it may be
+    False more often.  False keeps the cube; it is wrong where only a case
+    split proves entailment (a term the cube leaves open, each of whose
+    values some region cube covers)."""
+    return region.covers(region.implied(cube, sig))
 
 
 # ---------------------------------------------------------------------------
@@ -713,15 +647,13 @@ def breach(
 
     Each depth checks the frontier against the initial states (`init_sat`),
     drops each frontier cube the layer kept so far covers or the visited
-    region entails by a single instance (`entailed_by`), and takes the
+    region entails (`entailed_by`, by subsumption), and takes the
     preimage of every kept cube under every rule (`preimage`).  A (rule,
     cube) pair whose cube has a constant literal the rule rules out is
     skipped; which rules those are is looked up per literal in a table the
-    run fills once per literal (`_ClashTable`), not tested pair by pair.  The region, the clash table
-    and the canonical literals live in the run and go with it.  The region
-    files the kept cubes for entailment as soon as a layer is kept
-    (`Region.tables`), taking the reading `entailed_by` left on each, so the
-    reading of a kept cube does not outlive its layer's check.
+    run fills once per literal (`_ClashTable`), not tested pair by pair.
+    The region, the clash table and the canonical literals live in the run
+    and go with it.
 
     `max_cubes` bounds the cubes of all layers so far, the goal's included:
     a layer that passes it ends the run UNKNOWN before it is checked."""
@@ -763,7 +695,7 @@ def breach(
         # `preimage` dropped the cubes `region` covers, and it has not grown since
         kept = Region()
         for n in frontier:
-            if kept.covers(n.cube) or entailed_by(n.cube, region):
+            if kept.covers(n.cube) or entailed_by(n.cube, region, abp.sig):
                 continue
             new_nodes.append(n)
             kept.add(n.cube)
@@ -772,7 +704,6 @@ def breach(
                            reason="fixpoint")
         for n in new_nodes:
             region.add(n.cube)
-        region.tables()  # takes the readings `entailed_by` left on the cubes
 
         if depth >= max_depth:
             return Verdict(UNKNOWN, depth=depth, layers=layers, total_cubes=total,

@@ -7,10 +7,8 @@ of the same index sort denote distinct indexes, so no explicit disequalities are
 stored.  Every ground conjunction is decided by reading it through its
 constants (`GroundReading`), joining the classes of two globals or array
 reads that a positive equality equates.  The exists/forall fragment is
-decided only by `engine.entailed_by`, which instantiates the universals over
-the existential prefix and proves entailment by single instances: an
-instance whose literals the cube's reading all makes true.  Past a budget
-of instances in all it answers "not entailed".
+decided only by `engine.entailed_by`, by subsumption: some region cube
+embeds into the cube together with the literals the cube implies.
 """
 
 from __future__ import annotations
@@ -779,12 +777,6 @@ class Cube:
         return tuple(v for v in self.exists if v in used)
 
     @memoized
-    def reading(self) -> "GroundReading":
-        """The `GroundReading` of the literals (memoized until
-        `engine.Region.tables` takes it)."""
-        return GroundReading(self.lits)
-
-    @memoized
     def vars_by_sort(self) -> dict[str, list[IndexVar]]:
         """`exists` split by sort, each in `exists` order (memoized)."""
         out: dict[str, list[IndexVar]] = {}
@@ -938,26 +930,19 @@ class GroundReading:
     globals or array reads are their classes joined, by a small union-find:
     a class takes the value of any member, and two values are a conflict.
     `val` holds every term whose class has a value, and `root` maps each
-    member of a joined class without one to one member.  Disequalities
-    (`apart`) and relation atoms (`signs`, each atom's `neg`) are then read
-    through the classes.  Relation atoms are only true or false and are
-    never arguments, and array reads sit at index skolems that never merge,
-    so `sat` is exact: the generic model, which gives each class without a
-    value a fresh one and makes each relation atom true only where it is
-    asserted, satisfies a conjunction `sat` accepts.
+    member of a joined class without one to one member.  Disequalities and
+    relation atoms (`signs`, each atom's `neg`) are then read through the
+    classes.  Relation atoms are only true or false and are never arguments,
+    and array reads sit at index skolems that never merge, so `sat` is
+    exact: the generic model, which gives each class without a value a fresh
+    one and makes each relation atom true only where it is asserted,
+    satisfies a conjunction `sat` accepts."""
 
-    `value(l)` is sound but not complete: True or False only when every
-    model of the literals agrees, but None may hide a value they imply:
-    `!R2(f[z1], h[z2]) & R2(f[z2], h[z2])` implies `f[z1] != f[z2]`, since
-    equal arguments would give one atom two signs, yet `value` reads
-    `f[z1] = f[z2]` as None."""
-
-    __slots__ = ("sat", "val", "root", "apart", "signs")
+    __slots__ = ("sat", "val", "root", "signs")
 
     def __init__(self, lits: Sequence[Lit]) -> None:
         self.val: dict[Term, Term] = {}
         self.root: dict[Term, Term] = {}
-        self.apart: set[tuple[Term, Term]] = set()
         self.signs: dict[RelAtom, bool] = {}
         self.sat = self._read(lits)
 
@@ -982,11 +967,8 @@ class GroundReading:
             if type(a) is not Eq:
                 if self.signs.setdefault(self._read_atom(a), l.neg) != l.neg:
                     return False
-            elif l.neg:
-                x, y = self._rep(a.lhs), self._rep(a.rhs)
-                if x == y:
-                    return False
-                self.apart.update(((x, y), (y, x)))
+            elif l.neg and self._rep(a.lhs) == self._rep(a.rhs):
+                return False
         return True
 
     def _join(self, joins: list[tuple[Term, Term]]) -> bool:
@@ -1026,19 +1008,6 @@ class GroundReading:
         if self.root or val and any(x in val for x in a.args):
             return RelAtom(a.rel, tuple(map(self._rep, a.args)))
         return a
-
-    def value(self, l: Lit) -> Optional[bool]:
-        """The literal's truth value in every model of the literals read, or None."""
-        a = l.atom
-        if type(a) is not Eq:
-            neg = self.signs.get(self._read_atom(a))
-            return None if neg is None else neg == l.neg
-        x, y = self._rep(a.lhs), self._rep(a.rhs)
-        if x == y:
-            return not l.neg
-        if isinstance(x, _FIXED) and isinstance(y, _FIXED) or (x, y) in self.apart:
-            return l.neg
-        return None
 
 
 def ground_lits_sat(lits: Sequence[Lit]) -> bool:

@@ -37,7 +37,6 @@ from pmasafety.logic import (
     FOr,
     Formula,
     GlobalRef,
-    GroundReading,
     IndexVar,
     LambdaUpdate,
     Lit,
@@ -317,26 +316,40 @@ def _region_instances(cube: Cube, region: Iterable[Cube]) -> list[Iterator[Lit]]
 _WS = (IndexVar("w1", "I"), IndexVar("w2", "I"))
 
 
-def random_entailment(seed: int) -> tuple[Cube, list[Cube]]:
+def random_entailment(seed: int, contract: bool = False) -> tuple[Cube, list[Cube]]:
     """A random cube over z1, z2 and a region of cubes over 0 to 2 variables
     over CUBE_SIG, with at most 4 unknown cells once the region is
     instantiated.  A region cube with more variables than the cube has no
-    instance, as over an empty sort."""
+    instance, as over an empty sort.  With `contract`, every equality sets a
+    cell to a constant, the cell first (`_rand_lit`), and the cube is
+    satisfiable: the problems on which `engine.entailed_by` answers as
+    `reference_entailed_by` does."""
     rng = random.Random(seed)
     zs = _ZS[:2]
     while True:
-        cube = make_cube(zs, [_rand_lit(rng, zs) for _ in range(rng.randint(1, 4))])
+        cube = make_cube(zs, [_rand_lit(rng, zs, contract) for _ in range(rng.randint(1, 4))])
         region = []
         for _ in range(rng.randint(1, 2)):
             ws = _WS[: rng.randint(0, 2)]
             while True:  # until every variable is used
-                rc = make_cube(ws, [_rand_lit(rng, ws) for _ in range(rng.randint(1, 2))])
+                rc = make_cube(ws, [_rand_lit(rng, ws, contract) for _ in range(rng.randint(1, 2))])
                 if len(rc.exists) == len(ws):
                     break
             region.append(rc)
         insts = _region_instances(cube, region)
-        if len(_cells_of(list(cube.lits) + [l for i in insts for l in i])) <= 4:
+        if len(_cells_of(list(cube.lits) + [l for i in insts for l in i])) > 4:
+            continue
+        if not contract or CongruenceClosure().assert_lits(cube.lits):
             return cube, region
+
+
+def cells_first(lits: Iterable[Lit]) -> bool:
+    """Every equality among `lits` sets a global or an array read to a
+    constant, the cell on the left."""
+    return all(
+        isinstance(l.atom.lhs, (GlobalRef, ArrayRead)) and isinstance(l.atom.rhs, Const)
+        for l in lits if isinstance(l.atom, Eq)
+    )
 
 
 def brute_entailed(cube: Cube, region: list[Cube], sig: Signature) -> bool:
@@ -394,40 +407,22 @@ def random_split_input(seed: int) -> tuple[tuple[Lit, ...], set[IndexVar], list[
     return tuple(lits), distinct, region
 
 
-def random_grouped_region(seed: int) -> tuple[list[Cube], list[Cube]]:
-    """Region cubes over CUBE_SIG over 0 to 2 variables, whose index-free
-    literals come from a pool of three, so that many share them, and queries
-    over z1, z2 that take some of the pool too."""
-    rng = random.Random(seed)
-    pool = [_rand_lit(rng, ()) for _ in range(3)]
-    region = []
-    for _ in range(rng.randint(1, 12)):
-        ws = _WS[: rng.randint(0, 2)]
-        while True:  # until every variable is used
-            own = [_rand_lit(rng, ws) for _ in range(rng.randint(1, 2))]
-            rc = make_cube(ws, rng.sample(pool, rng.randint(0, 2)) + own)
-            if len(rc.exists) == len(ws):
-                break
-        region.append(rc)
-    zs = _ZS[:2]
-    queries = [
-        make_cube(zs, rng.sample(pool, rng.randint(0, 2))
-                  + [_rand_lit(rng, zs) for _ in range(rng.randint(1, 3))])
-        for _ in range(3)
-    ]
-    return region, queries
-
-
 # a second index sort K, whose array k holds S1 values
+UNARY_SIG = Signature(
+    sorts=[*CUBE_SIG.sorts.values(), SortDecl("K", "index")],
+    relations=CUBE_SIG.relations.values(),
+    globals_=CUBE_SIG.globals,
+    arrays={**CUBE_SIG.arrays, "k": ("K", "S1")},
+)
 _REGION_VARS = {"I": tuple(IndexVar(f"w{i}", "I") for i in range(1, 4)),
                 "K": tuple(IndexVar(f"v{i}", "K") for i in range(1, 3))}
 _QUERY_VARS = {"I": _ZS, "K": tuple(IndexVar(f"x{i}", "K") for i in range(1, 3))}
 
 
-def _one_var_lit(rng, v: IndexVar) -> Lit:
+def _one_var_lit(rng, v: IndexVar, contract: bool = False) -> Lit:
     """A literal whose only variable is `v`: a cell of `v` (f, h for sort I,
     k for sort K) against a constant or a global, in a relation, or `v`
-    itself in a relation."""
+    itself in a relation; with `contract`, never against a global."""
     cell, sort = rng.choice(
         [(ArrayRead("f", v), "S1"), (ArrayRead("h", v), "S2")] if v.sort == "I"
         else [(ArrayRead("k", v), "S1")]
@@ -437,29 +432,31 @@ def _one_var_lit(rng, v: IndexVar) -> Lit:
         atom = RelAtom(f"P{v.sort}", (v,))
     elif kind < 0.3:
         atom = RelAtom("R1", (cell,)) if sort == "S1" else RelAtom("R2", (GlobalRef("g1"), cell))
-    elif kind < 0.45:
+    elif kind < 0.45 and not contract:
         atom = Eq(cell, GlobalRef("g1" if sort == "S1" else "g2"))
     else:
         atom = Eq(cell, Const(rng.choice(CUBE_SIG.sorts[sort].constants)))
     return Lit(rng.random() < 0.3, atom)
 
 
-def random_unary_region(seed: int) -> tuple[list[Cube], list[Cube]]:
+def random_unary_region(seed: int, contract: bool = False) -> tuple[list[Cube], list[Cube]]:
     """Region cubes of 0 to 3 variables over two index sorts, I and K, each
     variable with one to three literals of its own (`_one_var_lit`), some
     with a literal over two variables or over none; and queries over z1-z3
     and x1, x2 built the same way, with one or two literals per variable, so
     that a query often refutes a region cube's one-variable literal at some
-    of its variables."""
+    of its variables.  With `contract`, no literal equates two cells, so
+    every equality sets a cell to a constant, the cell first."""
     rng = random.Random(seed)
     pool = [Lit(rng.random() < 0.3, Eq(GlobalRef("g1"), Const(c))) for c in ("p", "q")]
 
     def cube(vars_by_sort: dict[str, tuple[IndexVar, ...]], most: int, lits_each: int) -> Cube:
         vs = [v for vs in vars_by_sort.values() for v in vs]
         vs = rng.sample(vs, rng.randint(0, min(most, len(vs))))
-        lits = [_one_var_lit(rng, v) for v in vs for _ in range(rng.randint(1, lits_each))]
+        lits = [_one_var_lit(rng, v, contract)
+                for v in vs for _ in range(rng.randint(1, lits_each))]
         ivs = [v for v in vs if v.sort == "I"]
-        if len(ivs) >= 2 and rng.random() < 0.3:
+        if len(ivs) >= 2 and rng.random() < 0.3 and not contract:
             a, b = rng.sample(ivs, 2)
             lits.append(Lit(rng.random() < 0.5, Eq(ArrayRead("f", a), ArrayRead("f", b))))
         return make_cube(vs, lits + rng.sample(pool, rng.randint(0, 1)))
@@ -493,7 +490,9 @@ def random_rule_and_cube(seed: int) -> tuple[TransitionRule, Cube]:
     return rule, cube
 
 
-def _rand_lit(rng, zs=_ZS) -> Lit:
+def _rand_lit(rng, zs=_ZS, contract: bool = False) -> Lit:
+    """A random literal over CUBE_SIG and the variables `zs`; with
+    `contract`, an equality sets a cell to a constant, the cell first."""
     if rng.random() < 0.3:
         if rng.random() < 0.5:
             atom = RelAtom("R1", (_rand_term(rng, "S1", zs),))
@@ -501,7 +500,13 @@ def _rand_lit(rng, zs=_ZS) -> Lit:
             atom = RelAtom("R2", (_rand_term(rng, "S1", zs), _rand_term(rng, "S2", zs)))
     else:
         sort = rng.choice(("S1", "S2"))
-        atom = Eq(_rand_term(rng, sort, zs), _rand_term(rng, sort, zs))
+        if contract:
+            cell = _rand_term(rng, sort, zs)
+            while isinstance(cell, Const):
+                cell = _rand_term(rng, sort, zs)
+            atom = Eq(cell, Const(rng.choice(CUBE_SIG.sorts[sort].constants)))
+        else:
+            atom = Eq(_rand_term(rng, sort, zs), _rand_term(rng, sort, zs))
     return Lit(rng.random() < 0.4, atom)
 
 
@@ -1165,19 +1170,42 @@ def region_of(cubes: Iterable[Cube]) -> Region:
     return region
 
 
-def reference_entailed_by(cube: Cube, region: Iterable[Cube], clause_cap: int = 2000) -> bool:
-    """What `engine.entailed_by` answers, as a plain double loop with no
-    needs filter: True when the cube's reading is unsatisfiable; else False
-    past `clause_cap` instances in all; else whether some instance of a
-    region cube (`_region_instances`) has every literal true on the cube's
-    reading (`GroundReading.value`)."""
-    reading = GroundReading(cube.lits)
-    if not reading.sat:
+def reference_entailed_by(cube: Cube, region: Iterable[Cube]) -> bool:
+    """cube |= \\/ region by single instances, as a plain double loop: True
+    when the cube is unsatisfiable; else whether some instance of a region
+    cube (`_region_instances`) has every literal true in every model of the
+    cube by its congruence closure (`CongruenceClosure.value`).
+    `engine.entailed_by` answers so on a satisfiable cube whose literals
+    and region keep every cell before a constant (`cells_first`)."""
+    cc = CongruenceClosure()
+    if not cc.assert_lits(cube.lits):
         return True
-    instances = _region_instances(cube, region)
-    if len(instances) > clause_cap:
-        return False
-    return any(all(reading.value(l) for l in inst) for inst in instances)
+    return any(all(cc.value(l) for l in inst) for inst in _region_instances(cube, region))
+
+
+def implied_lits(cube: Cube, sig: Signature) -> set[Lit]:
+    """The cube's literals and every literal `engine.Region.implied` may add
+    to them, whatever the region: `t != d` beside each `t = c` (`t` a cell,
+    `c` a constant) for each other constant `d` of `t`'s sort in `sig`, and
+    each copy of a relation literal with its arguments swapped for terms of
+    the same value."""
+    value = {l.atom.lhs: l.atom.rhs for l in cube.lits
+             if not l.neg and isinstance(l.atom, Eq) and cells_first([l])}
+    out = set(cube.lits)
+    for t, c in value.items():
+        sort = term_sort(t, sig)
+        out.update(lit_eq(t, Const(d), neg=True) for d in sig.sorts[sort].constants if d != c.name)
+
+    def same(x) -> set:
+        v = value.get(x, x)
+        return {v, *(t for t, c in value.items() if c == v)}
+
+    for l in cube.lits:
+        a = l.atom
+        if isinstance(a, RelAtom):
+            out.update(Lit(l.neg, RelAtom(a.rel, args))
+                       for args in itertools.product(*map(same, a.args)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -574,6 +577,41 @@ def test_explain_witness_truncated_run(cannon_path, capsys):
     captured = capsys.readouterr()
     assert "complete run" in captured.err
     assert captured.out == ""
+
+
+def test_explain_witness_refuses_concurrent_semantics(capsys):
+    # refused as `emit-mcmt` refuses it, before the model is read: no file needed
+    witness = "[t9][t15][t3][t14][t9][t15][t7][t14]"
+    argv = ["/no/such/model.pmas", witness, "--semantics", "concurrent"]
+    assert main(["explain-witness", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --semantics concurrent: "
+                            "MCMT emission supports interleaved semantics only\n")
+
+
+def test_explain_witness_refuses_what_emit_mcmt_refuses(trains_path, capsys):
+    # two agent templates: no MCMT file, so no transitions to number
+    assert main(["emit-mcmt", trains_path]) == 3
+    refused = capsys.readouterr()
+    assert refused.err.startswith("error:36:1: MCMT emission needs exactly one agent template")
+    assert main(["explain-witness", trains_path, "[t1]"]) == 3
+    assert capsys.readouterr() == refused
+
+
+def test_closed_standard_output_is_input_error(cannon_path):
+    """A report to a pipe nobody reads: an input error, as an unwritable
+    `--out` is, with one line on standard error and nothing more at exit."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        run = subprocess.run([sys.executable, "-m", "pmasafety.cli", "check", cannon_path],
+                             stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert run.returncode == 3
+    assert run.stderr.decode() == "error: cannot write standard output: Broken pipe\n"
 
 
 def test_cross_check_agreement(cannon_path, capsys):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import random
 import time
 from dataclasses import replace
@@ -17,16 +16,18 @@ from helpers import (
     CUBE_SIG,
     CongruenceClosure,
     ConcreteAb,
+    UNARY_SIG,
     _ZS,
     _rand_lit,
     _region_instances,
     all_relation_tuples,
     brute_entailed,
     brute_sat_cube,
+    cells_first,
     check_lit_types,
     constants_clash,
+    implied_lits,
     random_entailment,
-    random_grouped_region,
     random_region,
     random_rule_and_cube,
     random_split_input,
@@ -50,7 +51,6 @@ from pmasafety.engine import (
     UNKNOWN,
     UNSAFE,
     Region,
-    _fix_key,
     _lit_through,
     breach,
     canon_cube,
@@ -330,28 +330,33 @@ class TestRegion:
         assert region.covers(two) and calls == [two]
 
 
+def _entails(cube: Cube, region: list[Cube], sig=CUBE_SIG) -> bool:
+    """`entailed_by` on a region of `region`'s cubes."""
+    return entailed_by(cube, region_of(region), sig)
+
+
 class TestEntailedBy(object):
     def test_subsuming_region_entails(self, abp):
         small = canon_cube(_loc_cube(["j1"]))
         big = canon_cube(_loc_cube(["j1", "j2"]))
-        assert entailed_by(big, region_of([small]))
+        assert _entails(big, [small], abp.sig)
 
     def test_unrelated_region_does_not_entail(self, abp):
         a = canon_cube(_loc_cube(["j"], "A"))
         b = canon_cube(_loc_cube(["j"], "B"))
-        assert not entailed_by(a, region_of([b]))
+        assert not _entails(a, [b], abp.sig)
 
-    def test_region_needing_more_indexes_does_not_entail(self):
+    def test_region_needing_more_indexes_does_not_entail(self, abp):
         # one robot at target does not give two distinct ones
         small = canon_cube(_loc_cube(["j1"]))
         big = canon_cube(_loc_cube(["j1", "j2"]))
-        assert not entailed_by(small, region_of([big]))
+        assert not _entails(small, [big], abp.sig)
         j1, j2 = IndexVar("j1", "Att_id"), IndexVar("j2", "Att_id")
         one_of_two = make_cube([j1, j2], [
             lit_eq(ArrayRead("loc", j1), Const("target")),
             lit_eq(ArrayRead("loc", j2), Const("A")),
         ])
-        assert not entailed_by(canon_cube(one_of_two), region_of([big]))
+        assert not _entails(canon_cube(one_of_two), [big], abp.sig)
 
     def test_case_split_on_a_global_is_not_proved(self):
         # the cube leaves g1 open; the region covers both of its cases, so
@@ -364,42 +369,42 @@ class TestEntailedBy(object):
             for neg in (False, True)
         ]
         assert brute_entailed(cube, region, CUBE_SIG)
-        assert not entailed_by(cube, region_of(region))
+        assert not _entails(cube, region)
         assert not brute_entailed(cube, region[:1], CUBE_SIG)
-        assert not entailed_by(cube, region_of(region[:1]))
+        assert not _entails(cube, region[:1])
         # once the cube fixes g1, the instance of its case proves it
         fixed = make_cube([z], [*cube.lits, lit_eq(g1, p)])
-        assert entailed_by(fixed, region_of(region))
+        assert _entails(fixed, region)
 
     # the exists/forall cases: the cube is the existential part, each region
     # cube the negation of a universal one
 
     def test_empty_region_entails_nothing(self):
         z = IndexVar("z", "I")
-        assert not entailed_by(make_cube([], []), region_of([]))
-        assert not entailed_by(make_cube([z], [lit_eq(ArrayRead("f", z), Const("p"))]), region_of([]))
+        assert not _entails(make_cube([], []), [])
+        assert not _entails(make_cube([z], [lit_eq(ArrayRead("f", z), Const("p"))]), [])
 
     def test_one_index_model_escapes_a_two_index_region(self):
         z, w1, w2 = IndexVar("z", "I"), IndexVar("w1", "I"), IndexVar("w2", "I")
         p = Const("p")
         cube = make_cube([z], [lit_eq(ArrayRead("f", z), p)])
         region = [make_cube([w1, w2], [lit_eq(ArrayRead("f", w1), p), lit_eq(ArrayRead("f", w2), p)])]
-        assert not entailed_by(cube, region_of(region))
+        assert not _entails(cube, region)
 
     def test_universal_blocks_a_second_value(self):
         # E z1 z2. f[z1]=p & f[z2]=q  is refuted by  A w. f[w]=p
         z1, z2, w = IndexVar("z1", "I"), IndexVar("z2", "I"), IndexVar("w", "I")
         p, q = Const("p"), Const("q")
         cube = make_cube([z1, z2], [lit_eq(ArrayRead("f", z1), p), lit_eq(ArrayRead("f", z2), q)])
-        assert entailed_by(cube, region_of([make_cube([w], [lit_eq(ArrayRead("f", w), p, neg=True)])]))
+        assert _entails(cube, [make_cube([w], [lit_eq(ArrayRead("f", w), p, neg=True)])])
 
     def test_universal_over_an_empty_sort_is_vacuous(self):
         # a cube without index variables has a model with no index at all
         w, g1, p = IndexVar("w", "I"), GlobalRef("g1"), Const("p")
         cube = make_cube([], [lit_eq(g1, p)])
         region = [make_cube([w], [lit_eq(ArrayRead("f", w), p, neg=True)])]
-        assert not entailed_by(cube, region_of(region))
-        assert entailed_by(cube, region_of([make_cube([], [lit_eq(g1, p)])]))
+        assert not _entails(cube, region)
+        assert _entails(cube, [make_cube([], [lit_eq(g1, p)])])
 
     def test_two_variable_region_cube_tries_every_injective_instance(self):
         z1, z2 = IndexVar("z1", "I"), IndexVar("z2", "I")
@@ -408,57 +413,48 @@ class TestEntailedBy(object):
         # only w1 -> z2, w2 -> z1 matches
         cube = make_cube([z1, z2], [lit_eq(ArrayRead("f", z1), q), lit_eq(ArrayRead("f", z2), p)])
         region = [make_cube([w1, w2], [lit_eq(ArrayRead("f", w1), p), lit_eq(ArrayRead("f", w2), q)])]
-        assert entailed_by(cube, region_of(region))
+        assert _entails(cube, region)
         # w1, w2 -> z1, z1 would match, but distinct region variables are distinct indexes
         same = make_cube([z1, z2], [lit_eq(ArrayRead("f", z1), p), lit_eq(ArrayRead("f", z2), q)])
         both_p = [make_cube([w1, w2], [lit_eq(ArrayRead("f", w1), p), lit_eq(ArrayRead("f", w2), p)])]
-        assert not entailed_by(same, region_of(both_p))
+        assert not _entails(same, both_p)
+
+    def test_relation_literal_read_through_values(self):
+        # R2(f[z], h[z]) with f[z]=p and h[z]=u implies R2(p, u), R2(f[z], u)
+        # and R2(p, h[z]); g1=p gives R2(g1, ...) too
+        z, w = IndexVar("z", "I"), IndexVar("w", "I")
+        f, h, p, u = ArrayRead("f", z), ArrayRead("h", z), Const("p"), Const("u")
+        cube = make_cube([z], [_r2(f, h), lit_eq(f, p), lit_eq(h, u), lit_eq(_G1, p)])
+        for args in ((p, u), (ArrayRead("f", w), u), (p, ArrayRead("h", w)), (_G1, u)):
+            region = [make_cube([w], [_r2(*args)])]
+            assert _entails(cube, region) and reference_entailed_by(cube, region)
+        region = [make_cube([w], [_r2(p, Const("v"))])]
+        assert not _entails(cube, region) and not reference_entailed_by(cube, region)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9))
     def test_is_sound_against_brute_force(self, seed):
         cube, region = random_entailment(seed)
-        got = entailed_by(cube, region_of(region))
-        assert got == reference_entailed_by(cube, region)
-        assert not got or brute_entailed(cube, region, CUBE_SIG)
-
-    def test_fixed_terms_are_keyed_in_either_orientation(self):
-        """Seed 335 of `random_entailment`: the cube reads `q=f[z2]`, a
-        region cube `f[w1]=q`.  Keyed by literal shape, that region cube
-        would seem to need a term the cube leaves unfixed."""
-        cube, region = random_entailment(335)
-        assert "q=f[z2]" in map(repr, cube.lits) and "f[w1]=q" in map(repr, region[1].lits)
-        assert entailed_by(cube, region_of(region)) and brute_entailed(cube, region, CUBE_SIG)
-        z, w, f = IndexVar("z", "I"), IndexVar("w", "I"), "f"
-        for fix in (lit_eq(Const("q"), ArrayRead(f, z)), lit_eq(ArrayRead(f, z), Const("q"))):
-            for need in (lit_eq(Const("q"), ArrayRead(f, w)), lit_eq(ArrayRead(f, w), Const("q"))):
-                assert entailed_by(make_cube([z], [fix]), region_of([make_cube([w], [need])]))
-
-
-def _entailed_by_at_cap(cube: Cube, region: Region, cap: int) -> bool:
-    """`entailed_by` with `cap` in place of `engine.CLAUSE_CAP`."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine, "CLAUSE_CAP", cap)
-        return entailed_by(cube, region)
+        assert not _entails(cube, region) or brute_entailed(cube, region, CUBE_SIG)
 
 
 class TestEntailedByReference:
-    """`entailed_by` reads only the region cubes whose needs the cube's
-    reading meets; `reference_entailed_by` tries every instance of every
-    region cube.  They must agree."""
+    """`entailed_by` decides by subsumption over the literals the cube
+    implies; `reference_entailed_by` tries every instance of every region
+    cube on the cube's congruence closure.  They must agree wherever every
+    equality sets a cell to a constant, the cell first, and the cube is
+    satisfiable."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 10**9), st.sampled_from([None, 0, 1]))
-    def test_agrees_with_reference(self, seed, slack):
-        # slack 0: the instance count equals the cap; 1: it is one above it
-        cube, region = random_entailment(seed)
-        if slack is None:
-            cap = engine.CLAUSE_CAP
-        else:
-            total = sum(math.perm(len(cube.exists), len(b.exists)) for b in region)
-            cap = total - slack
-        got = _entailed_by_at_cap(cube, region_of(region), cap)
-        assert got == reference_entailed_by(cube, region, cap)
+    def test_agrees_with_reference(self):
+        entailed = 0
+        for seed in range(300):
+            cube, region = random_entailment(seed, contract=True)
+            assert cells_first([*cube.lits, *(l for b in region for l in b.lits)])
+            got = _entails(cube, region)
+            assert got == reference_entailed_by(cube, region), seed
+            assert not got or brute_entailed(cube, region, CUBE_SIG), seed
+            entailed += got
+        assert entailed >= 20
 
     def test_refuted_instance_proves_entailment(self):
         z, w = IndexVar("z", "I"), IndexVar("w", "I")
@@ -468,61 +464,49 @@ class TestEntailedByReference:
             make_cube([w], [lit_eq(ArrayRead("h", w), Const("u"))]),  # an open clause
             make_cube([w], [lit_eq(ArrayRead("f", w), p), lit_eq(g1, q)]),  # all false
         ]
-        for cap, want in ((2, True), (1, False)):  # count equal to the cap, one above
-            assert _entailed_by_at_cap(cube, region_of(region), cap) is want
-            assert reference_entailed_by(cube, region, cap) is want
-
-    def test_inconsistent_cube_is_entailed(self):
-        g1 = GlobalRef("g1")
-        cube = make_cube([], [lit_eq(g1, Const("p")), lit_eq(g1, Const("q"))])
-        assert entailed_by(cube, Region()) and reference_entailed_by(cube, [])
-        assert _entailed_by_at_cap(cube, region_of([cube]), 0)
+        assert _entails(cube, region) and reference_entailed_by(cube, region)
+        assert not _entails(cube, region[:1]) and not reference_entailed_by(cube, region[:1])
 
     def test_agrees_with_reference_on_every_call_of_a_run(self, spied_run):
         assert spied_run.entailed
         for cube, cubes, got in spied_run.entailed:
             assert got == reference_entailed_by(cube, cubes), cube
 
-
-class TestEntailedByGroup:
-    """`Region.tables` files the cubes in groups that share their variable
-    counts, each indexed by needs mask, as the region grows; `entailed_by`
-    must answer as a scan of every cube in region order does."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 10**9), st.sampled_from([None, 0, 1]))
-    def test_grown_region_agrees_with_an_ungrouped_scan(self, seed, slack):
-        # slack 0: the instance count equals the cap; 1: it is one above it
-        cubes, queries = random_grouped_region(seed)
-        region = Region()
-        for k, c in enumerate(cubes, start=1):
-            region.add(c)
-            for q in queries:
-                total = sum(math.perm(len(q.exists), len(b.exists)) for b in cubes[:k])
-                cap = engine.CLAUSE_CAP if slack is None else total - slack
-                got = _entailed_by_at_cap(q, region, cap)
-                assert got == reference_entailed_by(q, cubes[:k], cap)
+    def test_every_equality_of_a_run_sets_a_cell_first(self, spied_run):
+        """Where `entailed_by` is exact: every frontier cube of the run, and
+        so every region cube, sets cells to constants, the cell first."""
+        cubes = [c for layer in spied_run.verdict.layers for c in layer.cubes]
+        assert len(cubes) > 10
+        assert all(cells_first(c.lits) for c in cubes)
 
 
-def _entail_unary_region(seed: int) -> None:
+def _entail_unary_region(seed: int, contract: bool) -> None:
     """Grow the `random_unary_region` region one cube at a time and check
-    every query's `entailed_by` answer against the reference."""
-    cubes, queries = random_unary_region(seed)
+    every query's `entailed_by` answer against the reference: equal with
+    `contract` on a satisfiable query, and never True where the reference
+    is False."""
+    cubes, queries = random_unary_region(seed, contract)
     region = Region()
     for k, c in enumerate(cubes, start=1):
         region.add(c)
         for q in queries:
-            assert entailed_by(q, region) == reference_entailed_by(q, cubes[:k])
+            got, want = entailed_by(q, region, UNARY_SIG), reference_entailed_by(q, cubes[:k])
+            if contract and CongruenceClosure().assert_lits(q.lits):
+                assert got == want, q
+            assert want or not got, q
 
 
 class TestEntailedByUnaryRegion:
     """On regions over two index sorts whose cubes mostly speak of one
-    variable per literal, the answer is the reference's."""
+    variable per literal, the answer is the reference's wherever no literal
+    joins two cells and the query is satisfiable, and implies it
+    everywhere."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**9))
     def test_agrees_with_the_references(self, seed):
-        _entail_unary_region(seed)
+        for contract in (False, True):
+            _entail_unary_region(seed, contract)
 
 
 def _ground_entailment(base: list[Lit], clauses: list[list[Lit]]) -> tuple[Cube, list[Cube]]:
@@ -532,42 +516,35 @@ def _ground_entailment(base: list[Lit], clauses: list[list[Lit]]) -> tuple[Cube,
 
 
 def _agree(cube: Cube, region: list[Cube], want: bool) -> None:
-    assert entailed_by(cube, region_of(region)) is want
+    assert _entails(cube, region) is want
     assert reference_entailed_by(cube, region) is want
     assert brute_entailed(cube, region, CUBE_SIG) is want
 
 
-def _closure_entailed_by(cube: Cube, region: list[Cube]) -> bool:
-    """`reference_entailed_by` with each literal valued by the congruence
-    closure of `helpers`, which decides independently of the reading."""
-    cc = CongruenceClosure()
-    if not cc.assert_lits(cube.lits):
-        return True
-    instances = _region_instances(cube, region)
-    return len(instances) <= engine.CLAUSE_CAP and any(
-        all(cc.value(l) for l in inst) for inst in instances)
-
-
 class TestClausesSat:
     """The instance clauses, each the negated literals of an instance of a
-    region cube: `entailed_by` proves the cube entailed when its reading
-    falsifies one of them."""
+    region cube: `entailed_by` proves the cube entailed when the cube
+    falsifies one of them, each literal of the instance being one of the
+    cube's or one they imply."""
 
     def test_agrees_with_the_plain_search_on_every_call_of_a_run(self, spied_run):
-        # the plain search values every literal of every instance by the
-        # congruence closure, not by the reading
+        # the plain search looks each literal of every instance up among
+        # all the literals the cube implies, without the region's index
         assert spied_run.entailed
+        sig = spied_run.sig
         for cube, cubes, got in spied_run.entailed:
-            assert got == _closure_entailed_by(cube, cubes), cube
+            lits = implied_lits(cube, sig)
+            want = any(all(l in lits for l in inst) for inst in _region_instances(cube, cubes))
+            assert got == want, cube
 
     def test_equality_chain_is_fast(self):
-        # no clause g<k>=a or g<k>=b is falsified: 1 100 region cubes are
-        # each read once
+        # no clause g<k>=a or g<k>=b is falsified: none of the 1 100 region
+        # cubes of two literals embeds into the empty cube
         a, b = Const("a"), Const("b")
         clauses = [[lit_eq(GlobalRef(f"g{k}"), c) for c in (a, b)] for k in range(1100)]
         cube, region = _ground_entailment([], clauses)
         t0 = time.perf_counter()
-        assert not entailed_by(cube, region_of(region))
+        assert not entailed_by(cube, region_of(region), CUBE_SIG)
         assert time.perf_counter() - t0 < 1.0
 
     def test_falsified_clause_is_unsat(self):
@@ -689,11 +666,10 @@ class TestJoinedCells:
 
     @pytest.mark.parametrize("k", range(len(_JOINED)))
     def test_entailed_by(self, k):
+        # joins are outside what `entailed_by` decides as the reference does
         cube = make_cube(_ZS[:2], _JOINED[k])
         for region in [[b] for b in _JOIN_REGION] + [_JOIN_REGION[:2], _JOIN_REGION[2:]]:
-            got = entailed_by(cube, region_of(region))
-            assert got == reference_entailed_by(cube, region), region
-            assert not got or brute_entailed(cube, region, CUBE_SIG), region
+            assert not _entails(cube, region) or brute_entailed(cube, region, CUBE_SIG), region
 
 
 class TestBreach:
@@ -801,8 +777,9 @@ def _spied_breach(abp) -> SimpleNamespace:
     canonical, whether it returned the unpruned preimage less the cubes its
     region covers and whether the unpruned preimage is
     `reference_preimage`'s, for every `canon_cube` call
-    whether the region of the preimage it runs in covers its cube and every
-    `entailed_by` call as (cube, region cubes, answer)."""
+    whether the region of the preimage it runs in covers its cube, every
+    `entailed_by` call as (cube, region cubes, answer), the verdict and the
+    encoding's signature."""
     rec = SimpleNamespace(
         pruned_exactly=[], as_reference=[], canon_covered=[], entailed=[], canonical_input=[],
         split_as_reference=[],
@@ -841,7 +818,8 @@ def _spied_breach(abp) -> SimpleNamespace:
         m.setattr(engine, "canon_cube", canon_spy)
         m.setattr(engine, "entailed_by", ent_spy)
         m.setattr(engine, "differentiate", diff_spy)
-        breach(abp)
+        rec.verdict = breach(abp)
+    rec.sig = abp.sig
     return rec
 
 
@@ -1162,64 +1140,32 @@ class TestLocality:
         assert not rep.guaranteed_termination
 
 
-def _f(v: IndexVar, c: str, neg: bool = False) -> Lit:
-    return lit_eq(ArrayRead("f", v), Const(c), neg=neg)
-
-
-class TestNeedsCountTerms:
-    """A region cube that fixes n terms of one key is read only at a
-    reading that fixes n terms of that key: an injective instance keeps
-    distinct terms distinct."""
-
-    Z1, Z2, W1, W2 = (IndexVar(n, "I") for n in ("z1", "z2", "w1", "w2"))
-
-    def _reads(self, monkeypatch) -> list[Cube]:
-        """The region cubes `entailed_by` reads from now on."""
-        reads, holds = [], engine._instance_holds
-
-        def spy(b, *args):
-            reads.append(b)
-            return holds(b, *args)
-
-        monkeypatch.setattr(engine, "_instance_holds", spy)
-        return reads
-
-    def test_the_query_fixes_one_then_two(self, monkeypatch):
-        z1, z2, w1, w2 = self.Z1, self.Z2, self.W1, self.W2
-        both = make_cube([w1, w2], [_f(w1, "p"), _f(w2, "p")])
-        reads = self._reads(monkeypatch)
-        _agree(make_cube([z1, z2], [_f(z1, "p"), _f(z2, "q")]), [both], False)
-        assert reads == []
-        _agree(make_cube([z1, z2], [_f(z1, "p"), _f(z2, "p")]), [both], True)
-        assert reads == [both]
-
-
 class TestWorkCounts:
     """Each literal's facts are derived once, on first use, and kept by the
     hash-consed literal for every cube that holds it; each branch cube's
-    variables and reading are derived once and handed on.  Ceilings on what
-    the interleaved two-robot run computes, counted by spies, fail a change
+    variables are derived once and handed on.  Ceilings on what the
+    interleaved two-robot run computes, counted by spies, fail a change
     that derives them again where wall times are too noisy to show it.
     The run computes 111 shapes and 111 renderings on first use.  Before
     literals kept their facts across the class substitution (once by
-    copying them, now by hash-consing) and `Region.tables` took the root
-    reading of `entailed_by`, the run
-    built 1 350 readings, computed 2 750 shapes and 2 748 renderings on
-    first use and scanned literals for their variables 2 731 times; before
-    the run shared its preimage items across rules and renamings
-    (`Region.items`), it expanded the cases of 307 literals; before the
-    region's filters counted repeated shapes and fixed terms, it ran 1 396
-    embedding searches (`subsumes`) and read 415 region cubes for
-    entailment, and 114 while entailment searched over readings; `read`
-    counts the region cubes `entailed_by` reads (`_instance_holds`)."""
+    copying them, now by hash-consing), the run built 1 350 readings,
+    computed 2 750 shapes and 2 748 renderings on first use and scanned
+    literals for their variables 2 731 times; before the run shared its
+    preimage items across rules and renamings (`Region.items`), it expanded
+    the cases of 307 literals; before the region's filters counted repeated
+    shapes, it ran 1 396 embedding searches (`subsumes`).  Before
+    `entailed_by` decided by subsumption, it built a reading of every
+    frontier cube, 1 037 readings in all, and ran 580 embedding searches;
+    the shapes now include those of the disequalities the cube implies,
+    each built once per run (`Region.implied`)."""
 
     def test_two_robot(self, two_robot, monkeypatch):
         abp = encode(two_robot.model, "interleaved")
         counts = dict.fromkeys(("readings", "shapes", "renderings", "scans", "expansions",
-                                "embeddings", "read"), 0)
+                                "embeddings"), 0)
         read, shape, render = GroundReading.__init__, logic._lit_shape, Lit.__repr__
         scan, expand = logic.cube_vars_of_lits, engine.expand_cases
-        embed, holds = engine.subsumes, engine._instance_holds
+        embed = engine.subsumes
 
         def read_spy(reading, lits):
             counts["readings"] += 1
@@ -1245,22 +1191,18 @@ class TestWorkCounts:
             counts["embeddings"] += 1
             return embed(a, b)
 
-        def holds_spy(*args):
-            counts["read"] += 1
-            return holds(*args)
-
         monkeypatch.setattr(GroundReading, "__init__", read_spy)
-        monkeypatch.setattr(logic, "_lit_shape", shape_spy)
+        for mod in (logic, engine):
+            monkeypatch.setattr(mod, "_lit_shape", shape_spy)
         monkeypatch.setattr(Lit, "__repr__", render_spy)
         for mod in (logic, encoder):
             monkeypatch.setattr(mod, "cube_vars_of_lits", scan_spy)
         monkeypatch.setattr(engine, "expand_cases", expand_spy)
         monkeypatch.setattr(engine, "subsumes", embed_spy)
-        monkeypatch.setattr(engine, "_instance_holds", holds_spy)
         v = breach(abp)
         assert (v.status, v.depth, v.total_cubes) == (UNSAFE, 10, 524)
-        ceilings = dict(readings=1037, shapes=474, renderings=460, scans=1010, expansions=63,
-                        embeddings=580, read=44)
+        ceilings = dict(readings=688, shapes=582, renderings=460, scans=1010, expansions=63,
+                        embeddings=584)
         assert {k: n for k, n in counts.items() if n > ceilings[k]} == {}, counts
 
 
@@ -1337,48 +1279,6 @@ class TestSharedItems:
                 _lit_through(l, rc.globals_map, rc.arrays_map)), 100)
             assert rc.item_after(l, 100, items) == fresh
         assert len(items.shared) == 4
-
-
-class TestRegionReadings:
-    """`entailed_by` keeps the root reading of its cube (`Cube.reading`) for
-    `Region.tables`, which takes it once the cube is in the region: after
-    `tables`, and so after the run, no region cube holds a reading."""
-
-    @pytest.mark.parametrize("name", ["two-robot", "trains"])
-    def test_no_region_cube_keeps_a_reading(self, name, two_robot, monkeypatch):
-        p = two_robot.model if name == "two-robot" else parse_pmas(fixture_text(name), name)
-        regions, holding = [], []
-        tables = Region.tables
-
-        def keeping(region) -> list[Cube]:
-            return [c for c in region.cubes
-                    if any(isinstance(x, GroundReading) for x in vars(c).values())]
-
-        def spy(region):
-            tables(region)
-            regions.append(region)
-            holding.append(keeping(region))
-
-        monkeypatch.setattr(Region, "tables", spy)
-        breach(encode(p, "interleaved"))
-        assert len(regions[-1].cubes) > 1 and not any(holding)
-        assert keeping(regions[-1]) == []
-
-    def test_tables_take_the_root_reading(self, monkeypatch):
-        z1, z2 = IndexVar("z1", "I"), IndexVar("z2", "I")
-        cube = make_cube([z1, z2], [_f(z1, "p"), _f(z2, "p"), lit_eq(GlobalRef("g1"), Const("q"))])
-        region = region_of([])
-        assert not entailed_by(cube, region)
-        reading = vars(cube)["_reading"]
-        region.add(cube)
-        monkeypatch.setattr(GroundReading, "__init__", None)  # no reading is built
-        region.tables()
-        assert "_reading" not in vars(cube)
-        # a bit per fixed term of the root reading, the second of a key under (key, 2)
-        fp, gq = ("f", Const("p")), (GlobalRef("g1"), Const("q"))
-        assert [_fix_key(t, d) for t, d in reading.val.items()] == [fp, fp, gq]
-        assert region.fix_bits == {fp: 1, (fp, 2): 2, gq: 4}
-        assert region.groups == {(("I", 2),): {7: [0]}}
 
 
 def test_two_robot_template_needs_three_agents(two_robot):

@@ -2,8 +2,10 @@
 
 `data/verdict_digests.json` holds a `verdict_digest` (status, depth, total
 cubes, reason, trace, run template and every frontier layer's cubes) for the
-bundled models and the first 16 corpus models, each under the semantics
-named in its key.  `data/oracle_digests.json` holds an `oracle_digest`
+bundled models, the first 16 corpus models, and corpus models 16 (concurrent)
+and 42 (interleaved), the two whose fixpoint checks read relation literals
+through the constants the cube sets; each under the semantics named in its
+key.  `data/oracle_digests.json` holds an `oracle_digest`
 (status, depth, states seen and run of the explicit-state search over small
 agent counts and interpretations) for the same models, and
 `data/encoding_digests.json` an `encoding_digest` (signature, initial state,
